@@ -80,9 +80,9 @@ int Usage(const char* argv0, int code) {
       "                    FULL grid is still expanded (canonical indices\n"
       "                    and the bundle build sequence are unchanged)\n"
       "                    and sharded runs never rewrite the bundle.\n"
-      "                    Writes a shard result file (JSON) to --out\n"
-      "                    instead of sink output; reassemble the N\n"
-      "                    files with --merge.\n"
+      "                    Writes a shard result file (checksummed\n"
+      "                    binary words, not sink output) to --out;\n"
+      "                    reassemble the N files with --merge.\n"
       "  --merge OUT F...  validate and merge N shard files, then emit\n"
       "                    through the configured sink (timing-free) to\n"
       "                    OUT ('-' = stdout). Honors --format/--golden.\n"
@@ -296,10 +296,14 @@ int main(int argc, char** argv) {
                    name.c_str());
       return 1;
     }
+    // The spec's workload scale is part of the fingerprint the shards
+    // were written with.
+    harness::WorkloadFactory factory;
+    sweep::ConfigureFactoryForSpec(name, &factory);
     sweep::SweepReport report;
     std::string err;
-    if (!sweep::MergeShardReports(sweep::BuiltinSpec(name), texts, &report,
-                                  &err)) {
+    if (!sweep::MergeShardReports(sweep::BuiltinSpec(name), factory, texts,
+                                  &report, &err)) {
       std::fprintf(stderr, "merge failed: %s\n", err.c_str());
       return 1;
     }
@@ -429,7 +433,7 @@ int main(int argc, char** argv) {
     // output later); everything else goes through the configured sink.
     const auto emit = [&](std::ostream& os) {
       if (shard_count > 1) {
-        sweep::WriteShardFile(report, os);
+        sweep::WriteShardFile(report, factory, os);
       } else {
         sink->Emit(report, os);
       }
@@ -437,7 +441,7 @@ int main(int argc, char** argv) {
     if (out_path.empty()) {
       emit(std::cout);
     } else {
-      std::ofstream out(out_path);
+      std::ofstream out(out_path, std::ios::binary);
       if (!out) {
         std::fprintf(stderr, "cannot open '%s'\n", out_path.c_str());
         return 1;

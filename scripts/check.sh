@@ -138,20 +138,26 @@ if [[ $run_tier1 -eq 1 ]]; then
   # the committed golden byte-for-byte (cold shards build in separate
   # processes, so only the process-invariant golden fields compare).
   ./build/bench/sweep_main --spec smoke --threads 4 --shard 0/2 \
-    --out build/smoke_shard0.json
+    --out build/smoke_shard0.shard
   ./build/bench/sweep_main --spec smoke --threads 4 --shard 1/2 \
-    --out build/smoke_shard1.json
+    --out build/smoke_shard1.shard
   ./build/bench/sweep_main --merge build/sweep_smoke_merged_golden.json \
-    build/smoke_shard0.json build/smoke_shard1.json --golden
+    build/smoke_shard0.shard build/smoke_shard1.shard --golden
   diff -u tests/golden/sweep_smoke.json build/sweep_smoke_merged_golden.json
   # Malformed merges must be rejected, not silently mis-assembled.
   if ./build/bench/sweep_main --merge /dev/null \
-       build/smoke_shard0.json build/smoke_shard0.json 2>/dev/null; then
+       build/smoke_shard0.shard build/smoke_shard0.shard 2>/dev/null; then
     echo "FAIL: overlapping shard merge was accepted" >&2; exit 1
   fi
   if ./build/bench/sweep_main --merge /dev/null \
-       build/smoke_shard0.json 2>/dev/null; then
+       build/smoke_shard0.shard 2>/dev/null; then
     echo "FAIL: incomplete shard merge was accepted" >&2; exit 1
+  fi
+  # A shard file cut short (an interrupted copy) fails its checksum.
+  head -c 100 build/smoke_shard1.shard > build/smoke_shard1_truncated.shard
+  if ./build/bench/sweep_main --merge /dev/null build/smoke_shard0.shard \
+       build/smoke_shard1_truncated.shard 2>/dev/null; then
+    echo "FAIL: truncated shard merge was accepted" >&2; exit 1
   fi
 
   echo "==> sweep smoke grid: BENCH trajectory (warm)"
@@ -209,12 +215,12 @@ if [[ $run_tier1 -eq 1 ]]; then
   ./build/bench/sweep_main --spec smoke --threads 4 --shard 0/2 \
     --trace-bundle build/smoke.traces \
     --metrics-out build/smoke_shard_metrics.json \
-    --out build/smoke_warm_shard0.json
+    --out build/smoke_warm_shard0.shard
   ./build/bench/sweep_main --spec smoke --threads 4 --shard 1/2 \
     --trace-bundle build/smoke.traces \
-    --out build/smoke_warm_shard1.json
+    --out build/smoke_warm_shard1.shard
   ./build/bench/sweep_main --merge build/sweep_smoke_warm_merged.json \
-    build/smoke_warm_shard1.json build/smoke_warm_shard0.json --format json
+    build/smoke_warm_shard1.shard build/smoke_warm_shard0.shard --format json
   diff -u build/sweep_smoke_warm_det.json build/sweep_smoke_warm_merged.json
   # Shard bookkeeping: assigned + skipped must cover the whole grid.
   if command -v python3 >/dev/null 2>&1; then
@@ -380,21 +386,21 @@ EOF
   # specs: cold shards reassemble the committed golden; warm shards off
   # one mapped bundle reassemble the unsharded deterministic bytes.
   ./build/bench/sweep_main --spec skew --threads 4 --shard 0/2 \
-    --out build/skew_shard0.json
+    --out build/skew_shard0.shard
   ./build/bench/sweep_main --spec skew --threads 4 --shard 1/2 \
-    --out build/skew_shard1.json
+    --out build/skew_shard1.shard
   ./build/bench/sweep_main --merge build/sweep_skew_merged_golden.json \
-    build/skew_shard0.json build/skew_shard1.json --golden
+    build/skew_shard0.shard build/skew_shard1.shard --golden
   diff -u tests/golden/sweep_skew.json build/sweep_skew_merged_golden.json
   ./build/bench/sweep_main --spec skew --threads 4 --format json \
     --deterministic --trace-bundle build/skew.traces \
     --out build/sweep_skew_warm_det.json
   ./build/bench/sweep_main --spec skew --threads 4 --shard 0/2 \
-    --trace-bundle build/skew.traces --out build/skew_warm_shard0.json
+    --trace-bundle build/skew.traces --out build/skew_warm_shard0.shard
   ./build/bench/sweep_main --spec skew --threads 4 --shard 1/2 \
-    --trace-bundle build/skew.traces --out build/skew_warm_shard1.json
+    --trace-bundle build/skew.traces --out build/skew_warm_shard1.shard
   ./build/bench/sweep_main --merge build/sweep_skew_warm_merged.json \
-    build/skew_warm_shard0.json build/skew_warm_shard1.json --format json
+    build/skew_warm_shard0.shard build/skew_warm_shard1.shard --format json
   diff -u build/sweep_skew_warm_det.json build/sweep_skew_warm_merged.json
   # Shaper/driver observability: a COLD run must surface the traffic.*
   # and ycsb.* counter families (warm runs build nothing, so they are

@@ -25,12 +25,14 @@
 
 namespace stagedcmp::db {
 
-/// A batch of fixed-width tuples flowing between stages.
+/// A batch of fixed-width tuples flowing between stages. Rows live in a
+/// 64-byte-aligned TupleBuf: traced row copies record absolute addresses,
+/// so the cache lines a row spans must not depend on heap placement.
 class Packet {
  public:
   Packet(const Schema* schema, uint32_t capacity)
       : schema_(schema), capacity_(capacity) {
-    data_.resize(static_cast<size_t>(capacity) * schema->tuple_size());
+    data_.Resize(static_cast<size_t>(capacity) * schema->tuple_size());
   }
 
   bool Full() const { return count_ >= capacity_; }
@@ -52,7 +54,7 @@ class Packet {
   const Schema* schema_;
   uint32_t capacity_;
   uint32_t count_ = 0;
-  std::vector<uint8_t> data_;
+  TupleBuf data_;
 };
 
 /// Scheduling policy for the staged engine.
@@ -135,7 +137,9 @@ class AggStage : public Stage {
   std::vector<std::vector<double>> Results() const;
 
  private:
-  struct GroupState {
+  /// Line-aligned: Process traces a one-line write at &GroupState, which
+  /// must cover exactly one cache line wherever the map node lands.
+  struct alignas(64) GroupState {
     std::vector<int64_t> keys;
     std::vector<double> acc;
     std::vector<int64_t> cnt;

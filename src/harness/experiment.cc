@@ -16,6 +16,23 @@ const char* WorkloadName(WorkloadKind w) {
   return "?";
 }
 
+const char* EngineModeName(EngineMode e) {
+  switch (e) {
+    case EngineMode::kVolcano: return "volcano";
+    case EngineMode::kStagedCohort: return "staged-cohort";
+    case EngineMode::kStagedTuple: return "staged-tuple";
+  }
+  return "?";
+}
+
+const char* LatencyModeName(LatencyMode m) {
+  return m == LatencyMode::kRealistic ? "realistic" : "fixed4";
+}
+
+const char* TopologyName(Topology t) {
+  return t == Topology::kCmpShared ? "cmp-shared" : "smp-private";
+}
+
 TraceSet WorkloadFactory::Build(const TraceSetConfig& config) const {
   // A fresh world per build: private databases, private code-region map.
   // Builds are pure functions of (config, scale knobs), so they can run
@@ -68,6 +85,14 @@ coresim::CoreParams MakeCoreParams(coresim::Camp camp) {
                                      : coresim::CoreParams::Lean();
 }
 
+ResolvedHardware ResolveHardware(const ExperimentConfig& config) {
+  ResolvedHardware hw;
+  hw.l2_hit_cycles = MakeHierarchyConfig(config).lat.l2_hit;
+  hw.cores = config.cores;
+  hw.contexts_per_core = MakeCoreParams(config.camp).contexts;
+  return hw;
+}
+
 coresim::SimResult RunExperiment(const ExperimentConfig& config,
                                  const TraceSet& traces,
                                  ResolvedHardware* hw,
@@ -88,11 +113,7 @@ coresim::SimResult RunExperiment(const ExperimentConfig& config,
   sc.metrics = metrics;
   sc.tenant_a_clients = traces.tenant_a_clients;
 
-  if (hw != nullptr) {
-    hw->l2_hit_cycles = hc.lat.l2_hit;
-    hw->cores = config.cores;
-    hw->contexts_per_core = sc.core.contexts;
-  }
+  if (hw != nullptr) *hw = ResolveHardware(config);
 
   coresim::CmpSimulator sim(sc, hierarchy.get(), traces.Pointers());
   return sim.Run();

@@ -24,10 +24,14 @@ enum class WorkloadKind : uint8_t { kOltp, kDss, kYcsb };
 enum class LatencyMode : uint8_t { kRealistic, kFixed4 };
 enum class Topology : uint8_t { kCmpShared, kSmpPrivate };
 
-const char* WorkloadName(WorkloadKind w);
-
 /// Engine execution model used when generating DSS traces.
 enum class EngineMode : uint8_t { kVolcano, kStagedCohort, kStagedTuple };
+
+/// Spec-facing names of the config enums (CampName lives in coresim).
+const char* WorkloadName(WorkloadKind w);
+const char* EngineModeName(EngineMode e);
+const char* LatencyModeName(LatencyMode m);
+const char* TopologyName(Topology t);
 
 struct TraceSetConfig {
   WorkloadKind workload = WorkloadKind::kOltp;
@@ -47,6 +51,12 @@ struct TraceSetConfig {
   WorkloadKind tenant2_workload = WorkloadKind::kOltp;
   uint32_t tenant2_clients = 0;
 };
+
+/// TraceSet::tenant_a_clients of a set built from `c`: 0 for
+/// single-tenant sets, else the tenant-A client count.
+inline uint32_t TenantAClients(const TraceSetConfig& c) {
+  return c.tenant2_clients > 0 ? c.clients : 0;
+}
 
 /// A set of per-client traces plus the database they were recorded against.
 struct TraceSet {
@@ -158,6 +168,10 @@ struct ResolvedHardware {
   uint32_t cores = 0;
   uint32_t contexts_per_core = 0;
 };
+
+/// The hardware `config` resolves to (cacti L2 latency, core contexts) —
+/// a pure function of the config, so reports can re-derive it.
+ResolvedHardware ResolveHardware(const ExperimentConfig& config);
 
 /// Runs one configuration over a trace set. When `metrics` is non-null
 /// the replay engine folds the run's counters into it under `replay.*`

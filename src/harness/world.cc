@@ -103,7 +103,7 @@ TraceSet WorkloadWorld::Build(const TraceSetConfig& config) {
   TraceSet out;
   out.config = config;
   const uint32_t total_clients = config.clients + config.tenant2_clients;
-  out.tenant_a_clients = config.tenant2_clients > 0 ? config.clients : 0;
+  out.tenant_a_clients = TenantAClients(config);
   out.traces.reserve(total_clients);
 
   for (uint32_t c = 0; c < total_clients; ++c) {

@@ -80,7 +80,6 @@ struct RunnerOptions {
 struct CellResult {
   Cell cell;
   coresim::SimResult result;
-  harness::ResolvedHardware hw;
   /// Skeleton totals of the cell's (shared) trace set. Unlike the
   /// simulated metrics these are independent of heap placement, so they
   /// are stable across processes and belong in checked-in goldens.

@@ -8,24 +8,21 @@
 // whose output is byte-identical to the same sink run unsharded — the
 // property every determinism guarantee of the sweep engine extends to.
 //
-// A shard file is JSON, keyed by canonical cell index plus a full echo
-// of each cell's resolved config (the JsonSink "config" object,
-// EmitCellConfigJson). It carries every field the sinks read — raw
-// SimResult state incl. the cycle breakdown, hierarchy counters,
-// queue-delay aggregate and tenant attribution, all doubles as %.17g
-// (round-trip exact) — so the merged report reconstructs bit-identical
-// sink input, not a lossy summary.
+// A shard file uses the trace bundle's encoding: native-endian u64 words
+// closed by one FNV checksum word. The header holds magic, schema, spec
+// name, shard I/N, the spec's cell count and the spec fingerprint; each
+// executed cell is one fixed-width record of canonical index, config
+// words (harness/config_fields.h), trace-set totals, sim_wall_seconds,
+// and every SimResult field the sinks read, doubles by bit pattern — so
+// the merged report is bit-identical sink input, not a lossy summary.
 //
-// Merge validation is strict; any failure rejects the whole merge:
-//   * every file carries the same spec name, shard_count, cell count
-//     and spec fingerprint (a hash of the expanded grid: axis names,
-//     values, full cell configs) — shard files from a different spec,
-//     scale, or binary vintage are rejected;
-//   * shard indices are distinct and complete (overlap and missing
-//     shards are both errors), every cell lands in the shard its index
-//     assigns it to, and each expanded cell appears exactly once;
-//   * each cell's config echo must equal the re-expanded cell's config
-//     serialization field for field.
+// Merge rejects the whole set on any failure: a truncated or corrupt
+// file (checksum), a different schema, spec name or spec fingerprint
+// (which covers the workload scale, so shards of another spec, scale or
+// binary vintage never merge), a bad or inconsistent shard selection,
+// overlapping or missing shards, a cell in the wrong shard or twice,
+// config words that differ from the re-expanded cell's, and a tenant
+// count above 2.
 //
 // Determinism caveat (same taxonomy as sinks.h): merged FULL metrics
 // are byte-identical to an unsharded run when both replayed the same
@@ -34,10 +31,12 @@
 #ifndef STAGEDCMP_SWEEP_SHARD_H_
 #define STAGEDCMP_SWEEP_SHARD_H_
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "harness/experiment.h"
 #include "sweep/runner.h"
 #include "sweep/spec.h"
 
@@ -45,21 +44,34 @@ namespace stagedcmp::sweep {
 
 /// Writes the shard result file for `report`, which must come from a
 /// SweepRunner executed with shard_count > 1 (report.shard_count echoes
-/// it). Only the report's assigned cells are written.
-void WriteShardFile(const SweepReport& report, std::ostream& os);
+/// it) over `factory`. Only the report's assigned cells are written.
+void WriteShardFile(const SweepReport& report,
+                    const harness::WorkloadFactory& factory,
+                    std::ostream& os);
 
 /// Merges shard file contents (`shard_texts`, one per shard, any order)
-/// for `spec` into a reconstructed report in canonical cell order. On
-/// success returns true; on any validation failure returns false with a
-/// one-line reason in `*error` and `*out` unspecified. The merged
-/// report carries no timing/threads (emit it timing-free).
+/// for `spec` at `factory`'s workload scale into a reconstructed report
+/// in canonical cell order. On success returns true; on any validation
+/// failure returns false with a one-line reason in `*error` and `*out`
+/// unspecified. The merged report carries no timing/threads (emit it
+/// timing-free).
 bool MergeShardReports(const SweepSpec& spec,
+                       const harness::WorkloadFactory& factory,
                        const std::vector<std::string>& shard_texts,
                        SweepReport* out, std::string* error);
 
-/// Reads the "spec" field of one shard file so a driver can resolve the
-/// spec before merging. False if `text` is not a shard file.
+/// Reads the spec name of one shard file so a driver can resolve the
+/// spec before merging. False if `text` is not an intact shard file.
 bool PeekShardSpecName(const std::string& text, std::string* name);
+
+/// Hash of the expanded grid at `factory`'s workload scale: spec name,
+/// axis names, every cell's index, value labels and config words, and the
+/// scale words. Two binaries agree on it iff they would expand the very
+/// same grid over the very same workloads.
+uint64_t SpecFingerprint(const std::string& spec_name,
+                         const std::vector<std::string>& axis_names,
+                         const std::vector<const Cell*>& cells,
+                         const harness::WorkloadFactory& factory);
 
 }  // namespace stagedcmp::sweep
 

@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <ostream>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #ifdef __unix__
@@ -13,25 +15,9 @@
 
 #include "common/table_printer.h"
 #include "coresim/breakdown.h"
+#include "harness/config_fields.h"
 
 namespace stagedcmp::sweep {
-
-const char* EngineModeName(harness::EngineMode e) {
-  switch (e) {
-    case harness::EngineMode::kVolcano: return "volcano";
-    case harness::EngineMode::kStagedCohort: return "staged-cohort";
-    case harness::EngineMode::kStagedTuple: return "staged-tuple";
-  }
-  return "?";
-}
-
-const char* LatencyModeName(harness::LatencyMode m) {
-  return m == harness::LatencyMode::kRealistic ? "realistic" : "fixed4";
-}
-
-const char* TopologyName(harness::Topology t) {
-  return t == harness::Topology::kCmpShared ? "cmp-shared" : "smp-private";
-}
 
 namespace {
 
@@ -85,57 +71,51 @@ class JsonObj {
   bool first_ = true;
 };
 
+/// A config field's value as text: enums by name, doubles round-trip
+/// exact, bools as JSON literals or (CSV/table columns) as 1/0.
+template <typename T>
+std::string FieldText(const T& v, bool json) {
+  if constexpr (std::is_enum_v<T>) {
+    return json ? Quote(harness::FieldName(v)) : harness::FieldName(v);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return json ? (v ? "true" : "false") : (v ? "1" : "0");
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return Dbl(v);
+  } else {
+    return std::to_string(v);
+  }
+}
+
+/// Config fields the CSV carries, by field-table name.
+constexpr const char* kCsvConfigColumns[] = {
+    "workload", "clients",  "requests_per_client", "seed",
+    "engine",   "camp",     "cores",               "l2_bytes",
+    "latency",  "topology", "saturated",           "l2_ports",
+    "fixed_l2_latency"};
+
+/// Column text of the config field called `name`.
+std::string ConfigText(const Cell& cell, const char* name) {
+  std::string text;
+  const auto pick = [&](const char* n, const auto& v, bool) {
+    if (std::strcmp(n, name) == 0) text = FieldText(v, /*json=*/false);
+  };
+  harness::VisitFields(cell.trace, pick);
+  harness::VisitFields(cell.exp, pick);
+  return text;
+}
+
 }  // namespace
 
-void EmitCellConfigJson(const CellResult& cr, std::ostream& os, int indent) {
-  const harness::TraceSetConfig& tc = cr.cell.trace;
-  const harness::ExperimentConfig& ec = cr.cell.exp;
+void EmitCellConfigJson(const Cell& cell, std::ostream& os, int indent) {
   JsonObj o(os, indent);
-  o.Str("workload", harness::WorkloadName(tc.workload));
-  o.Int("clients", tc.clients);
-  o.Int("requests_per_client", tc.requests_per_client);
-  o.Int("seed", tc.seed);
-  o.Str("engine", EngineModeName(tc.engine));
-  // Traffic shaping and tenancy: emitted only when non-default, so the
-  // committed goldens of pre-existing specs keep their historical bytes.
-  const workload::TrafficConfig& tr = tc.traffic;
-  if (tr.shapes_keys()) {
-    o.Str("key_dist", workload::KeyDistName(tr.key_dist));
-    o.Num("zipf_theta", tr.zipf_theta);
-    if (tr.key_dist == workload::KeyDist::kHotRotate) {
-      o.Int("hot_rotate_period", tr.hot_rotate_period);
-    }
-  }
-  if (tr.shapes_arrival()) {
-    o.Str("arrival", workload::ArrivalShapeName(tr.arrival));
-    if (tr.arrival == workload::ArrivalShape::kOnOffBurst) {
-      o.Int("burst_on", tr.burst_on);
-      o.Int("burst_off", tr.burst_off);
-    }
-    o.Int("think_instructions", tr.think_instructions);
-  }
-  if (tc.tenant2_clients > 0) {
-    o.Str("tenant2_workload", harness::WorkloadName(tc.tenant2_workload));
-    o.Int("tenant2_clients", tc.tenant2_clients);
-  }
-  // Same conditional-emission rule for the SMP bus model: only cells
-  // that opt in (shootout) carry the knob, so pre-existing goldens keep
-  // their historical bytes.
-  if (ec.smp_bus_model) o.Bool("smp_bus_model", ec.smp_bus_model);
-  o.Str("camp", coresim::CampName(ec.camp));
-  o.Int("cores", ec.cores);
-  o.Int("l2_bytes", ec.l2_bytes);
-  o.Str("latency", LatencyModeName(ec.latency));
-  o.Str("topology", TopologyName(ec.topology));
-  o.Bool("saturated", ec.saturated);
-  o.Int("measure_instructions", ec.measure_instructions);
-  o.Int("warmup_instructions", ec.warmup_instructions);
-  o.Bool("stream_buffers", ec.stream_buffers);
-  o.Int("l2_ports", ec.l2_ports);
-  o.Int("memory_latency", ec.memory_latency);
-  o.Int("fixed_l2_latency", ec.fixed_l2_latency);
-  o.Int("l2_hit_cycles", cr.hw.l2_hit_cycles);
-  o.Int("contexts_per_core", cr.hw.contexts_per_core);
+  const auto echo = [&o](const char* name, const auto& v, bool present) {
+    if (present) o.Field(name, FieldText(v, /*json=*/true));
+  };
+  harness::VisitFields(cell.trace, echo);
+  harness::VisitFields(cell.exp, echo);
+  const harness::ResolvedHardware hw = harness::ResolveHardware(cell.exp);
+  o.Int("l2_hit_cycles", hw.l2_hit_cycles);
+  o.Int("contexts_per_core", hw.contexts_per_core);
   o.Close();
 }
 
@@ -256,9 +236,11 @@ void TableSink::Emit(const SweepReport& report, std::ostream& os) const {
     const coresim::SimResult& r = cr.result;
     std::vector<std::string> row{std::to_string(cr.cell.index)};
     for (const std::string& v : cr.cell.values) row.push_back(v);
-    if (want_cores) row.push_back(std::to_string(cr.cell.exp.cores));
+    if (want_cores) row.push_back(ConfigText(cr.cell, "cores"));
     if (want_l2) {
-      row.push_back(std::to_string(cr.cell.exp.l2_bytes >> 20) + "MB");
+      row.push_back(
+          std::to_string(std::stoull(ConfigText(cr.cell, "l2_bytes")) >> 20) +
+          "MB");
     }
     row.push_back(TablePrinter::Num(r.cpi(), 2));
     row.push_back(TablePrinter::Num(r.uipc(), 2));
@@ -359,7 +341,7 @@ void JsonSink::Emit(const SweepReport& report, std::ostream& os) const {
       }
       {
         std::ostringstream cfg;
-        EmitCellConfigJson(cr, cfg, 6);
+        EmitCellConfigJson(cr.cell, cfg, 6);
         c.Field("config", cfg.str());
       }
       {
@@ -389,10 +371,7 @@ void CsvSink::Emit(const SweepReport& report, std::ostream& os) const {
   std::vector<std::string> header{"index"};
   for (const std::string& a : report.axis_names) header.push_back(a);
   // cfg_ prefix keeps config columns distinct from same-named axes.
-  for (const char* c :
-       {"workload", "clients", "requests_per_client", "seed", "engine",
-        "camp", "cores", "l2_bytes", "latency", "topology", "saturated",
-        "l2_ports", "fixed_l2_latency"}) {
+  for (const char* c : kCsvConfigColumns) {
     header.emplace_back(std::string("cfg_") + c);
   }
   // Trace-set skeleton totals: process-invariant (like the JSON sink's
@@ -417,24 +396,12 @@ void CsvSink::Emit(const SweepReport& report, std::ostream& os) const {
 
   TablePrinter table(std::move(header));
   for (const CellResult& cr : report.cells) {
-    const harness::TraceSetConfig& tc = cr.cell.trace;
-    const harness::ExperimentConfig& ec = cr.cell.exp;
     const coresim::SimResult& r = cr.result;
     std::vector<std::string> row{std::to_string(cr.cell.index)};
     for (const std::string& v : cr.cell.values) row.push_back(v);
-    row.push_back(harness::WorkloadName(tc.workload));
-    row.push_back(std::to_string(tc.clients));
-    row.push_back(std::to_string(tc.requests_per_client));
-    row.push_back(std::to_string(tc.seed));
-    row.push_back(EngineModeName(tc.engine));
-    row.push_back(coresim::CampName(ec.camp));
-    row.push_back(std::to_string(ec.cores));
-    row.push_back(std::to_string(ec.l2_bytes));
-    row.push_back(LatencyModeName(ec.latency));
-    row.push_back(TopologyName(ec.topology));
-    row.push_back(ec.saturated ? "1" : "0");
-    row.push_back(std::to_string(ec.l2_ports));
-    row.push_back(std::to_string(ec.fixed_l2_latency));
+    for (const char* c : kCsvConfigColumns) {
+      row.push_back(ConfigText(cr.cell, c));
+    }
     row.push_back(std::to_string(cr.trace_total_instructions));
     row.push_back(std::to_string(cr.trace_total_events));
     if (!golden_) {

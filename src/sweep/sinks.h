@@ -18,12 +18,6 @@
 
 namespace stagedcmp::sweep {
 
-/// Spec-facing names for the remaining config enums (WorkloadName and
-/// CampName already live in harness/coresim).
-const char* EngineModeName(harness::EngineMode e);
-const char* LatencyModeName(harness::LatencyMode m);
-const char* TopologyName(harness::Topology t);
-
 class ResultSink {
  public:
   virtual ~ResultSink() = default;
@@ -82,10 +76,9 @@ class CsvSink : public ResultSink {
 };
 
 /// Emits one cell's resolved-config JSON object — the "config" field of
-/// JsonSink output. Shared with the shard writer (sweep/shard.cc), which
-/// echoes it into shard files so a merge can validate each cell against
-/// the re-expanded spec and reproduce sink output byte-identically.
-void EmitCellConfigJson(const CellResult& cr, std::ostream& os, int indent);
+/// JsonSink output: every field-table row whose presence rule holds
+/// (harness/config_fields.h), then the resolved hardware.
+void EmitCellConfigJson(const Cell& cell, std::ostream& os, int indent);
 
 /// An extra top-level section appended to the perf summary: `raw_json`
 /// is emitted verbatim as the value of `key` (callers own indentation —

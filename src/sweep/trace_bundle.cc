@@ -3,9 +3,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <utility>
+
+#include "harness/config_fields.h"
+#include "sweep/checksum.h"
 
 #ifdef __unix__
 #include <fcntl.h>
@@ -25,7 +27,10 @@ namespace {
 constexpr uint64_t kMagic = 0x31444E4254435343ULL;  // "CSCTBND1"
 // v3: header-resident index (per-trace offsets, lengths, checksums) and
 // 64-byte-aligned payloads, so the file can be mapped and replayed in
-// place. v1/v2 bundles demote to a cold rebuild.
+// place. v1/v2 bundles demote to a cold rebuild. Each region gets a fresh
+// Checksum chain: the header words (so stale/corrupt indexes are rejected
+// before any view is handed out) and each trace's payload words (so
+// corruption localizes to one set, which alone demotes to a cold rebuild).
 constexpr uint32_t kVersion = 3;
 constexpr uint64_t kAlign = 64;
 
@@ -33,64 +38,12 @@ constexpr uint64_t Align64(uint64_t bytes) {
   return (bytes + (kAlign - 1)) & ~(kAlign - 1);
 }
 
-/// FNV-style running checksum. v3 uses one fresh chain per region: the
-/// header words (so stale/corrupt indexes are rejected before any view
-/// is handed out) and each trace's payload words (so corruption
-/// localizes to one set, which alone demotes to a cold rebuild).
-struct Checksum {
-  uint64_t state = 0xcbf29ce484222325ULL;
-  void Mix(uint64_t v) {
-    state ^= v;
-    state *= 0x100000001B3ULL;
-    state ^= state >> 29;
-  }
-  void MixAll(const uint64_t* p, size_t n) {
-    for (size_t i = 0; i < n; ++i) Mix(p[i]);
-  }
-};
-
 struct FileCloser {
   void operator()(std::FILE* f) const {
     if (f != nullptr) std::fclose(f);
   }
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-bool WriteU64(std::FILE* f, uint64_t v) {
-  return std::fwrite(&v, sizeof(v), 1, f) == 1;
-}
-
-/// The workload scale knobs that (besides the configs) determine trace
-/// bytes, flattened into a fixed-width block.
-std::vector<uint64_t> ScaleBlock(const harness::WorkloadFactory& factory) {
-  const workload::TpccConfig& tc = factory.tpcc_config;
-  const workload::TpchConfig& hc = factory.tpch_config;
-  const workload::YcsbConfig& yc = factory.ycsb_config;
-  return {tc.warehouses,        tc.districts_per_warehouse,
-          tc.customers_per_district, tc.items,
-          tc.initial_orders_per_district, tc.load_seed,
-          hc.orders,            hc.customers,
-          hc.parts,             hc.suppliers,
-          hc.partsupp_per_part, hc.max_lines_per_order,
-          hc.load_seed,
-          yc.records,           yc.fields,
-          yc.field_len,         yc.read_pct,
-          yc.update_pct,        yc.insert_pct,
-          yc.scan_pct,          yc.scan_len,
-          yc.ops_per_request,   yc.load_seed};
-}
-
-std::vector<uint64_t> ConfigBlock(const harness::TraceSetConfig& c) {
-  uint64_t theta_bits = 0;
-  std::memcpy(&theta_bits, &c.traffic.zipf_theta, sizeof(theta_bits));
-  return {static_cast<uint64_t>(c.workload), c.clients,
-          c.requests_per_client, c.seed, static_cast<uint64_t>(c.engine),
-          static_cast<uint64_t>(c.traffic.key_dist), theta_bits,
-          c.traffic.hot_rotate_period,
-          static_cast<uint64_t>(c.traffic.arrival), c.traffic.burst_on,
-          c.traffic.burst_off, c.traffic.think_instructions,
-          static_cast<uint64_t>(c.tenant2_workload), c.tenant2_clients};
-}
 
 /// One trace's index row as recorded in the v3 header.
 struct TraceIndex {
@@ -112,48 +65,16 @@ struct ParsedHeader {
   std::vector<SetIndex> sets;
 };
 
-/// Sequential word supplier for the two header transports: a mapped
-/// buffer and a FILE*. The parser mixes its own checksum.
-class WordSource {
- public:
-  virtual ~WordSource() = default;
-  virtual bool Next(uint64_t* v) = 0;
-};
-
-class BufferWordSource : public WordSource {
- public:
-  BufferWordSource(const uint64_t* words, uint64_t n_words)
-      : words_(words), n_(n_words) {}
-  bool Next(uint64_t* v) override {
-    if (pos_ >= n_) return false;
-    *v = words_[pos_++];
-    return true;
-  }
-
- private:
-  const uint64_t* words_;
-  uint64_t n_;
-  uint64_t pos_ = 0;
-};
-
-class FileWordSource : public WordSource {
- public:
-  explicit FileWordSource(std::FILE* f) : f_(f) {}
-  bool Next(uint64_t* v) override {
-    return std::fread(v, sizeof(*v), 1, f_) == 1;
-  }
-
- private:
-  std::FILE* f_;
-};
-
 /// Parses and validates the v3 header against the expected canonical
 /// sequence: magic, version, scale knobs, config blocks, index geometry
 /// (every offset must equal the canonical 64-aligned layout and the
 /// last payload must end exactly at file_bytes), and the header
 /// checksum. False on any mismatch. Payload checksums are NOT checked —
 /// transports decide when (fread: eagerly; mmap: lazily per set).
-bool ParseHeader(WordSource* src, int64_t file_bytes,
+/// `next(&word)` supplies the file's words in order (a mapped buffer or
+/// a FILE*); it is never asked for more than file_bytes / 8 words.
+template <typename NextWord>
+bool ParseHeader(NextWord next, int64_t file_bytes,
                  const harness::WorkloadFactory& factory,
                  const std::vector<harness::TraceSetConfig>& expected,
                  ParsedHeader* out) {
@@ -163,21 +84,21 @@ bool ParseHeader(WordSource* src, int64_t file_bytes,
   uint64_t words_read = 0;
   uint64_t v = 0;
   const auto get = [&](uint64_t* dst) {
-    if (words_read >= max_words || !src->Next(dst)) return false;
+    if (words_read >= max_words || !next(dst)) return false;
     ++words_read;
     sum.Mix(*dst);
     return true;
   };
   if (!get(&v) || v != kMagic) return false;
   if (!get(&v) || v != kVersion) return false;
-  for (uint64_t want : ScaleBlock(factory)) {
+  for (uint64_t want : harness::ScaleWords(factory)) {
     if (!get(&v) || v != want) return false;
   }
   if (!get(&v) || v != expected.size()) return false;
   out->sets.clear();
   out->sets.reserve(expected.size());
   for (const harness::TraceSetConfig& cfg : expected) {
-    for (uint64_t want : ConfigBlock(cfg)) {
+    for (uint64_t want : harness::FieldWords(cfg)) {
       if (!get(&v) || v != want) return false;
     }
     SetIndex si;
@@ -201,7 +122,7 @@ bool ParseHeader(WordSource* src, int64_t file_bytes,
   // Header checksum covers every header word above it.
   const uint64_t computed = sum.state;
   uint64_t stored = 0;
-  if (words_read >= max_words || !src->Next(&stored)) return false;
+  if (words_read >= max_words || !next(&stored)) return false;
   ++words_read;
   if (stored != computed) return false;
   // Geometry: the index must describe exactly the canonical layout —
@@ -226,7 +147,7 @@ bool ParseHeader(WordSource* src, int64_t file_bytes,
 void InitSetFromConfig(harness::TraceSet* ts,
                        const harness::TraceSetConfig& cfg) {
   ts->config = cfg;
-  ts->tenant_a_clients = cfg.tenant2_clients > 0 ? cfg.clients : 0;
+  ts->tenant_a_clients = harness::TenantAClients(cfg);
 }
 
 }  // namespace
@@ -285,9 +206,12 @@ bool SaveTraceBundle(const std::string& path,
     // Header geometry is a closed form of the set/trace counts, so the
     // payload offsets recorded in the index are known before anything
     // is written.
-    uint64_t header_words = 2 + ScaleBlock(factory).size() + 1 + 1;
+    const std::vector<uint64_t> scale = harness::ScaleWords(factory);
+    uint64_t header_words = 2 + scale.size() + 1 + 1;
     for (const harness::TraceSet* ts : sets) {
-      header_words += 14 + 3 + 5 * ts->traces.size();
+      // Config block (every field-table word), 3 set words, index rows.
+      header_words += harness::FieldCount<harness::TraceSetConfig>() + 3 +
+                      5 * ts->traces.size();
     }
     const uint64_t header_end = Align64(header_words * 8);
 
@@ -296,11 +220,11 @@ bool SaveTraceBundle(const std::string& path,
     const auto put = [&](uint64_t v) { hdr.push_back(v); };
     put(kMagic);
     put(kVersion);
-    for (uint64_t v : ScaleBlock(factory)) put(v);
+    for (uint64_t v : scale) put(v);
     put(sets.size());
     uint64_t cursor = header_end;
     for (const harness::TraceSet* ts : sets) {
-      for (uint64_t v : ConfigBlock(ts->config)) put(v);
+      for (uint64_t v : harness::FieldWords(ts->config)) put(v);
       put(ts->total_instructions);
       put(ts->total_events);
       put(ts->traces.size());
@@ -377,8 +301,11 @@ BundleOpenResult OpenTraceBundle(
       // the fread path would read the same bytes and reject them too,
       // so demote straight to cold.
       ParsedHeader ph;
-      BufferWordSource src(mapping->words(), mapping->size_bytes() / 8);
-      if (!ParseHeader(&src, static_cast<int64_t>(mapping->size_bytes()),
+      const auto next = [w = mapping->words()](uint64_t* v) mutable {
+        *v = *w++;
+        return true;
+      };
+      if (!ParseHeader(next, static_cast<int64_t>(mapping->size_bytes()),
                        factory, expected, &ph)) {
         return r;
       }
@@ -418,8 +345,10 @@ BundleOpenResult OpenTraceBundle(
   const int64_t file_bytes = BundleFileBytes(path);
   if (file_bytes < 0) return r;
   ParsedHeader ph;
-  FileWordSource src(f.get());
-  if (!ParseHeader(&src, file_bytes, factory, expected, &ph)) return r;
+  const auto next = [&f](uint64_t* v) {
+    return std::fread(v, sizeof(*v), 1, f.get()) == 1;
+  };
+  if (!ParseHeader(next, file_bytes, factory, expected, &ph)) return r;
   std::vector<harness::TraceSet> sets(expected.size());
   for (size_t j = 0; j < expected.size(); ++j) {
     harness::TraceSet& ts = sets[j];
@@ -464,19 +393,6 @@ BundleOpenResult OpenTraceBundle(
   r.mode = "fread";
   r.sets = std::move(sets);
   return r;
-}
-
-bool LoadTraceBundle(const std::string& path,
-                     const harness::WorkloadFactory& factory,
-                     const std::vector<harness::TraceSetConfig>& expected,
-                     std::vector<harness::TraceSet>* out) {
-  out->clear();
-  BundleOpenResult r = OpenTraceBundle(path, factory, expected,
-                                       /*needed=*/nullptr,
-                                       /*force_fread=*/true);
-  if (r.mode != "fread") return false;
-  *out = std::move(r.sets);
-  return true;
 }
 
 }  // namespace stagedcmp::sweep

@@ -120,14 +120,6 @@ BundleOpenResult OpenTraceBundle(
 bool VerifyBundleSet(const harness::TraceSet& set,
                      const std::vector<uint64_t>& checksums);
 
-/// Compatibility shim over OpenTraceBundle's fread path: loads `path`
-/// into owning `out` sets iff the bundle matches `expected` + the
-/// factory's scale knobs, fully verified. On false, `out` is unspecified.
-bool LoadTraceBundle(const std::string& path,
-                     const harness::WorkloadFactory& factory,
-                     const std::vector<harness::TraceSetConfig>& expected,
-                     std::vector<harness::TraceSet>* out);
-
 /// Size of `path` in bytes via fseeko/ftello (int64_t end to end), or -1
 /// on error. The v2 loader funneled this through a `long`, which
 /// truncates at 2 GiB on LP32/Windows ABIs — exactly where out-of-core

@@ -1,7 +1,6 @@
 #include "sweep/trace_cache.h"
 
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 namespace stagedcmp::sweep {
@@ -35,18 +34,7 @@ TraceSetCache::TraceSetCache(const harness::WorkloadFactory* factory,
 }
 
 TraceSetCache::Key TraceSetCache::MakeKey(const harness::TraceSetConfig& c) {
-  uint64_t theta_bits = 0;
-  static_assert(sizeof(theta_bits) == sizeof(c.traffic.zipf_theta));
-  std::memcpy(&theta_bits, &c.traffic.zipf_theta, sizeof(theta_bits));
-  const TrafficKey traffic(static_cast<uint8_t>(c.traffic.key_dist),
-                           theta_bits, c.traffic.hot_rotate_period,
-                           static_cast<uint8_t>(c.traffic.arrival),
-                           c.traffic.burst_on, c.traffic.burst_off,
-                           c.traffic.think_instructions);
-  return Key(static_cast<uint8_t>(c.workload), c.clients,
-             c.requests_per_client, c.seed, static_cast<uint8_t>(c.engine),
-             traffic, static_cast<uint8_t>(c.tenant2_workload),
-             c.tenant2_clients);
+  return harness::FieldWords(c);
 }
 
 std::shared_ptr<TraceSetCache::Entry> TraceSetCache::EntryFor(const Key& key) {

@@ -27,15 +27,16 @@
 #ifndef STAGEDCMP_SWEEP_TRACE_CACHE_H_
 #define STAGEDCMP_SWEEP_TRACE_CACHE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
-#include <tuple>
 
 #include "common/metrics.h"
+#include "harness/config_fields.h"
 #include "harness/experiment.h"
 
 namespace stagedcmp::sweep {
@@ -72,15 +73,12 @@ class TraceSetCache {
 
   /// Canonical identity of a TraceSetConfig — THE definition of "same
   /// trace set" (the runner's dedup and the bundle sequence match both
-  /// go through it, so a new config field only needs adding here and in
-  /// the bundle serializer). Traffic shaping and tenancy are part of the
-  /// identity: the theta double enters by bit pattern, so any distinct
+  /// go through it): every field of the config's field table as a word
+  /// (harness/config_fields.h), traffic shaping and tenancy included.
+  /// The theta double enters by bit pattern, so any distinct
   /// representable skew is a distinct trace set.
-  using TrafficKey =
-      std::tuple<uint8_t, uint64_t, uint32_t, uint8_t, uint32_t, uint32_t,
-                 uint32_t>;
-  using Key = std::tuple<uint8_t, uint32_t, uint32_t, uint64_t, uint8_t,
-                         TrafficKey, uint8_t, uint32_t>;
+  using Key =
+      std::array<uint64_t, harness::FieldCount<harness::TraceSetConfig>()>;
   static Key MakeKey(const harness::TraceSetConfig& c);
 
  private:

@@ -52,9 +52,10 @@ struct TrafficConfig {
   uint32_t burst_off = 4;            ///< gap length, in think-time units
   uint32_t think_instructions = 4000;  ///< idle instructions per think unit
 
-  bool shapes_keys() const { return key_dist != KeyDist::kUniform; }
-  bool shapes_arrival() const { return arrival != ArrivalShape::kSteady; }
-  bool shaped() const { return shapes_keys() || shapes_arrival(); }
+  constexpr bool shapes_keys() const { return key_dist != KeyDist::kUniform; }
+  constexpr bool shapes_arrival() const {
+    return arrival != ArrivalShape::kSteady;
+  }
 };
 
 /// Per-client traffic shaper: owns the popularity generator and the

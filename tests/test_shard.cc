@@ -1,19 +1,25 @@
 // Sharded sweep execution and merge: the reassembled report must emit
 // byte-identical sink output, and every malformed merge input —
-// overlapping shards, missing shards, a different spec — must be
-// rejected with a one-line reason rather than a silently wrong grid.
+// overlapping shards, missing shards, a different spec or workload
+// scale, truncated or bit-flipped files — must be rejected with a
+// one-line reason rather than a silently wrong grid. Also pins the
+// config field tables that the shard fingerprint, cache key and config
+// echo all derive from.
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "harness/config_fields.h"
 #include "sweep/runner.h"
 #include "sweep/shard.h"
 #include "sweep/sinks.h"
 #include "sweep/spec.h"
+#include "sweep/trace_cache.h"
 
 namespace stagedcmp {
 namespace {
@@ -60,10 +66,17 @@ sweep::SweepReport RunSpec(const sweep::SweepSpec& spec,
   return runner.Run(spec);
 }
 
-std::string ShardText(const sweep::SweepReport& report) {
+std::string ShardText(const sweep::SweepReport& report,
+                      const harness::WorkloadFactory& factory = {}) {
   std::ostringstream os;
-  sweep::WriteShardFile(report, os);
+  sweep::WriteShardFile(report, factory, os);
   return os.str();
+}
+
+bool Merge(const sweep::SweepSpec& spec, const std::vector<std::string>& texts,
+           sweep::SweepReport* out, std::string* err) {
+  return sweep::MergeShardReports(spec, harness::WorkloadFactory{}, texts,
+                                  out, err);
 }
 
 std::string SinkBytes(const sweep::SweepReport& report, bool golden) {
@@ -99,7 +112,7 @@ TEST_F(WarmGrid, MergedShardsEmitBytesIdenticalToUnshardedRun) {
     }
     sweep::SweepReport merged;
     std::string err;
-    ASSERT_TRUE(sweep::MergeShardReports(spec, texts, &merged, &err))
+    ASSERT_TRUE(Merge(spec, texts, &merged, &err))
         << err;
     // Full deterministic metrics — not just the golden subset — must be
     // byte-identical: all runs replayed the same mapped bundle.
@@ -116,8 +129,8 @@ TEST_F(WarmGrid, MergeAcceptsShardsInAnyOrder) {
   const std::string s1 = ShardText(RunSpec(spec, bundle, 1, 2));
   sweep::SweepReport fwd, rev;
   std::string err;
-  ASSERT_TRUE(sweep::MergeShardReports(spec, {s0, s1}, &fwd, &err)) << err;
-  ASSERT_TRUE(sweep::MergeShardReports(spec, {s1, s0}, &rev, &err)) << err;
+  ASSERT_TRUE(Merge(spec, {s0, s1}, &fwd, &err)) << err;
+  ASSERT_TRUE(Merge(spec, {s1, s0}, &rev, &err)) << err;
   EXPECT_EQ(SinkBytes(fwd, false), SinkBytes(rev, false));
 }
 
@@ -128,28 +141,28 @@ TEST_F(WarmGrid, MergeRejectsOverlapMissingAndForeignShards) {
   std::string err;
 
   // The same shard twice is an overlap, not a merge.
-  EXPECT_FALSE(sweep::MergeShardReports(spec, {s0, s0}, &merged, &err));
+  EXPECT_FALSE(Merge(spec, {s0, s0}, &merged, &err));
   EXPECT_NE(err.find("overlap"), std::string::npos) << err;
 
   // One of two shards is incomplete coverage.
-  EXPECT_FALSE(sweep::MergeShardReports(spec, {s1}, &merged, &err));
+  EXPECT_FALSE(Merge(spec, {s1}, &merged, &err));
   EXPECT_NE(err.find("incomplete"), std::string::npos) << err;
 
   // A shard file from a different spec definition must be rejected by
   // the fingerprint even when cell counts happen to line up.
   sweep::SweepSpec other = SmallSpec();
   other.base_exp.memory_latency += 100;
-  EXPECT_FALSE(sweep::MergeShardReports(other, {s0, s1}, &merged, &err));
+  EXPECT_FALSE(Merge(other, {s0, s1}, &merged, &err));
   EXPECT_NE(err.find("fingerprint"), std::string::npos) << err;
 
   // ... and a different spec *name* is rejected before hashing.
   const sweep::SweepSpec renamed = SmallSpec("shard-other");
-  EXPECT_FALSE(sweep::MergeShardReports(renamed, {s0, s1}, &merged, &err));
+  EXPECT_FALSE(Merge(renamed, {s0, s1}, &merged, &err));
   EXPECT_NE(err.find("spec"), std::string::npos) << err;
 
   // Non-shard input is flagged as such, not crashed on.
   EXPECT_FALSE(
-      sweep::MergeShardReports(spec, {"{\"cells\": []}"}, &merged, &err));
+      Merge(spec, {"{\"cells\": []}"}, &merged, &err));
   std::string name;
   EXPECT_FALSE(sweep::PeekShardSpecName("not json", &name));
   EXPECT_TRUE(sweep::PeekShardSpecName(s0, &name));
@@ -157,8 +170,8 @@ TEST_F(WarmGrid, MergeRejectsOverlapMissingAndForeignShards) {
 }
 
 TEST_F(WarmGrid, ShardFileRoundTripsNonFiniteAndTenantFields) {
-  // The writer/parser pair must survive every value class the sinks
-  // emit: NaN becomes null and comes back NaN (printed as null again).
+  // The writer/reader pair must survive every value class the sinks
+  // emit: a NaN travels by bit pattern and comes back NaN.
   sweep::SweepReport r = RunSpec(spec, bundle, 0, 2);
   r.cells[0].result.avg_response_cycles =
       std::numeric_limits<double>::quiet_NaN();
@@ -166,10 +179,110 @@ TEST_F(WarmGrid, ShardFileRoundTripsNonFiniteAndTenantFields) {
   const sweep::SweepReport r1 = RunSpec(spec, bundle, 1, 2);
   sweep::SweepReport merged;
   std::string err;
-  ASSERT_TRUE(sweep::MergeShardReports(spec, {text, ShardText(r1)}, &merged,
+  ASSERT_TRUE(Merge(spec, {text, ShardText(r1)}, &merged,
                                        &err))
       << err;
   EXPECT_TRUE(std::isnan(merged.cells[0].result.avg_response_cycles));
+}
+
+TEST_F(WarmGrid, MergeRejectsShardsWrittenAtAnotherWorkloadScale) {
+  // The fingerprint covers the factory's scale knobs: a shard written at
+  // a different TPC-H size describes different traces, even though the
+  // grid expands identically.
+  harness::WorkloadFactory rescaled;
+  rescaled.tpch_config.orders += 1;
+  const std::string s0 = ShardText(RunSpec(spec, bundle, 0, 2), rescaled);
+  const std::string s1 = ShardText(RunSpec(spec, bundle, 1, 2));
+  sweep::SweepReport merged;
+  std::string err;
+  EXPECT_FALSE(Merge(spec, {s0, s1}, &merged, &err));
+  EXPECT_NE(err.find("fingerprint"), std::string::npos) << err;
+}
+
+TEST_F(WarmGrid, MergeRejectsEveryTruncationAndBitFlip) {
+  const std::string s0 = ShardText(RunSpec(spec, bundle, 0, 2));
+  const std::string s1 = ShardText(RunSpec(spec, bundle, 1, 2));
+  sweep::SweepReport merged;
+  std::string err;
+  ASSERT_TRUE(Merge(spec, {s0, s1}, &merged, &err)) << err;
+  std::string name;
+  for (size_t len = 0; len < s1.size(); ++len) {
+    err.clear();
+    EXPECT_FALSE(Merge(spec, {s0, s1.substr(0, len)}, &merged, &err))
+        << "prefix of " << len << " bytes";
+    EXPECT_FALSE(err.empty()) << "prefix of " << len << " bytes";
+    EXPECT_FALSE(sweep::PeekShardSpecName(s1.substr(0, len), &name));
+  }
+  // Every byte offset, a different bit each time: the header, the
+  // records and the checksum word itself.
+  for (size_t off = 0; off < s1.size(); ++off) {
+    std::string flipped = s1;
+    flipped[off] = static_cast<char>(flipped[off] ^ (1 << (off % 8)));
+    err.clear();
+    EXPECT_FALSE(Merge(spec, {flipped, s0}, &merged, &err))
+        << "bit flip at byte " << off;
+    EXPECT_FALSE(err.empty()) << "bit flip at byte " << off;
+  }
+}
+
+/// Changes the `row`-th field of C's field table to another valid value.
+template <typename C>
+void ChangeField(C* c, size_t row) {
+  size_t i = 0;
+  harness::VisitFields(*c, [&](const char*, auto& f, bool) {
+    using T = std::decay_t<decltype(f)>;
+    if (i++ != row) return;
+    if constexpr (std::is_same_v<T, bool>) {
+      f = !f;
+    } else if constexpr (std::is_enum_v<T>) {
+      f = static_cast<T>(f == T{} ? 1 : 0);
+    } else {
+      f = f + 1;
+    }
+  });
+}
+
+TEST(ConfigFieldTable, EveryRowReachesKeyFingerprintAndEcho) {
+  // A base cell where every presence rule holds, so every row is echoed.
+  sweep::Cell base;
+  base.trace.traffic.key_dist = workload::KeyDist::kHotRotate;
+  base.trace.traffic.zipf_theta = 0.5;
+  base.trace.traffic.arrival = workload::ArrivalShape::kOnOffBurst;
+  base.trace.tenant2_clients = 2;
+  base.exp.smp_bus_model = true;
+  const harness::WorkloadFactory factory;
+  const auto fingerprint = [&](const sweep::Cell& c) {
+    return sweep::SpecFingerprint("fields", {}, {&c}, factory);
+  };
+  const auto echo = [](const sweep::Cell& c) {
+    std::ostringstream os;
+    sweep::EmitCellConfigJson(c, os, 0);
+    return os.str();
+  };
+  const auto key = &sweep::TraceSetCache::MakeKey;
+
+  for (size_t row = 0;
+       row < harness::FieldCount<harness::TraceSetConfig>(); ++row) {
+    sweep::Cell c = base;
+    ChangeField(&c.trace, row);
+    EXPECT_NE(key(c.trace), key(base.trace)) << "trace row " << row;
+    EXPECT_NE(fingerprint(c), fingerprint(base)) << "trace row " << row;
+    EXPECT_NE(echo(c), echo(base)) << "trace row " << row;
+  }
+  for (size_t row = 0;
+       row < harness::FieldCount<harness::ExperimentConfig>(); ++row) {
+    sweep::Cell c = base;
+    ChangeField(&c.exp, row);
+    EXPECT_NE(fingerprint(c), fingerprint(base)) << "experiment row " << row;
+    EXPECT_NE(echo(c), echo(base)) << "experiment row " << row;
+  }
+
+  // The coherence reference arm must stay invisible in every output.
+  sweep::Cell snoop = base;
+  snoop.exp.smp_snoop_reference = true;
+  EXPECT_EQ(key(snoop.trace), key(base.trace));
+  EXPECT_EQ(fingerprint(snoop), fingerprint(base));
+  EXPECT_EQ(echo(snoop), echo(base));
 }
 
 }  // namespace

@@ -324,8 +324,17 @@ TEST(TraceBundle, SaveThenLoadRoundTripsEveryEvent) {
   const std::string path = ::testing::TempDir() + "bundle_roundtrip.traces";
   ASSERT_TRUE(sweep::SaveTraceBundle(path, factory, {&built}));
 
-  std::vector<harness::TraceSet> loaded;
-  ASSERT_TRUE(sweep::LoadTraceBundle(path, factory, {cfg}, &loaded));
+  // The owning fread transport: fully verified, all-or-nothing.
+  const auto fread_mode = [&](const harness::WorkloadFactory& f,
+                              const harness::TraceSetConfig& c) {
+    return sweep::OpenTraceBundle(path, f, {c}, /*needed=*/nullptr,
+                                  /*force_fread=*/true)
+        .mode;
+  };
+  sweep::BundleOpenResult open = sweep::OpenTraceBundle(
+      path, factory, {cfg}, /*needed=*/nullptr, /*force_fread=*/true);
+  ASSERT_EQ(open.mode, "fread");
+  const std::vector<harness::TraceSet>& loaded = open.sets;
   ASSERT_EQ(loaded.size(), 1u);
   EXPECT_EQ(loaded[0].total_instructions, built.total_instructions);
   EXPECT_EQ(loaded[0].total_events, built.total_events);
@@ -340,10 +349,10 @@ TEST(TraceBundle, SaveThenLoadRoundTripsEveryEvent) {
   // A different expected sequence or different scale knobs must reject.
   harness::TraceSetConfig other = cfg;
   other.seed = 24;
-  EXPECT_FALSE(sweep::LoadTraceBundle(path, factory, {other}, &loaded));
+  EXPECT_EQ(fread_mode(factory, other), "cold");
   harness::WorkloadFactory rescaled;
   rescaled.tpcc_config.warehouses += 1;
-  EXPECT_FALSE(sweep::LoadTraceBundle(path, rescaled, {cfg}, &loaded));
+  EXPECT_EQ(fread_mode(rescaled, cfg), "cold");
 
   // Corruption must reject gracefully (fall back to a cold build), never
   // throw: a truncated file and an absurd in-band length word.
@@ -356,7 +365,7 @@ TEST(TraceBundle, SaveThenLoadRoundTripsEveryEvent) {
     trunc.write(bytes.data(),
                 static_cast<std::streamsize>(bytes.size() / 2));
     trunc.close();
-    EXPECT_FALSE(sweep::LoadTraceBundle(path, factory, {cfg}, &loaded));
+    EXPECT_EQ(fread_mode(factory, cfg), "cold");
 
     // Restore, then blow up trace 0's in-band event count (v3 header:
     // 2 magic/version + 22 scale + 1 n_sets + 14 config + 2 totals +
@@ -372,7 +381,7 @@ TEST(TraceBundle, SaveThenLoadRoundTripsEveryEvent) {
     stomp.seekp(44 * 8);
     stomp.write(reinterpret_cast<const char*>(&huge), 8);
     stomp.close();
-    EXPECT_FALSE(sweep::LoadTraceBundle(path, factory, {cfg}, &loaded));
+    EXPECT_EQ(fread_mode(factory, cfg), "cold");
 
     // A single flipped bit in the event payload must fail the checksum
     // (warm replays promise bit-identity with the run that recorded).
@@ -387,7 +396,7 @@ TEST(TraceBundle, SaveThenLoadRoundTripsEveryEvent) {
     flip.seekp(static_cast<std::streamoff>(bytes.size() / 2));
     flip.write(&b, 1);
     flip.close();
-    EXPECT_FALSE(sweep::LoadTraceBundle(path, factory, {cfg}, &loaded));
+    EXPECT_EQ(fread_mode(factory, cfg), "cold");
   }
 }
 

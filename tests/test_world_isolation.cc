@@ -68,39 +68,51 @@ TEST(WorldIsolation, RegionLayoutIdenticalAcrossWorldsAndGlobal) {
             a.regions()[trace::RegionId::kSeqScan].base);
 }
 
+harness::TraceSetConfig StagedDssConfig() {
+  harness::TraceSetConfig tc = DssConfig();
+  tc.engine = harness::EngineMode::kStagedCohort;
+  return tc;
+}
+
 TEST(WorldIsolation, ConcurrentWorldsMatchSerialSingleWorldBuilds) {
   const harness::WorkloadFactory f = TinyFactory();
-  const harness::TraceSetConfig oltp = OltpConfig();
-  const harness::TraceSetConfig dss = DssConfig();
+  // Staged-cohort DSS copies tuples into packet buffers; those must not
+  // let heap placement into the recorded skeleton either.
+  const std::vector<harness::TraceSetConfig> configs = {
+      OltpConfig(), DssConfig(), StagedDssConfig()};
 
   // Serial reference: each set built in its own fresh world, one at a
   // time (the semantics WorkloadFactory::Build promises).
-  harness::WorkloadWorld serial_oltp(f.tpcc_config, f.tpch_config);
-  harness::WorkloadWorld serial_dss(f.tpcc_config, f.tpch_config);
-  const harness::TraceSet ref_oltp = serial_oltp.Build(oltp);
-  const harness::TraceSet ref_dss = serial_dss.Build(dss);
+  std::vector<harness::TraceSet> refs;
+  for (const harness::TraceSetConfig& tc : configs) {
+    harness::WorkloadWorld serial(f.tpcc_config, f.tpch_config);
+    refs.push_back(serial.Build(tc));
+  }
 
-  // Concurrent arm: two worlds load their databases and record traces at
-  // the same time. Nothing is shared, so the interleaving cannot leak
-  // into the recorded streams.
-  harness::WorkloadWorld wa(f.tpcc_config, f.tpch_config);
-  harness::WorkloadWorld wb(f.tpcc_config, f.tpch_config);
-  harness::TraceSet got_oltp, got_dss;
-  std::thread ta([&] { got_oltp = wa.Build(oltp); });
-  std::thread tb([&] { got_dss = wb.Build(dss); });
-  ta.join();
-  tb.join();
+  // Concurrent arm: one world per config loads its databases and records
+  // traces at the same time. Nothing is shared, so the interleaving
+  // cannot leak into the recorded streams.
+  std::vector<harness::TraceSet> got(configs.size());
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < configs.size(); ++i) {
+    threads.emplace_back([&, i] {
+      harness::WorkloadWorld w(f.tpcc_config, f.tpch_config);
+      got[i] = w.Build(configs[i]);
+    });
+  }
+  for (std::thread& t : threads) t.join();
 
-  EXPECT_EQ(got_oltp.total_instructions, ref_oltp.total_instructions);
-  EXPECT_EQ(got_oltp.total_events, ref_oltp.total_events);
-  EXPECT_EQ(EventSkeleton(got_oltp), EventSkeleton(ref_oltp));
-  EXPECT_EQ(got_dss.total_instructions, ref_dss.total_instructions);
-  EXPECT_EQ(got_dss.total_events, ref_dss.total_events);
-  EXPECT_EQ(EventSkeleton(got_dss), EventSkeleton(ref_dss));
-  ASSERT_EQ(got_oltp.traces.size(), ref_oltp.traces.size());
-  for (size_t i = 0; i < got_oltp.traces.size(); ++i) {
-    EXPECT_EQ(got_oltp.traces[i].requests, ref_oltp.traces[i].requests)
-        << "client " << i;
+  for (size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(got[i].total_instructions, refs[i].total_instructions)
+        << "config " << i;
+    EXPECT_EQ(got[i].total_events, refs[i].total_events) << "config " << i;
+    EXPECT_EQ(EventSkeleton(got[i]), EventSkeleton(refs[i]))
+        << "config " << i;
+    ASSERT_EQ(got[i].traces.size(), refs[i].traces.size());
+    for (size_t c = 0; c < got[i].traces.size(); ++c) {
+      EXPECT_EQ(got[i].traces[c].requests, refs[i].traces[c].requests)
+          << "config " << i << " client " << c;
+    }
   }
 }
 

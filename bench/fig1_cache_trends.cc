@@ -4,15 +4,17 @@
 // Shape targets: exponential capacity growth over 1990-2007 and a >3x
 // latency increase across the decade (e.g. 4 cycles in the Pentium III
 // era to 14 cycles in Power5).
-#include "bench/bench_util.h"
+#include <cstdio>
+#include <string>
 
 #include "cacti/cache_model.h"
+#include "common/table_printer.h"
 
 using namespace stagedcmp;
 
 int main() {
-  benchutil::PrintResultHeader(
-      "Figure 1 (a,b): historic on-chip cache size and latency");
+  std::printf("\n=== Figure 1 (a,b): historic on-chip cache size and "
+              "latency ===\n");
   TablePrinter hist({"year", "processor", "on-chip cache (KB)",
                      "hit latency (cycles)"});
   for (const cacti::HistoricPoint& p : cacti::HistoricTrends()) {
@@ -22,8 +24,8 @@ int main() {
   }
   hist.Print();
 
-  benchutil::PrintResultHeader(
-      "Cacti-model L2 hit latency vs size (65nm, the sweep's 'real' curve)");
+  std::printf("\n=== Cacti-model L2 hit latency vs size (65nm, the "
+              "sweep's 'real' curve) ===\n");
   TablePrinter model({"L2 size (MB)", "cycles", "access ns", "area mm^2",
                       "energy nJ"});
   for (uint64_t mb : {1, 2, 4, 8, 16, 26}) {

@@ -6,7 +6,6 @@
 
 #include <unordered_map>
 
-#include "bench/bench_util.h"
 #include "common/arena.h"
 #include "common/flat_hash.h"
 #include "common/rng.h"
@@ -176,18 +175,53 @@ static void BM_TpccNewOrderNative(benchmark::State& state) {
 }
 BENCHMARK(BM_TpccNewOrderNative);
 
-// SMP coherence churn at 64 nodes (benchutil::SmpChurnStream — the same
-// stream sweep_main's --smp-dir-probe measures): the snoop arm probes
-// all 63 peers per local L2 miss; the directory arm visits only the
-// sharers bitmap's set bits (usually zero or one). Same access stream
-// for both arms — the gap is pure coherence-resolution cost.
+namespace {
+/// SMP coherence-churn workload: a hot write-shared region plus per-node
+/// working sets far larger than the (1MB) private L2s, so most data
+/// accesses miss locally and resolve through coherence.
+struct SmpChurnStream {
+  static constexpr uint32_t kNodes = 64;
+
+  static memsim::HierarchyConfig Config() {
+    memsim::HierarchyConfig hc;
+    hc.num_cores = kNodes;
+    hc.l2 = memsim::CacheConfig{1ull << 20, 8, 64};
+    return hc;
+  }
+
+  struct Access {
+    uint32_t node;
+    uint64_t addr;
+    bool is_write;
+  };
+
+  Access Next() {
+    Access a;
+    a.node = static_cast<uint32_t>(rng.Next() % kNodes);
+    a.is_write = (rng.Next() % 6) == 0;
+    a.addr = (rng.Next() & 3) == 0
+                 ? 0x1000000 + (rng.Next() % (256ull << 10))
+                 : 0x100000000ull + a.node * (64ull << 20) +
+                       (rng.Next() % (8ull << 20));
+    a.addr &= ~63ull;
+    return a;
+  }
+
+  Rng rng{42};
+};
+}  // namespace
+
+// SMP coherence churn at 64 nodes: the snoop arm probes all 63 peers per
+// local L2 miss; the directory arm visits only the sharers bitmap's set
+// bits (usually zero or one). Same access stream for both arms — the gap
+// is pure coherence-resolution cost.
 template <typename Hierarchy>
 static void SmpCoherenceChurn(benchmark::State& state) {
-  Hierarchy h(benchutil::SmpChurnStream::Config());
-  benchutil::SmpChurnStream stream;
+  Hierarchy h(SmpChurnStream::Config());
+  SmpChurnStream stream;
   uint64_t now = 0;
   for (auto _ : state) {
-    const benchutil::SmpChurnStream::Access a = stream.Next();
+    const SmpChurnStream::Access a = stream.Next();
     h.AccessData(a.node, a.addr, a.is_write, ++now);
   }
   state.SetItemsProcessed(state.iterations());

@@ -19,7 +19,7 @@
 // cold parallel builds (grid, configs, trace-set totals; the simulated
 // metrics shift with heap placement), which is what scripts/check.sh
 // diffs against tests/golden/sweep_smoke.json at --threads {1,2,8}.
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,10 +29,8 @@
 #include <sstream>
 #include <string>
 
-#include "bench/bench_util.h"
 #include "common/metrics.h"
 #include "common/trace_span.h"
-#include "memsim/hierarchy.h"
 #include "sweep/builtin_specs.h"
 #include "sweep/runner.h"
 #include "sweep/shard.h"
@@ -50,7 +48,6 @@ int Usage(const char* argv0, int code) {
       "          [--bundle-mode auto|fread] [--shard I/N]\n"
       "          [--metrics-out FILE] [--trace-out FILE]\n"
       "          [--deterministic] [--smp-snoop-reference]\n"
-      "          [--smp-dir-probe]\n"
       "       %s --merge OUT SHARD_FILE...\n"
       "       %s --list\n"
       "\n"
@@ -97,79 +94,9 @@ int Usage(const char* argv0, int code) {
       "                    resolve SMP coherence via the broadcast-snoop\n"
       "                    reference arm instead of the sharers-bitmap\n"
       "                    directory (results must be byte-identical;\n"
-      "                    scripts/check.sh diffs the two)\n"
-      "  --smp-dir-probe   with --perf-out: measure directory-vs-snoop\n"
-      "                    native throughput on a 64-node private-L2\n"
-      "                    machine and record it as the perf summary's\n"
-      "                    \"smp_directory\" section\n",
+      "                    scripts/check.sh diffs the two)\n",
       argv0, argv0, argv0);
   return code;
-}
-
-/// Directory-vs-snoop native-throughput probe: drives both SMP arms with
-/// an identical 64-node coherence-churn stream (benchutil::SmpChurnStream
-/// — the same workload micro_kernels' BM_Smp*Churn measures) — the point
-/// of the fig8-style core-count axis where the snoop's O(num_cores)
-/// probes per miss hurt most. Returns the "smp_directory" JSON section
-/// for the perf summary; sets *stats_match to whether the two arms'
-/// stats came out bit-identical (they must).
-std::string RunSmpDirProbe(bool* stats_match) {
-  constexpr uint32_t kNodes = benchutil::SmpChurnStream::kNodes;
-  constexpr uint64_t kAccesses = 2'000'000;
-
-  const memsim::HierarchyConfig hc = benchutil::SmpChurnStream::Config();
-
-  // Generic over the concrete hierarchy type so the access calls
-  // devirtualize, exactly like the replay engine's per-type
-  // instantiation — the measured gap is coherence resolution, not
-  // dispatch.
-  auto drive = [&](auto& h) {
-    benchutil::SmpChurnStream stream;
-    uint64_t now = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (uint64_t i = 0; i < kAccesses; ++i) {
-      const benchutil::SmpChurnStream::Access a = stream.Next();
-      h.AccessData(a.node, a.addr, a.is_write, ++now);
-    }
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-  };
-  auto stats_fp = [](const memsim::MemoryHierarchy& h) {
-    const memsim::HierarchyStats& s = h.stats();
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "%llu/%llu/%llu/%llu/%llu/%llu",
-                  static_cast<unsigned long long>(s.data_count[0]),
-                  static_cast<unsigned long long>(s.data_count[1]),
-                  static_cast<unsigned long long>(s.data_count[2]),
-                  static_cast<unsigned long long>(s.data_count[3]),
-                  static_cast<unsigned long long>(s.invalidations),
-                  static_cast<unsigned long long>(s.writebacks));
-    return std::string(buf);
-  };
-
-  memsim::PrivateL2SnoopHierarchy snoop(hc);
-  memsim::PrivateL2Hierarchy dir(hc);
-  const double snoop_secs = drive(snoop);
-  const double dir_secs = drive(dir);
-  *stats_match = stats_fp(snoop) == stats_fp(dir);
-
-  const double snoop_aps = static_cast<double>(kAccesses) / snoop_secs;
-  const double dir_aps = static_cast<double>(kAccesses) / dir_secs;
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "{\n"
-                "    \"nodes\": %u,\n"
-                "    \"accesses_per_arm\": %llu,\n"
-                "    \"stats_bit_identical\": %s,\n"
-                "    \"snoop_accesses_per_second\": %.17g,\n"
-                "    \"directory_accesses_per_second\": %.17g,\n"
-                "    \"speedup\": %.17g\n"
-                "  }",
-                kNodes, static_cast<unsigned long long>(kAccesses),
-                *stats_match ? "true" : "false", snoop_aps, dir_aps,
-                dir_aps / snoop_aps);
-  return buf;
 }
 
 }  // namespace
@@ -191,7 +118,6 @@ int main(int argc, char** argv) {
   bool golden = false;
   bool list = false;
   bool smp_snoop_reference = false;
-  bool smp_dir_probe = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -238,8 +164,6 @@ int main(int argc, char** argv) {
       golden = true;
     } else if (arg == "--smp-snoop-reference") {
       smp_snoop_reference = true;
-    } else if (arg == "--smp-dir-probe") {
-      smp_dir_probe = true;
     } else if (arg == "--list") {
       list = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -253,9 +177,14 @@ int main(int argc, char** argv) {
   }
 
   if (list) {
-    for (const std::string& name : sweep::BuiltinSpecNames()) {
+    const std::vector<std::string> names = sweep::BuiltinSpecNames();
+    int width = 0;
+    for (const std::string& name : names) {
+      width = std::max(width, static_cast<int>(name.size()));
+    }
+    for (const std::string& name : names) {
       const sweep::SweepSpec spec = sweep::BuiltinSpec(name);
-      std::printf("%-6s %4zu cells  %s\n", name.c_str(),
+      std::printf("%-*s %4zu cells  %s\n", width, name.c_str(),
                   spec.CrossProductSize(), spec.description().c_str());
     }
     return 0;
@@ -361,13 +290,6 @@ int main(int argc, char** argv) {
   }
 
   if (spec_name.empty()) return Usage(argv[0], 2);
-  if (smp_dir_probe && perf_path.empty()) {
-    // The probe only reports through the perf summary; accepting it
-    // without --perf-out would silently skip both the measurement and
-    // its arm-divergence check.
-    std::fprintf(stderr, "--smp-dir-probe requires --perf-out\n");
-    return 2;
-  }
   if (!sweep::HasBuiltinSpec(spec_name)) {
     std::fprintf(stderr, "unknown spec '%s'; try --list\n",
                  spec_name.c_str());
@@ -470,21 +392,12 @@ int main(int argc, char** argv) {
       report.metrics.WriteJson(met, 2);
       extras.push_back({"metrics", met.str()});
     }
-    bool probe_stats_match = true;
-    if (smp_dir_probe) {
-      extras.push_back({"smp_directory", RunSmpDirProbe(&probe_stats_match)});
-    }
     std::ofstream perf(perf_path);
     if (!perf) {
       std::fprintf(stderr, "cannot open '%s'\n", perf_path.c_str());
       return 1;
     }
     sweep::EmitPerfSummary(report, perf, extras);
-    if (!probe_stats_match) {
-      std::fprintf(stderr,
-                   "--smp-dir-probe: directory and snoop arms diverged\n");
-      return 1;
-    }
   }
 
   // The span timeline flushes last so it covers the sink write.

@@ -6,7 +6,7 @@
 # byte-diffed across --threads 1/2/8, every set rebuilt from scratch
 # through the parallel build pool each time), emits BENCH perf
 # trajectories for both the cold build+sim path and the warm replay path
-# (cells/sec, wall-clock, SMP directory-vs-snoop probe), runs an
+# (cells/sec, wall-clock), runs an
 # observability pass (metrics + span timeline on, golden re-diffed,
 # counters cross-checked against the perf summary), exercises sharded
 # execution (cold shards + merge re-diffed against the golden; warm
@@ -42,7 +42,7 @@ esac
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-echo "==> docs: internal links + sweep-spec drift"
+echo "==> docs: internal links, sweep-spec drift, bench binaries"
 docs_fail=0
 # Every relative markdown link in README.md and docs/*.md must resolve
 # (targets are relative to the linking file's directory).
@@ -98,6 +98,28 @@ for f in $sweep_flags; do
     docs_fail=1
   fi
 done
+# Stale binary references: every build/bench/<binary> that the docs or
+# the verify skill notes name must be a target bench/CMakeLists.txt
+# builds (catches docs still pointing at deleted per-figure binaries).
+bench_targets=$(sed -n '/^set(STAGEDCMP_BENCHES/,/^)/p' bench/CMakeLists.txt \
+                  | grep -oE '^ +[a-z0-9_]+' | tr -d ' ';
+                grep -oE 'list\(APPEND STAGEDCMP_BENCHES [a-z0-9_]+' \
+                  bench/CMakeLists.txt | awk '{print $3}')
+if [[ -z "$bench_targets" ]]; then
+  echo "FAIL: could not extract bench targets from bench/CMakeLists.txt" >&2
+  docs_fail=1
+fi
+bench_docs=(README.md docs/*.md)
+[[ -f .claude/skills/verify/SKILL.md ]] \
+  && bench_docs+=(.claude/skills/verify/SKILL.md)
+while IFS=: read -r file ref; do
+  if ! grep -qx "${ref#build/bench/}" <<<"$bench_targets"; then
+    echo "FAIL: $file names $ref, which bench/CMakeLists.txt does not" \
+         "build" >&2
+    docs_fail=1
+  fi
+done < <(grep -HoE 'build/bench/[A-Za-z0-9_]+' "${bench_docs[@]}" \
+         | sort -u)
 [[ $docs_fail -eq 0 ]] || exit 1
 echo "    docs OK"
 
@@ -162,19 +184,13 @@ if [[ $run_tier1 -eq 1 ]]; then
 
   echo "==> sweep smoke grid: BENCH trajectory (warm)"
   # Warm pass: replay-only single-thread trajectory (the committed
-  # BENCH_sweep.json baseline is measured exactly this way), plus the
-  # 64-node SMP directory-vs-snoop probe recorded as the summary's
-  # "smp_directory" section. Known scope limit: the gate below therefore
-  # watches replay throughput only — trace-GENERATION slowdowns show up
-  # in the cold pass's wall clock but are not gated (too noisy on shared
-  # CI hardware).
+  # BENCH_sweep.json baseline is measured exactly this way). Known scope
+  # limit: the gate below therefore watches replay throughput only —
+  # trace-GENERATION slowdowns show up in the cold pass's wall clock but
+  # are gated separately (BENCH_sweep_cold.json).
   ./build/bench/sweep_main --spec smoke --threads 1 --format json \
     --trace-bundle build/smoke.traces --out /dev/null \
-    --perf-out build/BENCH_sweep_fresh.json --smp-dir-probe
-  # The probe drives both SMP coherence arms with one access stream;
-  # their stats must come out bit-identical (sweep_main exits non-zero
-  # and records false here otherwise).
-  grep -q '"stats_bit_identical": true' build/BENCH_sweep_fresh.json
+    --perf-out build/BENCH_sweep_fresh.json
   # The default transport must actually be the mapped one, and the perf
   # summary must carry its warm_mmap section (gated below).
   grep -q '"bundle_mode": "mmap"' build/BENCH_sweep_fresh.json

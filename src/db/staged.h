@@ -9,7 +9,7 @@
 //   * bounds the producer→consumer data reuse distance to one packet, so
 //     intermediate tuples are still L1D-resident when consumed.
 //
-// The bench/ablate_staged experiment measures exactly these two effects.
+// sweep_main --spec cohort measures exactly these two effects.
 #ifndef STAGEDCMP_DB_STAGED_H_
 #define STAGEDCMP_DB_STAGED_H_
 

@@ -3,7 +3,7 @@
 // On an I-miss, a buffer begins prefetching successive lines. A subsequent
 // I-miss that hits the head of a buffer is serviced at near-L1 latency.
 // The paper notes both CMP camps employ them and that they make instruction
-// stalls a secondary effect; bench/ablate_streambuf quantifies that claim.
+// stalls a secondary effect; sweep_main --spec sbuf quantifies that claim.
 #ifndef STAGEDCMP_MEMSIM_STREAM_BUFFER_H_
 #define STAGEDCMP_MEMSIM_STREAM_BUFFER_H_
 

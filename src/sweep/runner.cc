@@ -90,6 +90,7 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   SweepReport report;
   report.spec_name = spec.name();
   report.axis_names = spec.axis_names();
+  report.baseline = spec.baseline;
 
   TraceCollector* const tracer = options_.trace;
   if (tracer != nullptr) tracer->NameThisThread("main");

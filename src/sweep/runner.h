@@ -92,6 +92,7 @@ struct CellResult {
 struct SweepReport {
   std::string spec_name;
   std::vector<std::string> axis_names;
+  Baseline baseline;               ///< the spec's baseline, for the table
   uint32_t threads = 1;            ///< sim workers actually used
   double load_wall_seconds = 0.0;  ///< trace-bundle probe/load (serial)
   double build_wall_seconds = 0.0; ///< build pool (overlaps the sims)

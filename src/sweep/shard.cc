@@ -266,6 +266,7 @@ bool MergeShardReports(const SweepSpec& spec,
   *out = SweepReport{};
   out->spec_name = spec.name();
   out->axis_names = spec.axis_names();
+  out->baseline = spec.baseline;
   out->cells.resize(cells.size());
   for (size_t i = 0; i < cells.size(); ++i) out->cells[i].cell = cells[i];
   std::vector<char> cell_seen(cells.size(), 0);

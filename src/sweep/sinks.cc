@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -222,13 +223,25 @@ void TableSink::Emit(const SweepReport& report, std::ostream& os) const {
   };
   const bool want_cores = !has_axis("cores");
   const bool want_l2 = !has_axis("l2");
+  const bool want_base = !report.baseline.empty();
+
+  // UIPC by cell labels, for the baseline column's sibling lookup.
+  std::map<std::vector<std::string>, double> uipc_of;
+  if (want_base) {
+    for (const CellResult& cr : report.cells) {
+      uipc_of[cr.cell.values] = cr.result.uipc();
+    }
+  }
 
   std::vector<std::string> header{"#"};
   for (const std::string& a : report.axis_names) header.push_back(a);
   if (want_cores) header.emplace_back("cores");
   if (want_l2) header.emplace_back("L2");
-  for (const char* m : {"CPI", "UIPC", "L2 hit", "comp", "I-stall",
-                        "D-stall", "coh", "other", "queue"}) {
+  header.emplace_back("CPI");
+  header.emplace_back("UIPC");
+  if (want_base) header.emplace_back("UIPC/base");
+  for (const char* m : {"L2 hit", "comp", "I-stall", "D-stall", "coh",
+                        "other", "queue"}) {
     header.emplace_back(m);
   }
   TablePrinter table(std::move(header));
@@ -238,12 +251,25 @@ void TableSink::Emit(const SweepReport& report, std::ostream& os) const {
     for (const std::string& v : cr.cell.values) row.push_back(v);
     if (want_cores) row.push_back(ConfigText(cr.cell, "cores"));
     if (want_l2) {
-      row.push_back(
-          std::to_string(std::stoull(ConfigText(cr.cell, "l2_bytes")) >> 20) +
-          "MB");
+      const uint64_t bytes = cr.cell.exp.l2_bytes;
+      row.push_back(bytes < (1ull << 20)
+                        ? std::to_string(bytes >> 10) + "KB"
+                        : std::to_string(bytes >> 20) + "MB");
     }
     row.push_back(TablePrinter::Num(r.cpi(), 2));
     row.push_back(TablePrinter::Num(r.uipc(), 2));
+    if (want_base) {
+      // "-" when the sibling is filtered out of the grid.
+      std::vector<std::string> base;
+      const auto it =
+          BaselineLabels(report.axis_names, report.baseline, cr.cell.values,
+                         &base)
+              ? uipc_of.find(base)
+              : uipc_of.end();
+      row.push_back(it != uipc_of.end() && it->second > 0.0
+                        ? TablePrinter::Num(r.uipc() / it->second, 2)
+                        : "-");
+    }
     row.push_back(TablePrinter::Pct(r.l2_hit_rate));
     const double n = r.instructions ? static_cast<double>(r.instructions) : 1;
     row.push_back(TablePrinter::Num(r.breakdown.computation() / n, 2));

@@ -26,7 +26,9 @@ class ResultSink {
 
 /// Human-readable aligned table (one row per cell) plus a footer with
 /// throughput of the sweep itself (omitted when `include_timing` is
-/// false, keeping the bytes deterministic).
+/// false, keeping the bytes deterministic). A report with a baseline
+/// gets a UIPC/base column: each cell's UIPC over its baseline
+/// sibling's, "-" when the sibling is not in the report.
 class TableSink : public ResultSink {
  public:
   explicit TableSink(bool include_timing = true)
@@ -90,8 +92,8 @@ struct PerfSection {
 
 /// Writes the sweep-level perf summary (cells/sec, wall-clock, threads)
 /// as a small JSON object — the BENCH_sweep.json trajectory format —
-/// plus any caller-supplied extra sections (e.g. sweep_main's
-/// --smp-dir-probe measurement).
+/// plus any caller-supplied extra sections (e.g. sweep_main's "metrics"
+/// registry snapshot).
 void EmitPerfSummary(const SweepReport& report, std::ostream& os,
                      const std::vector<PerfSection>& extras = {});
 

@@ -14,6 +14,20 @@ const std::string& Cell::Value(const std::vector<std::string>& axis_names,
   return kEmpty;
 }
 
+bool BaselineLabels(const std::vector<std::string>& axis_names,
+                    const Baseline& baseline,
+                    const std::vector<std::string>& values,
+                    std::vector<std::string>* out) {
+  *out = values;
+  for (const auto& [axis, value] : baseline) {
+    size_t i = 0;
+    while (i < axis_names.size() && axis_names[i] != axis) ++i;
+    if (i >= out->size()) return false;
+    (*out)[i] = value;
+  }
+  return true;
+}
+
 SweepSpec& SweepSpec::AddAxis(std::string axis_name,
                               std::vector<AxisValue> values) {
   if (values.empty()) {

@@ -31,6 +31,18 @@ struct Cell {
                            const std::string& axis) const;
 };
 
+/// (axis, value) pairs naming the reference point a figure normalizes
+/// to, e.g. {{"camp", "FC"}} for LC/FC ratios.
+using Baseline = std::vector<std::pair<std::string, std::string>>;
+
+/// Labels of the cell a cell with labels `values` is normalized to: the
+/// same labels with each baseline axis set to its baseline value. False
+/// (and `out` unspecified) when a baseline axis is not in `axis_names`.
+bool BaselineLabels(const std::vector<std::string>& axis_names,
+                    const Baseline& baseline,
+                    const std::vector<std::string>& values,
+                    std::vector<std::string>* out);
+
 class SweepSpec {
  public:
   /// Mutates the cell for one axis value. Mutators run in axis order and
@@ -47,6 +59,9 @@ class SweepSpec {
   /// Base configs copied into every cell before axis mutators run.
   harness::TraceSetConfig base_trace;
   harness::ExperimentConfig base_exp;
+  /// The table sink's UIPC/base column divides each cell's UIPC by its
+  /// baseline sibling's (see BaselineLabels). Empty = no such column.
+  Baseline baseline;
 
   SweepSpec& AddAxis(std::string axis_name, std::vector<AxisValue> values);
   SweepSpec& AddFilter(Filter f);

@@ -1,13 +1,16 @@
 // Sweep engine: spec expansion, trace-set cache sharing, parallel runner
 // determinism (thread-count invariance, byte-identical serialized
 // output), and equivalence with direct RunExperiment calls.
+#include <algorithm>
 #include <atomic>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "harness/config_fields.h"
 #include "sweep/builtin_specs.h"
 #include "sweep/runner.h"
 #include "sweep/sinks.h"
@@ -823,6 +826,190 @@ TEST(BuiltinSpecs, AllNamesExpandToTheExpectedGrids) {
   EXPECT_EQ(f8s[3].exp.cores, 32u);
   EXPECT_EQ(f8s[3].trace.clients, 96u);
   EXPECT_EQ(f8s[3].exp.measure_instructions, 96'000'000u);
+
+  // The folded figure/ablation specs: each cell's configs, field for
+  // field, are the literal configs the experiments were defined with.
+  auto expect_cell = [](const sweep::Cell& c,
+                        const harness::TraceSetConfig& tc,
+                        const harness::ExperimentConfig& ec) {
+    EXPECT_EQ(harness::FieldWords(c.trace), harness::FieldWords(tc))
+        << "cell " << c.index;
+    EXPECT_EQ(harness::FieldWords(c.exp), harness::FieldWords(ec))
+        << "cell " << c.index;
+  };
+
+  const std::vector<sweep::Cell> fig2 = sweep::BuiltinSpec("fig2").Expand();
+  const uint32_t fig2_clients[] = {1, 2, 4, 8, 16, 32, 64, 128};
+  ASSERT_EQ(fig2.size(), 8u);
+  for (size_t i = 0; i < fig2.size(); ++i) {
+    harness::TraceSetConfig tc;
+    tc.workload = harness::WorkloadKind::kDss;
+    tc.clients = fig2_clients[i];
+    tc.requests_per_client = 1;
+    tc.seed = 51;
+    harness::ExperimentConfig ec;
+    ec.camp = coresim::Camp::kFat;
+    ec.cores = 4;
+    ec.l2_bytes = 16ull << 20;
+    ec.saturated = true;
+    ec.measure_instructions = 8'000'000;
+    ec.warmup_instructions = 2'000'000;
+    expect_cell(fig2[i], tc, ec);
+  }
+
+  const std::vector<sweep::Cell> fig3 = sweep::BuiltinSpec("fig3").Expand();
+  ASSERT_EQ(fig3.size(), 1u);
+  {
+    harness::TraceSetConfig tc;
+    tc.workload = harness::WorkloadKind::kDss;
+    tc.clients = 24;
+    tc.requests_per_client = 1;
+    tc.seed = 23;
+    harness::ExperimentConfig ec;
+    ec.camp = coresim::Camp::kFat;
+    ec.cores = 4;
+    ec.l2_bytes = 2ull << 20;
+    ec.memory_latency = 140;
+    ec.saturated = true;
+    expect_cell(fig3[0], tc, ec);
+  }
+
+  const std::vector<sweep::Cell> cohort =
+      sweep::BuiltinSpec("cohort").Expand();
+  const harness::EngineMode engines[] = {harness::EngineMode::kVolcano,
+                                         harness::EngineMode::kStagedTuple,
+                                         harness::EngineMode::kStagedCohort};
+  ASSERT_EQ(cohort.size(), 3u);
+  for (size_t i = 0; i < cohort.size(); ++i) {
+    harness::TraceSetConfig tc;
+    tc.workload = harness::WorkloadKind::kDss;
+    tc.clients = 4;
+    tc.requests_per_client = 2;
+    tc.seed = 61;
+    tc.engine = engines[i];
+    harness::ExperimentConfig ec;
+    ec.camp = coresim::Camp::kFat;
+    ec.cores = 4;
+    ec.l2_bytes = 8ull << 20;
+    ec.saturated = false;
+    expect_cell(cohort[i], tc, ec);
+  }
+
+  const std::vector<sweep::Cell> sbuf = sweep::BuiltinSpec("sbuf").Expand();
+  ASSERT_EQ(sbuf.size(), 2u);
+  for (size_t i = 0; i < sbuf.size(); ++i) {
+    harness::TraceSetConfig tc;
+    tc.workload = harness::WorkloadKind::kOltp;
+    tc.clients = 32;
+    tc.requests_per_client = 64;
+    tc.seed = 11;
+    harness::ExperimentConfig ec;
+    ec.camp = coresim::Camp::kFat;
+    ec.cores = 4;
+    ec.l2_bytes = 16ull << 20;
+    ec.saturated = true;
+    ec.stream_buffers = i == 0;  // {on, off}
+    expect_cell(sbuf[i], tc, ec);
+  }
+}
+
+TEST(BuiltinSpecs, EveryBaselineNamesAnAxisValueAndEveryCellFindsItsSibling) {
+  size_t with_baseline = 0;
+  for (const std::string& name : sweep::BuiltinSpecNames()) {
+    SCOPED_TRACE(name);
+    const sweep::SweepSpec spec = sweep::BuiltinSpec(name);
+    if (spec.baseline.empty()) continue;
+    ++with_baseline;
+    const std::vector<sweep::Cell> cells = spec.Expand();
+    const std::vector<std::string>& axes = spec.axis_names();
+    for (const auto& [axis, value] : spec.baseline) {
+      const auto a = std::find(axes.begin(), axes.end(), axis);
+      ASSERT_NE(a, axes.end()) << "baseline axis " << axis;
+      const size_t ai = static_cast<size_t>(a - axes.begin());
+      EXPECT_TRUE(std::any_of(cells.begin(), cells.end(),
+                              [&](const sweep::Cell& c) {
+                                return c.values[ai] == value;
+                              }))
+          << "baseline value " << axis << "=" << value;
+    }
+    std::set<std::vector<std::string>> labels;
+    for (const sweep::Cell& c : cells) labels.insert(c.values);
+    for (const sweep::Cell& c : cells) {
+      std::vector<std::string> base;
+      ASSERT_TRUE(sweep::BaselineLabels(axes, spec.baseline, c.values, &base));
+      EXPECT_EQ(labels.count(base), 1u) << "cell " << c.index;
+    }
+  }
+  // fig2, fig4, fig6, fig7, fig8, fig8smp, cohort, sbuf.
+  EXPECT_EQ(with_baseline, 8u);
+}
+
+/// The rows of a TableSink table, split into trimmed cells (header
+/// first); border and footer lines are skipped.
+std::vector<std::vector<std::string>> TableRows(const std::string& text) {
+  std::vector<std::vector<std::string>> rows;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("| ", 0) != 0) continue;
+    std::vector<std::string> row;
+    std::istringstream cells(line.substr(1));
+    for (std::string cell; std::getline(cells, cell, '|');) {
+      const size_t b = cell.find_first_not_of(' ');
+      const size_t e = cell.find_last_not_of(' ');
+      row.push_back(b == std::string::npos ? "" : cell.substr(b, e - b + 1));
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+TEST(TableSink, BaselineColumnAndSubMiBL2) {
+  // camp x size, with the FC/1MB cell filtered out of the grid.
+  sweep::SweepReport report;
+  report.spec_name = "hand";
+  report.axis_names = {"camp", "size"};
+  report.baseline = {{"camp", "FC"}};
+  const struct {
+    const char* camp;
+    const char* size;
+    uint64_t l2_bytes;
+    uint64_t cycles;
+  } cells[] = {{"FC", "small", 256ull << 10, 4000},
+               {"LC", "small", 256ull << 10, 2000},
+               {"LC", "big", 1ull << 20, 1000}};
+  for (const auto& c : cells) {
+    sweep::CellResult cr;
+    cr.cell.index = report.cells.size();
+    cr.cell.values = {c.camp, c.size};
+    cr.cell.exp.l2_bytes = c.l2_bytes;
+    cr.result.instructions = 1000;
+    cr.result.elapsed_cycles = c.cycles;
+    report.cells.push_back(cr);
+  }
+
+  std::ostringstream with_base;
+  sweep::TableSink(/*include_timing=*/false).Emit(report, with_base);
+  const auto rows = TableRows(with_base.str());
+  ASSERT_EQ(rows.size(), 4u);  // header + 3 cells
+  const std::vector<std::string>& header = rows[0];
+  const auto col = [&](const char* name) {
+    const auto it = std::find(header.begin(), header.end(), name);
+    EXPECT_NE(it, header.end()) << name;
+    return static_cast<size_t>(it - header.begin());
+  };
+  const size_t base = col("UIPC/base");
+  EXPECT_EQ(rows[1][base], "1.00");  // the baseline itself
+  EXPECT_EQ(rows[2][base], "2.00");  // LC/FC at 256KB
+  EXPECT_EQ(rows[3][base], "-");     // FC/1MB is not in the report
+  const size_t l2 = col("L2");
+  EXPECT_EQ(rows[1][l2], "256KB");
+  EXPECT_EQ(rows[3][l2], "1MB");
+
+  report.baseline.clear();
+  std::ostringstream without_base;
+  sweep::TableSink(/*include_timing=*/false).Emit(report, without_base);
+  EXPECT_EQ(without_base.str().find("UIPC/base"), std::string::npos);
+  EXPECT_EQ(TableRows(without_base.str())[0].size(), header.size() - 1);
 }
 
 }  // namespace

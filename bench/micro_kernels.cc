@@ -27,7 +27,8 @@ static void BM_CacheAccess(benchmark::State& state) {
   Rng rng(1);
   for (auto _ : state) {
     const uint64_t line = rng.Next() % 100000;
-    if (!cache.Access(line, false)) cache.Fill(line, false);
+    const memsim::Cache::ProbeResult p = cache.Probe(line);
+    if (!cache.AccessAt(p, false)) cache.FillAt(p, line, false);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -39,7 +40,9 @@ BENCHMARK(BM_CacheAccess)->Arg(64 << 10)->Arg(1 << 20)->Arg(16 << 20);
 static void BM_CacheHitLoop(benchmark::State& state) {
   memsim::Cache cache(memsim::CacheConfig{64 << 10, 8, 64});
   constexpr uint64_t kLines = 256;  // fits: 1024 ways
-  for (uint64_t l = 0; l < kLines; ++l) cache.Fill(l, false);
+  for (uint64_t l = 0; l < kLines; ++l) {
+    cache.FillAt(cache.Probe(l), l, false);
+  }
   uint64_t line = 0;
   for (auto _ : state) {
     const memsim::Cache::ProbeResult p = cache.Probe(line);
@@ -51,8 +54,8 @@ static void BM_CacheHitLoop(benchmark::State& state) {
 BENCHMARK(BM_CacheHitLoop);
 
 // Miss + evict loop: every access conflicts in one set, so each iteration
-// pays the probe, the victim scan, and the eviction bookkeeping — the
-// single-probe FillAt path (one tag scan) versus the legacy 2-3 scans.
+// pays the probe, the victim scan, and the eviction bookkeeping — one
+// tag scan, reused by AccessAt and FillAt.
 static void BM_CacheMissEvict(benchmark::State& state) {
   memsim::Cache cache(memsim::CacheConfig{64 << 10, 8, 64});
   const uint64_t sets = (64 << 10) / (8 * 64);
@@ -139,7 +142,9 @@ static void BM_BtreeInsert(benchmark::State& state) {
 BENCHMARK(BM_BtreeInsert);
 
 static void BM_TracerMemEvent(benchmark::State& state) {
-  trace::Tracer tracer;
+  trace::CodeMap code;
+  const trace::RegionSet regions(&code);
+  trace::Tracer tracer(&regions);
   char buf[256];
   for (auto _ : state) {
     tracer.Read(buf, 64, 4);
@@ -162,7 +167,9 @@ static void BM_TpccNewOrderNative(benchmark::State& state) {
   cfg.initial_orders_per_district = 30;
   workload::TpccLoad(&db, cfg);
   workload::TpccDriver driver(&db, cfg, 1, 5);
-  trace::Tracer tracer;
+  trace::CodeMap code;
+  const trace::RegionSet regions(&code);
+  trace::Tracer tracer(&regions);
   for (auto _ : state) {
     driver.Run(workload::TpccTxnType::kNewOrder, &tracer);
     if (tracer.trace().events.size() > (1u << 20)) {

@@ -47,7 +47,7 @@ int Usage(const char* argv0, int code) {
       "          [--out FILE] [--perf-out FILE] [--trace-bundle FILE]\n"
       "          [--bundle-mode auto|fread] [--shard I/N]\n"
       "          [--metrics-out FILE] [--trace-out FILE]\n"
-      "          [--deterministic] [--smp-snoop-reference]\n"
+      "          [--deterministic] [--golden]\n"
       "       %s --merge OUT SHARD_FILE...\n"
       "       %s --list\n"
       "\n"
@@ -89,12 +89,7 @@ int Usage(const char* argv0, int code) {
       "                    golden fields for any runs (--golden).\n"
       "  --deterministic   omit timing fields from json/csv output\n"
       "  --golden          process-invariant output (for golden diffs);\n"
-      "                    json (default) or csv\n"
-      "  --smp-snoop-reference\n"
-      "                    resolve SMP coherence via the broadcast-snoop\n"
-      "                    reference arm instead of the sharers-bitmap\n"
-      "                    directory (results must be byte-identical;\n"
-      "                    scripts/check.sh diffs the two)\n",
+      "                    json (default) or csv\n",
       argv0, argv0, argv0);
   return code;
 }
@@ -117,7 +112,6 @@ int main(int argc, char** argv) {
   bool deterministic = false;
   bool golden = false;
   bool list = false;
-  bool smp_snoop_reference = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -162,8 +156,6 @@ int main(int argc, char** argv) {
       deterministic = true;
     } else if (arg == "--golden") {
       golden = true;
-    } else if (arg == "--smp-snoop-reference") {
-      smp_snoop_reference = true;
     } else if (arg == "--list") {
       list = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -343,11 +335,8 @@ int main(int argc, char** argv) {
   options.metrics = metrics;
   options.trace = tracer.get();
   sweep::SweepRunner runner(&factory, options);
-  sweep::SweepSpec spec = sweep::BuiltinSpec(spec_name);
-  // Axis mutators assign individual fields, so a base-config override
-  // reaches every cell.
-  if (smp_snoop_reference) spec.base_exp.smp_snoop_reference = true;
-  const sweep::SweepReport report = runner.Run(spec);
+  const sweep::SweepReport report =
+      runner.Run(sweep::BuiltinSpec(spec_name));
 
   {
     TraceSpan sink_span(tracer.get(), "io", "sink.write");

@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
     ec.l2_bytes = mb << 20;
     ec.saturated = true;
     ec.measure_instructions = 6'000'000;
-    harness::ResolvedHardware hw;
-    coresim::SimResult r = harness::RunExperiment(ec, traces, &hw);
+    const harness::ResolvedHardware hw = harness::ResolveHardware(ec);
+    coresim::SimResult r = harness::RunExperiment(ec, traces);
 
     cacti::CacheGeometry g;
     g.size_bytes = mb << 20;

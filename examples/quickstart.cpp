@@ -40,8 +40,8 @@ int main() {
   ec.saturated = true;
   ec.measure_instructions = 4'000'000;
   ec.warmup_instructions = 1'000'000;
-  harness::ResolvedHardware hw;
-  coresim::SimResult r = harness::RunExperiment(ec, traces, &hw);
+  const harness::ResolvedHardware hw = harness::ResolveHardware(ec);
+  coresim::SimResult r = harness::RunExperiment(ec, traces);
 
   std::printf("L2 hit latency : %u cycles (Cacti model)\n", hw.l2_hit_cycles);
   std::printf("throughput     : %.3f user instructions/cycle\n", r.uipc());

@@ -13,8 +13,9 @@
 # shards off one mapped bundle re-diffed against the unsharded run's
 # full deterministic bytes, for both the smoke and skew grids), checks
 # the bundle transports (mapped load must beat the owning fread load by
-# >=10x), diffs the smokesmp grid's directory and snoop-reference arms
-# byte-for-byte, runs the 1024-node CMP-vs-SMP shootout grid cold at
+# >=10x), diffs the smokesmp grid against its golden (its directory and
+# snoop-reference arms are compared by the test_smp_arms ctest), runs
+# the 1024-node CMP-vs-SMP shootout grid cold at
 # three thread counts plus a warm re-diff (and cross-checks the SMP
 # bus-model counters against the per-cell sweep output), and the
 # sanitizer pass diffs the process-invariant --golden JSON against
@@ -95,6 +96,25 @@ fi
 for f in $sweep_flags; do
   if ! grep -q -- "$f" README.md; then
     echo "FAIL: sweep_main flag '$f' is not documented in README" >&2
+    docs_fail=1
+  fi
+done
+# ...and the reverse: every flag README documents must appear in the
+# usage text (catches docs that outlive a deleted flag). Lines invoking
+# another tool (cmake, ctest, check.sh) carry that tool's flags, and a
+# flag starts a word (so `#section--anchor` links are not flags).
+usage_flags=$(sed -n '/^int Usage(/,/^}/p' bench/sweep_main.cc \
+              | grep -oE -- '--[a-z][a-z-]+' | sort -u)
+if [[ -z "$usage_flags" ]]; then
+  echo "FAIL: could not extract the usage text from bench/sweep_main.cc" >&2
+  docs_fail=1
+fi
+for f in $(grep -vE 'cmake |ctest |check\.sh' README.md \
+           | grep -oE -- '(^|[^[:alnum:]-])--[a-z][a-z-]+' \
+           | sed -E 's/^[^-]//' | sort -u); do
+  if ! grep -qx -- "$f" <<<"$usage_flags"; then
+    echo "FAIL: README documents '$f', which sweep_main's usage text" \
+         "does not list" >&2
     docs_fail=1
   fi
 done
@@ -294,23 +314,12 @@ EOF
     echo "    python3 not found; skipping observability JSON cross-checks"
   fi
 
-  echo "==> SMP coherence: directory arm vs snoop reference, byte-identical"
-  # Cold golden run writes the bundle; the two warm arms then replay the
-  # exact same trace bytes, so their full deterministic JSON — simulated
-  # metrics included — must match byte-for-byte across processes.
-  rm -f build/smokesmp.traces
+  echo "==> sweep smokesmp grid: cold golden"
+  # The directory-vs-snoop comparison on these cells runs in ctest
+  # (tests/test_smp_arms.cc), in one process over one trace set.
   ./build/bench/sweep_main --spec smokesmp --threads 4 --golden \
-    --trace-bundle build/smokesmp.traces \
     --out build/sweep_smokesmp_golden.json
   diff -u tests/golden/sweep_smokesmp.json build/sweep_smokesmp_golden.json
-  ./build/bench/sweep_main --spec smokesmp --threads 4 --format json \
-    --deterministic --trace-bundle build/smokesmp.traces \
-    --out build/smokesmp_directory.json
-  ./build/bench/sweep_main --spec smokesmp --threads 4 --format json \
-    --deterministic --smp-snoop-reference \
-    --trace-bundle build/smokesmp.traces \
-    --out build/smokesmp_snoop.json
-  diff -u build/smokesmp_directory.json build/smokesmp_snoop.json
 
   echo "==> sweep shootout grid: cold golden (--threads 1/2/8) + warm re-diff"
   # The CMP-vs-SMP scaling shootout runs both topologies to 1024 nodes

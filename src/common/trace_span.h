@@ -33,6 +33,7 @@
 #ifndef STAGEDCMP_COMMON_TRACE_SPAN_H_
 #define STAGEDCMP_COMMON_TRACE_SPAN_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -57,12 +58,26 @@ class TraceCollector {
 
   bool deterministic() const { return deterministic_; }
 
-  /// Microseconds since collector construction (the trace's time base).
-  uint64_t NowMicros() const {
+  /// Nanoseconds since collector construction (the trace's time base;
+  /// events are emitted in microseconds, see SpanMicros).
+  uint64_t NowNanos() const {
     return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0_)
             .count());
+  }
+
+  /// The microsecond event {ts, dur} for a span that ran over
+  /// [start_ns, end_ns]: the start floored, the end floored and then
+  /// bumped one tick. Both bounds are monotonic in their input, so a span
+  /// that starts and ends within another never ends after it, and dur
+  /// is always >= 1 without a clamp (clamping a zero-length span to 1us
+  /// would let it end after a parent that started a tick earlier).
+  static std::pair<uint64_t, uint64_t> SpanMicros(uint64_t start_ns,
+                                                  uint64_t end_ns) {
+    const uint64_t ts = start_ns / 1000;
+    const uint64_t end = std::max(start_ns, end_ns) / 1000 + 1;
+    return {ts, end - ts};
   }
 
   /// Names the calling thread in the emitted timeline (Perfetto's track
@@ -78,9 +93,9 @@ class TraceCollector {
     return next_seq_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Records one complete event. `cat` must outlive the collector
-  /// (string literals); `args_json` is either empty or a full JSON
-  /// object (`{"k": 1}`) emitted verbatim as the event's "args".
+  /// Records one complete event (`dur_us` >= 1). `cat` must outlive the
+  /// collector (string literals); `args_json` is either empty or a full
+  /// JSON object (`{"k": 1}`) emitted verbatim as the event's "args".
   void RecordComplete(const char* cat, std::string name, uint64_t ts_us,
                       uint64_t dur_us, std::string args_json = "",
                       uint64_t start_seq = 0);
@@ -131,7 +146,7 @@ class TraceSpan {
         cat_(cat),
         name_(std::move(name)),
         args_(std::move(args_json)),
-        start_us_(collector ? collector->NowMicros() : 0),
+        start_ns_(collector ? collector->NowNanos() : 0),
         start_seq_(collector ? collector->NextStartSeq() : 0) {}
 
   TraceSpan(const TraceSpan&) = delete;
@@ -144,7 +159,7 @@ class TraceSpan {
       cat_ = o.cat_;
       name_ = std::move(o.name_);
       args_ = std::move(o.args_);
-      start_us_ = o.start_us_;
+      start_ns_ = o.start_ns_;
       start_seq_ = o.start_seq_;
       o.collector_ = nullptr;
     }
@@ -156,9 +171,9 @@ class TraceSpan {
 
   void End() {
     if (collector_ == nullptr) return;
-    const uint64_t now = collector_->NowMicros();
-    collector_->RecordComplete(cat_, std::move(name_), start_us_,
-                               now > start_us_ ? now - start_us_ : 1,
+    const auto [ts, dur] =
+        TraceCollector::SpanMicros(start_ns_, collector_->NowNanos());
+    collector_->RecordComplete(cat_, std::move(name_), ts, dur,
                                std::move(args_), start_seq_);
     collector_ = nullptr;
   }
@@ -170,7 +185,7 @@ class TraceSpan {
   const char* cat_ = "";
   std::string name_;
   std::string args_;
-  uint64_t start_us_ = 0;
+  uint64_t start_ns_ = 0;
   uint64_t start_seq_ = 0;
 };
 

@@ -66,35 +66,28 @@ CmpSimulator::CmpSimulator(const SimConfig& config,
 }
 
 SimResult CmpSimulator::Run() {
-  if (!config_.force_generic_dispatch) {
-    if (auto* h = dynamic_cast<memsim::SharedL2Hierarchy*>(hierarchy_)) {
-      return ReplayEngine<memsim::SharedL2Hierarchy>(config_, h, clients_)
-          .Run();
-    }
-    if (auto* h = dynamic_cast<memsim::PrivateL2Hierarchy*>(hierarchy_)) {
-      return ReplayEngine<memsim::PrivateL2Hierarchy>(config_, h, clients_)
-          .Run();
-    }
-    // Wide (>64-node) instantiations used by the large-n shootout grids.
-    if (auto* h = dynamic_cast<memsim::SharedL2HierarchyWide*>(hierarchy_)) {
-      return ReplayEngine<memsim::SharedL2HierarchyWide>(config_, h, clients_)
-          .Run();
-    }
-    if (auto* h =
-            dynamic_cast<memsim::PrivateL2HierarchyWide*>(hierarchy_)) {
-      return ReplayEngine<memsim::PrivateL2HierarchyWide>(config_, h,
-                                                          clients_)
-          .Run();
-    }
-    // The broadcast-snoop reference arm devirtualizes too, so
-    // directory-vs-snoop comparisons measure coherence resolution alone,
-    // not dispatch overhead.
-    if (auto* h =
-            dynamic_cast<memsim::PrivateL2SnoopHierarchy*>(hierarchy_)) {
-      return ReplayEngine<memsim::PrivateL2SnoopHierarchy>(config_, h,
-                                                           clients_)
-          .Run();
-    }
+  if (auto* h = dynamic_cast<memsim::SharedL2Hierarchy*>(hierarchy_)) {
+    return ReplayEngine<memsim::SharedL2Hierarchy>(config_, h, clients_).Run();
+  }
+  if (auto* h = dynamic_cast<memsim::PrivateL2Hierarchy*>(hierarchy_)) {
+    return ReplayEngine<memsim::PrivateL2Hierarchy>(config_, h, clients_)
+        .Run();
+  }
+  // Wide (>64-node) instantiations used by the large-n shootout grids.
+  if (auto* h = dynamic_cast<memsim::SharedL2HierarchyWide*>(hierarchy_)) {
+    return ReplayEngine<memsim::SharedL2HierarchyWide>(config_, h, clients_)
+        .Run();
+  }
+  if (auto* h = dynamic_cast<memsim::PrivateL2HierarchyWide*>(hierarchy_)) {
+    return ReplayEngine<memsim::PrivateL2HierarchyWide>(config_, h, clients_)
+        .Run();
+  }
+  // The broadcast-snoop reference arm devirtualizes too, so
+  // directory-vs-snoop comparisons measure coherence resolution alone,
+  // not dispatch overhead.
+  if (auto* h = dynamic_cast<memsim::PrivateL2SnoopHierarchy*>(hierarchy_)) {
+    return ReplayEngine<memsim::PrivateL2SnoopHierarchy>(config_, h, clients_)
+        .Run();
   }
   return ReplayEngine<memsim::MemoryHierarchy>(config_, hierarchy_, clients_)
       .Run();

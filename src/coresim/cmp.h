@@ -71,11 +71,6 @@ struct SimConfig {
   bool loop_traces = false;
   /// Instructions executed before counters reset (cache warmup).
   uint64_t warmup_instructions = 0;
-  /// Testing hook: replay through the generic virtual-dispatch engine
-  /// even for the known hierarchy types, instead of the devirtualized
-  /// per-type instantiation. Results must be bit-identical either way
-  /// (tests/test_replay_equivalence.cc).
-  bool force_generic_dispatch = false;
   /// Observability hook: when set, the replay engine records its run
   /// counters (events replayed, per-hierarchy access classes) into this
   /// registry under `replay.*` once at the END of Run() — never per

@@ -59,11 +59,7 @@ constexpr void VisitFields(C& c, V&& v) {
 
 /// The ExperimentConfig table. smp_bus_model leads the echo and appears
 /// only when true, so only the cells that opt into the bus model carry
-/// it. smp_snoop_reference has no row, deliberately: it selects the
-/// broadcast-snoop reference arm, which must produce results identical
-/// to the directory arm, and it must never reach output (echo,
-/// fingerprint or shard words) so the two arms' outputs stay
-/// byte-comparable.
+/// it.
 template <typename C, typename V,
           IfConfig<C, ExperimentConfig>* = nullptr>
 constexpr void VisitFields(C& c, V&& v) {
@@ -79,7 +75,6 @@ constexpr void VisitFields(C& c, V&& v) {
   v("stream_buffers", c.stream_buffers, true);
   v("l2_ports", c.l2_ports, true);
   v("memory_latency", c.memory_latency, true);
-  v("fixed_l2_latency", c.fixed_l2_latency, true);
 }
 
 /// Number of rows in C's table.
@@ -128,8 +123,7 @@ static_assert(internal::MemberCount<TraceSetConfig>() - 1 +
                   FieldCount<TraceSetConfig>(),
               "TraceSetConfig/TrafficConfig gained a member: add its row "
               "to the TraceSetConfig field table");
-// ExperimentConfig: every member but smp_snoop_reference has a row.
-static_assert(internal::MemberCount<ExperimentConfig>() - 1 ==
+static_assert(internal::MemberCount<ExperimentConfig>() ==
                   FieldCount<ExperimentConfig>(),
               "ExperimentConfig gained a member: add its row to the "
               "ExperimentConfig field table");
@@ -193,6 +187,16 @@ inline std::vector<uint64_t> ScaleWords(const WorkloadFactory& factory) {
           yc.scan_pct,          yc.scan_len,
           yc.ops_per_request,   yc.load_seed};
 }
+
+// Tripwires: a scale knob missing from ScaleWords would let a stale
+// bundle or a foreign-scale shard validate. The counts are the runs of
+// tc/hc/yc words above; a new member fails the build until it has a word.
+static_assert(internal::MemberCount<workload::TpccConfig>() == 6,
+              "TpccConfig gained a member: add it to ScaleWords");
+static_assert(internal::MemberCount<workload::TpchConfig>() == 7,
+              "TpchConfig gained a member: add it to ScaleWords");
+static_assert(internal::MemberCount<workload::YcsbConfig>() == 10,
+              "YcsbConfig gained a member: add it to ScaleWords");
 
 }  // namespace stagedcmp::harness
 

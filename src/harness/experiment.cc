@@ -53,7 +53,7 @@ memsim::HierarchyConfig MakeHierarchyConfig(const ExperimentConfig& config) {
   if (config.latency == LatencyMode::kRealistic) {
     h.lat.l2_hit = cacti::AccessLatencyCycles(config.l2_bytes);
   } else {
-    h.lat.l2_hit = config.fixed_l2_latency;
+    h.lat.l2_hit = 4;
   }
   h.lat.l1_transfer = h.lat.l2_hit + 4;  // through the shared fabric
   h.lat.remote_l2 = config.memory_latency - 50;
@@ -70,13 +70,8 @@ memsim::HierarchyConfig MakeHierarchyConfig(const ExperimentConfig& config) {
     h.l2_ports = ports;
   }
   h.l2_port_occupancy = 6;
-  // SMP shared-bus occupancy model (no effect on CMP topologies): a
-  // short address/snoop phase per transaction plus a full line-transfer
-  // data phase. Address-only transactions (upgrades) hold the bus for
-  // the former; fetches and writebacks also hold the data cycles.
+  // SMP shared-bus occupancy model (no effect on CMP topologies).
   h.smp_bus = config.smp_bus_model;
-  h.bus_addr_cycles = 4;
-  h.bus_data_cycles = 12;
   return h;
 }
 
@@ -93,30 +88,28 @@ ResolvedHardware ResolveHardware(const ExperimentConfig& config) {
   return hw;
 }
 
-coresim::SimResult RunExperiment(const ExperimentConfig& config,
-                                 const TraceSet& traces,
-                                 ResolvedHardware* hw,
-                                 MetricsRegistry* metrics) {
-  memsim::HierarchyConfig hc = MakeHierarchyConfig(config);
-  std::unique_ptr<memsim::MemoryHierarchy> hierarchy =
-      config.topology == Topology::kCmpShared
-          ? memsim::MakeCmpHierarchy(hc)
-          : (config.smp_snoop_reference ? memsim::MakeSmpSnoopHierarchy(hc)
-                                        : memsim::MakeSmpHierarchy(hc));
-
+coresim::SimConfig MakeSimConfig(const ExperimentConfig& config,
+                                 const TraceSet& traces) {
   coresim::SimConfig sc;
   sc.core = MakeCoreParams(config.camp);
   sc.num_cores = config.cores;
   sc.loop_traces = config.saturated;
   sc.max_instructions = config.saturated ? config.measure_instructions : 0;
   sc.warmup_instructions = config.saturated ? config.warmup_instructions : 0;
-  sc.metrics = metrics;
   sc.tenant_a_clients = traces.tenant_a_clients;
+  return sc;
+}
 
-  if (hw != nullptr) *hw = ResolveHardware(config);
-
-  coresim::CmpSimulator sim(sc, hierarchy.get(), traces.Pointers());
-  return sim.Run();
+coresim::SimResult RunExperiment(const ExperimentConfig& config,
+                                 const TraceSet& traces,
+                                 MetricsRegistry* metrics) {
+  const memsim::HierarchyConfig hc = MakeHierarchyConfig(config);
+  std::unique_ptr<memsim::MemoryHierarchy> hierarchy =
+      config.topology == Topology::kCmpShared ? memsim::MakeCmpHierarchy(hc)
+                                              : memsim::MakeSmpHierarchy(hc);
+  coresim::SimConfig sc = MakeSimConfig(config, traces);
+  sc.metrics = metrics;
+  return coresim::CmpSimulator(sc, hierarchy.get(), traces.Pointers()).Run();
 }
 
 }  // namespace stagedcmp::harness

@@ -144,21 +144,12 @@ struct ExperimentConfig {
   bool stream_buffers = true;
   uint32_t l2_ports = 0;          ///< 0 = auto (scale with banks)
   uint32_t memory_latency = 400;
-  uint32_t fixed_l2_latency = 4;  ///< used when latency == kFixed4
-  /// SMP topology only: resolve coherence through the broadcast-snoop
-  /// reference arm instead of the sharers-bitmap directory. Simulated
-  /// results must be identical either way (scripts/check.sh diffs the
-  /// two); deliberately excluded from sweep output so the arms'
-  /// serialized cells stay byte-comparable.
-  bool smp_snoop_reference = false;
   /// SMP topology only: charge every coherence transaction (remote
   /// fetch, upgrade invalidation round, writeback) against the shared
   /// bus's occupancy clock, making queue_delay the real wait behind
   /// earlier transactions — the coherence-limited scaling knee. False
   /// keeps the historical flat-latency timing, byte-for-byte: the pinned
-  /// reference arm, mirroring how smp_snoop_reference pins coherence
-  /// resolution. Unlike that knob this one DOES change simulated
-  /// results, so it participates in sweep output and shard fingerprints.
+  /// reference arm.
   bool smp_bus_model = false;
 };
 
@@ -173,17 +164,20 @@ struct ResolvedHardware {
 /// a pure function of the config, so reports can re-derive it.
 ResolvedHardware ResolveHardware(const ExperimentConfig& config);
 
-/// Runs one configuration over a trace set. When `metrics` is non-null
-/// the replay engine folds the run's counters into it under `replay.*`
-/// (see SimConfig::metrics); results are identical either way.
+/// Runs one configuration over a trace set: the hierarchy from
+/// MakeHierarchyConfig, replayed under MakeSimConfig. When `metrics` is
+/// non-null the replay engine folds the run's counters into it under
+/// `replay.*` (see SimConfig::metrics); results are identical either way.
 coresim::SimResult RunExperiment(const ExperimentConfig& config,
                                  const TraceSet& traces,
-                                 ResolvedHardware* hw = nullptr,
                                  MetricsRegistry* metrics = nullptr);
 
-/// Builds the hierarchy+core configs without running (tests/inspection).
+/// The configs RunExperiment builds, for callers that replay a cell over
+/// a hierarchy of their own (tests, the coherence reference arm).
 memsim::HierarchyConfig MakeHierarchyConfig(const ExperimentConfig& config);
 coresim::CoreParams MakeCoreParams(coresim::Camp camp);
+coresim::SimConfig MakeSimConfig(const ExperimentConfig& config,
+                                 const TraceSet& traces);
 
 }  // namespace stagedcmp::harness
 

@@ -45,8 +45,8 @@ class WorkloadWorld {
 
   /// This world's code-region geometry. Every world registers the full
   /// canonical RegionSet eagerly, so the layout is identical across
-  /// worlds (and to RegionSet::Global()) — PCs in recorded traces do not
-  /// depend on which world recorded them.
+  /// worlds — PCs in recorded traces do not depend on which world
+  /// recorded them.
   const trace::RegionSet& regions() const { return regions_; }
   const trace::CodeMap& code_map() const { return code_map_; }
 

@@ -10,8 +10,8 @@
 // line (`AccessAt`, `FillAt`, `InvalidateAt`, ...) reuses the handle
 // instead of re-scanning. A miss+fill that previously cost two to three
 // associative scans (Access -> Contains/Fill, each re-running FindWay)
-// now costs exactly one. The legacy one-shot calls (`Access`, `Fill`,
-// ...) remain as probe-then-apply wrappers.
+// now costs exactly one. Every operation goes through a probe; there is
+// no line-address shortcut.
 //
 // A ProbeResult stays valid only while the *contents of that line's set*
 // are unchanged: any Fill/Invalidate of a line mapping to the same set
@@ -81,8 +81,6 @@ class Cache {
   explicit Cache(const CacheConfig& config);
 
   static Status Validate(const CacheConfig& config);
-
-  // -- Single-probe API (hot path) ----------------------------------------
 
   /// Resolves `line_addr` to its set and resident way, if any. Pure scan:
   /// no counters, no LRU disturbance (directories/snoops may probe).
@@ -192,43 +190,6 @@ class Cache {
     states_[w] = LineState::kShared;
     return dirty;
   }
-
-  // -- Legacy one-shot API (probe-then-apply wrappers) --------------------
-
-  /// Probes for a line. Returns true on hit and refreshes LRU.
-  /// If `is_write` and hit, upgrades the state to Modified.
-  bool Access(uint64_t line_addr, bool is_write) {
-    return AccessAt(Probe(line_addr), is_write);
-  }
-
-  /// Probes without disturbing LRU or state (for directories/snoops).
-  bool Contains(uint64_t line_addr) const { return Probe(line_addr).hit(); }
-
-  /// Returns the state of a resident line, or kInvalid.
-  LineState GetState(uint64_t line_addr) const {
-    return StateAt(Probe(line_addr));
-  }
-
-  /// Sets the state of a resident line (no-op if absent).
-  void SetState(uint64_t line_addr, LineState s) {
-    SetStateAt(Probe(line_addr), s);
-  }
-
-  /// Inserts a line (after a miss), evicting the LRU way if needed.
-  EvictedLine Fill(uint64_t line_addr, bool is_write,
-                   LineState state = LineState::kExclusive) {
-    return FillAt(Probe(line_addr), line_addr, is_write, state);
-  }
-
-  /// Invalidates a line if present; returns whether it was dirty.
-  bool Invalidate(uint64_t line_addr, bool* was_present = nullptr) {
-    const ProbeResult p = Probe(line_addr);
-    if (was_present != nullptr) *was_present = p.hit();
-    return InvalidateAt(p);
-  }
-
-  /// Downgrades Modified/Exclusive to Shared; returns true if dirty.
-  bool Downgrade(uint64_t line_addr) { return DowngradeAt(Probe(line_addr)); }
 
   /// Zeroes hit/miss/eviction counters without disturbing contents.
   /// Used after cache warmup so measurements exclude cold misses.

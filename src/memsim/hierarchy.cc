@@ -37,7 +37,7 @@ SharedL2HierarchyImpl<kMaxNodes>::SharedL2HierarchyImpl(
   for (uint32_t i = 0; i < config.num_cores; ++i) {
     l1i_.emplace_back(config.l1i);
     l1d_.emplace_back(config.l1d);
-    sbuf_.emplace_back(config.stream_buffer_count, config.stream_buffer_depth);
+    sbuf_.emplace_back(kStreamBuffers, kStreamBufferDepth);
   }
   port_free_.assign(std::max<uint32_t>(1, config.l2_ports), 0);
 }
@@ -48,26 +48,6 @@ void SharedL2HierarchyImpl<kMaxNodes>::ResetStats() {
   l2_.ResetCounters();
   for (Cache& c : l1i_) c.ResetCounters();
   for (Cache& c : l1d_) c.ResetCounters();
-}
-
-template <uint32_t kMaxNodes>
-double SharedL2HierarchyImpl<kMaxNodes>::L1DHitRate() const {
-  uint64_t h = 0, m = 0;
-  for (const Cache& c : l1d_) {
-    h += c.hits();
-    m += c.misses();
-  }
-  return (h + m) ? static_cast<double>(h) / static_cast<double>(h + m) : 0.0;
-}
-
-template <uint32_t kMaxNodes>
-double SharedL2HierarchyImpl<kMaxNodes>::L1IHitRate() const {
-  uint64_t h = 0, m = 0;
-  for (const Cache& c : l1i_) {
-    h += c.hits();
-    m += c.misses();
-  }
-  return (h + m) ? static_cast<double>(h) / static_cast<double>(h + m) : 0.0;
 }
 
 // ---------------------------------------------------------------------------
@@ -106,10 +86,6 @@ std::unique_ptr<MemoryHierarchy> MakeSmpHierarchy(const HierarchyConfig& c) {
     return std::make_unique<PrivateL2HierarchyWide>(c);
   }
   return std::make_unique<PrivateL2Hierarchy>(c);
-}
-std::unique_ptr<MemoryHierarchy> MakeSmpSnoopHierarchy(
-    const HierarchyConfig& c) {
-  return std::make_unique<PrivateL2SnoopHierarchy>(c);
 }
 
 }  // namespace stagedcmp::memsim

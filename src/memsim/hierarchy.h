@@ -64,6 +64,18 @@ enum class AccessClass : uint8_t {
 
 const char* AccessClassName(AccessClass c);
 
+/// Instruction stream buffers per core (when enabled), their depth in
+/// lines, and the latency of a fetch served from one.
+inline constexpr uint32_t kStreamBuffers = 4;
+inline constexpr uint32_t kStreamBufferDepth = 8;
+inline constexpr uint32_t kStreamBufferHitCycles = 3;
+
+/// SMP shared-bus occupancy per transaction (HierarchyConfig::smp_bus):
+/// the address/snoop phase every transaction holds, and the cache-line
+/// data phase that fetches and writebacks hold on top of it.
+inline constexpr uint32_t kBusAddrCycles = 4;
+inline constexpr uint32_t kBusDataCycles = 12;
+
 /// Latency parameters (cycles). L2 hit latency is the experiment's main
 /// knob: either Cacti-derived ("real") or pinned at 4 ("const" sweeps).
 struct LatencyConfig {
@@ -72,7 +84,6 @@ struct LatencyConfig {
   uint32_t memory = 400;
   uint32_t remote_l2 = 350;       ///< SMP dirty-remote cache-to-cache
   uint32_t l1_transfer = 18;      ///< CMP on-chip L1-to-L1 via shared L2
-  uint32_t stream_buffer_hit = 3;
 };
 
 struct HierarchyConfig {
@@ -83,19 +94,16 @@ struct HierarchyConfig {
   LatencyConfig lat;
   uint32_t l2_ports = 4;          ///< parallel L2 access ports/banks
   uint32_t l2_port_occupancy = 4; ///< cycles a request holds a port
-  bool stream_buffers = true;
-  uint32_t stream_buffer_count = 4;
-  uint32_t stream_buffer_depth = 8;
+  bool stream_buffers = true;      ///< kStreamBuffers per core when on
   /// SMP shared-bus occupancy model (private-L2 hierarchies only). When
   /// false — the pinned flat-latency reference arm — coherence actions
   /// charge only the flat LatencyConfig numbers and queue_delay stays
   /// zero, reproducing the historical SMP timing byte-for-byte. When
   /// true, every coherence transaction (remote fetch, upgrade round,
   /// writeback) also occupies the one bus, and requesters wait behind
-  /// earlier transactions. Cycle accounting rules: docs/COHERENCE.md.
+  /// earlier transactions (kBusAddrCycles / kBusDataCycles per phase).
+  /// Cycle accounting rules: docs/COHERENCE.md.
   bool smp_bus = false;
-  uint32_t bus_addr_cycles = 4;   ///< address/snoop phase occupancy
-  uint32_t bus_data_cycles = 12;  ///< cache-line data-transfer occupancy
 };
 
 struct AccessResult {
@@ -124,15 +132,17 @@ struct HierarchyStats {
     for (uint64_t c : data_count) t += c;
     return t;
   }
-  double data_l2_hit_ratio() const {
-    // Of accesses that missed L1, fraction served by on-chip L2.
-    const uint64_t l2 = data_count[static_cast<int>(AccessClass::kL2Hit)];
-    const uint64_t off = data_count[static_cast<int>(AccessClass::kOffChip)] +
-                         data_count[static_cast<int>(AccessClass::kCoherence)];
-    const uint64_t denom = l2 + off;
-    return denom ? static_cast<double>(l2) / static_cast<double>(denom) : 0.0;
-  }
 };
+
+/// Aggregate hit rate over a bank of caches (per-core L1s, per-node L2s).
+inline double HitRate(const std::vector<Cache>& caches) {
+  uint64_t h = 0, m = 0;
+  for (const Cache& c : caches) {
+    h += c.hits();
+    m += c.misses();
+  }
+  return (h + m) ? static_cast<double>(h) / static_cast<double>(h + m) : 0.0;
+}
 
 /// Abstract hierarchy; cores call Access() in (approximately) time order.
 class MemoryHierarchy {
@@ -175,8 +185,8 @@ class SharedL2HierarchyImpl final : public MemoryHierarchy {
   const HierarchyStats& stats() const override { return stats_; }
   const HierarchyConfig& config() const override { return config_; }
   void ResetStats() override;
-  double L1DHitRate() const override;
-  double L1IHitRate() const override;
+  double L1DHitRate() const override { return HitRate(l1d_); }
+  double L1IHitRate() const override { return HitRate(l1i_); }
   double L2HitRate() const override { return l2_.hit_rate(); }
 
   const Cache& l2() const { return l2_; }
@@ -241,7 +251,8 @@ using SmpDirEntry = SmpDirEntryT<kNarrowMaxNodes>;
 ///   * kUseDirectory = false (`PrivateL2SnoopHierarchy`): the original
 ///     broadcast snoop that probes every peer L2 per miss/upgrade. Kept as
 ///     the reference arm (and the no-node-limit fallback);
-///     tests/test_directory_equivalence.cc and scripts/check.sh pin the
+///     tests/test_directory_equivalence.cc (synthetic traces) and
+///     tests/test_smp_arms.cc (the smokesmp grid's real traces) pin the
 ///     two arms bit-identical.
 ///
 /// Orthogonally, `HierarchyConfig::smp_bus` selects the timing arm: flat
@@ -261,9 +272,9 @@ class PrivateL2HierarchyImpl final : public MemoryHierarchy {
   const HierarchyStats& stats() const override { return stats_; }
   const HierarchyConfig& config() const override { return config_; }
   void ResetStats() override;
-  double L1DHitRate() const override;
-  double L1IHitRate() const override;
-  double L2HitRate() const override;
+  double L1DHitRate() const override { return HitRate(l1d_); }
+  double L1IHitRate() const override { return HitRate(l1i_); }
+  double L2HitRate() const override { return HitRate(l2_); }
 
   /// The coherence directory (empty for the snoop arm). Tests only.
   const FlatMap64<SmpDirEntryT<kMaxNodes>>& directory() const {
@@ -353,8 +364,6 @@ using PrivateL2SnoopHierarchy = PrivateL2HierarchyImpl<false>;
 /// unlimited snoop arm and the CMP aborts.
 std::unique_ptr<MemoryHierarchy> MakeCmpHierarchy(const HierarchyConfig& c);
 std::unique_ptr<MemoryHierarchy> MakeSmpHierarchy(const HierarchyConfig& c);
-std::unique_ptr<MemoryHierarchy> MakeSmpSnoopHierarchy(
-    const HierarchyConfig& c);
 
 // ---------------------------------------------------------------------------
 // SharedL2HierarchyImpl (CMP) — inline hot path
@@ -381,7 +390,7 @@ inline void SharedL2HierarchyImpl<kMaxNodes>::TrackL1Fill(uint32_t core,
   if (is_write) {
     // Invalidate all other L1 copies.
     e.sharers.ForEachSetBitExcept(core, [&](uint32_t c) {
-      l1d_[c].Invalidate(line_addr);
+      l1d_[c].InvalidateAt(l1d_[c].Probe(line_addr));
       ++stats_.invalidations;
     });
     e.sharers.SetOnly(core);
@@ -418,11 +427,15 @@ inline AccessResult SharedL2HierarchyImpl<kMaxNodes>::AccessData(
 
   // L1 miss. Check for a dirty copy in a peer L1 (fast on-chip transfer).
   DirEntry* de = l1_dir_.Find(line);
+  Cache* owner_l1 = nullptr;
+  Cache::ProbeResult op;
+  if (de != nullptr && de->dirty_owner >= 0 &&
+      de->dirty_owner != static_cast<int16_t>(core)) {
+    owner_l1 = &l1d_[static_cast<uint32_t>(de->dirty_owner)];
+    op = owner_l1->Probe(line);
+  }
   const bool dirty_remote =
-      de != nullptr && de->dirty_owner >= 0 &&
-      de->dirty_owner != static_cast<int16_t>(core) &&
-      l1d_[static_cast<uint32_t>(de->dirty_owner)].GetState(line) ==
-          LineState::kModified;
+      owner_l1 != nullptr && owner_l1->StateAt(op) == LineState::kModified;
 
   const uint64_t qd = PortDelay(line, now);
   r.queue_delay = qd;
@@ -430,8 +443,7 @@ inline AccessResult SharedL2HierarchyImpl<kMaxNodes>::AccessData(
   if (dirty_remote) {
     // On-chip L1-to-L1 transfer through the shared L2 fabric. The remote
     // copy is downgraded; the shared L2 absorbs the dirty data.
-    const uint32_t owner = static_cast<uint32_t>(de->dirty_owner);
-    l1d_[owner].Downgrade(line);
+    owner_l1->DowngradeAt(op);
     de->dirty_owner = -1;
     const Cache::ProbeResult p2 = l2_.Probe(line);
     if (!p2.hit()) l2_.FillAt(p2, line, /*is_write=*/true);
@@ -489,7 +501,7 @@ inline AccessResult SharedL2HierarchyImpl<kMaxNodes>::AccessInstr(
 
   if (config_.stream_buffers && sbuf_[core].Probe(line)) {
     r.cls = AccessClass::kL1Hit;  // near-hit; stream buffer supplies line
-    r.latency = config_.lat.stream_buffer_hit;
+    r.latency = kStreamBufferHitCycles;
     l1.FillAt(lp, line, /*is_write=*/false);
     ++stats_.instr_count[static_cast<int>(r.cls)];
     return r;
@@ -525,8 +537,7 @@ PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::FetchRemoteOrMemory(
   // the request (and its invalidation round, on a write), the data phase
   // the line — whether it comes from memory or dirty cache-to-cache.
   if (config_.smp_bus) {
-    *bus_wait = BusAcquire(
-        now, config_.bus_addr_cycles + config_.bus_data_cycles);
+    *bus_wait = BusAcquire(now, kBusAddrCycles + kBusDataCycles);
   }
   // Resolve remote holders. Dirty-remote => cache-to-cache (coherence
   // miss). Clean-remote on a write => invalidate peers, fetch from memory.
@@ -545,11 +556,11 @@ PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::FetchRemoteOrMemory(
     if (s == LineState::kModified) dirty_remote = true;
     if (is_write) {
       l2_[n].InvalidateAt(pn);
-      l1d_[n].Invalidate(line_addr);
+      l1d_[n].InvalidateAt(l1d_[n].Probe(line_addr));
       ++stats_.invalidations;
     } else if (s == LineState::kModified || s == LineState::kExclusive) {
       l2_[n].DowngradeAt(pn);
-      l1d_[n].SetState(line_addr, LineState::kShared);
+      l1d_[n].SetStateAt(l1d_[n].Probe(line_addr), LineState::kShared);
     }
   };
   if constexpr (kUseDirectory) {
@@ -587,7 +598,7 @@ PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::FetchRemoteOrMemory(
     ++stats_.writebacks;
     // Dirty victim goes back over the bus, posted behind the fill: it
     // occupies the data bus but the requester does not wait on it.
-    if (config_.smp_bus) BusPosted(now, config_.bus_data_cycles);
+    if (config_.smp_bus) BusPosted(now, kBusDataCycles);
   }
   return dirty_remote ? AccessClass::kCoherence : AccessClass::kOffChip;
 }
@@ -643,7 +654,7 @@ inline AccessResult PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::
       const Cache::ProbeResult pn = l2_[n].Probe(line);
       if (l2_[n].StateAt(pn) != LineState::kInvalid) {
         l2_[n].InvalidateAt(pn);
-        l1d_[n].Invalidate(line);
+        l1d_[n].InvalidateAt(l1d_[n].Probe(line));
         ++stats_.invalidations;
       }
     };
@@ -664,7 +675,7 @@ inline AccessResult PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::
     r.latency = config_.lat.remote_l2 / 2;  // address-only transaction
     if (config_.smp_bus) {
       // The upgrade's invalidation round is an address-only transaction.
-      const uint64_t wait = BusAcquire(now, config_.bus_addr_cycles);
+      const uint64_t wait = BusAcquire(now, kBusAddrCycles);
       r.queue_delay = wait;
       r.latency += wait;
     }
@@ -705,7 +716,7 @@ inline AccessResult PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::
   }
   if (config_.stream_buffers && sbuf_[core].Probe(line)) {
     r.cls = AccessClass::kL1Hit;
-    r.latency = config_.lat.stream_buffer_hit;
+    r.latency = kStreamBufferHitCycles;
     l1i_[core].FillAt(lp, line, false);
     ++stats_.instr_count[static_cast<int>(r.cls)];
     return r;
@@ -719,8 +730,7 @@ inline AccessResult PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::
     r.latency = config_.lat.memory;
     // An instruction fill is a memory fetch over the same shared bus.
     if (config_.smp_bus) {
-      const uint64_t wait = BusAcquire(
-          now, config_.bus_addr_cycles + config_.bus_data_cycles);
+      const uint64_t wait = BusAcquire(now, kBusAddrCycles + kBusDataCycles);
       r.queue_delay = wait;
       r.latency += wait;
     }
@@ -737,7 +747,7 @@ inline AccessResult PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::
     // writeback on the bus (kept outside the writebacks counter, which
     // has never counted I-side victims — both arms, both timing modes).
     if (config_.smp_bus && ev.valid && ev.dirty) {
-      BusPosted(now, config_.bus_data_cycles);
+      BusPosted(now, kBusDataCycles);
     }
   }
   l1i_[core].FillAt(lp, line, false);
@@ -772,7 +782,7 @@ PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::PrivateL2HierarchyImpl(
     l1i_.emplace_back(config.l1i);
     l1d_.emplace_back(config.l1d);
     l2_.emplace_back(config.l2);
-    sbuf_.emplace_back(config.stream_buffer_count, config.stream_buffer_depth);
+    sbuf_.emplace_back(kStreamBuffers, kStreamBufferDepth);
   }
 }
 
@@ -785,36 +795,6 @@ void PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::ResetStats() {
   for (Cache& c : l1i_) c.ResetCounters();
   for (Cache& c : l1d_) c.ResetCounters();
   for (Cache& c : l2_) c.ResetCounters();
-}
-
-template <bool kUseDirectory, uint32_t kMaxNodes>
-double PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::L1DHitRate() const {
-  uint64_t h = 0, m = 0;
-  for (const Cache& c : l1d_) {
-    h += c.hits();
-    m += c.misses();
-  }
-  return (h + m) ? static_cast<double>(h) / static_cast<double>(h + m) : 0.0;
-}
-
-template <bool kUseDirectory, uint32_t kMaxNodes>
-double PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::L1IHitRate() const {
-  uint64_t h = 0, m = 0;
-  for (const Cache& c : l1i_) {
-    h += c.hits();
-    m += c.misses();
-  }
-  return (h + m) ? static_cast<double>(h) / static_cast<double>(h + m) : 0.0;
-}
-
-template <bool kUseDirectory, uint32_t kMaxNodes>
-double PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::L2HitRate() const {
-  uint64_t h = 0, m = 0;
-  for (const Cache& c : l2_) {
-    h += c.hits();
-    m += c.misses();
-  }
-  return (h + m) ? static_cast<double>(h) / static_cast<double>(h + m) : 0.0;
 }
 
 template <bool kUseDirectory, uint32_t kMaxNodes>
@@ -864,7 +844,7 @@ PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::CheckDirectoryInvariants()
     e.sharers.ForEachSetBit([&](uint32_t n) {
       if (stale || !err.empty()) return;
       if (n >= config_.num_cores ||
-          l2_[n].GetState(line) == LineState::kInvalid) {
+          !l2_[n].Probe(line).hit()) {
         std::snprintf(buf, sizeof(buf),
                       "directory reports node %u sharing line %#llx, which "
                       "its L2 does not hold",
@@ -877,7 +857,7 @@ PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::CheckDirectoryInvariants()
     if (e.dirty_owner >= 0) {
       const uint32_t o = static_cast<uint32_t>(e.dirty_owner);
       if (!e.sharers.Test(o) ||
-          l2_[o].GetState(line) != LineState::kModified) {
+          l2_[o].StateAt(l2_[o].Probe(line)) != LineState::kModified) {
         std::snprintf(buf, sizeof(buf),
                       "directory dirty_owner %u of line %#llx does not hold "
                       "it Modified",

@@ -306,7 +306,7 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
         out.trace_total_instructions = built_sets[j]->total_instructions;
         out.trace_total_events = built_sets[j]->total_events;
         out.result = harness::RunExperiment(cells[i].exp, *built_sets[j],
-                                            nullptr, options_.metrics);
+                                            options_.metrics);
         cell_span.End();
         out.sim_wall_seconds = SecondsSince(t0);
         if (cells_simulated != nullptr) {

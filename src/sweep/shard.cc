@@ -5,6 +5,7 @@
 #include <ostream>
 #include <type_traits>
 
+#include "coresim/result_fields.h"
 #include "harness/config_fields.h"
 #include "sweep/checksum.h"
 
@@ -17,43 +18,6 @@ constexpr uint64_t kShardMagic = 0x3144524853435343ULL;  // "CSCSHRD1"
 // fail the magic check rather than merging with guessed fields.
 constexpr uint64_t kShardSchema = 3;
 
-/// Every SimResult field the sinks read, in record order. One visitor
-/// serves the writer (reads each field) and the reader (assigns it).
-template <typename V>
-void VisitFields(coresim::SimResult& r, V& v) {
-  v(r.instructions);
-  v(r.elapsed_cycles);
-  for (double& c : r.breakdown.cycles) v(c);
-  v(r.requests_completed);
-  v(r.avg_response_cycles);
-  v(r.events_replayed);
-  v(r.l1d_hit_rate);
-  v(r.l1i_hit_rate);
-  v(r.l2_hit_rate);
-  for (uint64_t& c : r.mem.data_count) v(c);
-  for (uint64_t& c : r.mem.instr_count) v(c);
-  v(r.mem.l1_to_l1_transfers);
-  v(r.mem.invalidations);
-  v(r.mem.writebacks);
-  // The queue-delay histogram travels as its aggregate (sinks read only
-  // its mean); restoring it is a no-op on the writer's copy.
-  uint64_t qd_count = r.mem.queue_delay.count();
-  uint64_t qd_sum = r.mem.queue_delay.sum();
-  v(qd_count);
-  v(qd_sum);
-  r.mem.queue_delay.RestoreAggregate(qd_count, qd_sum);
-  v(r.mem.bus_transactions);
-  v(r.mem.bus_busy_cycles);
-  v(r.mem.bus_peak_queue);
-  v(r.num_tenants);
-  for (coresim::TenantStats& t : r.tenants) {
-    v(t.instructions);
-    v(t.requests);
-    for (uint64_t& c : t.data_count) v(c);
-    for (uint64_t& c : t.instr_count) v(c);
-  }
-}
-
 constexpr size_t kConfigWords =
     harness::FieldCount<harness::TraceSetConfig>() +
     harness::FieldCount<harness::ExperimentConfig>();
@@ -64,7 +28,7 @@ size_t RecordWords() {
   coresim::SimResult r;
   size_t n = 0;
   const auto count = [&n](const auto&) { ++n; };
-  VisitFields(r, count);
+  coresim::VisitFields(r, count);
   return 1 + kConfigWords + 2 + 1 + n;
 }
 
@@ -232,7 +196,7 @@ void WriteShardFile(const SweepReport& report,
     w.push_back(cr.trace_total_events);
     put(cr.sim_wall_seconds);
     coresim::SimResult r = cr.result;
-    VisitFields(r, put);
+    coresim::VisitFields(r, put);
   }
   Checksum sum;
   sum.MixAll(w.data(), w.size());
@@ -338,7 +302,7 @@ bool MergeShardReports(const SweepSpec& spec,
       cr.trace_total_instructions = in.Next();
       cr.trace_total_events = in.Next();
       in(cr.sim_wall_seconds);
-      VisitFields(cr.result, in);
+      coresim::VisitFields(cr.result, in);
       if (!in.ok()) {
         return Fail(error, cell_name + " has an out-of-range field");
       }

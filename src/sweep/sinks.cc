@@ -91,8 +91,7 @@ std::string FieldText(const T& v, bool json) {
 constexpr const char* kCsvConfigColumns[] = {
     "workload", "clients",  "requests_per_client", "seed",
     "engine",   "camp",     "cores",               "l2_bytes",
-    "latency",  "topology", "saturated",           "l2_ports",
-    "fixed_l2_latency"};
+    "latency",  "topology", "saturated",           "l2_ports"};
 
 /// Column text of the config field called `name`.
 std::string ConfigText(const Cell& cell, const char* name) {

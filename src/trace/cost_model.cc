@@ -7,7 +7,7 @@ RegionSet::RegionSet(CodeMap* map) {
     regions_[static_cast<size_t>(id)] = map->Region(name, size);
   };
   // Canonical registration order. This fixes the PC layout of every world
-  // (and the Global() compat map) to the order the old lazy accessors
+  // to the order the old lazy accessors
   // produced on the sweep path, so traces keep their historical PC
   // streams: bufferpool first — its base equals CodeMap::kCodeBase, which
   // a fresh Tracer treats as its initial region — then the substrate and
@@ -34,32 +34,5 @@ RegionSet::RegionSet(CodeMap* map) {
   reg(RegionId::kYcsb, "ycsb", CodeFootprint::kYcsbServe);
   reg(RegionId::kIdle, "idle", CodeFootprint::kIdleLoop);
 }
-
-const RegionSet& RegionSet::Global() {
-  static const RegionSet set(&CodeMap::Global());
-  return set;
-}
-
-namespace {
-CodeRegion Get(RegionId id) { return RegionSet::Global()[id]; }
-}  // namespace
-
-CodeRegion RegionSeqScan() { return Get(RegionId::kSeqScan); }
-CodeRegion RegionIndexScan() { return Get(RegionId::kIndexScan); }
-CodeRegion RegionFilter() { return Get(RegionId::kFilter); }
-CodeRegion RegionProject() { return Get(RegionId::kProject); }
-CodeRegion RegionHashBuild() { return Get(RegionId::kHashBuild); }
-CodeRegion RegionHashProbe() { return Get(RegionId::kHashProbe); }
-CodeRegion RegionNlJoin() { return Get(RegionId::kNlJoin); }
-CodeRegion RegionSort() { return Get(RegionId::kSort); }
-CodeRegion RegionAggregate() { return Get(RegionId::kAggregate); }
-CodeRegion RegionBufferPool() { return Get(RegionId::kBufferPool); }
-CodeRegion RegionBtree() { return Get(RegionId::kBtree); }
-CodeRegion RegionLockMgr() { return Get(RegionId::kLockMgr); }
-CodeRegion RegionTxn() { return Get(RegionId::kTxn); }
-CodeRegion RegionCatalog() { return Get(RegionId::kCatalog); }
-CodeRegion RegionStageRuntime() { return Get(RegionId::kStageRuntime); }
-CodeRegion RegionYcsb() { return Get(RegionId::kYcsb); }
-CodeRegion RegionIdle() { return Get(RegionId::kIdle); }
 
 }  // namespace stagedcmp::trace

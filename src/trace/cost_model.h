@@ -75,27 +75,6 @@ struct CodeFootprint {
   static constexpr uint32_t kIdleLoop = 4 * 1024;    ///< think-time wait loop
 };
 
-/// Named accessors over RegionSet::Global() — compat shims for callers
-/// outside the world-isolated build path (examples, tests). The first
-/// call registers the full canonical set in CodeMap::Global().
-CodeRegion RegionSeqScan();
-CodeRegion RegionIndexScan();
-CodeRegion RegionFilter();
-CodeRegion RegionProject();
-CodeRegion RegionHashBuild();
-CodeRegion RegionHashProbe();
-CodeRegion RegionNlJoin();
-CodeRegion RegionSort();
-CodeRegion RegionAggregate();
-CodeRegion RegionBufferPool();
-CodeRegion RegionBtree();
-CodeRegion RegionLockMgr();
-CodeRegion RegionTxn();
-CodeRegion RegionCatalog();
-CodeRegion RegionStageRuntime();
-CodeRegion RegionYcsb();
-CodeRegion RegionIdle();
-
 }  // namespace stagedcmp::trace
 
 #endif  // STAGEDCMP_TRACE_COST_MODEL_H_

@@ -16,9 +16,4 @@ CodeRegion CodeMap::Region(const std::string& name, uint32_t size_bytes) {
   return r;
 }
 
-CodeMap& CodeMap::Global() {
-  static CodeMap map;
-  return map;
-}
-
 }  // namespace stagedcmp::trace

@@ -38,11 +38,10 @@ struct CodeRegion {
 /// the hot-path footprint of each component in a commercial engine (total
 /// ~ several hundred KB >> 32KB L1I).
 ///
-/// Instances are independent: each workload "world" owns one, so
-/// concurrent trace builds never share registration state. Global() is
-/// the process-wide compat instance for single-world callers (examples,
-/// ad-hoc tests). A CodeMap is not internally synchronized — register
-/// from one thread, read from many.
+/// Instances are independent: each workload "world" (and each test or
+/// benchmark that traces outside one) owns its own, so concurrent trace
+/// builds never share registration state. A CodeMap is not internally
+/// synchronized — register from one thread, read from many.
 class CodeMap {
  public:
   static constexpr uint64_t kCodeBase = 0x400000000000ULL;
@@ -51,8 +50,6 @@ class CodeMap {
   CodeRegion Region(const std::string& name, uint32_t size_bytes);
 
   uint64_t total_footprint() const { return next_offset_; }
-
-  static CodeMap& Global();
 
  private:
   struct Entry {
@@ -92,8 +89,8 @@ inline constexpr size_t kRegionCount = 17;
 
 /// All engine code regions resolved against one CodeMap. The constructor
 /// registers every region eagerly in one canonical order (see
-/// cost_model.cc), so every world — and the Global() compat set — shares
-/// a single, build-order-independent PC layout.
+/// cost_model.cc), so every set registered into a fresh map shares a
+/// single, build-order-independent PC layout.
 class RegionSet {
  public:
   /// Registers all kRegionCount regions into `map` in canonical order.
@@ -103,20 +100,16 @@ class RegionSet {
     return regions_[static_cast<size_t>(id)];
   }
 
-  /// The process-wide set, registered into CodeMap::Global().
-  static const RegionSet& Global();
-
  private:
   CodeRegion regions_[kRegionCount];
 };
 
 /// Per-client trace recorder. Resolves RegionIds through the RegionSet it
-/// was constructed with (a world's set, or the global compat set), so
-/// tracers in different worlds never touch shared registration state.
+/// was constructed with (normally its world's), so tracers in different
+/// worlds never touch shared registration state.
 class Tracer {
  public:
-  explicit Tracer(const RegionSet* regions = &RegionSet::Global())
-      : regions_(regions) {
+  explicit Tracer(const RegionSet* regions) : regions_(regions) {
     Reset();
   }
 

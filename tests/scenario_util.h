@@ -148,19 +148,19 @@ inline harness::ExperimentConfig HardwareConfig(Hardware hw) {
   return ec;
 }
 
-/// Every registered engine code region (calling the accessors registers
-/// them in the global CodeMap, deduplicated by name, so the returned
-/// geometry matches whatever the workloads recorded).
+/// The engine code regions (every RegionId up to kStageRuntime, in id
+/// order), at the canonical geometry every world records with.
 inline const std::vector<trace::CodeRegion>& AllRegions() {
-  static const std::vector<trace::CodeRegion> regions = {
-      trace::RegionSeqScan(),    trace::RegionIndexScan(),
-      trace::RegionFilter(),     trace::RegionProject(),
-      trace::RegionHashBuild(),  trace::RegionHashProbe(),
-      trace::RegionNlJoin(),     trace::RegionSort(),
-      trace::RegionAggregate(),  trace::RegionBufferPool(),
-      trace::RegionBtree(),      trace::RegionLockMgr(),
-      trace::RegionTxn(),        trace::RegionCatalog(),
-      trace::RegionStageRuntime()};
+  static const std::vector<trace::CodeRegion> regions = [] {
+    trace::CodeMap code;
+    const trace::RegionSet set(&code);
+    std::vector<trace::CodeRegion> v;
+    for (size_t i = 0;
+         i <= static_cast<size_t>(trace::RegionId::kStageRuntime); ++i) {
+      v.push_back(set[static_cast<trace::RegionId>(i)]);
+    }
+    return v;
+  }();
   return regions;
 }
 

@@ -62,7 +62,7 @@ TEST(BusModelTest, IdleBusChargesZeroAndMatchesFlatLatencies) {
 TEST(BusModelTest, SerializedFetchStreamMatchesClosedForm) {
   const uint32_t kNodes = 16;
   const HierarchyConfig hc = BusConfig(kNodes);
-  const uint64_t occ = hc.bus_addr_cycles + hc.bus_data_cycles;
+  const uint64_t occ = kBusAddrCycles + kBusDataCycles;
   PrivateL2Hierarchy h(hc);
 
   // Every node misses to its own line at the same instant: the i-th
@@ -112,12 +112,12 @@ TEST(BusModelTest, UpgradeHoldsAddressPhaseOnly) {
   const HierarchyStats& after = h.stats();
   EXPECT_EQ(after.bus_transactions, before.bus_transactions + 1);
   EXPECT_EQ(after.bus_busy_cycles,
-            before.bus_busy_cycles + hc.bus_addr_cycles);
+            before.bus_busy_cycles + kBusAddrCycles);
   EXPECT_EQ(after.queue_delay.count(), before.queue_delay.count() + 1);
 
   // A fetch arriving inside the upgrade's address phase queues behind it.
   const AccessResult r = h.AccessData(1, 0x9000, false, 2000);
-  EXPECT_EQ(r.queue_delay, hc.bus_addr_cycles);
+  EXPECT_EQ(r.queue_delay, kBusAddrCycles);
 }
 
 TEST(BusModelTest, WritebackPostsDataCyclesWithoutQueueSample) {
@@ -127,7 +127,7 @@ TEST(BusModelTest, WritebackPostsDataCyclesWithoutQueueSample) {
   hc.l1d = CacheConfig{2 * 1024, 2, 64};
   hc.l2 = CacheConfig{8 * 1024, 2, 64};
   PrivateL2Hierarchy h(hc);
-  const uint64_t occ = hc.bus_addr_cycles + hc.bus_data_cycles;
+  const uint64_t occ = kBusAddrCycles + kBusDataCycles;
   const uint64_t set_stride = hc.l2.num_sets() * 64;
   const uint64_t base = 0x40000;
 
@@ -142,19 +142,19 @@ TEST(BusModelTest, WritebackPostsDataCyclesWithoutQueueSample) {
   EXPECT_EQ(s.writebacks, 1u);
   EXPECT_EQ(s.bus_transactions, before.bus_transactions + 2);
   EXPECT_EQ(s.bus_busy_cycles,
-            before.bus_busy_cycles + occ + hc.bus_data_cycles);
+            before.bus_busy_cycles + occ + kBusDataCycles);
   EXPECT_EQ(s.queue_delay.count(), before.queue_delay.count() + 1);
 
   // The posted writeback still occupies the bus: a fetch right behind
   // the evicting access waits for both transactions' cycles.
   const AccessResult r =
       h.AccessData(0, base + 3 * set_stride, false, 2000);
-  EXPECT_EQ(r.queue_delay, occ + hc.bus_data_cycles);
+  EXPECT_EQ(r.queue_delay, occ + kBusDataCycles);
 }
 
 TEST(BusModelTest, BusClockSurvivesWarmupResetStats) {
   const HierarchyConfig hc = BusConfig(8);
-  const uint64_t occ = hc.bus_addr_cycles + hc.bus_data_cycles;
+  const uint64_t occ = kBusAddrCycles + kBusDataCycles;
   PrivateL2Hierarchy h(hc);
   for (uint32_t i = 0; i < 8; ++i) {
     h.AccessData(i, 0x100000 + static_cast<uint64_t>(i) * 64, false, 0);

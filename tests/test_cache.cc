@@ -10,6 +10,17 @@ namespace {
 
 CacheConfig Small() { return CacheConfig{1024, 2, 64}; }  // 8 sets x 2 ways
 
+// Line-address shorthands over the probe API, for terse test setup.
+bool Access(Cache& c, uint64_t line, bool is_write) {
+  return c.AccessAt(c.Probe(line), is_write);
+}
+EvictedLine Fill(Cache& c, uint64_t line, bool is_write) {
+  return c.FillAt(c.Probe(line), line, is_write);
+}
+LineState State(const Cache& c, uint64_t line) {
+  return c.StateAt(c.Probe(line));
+}
+
 TEST(CacheConfigTest, NumSets) {
   EXPECT_EQ(Small().num_sets(), 8u);
   EXPECT_EQ((CacheConfig{64 * 1024, 4, 64}).num_sets(), 256u);
@@ -25,45 +36,45 @@ TEST(CacheConfigTest, ValidateRejectsBadGeometry) {
 
 TEST(CacheTest, MissThenHit) {
   Cache c(Small());
-  EXPECT_FALSE(c.Access(100, false));
-  c.Fill(100, false);
-  EXPECT_TRUE(c.Access(100, false));
+  EXPECT_FALSE(Access(c, 100, false));
+  Fill(c, 100, false);
+  EXPECT_TRUE(Access(c, 100, false));
   EXPECT_EQ(c.hits(), 1u);
   EXPECT_EQ(c.misses(), 1u);
 }
 
 TEST(CacheTest, WriteMarksModified) {
   Cache c(Small());
-  c.Fill(5, false);
-  EXPECT_EQ(c.GetState(5), LineState::kExclusive);
-  c.Access(5, true);
-  EXPECT_EQ(c.GetState(5), LineState::kModified);
+  Fill(c, 5, false);
+  EXPECT_EQ(State(c, 5), LineState::kExclusive);
+  Access(c, 5, true);
+  EXPECT_EQ(State(c, 5), LineState::kModified);
 }
 
 TEST(CacheTest, FillWithWriteIsModified) {
   Cache c(Small());
-  c.Fill(9, true);
-  EXPECT_EQ(c.GetState(9), LineState::kModified);
+  Fill(c, 9, true);
+  EXPECT_EQ(State(c, 9), LineState::kModified);
 }
 
 TEST(CacheTest, LruEvictsOldest) {
   Cache c(Small());  // 2 ways per set; lines k, k+8, k+16 map to set k%8
-  c.Fill(0, false);
-  c.Fill(8, false);
-  c.Access(0, false);           // 0 is now MRU
-  EvictedLine ev = c.Fill(16, false);
+  Fill(c, 0, false);
+  Fill(c, 8, false);
+  Access(c, 0, false);           // 0 is now MRU
+  EvictedLine ev = Fill(c, 16, false);
   EXPECT_TRUE(ev.valid);
   EXPECT_EQ(ev.line_addr, 8u);  // LRU way evicted
-  EXPECT_TRUE(c.Contains(0));
-  EXPECT_TRUE(c.Contains(16));
-  EXPECT_FALSE(c.Contains(8));
+  EXPECT_TRUE(c.Probe(0).hit());
+  EXPECT_TRUE(c.Probe(16).hit());
+  EXPECT_FALSE(c.Probe(8).hit());
 }
 
 TEST(CacheTest, DirtyEvictionReportsWriteback) {
   Cache c(Small());
-  c.Fill(0, true);  // dirty
-  c.Fill(8, false);
-  EvictedLine ev = c.Fill(16, false);
+  Fill(c, 0, true);  // dirty
+  Fill(c, 8, false);
+  EvictedLine ev = Fill(c, 16, false);
   EXPECT_TRUE(ev.valid);
   EXPECT_EQ(ev.line_addr, 0u);
   EXPECT_TRUE(ev.dirty);
@@ -72,48 +83,46 @@ TEST(CacheTest, DirtyEvictionReportsWriteback) {
 
 TEST(CacheTest, InvalidateRemovesLine) {
   Cache c(Small());
-  c.Fill(3, true);
-  bool present = false;
-  EXPECT_TRUE(c.Invalidate(3, &present));  // returns dirty
-  EXPECT_TRUE(present);
-  EXPECT_FALSE(c.Contains(3));
-  EXPECT_FALSE(c.Invalidate(3, &present));
-  EXPECT_FALSE(present);
+  Fill(c, 3, true);
+  EXPECT_TRUE(c.Probe(3).hit());
+  EXPECT_TRUE(c.InvalidateAt(c.Probe(3)));  // returns dirty
+  EXPECT_FALSE(c.Probe(3).hit());
+  EXPECT_FALSE(c.InvalidateAt(c.Probe(3)));
 }
 
 TEST(CacheTest, DowngradeToShared) {
   Cache c(Small());
-  c.Fill(3, true);
-  EXPECT_TRUE(c.Downgrade(3));  // was dirty
-  EXPECT_EQ(c.GetState(3), LineState::kShared);
-  EXPECT_FALSE(c.Downgrade(3));  // now clean
+  Fill(c, 3, true);
+  EXPECT_TRUE(c.DowngradeAt(c.Probe(3)));  // was dirty
+  EXPECT_EQ(State(c, 3), LineState::kShared);
+  EXPECT_FALSE(c.DowngradeAt(c.Probe(3)));  // now clean
 }
 
 TEST(CacheTest, CapacityBound) {
   Cache c(Small());  // 16 lines total
-  for (uint64_t i = 0; i < 100; ++i) c.Fill(i, false);
+  for (uint64_t i = 0; i < 100; ++i) Fill(c, i, false);
   EXPECT_EQ(c.CountValid(), 16u);
 }
 
 TEST(CacheTest, ResetCountersKeepsContents) {
   Cache c(Small());
-  c.Fill(1, false);
-  c.Access(1, false);
+  Fill(c, 1, false);
+  Access(c, 1, false);
   c.ResetCounters();
   EXPECT_EQ(c.hits(), 0u);
   EXPECT_EQ(c.misses(), 0u);
-  EXPECT_TRUE(c.Contains(1));
+  EXPECT_TRUE(c.Probe(1).hit());
 }
 
 TEST(CacheTest, DistinctSetsDoNotConflict) {
   Cache c(Small());
   for (uint64_t s = 0; s < 8; ++s) {
-    c.Fill(s, false);
-    c.Fill(s + 8, false);
+    Fill(c, s, false);
+    Fill(c, s + 8, false);
   }
   for (uint64_t s = 0; s < 8; ++s) {
-    EXPECT_TRUE(c.Contains(s));
-    EXPECT_TRUE(c.Contains(s + 8));
+    EXPECT_TRUE(c.Probe(s).hit());
+    EXPECT_TRUE(c.Probe(s + 8).hit());
   }
 }
 
@@ -131,7 +140,7 @@ TEST_P(CacheWorkingSetTest, CyclicWorkingSetHitRate) {
 
   for (int rep = 0; rep < 50; ++rep) {
     for (uint32_t i = 0; i < ws_lines; ++i) {
-      if (!c.Access(i, false)) c.Fill(i, false);
+      if (!Access(c, i, false)) Fill(c, i, false);
     }
   }
   const double hr = c.hit_rate();
@@ -152,7 +161,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(CacheProbeTest, ProbeDoesNotDisturbStateOrCounters) {
   Cache c(Small());
-  c.Fill(3, false);
+  Fill(c, 3, false);
   const Cache::ProbeResult p = c.Probe(3);
   EXPECT_TRUE(p.hit());
   EXPECT_EQ(c.StateAt(p), LineState::kExclusive);
@@ -168,7 +177,7 @@ TEST(CacheProbeTest, OneProbeServesAccessAndFill) {
   EXPECT_FALSE(c.AccessAt(miss, false));
   EXPECT_EQ(c.misses(), 1u);
   EXPECT_FALSE(c.FillAt(miss, 7, false).valid);
-  EXPECT_TRUE(c.Contains(7));
+  EXPECT_TRUE(c.Probe(7).hit());
 
   const Cache::ProbeResult hit = c.Probe(7);
   EXPECT_TRUE(c.AccessAt(hit, true));
@@ -178,22 +187,22 @@ TEST(CacheProbeTest, OneProbeServesAccessAndFill) {
 
 TEST(CacheProbeTest, FillAtOnResidentLineUpdatesInPlace) {
   Cache c(Small());
-  c.Fill(5, false);
+  Fill(c, 5, false);
   const uint64_t valid_before = c.CountValid();
   const Cache::ProbeResult p = c.Probe(5);
   EXPECT_FALSE(c.FillAt(p, 5, /*is_write=*/true).valid);
   EXPECT_EQ(c.CountValid(), valid_before);  // no duplicate way
-  EXPECT_EQ(c.GetState(5), LineState::kModified);
+  EXPECT_EQ(State(c, 5), LineState::kModified);
 }
 
 TEST(CacheProbeTest, InvalidateAndDowngradeAt) {
   Cache c(Small());
-  c.Fill(4, true);
+  Fill(c, 4, true);
   EXPECT_TRUE(c.DowngradeAt(c.Probe(4)));
-  EXPECT_EQ(c.GetState(4), LineState::kShared);
+  EXPECT_EQ(State(c, 4), LineState::kShared);
   c.SetStateAt(c.Probe(4), LineState::kModified);
   EXPECT_TRUE(c.InvalidateAt(c.Probe(4)));
-  EXPECT_FALSE(c.Contains(4));
+  EXPECT_FALSE(c.Probe(4).hit());
   EXPECT_EQ(c.writebacks(), 1u);
   EXPECT_FALSE(c.InvalidateAt(c.Probe(4)));
 }
@@ -300,19 +309,20 @@ TEST(CacheReferenceModelTest, RandomOpsMatchNaiveLruModel) {
     const uint64_t line = rng.Next() % kLines;
     switch (rng.Next() % 8) {
       case 6: {  // coherence invalidation
-        EXPECT_EQ(real.Invalidate(line), ref.Invalidate(line));
+        EXPECT_EQ(real.InvalidateAt(real.Probe(line)), ref.Invalidate(line));
         break;
       }
       case 7: {  // state inspection
-        EXPECT_EQ(real.GetState(line), ref.GetState(line));
+        EXPECT_EQ(State(real, line), ref.GetState(line));
         break;
       }
       default: {  // access, fill on miss (the replay pattern)
         const bool is_write = (rng.Next() & 3) == 0;
-        const bool hit_real = real.Access(line, is_write);
+        const Cache::ProbeResult p = real.Probe(line);
+        const bool hit_real = real.AccessAt(p, is_write);
         ASSERT_EQ(hit_real, ref.Access(line, is_write)) << "op " << i;
         if (!hit_real) {
-          const EvictedLine a = real.Fill(line, is_write);
+          const EvictedLine a = real.FillAt(p, line, is_write);
           const EvictedLine b = ref.Fill(line, is_write, LineState::kExclusive);
           ASSERT_EQ(a.valid, b.valid) << "op " << i;
           if (a.valid) {
@@ -337,7 +347,7 @@ TEST(CacheTest, DeterministicUnderSameSeed) {
     Rng rng(99);
     for (int i = 0; i < 10000; ++i) {
       const uint64_t line = rng.Next() % 512;
-      if (!c.Access(line, (rng.Next() & 1) != 0)) c.Fill(line, false);
+      if (!Access(c, line, (rng.Next() & 1) != 0)) Fill(c, line, false);
     }
     return std::make_tuple(c.hits(), c.misses(), c.writebacks());
   };

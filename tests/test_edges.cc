@@ -189,7 +189,9 @@ TEST_F(TxnAbortTest, ReusableAfterAbort) {
 
 TEST_F(TxnAbortTest, TracedAbortTouchesSharedStructures) {
   db::Transaction txn(&lm_, &log_);
-  trace::Tracer t;
+  trace::CodeMap code;
+  const trace::RegionSet regions(&code);
+  trace::Tracer t(&regions);
   txn.Begin(&t);
   txn.Lock(13, db::LockMode::kExclusive, &t);
   const size_t events_before_abort = t.trace().events.size();

@@ -82,7 +82,7 @@ TEST(SharedL2Test, InstrStreamBufferShortensSequentialMisses) {
   EXPECT_EQ(first.cls, AccessClass::kOffChip);
   AccessResult second = h.AccessInstr(0, 0x100040, 10);
   EXPECT_EQ(second.cls, AccessClass::kL1Hit);
-  EXPECT_LE(second.latency, cfg.lat.stream_buffer_hit);
+  EXPECT_LE(second.latency, kStreamBufferHitCycles);
 }
 
 TEST(SharedL2Test, ResetStatsKeepsContents) {

@@ -123,15 +123,11 @@ TEST_F(IntegrationTest, FixedLatencyNeverSlowerThanRealistic) {
 }
 
 TEST_F(IntegrationTest, ResolvedHardwareReportsCactiLatency) {
-  TraceSet t = DssTraces(2);
   ExperimentConfig ec = SmallConfig();
   ec.l2_bytes = 16ull << 20;
-  ResolvedHardware hw;
-  RunExperiment(ec, t, &hw);
-  EXPECT_GE(hw.l2_hit_cycles, 10u);
+  EXPECT_GE(ResolveHardware(ec).l2_hit_cycles, 10u);
   ec.latency = LatencyMode::kFixed4;
-  RunExperiment(ec, t, &hw);
-  EXPECT_EQ(hw.l2_hit_cycles, 4u);
+  EXPECT_EQ(ResolveHardware(ec).l2_hit_cycles, 4u);
 }
 
 TEST_F(IntegrationTest, DeterministicEndToEnd) {

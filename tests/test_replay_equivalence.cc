@@ -208,6 +208,35 @@ d-stall-coh=0x1.18ce5999999e2p+19
 other=0x1.4820204189323p+17
 )fp";
 
+/// Forwards every call to `inner`. CmpSimulator does not know this type,
+/// so it replays through its generic virtual-dispatch engine.
+class ForwardingHierarchy final : public memsim::MemoryHierarchy {
+ public:
+  explicit ForwardingHierarchy(memsim::MemoryHierarchy* inner)
+      : inner_(inner) {}
+  memsim::AccessResult AccessData(uint32_t core, uint64_t addr,
+                                  bool is_write, uint64_t now) override {
+    return inner_->AccessData(core, addr, is_write, now);
+  }
+  memsim::AccessResult AccessInstr(uint32_t core, uint64_t addr,
+                                   uint64_t now) override {
+    return inner_->AccessInstr(core, addr, now);
+  }
+  const memsim::HierarchyStats& stats() const override {
+    return inner_->stats();
+  }
+  const memsim::HierarchyConfig& config() const override {
+    return inner_->config();
+  }
+  void ResetStats() override { inner_->ResetStats(); }
+  double L1DHitRate() const override { return inner_->L1DHitRate(); }
+  double L1IHitRate() const override { return inner_->L1IHitRate(); }
+  double L2HitRate() const override { return inner_->L2HitRate(); }
+
+ private:
+  memsim::MemoryHierarchy* inner_;
+};
+
 class ReplayEquivalenceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -220,28 +249,32 @@ class ReplayEquivalenceTest : public ::testing::Test {
     traces_ = nullptr;
   }
 
+  /// `generic` replays through a ForwardingHierarchy, i.e. the generic
+  /// virtual-dispatch engine, instead of the devirtualized one.
   static coresim::SimResult RunSim(bool smp, bool lean, bool looped,
-                                   bool force_generic) {
+                                   bool generic) {
     std::vector<const trace::ClientTrace*> ptrs;
     for (const auto& t : *traces_) ptrs.push_back(&t);
     memsim::HierarchyConfig hc;
     hc.num_cores = 4;
     hc.l2 = memsim::CacheConfig{4ull << 20, 8, 64};
     auto h = smp ? memsim::MakeSmpHierarchy(hc) : memsim::MakeCmpHierarchy(hc);
+    ForwardingHierarchy forward(h.get());
     coresim::SimConfig sc;
     sc.core = lean ? coresim::CoreParams::Lean() : coresim::CoreParams::Fat();
     sc.num_cores = 4;
     sc.loop_traces = looped;
     sc.max_instructions = looped ? 2'000'000 : 0;
     sc.warmup_instructions = looped ? 500'000 : 0;
-    sc.force_generic_dispatch = force_generic;
-    coresim::CmpSimulator sim(sc, h.get(), ptrs);
+    coresim::CmpSimulator sim(
+        sc, generic ? static_cast<memsim::MemoryHierarchy*>(&forward)
+                    : h.get(),
+        ptrs);
     return sim.Run();
   }
 
-  static std::string Replay(bool smp, bool lean, bool looped,
-                            bool force_generic) {
-    return synthetic::Fingerprint(RunSim(smp, lean, looped, force_generic));
+  static std::string Replay(bool smp, bool lean, bool looped) {
+    return synthetic::Fingerprint(RunSim(smp, lean, looped, false));
   }
 
   // The k*Full fingerprints were captured at default Release flags;
@@ -264,29 +297,29 @@ std::vector<trace::ClientTrace>* ReplayEquivalenceTest::traces_ = nullptr;
 // bit-for-bit on full 1M-event replays, per topology and camp.
 TEST_F(ReplayEquivalenceTest, CmpFatMatchesOldImplementation) {
   SkipIfNativeTuned();
-  EXPECT_EQ(kCmpFatFull, Replay(false, false, false, false));
+  EXPECT_EQ(kCmpFatFull, Replay(false, false, false));
 }
 TEST_F(ReplayEquivalenceTest, CmpLeanMatchesOldImplementation) {
   SkipIfNativeTuned();
-  EXPECT_EQ(kCmpLeanFull, Replay(false, true, false, false));
+  EXPECT_EQ(kCmpLeanFull, Replay(false, true, false));
 }
 TEST_F(ReplayEquivalenceTest, SmpFatMatchesOldImplementation) {
   SkipIfNativeTuned();
-  EXPECT_EQ(kSmpFatFull, Replay(true, false, false, false));
+  EXPECT_EQ(kSmpFatFull, Replay(true, false, false));
 }
 TEST_F(ReplayEquivalenceTest, SmpLeanMatchesOldImplementation) {
   SkipIfNativeTuned();
-  EXPECT_EQ(kSmpLeanFull, Replay(true, true, false, false));
+  EXPECT_EQ(kSmpLeanFull, Replay(true, true, false));
 }
 
 // Looped steady-state mode exercises warmup ResetStats and trace rotation.
 TEST_F(ReplayEquivalenceTest, CmpFatLoopedMatchesOldImplementation) {
   SkipIfNativeTuned();
-  EXPECT_EQ(kCmpFatLooped, Replay(false, false, true, false));
+  EXPECT_EQ(kCmpFatLooped, Replay(false, false, true));
 }
 TEST_F(ReplayEquivalenceTest, SmpFatLoopedMatchesOldImplementation) {
   SkipIfNativeTuned();
-  EXPECT_EQ(kSmpFatLooped, Replay(true, false, true, false));
+  EXPECT_EQ(kSmpFatLooped, Replay(true, false, true));
 }
 
 // The devirtualized per-type replay core and the generic virtual-dispatch

@@ -276,13 +276,6 @@ TEST(ConfigFieldTable, EveryRowReachesKeyFingerprintAndEcho) {
     EXPECT_NE(fingerprint(c), fingerprint(base)) << "experiment row " << row;
     EXPECT_NE(echo(c), echo(base)) << "experiment row " << row;
   }
-
-  // The coherence reference arm must stay invisible in every output.
-  sweep::Cell snoop = base;
-  snoop.exp.smp_snoop_reference = true;
-  EXPECT_EQ(key(snoop.trace), key(base.trace));
-  EXPECT_EQ(fingerprint(snoop), fingerprint(base));
-  EXPECT_EQ(echo(snoop), echo(base));
 }
 
 }  // namespace

@@ -153,7 +153,9 @@ TEST_F(StagedTest, CohortTraceHasFewerRegionSwitches) {
   // The mechanism behind the staged-L1I claim: count compute events that
   // jump between code regions per tuple processed.
   auto count_jumps = [&](uint32_t packet_tuples) {
-    trace::Tracer tracer;
+    trace::CodeMap code;
+    const trace::RegionSet regions(&code);
+    trace::Tracer tracer(&regions);
     ExecContext ctx;
     ctx.tracer = &tracer;
     Arena scratch(1 << 20);

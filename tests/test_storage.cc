@@ -118,7 +118,9 @@ TEST_F(StorageTest, UpdateInPlace) {
 TEST_F(StorageTest, TracedAccessEmitsEvents) {
   std::vector<uint8_t> buf(schema_.tuple_size());
   Rid rid = heap_.Insert(buf.data(), nullptr);
-  trace::Tracer tracer;
+  trace::CodeMap code;
+  const trace::RegionSet regions(&code);
+  trace::Tracer tracer(&regions);
   heap_.Get(rid, &tracer);
   tracer.FlushCompute();
   EXPECT_FALSE(tracer.trace().empty());

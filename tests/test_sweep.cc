@@ -748,7 +748,7 @@ TEST(Observability, RunExperimentMetricsNeverChangeResults) {
   const coresim::SimResult bare = harness::RunExperiment(exp, traces);
   MetricsRegistry reg;
   const coresim::SimResult observed =
-      harness::RunExperiment(exp, traces, nullptr, &reg);
+      harness::RunExperiment(exp, traces, &reg);
   ExpectSameResult(bare, observed, 0);
 
   const MetricsSnapshot m = reg.Snapshot();
@@ -942,6 +942,26 @@ TEST(BuiltinSpecs, EveryBaselineNamesAnAxisValueAndEveryCellFindsItsSibling) {
   }
   // fig2, fig4, fig6, fig7, fig8, fig8smp, cohort, sbuf.
   EXPECT_EQ(with_baseline, 8u);
+}
+
+// A machine knob that every builtin spec leaves at one value is dead
+// code with a config row: either a spec varies it or it becomes a
+// constant. Expansion only; nothing is built or simulated.
+TEST(BuiltinSpecs, EveryExperimentKnobTakesAtLeastTwoValues) {
+  constexpr size_t kRows = harness::FieldCount<harness::ExperimentConfig>();
+  std::vector<std::set<uint64_t>> values(kRows);
+  for (const std::string& name : sweep::BuiltinSpecNames()) {
+    for (const sweep::Cell& c : sweep::BuiltinSpec(name).Expand()) {
+      const auto words = harness::FieldWords(c.exp);
+      for (size_t row = 0; row < kRows; ++row) values[row].insert(words[row]);
+    }
+  }
+  const harness::ExperimentConfig defaults;
+  size_t row = 0;
+  harness::VisitFields(defaults, [&](const char* name, const auto&, bool) {
+    EXPECT_GE(values[row++].size(), 2u)
+        << name << " takes one value across every builtin spec";
+  });
 }
 
 /// The rows of a TableSink table, split into trimmed cells (header

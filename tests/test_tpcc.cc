@@ -87,7 +87,9 @@ TEST_F(TpccTest, AllTransactionTypesComplete) {
        {TpccTxnType::kNewOrder, TpccTxnType::kPayment,
         TpccTxnType::kOrderStatus, TpccTxnType::kDelivery,
         TpccTxnType::kStockLevel}) {
-    trace::Tracer tracer;
+    trace::CodeMap code;
+    const trace::RegionSet regions(&code);
+    trace::Tracer tracer(&regions);
     driver.Run(type, &tracer);
     EXPECT_FALSE(tracer.trace().empty()) << TpccTxnName(type);
     EXPECT_EQ(tracer.trace().requests, 1u);
@@ -114,7 +116,9 @@ TEST_F(TpccTest, TracesDeterministicPerSeed) {
     Database db;
     TpccLoad(&db, cfg_);
     TpccDriver driver(&db, cfg_, 1, seed);
-    trace::Tracer t;
+    trace::CodeMap code;
+    const trace::RegionSet regions(&code);
+    trace::Tracer t(&regions);
     for (int i = 0; i < 5; ++i) driver.RunOne(&t);
     trace::ClientTrace tr = t.TakeTrace();
     // Addresses differ run-to-run (fresh arena), so compare structure:

@@ -161,7 +161,9 @@ TEST_F(TpchTest, StagedQ1MatchesVolcanoAggregates) {
 
 TEST_F(TpchTest, DriverRunsFullMix) {
   TpchDriver driver(&db_, 99);
-  trace::Tracer tracer;
+  trace::CodeMap code;
+  const trace::RegionSet regions(&code);
+  trace::Tracer tracer(&regions);
   for (int i = 0; i < 6; ++i) {
     driver.RunOne(&tracer);
   }
@@ -189,7 +191,9 @@ TEST_P(TpchQuerySweep, TracedExecutionProducesEvents) {
   Database db;
   TpchLoad(&db, TinyConfig());
   TpchDriver driver(&db, 123);
-  trace::Tracer tracer;
+  trace::CodeMap code;
+  const trace::RegionSet regions(&code);
+  trace::Tracer tracer(&regions);
   driver.Run(static_cast<TpchQuery>(GetParam()), &tracer);
   EXPECT_GT(tracer.trace().events.size(), 100u);
   EXPECT_EQ(tracer.trace().requests, 1u);

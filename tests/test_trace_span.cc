@@ -71,6 +71,40 @@ TEST(TraceCollector, FlushOrderIsMonotonicAndNested) {
   EXPECT_EQ(events[2].name, "later");
 }
 
+// Regression for child spans ending after their parent: a zero-length
+// child that starts one clock tick after its parent used to be clamped
+// to 1us past the parent's end. Driven through SpanMicros with fixed
+// nanosecond stamps, so the check does not depend on scheduling.
+TEST(TraceCollector, SpanMicrosNestsEveryChildInsideItsParent) {
+  // The reproducing case: parent [999, 1500]ns, child [1000, 1000]ns.
+  const auto [pts, pdur] = TraceCollector::SpanMicros(999, 1500);
+  const auto [cts, cdur] = TraceCollector::SpanMicros(1000, 1000);
+  EXPECT_GE(cts, pts);
+  EXPECT_LE(cts + cdur, pts + pdur);
+  EXPECT_GE(cdur, 1u);
+
+  // Every nesting over stamps around microsecond boundaries.
+  const uint64_t ns[] = {0, 1, 499, 999, 1000, 1001, 1500, 1999, 2000, 2001};
+  for (uint64_t ps : ns) {
+    for (uint64_t pe : ns) {
+      if (pe < ps) continue;
+      const auto [p_ts, p_dur] = TraceCollector::SpanMicros(ps, pe);
+      EXPECT_GE(p_dur, 1u);
+      for (uint64_t cs : ns) {
+        for (uint64_t ce : ns) {
+          if (cs < ps || ce < cs || ce > pe) continue;
+          const auto [c_ts, c_dur] = TraceCollector::SpanMicros(cs, ce);
+          EXPECT_GE(c_dur, 1u);
+          EXPECT_GE(c_ts, p_ts);
+          EXPECT_LE(c_ts + c_dur, p_ts + p_dur)
+              << "parent [" << ps << ", " << pe << "]ns, child [" << cs
+              << ", " << ce << "]ns";
+        }
+      }
+    }
+  }
+}
+
 TEST(TraceCollector, AssignsTidsAndNames) {
   TraceCollector tc;
   tc.NameThisThread("main");

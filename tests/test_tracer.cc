@@ -53,16 +53,21 @@ INSTANTIATE_TEST_SUITE_P(
                                          0xFFFFFFFFFFFFull),
                        ::testing::Values(0u, 1u, 100u, 8000u)));
 
-TEST(TracerTest, ComputeAccumulatesInstructions) {
-  Tracer t;
+class TracerTest : public ::testing::Test {
+ protected:
+  CodeMap code_;
+  const RegionSet regions_{&code_};
+  Tracer t{&regions_};
+};
+
+TEST_F(TracerTest, ComputeAccumulatesInstructions) {
   t.Compute(100);
   t.Compute(50);
   t.FlushCompute();
   EXPECT_EQ(t.trace().total_instructions, 150u);
 }
 
-TEST(TracerTest, ReadSpanningLinesEmitsPerLineEvents) {
-  Tracer t;
+TEST_F(TracerTest, ReadSpanningLinesEmitsPerLineEvents) {
   alignas(64) char buf[256];
   t.Read(buf, 200, 4);  // 200B from a 64B-aligned base: 4 lines
   const auto& ev = t.trace().events;
@@ -73,8 +78,7 @@ TEST(TracerTest, ReadSpanningLinesEmitsPerLineEvents) {
   EXPECT_EQ(reads, 4);
 }
 
-TEST(TracerTest, DependentFlagOnlyOnFirstLine) {
-  Tracer t;
+TEST_F(TracerTest, DependentFlagOnlyOnFirstLine) {
   alignas(64) char buf[256];
   t.Read(buf, 128, 4, /*dependent=*/true);
   const auto& ev = t.trace().events;
@@ -84,8 +88,7 @@ TEST(TracerTest, DependentFlagOnlyOnFirstLine) {
   EXPECT_EQ(dep, 1);  // chase resolves with the first line
 }
 
-TEST(TracerTest, ComputeFoldedIntoMemEvent) {
-  Tracer t;
+TEST_F(TracerTest, ComputeFoldedIntoMemEvent) {
   alignas(64) char buf[64];
   t.Compute(20);
   t.Read(buf, 8, 4);
@@ -95,10 +98,9 @@ TEST(TracerTest, ComputeFoldedIntoMemEvent) {
   EXPECT_EQ(t.trace().total_instructions, 24u);
 }
 
-TEST(TracerTest, RegionSwitchEmitsJumpCompute) {
-  Tracer t;
-  CodeRegion r1 = CodeMap::Global().Region("test-r1", 8192);
-  CodeRegion r2 = CodeMap::Global().Region("test-r2", 8192);
+TEST_F(TracerTest, RegionSwitchEmitsJumpCompute) {
+  CodeRegion r1 = code_.Region("test-r1", 8192);
+  CodeRegion r2 = code_.Region("test-r2", 8192);
   t.EnterRegion(r1);
   t.Compute(50);
   t.EnterRegion(r2);
@@ -116,10 +118,9 @@ TEST(TracerTest, RegionSwitchEmitsJumpCompute) {
   EXPECT_TRUE(saw_r2);
 }
 
-TEST(TracerTest, RegionPcPersistsAcrossReentry) {
-  Tracer t;
-  CodeRegion r1 = CodeMap::Global().Region("test-persist-1", 65536);
-  CodeRegion r2 = CodeMap::Global().Region("test-persist-2", 65536);
+TEST_F(TracerTest, RegionPcPersistsAcrossReentry) {
+  CodeRegion r1 = code_.Region("test-persist-1", 65536);
+  CodeRegion r2 = code_.Region("test-persist-2", 65536);
   t.EnterRegion(r1);
   t.Compute(500);
   t.EnterRegion(r2);
@@ -137,8 +138,7 @@ TEST(TracerTest, RegionPcPersistsAcrossReentry) {
   EXPECT_GT(last_r1_pc, r1.base + 500);  // advanced well past region start
 }
 
-TEST(TracerTest, EndRequestEmitsMarker) {
-  Tracer t;
+TEST_F(TracerTest, EndRequestEmitsMarker) {
   t.Compute(10);
   t.EndRequest();
   t.Compute(10);
@@ -151,8 +151,7 @@ TEST(TracerTest, EndRequestEmitsMarker) {
   EXPECT_EQ(markers, 2);
 }
 
-TEST(TracerTest, DisabledRecordsNothing) {
-  Tracer t;
+TEST_F(TracerTest, DisabledRecordsNothing) {
   t.set_enabled(false);
   alignas(64) char buf[64];
   t.Compute(100);
@@ -162,8 +161,7 @@ TEST(TracerTest, DisabledRecordsNothing) {
   EXPECT_EQ(t.trace().total_instructions, 0u);
 }
 
-TEST(TracerTest, TakeTraceResets) {
-  Tracer t;
+TEST_F(TracerTest, TakeTraceResets) {
   t.Compute(10);
   t.FlushCompute();
   ClientTrace tr = t.TakeTrace();
@@ -182,17 +180,13 @@ TEST(CodeMapTest, RegionsDisjointAndStable) {
 }
 
 TEST(CostModelTest, RegionsRegistered) {
-  // Touch every engine component's region so they are all registered.
-  for (const CodeRegion& r :
-       {RegionSeqScan(), RegionIndexScan(), RegionFilter(), RegionProject(),
-        RegionHashBuild(), RegionHashProbe(), RegionNlJoin(), RegionSort(),
-        RegionAggregate(), RegionBufferPool(), RegionBtree(),
-        RegionLockMgr(), RegionTxn(), RegionCatalog(),
-        RegionStageRuntime()}) {
-    EXPECT_TRUE(r.valid());
+  CodeMap map;
+  const RegionSet regions(&map);
+  for (size_t i = 0; i < kRegionCount; ++i) {
+    EXPECT_TRUE(regions[static_cast<RegionId>(i)].valid()) << "region " << i;
   }
   // Aggregate engine instruction footprint far exceeds a 32KB L1I.
-  EXPECT_GT(CodeMap::Global().total_footprint(), 300u * 1024);
+  EXPECT_GT(map.total_footprint(), 300u * 1024);
 }
 
 }  // namespace

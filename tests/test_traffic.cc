@@ -125,7 +125,9 @@ TEST(ZipfTraffic, HotRotationRemapsKeysWithoutChangingTheLaw) {
 TEST(ArrivalTraffic, SteadyInjectsNothing) {
   TrafficConfig config;  // defaults: kSteady
   TrafficShaper shaper(config, kKeys, 3);
-  trace::Tracer tracer;
+  trace::CodeMap code;
+  const trace::RegionSet regions(&code);
+  trace::Tracer tracer(&regions);
   for (int r = 0; r < 8; ++r) shaper.BeforeRequest(&tracer);
   tracer.FlushCompute();
   EXPECT_TRUE(tracer.trace().events.empty());
@@ -140,7 +142,9 @@ TEST(ArrivalTraffic, BurstInjectsGapEveryOnPhase) {
   config.burst_off = 3;
   config.think_instructions = 1000;
   TrafficShaper shaper(config, kKeys, 3);
-  trace::Tracer tracer;
+  trace::CodeMap code;
+  const trace::RegionSet regions(&code);
+  trace::Tracer tracer(&regions);
   for (int r = 0; r < 6; ++r) shaper.BeforeRequest(&tracer);
   tracer.FlushCompute();
   // Requests 0, 2, 4 begin an ON phase: three gaps of 3*1000 idle
@@ -155,7 +159,9 @@ TEST(ArrivalTraffic, ThinkTimePausesEveryRequest) {
   config.arrival = ArrivalShape::kThinkTime;
   config.think_instructions = 500;
   TrafficShaper shaper(config, kKeys, 3);
-  trace::Tracer tracer;
+  trace::CodeMap code;
+  const trace::RegionSet regions(&code);
+  trace::Tracer tracer(&regions);
   for (int r = 0; r < 10; ++r) shaper.BeforeRequest(&tracer);
   tracer.FlushCompute();
   EXPECT_EQ(shaper.stats().think_events, 10u);
@@ -168,11 +174,12 @@ TEST(ArrivalTraffic, IdleInstructionsLandInTheIdleRegion) {
   config.arrival = ArrivalShape::kThinkTime;
   config.think_instructions = 600;
   TrafficShaper shaper(config, kKeys, 9);
-  trace::Tracer tracer;
+  trace::CodeMap code;
+  const trace::RegionSet regions(&code);
+  trace::Tracer tracer(&regions);
   shaper.BeforeRequest(&tracer);
   tracer.FlushCompute();
-  const trace::CodeRegion& idle =
-      trace::RegionSet::Global()[trace::RegionId::kIdle];
+  const trace::CodeRegion& idle = regions[trace::RegionId::kIdle];
   uint64_t idle_instrs = 0;
   for (uint64_t e : tracer.trace().events) {
     ASSERT_EQ(trace::UnpackKind(e), trace::EventKind::kCompute);

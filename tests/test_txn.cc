@@ -29,7 +29,9 @@ TEST(LockManagerTest, ReleaseBalancesHolders) {
 TEST(LockManagerTest, TracedAcquireTouchesSharedBucket) {
   Arena arena;
   LockManager lm(&arena);
-  trace::Tracer t;
+  trace::CodeMap code;
+  const trace::RegionSet regions(&code);
+  trace::Tracer t(&regions);
   lm.Acquire(7, LockMode::kExclusive, &t);
   t.FlushCompute();
   bool saw_write = false, saw_read = false;
@@ -47,7 +49,9 @@ TEST(LockManagerTest, SameKeySameBucketAddress) {
   Arena arena;
   LockManager lm(&arena);
   auto first_write_addr = [&](uint64_t key) {
-    trace::Tracer t;
+    trace::CodeMap code;
+    const trace::RegionSet regions(&code);
+    trace::Tracer t(&regions);
     lm.Acquire(key, LockMode::kShared, &t);
     t.FlushCompute();
     for (uint64_t e : t.trace().events) {
@@ -63,7 +67,9 @@ TEST(LockManagerTest, SameKeySameBucketAddress) {
 TEST(LogBufferTest, AppendsCount) {
   Arena arena;
   LogBuffer log(&arena);
-  trace::Tracer t;
+  trace::CodeMap code;
+  const trace::RegionSet regions(&code);
+  trace::Tracer t(&regions);
   for (int i = 0; i < 10; ++i) log.Append(96, &t);
   EXPECT_EQ(log.records(), 10u);
 }

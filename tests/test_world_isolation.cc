@@ -48,24 +48,21 @@ harness::TraceSetConfig DssConfig() {
   return tc;
 }
 
-TEST(WorldIsolation, RegionLayoutIdenticalAcrossWorldsAndGlobal) {
+TEST(WorldIsolation, RegionLayoutIdenticalAcrossWorldsAndFreshMaps) {
   const harness::WorkloadFactory f = TinyFactory();
   harness::WorkloadWorld a(f.tpcc_config, f.tpch_config);
   harness::WorkloadWorld b(f.tpcc_config, f.tpch_config);
-  const trace::RegionSet& global = trace::RegionSet::Global();
+  // Any fresh map resolves to the same geometry, so code tracing outside
+  // a world (tests, benchmarks) lands on the PCs a world records.
+  trace::CodeMap code;
+  const trace::RegionSet fresh(&code);
   for (size_t i = 0; i < trace::kRegionCount; ++i) {
     const auto id = static_cast<trace::RegionId>(i);
-    EXPECT_EQ(a.regions()[id].base, global[id].base) << "region " << i;
-    EXPECT_EQ(a.regions()[id].size, global[id].size) << "region " << i;
+    EXPECT_EQ(a.regions()[id].base, fresh[id].base) << "region " << i;
+    EXPECT_EQ(a.regions()[id].size, fresh[id].size) << "region " << i;
     EXPECT_EQ(b.regions()[id].base, a.regions()[id].base) << "region " << i;
     EXPECT_EQ(b.regions()[id].size, a.regions()[id].size) << "region " << i;
   }
-  // The compat accessors resolve to the same geometry, so code recording
-  // through either path lands on identical PCs.
-  EXPECT_EQ(trace::RegionBufferPool().base,
-            a.regions()[trace::RegionId::kBufferPool].base);
-  EXPECT_EQ(trace::RegionSeqScan().base,
-            a.regions()[trace::RegionId::kSeqScan].base);
 }
 
 harness::TraceSetConfig StagedDssConfig() {

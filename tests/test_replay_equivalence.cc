@@ -19,6 +19,7 @@
 // still must hold there.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -336,6 +337,387 @@ TEST_F(ReplayEquivalenceTest, GenericDispatchBitEqual) {
       EXPECT_GT(devirt.events_replayed, 0u);
     }
   }
+}
+
+// Many-core scheduling pins: one client per core at 64 and 1024 cores,
+// about 250k synthetic events in total. The replay loop picks the core
+// with the smallest local clock (lowest index on ties) before every step;
+// these fingerprints were captured from the linear-scan picker, so any
+// other picker must reproduce its exact order. Together they cover the
+// all-clocks-zero start, cores draining at different times, the warmup
+// reset and trace rotation at the machine sizes where the pick matters.
+constexpr const char* kCmpFat64 = R"fp(instructions=3867746
+elapsed_cycles=969243
+requests_completed=7477
+avg_response_cycles=0x1.f7ff95c8ddf22p+12
+data_L1-hit=26262
+instr_L1-hit=236076
+data_L2-hit=38218
+instr_L2-hit=56744
+data_off-chip=102831
+instr_off-chip=19500
+data_coherence=0
+instr_coherence=0
+l1_to_l1_transfers=9196
+invalidations=34117
+writebacks=12189
+queue_delay_count=217293
+queue_delay_mean=0x1.20e28299c9504p+8
+l1d_hit_rate=0x1.4176f4d8e2ee1p-3
+l1i_hit_rate=0x1.dda3ac10c9715p-6
+l2_hit_rate=0x1.a6092a3a9aa35p-2
+computation=0x1.513d9db6db6dbp+21
+i-stall-L2=0x1.a59a26p+23
+i-stall-mem=0x1.6914c8p+23
+d-stall-L1=0x0p+0
+d-stall-L2hit=0x1.8a40efe83ec61p+17
+d-stall-mem=0x1.cbf233d87faf2p+23
+d-stall-coh=0x0p+0
+other=0x1.02db05111ec76p+24
+)fp";
+constexpr const char* kCmpLean64 = R"fp(instructions=3867746
+elapsed_cycles=721111
+requests_completed=7477
+avg_response_cycles=0x1.6ebc8d95149d5p+12
+data_L1-hit=26267
+instr_L1-hit=236076
+data_L2-hit=38187
+instr_L2-hit=56755
+data_off-chip=102857
+instr_off-chip=19489
+data_coherence=0
+instr_coherence=0
+l1_to_l1_transfers=9200
+invalidations=34089
+writebacks=12217
+queue_delay_count=217288
+queue_delay_mean=0x1.0b145490483c4p+0
+l1d_hit_rate=0x1.41869fdf5784fp-3
+l1i_hit_rate=0x1.dda3ac10c9715p-6
+l2_hit_rate=0x1.a5ef9a6e3ffe2p-2
+computation=0x1.79b5a66666675p+21
+i-stall-L2=0x1.05d5p+17
+i-stall-mem=0x1.025f94p+23
+d-stall-L1=0x0p+0
+d-stall-L2hit=0x1.ccbd3fffffffep+18
+d-stall-mem=0x1.e87e31p+24
+d-stall-coh=0x0p+0
+other=0x0p+0
+)fp";
+constexpr const char* kSmpFat64 = R"fp(instructions=3867746
+elapsed_cycles=853145
+requests_completed=7477
+avg_response_cycles=0x1.b25c520a69a41p+12
+data_L1-hit=25810
+instr_L1-hit=236076
+data_L2-hit=2838
+instr_L2-hit=2178
+data_off-chip=128969
+instr_off-chip=74066
+data_coherence=9694
+instr_coherence=0
+l1_to_l1_transfers=0
+invalidations=35169
+writebacks=512
+queue_delay_count=0
+queue_delay_mean=0x0p+0
+l1d_hit_rate=0x1.41f12ad809ed6p-3
+l1i_hit_rate=0x1.dda3ac10c9715p-6
+l2_hit_rate=0x1.9f6c086027039p-6
+computation=0x1.513d9db6db6dbp+21
+i-stall-L2=0x1.545p+14
+i-stall-mem=0x1.bf8ad8p+24
+d-stall-L1=0x0p+0
+d-stall-L2hit=0x1.1b4cccccccccfp+13
+d-stall-mem=0x1.1e9cea000001bp+24
+d-stall-coh=0x1.1a2e200000001p+20
+other=0x1.3d46aa7ef9dadp+18
+)fp";
+constexpr const char* kSmpLean64 = R"fp(instructions=3867746
+elapsed_cycles=1214237
+requests_completed=7477
+avg_response_cycles=0x1.3771e755af50ap+13
+data_L1-hit=25812
+instr_L1-hit=236076
+data_L2-hit=2836
+instr_L2-hit=2178
+data_off-chip=128965
+instr_off-chip=74066
+data_coherence=9698
+instr_coherence=0
+l1_to_l1_transfers=0
+invalidations=35148
+writebacks=511
+queue_delay_count=0
+queue_delay_mean=0x0p+0
+l1d_hit_rate=0x1.41eae66f0e7ddp-3
+l1i_hit_rate=0x1.dda3ac10c9715p-6
+l2_hit_rate=0x1.9f0cb244cb776p-6
+computation=0x1.79b5a66666675p+21
+i-stall-L2=0x1.c9ap+12
+i-stall-mem=0x1.c1dfbfp+24
+d-stall-L1=0x0p+0
+d-stall-L2hit=0x1.e5d8p+14
+d-stall-mem=0x1.3146c8p+25
+d-stall-coh=0x1.2fa4dp+21
+other=0x0p+0
+)fp";
+constexpr const char* kCmpFat1024 = R"fp(instructions=3878473
+elapsed_cycles=857180
+requests_completed=7401
+avg_response_cycles=0x1.8db60e9dd7c43p+16
+data_L1-hit=3391
+instr_L1-hit=236428
+data_L2-hit=39505
+instr_L2-hit=57169
+data_off-chip=125456
+instr_off-chip=19480
+data_coherence=0
+instr_coherence=0
+l1_to_l1_transfers=9215
+invalidations=37589
+writebacks=16275
+queue_delay_count=241610
+queue_delay_mean=0x1.8f320749183fcp+12
+l1d_hit_rate=0x1.4a030454ab16ap-6
+l1i_hit_rate=0x1.1bd986aa8d5c5p-7
+l2_hit_rate=0x1.815eab966bbd9p-2
+computation=0x1.522d0edb6db5ep+21
+i-stall-L2=0x1.0d3f3f8p+28
+i-stall-mem=0x1.b4978bp+26
+d-stall-L1=0x0p+0
+d-stall-L2hit=0x1.a99b696e132f5p+17
+d-stall-mem=0x1.1c5d307d029fp+24
+d-stall-coh=0x0p+0
+other=0x1.a02f6619eb8c1p+28
+)fp";
+constexpr const char* kCmpLean1024 = R"fp(instructions=3878473
+elapsed_cycles=248815
+requests_completed=7401
+avg_response_cycles=0x1.bc52be9e3df24p+14
+data_L1-hit=3404
+instr_L1-hit=236428
+data_L2-hit=39499
+instr_L2-hit=57128
+data_off-chip=125449
+instr_off-chip=19521
+data_coherence=0
+instr_coherence=0
+l1_to_l1_transfers=9208
+invalidations=37717
+writebacks=16201
+queue_delay_count=241597
+queue_delay_mean=0x1.cbdafedd7a912p+9
+l1d_hit_rate=0x1.4b46e5c5b493cp-6
+l1i_hit_rate=0x1.1bd986aa8d5c5p-7
+l2_hit_rate=0x1.81341887cbecdp-2
+computation=0x1.7ac1d33333341p+21
+i-stall-L2=0x1.18af2p+23
+i-stall-mem=0x1.0bc8e58p+26
+d-stall-L1=0x0p+0
+d-stall-L2hit=0x1.b327f6p+24
+d-stall-mem=0x1.e861874p+26
+d-stall-coh=0x0p+0
+other=0x0p+0
+)fp";
+constexpr const char* kSmpFat1024 = R"fp(instructions=3878473
+elapsed_cycles=62735
+requests_completed=7401
+avg_response_cycles=0x1.a161b5a42d588p+12
+data_L1-hit=3370
+instr_L1-hit=236428
+data_L2-hit=0
+instr_L2-hit=3
+data_off-chip=155747
+instr_off-chip=76646
+data_coherence=9235
+instr_coherence=0
+l1_to_l1_transfers=0
+invalidations=37617
+writebacks=0
+queue_delay_count=0
+queue_delay_mean=0x0p+0
+l1d_hit_rate=0x1.4ae33df1b1a85p-6
+l1i_hit_rate=0x1.1bd986aa8d5c5p-7
+l2_hit_rate=0x1.1e69784c11d88p-13
+computation=0x1.522d0edb6db5ep+21
+i-stall-L2=0x1.ep+4
+i-stall-mem=0x1.cf21c8p+24
+d-stall-L1=0x0p+0
+d-stall-L2hit=0x0p+0
+d-stall-mem=0x1.5c67ab999999dp+24
+d-stall-coh=0x1.1b2ae66666665p+20
+other=0x1.3e27eed91686ep+18
+)fp";
+constexpr const char* kSmpLean1024 = R"fp(instructions=3878473
+elapsed_cycles=90984
+requests_completed=7401
+avg_response_cycles=0x1.32d5018aef117p+13
+data_L1-hit=3359
+instr_L1-hit=236428
+data_L2-hit=0
+instr_L2-hit=3
+data_off-chip=155736
+instr_off-chip=76646
+data_coherence=9257
+instr_coherence=0
+l1_to_l1_transfers=0
+invalidations=37625
+writebacks=0
+queue_delay_count=0
+queue_delay_mean=0x0p+0
+l1d_hit_rate=0x1.4a7f961daebcep-6
+l1i_hit_rate=0x1.1bd986aa8d5c5p-7
+l2_hit_rate=0x1.5b2676975fbb3p-13
+computation=0x1.7ac1d33333341p+21
+i-stall-L2=0x1.8p+3
+i-stall-mem=0x1.d29fe1p+24
+d-stall-L1=0x0p+0
+d-stall-L2hit=0x0p+0
+d-stall-mem=0x1.70c3e8p+25
+d-stall-coh=0x1.303dfp+21
+other=0x0p+0
+)fp";
+constexpr const char* kCmpFatLooped1024 = R"fp(instructions=4000031
+elapsed_cycles=640149
+requests_completed=7757
+avg_response_cycles=0x1.372b8468c671ep+16
+data_L1-hit=40683
+instr_L1-hit=257642
+data_L2-hit=42610
+instr_L2-hit=56064
+data_off-chip=91844
+instr_off-chip=8544
+data_coherence=0
+instr_coherence=0
+l1_to_l1_transfers=9862
+invalidations=43458
+writebacks=13935
+queue_delay_count=199062
+queue_delay_mean=0x1.7222975867854p+12
+l1d_hit_rate=0x1.dbbc22b677326p-3
+l1i_hit_rate=0x1.df8f2e32c83a3p-3
+l2_hit_rate=0x1.e0ac7fe70f6f9p-2
+computation=0x1.5cc6680000005p+21
+i-stall-L2=0x1.fe8127p+27
+i-stall-mem=0x1.5b4259p+25
+d-stall-L1=0x0p+0
+d-stall-L2hit=0x1.d60ae8f5e6d34p+17
+d-stall-mem=0x1.9c0f64426f26fp+23
+d-stall-coh=0x0p+0
+other=0x1.32910f274491fp+28
+)fp";
+constexpr const char* kCmpFatPartial1024 = R"fp(instructions=2651275
+elapsed_cycles=577249
+requests_completed=5045
+avg_response_cycles=0x1.0e20881bd178p+16
+data_L1-hit=2372
+instr_L1-hit=161578
+data_L2-hit=26696
+instr_L2-hit=35400
+data_off-chip=85933
+instr_off-chip=17111
+data_coherence=0
+instr_coherence=0
+l1_to_l1_transfers=6222
+invalidations=24336
+writebacks=8651
+queue_delay_count=165140
+queue_delay_mean=0x1.06d888844cdd7p+12
+l1d_hit_rate=0x1.51ef53a621133p-6
+l1i_hit_rate=0x1.1247972554036p-7
+l2_hit_rate=0x1.68073e1996622p-2
+computation=0x1.ce587db6db6ccp+20
+i-stall-L2=0x1.b597a8cp+26
+i-stall-mem=0x1.ff736f8p+25
+d-stall-L1=0x0p+0
+d-stall-L2hit=0x1.1e52a9f681f31p+17
+d-stall-mem=0x1.8519dafe1ca3fp+23
+d-stall-coh=0x0p+0
+other=0x1.76508035a0957p+27
+)fp";
+
+constexpr size_t kManyCoreEvents = 250'000;
+
+class ManyCoreReplayTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    for (uint32_t cores : {64u, 1024u}) {
+      traces_[cores] = synthetic::MakeTraces(
+          /*seed=*/23, /*clients=*/cores,
+          /*events_per_client=*/(kManyCoreEvents + cores - 1) / cores);
+    }
+  }
+  static void TearDownTestSuite() { traces_.clear(); }
+
+  /// Replays the first `clients` traces of the `cores`-client set on a
+  /// `cores`-core machine. CMP tiles share a 4MB L2; SMP nodes each own a
+  /// 256KB L2, which keeps the 1024-node machine small.
+  static std::string Replay(bool smp, bool lean, uint32_t cores,
+                            bool looped = false, uint32_t clients = 0) {
+    const std::vector<trace::ClientTrace>& traces = traces_.at(cores);
+    std::vector<const trace::ClientTrace*> ptrs;
+    for (const auto& t : traces) ptrs.push_back(&t);
+    if (clients > 0) ptrs.resize(clients);
+    memsim::HierarchyConfig hc;
+    hc.num_cores = cores;
+    hc.l2 = smp ? memsim::CacheConfig{256ull << 10, 8, 64}
+                : memsim::CacheConfig{4ull << 20, 8, 64};
+    auto h = smp ? memsim::MakeSmpHierarchy(hc) : memsim::MakeCmpHierarchy(hc);
+    coresim::SimConfig sc;
+    sc.core = lean ? coresim::CoreParams::Lean() : coresim::CoreParams::Fat();
+    sc.num_cores = cores;
+    sc.loop_traces = looped;
+    // The looped run asks for more instructions than one pass holds
+    // (~3.9M), so every context rotates back to its trace start.
+    sc.max_instructions = looped ? 4'000'000 : 0;
+    sc.warmup_instructions = looped ? 1'000'000 : 0;
+    coresim::CmpSimulator sim(sc, h.get(), ptrs);
+    return synthetic::Fingerprint(sim.Run());
+  }
+
+  static void SkipIfNativeTuned() {
+#ifdef STAGEDCMP_NATIVE_TUNED
+    GTEST_SKIP() << "fingerprints are pinned at default Release flags; "
+                    "STAGEDCMP_NATIVE builds may contract FP differently";
+#endif
+  }
+
+  static std::map<uint32_t, std::vector<trace::ClientTrace>> traces_;
+};
+
+std::map<uint32_t, std::vector<trace::ClientTrace>>
+    ManyCoreReplayTest::traces_;
+
+TEST_F(ManyCoreReplayTest, Cmp64) {
+  SkipIfNativeTuned();
+  EXPECT_EQ(kCmpFat64, Replay(false, false, 64));
+  EXPECT_EQ(kCmpLean64, Replay(false, true, 64));
+}
+TEST_F(ManyCoreReplayTest, Smp64) {
+  SkipIfNativeTuned();
+  EXPECT_EQ(kSmpFat64, Replay(true, false, 64));
+  EXPECT_EQ(kSmpLean64, Replay(true, true, 64));
+}
+TEST_F(ManyCoreReplayTest, Cmp1024) {
+  SkipIfNativeTuned();
+  EXPECT_EQ(kCmpFat1024, Replay(false, false, 1024));
+  EXPECT_EQ(kCmpLean1024, Replay(false, true, 1024));
+}
+TEST_F(ManyCoreReplayTest, Smp1024) {
+  SkipIfNativeTuned();
+  EXPECT_EQ(kSmpFat1024, Replay(true, false, 1024));
+  EXPECT_EQ(kSmpLean1024, Replay(true, true, 1024));
+}
+TEST_F(ManyCoreReplayTest, CmpFatLooped1024) {
+  SkipIfNativeTuned();
+  EXPECT_EQ(kCmpFatLooped1024, Replay(false, false, 1024, /*looped=*/true));
+}
+// Fewer clients than cores: the idle tail of the chip never runs.
+TEST_F(ManyCoreReplayTest, CmpFatPartiallyPopulated1024) {
+  SkipIfNativeTuned();
+  EXPECT_EQ(kCmpFatPartial1024,
+            Replay(false, false, 1024, /*looped=*/false, /*clients=*/700));
 }
 
 }  // namespace

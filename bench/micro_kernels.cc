@@ -1,5 +1,6 @@
 // google-benchmark microbenches for the engine's native kernels: B+-tree,
-// cache simulator, hash join, TPC-C transactions, tracer overhead.
+// cache simulator, hash join, TPC-C transactions, tracer overhead, replay
+// scheduling.
 // These measure the *native* cost of the reproduction's substrates (how
 // fast the simulator itself runs), not simulated cycles.
 #include <benchmark/benchmark.h>
@@ -9,12 +10,14 @@
 #include "common/arena.h"
 #include "common/flat_hash.h"
 #include "common/rng.h"
+#include "coresim/cmp.h"
 #include "db/bptree.h"
 #include "db/exec.h"
 #include "harness/experiment.h"
 #include "memsim/cache.h"
 #include "memsim/hierarchy.h"
 #include "sweep/trace_bundle.h"
+#include "synthetic_trace.h"
 #include "trace/tracer.h"
 #include "workload/tpcc.h"
 #include "workload/tpch.h"
@@ -255,6 +258,39 @@ static void BM_CmpHierarchyAccess(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CmpHierarchyAccess);
+
+// Replay scheduling across machine sizes: one synthetic client per core
+// (tests/synthetic_trace.h, 128k events in all) replayed on a CMP of 16,
+// 256 and 1024 tiles. Per event the engine picks the next core, steps it
+// and updates its hierarchy, so the gap between sizes is the host cost
+// of scheduling more cores. Reported as events/s.
+static void BM_ReplayCores(benchmark::State& state) {
+  constexpr size_t kEvents = 128 * 1024;
+  const auto cores = static_cast<uint32_t>(state.range(0));
+  const std::vector<trace::ClientTrace> traces =
+      synthetic::MakeTraces(/*seed=*/5, cores, kEvents / cores);
+  std::vector<const trace::ClientTrace*> ptrs;
+  for (const auto& t : traces) ptrs.push_back(&t);
+  memsim::HierarchyConfig hc;
+  hc.num_cores = cores;
+  coresim::SimConfig sc;
+  sc.num_cores = cores;
+  uint64_t events = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto h = memsim::MakeCmpHierarchy(hc);
+    coresim::CmpSimulator sim(sc, h.get(), ptrs);
+    state.ResumeTiming();
+    const coresim::SimResult r = sim.Run();
+    benchmark::DoNotOptimize(r);
+    events += r.events_replayed;
+  }
+  state.counters["events/s"] =
+      benchmark::Counter(static_cast<double>(events),
+                         benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ReplayCores)->Arg(16)->Arg(256)->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
 
 // Warm bundle transports, head to head on one synthetic bundle (32 MiB
 // of fabricated trace words — the loader never interprets payloads, so

@@ -144,8 +144,8 @@ done < <(grep -HoE 'build/bench/[A-Za-z0-9_]+' "${bench_docs[@]}" \
 echo "    docs OK"
 
 if [[ $run_tier1 -eq 1 ]]; then
-  echo "==> tier-1: Release build + ctest"
-  cmake -B build -S .
+  echo "==> tier-1: Release build + ctest (warnings are errors)"
+  cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build build -j "$jobs"
   ctest --test-dir build --output-on-failure -j "$jobs"
 

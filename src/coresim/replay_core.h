@@ -13,7 +13,11 @@
 //
 // The timing model itself (camps, quanta, stall attribution) is unchanged
 // from the pre-template implementation and must stay bit-identical: any
-// edit here must keep tests/test_replay_equivalence.cc green.
+// edit here must keep tests/test_replay_equivalence.cc green. Its
+// ReplayEquivalenceTest pins cover 4-core CMP/SMP replays in both camps;
+// its ManyCoreReplayTest pins cover 64- and 1024-core machines, where the
+// order in which CoreHeap steps cores (smallest clock, lowest index on
+// ties) is what they hold fixed.
 #ifndef STAGEDCMP_CORESIM_REPLAY_CORE_H_
 #define STAGEDCMP_CORESIM_REPLAY_CORE_H_
 
@@ -32,6 +36,58 @@ namespace replay_detail {
 constexpr double kEps = 1e-9;
 constexpr double kLcQuantumCycles = 64.0;   // RR fairness granularity
 constexpr double kFcQuantumInstrs = 256.0;  // DES interleave granularity
+
+/// The live cores as a binary min-heap ordered by (local clock, core
+/// index): the front is the core the replay steps next — the smallest
+/// clock, the lowest index on ties. Each entry carries a copy of its
+/// core's clock so a sift reads only this array, never the cores. Only
+/// the front ever changes (one core steps at a time), so every update is
+/// one sift-down from the root: O(log cores) per replay step.
+class CoreHeap {
+ public:
+  /// Appends core `id` at clock 0. Ids must arrive in ascending order:
+  /// equal clocks with ascending indices already form a valid heap.
+  void PushAtStart(uint32_t id) {
+    assert(heap_.empty() || heap_.back().core < id);
+    heap_.push_back({0.0, id});
+  }
+  bool empty() const { return heap_.empty(); }
+  uint32_t top() const { return heap_[0].core; }
+  /// The front core stepped; its clock is now `now`.
+  void UpdateTop(double now) {
+    heap_[0].now = now;
+    SiftDown();
+  }
+  /// The front core drained: it leaves the heap.
+  void PopTop() {
+    heap_[0] = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) SiftDown();
+  }
+
+ private:
+  struct Entry {
+    double now;
+    uint32_t core;
+  };
+  static bool Before(const Entry& a, const Entry& b) {
+    return a.now < b.now || (a.now == b.now && a.core < b.core);
+  }
+  void SiftDown() {
+    const size_t n = heap_.size();
+    const Entry e = heap_[0];
+    size_t hole = 0;
+    for (size_t child = 1; child < n; child = 2 * hole + 1) {
+      if (child + 1 < n && Before(heap_[child + 1], heap_[child])) ++child;
+      if (!Before(heap_[child], e)) break;
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    heap_[hole] = e;
+  }
+
+  std::vector<Entry> heap_;
+};
 }  // namespace replay_detail
 
 template <typename H>
@@ -76,11 +132,12 @@ class ReplayEngine {
   SimResult Run() {
     assert(!(config_.loop_traces && config_.max_instructions == 0));
 
-    std::vector<bool> done(cores_.size(), false);
-    std::vector<double> measure_start(cores_.size(), 0.0);
-    for (size_t i = 0; i < cores_.size(); ++i) {
-      if (!cores_[i].active) done[i] = true;
+    // Inactive cores never run, so they never enter the heap.
+    replay_detail::CoreHeap ready;
+    for (uint32_t i = 0; i < cores_.size(); ++i) {
+      if (cores_[i].active) ready.PushAtStart(i);
     }
+    std::vector<double> measure_start(cores_.size(), 0.0);
 
     measuring_ = config_.warmup_instructions == 0;
     bool warmed = measuring_;
@@ -108,19 +165,14 @@ class ReplayEngine {
           total_committed_ >= static_cast<double>(config_.max_instructions)) {
         break;
       }
-      // Pick the active core with the smallest local clock.
-      int best = -1;
-      for (size_t i = 0; i < cores_.size(); ++i) {
-        if (done[i]) continue;
-        if (best < 0 ||
-            cores_[i].now < cores_[static_cast<size_t>(best)].now) {
-          best = static_cast<int>(i);
-        }
-      }
-      if (best < 0) break;  // all traces drained
-      Core& core = cores_[static_cast<size_t>(best)];
-      if (!StepCore(core, static_cast<uint32_t>(best))) {
-        done[static_cast<size_t>(best)] = true;
+      // Step the live core with the smallest local clock.
+      if (ready.empty()) break;  // all traces drained
+      const uint32_t id = ready.top();
+      Core& core = cores_[id];
+      if (StepCore(core, id)) {
+        ready.UpdateTop(core.now);
+      } else {
+        ready.PopTop();
       }
     }
 

@@ -69,7 +69,7 @@ SeqScanOp::SeqScanOp(HeapFile* file, std::vector<Predicate> preds)
   region_ = trace::RegionId::kSeqScan;
 }
 
-void SeqScanOp::Open(ExecContext* ctx) {
+void SeqScanOp::Open(ExecContext* /*ctx*/) {
   page_idx_ = 0;
   slot_ = 0;
   cur_page_ = nullptr;
@@ -107,7 +107,7 @@ const uint8_t* SeqScanOp::Next(ExecContext* ctx) {
   }
 }
 
-void SeqScanOp::Close(ExecContext* ctx) {}
+void SeqScanOp::Close(ExecContext* /*ctx*/) {}
 
 // ---------------------------------------------------------------------------
 // IndexScan
@@ -140,7 +140,7 @@ const uint8_t* IndexScanOp::Next(ExecContext* ctx) {
   return file_->Get(Rid::Decode(rids_[pos_++]), t);
 }
 
-void IndexScanOp::Close(ExecContext* ctx) { rids_.clear(); }
+void IndexScanOp::Close(ExecContext* /*ctx*/) { rids_.clear(); }
 
 // ---------------------------------------------------------------------------
 // Filter / Project
@@ -533,7 +533,7 @@ const uint8_t* HashAggOp::Next(ExecContext* ctx) {
   return out_buf_.data();
 }
 
-void HashAggOp::Close(ExecContext* ctx) {
+void HashAggOp::Close(ExecContext* /*ctx*/) {
   groups_.clear();
   ordered_.clear();
 }
@@ -600,7 +600,7 @@ const uint8_t* SortOp::Next(ExecContext* ctx) {
   return rows_[pos_++];
 }
 
-void SortOp::Close(ExecContext* ctx) { rows_.clear(); }
+void SortOp::Close(ExecContext* /*ctx*/) { rows_.clear(); }
 
 uint64_t DrainOperator(Operator* op, ExecContext* ctx) {
   op->Open(ctx);

@@ -50,7 +50,7 @@ void SourceStage::Open(ExecContext* ctx) {
 }
 void SourceStage::Close(ExecContext* ctx) { op_->Close(ctx); }
 
-void SourceStage::Process(const Packet* in,
+void SourceStage::Process(const Packet* /*in*/,
                           std::vector<std::unique_ptr<Packet>>* out,
                           ExecContext* ctx) {
   // Produce exactly one packet per invocation (cohort granularity).
@@ -139,7 +139,7 @@ AggStage::AggStage(std::string name, const Schema* in_schema,
 }
 
 void AggStage::Process(const Packet* in,
-                       std::vector<std::unique_ptr<Packet>>* out,
+                       std::vector<std::unique_ptr<Packet>>* /*out*/,
                        ExecContext* ctx) {
   if (in == nullptr) return;
   trace::Tracer* t = ctx->tracer;

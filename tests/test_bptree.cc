@@ -53,7 +53,9 @@ TEST(BPlusTreeTest, ScanReturnsSortedRange) {
                          [&](uint64_t k, uint64_t) {
                            EXPECT_GE(k, 1000u);
                            EXPECT_LE(k, 50000u);
-                           if (!first) EXPECT_GE(k, prev);
+                           if (!first) {
+                             EXPECT_GE(k, prev);
+                           }
                            prev = k;
                            first = false;
                            return true;

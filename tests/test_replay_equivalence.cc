@@ -209,6 +209,17 @@ d-stall-coh=0x1.18ce5999999e2p+19
 other=0x1.4820204189323p+17
 )fp";
 
+// The fingerprints were captured at default Release flags; host-tuned
+// builds may contract FP differently and legitimately shift the
+// double-typed timing bits. (GenericDispatchBitEqual still runs: both
+// arms share whatever flags this binary was built with.)
+void SkipIfNativeTuned() {
+#ifdef STAGEDCMP_NATIVE_TUNED
+  GTEST_SKIP() << "fingerprints are pinned at default Release flags; "
+                  "STAGEDCMP_NATIVE builds may contract FP differently";
+#endif
+}
+
 /// Forwards every call to `inner`. CmpSimulator does not know this type,
 /// so it replays through its generic virtual-dispatch engine.
 class ForwardingHierarchy final : public memsim::MemoryHierarchy {
@@ -276,17 +287,6 @@ class ReplayEquivalenceTest : public ::testing::Test {
 
   static std::string Replay(bool smp, bool lean, bool looped) {
     return synthetic::Fingerprint(RunSim(smp, lean, looped, false));
-  }
-
-  // The k*Full fingerprints were captured at default Release flags;
-  // host-tuned builds may contract FP differently and legitimately shift
-  // the double-typed timing bits. (GenericDispatchBitEqual still runs:
-  // both arms share whatever flags this binary was built with.)
-  static void SkipIfNativeTuned() {
-#ifdef STAGEDCMP_NATIVE_TUNED
-    GTEST_SKIP() << "fingerprints are pinned at default Release flags; "
-                    "STAGEDCMP_NATIVE builds may contract FP differently";
-#endif
   }
 
   static std::vector<trace::ClientTrace>* traces_;
@@ -674,13 +674,6 @@ class ManyCoreReplayTest : public ::testing::Test {
     sc.warmup_instructions = looped ? 1'000'000 : 0;
     coresim::CmpSimulator sim(sc, h.get(), ptrs);
     return synthetic::Fingerprint(sim.Run());
-  }
-
-  static void SkipIfNativeTuned() {
-#ifdef STAGEDCMP_NATIVE_TUNED
-    GTEST_SKIP() << "fingerprints are pinned at default Release flags; "
-                    "STAGEDCMP_NATIVE builds may contract FP differently";
-#endif
   }
 
   static std::map<uint32_t, std::vector<trace::ClientTrace>> traces_;

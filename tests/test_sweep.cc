@@ -21,6 +21,13 @@
 namespace stagedcmp {
 namespace {
 
+/// Runner options with only the thread count set.
+sweep::RunnerOptions WithThreads(uint32_t threads) {
+  sweep::RunnerOptions options;
+  options.threads = threads;
+  return options;
+}
+
 // Small 2x2x2 grid: cheap enough to simulate many times (also under
 // ASan) while still covering both workloads, camps and topologies.
 sweep::SweepSpec TinySpec() {
@@ -189,7 +196,7 @@ TEST(SweepRunner, ResultsAreIdenticalForOneAndEightThreads) {
   harness::WorkloadFactory factory;
   sweep::TraceSetCache cache(&factory);
   auto run = [&](uint32_t threads) {
-    sweep::SweepRunner runner(&factory, sweep::RunnerOptions{threads},
+    sweep::SweepRunner runner(&factory, WithThreads(threads),
                               &cache);
     return runner.Run(TinySpec());
   };
@@ -230,7 +237,7 @@ TEST(SweepRunner, ColdGoldenOutputByteIdenticalAcrossThreadCounts) {
   sweep::TraceSetCache cache(&factory);
   auto run_cold = [&](uint32_t threads) {
     cache.EvictAll();
-    sweep::SweepRunner runner(&factory, sweep::RunnerOptions{threads},
+    sweep::SweepRunner runner(&factory, WithThreads(threads),
                               &cache);
     const sweep::SweepReport report = runner.Run(TinySpec());
     std::ostringstream json, csv;
@@ -258,7 +265,7 @@ TEST(SweepRunner, ColdGoldenOutputByteIdenticalAcrossThreadCounts) {
 TEST(SweepRunner, CellsMatchDirectRunExperimentCalls) {
   harness::WorkloadFactory factory;
   sweep::TraceSetCache cache(&factory);
-  sweep::SweepRunner runner(&factory, sweep::RunnerOptions{4}, &cache);
+  sweep::SweepRunner runner(&factory, WithThreads(4), &cache);
   const sweep::SweepReport report = runner.Run(TinySpec());
   ASSERT_EQ(report.cells.size(), 8u);
   EXPECT_EQ(report.trace_sets_built, 2u) << "one OLTP + one DSS set";
@@ -706,7 +713,7 @@ TEST(Observability, MetricsCrossCheckAndResultsUnperturbed) {
 
   sweep::TraceSetCache plain_cache(&factory);
   const sweep::SweepReport plain =
-      sweep::SweepRunner(&factory, sweep::RunnerOptions{4}, &plain_cache)
+      sweep::SweepRunner(&factory, WithThreads(4), &plain_cache)
           .Run(TinySpec());
   EXPECT_FALSE(plain.has_metrics);
   EXPECT_EQ(golden_json(instrumented), golden_json(plain));

@@ -57,6 +57,7 @@ int Usage(const char* argv0, int code) {
       "  --format F        result sink: table (default), json, csv\n"
       "  --out FILE        write results to FILE instead of stdout\n"
       "  --perf-out FILE   also write a BENCH_sweep.json perf summary\n"
+      "                    (wall clocks, throughput, peak_rss_mb)\n"
       "  --metrics-out F   write the run's metrics registry (cache, build\n"
       "                    pool, sweep pipeline, replay counters) as JSON;\n"
       "                    the same snapshot is merged into --perf-out\n"

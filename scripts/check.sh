@@ -515,6 +515,12 @@ EOF
   gate_cps warm BENCH_sweep.json build/BENCH_sweep_fresh.json
   gate_cps warm_mmap BENCH_sweep.json build/BENCH_sweep_fresh.json warm_mmap
   gate_cps cold BENCH_sweep_cold.json build/BENCH_sweep_cold_fresh.json
+  # Host memory, reported only (no gate): each pass's process peak.
+  get_rss() {
+    awk -F': ' '/"peak_rss_mb"/ { gsub(/,/, "", $2); print $2; exit }' "$1"
+  }
+  echo "    peak_rss_mb: cold $(get_rss build/BENCH_sweep_cold_fresh.json)," \
+       "warm $(get_rss build/BENCH_sweep_fresh.json)"
   cat build/BENCH_sweep_fresh.json
 fi
 

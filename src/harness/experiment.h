@@ -52,6 +52,13 @@ struct TraceSetConfig {
   uint32_t tenant2_clients = 0;
 };
 
+/// Clients of either tenant in a set built from `c` — one trace each, so
+/// a set's trace count (and a bundle's header geometry) follows from
+/// its config alone.
+inline uint32_t TotalClients(const TraceSetConfig& c) {
+  return c.clients + c.tenant2_clients;
+}
+
 /// TraceSet::tenant_a_clients of a set built from `c`: 0 for
 /// single-tenant sets, else the tenant-A client count.
 inline uint32_t TenantAClients(const TraceSetConfig& c) {
@@ -71,8 +78,10 @@ struct TraceSet {
   /// from a mapped bundle stores view-based ClientTraces whose bytes live
   /// in the mapping; `backing` pins that mapping (type-erased so the
   /// harness layer stays independent of the sweep's bundle machinery).
-  /// Destroying the last TraceSet sharing a mapping unmaps it. Empty for
-  /// owning (cold-built or fread-loaded) sets.
+  /// Only sweep::OpenTraceBundle sets it, always to its MappedBundle,
+  /// which sweep::VerifyBundleSet relies on. Destroying the last
+  /// TraceSet sharing a mapping unmaps it. Empty for owning (cold-built
+  /// or fread-loaded) sets.
   std::shared_ptr<void> backing;
 
   /// Per-client trace pointers in client order. Cached: rebuilding the

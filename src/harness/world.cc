@@ -102,7 +102,7 @@ void WorkloadWorld::BuildClient(const TraceSetConfig& config,
 TraceSet WorkloadWorld::Build(const TraceSetConfig& config) {
   TraceSet out;
   out.config = config;
-  const uint32_t total_clients = config.clients + config.tenant2_clients;
+  const uint32_t total_clients = TotalClients(config);
   out.tenant_a_clients = TenantAClients(config);
   out.traces.reserve(total_clients);
 
@@ -114,7 +114,7 @@ TraceSet WorkloadWorld::Build(const TraceSetConfig& config) {
     BuildClient(config, kind, tenant_b, c, &tracer);
     out.traces.push_back(tracer.TakeTrace());
     out.total_instructions += out.traces.back().total_instructions;
-    out.total_events += out.traces.back().events.size();
+    out.total_events += out.traces.back().events_size();
   }
   // Warm the pointer cache so a shared (immutable) set never populates it
   // lazily from concurrent replay threads.

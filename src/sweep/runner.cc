@@ -100,12 +100,14 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   Counter* cells_simulated = nullptr;
   Counter* build_waits = nullptr;
   Counter* steals = nullptr;
+  Counter* sets_released = nullptr;
   HistogramMetric* cell_sim_us = nullptr;
   HistogramMetric* build_wait_us = nullptr;
   if (options_.metrics != nullptr) {
     cells_simulated = &options_.metrics->counter("sweep.cells_simulated");
     build_waits = &options_.metrics->counter("sweep.build_waits");
     steals = &options_.metrics->counter("sweep.steals");
+    sets_released = &options_.metrics->counter("sweep.sets_released");
     cell_sim_us = &options_.metrics->histogram("sweep.cell_sim_us");
     build_wait_us = &options_.metrics->histogram("sweep.build_wait_us");
   }
@@ -174,7 +176,7 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
     report.bundle_mode = bundle_open.mode;
     if (bundle_open.mode == "mmap") {
       report.bundle = "warm";
-      report.bundle_bytes_mapped = bundle_open.bytes_mapped;
+      report.bundle_bytes_mapped = bundle_open.mapping->size_bytes();
       report.bundle_map_us = bundle_open.map_us;
       for (size_t j = 0; j < distinct.size(); ++j) {
         if (needed[j]) lazy_verify[j] = 1;
@@ -198,6 +200,15 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
     load_span.End();
     report.load_wall_seconds = SecondsSince(load_t0);
   }
+
+  // A cold run streams each set into the bundle as soon as it and every
+  // set before it are built (canonical order), so no set has to outlive
+  // its cells just to be saved at the end. Sharded runs never write (they
+  // build only a subset of the sequence).
+  BundleWriter writer;
+  const bool streaming = report.bundle == "cold" && !sharded;
+  bool bundle_write_ok =
+      !streaming || writer.Begin(options_.trace_bundle, *factory_, distinct);
 
   uint32_t threads = options_.threads;
   if (threads == 0) threads = std::thread::hardware_concurrency();
@@ -223,6 +234,36 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   std::mutex build_mu;
   std::condition_variable build_cv;
 
+  // Set lifetime. A private cache frees each set once its last assigned
+  // cell has replayed and the bundle writer is past it, so a run holds
+  // only the sets still in flight. A caller's shared cache is never
+  // touched, and mapped sets stay: a run that turns "partial" rewrites
+  // the bundle from every set at the end. Guarded by build_mu.
+  const bool release_sets =
+      shared_cache_ == nullptr && bundle_open.mode != "mmap";
+  std::vector<size_t> cells_left(distinct.size(), 0);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    if (cell_assigned(i)) ++cells_left[cfg_of[i]];
+  }
+  // Sets [0, writer_done) need nothing more from the writer: appended,
+  // or the writer is off or gave up.
+  size_t writer_done = bundle_write_ok && streaming ? 0 : distinct.size();
+  // Claims set j for release when nothing needs it any more; the caller
+  // then calls cache.Release outside build_mu.
+  const auto claim_release = [&](size_t j) {
+    if (!release_sets || built_sets[j] == nullptr || cells_left[j] != 0 ||
+        j >= writer_done) {
+      return false;
+    }
+    built_sets[j] = nullptr;
+    return true;
+  };
+  const auto release = [&](size_t j) {
+    if (cache.Release(distinct[j]) && sets_released != nullptr) {
+      sets_released->Add(1);
+    }
+  };
+
   std::mutex err_mu;
   std::exception_ptr first_error;
   auto record_error = [&] {
@@ -240,9 +281,11 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
       const harness::TraceSet* ts = nullptr;
       if (lazy_verify[j]) {
         // Mapped set: pay the payload-checksum pass here, overlapped
-        // with other builds and with simulation. A mismatch demotes
-        // exactly this set to a cold rebuild; the run is then "partial"
-        // and rewrites the bundle afterwards.
+        // with other builds and with simulation; each verified trace
+        // drops its pages again, so only what replay touches stays
+        // resident. A mismatch demotes exactly this set to a cold
+        // rebuild; the run is then "partial" and rewrites the bundle
+        // afterwards.
         if (VerifyBundleSet(bundle_open.sets[j], bundle_open.checksums[j])) {
           ts = &cache.Insert(std::move(bundle_open.sets[j]));
         } else {
@@ -276,6 +319,7 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
       if (!cell_assigned(i)) continue;  // another shard's cell
       ++claimed;
       const size_t j = cfg_of[i];
+      const harness::TraceSet* set = nullptr;
       {
         std::unique_lock<std::mutex> lock(build_mu);
         if (built_done[j] == 0) {
@@ -293,7 +337,8 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
             build_wait_us->Record(MicrosSince(w0));
           }
         }
-        if (built_sets[j] == nullptr) continue;  // build failed; drain
+        set = built_sets[j];
+        if (set == nullptr) continue;  // build failed; drain
       }
       try {
         const auto t0 = std::chrono::steady_clock::now();
@@ -303,10 +348,10 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
                             "{\"cfg\": \"" + cfg_labels[j] + "\"}");
         CellResult& out = report.cells[i];
         out.cell = cells[i];
-        out.trace_total_instructions = built_sets[j]->total_instructions;
-        out.trace_total_events = built_sets[j]->total_events;
-        out.result = harness::RunExperiment(cells[i].exp, *built_sets[j],
-                                            options_.metrics);
+        out.trace_total_instructions = set->total_instructions;
+        out.trace_total_events = set->total_events;
+        out.result =
+            harness::RunExperiment(cells[i].exp, *set, options_.metrics);
         cell_span.End();
         out.sim_wall_seconds = SecondsSince(t0);
         if (cells_simulated != nullptr) {
@@ -317,6 +362,13 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
         record_error();
         // Keep draining the counter so siblings can finish cleanly.
       }
+      bool last_user = false;
+      {
+        std::lock_guard<std::mutex> lock(build_mu);
+        --cells_left[j];
+        last_user = claim_release(j);
+      }
+      if (last_user) release(j);
     }
     // "Steals": cells this worker claimed beyond the even share — how
     // much the atomic-counter claiming rebalanced versus a static split.
@@ -333,15 +385,14 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
       build_threads = static_cast<uint32_t>(distinct.size());
     }
     ThreadPool build_pool(build_threads, options_.metrics, "build_pool");
-    std::vector<std::future<void>> build_futures;
+    std::vector<std::pair<size_t, std::future<void>>> build_futures;
     build_futures.reserve(distinct.size());
     for (size_t j = 0; j < distinct.size(); ++j) {
       // Sharded runs submit no build for configs none of their cells
       // reference; no assigned cell waits on those slots either.
       if (!needed[j]) continue;
-      build_futures.push_back(build_pool.Submit([&build_one, j] {
-        build_one(j);
-      }));
+      build_futures.emplace_back(
+          j, build_pool.Submit([&build_one, j] { build_one(j); }));
     }
     std::vector<std::thread> pool;
     pool.reserve(threads);
@@ -349,7 +400,42 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
       pool.emplace_back([&worker, t] { worker(t); });
     }
     // build_one traps its own exceptions, so get() only synchronizes.
-    for (std::future<void>& f : build_futures) f.get();
+    // Futures complete in canonical order here, which is the order the
+    // writer needs: this thread appends each set while the pools go on
+    // building and replaying.
+    for (auto& [j, f] : build_futures) {
+      f.get();
+      if (writer_done != j) continue;  // not streaming, or writer gave up
+      // Trapped like build_one's: the pools must still drain and join.
+      try {
+        const harness::TraceSet* set = nullptr;
+        {
+          std::lock_guard<std::mutex> lock(build_mu);
+          set = built_sets[j];
+        }
+        bool appended = false;
+        if (set != nullptr) {
+          TraceSpan append_span(tracer, "io",
+                                "bundle.append:" + cfg_labels[j]);
+          appended = writer.Append(*set);
+        }
+        if (!appended) bundle_write_ok = false;
+        std::vector<size_t> freed;
+        {
+          std::lock_guard<std::mutex> lock(build_mu);
+          // A failed append (or a failed build) ends the stream; every
+          // set is then past the writer.
+          const size_t first = writer_done;
+          writer_done = appended ? j + 1 : distinct.size();
+          for (size_t k = first; k < writer_done; ++k) {
+            if (claim_release(k)) freed.push_back(k);
+          }
+        }
+        for (size_t k : freed) release(k);
+      } catch (...) {
+        record_error();
+      }
+    }
     report.build_wall_seconds = SecondsSince(sim_t0);
     for (std::thread& t : pool) t.join();
   }
@@ -357,24 +443,29 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   report.trace_sets_built = cache.stats().builds - builds_before;
   if (demoted.load(std::memory_order_relaxed)) report.bundle = "partial";
 
-  // A cold run with a bundle path persists what it just built (every
-  // Get() below is a cache hit; nothing rebuilds). A "partial" run —
-  // mapped sets served but at least one failed lazy verification and
-  // rebuilt cold — rewrites too, healing the corrupt file: rename keeps
-  // the mapped inode alive, so still-live views are unaffected. Sharded
-  // runs never write (they only built a subset of the sequence).
-  if ((report.bundle == "cold" || report.bundle == "partial") && !sharded &&
-      !first_error) {
+  // A cold run's streamed bundle becomes visible only once every set was
+  // appended and every cell replayed cleanly; otherwise `writer` removes
+  // its temp file as it goes out of scope.
+  if (streaming && !first_error) {
+    TraceSpan save_span(tracer, "io", "bundle.save");
+    bundle_write_ok = bundle_write_ok && writer.Finish();
+  }
+  // A "partial" run — mapped sets served but at least one failed lazy
+  // verification and rebuilt cold — rewrites the whole bundle through
+  // the same writer, healing the corrupt file: rename keeps the mapped
+  // inode alive, so still-live views are unaffected.
+  if (report.bundle == "partial" && !sharded && !first_error) {
     TraceSpan save_span(tracer, "io", "bundle.save");
     std::vector<const harness::TraceSet*> sets;
     sets.reserve(distinct.size());
     for (const harness::TraceSetConfig& c : distinct) {
       sets.push_back(&cache.Get(c));
     }
-    if (!SaveTraceBundle(options_.trace_bundle, *factory_, sets)) {
-      std::fprintf(stderr, "warning: could not write trace bundle '%s'\n",
-                   options_.trace_bundle.c_str());
-    }
+    bundle_write_ok = SaveTraceBundle(options_.trace_bundle, *factory_, sets);
+  }
+  if (!bundle_write_ok && !first_error) {
+    std::fprintf(stderr, "warning: could not write trace bundle '%s'\n",
+                 options_.trace_bundle.c_str());
   }
   report.wall_seconds = SecondsSince(run_t0);
   sweep_span.End();

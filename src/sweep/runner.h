@@ -47,11 +47,13 @@ struct RunnerOptions {
   uint32_t threads = 0;
   /// Optional trace-bundle file (see trace_bundle.h). When set, the run
   /// serves its trace sets from this file if it matches the sweep's
-  /// canonical build sequence (warm: no generation at all) and rewrites
-  /// it after a cold build. The default transport maps the file and
+  /// canonical build sequence (warm: no generation at all); a cold run
+  /// streams each set into a fresh bundle as it is built and renames it
+  /// into place at the end. The default transport maps the file and
   /// replays events in place (payload checksums verified lazily on the
-  /// build pool); map failure demotes to the owning fread path and any
-  /// mismatch to a cold rebuild. Empty = no persistence.
+  /// build pool, verified pages dropped again); map failure demotes to
+  /// the owning fread path and any mismatch to a cold rebuild. Empty =
+  /// no persistence.
   std::string trace_bundle;
   /// Bundle transport override: "auto" (mmap, demoting to fread) or
   /// "fread" (skip the mmap attempt — measurement and fallback testing).
@@ -95,7 +97,7 @@ struct SweepReport {
   Baseline baseline;               ///< the spec's baseline, for the table
   uint32_t threads = 1;            ///< sim workers actually used
   double load_wall_seconds = 0.0;  ///< trace-bundle probe/load (serial)
-  double build_wall_seconds = 0.0; ///< build pool (overlaps the sims)
+  double build_wall_seconds = 0.0; ///< builds + streamed bundle appends
   double sim_wall_seconds = 0.0;   ///< builder+worker pipeline wall-clock
   double wall_seconds = 0.0;       ///< end-to-end Run() wall-clock
   uint64_t trace_sets_built = 0;   ///< distinct TraceSetConfigs built
@@ -147,8 +149,10 @@ class SweepRunner {
   /// direct RunExperiment calls — replay the *same* TraceSet instances.
   /// That is what makes results bit-comparable: traces embed heap
   /// addresses, so only same-instance replays are bit-deterministic
-  /// (see tests/test_determinism.cc). With no shared cache the runner
-  /// uses a private one per Run call.
+  /// (see tests/test_determinism.cc). The runner never frees sets in a
+  /// shared cache. With no shared cache it uses a private one per Run
+  /// call and frees each owned set once its last cell has replayed and
+  /// the bundle writer is past it.
   explicit SweepRunner(harness::WorkloadFactory* factory,
                        RunnerOptions options = {},
                        TraceSetCache* shared_cache = nullptr)

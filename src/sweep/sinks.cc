@@ -11,6 +11,7 @@
 #include <vector>
 
 #ifdef __unix__
+#include <sys/resource.h>
 #include <unistd.h>
 #endif
 
@@ -207,6 +208,18 @@ void EmitEnvironment(std::ostream& os, int indent) {
   o.Bool("native", false);
 #endif
   o.Close();
+}
+
+/// The process's peak resident set so far (getrusage ru_maxrss, KiB on
+/// Linux) in MiB; 0 where unavailable.
+double PeakRssMb() {
+#ifdef __unix__
+  rusage ru{};
+  if (getrusage(RUSAGE_SELF, &ru) == 0) {
+    return static_cast<double>(ru.ru_maxrss) / 1024.0;
+  }
+#endif
+  return 0.0;
 }
 
 }  // namespace
@@ -485,6 +498,9 @@ void EmitPerfSummary(const SweepReport& report, std::ostream& os,
     o.Field("phases", sub.str());
   }
   o.Num("wall_seconds", report.wall_seconds);
+  // Host memory is the run's other end-to-end cost: the whole process's
+  // high-water mark when the summary is written.
+  o.Num("peak_rss_mb", PeakRssMb());
   o.Num("cells_per_second", report.cells_per_second());
   o.Int("events_replayed", report.events_replayed());
   o.Num("events_per_second", report.events_per_second());

@@ -90,10 +90,10 @@ struct PerfSection {
   std::string raw_json;
 };
 
-/// Writes the sweep-level perf summary (cells/sec, wall-clock, threads)
-/// as a small JSON object — the BENCH_sweep.json trajectory format —
-/// plus any caller-supplied extra sections (e.g. sweep_main's "metrics"
-/// registry snapshot).
+/// Writes the sweep-level perf summary (cells/sec, wall-clock, threads,
+/// and the calling process's peak_rss_mb so far) as a small JSON object
+/// — the BENCH_sweep.json trajectory format — plus any caller-supplied
+/// extra sections (e.g. sweep_main's "metrics" registry snapshot).
 void EmitPerfSummary(const SweepReport& report, std::ostream& os,
                      const std::vector<PerfSection>& extras = {});
 

@@ -45,6 +45,30 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
+/// Positions `f` at absolute byte `offset`. 64-bit offsets on POSIX;
+/// elsewhere fseek's `long` bounds them.
+bool SeekTo(std::FILE* f, uint64_t offset) {
+#ifdef __unix__
+  return ::fseeko(f, static_cast<off_t>(offset), SEEK_SET) == 0;
+#else
+  return std::fseek(f, static_cast<long>(offset), SEEK_SET) == 0;
+#endif
+}
+
+/// Header words of a bundle holding `configs`: magic, version, scale
+/// knobs, set count, per set its config block, 3 set words and a 5-word
+/// index row per trace, then the header checksum. A closed form of the
+/// configs, so payload offsets are known before any set is built.
+uint64_t HeaderWords(size_t scale_words,
+                     const std::vector<harness::TraceSetConfig>& configs) {
+  uint64_t words = 2 + scale_words + 1 + 1;
+  for (const harness::TraceSetConfig& c : configs) {
+    words += harness::FieldCount<harness::TraceSetConfig>() + 3 +
+             5 * uint64_t{harness::TotalClients(c)};
+  }
+  return words;
+}
+
 /// One trace's index row as recorded in the v3 header.
 struct TraceIndex {
   uint64_t requests = 0;
@@ -181,6 +205,29 @@ MappedBundle::~MappedBundle() {
 #endif
 }
 
+void MappedBundle::DropPages(const uint64_t* data, uint64_t words) const {
+#ifdef __unix__
+  const uintptr_t base = reinterpret_cast<uintptr_t>(addr_);
+  const uintptr_t begin = reinterpret_cast<uintptr_t>(data);
+  if (begin < base || begin - base > bytes_ ||
+      words > (bytes_ - (begin - base)) / 8) {
+    return;
+  }
+  const uintptr_t page = static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
+  // Whole pages only: a page shared with a neighbouring trace or the
+  // header may be in use by another set's replay.
+  const uintptr_t lo = (begin + page - 1) & ~(page - 1);
+  const uintptr_t hi = (begin + words * 8) & ~(page - 1);
+  // Best effort: on failure the pages simply stay resident.
+  if (hi > lo) {
+    (void)::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_DONTNEED);
+  }
+#else
+  (void)data;
+  (void)words;
+#endif
+}
+
 int64_t BundleFileBytes(const std::string& path) {
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (!f) return -1;
@@ -195,94 +242,135 @@ int64_t BundleFileBytes(const std::string& path) {
 #endif
 }
 
-bool SaveTraceBundle(const std::string& path,
-                     const harness::WorkloadFactory& factory,
-                     const std::vector<const harness::TraceSet*>& sets) {
-  const std::string tmp = path + ".tmp";
-  // Single exit below removes the temp file on ANY failure — a write
-  // that dies mid-stream (e.g. disk full) must not strand a truncated
-  // multi-hundred-MB .tmp on the already-full disk.
-  const auto write_all = [&]() -> bool {
-    // Header geometry is a closed form of the set/trace counts, so the
-    // payload offsets recorded in the index are known before anything
-    // is written.
-    const std::vector<uint64_t> scale = harness::ScaleWords(factory);
-    uint64_t header_words = 2 + scale.size() + 1 + 1;
-    for (const harness::TraceSet* ts : sets) {
-      // Config block (every field-table word), 3 set words, index rows.
-      header_words += harness::FieldCount<harness::TraceSetConfig>() + 3 +
-                      5 * ts->traces.size();
-    }
-    const uint64_t header_end = Align64(header_words * 8);
+BundleWriter::~BundleWriter() { Abandon(); }
 
-    std::vector<uint64_t> hdr;
-    hdr.reserve(header_words - 1);
-    const auto put = [&](uint64_t v) { hdr.push_back(v); };
-    put(kMagic);
-    put(kVersion);
-    for (uint64_t v : scale) put(v);
-    put(sets.size());
-    uint64_t cursor = header_end;
-    for (const harness::TraceSet* ts : sets) {
-      for (uint64_t v : harness::FieldWords(ts->config)) put(v);
-      put(ts->total_instructions);
-      put(ts->total_events);
-      put(ts->traces.size());
-      for (const trace::ClientTrace& t : ts->traces) {
-        Checksum payload_sum;
-        payload_sum.MixAll(t.events_data(), t.events_size());
-        put(t.requests);
-        put(t.total_instructions);
-        put(t.events_size());
-        put(cursor);
-        put(payload_sum.state);
-        cursor += Align64(t.events_size() * 8);
-      }
-    }
-    Checksum header_sum;
-    header_sum.MixAll(hdr.data(), hdr.size());
-    put(header_sum.state);
+void BundleWriter::Abandon() {
+  if (file_ == nullptr) return;
+  std::fclose(file_);
+  file_ = nullptr;
+  // A write that died mid-stream (e.g. disk full) must not strand a
+  // truncated multi-hundred-MB temp file on the already-full disk.
+  std::remove((path_ + ".tmp").c_str());
+}
 
-    FilePtr f(std::fopen(tmp.c_str(), "wb"));
-    if (!f) return false;
-    if (!hdr.empty() && std::fwrite(hdr.data(), sizeof(uint64_t), hdr.size(),
-                                    f.get()) != hdr.size()) {
+bool BundleWriter::Begin(const std::string& path,
+                         const harness::WorkloadFactory& factory,
+                         std::vector<harness::TraceSetConfig> configs) {
+  path_ = path;
+  configs_ = std::move(configs);
+  const std::vector<uint64_t> scale = harness::ScaleWords(factory);
+  header_words_ = HeaderWords(scale.size(), configs_);
+  cursor_ = Align64(header_words_ * 8);
+  header_.reserve(header_words_);
+  header_.push_back(kMagic);
+  header_.push_back(kVersion);
+  header_.insert(header_.end(), scale.begin(), scale.end());
+  header_.push_back(configs_.size());
+
+  file_ = std::fopen((path_ + ".tmp").c_str(), "wb");
+  if (file_ == nullptr) return false;
+  // The header and its padding stay zeros until Finish() writes the
+  // header over them; payloads start right after.
+  const char zeros[kAlign] = {0};
+  for (uint64_t left = cursor_; left > 0; left -= kAlign) {
+    if (std::fwrite(zeros, 1, kAlign, file_) != kAlign) {
+      Abandon();
       return false;
     }
-    const char zeros[kAlign] = {0};
-    const auto pad_to = [&](uint64_t from, uint64_t to) {
-      return from == to ||
-             std::fwrite(zeros, 1, to - from, f.get()) == to - from;
-    };
-    if (!pad_to(hdr.size() * 8, header_end)) return false;
-    for (const harness::TraceSet* ts : sets) {
-      for (const trace::ClientTrace& t : ts->traces) {
-        const uint64_t n = t.events_size();
-        if (n != 0 && std::fwrite(t.events_data(), sizeof(uint64_t), n,
-                                  f.get()) != n) {
-          return false;
-        }
-        if (!pad_to(n * 8, Align64(n * 8))) return false;
-      }
+  }
+  return true;
+}
+
+bool BundleWriter::Append(const harness::TraceSet& set) {
+  if (file_ == nullptr) return false;
+  if (appended_ >= configs_.size() ||
+      harness::FieldWords(set.config) !=
+          harness::FieldWords(configs_[appended_]) ||
+      set.traces.size() != harness::TotalClients(set.config)) {
+    Abandon();
+    return false;
+  }
+  for (uint64_t v : harness::FieldWords(set.config)) header_.push_back(v);
+  header_.push_back(set.total_instructions);
+  header_.push_back(set.total_events);
+  header_.push_back(set.traces.size());
+  const char zeros[kAlign] = {0};
+  for (const trace::ClientTrace& t : set.traces) {
+    const uint64_t n = t.events_size();
+    Checksum payload_sum;
+    payload_sum.MixAll(t.events_data(), n);
+    header_.push_back(t.requests);
+    header_.push_back(t.total_instructions);
+    header_.push_back(n);
+    header_.push_back(cursor_);
+    header_.push_back(payload_sum.state);
+    const uint64_t pad = Align64(n * 8) - n * 8;
+    if ((n != 0 &&
+         std::fwrite(t.events_data(), sizeof(uint64_t), n, file_) != n) ||
+        (pad != 0 && std::fwrite(zeros, 1, pad, file_) != pad)) {
+      Abandon();
+      return false;
     }
-    // Surface buffered-write failures (disk full at flush time) here;
-    // FileCloser's fclose cannot report them.
-    return std::fflush(f.get()) == 0 && std::ferror(f.get()) == 0;
-  };
-  if (!write_all() || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    cursor_ += n * 8 + pad;
+  }
+  ++appended_;
+  return true;
+}
+
+bool BundleWriter::Finish() {
+  if (file_ == nullptr) return false;
+  Checksum header_sum;
+  header_sum.MixAll(header_.data(), header_.size());
+  header_.push_back(header_sum.state);
+  // Surface buffered-write failures (disk full at flush time) before the
+  // rename; fclose is checked too, since it performs the last write.
+  const bool ok = appended_ == configs_.size() &&
+                  header_.size() == header_words_ && SeekTo(file_, 0) &&
+                  std::fwrite(header_.data(), sizeof(uint64_t),
+                              header_.size(), file_) == header_.size() &&
+                  std::fflush(file_) == 0 && std::ferror(file_) == 0;
+  if (!ok) {
+    Abandon();
+    return false;
+  }
+  const std::string tmp = path_ + ".tmp";
+  const bool closed = std::fclose(file_) == 0;
+  file_ = nullptr;
+  if (!closed || std::rename(tmp.c_str(), path_.c_str()) != 0) {
     std::remove(tmp.c_str());
     return false;
   }
   return true;
 }
 
+bool SaveTraceBundle(const std::string& path,
+                     const harness::WorkloadFactory& factory,
+                     const std::vector<const harness::TraceSet*>& sets) {
+  std::vector<harness::TraceSetConfig> configs;
+  configs.reserve(sets.size());
+  for (const harness::TraceSet* ts : sets) configs.push_back(ts->config);
+  BundleWriter writer;
+  if (!writer.Begin(path, factory, std::move(configs))) return false;
+  for (const harness::TraceSet* ts : sets) {
+    if (!writer.Append(*ts)) return false;
+  }
+  return writer.Finish();
+}
+
 bool VerifyBundleSet(const harness::TraceSet& set,
                      const std::vector<uint64_t>& checksums) {
-  if (checksums.size() != set.traces.size()) return false;
+  // OpenTraceBundle is the only writer of `backing`: an mmap-served
+  // set's backing is the MappedBundle its views point into.
+  const auto* mapping = static_cast<const MappedBundle*>(set.backing.get());
+  if (mapping == nullptr || checksums.size() != set.traces.size()) {
+    return false;
+  }
   for (size_t i = 0; i < set.traces.size(); ++i) {
+    const trace::ClientTrace& t = set.traces[i];
     Checksum sum;
-    sum.MixAll(set.traces[i].events_data(), set.traces[i].events_size());
+    sum.MixAll(t.events_data(), t.events_size());
     if (sum.state != checksums[i]) return false;
+    mapping->DropPages(t.events_data(), t.events_size());
   }
   return true;
 }
@@ -310,7 +398,7 @@ BundleOpenResult OpenTraceBundle(
         return r;
       }
       r.mode = "mmap";
-      r.bytes_mapped = mapping->size_bytes();
+      r.mapping = mapping;
       r.sets.resize(expected.size());
       r.checksums.resize(expected.size());
       for (size_t j = 0; j < expected.size(); ++j) {
@@ -367,17 +455,7 @@ BundleOpenResult OpenTraceBundle(
       t.requests = static_cast<uint32_t>(ti.requests);
       t.total_instructions = ti.total_instructions;
       t.events.resize(ti.n_events);
-#ifdef __unix__
-      if (::fseeko(f.get(), static_cast<off_t>(ti.offset_bytes),
-                   SEEK_SET) != 0) {
-        return r;
-      }
-#else
-      if (std::fseek(f.get(), static_cast<long>(ti.offset_bytes),
-                     SEEK_SET) != 0) {
-        return r;
-      }
-#endif
+      if (!SeekTo(f.get(), ti.offset_bytes)) return r;
       if (ti.n_events != 0 &&
           std::fread(t.events.data(), sizeof(uint64_t), ti.n_events,
                      f.get()) != ti.n_events) {

@@ -22,9 +22,18 @@
 // (microseconds), and hand out *non-owning* event views into the
 // mapping (ClientTrace::SetView). Payload checksums are then verified
 // lazily, one set at a time, via VerifyBundleSet — the sweep runner does
-// this on its build pool, overlapped with simulation. The mapping is
-// owned by a refcounted MappedBundle pinned through each served
-// TraceSet's `backing` handle, so cache eviction unmaps safely.
+// this on its build pool, overlapped with simulation, and drops each
+// verified trace's pages from the process so only the pages replay
+// touches stay resident. The mapping is owned by a refcounted
+// MappedBundle pinned through each served TraceSet's `backing` handle,
+// so cache eviction unmaps safely.
+//
+// Writing is streamed. A set built from config `c` holds exactly
+// TotalClients(c) traces, so the header's size — and with it every
+// payload offset — follows from the config sequence alone. BundleWriter
+// therefore writes each set's payloads at their final offsets as soon as
+// the set arrives, and writes the header last; the sweep runner appends
+// cold sets as they are built and frees them once replayed.
 //
 // Demotion chain: mmap syscall failure (or a forced fallback) demotes to
 // the fread path — owning buffers, header + payload checksums verified
@@ -44,6 +53,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -72,6 +82,13 @@ class MappedBundle {
   }
   uint64_t size_bytes() const { return bytes_; }
 
+  /// Drops the whole pages inside [data, data + words) from the process
+  /// (MADV_DONTNEED). The mapping is private and read-only, so a later
+  /// access re-faults the file's bytes; a range outside the mapping is
+  /// ignored. Bundles are only ever replaced by rename, never rewritten
+  /// in place, so the re-faulted bytes are the ones that were verified.
+  void DropPages(const uint64_t* data, uint64_t words) const;
+
  private:
   MappedBundle(void* addr, uint64_t bytes) : addr_(addr), bytes_(bytes) {}
   void* addr_;
@@ -90,13 +107,52 @@ struct BundleOpenResult {
   std::string mode = "cold";
   std::vector<harness::TraceSet> sets;
   std::vector<std::vector<uint64_t>> checksums;  ///< mmap: per set/trace
-  uint64_t bytes_mapped = 0;  ///< mmap: whole-file mapping size
-  uint64_t map_us = 0;        ///< mmap: open+validate wall time
+  std::shared_ptr<MappedBundle> mapping;  ///< mmap: the whole-file mapping
+  uint64_t map_us = 0;                    ///< mmap: open+validate wall time
 };
 
-/// Writes `sets` (in build order) to `path` atomically (temp + rename)
-/// in format v3. Returns false on any I/O failure. Reads events through
-/// the view accessors, so re-persisting mapped sets works.
+/// Streams trace sets into a v3 bundle at `path`, atomically: payloads
+/// go to `path.tmp` as each set is appended, Finish() writes the header
+/// and renames the file into place. A writer that fails, or is destroyed
+/// before Finish() succeeds, removes its temp file. Not thread-safe; the
+/// caller serializes Append calls.
+class BundleWriter {
+ public:
+  BundleWriter() = default;
+  ~BundleWriter();
+
+  BundleWriter(const BundleWriter&) = delete;
+  BundleWriter& operator=(const BundleWriter&) = delete;
+
+  /// Opens the temp file for the canonical sequence `configs` and
+  /// reserves the header, whose size follows from the configs alone.
+  /// Called once per writer. False on I/O failure.
+  bool Begin(const std::string& path, const harness::WorkloadFactory& factory,
+             std::vector<harness::TraceSetConfig> configs);
+  /// Writes the next set of Begin's sequence at its final offset. False —
+  /// and the writer is abandoned — on I/O failure, or when `set` is not
+  /// the next config's set or does not hold TotalClients(config) traces.
+  bool Append(const harness::TraceSet& set);
+  /// After the last Append: writes the checksummed header, flushes and
+  /// renames the temp file onto `path`. False on any failure.
+  bool Finish();
+
+ private:
+  /// Closes and removes the temp file, if one is open.
+  void Abandon();
+
+  std::string path_;
+  std::FILE* file_ = nullptr;  ///< open between Begin and Finish/Abandon
+  std::vector<harness::TraceSetConfig> configs_;
+  size_t appended_ = 0;
+  std::vector<uint64_t> header_;  ///< header words recorded so far
+  uint64_t header_words_ = 0;     ///< closed-form size, checksum included
+  uint64_t cursor_ = 0;           ///< next payload's absolute offset
+};
+
+/// Writes `sets` (in build order) to `path` through one BundleWriter.
+/// Returns false on any I/O failure. Reads events through the view
+/// accessors, so re-persisting mapped sets works.
 bool SaveTraceBundle(const std::string& path,
                      const harness::WorkloadFactory& factory,
                      const std::vector<const harness::TraceSet*>& sets);
@@ -115,8 +171,12 @@ BundleOpenResult OpenTraceBundle(
     const std::vector<char>* needed = nullptr, bool force_fread = false);
 
 /// Verifies one mmap-served set's event payloads against the per-trace
-/// checksums recorded in the bundle index. Faults in the set's pages.
-/// False on any mismatch — the caller demotes that set to a cold rebuild.
+/// checksums recorded in the bundle index. Faults in the set's pages
+/// and drops each trace's pages again as soon as its checksum matches
+/// (MappedBundle::DropPages on the mapping the set's `backing` pins),
+/// so only what replay later touches stays resident. False on any
+/// mismatch, and for a set that no mapping backs — the caller demotes
+/// that set to a cold rebuild.
 bool VerifyBundleSet(const harness::TraceSet& set,
                      const std::vector<uint64_t>& checksums);
 

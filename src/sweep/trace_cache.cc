@@ -116,6 +116,21 @@ void TraceSetCache::EvictAll() {
   cache_.clear();
 }
 
+bool TraceSetCache::Release(const harness::TraceSetConfig& config) {
+  std::shared_ptr<Entry> dropped;
+  {
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    auto it = cache_.find(MakeKey(config));
+    if (it == cache_.end()) return false;
+    dropped = std::move(it->second);
+    cache_.erase(it);
+  }
+  if (evict_ctr_ != nullptr) evict_ctr_->Add(1);
+  // `dropped` frees the set here, outside the lock, so concurrent Get()s
+  // of other configs never wait on the deallocation.
+  return true;
+}
+
 TraceSetCache::Stats TraceSetCache::stats() const {
   Stats s;
   s.hits = hits_.load(std::memory_order_relaxed);

@@ -14,8 +14,8 @@
 //     order and build concurrency never change a set's contents. Event
 //     skeletons are exactly reproducible; absolute data addresses follow
 //     heap placement (see tests/test_determinism.cc).
-//   * Returned references stay valid for the cache's lifetime (entries
-//     are never evicted behind a caller's back; see EvictAll).
+//   * Returned references stay valid until their entry is dropped, which
+//     only the caller's own EvictAll or Release does.
 //
 // Observability (optional): constructed with a MetricsRegistry the cache
 // maintains `trace_cache.*` counters (lookups, hits, misses, inserts,
@@ -64,6 +64,13 @@ class TraceSetCache {
   /// long-lived caches from holding the peak working set of every sweep
   /// they ever served.
   void EvictAll();
+
+  /// Drops the entry for `config` alone, freeing its events; a later
+  /// Get() rebuilds it. The caller must guarantee no reference returned
+  /// for `config` is still in use and no Get() or Insert() of it is in
+  /// flight. Other entries stay untouched and may be in use. Returns
+  /// whether an entry was dropped.
+  bool Release(const harness::TraceSetConfig& config);
 
   struct Stats {
     uint64_t hits = 0;    ///< Get() calls served from the cache

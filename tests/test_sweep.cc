@@ -435,7 +435,8 @@ TEST(TraceBundle, MmapServesZeroCopyViewsVerifiedLazily) {
   sweep::BundleOpenResult r =
       sweep::OpenTraceBundle(fx.path, fx.factory, {fx.cfg});
   ASSERT_EQ(r.mode, "mmap");
-  EXPECT_GT(r.bytes_mapped, 0u);
+  ASSERT_NE(r.mapping, nullptr);
+  EXPECT_GT(r.mapping->size_bytes(), 0u);
   ASSERT_EQ(r.sets.size(), 1u);
   ASSERT_EQ(r.checksums.size(), 1u);
   ASSERT_EQ(r.sets[0].traces.size(), fx.built.traces.size());
@@ -451,8 +452,19 @@ TEST(TraceBundle, MmapServesZeroCopyViewsVerifiedLazily) {
   }
   // The mapping is pinned by the set's backing keep-alive.
   EXPECT_NE(r.sets[0].backing, nullptr);
-  // Lazy payload verification passes on the untouched file.
+  // Lazy payload verification passes on the untouched file and drops
+  // each verified trace's pages; the views re-fault the same bytes, so
+  // replay sees what was verified, and verifying again still passes.
   EXPECT_TRUE(sweep::VerifyBundleSet(r.sets[0], r.checksums[0]));
+  for (size_t i = 0; i < fx.built.traces.size(); ++i) {
+    const trace::ClientTrace& t = r.sets[0].traces[i];
+    EXPECT_EQ(std::vector<uint64_t>(t.events_data(),
+                                    t.events_data() + t.events_size()),
+              fx.built.traces[i].events);
+  }
+  EXPECT_TRUE(sweep::VerifyBundleSet(r.sets[0], r.checksums[0]));
+  // An owning set pins no mapping: it is refused, never page-dropped.
+  EXPECT_FALSE(sweep::VerifyBundleSet(fx.built, r.checksums[0]));
 }
 
 TEST(TraceBundle, MapFailureHookDemotesToFread) {
@@ -638,6 +650,201 @@ TEST(TraceBundle, LazyMismatchRebuildsColdAndReportsPartial) {
   std::remove(path.c_str());
 }
 
+// Three sets, one of them two-tenant, so a bundle's header geometry
+// (one index row per client of either tenant) is pinned by the configs.
+sweep::SweepSpec StreamSpec() {
+  sweep::SweepSpec spec("stream", "three sets, one two-tenant");
+  spec.base_exp.cores = 2;
+  spec.base_exp.l2_bytes = 1ull << 20;
+  spec.base_exp.measure_instructions = 200'000;
+  spec.base_exp.warmup_instructions = 50'000;
+  spec.AddAxis("workload",
+               {{"OLTP",
+                 [](sweep::Cell& c) {
+                   c.trace.workload = harness::WorkloadKind::kOltp;
+                   c.trace.clients = 2;
+                   c.trace.requests_per_client = 2;
+                   c.trace.seed = 7;
+                 }},
+                {"DSS",
+                 [](sweep::Cell& c) {
+                   c.trace.workload = harness::WorkloadKind::kDss;
+                   c.trace.clients = 1;
+                   c.trace.requests_per_client = 1;
+                   c.trace.seed = 7;
+                 }},
+                {"OLTP+DSS", [](sweep::Cell& c) {
+                   c.trace.workload = harness::WorkloadKind::kOltp;
+                   c.trace.clients = 2;
+                   c.trace.requests_per_client = 1;
+                   c.trace.seed = 7;
+                   c.trace.tenant2_workload = harness::WorkloadKind::kDss;
+                   c.trace.tenant2_clients = 1;
+                 }}});
+  spec.AddAxis(
+      "camp",
+      {{"FC", [](sweep::Cell& c) { c.exp.camp = coresim::Camp::kFat; }},
+       {"LC", [](sweep::Cell& c) { c.exp.camp = coresim::Camp::kLean; }}});
+  return spec;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+bool FileExists(const std::string& path) {
+  return std::ifstream(path, std::ios::binary).good();
+}
+
+TEST(TraceBundle, StreamedRunnerBundleByteIdenticalToSaveTraceBundle) {
+  const std::string streamed = ::testing::TempDir() + "bundle_streamed.traces";
+  const std::string saved = ::testing::TempDir() + "bundle_saved.traces";
+  std::remove(streamed.c_str());
+  harness::WorkloadFactory factory;
+  sweep::TraceSetCache cache(&factory);
+  sweep::RunnerOptions options;
+  options.threads = 3;
+  options.trace_bundle = streamed;
+  const sweep::SweepReport r =
+      sweep::SweepRunner(&factory, options, &cache).Run(StreamSpec());
+  ASSERT_EQ(r.bundle, "cold");
+  ASSERT_EQ(r.trace_sets_built, 3u);
+
+  // The same sets, in canonical (first-use) order, through the one-shot
+  // save. The shared cache still holds every set: these Gets are hits.
+  std::vector<const harness::TraceSet*> sets;
+  for (const sweep::CellResult& cr : r.cells) {
+    const harness::TraceSet* ts = &cache.Get(cr.cell.trace);
+    if (std::find(sets.begin(), sets.end(), ts) == sets.end()) {
+      sets.push_back(ts);
+    }
+  }
+  ASSERT_EQ(sets.size(), 3u);
+  EXPECT_EQ(sets[2]->traces.size(), 3u);  // 2 tenant-A + 1 tenant-B
+  EXPECT_EQ(cache.stats().builds, 3u);
+  ASSERT_TRUE(sweep::SaveTraceBundle(saved, factory, sets));
+
+  const std::string a = FileBytes(streamed);
+  EXPECT_FALSE(a.empty());
+  EXPECT_TRUE(a == FileBytes(saved)) << "streamed bundle differs";
+  EXPECT_FALSE(FileExists(streamed + ".tmp"));
+
+  // Both files come from the one writer, so also pin that it wrote a
+  // valid bundle: the reader's geometry and checksum checks accept it.
+  std::vector<harness::TraceSetConfig> configs;
+  for (const harness::TraceSet* ts : sets) configs.push_back(ts->config);
+  const sweep::BundleOpenResult open =
+      sweep::OpenTraceBundle(streamed, factory, configs);
+  ASSERT_EQ(open.mode, "mmap");
+  for (size_t j = 0; j < configs.size(); ++j) {
+    EXPECT_TRUE(sweep::VerifyBundleSet(open.sets[j], open.checksums[j]));
+    EXPECT_EQ(open.sets[j].total_events, sets[j]->total_events);
+  }
+  std::remove(streamed.c_str());
+  std::remove(saved.c_str());
+}
+
+TEST(SweepRunner, PrivateCacheReleasesEachSetOnceSharedCacheNone) {
+  const std::string path = ::testing::TempDir() + "bundle_release.traces";
+  std::remove(path.c_str());
+  harness::WorkloadFactory factory;
+  // Private cache, cold, streaming into a bundle: every distinct set is
+  // freed exactly once, after its last cell and its append.
+  {
+    MetricsRegistry reg;
+    sweep::RunnerOptions options;
+    options.threads = 4;
+    options.trace_bundle = path;
+    options.metrics = &reg;
+    const sweep::SweepReport r =
+        sweep::SweepRunner(&factory, options).Run(StreamSpec());
+    ASSERT_EQ(r.bundle, "cold");
+    EXPECT_EQ(r.metrics.CounterOr("sweep.sets_released"), 3u);
+    EXPECT_EQ(r.metrics.CounterOr("trace_cache.evictions"), 3u);
+    EXPECT_EQ(r.metrics.CounterOr("sweep.cells_simulated"), 6u);
+  }
+  // The streamed file serves the next run warm.
+  {
+    sweep::RunnerOptions options;
+    options.threads = 1;
+    options.trace_bundle = path;
+    EXPECT_EQ(sweep::SweepRunner(&factory, options).Run(StreamSpec()).bundle,
+              "warm");
+  }
+  std::remove(path.c_str());
+  // A caller's shared cache is never released into.
+  {
+    MetricsRegistry reg;
+    sweep::TraceSetCache cache(&factory, &reg);
+    sweep::RunnerOptions options;
+    options.threads = 4;
+    options.trace_bundle = path;
+    options.metrics = &reg;
+    const sweep::SweepReport r =
+        sweep::SweepRunner(&factory, options, &cache).Run(StreamSpec());
+    ASSERT_EQ(r.bundle, "cold");
+    EXPECT_EQ(r.metrics.CounterOr("sweep.sets_released"), 0u);
+    EXPECT_EQ(r.metrics.CounterOr("trace_cache.evictions"), 0u);
+    for (const sweep::CellResult& cr : r.cells) cache.Get(cr.cell.trace);
+    EXPECT_EQ(cache.stats().builds, 3u);  // every Get above was a hit
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceBundle, FailedOrAbandonedWriterLeavesNoFile) {
+  harness::WorkloadFactory factory;
+  harness::TraceSetConfig cfg;
+  cfg.workload = harness::WorkloadKind::kOltp;
+  cfg.clients = 2;
+  cfg.requests_per_client = 1;
+  cfg.seed = 9;
+  const harness::TraceSet built = factory.Build(cfg);
+
+  // The temp file cannot be opened: nothing appears.
+  const std::string missing_dir =
+      ::testing::TempDir() + "no_such_dir/bundle.traces";
+  {
+    sweep::BundleWriter w;
+    EXPECT_FALSE(w.Begin(missing_dir, factory, {cfg}));
+    EXPECT_FALSE(w.Append(built));
+    EXPECT_FALSE(w.Finish());
+  }
+  EXPECT_FALSE(FileExists(missing_dir));
+  EXPECT_FALSE(FileExists(missing_dir + ".tmp"));
+
+  // Destroyed before Finish(): the half-written temp file is removed.
+  const std::string path = ::testing::TempDir() + "bundle_abandoned.traces";
+  std::remove(path.c_str());
+  {
+    sweep::BundleWriter w;
+    ASSERT_TRUE(w.Begin(path, factory, {cfg, cfg}));
+    ASSERT_TRUE(w.Append(built));
+    EXPECT_TRUE(FileExists(path + ".tmp"));
+  }
+  EXPECT_FALSE(FileExists(path));
+  EXPECT_FALSE(FileExists(path + ".tmp"));
+
+  // A set whose trace count disagrees with its config is refused, and
+  // so is Finish() before the last set.
+  harness::TraceSet short_set = factory.Build(cfg);
+  short_set.traces.pop_back();
+  {
+    sweep::BundleWriter w;
+    ASSERT_TRUE(w.Begin(path, factory, {cfg}));
+    EXPECT_FALSE(w.Append(short_set));
+  }
+  {
+    sweep::BundleWriter w;
+    ASSERT_TRUE(w.Begin(path, factory, {cfg, cfg}));
+    ASSERT_TRUE(w.Append(built));
+    EXPECT_FALSE(w.Finish());
+  }
+  EXPECT_FALSE(FileExists(path));
+  EXPECT_FALSE(FileExists(path + ".tmp"));
+}
+
 TEST(SweepRunner, ShardedRunExecutesAssignedCellsAndSkipsForeignBuilds) {
   // Workload as the LAST axis, so it alternates with cell parity: shard
   // 0/2 only ever needs OLTP traces and must not build the DSS set.
@@ -690,6 +897,8 @@ TEST(SweepRunner, ShardedRunExecutesAssignedCellsAndSkipsForeignBuilds) {
   EXPECT_EQ(r.trace_sets_built, 1u);  // only the OLTP set; DSS skipped
   EXPECT_EQ(r.metrics.CounterOr("shard.cells_assigned"), 2u);
   EXPECT_EQ(r.metrics.CounterOr("shard.cells_skipped"), 2u);
+  // Its private cache frees the one set it built after the last cell.
+  EXPECT_EQ(r.metrics.CounterOr("sweep.sets_released"), 1u);
 }
 
 TEST(Observability, MetricsCrossCheckAndResultsUnperturbed) {

@@ -3,8 +3,8 @@
 # build/test pass (Release), then an ASan+UBSan Debug pass over the whole
 # test suite. Both build passes also run the sweep engine's smoke grid:
 # the tier-1 pass runs the cold-determinism matrix (golden JSON + CSV
-# byte-diffed across --threads 1/2/8, every set rebuilt from scratch
-# through the parallel build pool each time), emits BENCH perf
+# byte-diffed across --threads 1/2/8, every client-count family rebuilt
+# cold through the parallel build pool each time), emits BENCH perf
 # trajectories for both the cold build+sim path and the warm replay path
 # (cells/sec, wall-clock), runs an
 # observability pass (metrics + span timeline on, golden re-diffed,
@@ -16,8 +16,9 @@
 # >=10x), diffs the smokesmp grid against its golden (its directory and
 # snoop-reference arms are compared by the test_smp_arms ctest), runs
 # the 1024-node CMP-vs-SMP shootout grid cold at
-# three thread counts plus a warm re-diff (and cross-checks the SMP
-# bus-model counters against the per-cell sweep output), and the
+# three thread counts plus a warm re-diff (asserting one build per
+# client-count family, and cross-checking the SMP bus-model counters
+# against the per-cell sweep output), and the
 # sanitizer pass diffs the process-invariant --golden JSON against
 # tests/golden/sweep_smoke.json. An optional
 # ThreadSanitizer pass races the parallel cold build under TSan.
@@ -151,7 +152,8 @@ if [[ $run_tier1 -eq 1 ]]; then
 
   echo "==> sweep smoke grid: cold-determinism matrix (--threads 1/2/8)"
   # Every run below is COLD — no trace bundle in play, every trace set
-  # regenerated from scratch through the parallel build pool — so the
+  # regenerated through the parallel build pool (each client-count family
+  # built once, its smaller members sliced from it) — so the
   # byte-diffs pin that the number of build workers cannot leak into the
   # golden JSON or CSV output. The final (8-thread) run also writes the
   # trace bundle the warm pass replays from and the cold perf summary
@@ -339,8 +341,25 @@ EOF
   done
   ./build/bench/sweep_main --spec shootout --threads 8 --golden \
     --trace-bundle build/shootout.traces \
+    --metrics-out build/shootout_cold_metrics.json \
     --out build/sweep_shootout_golden_t8.json
   diff -u tests/golden/sweep_shootout.json build/sweep_shootout_golden_t8.json
+  # One build per client-count family (OLTP and DSS, each at
+  # 16/64/256/1024 clients), the other six sets sliced from them: a
+  # silent fallback to per-config builds fails here.
+  if command -v python3 >/dev/null 2>&1; then
+    python3 - <<'EOF'
+import json
+c = json.load(open("build/shootout_cold_metrics.json"))["counters"]
+assert c["trace_cache.misses"] == 2, \
+    f"shootout built {c['trace_cache.misses']} sets, want 2 (one per family)"
+assert c["trace_cache.slices"] == 6, \
+    f"shootout sliced {c['trace_cache.slices']} sets, want 6"
+print("    family builds OK (2 builds, 6 slices)")
+EOF
+  else
+    echo "    python3 not found; skipping family build cross-check"
+  fi
   ./build/bench/sweep_main --spec shootout --threads 8 --golden \
     --trace-bundle build/shootout.traces \
     --out build/sweep_shootout_warm.json
@@ -385,8 +404,9 @@ EOF
   # The skew grid exercises the traffic subsystem end to end: Zipfian key
   # popularity over OLTP and YCSB, staged and unstaged engines. Like the
   # smoke matrix every run is cold (each trace set regenerated through
-  # the parallel build pool), so the byte-diffs pin that shaped builds
-  # are pure functions of their config too. The last run writes the
+  # the parallel build pool, one build per client-count family), so the
+  # byte-diffs pin that shaped builds are pure functions of their config
+  # too. The last run writes the
   # bundle for the warm re-diff and the traffic/YCSB counter check.
   rm -f build/skew.traces
   for t in 1 2; do

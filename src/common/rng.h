@@ -9,7 +9,10 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace stagedcmp {
@@ -98,7 +101,7 @@ class ZipfGenerator {
   /// `theta` in [0,1): 0 is uniform; 0.99 is highly skewed.
   ZipfGenerator(uint64_t n, double theta) : n_(n), theta_(theta) {
     assert(n > 0);
-    zetan_ = Zeta(n, theta);
+    zetan_ = MemoZeta(n, theta);
     zeta2_ = Zeta(2, theta);
     alpha_ = 1.0 / (1.0 - theta_);
     eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
@@ -124,6 +127,20 @@ class ZipfGenerator {
       sum += 1.0 / std::pow(static_cast<double>(i), theta);
     }
     return sum;
+  }
+
+  /// Zeta(n, theta) computed once per process: every shaped client of a
+  /// build constructs a generator over the same (n, theta), and the O(n)
+  /// sum dominated that setup. The sum is a pure function of its key, so
+  /// the memo never changes a draw; the mutex makes it safe for
+  /// concurrent builds.
+  static double MemoZeta(uint64_t n, double theta) {
+    static std::mutex mu;
+    static std::map<std::pair<uint64_t, double>, double> memo;
+    std::lock_guard<std::mutex> lock(mu);
+    const auto [it, fresh] = memo.try_emplace({n, theta}, 0.0);
+    if (fresh) it->second = Zeta(n, theta);
+    return it->second;
   }
 
   uint64_t n_;

@@ -83,6 +83,11 @@ struct TraceSet {
   /// TraceSet sharing a mapping unmaps it. Empty for owning (cold-built
   /// or fread-loaded) sets.
   std::shared_ptr<void> backing;
+  /// Keep-alive for a prefix slice (sweep::TraceSetCache::Slice): its
+  /// ClientTraces are views into the first TotalClients(config) traces
+  /// of `leader`, a larger set of the same client-count family, which
+  /// this pins. Empty for every set that owns or maps its events.
+  std::shared_ptr<const TraceSet> leader;
 
   /// Per-client trace pointers in client order. Cached: rebuilding the
   /// vector on every RunExperiment call was a measurable allocation when
@@ -116,6 +121,16 @@ struct TraceSet {
 /// databases and its own code-region map, so a built trace set is a pure
 /// function of (config, scale knobs) — never of prior Build calls.
 ///
+/// Prefix property: in a single-tenant set, client c's trace depends on
+/// c alone — its seed derives from c, and the clients before it mutated
+/// the database in the same order whatever the set's client count. So
+/// the first N traces of Build(config with M >= N clients) equal
+/// Build(config with N clients) in everything but data addresses (which
+/// follow heap placement anyway). The sweep builds each client-count
+/// family once on that basis (sweep/trace_cache.h); tests pin it
+/// (tests/test_world_isolation.cc). Two-tenant sets lack it: tenant B's
+/// seeds shift with `clients`.
+///
 /// Thread-safety contract:
 ///   * Build() is safe to call concurrently from any number of threads;
 ///     concurrent builds run in disjoint worlds and share nothing but
@@ -135,7 +150,8 @@ class WorkloadFactory {
 
   /// Observability hook: when set, every Build folds its shaper/YCSB
   /// counters into this registry (traffic.*, ycsb.*). Counting only —
-  /// recorded trace bytes are identical either way.
+  /// recorded trace bytes are identical either way. A sweep records each
+  /// client-count family once, so these count that one recording.
   MetricsRegistry* metrics = nullptr;
 
   TraceSet Build(const TraceSetConfig& config) const;

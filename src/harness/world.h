@@ -7,6 +7,14 @@
 // process-global code-region registry whose layout depends on first-touch
 // order.
 //
+// Clients record one after another, in index order, against the world's
+// databases, and client c's seed derives from c alone. So a world that
+// records M clients has recorded, as its first N traces, exactly what a
+// world recording N clients would (data addresses aside). The sweep
+// therefore runs one world per client-count family rather than one per
+// distinct config, and serves the family's smaller members as prefix
+// slices of the largest (sweep/trace_cache.h).
+//
 // Multi-tenant builds load a second, fully separate database instance for
 // tenant B (even when both tenants run the same workload kind), so the
 // only sharing between tenants is the simulated hierarchy they later

@@ -1,11 +1,14 @@
 #include "sweep/runner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <exception>
+#include <functional>
 #include <future>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -82,6 +85,34 @@ std::vector<harness::TraceSetConfig> DistinctConfigs(
   return out;
 }
 
+/// A client-count family among the configs a run builds: the needed
+/// distinct configs sharing a TraceSetCache::FamilyKey. Only the member
+/// with the most clients is built; the rest are its prefix slices.
+struct Family {
+  size_t leader = 0;            ///< distinct-config index of the build
+  std::vector<size_t> members;  ///< canonical order, leader included
+};
+
+/// Groups the needed configs of `distinct` into families, ordered by
+/// their first member's canonical index — the build-pool submission
+/// order, so the writer's next set is always among the earliest tasks.
+std::vector<Family> PlanFamilies(
+    const std::vector<harness::TraceSetConfig>& distinct,
+    const std::vector<char>& needed) {
+  std::vector<Family> out;
+  std::map<TraceSetCache::Key, size_t> family_of;
+  for (size_t j = 0; j < distinct.size(); ++j) {
+    if (!needed[j]) continue;
+    const auto [it, fresh] =
+        family_of.emplace(TraceSetCache::FamilyKey(distinct[j]), out.size());
+    if (fresh) out.push_back(Family{j, {}});
+    Family& f = out[it->second];
+    f.members.push_back(j);
+    if (distinct[j].clients > distinct[f.leader].clients) f.leader = j;
+  }
+  return out;
+}
+
 }  // namespace
 
 SweepReport SweepRunner::Run(const SweepSpec& spec) {
@@ -122,7 +153,8 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
 
   TraceSetCache private_cache(factory_, options_.metrics);
   TraceSetCache& cache = shared_cache_ ? *shared_cache_ : private_cache;
-  const uint64_t builds_before = cache.stats().builds;
+  const TraceSetCache::Stats before = cache.stats();
+  const uint64_t produced_before = before.builds + before.slices;
 
   // Sharding: the FULL spec is always expanded and deduplicated, so
   // canonical cell indices and the distinct-config (= bundle build)
@@ -165,7 +197,6 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   // on the build pool, overlapped with simulation. The fread transport
   // returns fully-verified owning sets, inserted here.
   BundleOpenResult bundle_open;
-  std::vector<char> lazy_verify(distinct.size(), 0);
   std::atomic<bool> demoted{false};
   if (!options_.trace_bundle.empty() && !cells.empty()) {
     const auto load_t0 = std::chrono::steady_clock::now();
@@ -178,9 +209,6 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
       report.bundle = "warm";
       report.bundle_bytes_mapped = bundle_open.mapping->size_bytes();
       report.bundle_map_us = bundle_open.map_us;
-      for (size_t j = 0; j < distinct.size(); ++j) {
-        if (needed[j]) lazy_verify[j] = 1;
-      }
     } else if (bundle_open.mode == "fread") {
       report.bundle = "warm";
       for (size_t j = 0; j < distinct.size(); ++j) {
@@ -203,8 +231,9 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
 
   // A cold run streams each set into the bundle as soon as it and every
   // set before it are built (canonical order), so no set has to outlive
-  // its cells just to be saved at the end. Sharded runs never write (they
-  // build only a subset of the sequence).
+  // its cells just to be saved at the end — a slice is saved as a set of
+  // its own, so the bundle format knows nothing of families. Sharded runs
+  // never write (they build only a subset of the sequence).
   BundleWriter writer;
   const bool streaming = report.bundle == "cold" && !sharded;
   bool bundle_write_ok =
@@ -219,16 +248,19 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   report.threads = cells.empty() ? 0 : threads;
 
   // Build/sim pipeline. Cold trace sets build on a work pool — one task
-  // per distinct config, submitted in canonical order — while sim workers
-  // claim cells off an atomic counter (idle workers "steal" the next
-  // unclaimed cell, so load imbalance self-corrects). Each build runs in
-  // an isolated WorkloadWorld, so builds neither share state with each
-  // other nor with the replaying workers; a worker waits only for its own
-  // cell's config slot to be published. Results land at their cell's
-  // canonical index, so output order never depends on completion order —
-  // and since builds are pure functions of their config, sink output is
-  // thread-count-invariant (byte-for-byte for golden fields; simulated
-  // metrics additionally track heap placement, see sinks.h).
+  // per client-count family, submitted at the family's first canonical
+  // position — while sim workers claim cells off an atomic counter (idle
+  // workers "steal" the next unclaimed cell, so load imbalance
+  // self-corrects). A family task builds its largest member in an
+  // isolated WorkloadWorld and serves the smaller members as zero-copy
+  // prefix slices of it (TraceSetCache::Slice), so builds neither share
+  // state with each other nor with the replaying workers; a worker waits
+  // only for its own cell's config slot to be published. Results land at
+  // their cell's canonical index, so output order never depends on
+  // completion order — and since builds are pure functions of their
+  // config and a slice equals the standalone build in everything but
+  // data addresses, golden sink output is thread-count-invariant
+  // (simulated metrics additionally track heap placement, see sinks.h).
   std::vector<const harness::TraceSet*> built_sets(distinct.size(), nullptr);
   std::vector<char> built_done(distinct.size(), 0);
   std::mutex build_mu;
@@ -239,8 +271,8 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   // only the sets still in flight. A caller's shared cache is never
   // touched, and mapped sets stay: a run that turns "partial" rewrites
   // the bundle from every set at the end. Guarded by build_mu.
-  const bool release_sets =
-      shared_cache_ == nullptr && bundle_open.mode != "mmap";
+  const bool mapped = bundle_open.mode == "mmap";
+  const bool release_sets = shared_cache_ == nullptr && !mapped;
   std::vector<size_t> cells_left(distinct.size(), 0);
   for (size_t i = 0; i < cells.size(); ++i) {
     if (cell_assigned(i)) ++cells_left[cfg_of[i]];
@@ -271,40 +303,67 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
     if (!first_error) first_error = std::current_exception();
   };
 
-  auto build_one = [&](size_t j) {
-    if (tracer != nullptr) tracer->NameThisThread("builder");
-    // One span per distinct config regardless of thread count or cache
-    // temperature (a warm Get is a near-instant hit), so the span SET is
-    // deterministic even though durations are not.
-    TraceSpan build_span(tracer, "build", "build:" + cfg_labels[j]);
-    try {
-      const harness::TraceSet* ts = nullptr;
-      if (lazy_verify[j]) {
-        // Mapped set: pay the payload-checksum pass here, overlapped
-        // with other builds and with simulation; each verified trace
-        // drops its pages again, so only what replay touches stays
-        // resident. A mismatch demotes exactly this set to a cold
-        // rebuild; the run is then "partial" and rewrites the bundle
-        // afterwards.
-        if (VerifyBundleSet(bundle_open.sets[j], bundle_open.checksums[j])) {
-          ts = &cache.Insert(std::move(bundle_open.sets[j]));
-        } else {
-          demoted.store(true, std::memory_order_relaxed);
-          ts = &cache.Get(distinct[j]);
-        }
-      } else {
-        ts = &cache.Get(distinct[j]);
-      }
+  // Publishes the sets of distinct configs `js` at once (null where a
+  // build failed; waiters drain) and wakes every waiter. A family's
+  // members go out together, so no member's release can drop the
+  // leader's entry while its slices are still being cut.
+  const auto publish = [&](const std::vector<size_t>& js,
+                           const std::vector<const harness::TraceSet*>& sets) {
+    {
       std::lock_guard<std::mutex> lock(build_mu);
-      built_sets[j] = ts;
+      for (size_t m = 0; m < js.size(); ++m) {
+        built_sets[js[m]] = sets[m];
+        built_done[js[m]] = 1;
+      }
+    }
+    build_cv.notify_all();
+  };
+
+  // One span per built family and per slice (or per mapped set), whatever
+  // the thread count or cache temperature (a warm Get is a near-instant
+  // hit), so the span SET is deterministic even though durations are not.
+  auto build_family = [&](const Family& f) {
+    if (tracer != nullptr) tracer->NameThisThread("builder");
+    std::vector<const harness::TraceSet*> sets(f.members.size(), nullptr);
+    try {
+      TraceSpan build_span(tracer, "build", "build:" + cfg_labels[f.leader]);
+      const harness::TraceSet& leader = cache.Get(distinct[f.leader]);
+      build_span.End();
+      for (size_t m = 0; m < f.members.size(); ++m) {
+        const size_t j = f.members[m];
+        if (j == f.leader) {
+          sets[m] = &leader;
+          continue;
+        }
+        TraceSpan slice_span(tracer, "build", "slice:" + cfg_labels[j]);
+        sets[m] = &cache.Slice(distinct[j], distinct[f.leader]);
+      }
     } catch (...) {
       record_error();
     }
-    {
-      std::lock_guard<std::mutex> lock(build_mu);
-      built_done[j] = 1;  // on failure the slot stays null; waiters drain
+    publish(f.members, sets);
+  };
+
+  // Mapped set: pay the payload-checksum pass here, overlapped with other
+  // builds and with simulation; each verified trace drops its pages
+  // again, so only what replay touches stays resident. A mismatch demotes
+  // exactly this set to a cold rebuild; the run is then "partial" and
+  // rewrites the bundle afterwards.
+  auto verify_mapped = [&](size_t j) {
+    if (tracer != nullptr) tracer->NameThisThread("builder");
+    const harness::TraceSet* ts = nullptr;
+    try {
+      TraceSpan build_span(tracer, "build", "build:" + cfg_labels[j]);
+      if (VerifyBundleSet(bundle_open.sets[j], bundle_open.checksums[j])) {
+        ts = &cache.Insert(std::move(bundle_open.sets[j]));
+      } else {
+        demoted.store(true, std::memory_order_relaxed);
+        ts = &cache.Get(distinct[j]);
+      }
+    } catch (...) {
+      record_error();
     }
-    build_cv.notify_all();
+    publish({j}, {ts});
   };
 
   std::atomic<size_t> next{0};
@@ -380,37 +439,44 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
 
   const auto sim_t0 = std::chrono::steady_clock::now();
   if (!cells.empty()) {
-    uint32_t build_threads = threads;
-    if (build_threads > distinct.size()) {
-      build_threads = static_cast<uint32_t>(distinct.size());
+    // Sharded runs plan only over the configs their cells reference; no
+    // assigned cell waits on the other slots.
+    const std::vector<Family> families =
+        mapped ? std::vector<Family>{} : PlanFamilies(distinct, needed);
+    std::vector<std::function<void()>> tasks;
+    if (mapped) {
+      for (size_t j = 0; j < distinct.size(); ++j) {
+        if (!needed[j]) continue;
+        tasks.push_back([&verify_mapped, j] { verify_mapped(j); });
+      }
+    } else {
+      for (const Family& f : families) {
+        tasks.push_back([&build_family, &f] { build_family(f); });
+      }
     }
+    const uint32_t build_threads = static_cast<uint32_t>(
+        std::clamp<size_t>(tasks.size(), 1, threads));
     ThreadPool build_pool(build_threads, options_.metrics, "build_pool");
-    std::vector<std::pair<size_t, std::future<void>>> build_futures;
-    build_futures.reserve(distinct.size());
-    for (size_t j = 0; j < distinct.size(); ++j) {
-      // Sharded runs submit no build for configs none of their cells
-      // reference; no assigned cell waits on those slots either.
-      if (!needed[j]) continue;
-      build_futures.emplace_back(
-          j, build_pool.Submit([&build_one, j] { build_one(j); }));
+    std::vector<std::future<void>> build_futures;
+    build_futures.reserve(tasks.size());
+    for (std::function<void()>& task : tasks) {
+      build_futures.push_back(build_pool.Submit(std::move(task)));
     }
     std::vector<std::thread> pool;
     pool.reserve(threads);
     for (uint32_t t = 0; t < threads; ++t) {
       pool.emplace_back([&worker, t] { worker(t); });
     }
-    // build_one traps its own exceptions, so get() only synchronizes.
-    // Futures complete in canonical order here, which is the order the
-    // writer needs: this thread appends each set while the pools go on
-    // building and replaying.
-    for (auto& [j, f] : build_futures) {
-      f.get();
-      if (writer_done != j) continue;  // not streaming, or writer gave up
-      // Trapped like build_one's: the pools must still drain and join.
+    // This thread streams the bundle: it appends each set in canonical
+    // order as soon as it is published, while the pools go on building
+    // and replaying. A failed append (or a failed build) ends the stream.
+    for (size_t j = 0; j < distinct.size() && writer_done == j; ++j) {
+      // Trapped like the build tasks': the pools must still drain and join.
       try {
         const harness::TraceSet* set = nullptr;
         {
-          std::lock_guard<std::mutex> lock(build_mu);
+          std::unique_lock<std::mutex> lock(build_mu);
+          build_cv.wait(lock, [&] { return built_done[j] != 0; });
           set = built_sets[j];
         }
         bool appended = false;
@@ -423,8 +489,7 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
         std::vector<size_t> freed;
         {
           std::lock_guard<std::mutex> lock(build_mu);
-          // A failed append (or a failed build) ends the stream; every
-          // set is then past the writer.
+          // Every set is past a writer that gave up.
           const size_t first = writer_done;
           writer_done = appended ? j + 1 : distinct.size();
           for (size_t k = first; k < writer_done; ++k) {
@@ -436,11 +501,15 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
         record_error();
       }
     }
+    // The build tasks trap their own exceptions, so get() only
+    // synchronizes.
+    for (std::future<void>& f : build_futures) f.get();
     report.build_wall_seconds = SecondsSince(sim_t0);
     for (std::thread& t : pool) t.join();
   }
   report.sim_wall_seconds = SecondsSince(sim_t0);
-  report.trace_sets_built = cache.stats().builds - builds_before;
+  const TraceSetCache::Stats after = cache.stats();
+  report.trace_sets_built = after.builds + after.slices - produced_before;
   if (demoted.load(std::memory_order_relaxed)) report.bundle = "partial";
 
   // A cold run's streamed bundle becomes visible only once every set was

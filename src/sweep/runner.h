@@ -1,7 +1,10 @@
 // Parallel sweep execution. A SweepRunner expands a SweepSpec and runs
 // its cells as a build/sim pipeline: cold trace sets build on a work
-// pool (one task per distinct config, each inside an isolated
-// WorkloadWorld — see harness/world.h) while a pool of sim workers pulls
+// pool — one task per client-count family (configs that differ only in
+// `clients`), which builds the family's largest member inside an
+// isolated WorkloadWorld (see harness/world.h) and serves the smaller
+// members as zero-copy prefix slices of it (sweep/trace_cache.h) —
+// while a pool of sim workers pulls
 // cells off a shared atomic counter (idle workers "steal" the next
 // unclaimed cell, so load imbalance between cheap and expensive cells
 // self-corrects) — a cell simulates as soon as its own trace set is
@@ -11,8 +14,10 @@
 // totals — is identical byte for byte for any thread count. Three
 // properties make that true:
 //   1. Each trace set is a pure function of its config (isolated world:
-//      fresh databases, private code-region map), so neither build order
-//      nor build overlap changes a set's contents.
+//      fresh databases, private code-region map; a slice equals the
+//      standalone build of its config in everything but data addresses),
+//      so neither build order nor build overlap changes a set's
+//      skeleton.
 //   2. Each worker writes its cell's result into a slot preallocated at
 //      the cell's canonical index, so output order never depends on
 //      completion order.
@@ -42,8 +47,9 @@ class TraceSetCache;
 
 struct RunnerOptions {
   /// Worker threads for the simulation phase, and the cap on the build
-  /// pool (which uses min(threads, distinct configs) workers); 0 =
-  /// hardware concurrency.
+  /// pool (which uses min(threads, build tasks) workers — one task per
+  /// client-count family, or per mapped set on a warm run); 0 = hardware
+  /// concurrency.
   uint32_t threads = 0;
   /// Optional trace-bundle file (see trace_bundle.h). When set, the run
   /// serves its trace sets from this file if it matches the sweep's
@@ -100,7 +106,9 @@ struct SweepReport {
   double build_wall_seconds = 0.0; ///< builds + streamed bundle appends
   double sim_wall_seconds = 0.0;   ///< builder+worker pipeline wall-clock
   double wall_seconds = 0.0;       ///< end-to-end Run() wall-clock
-  uint64_t trace_sets_built = 0;   ///< distinct TraceSetConfigs built
+  /// Distinct TraceSetConfigs produced cold: built, or sliced from their
+  /// family's build (TraceSetCache::Stats builds + slices).
+  uint64_t trace_sets_built = 0;
   /// Trace-bundle disposition: "off" (no bundle configured), "cold"
   /// (built fresh, bundle written), "warm" (all sets served from disk),
   /// "partial" (mapped sets served but at least one failed its lazy

@@ -1,6 +1,7 @@
 #include "sweep/trace_cache.h"
 
 #include <chrono>
+#include <stdexcept>
 #include <utility>
 
 namespace stagedcmp::sweep {
@@ -25,6 +26,7 @@ TraceSetCache::TraceSetCache(const harness::WorkloadFactory* factory,
     hit_ctr_ = &metrics->counter("trace_cache.hits");
     miss_ctr_ = &metrics->counter("trace_cache.misses");
     insert_ctr_ = &metrics->counter("trace_cache.inserts");
+    slice_ctr_ = &metrics->counter("trace_cache.slices");
     evict_ctr_ = &metrics->counter("trace_cache.evictions");
     rendezvous_ctr_ = &metrics->counter("trace_cache.rendezvous_waits");
     build_us_ = &metrics->histogram("trace_cache.build_us");
@@ -35,6 +37,20 @@ TraceSetCache::TraceSetCache(const harness::WorkloadFactory* factory,
 
 TraceSetCache::Key TraceSetCache::MakeKey(const harness::TraceSetConfig& c) {
   return harness::FieldWords(c);
+}
+
+TraceSetCache::Key TraceSetCache::FamilyKey(const harness::TraceSetConfig& c) {
+  if (c.tenant2_clients > 0) return MakeKey(c);
+  harness::TraceSetConfig family = c;
+  family.clients = 0;
+  return MakeKey(family);
+}
+
+void TraceSetCache::Publish(Entry* entry, harness::TraceSet&& set) {
+  auto owned = std::make_shared<harness::TraceSet>(std::move(set));
+  owned->Pointers();
+  entry->set = std::move(owned);
+  entry->ready.store(true, std::memory_order_release);
 }
 
 std::shared_ptr<TraceSetCache::Entry> TraceSetCache::EntryFor(const Key& key) {
@@ -68,12 +84,7 @@ const harness::TraceSet& TraceSetCache::Get(
   // propagates — the next caller retries.
   std::call_once(entry->once, [&] {
     const Clock::time_point build_t0 = Clock::now();
-    auto built = std::make_unique<harness::TraceSet>(factory_->Build(config));
-    // Warm the pointer cache before publication, so concurrent readers
-    // only ever see the (const) pre-populated fast path.
-    built->Pointers();
-    entry->set = std::move(built);
-    entry->ready.store(true, std::memory_order_release);
+    Publish(entry.get(), factory_->Build(config));
     builds_.fetch_add(1, std::memory_order_relaxed);
     if (build_us_ != nullptr) build_us_->Record(MicrosSince(build_t0));
     built_now = true;
@@ -99,19 +110,60 @@ const harness::TraceSet& TraceSetCache::Get(
 const harness::TraceSet& TraceSetCache::Insert(harness::TraceSet&& set) {
   std::shared_ptr<Entry> entry = EntryFor(MakeKey(set.config));
   std::call_once(entry->once, [&] {
-    auto owned = std::make_unique<harness::TraceSet>(std::move(set));
-    owned->Pointers();  // warm before publication, as in Get()
-    entry->set = std::move(owned);
-    entry->ready.store(true, std::memory_order_release);
+    Publish(entry.get(), std::move(set));
     if (insert_ctr_ != nullptr) insert_ctr_->Add(1);
+  });
+  return *entry->set;
+}
+
+const harness::TraceSet& TraceSetCache::Slice(
+    const harness::TraceSetConfig& config,
+    const harness::TraceSetConfig& leader) {
+  if (FamilyKey(config) != FamilyKey(leader) ||
+      config.clients > leader.clients) {
+    throw std::invalid_argument(
+        "TraceSetCache::Slice: config is not a smaller member of the "
+        "leader's client-count family");
+  }
+  // Resolved before the once_flag: an exception escaping a call_once
+  // callable leaves the flag unusable on some standard libraries.
+  std::shared_ptr<const harness::TraceSet> whole;
+  {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    auto it = cache_.find(MakeKey(leader));
+    if (it != cache_.end() &&
+        it->second->ready.load(std::memory_order_acquire)) {
+      whole = it->second->set;
+    }
+  }
+  if (whole == nullptr) {
+    throw std::invalid_argument("TraceSetCache::Slice: leader not cached");
+  }
+  std::shared_ptr<Entry> entry = EntryFor(MakeKey(config));
+  std::call_once(entry->once, [&] {
+    harness::TraceSet slice;  // single-tenant: FamilyKey checked above
+    slice.config = config;
+    slice.traces.resize(config.clients);
+    for (uint32_t c = 0; c < config.clients; ++c) {
+      const trace::ClientTrace& src = whole->traces[c];
+      trace::ClientTrace& t = slice.traces[c];
+      t.SetView(src.events_data(), src.events_size());
+      t.total_instructions = src.total_instructions;
+      t.requests = src.requests;
+      slice.total_instructions += t.total_instructions;
+      slice.total_events += t.events_size();
+    }
+    slice.leader = std::move(whole);
+    Publish(entry.get(), std::move(slice));
+    slices_.fetch_add(1, std::memory_order_relaxed);
+    if (slice_ctr_ != nullptr) slice_ctr_->Add(1);
   });
   return *entry->set;
 }
 
 void TraceSetCache::EvictAll() {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  // Destroying the entries frees their event buffers (the effect
-  // ClientTrace::Release() gives holders that keep the object alive).
+  // Dropping the entries frees each set with its last owner.
   if (evict_ctr_ != nullptr) evict_ctr_->Add(cache_.size());
   cache_.clear();
 }
@@ -126,8 +178,9 @@ bool TraceSetCache::Release(const harness::TraceSetConfig& config) {
     cache_.erase(it);
   }
   if (evict_ctr_ != nullptr) evict_ctr_->Add(1);
-  // `dropped` frees the set here, outside the lock, so concurrent Get()s
-  // of other configs never wait on the deallocation.
+  // `dropped` frees the set here (unless a slice still pins it), outside
+  // the lock, so concurrent Get()s of other configs never wait on the
+  // deallocation.
   return true;
 }
 
@@ -135,6 +188,7 @@ TraceSetCache::Stats TraceSetCache::stats() const {
   Stats s;
   s.hits = hits_.load(std::memory_order_relaxed);
   s.builds = builds_.load(std::memory_order_relaxed);
+  s.slices = slices_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -228,7 +228,8 @@ inline std::vector<uint32_t> EventSkeleton(const harness::TraceSet& ts) {
   std::vector<uint32_t> out;
   out.reserve(ts.total_events);
   for (const auto& t : ts.traces) {
-    for (uint64_t e : t.events) {
+    for (uint64_t i = 0; i < t.events_size(); ++i) {
+      const uint64_t e = t.events_data()[i];
       out.push_back((static_cast<uint32_t>(trace::UnpackKind(e)) << 16) |
                     trace::UnpackCount(e));
     }

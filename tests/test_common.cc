@@ -97,6 +97,15 @@ TEST(ZipfTest, SkewConcentratesMass) {
   EXPECT_GT(head, n / 2);
 }
 
+TEST(ZipfTest, MemoizedZetaDrawsLikeTheFirstGenerator) {
+  // The first generator over (n, theta) fills the zeta memo, the second
+  // reads it: both must draw the identical sequence from equal seeds.
+  ZipfGenerator first(4321, 0.61);
+  ZipfGenerator second(4321, 0.61);
+  Rng a(9), b(9);
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(first.Next(a), second.Next(b));
+}
+
 TEST(ZipfTest, ZeroThetaIsRoughlyUniform) {
   Rng rng(8);
   ZipfGenerator zipf(10, 0.0);

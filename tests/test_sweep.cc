@@ -6,11 +6,14 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "harness/config_fields.h"
+#include "scenario_util.h"
 #include "sweep/builtin_specs.h"
 #include "sweep/runner.h"
 #include "sweep/sinks.h"
@@ -744,6 +747,260 @@ TEST(TraceBundle, StreamedRunnerBundleByteIdenticalToSaveTraceBundle) {
   }
   std::remove(streamed.c_str());
   std::remove(saved.c_str());
+}
+
+// {OLTP, DSS} x clients {1, 2, 4} plus one two-tenant cell: three
+// client-count families — OLTP, DSS, and the two-tenant set alone — so
+// three builds and four slices. `descending` lists the clients axis
+// largest first, which puts each family's leader first in canonical
+// order instead of last.
+sweep::SweepSpec FamilySpec(bool descending) {
+  sweep::SweepSpec spec(descending ? "family-desc" : "family",
+                        "client-count families");
+  spec.base_exp.cores = 2;
+  spec.base_exp.l2_bytes = 1ull << 20;
+  spec.base_exp.measure_instructions = 50'000;
+  spec.base_exp.warmup_instructions = 10'000;
+  spec.AddAxis("workload",
+               {{"OLTP",
+                 [](sweep::Cell& c) {
+                   c.trace.workload = harness::WorkloadKind::kOltp;
+                   c.trace.requests_per_client = 2;
+                   c.trace.seed = 7;
+                 }},
+                {"DSS",
+                 [](sweep::Cell& c) {
+                   c.trace.workload = harness::WorkloadKind::kDss;
+                   c.trace.requests_per_client = 1;
+                   c.trace.seed = 7;
+                 }},
+                {"OLTP+DSS", [](sweep::Cell& c) {
+                   c.trace.workload = harness::WorkloadKind::kOltp;
+                   c.trace.requests_per_client = 1;
+                   c.trace.seed = 7;
+                   c.trace.tenant2_workload = harness::WorkloadKind::kDss;
+                   c.trace.tenant2_clients = 1;
+                 }}});
+  std::vector<sweep::SweepSpec::AxisValue> clients;
+  const std::vector<uint32_t> counts =
+      descending ? std::vector<uint32_t>{4, 2, 1}
+                 : std::vector<uint32_t>{1, 2, 4};
+  for (uint32_t n : counts) {
+    clients.push_back({std::to_string(n),
+                       [n](sweep::Cell& c) { c.trace.clients = n; }});
+  }
+  spec.AddAxis("clients", std::move(clients));
+  spec.AddFilter([](const sweep::Cell& c) {
+    return c.trace.tenant2_clients == 0 || c.trace.clients == 2;
+  });
+  return spec;
+}
+
+harness::WorkloadFactory TinyFactory() {
+  harness::WorkloadFactory f;
+  scenario::ApplyTinyScale(&f);
+  return f;
+}
+
+bool IsFamilyLeader(const harness::TraceSetConfig& c) {
+  return c.clients == 4 || c.tenant2_clients > 0;
+}
+
+std::string GoldenJson(const sweep::SweepReport& r) {
+  std::ostringstream os;
+  sweep::JsonSink(/*include_timing=*/false, /*golden=*/true).Emit(r, os);
+  return os.str();
+}
+
+TEST(SweepRunner, FamilyGridBuildsEachFamilyOnceAndSlicesTheRest) {
+  harness::WorkloadFactory factory = TinyFactory();
+  // Standalone builds of every config, shared by both axis orders.
+  sweep::TraceSetCache standalone(&factory);
+  for (bool descending : {false, true}) {
+    SCOPED_TRACE(descending ? "descending" : "ascending");
+    MetricsRegistry reg;
+    sweep::TraceSetCache cache(&factory, &reg);
+    sweep::RunnerOptions options;
+    options.threads = 4;
+    options.metrics = &reg;
+    const sweep::SweepReport r =
+        sweep::SweepRunner(&factory, options, &cache)
+            .Run(FamilySpec(descending));
+    ASSERT_EQ(r.cells.size(), 7u);
+    EXPECT_EQ(cache.stats().builds, 3u) << "one build per family";
+    EXPECT_EQ(cache.stats().slices, 4u);
+    EXPECT_EQ(r.trace_sets_built, 7u) << "built or sliced, every set counts";
+    EXPECT_EQ(r.metrics.CounterOr("trace_cache.misses"), 3u);
+    EXPECT_EQ(r.metrics.CounterOr("trace_cache.slices"), 4u);
+    EXPECT_EQ(r.metrics.CounterOr("build_pool.tasks_executed"), 3u);
+
+    // Every cell's set — slice or build — has the skeleton of a
+    // standalone build of its own config.
+    for (const sweep::CellResult& cr : r.cells) {
+      SCOPED_TRACE("cell " + std::to_string(cr.cell.index));
+      const harness::TraceSet& got = cache.Get(cr.cell.trace);
+      const harness::TraceSet& ref = standalone.Get(cr.cell.trace);
+      EXPECT_EQ(got.leader == nullptr, IsFamilyLeader(cr.cell.trace));
+      ASSERT_EQ(got.traces.size(), ref.traces.size());
+      EXPECT_EQ(got.tenant_a_clients, ref.tenant_a_clients);
+      EXPECT_EQ(cr.trace_total_instructions, ref.total_instructions);
+      EXPECT_EQ(cr.trace_total_events, ref.total_events);
+      EXPECT_EQ(scenario::EventSkeleton(got), scenario::EventSkeleton(ref));
+      for (size_t i = 0; i < got.traces.size(); ++i) {
+        EXPECT_EQ(got.traces[i].requests, ref.traces[i].requests);
+        EXPECT_EQ(got.traces[i].total_instructions,
+                  ref.traces[i].total_instructions);
+      }
+    }
+    EXPECT_EQ(cache.stats().builds, 3u);  // the Gets above were all hits
+  }
+  EXPECT_EQ(standalone.stats().builds, 7u);
+}
+
+TEST(SweepRunner, FamilyGridGoldenByteIdenticalAcrossThreadCounts) {
+  for (bool descending : {false, true}) {
+    SCOPED_TRACE(descending ? "descending" : "ascending");
+    harness::WorkloadFactory factory = TinyFactory();
+    sweep::TraceSetCache cache(&factory);
+    auto run_cold = [&](uint32_t threads) {
+      cache.EvictAll();
+      const sweep::SweepReport r =
+          sweep::SweepRunner(&factory, WithThreads(threads), &cache)
+              .Run(FamilySpec(descending));
+      std::ostringstream csv;
+      sweep::CsvSink(/*include_timing=*/false, /*golden=*/true).Emit(r, csv);
+      return std::make_pair(GoldenJson(r), csv.str());
+    };
+    const auto reference = run_cold(1);
+    for (uint32_t threads : {2u, 8u}) {
+      const auto got = run_cold(threads);
+      EXPECT_EQ(reference.first, got.first) << "JSON at --threads " << threads;
+      EXPECT_EQ(reference.second, got.second) << "CSV at --threads " << threads;
+    }
+    EXPECT_EQ(cache.stats().builds, 9u);   // three cold runs x 3 families
+    EXPECT_EQ(cache.stats().slices, 12u);  // three cold runs x 4 slices
+  }
+}
+
+TEST(TraceBundle, FamilyGridStreamsLikeSaveTraceBundleAndReopensWarm) {
+  for (bool descending : {false, true}) {
+    SCOPED_TRACE(descending ? "descending" : "ascending");
+    const std::string streamed = ::testing::TempDir() + "family.traces";
+    const std::string saved = ::testing::TempDir() + "family_saved.traces";
+    std::remove(streamed.c_str());
+    harness::WorkloadFactory factory = TinyFactory();
+    sweep::TraceSetCache cache(&factory);
+    sweep::RunnerOptions options;
+    options.threads = 3;
+    options.trace_bundle = streamed;
+    const sweep::SweepReport cold =
+        sweep::SweepRunner(&factory, options, &cache)
+            .Run(FamilySpec(descending));
+    ASSERT_EQ(cold.bundle, "cold");
+    ASSERT_EQ(cold.trace_sets_built, 7u);
+
+    // The same sets, in canonical order, through the one-shot save: a
+    // slice is persisted as a set of its own, byte for byte.
+    std::vector<const harness::TraceSet*> sets;
+    for (const sweep::CellResult& cr : cold.cells) {
+      const harness::TraceSet* ts = &cache.Get(cr.cell.trace);
+      if (std::find(sets.begin(), sets.end(), ts) == sets.end()) {
+        sets.push_back(ts);
+      }
+    }
+    ASSERT_EQ(sets.size(), 7u);
+    ASSERT_TRUE(sweep::SaveTraceBundle(saved, factory, sets));
+    EXPECT_TRUE(FileBytes(streamed) == FileBytes(saved))
+        << "streamed bundle differs";
+
+    std::vector<harness::TraceSetConfig> configs;
+    for (const harness::TraceSet* ts : sets) configs.push_back(ts->config);
+    const sweep::BundleOpenResult open =
+        sweep::OpenTraceBundle(streamed, factory, configs);
+    ASSERT_EQ(open.mode, "mmap");
+    for (size_t j = 0; j < configs.size(); ++j) {
+      EXPECT_TRUE(sweep::VerifyBundleSet(open.sets[j], open.checksums[j]))
+          << "set " << j;
+    }
+
+    // A fresh factory and private cache replay the bundle warm: nothing
+    // builds or slices, and the golden bytes match the cold run.
+    harness::WorkloadFactory warm_factory = TinyFactory();
+    const sweep::SweepReport warm =
+        sweep::SweepRunner(&warm_factory, options).Run(FamilySpec(descending));
+    EXPECT_EQ(warm.bundle, "warm");
+    EXPECT_EQ(warm.trace_sets_built, 0u);
+    EXPECT_EQ(GoldenJson(cold), GoldenJson(warm));
+    std::remove(streamed.c_str());
+    std::remove(saved.c_str());
+  }
+}
+
+TEST(SweepRunner, SliceOutlivesItsLeadersCacheEntry) {
+  harness::WorkloadFactory factory = TinyFactory();
+  sweep::TraceSetCache cache(&factory);
+  const sweep::SweepReport r =
+      sweep::SweepRunner(&factory, WithThreads(2), &cache)
+          .Run(FamilySpec(/*descending=*/false));
+  // Cell 1 is OLTP at two clients, a slice of the four-client OLTP set.
+  const sweep::CellResult& cell = r.cells[1];
+  ASSERT_EQ(cell.cell.trace.clients, 2u);
+  ASSERT_EQ(cell.cell.trace.workload, harness::WorkloadKind::kOltp);
+  const harness::TraceSet& slice = cache.Get(cell.cell.trace);
+  ASSERT_NE(slice.leader, nullptr);
+
+  harness::TraceSetConfig leader = cell.cell.trace;
+  leader.clients = 4;
+  ASSERT_TRUE(cache.Release(leader));
+  // The slice pins the leader's storage: it still replays the same bytes
+  // (ASan turns a dangling view into a hard failure here).
+  ExpectSameResult(cell.result,
+                   harness::RunExperiment(cell.cell.exp, slice),
+                   cell.cell.index);
+  // A fresh Get of the leader rebuilds it; the slice is untouched.
+  EXPECT_NE(&cache.Get(leader), slice.leader.get());
+  EXPECT_EQ(cache.stats().builds, 4u);
+
+  // A private cache frees every set, slices and leaders alike, once.
+  MetricsRegistry reg;
+  sweep::RunnerOptions options;
+  options.threads = 4;
+  options.metrics = &reg;
+  const sweep::SweepReport private_run =
+      sweep::SweepRunner(&factory, options).Run(FamilySpec(false));
+  EXPECT_EQ(private_run.metrics.CounterOr("sweep.sets_released"), 7u);
+  EXPECT_EQ(private_run.metrics.CounterOr("trace_cache.evictions"), 7u);
+}
+
+TEST(TraceSetCache, SliceRefusesForeignConfigsAndUncachedLeaders) {
+  harness::WorkloadFactory factory = TinyFactory();
+  sweep::TraceSetCache cache(&factory);
+  harness::TraceSetConfig leader;
+  leader.workload = harness::WorkloadKind::kOltp;
+  leader.clients = 3;
+  leader.requests_per_client = 1;
+  leader.seed = 5;
+  harness::TraceSetConfig member = leader;
+  member.clients = 1;
+  EXPECT_THROW(cache.Slice(member, leader), std::invalid_argument)
+      << "leader not cached yet";
+  cache.Get(leader);
+  harness::TraceSetConfig other_seed = member;
+  other_seed.seed = 6;
+  EXPECT_THROW(cache.Slice(other_seed, leader), std::invalid_argument);
+  harness::TraceSetConfig bigger = leader;
+  bigger.clients = 4;
+  EXPECT_THROW(cache.Slice(bigger, leader), std::invalid_argument);
+  harness::TraceSetConfig tenants = member;
+  tenants.tenant2_clients = 1;
+  EXPECT_THROW(cache.Slice(tenants, leader), std::invalid_argument);
+
+  const harness::TraceSet& slice = cache.Slice(member, leader);
+  EXPECT_EQ(slice.traces.size(), 1u);
+  EXPECT_EQ(&cache.Slice(member, leader), &slice);  // served once
+  EXPECT_EQ(&cache.Get(member), &slice);
+  EXPECT_EQ(cache.stats().slices, 1u);
+  EXPECT_EQ(cache.stats().builds, 1u);
 }
 
 TEST(SweepRunner, PrivateCacheReleasesEachSetOnceSharedCacheNone) {

@@ -11,9 +11,14 @@
 //     builds of the same OLTP config no longer see database state that
 //     earlier builds advanced (the old once-guarded shared-DB behavior);
 //   * TraceSetCache lets distinct configs build concurrently and still
-//     returns one shared instance per config.
+//     returns one shared instance per config;
+//   * the prefix property the sweep's family builds rest on: the first N
+//     traces of an M-client build equal a standalone N-client build in
+//     everything but data addresses — for every single-tenant engine and
+//     traffic shape, and for no two-tenant set.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -157,5 +162,163 @@ TEST(WorldIsolation, CacheBuildsDistinctConfigsConcurrently) {
   EXPECT_EQ(cache.stats().builds, 2u);
 }
 
+
+namespace prefix {
+
+/// Everything of one trace but its data addresses: read/write events keep
+/// their kind, dependent bit and count (the address bits are masked),
+/// compute events keep their whole word (kind, PC and count), markers are
+/// address-free already; then the trace's instruction and request totals.
+std::vector<uint64_t> AddressFreeTrace(const trace::ClientTrace& t) {
+  std::vector<uint64_t> out;
+  out.reserve(t.events_size() + 2);
+  for (uint64_t i = 0; i < t.events_size(); ++i) {
+    const uint64_t e = t.events_data()[i];
+    const trace::EventKind k = trace::UnpackKind(e);
+    const bool mem = k == trace::EventKind::kRead ||
+                     k == trace::EventKind::kWrite;
+    out.push_back(mem ? (e & 0xFFFF) : e);
+  }
+  out.push_back(t.total_instructions);
+  out.push_back(t.requests);
+  return out;
+}
+
+struct Case {
+  std::string name;
+  harness::TraceSetConfig config;  ///< at the larger client count
+  uint32_t small_clients;
+};
+
+std::vector<Case> Cases() {
+  std::vector<Case> out;
+  harness::TraceSetConfig oltp = OltpConfig();
+  oltp.clients = 5;
+  oltp.requests_per_client = 3;
+  out.push_back({"OLTP volcano", oltp, 2});
+
+  harness::TraceSetConfig oltp_shaped = oltp;
+  oltp_shaped.traffic.key_dist = workload::KeyDist::kZipfian;
+  oltp_shaped.traffic.zipf_theta = 0.9;
+  oltp_shaped.traffic.arrival = workload::ArrivalShape::kOnOffBurst;
+  oltp_shaped.traffic.burst_on = 2;
+  oltp_shaped.traffic.burst_off = 1;
+  oltp_shaped.traffic.think_instructions = 500;
+  out.push_back({"OLTP zipf+burst", oltp_shaped, 3});
+
+  harness::TraceSetConfig dss = DssConfig();
+  dss.clients = 7;  // past the six-query mix rotation
+  out.push_back({"DSS volcano", dss, 3});
+  for (harness::EngineMode e : {harness::EngineMode::kStagedCohort,
+                                harness::EngineMode::kStagedTuple}) {
+    harness::TraceSetConfig staged = DssConfig();
+    staged.clients = 3;
+    staged.engine = e;
+    out.push_back({std::string("DSS ") + harness::EngineModeName(e), staged,
+                   1});
+  }
+
+  harness::TraceSetConfig ycsb;
+  ycsb.workload = harness::WorkloadKind::kYcsb;
+  ycsb.clients = 4;
+  ycsb.requests_per_client = 24;
+  ycsb.seed = 23;
+  out.push_back({"YCSB uniform", ycsb, 2});
+  harness::TraceSetConfig ycsb_hot = ycsb;
+  ycsb_hot.traffic.key_dist = workload::KeyDist::kHotRotate;
+  ycsb_hot.traffic.zipf_theta = 0.99;
+  ycsb_hot.traffic.hot_rotate_period = 8;
+  out.push_back({"YCSB zipf0.99 hot-rotate", ycsb_hot, 3});
+  return out;
+}
+
+TEST(WorldIsolation, LeadingTracesOfALargerBuildEqualTheSmallerBuild) {
+  const harness::WorkloadFactory f = TinyFactory();
+  for (const Case& c : Cases()) {
+    SCOPED_TRACE(c.name);
+    harness::TraceSetConfig small = c.config;
+    small.clients = c.small_clients;
+    ASSERT_EQ(sweep::TraceSetCache::FamilyKey(small),
+              sweep::TraceSetCache::FamilyKey(c.config));
+    const harness::TraceSet big = f.Build(c.config);
+    const harness::TraceSet ref = f.Build(small);
+    ASSERT_EQ(big.traces.size(), c.config.clients);
+    ASSERT_EQ(ref.traces.size(), c.small_clients);
+    for (uint32_t i = 0; i < c.small_clients; ++i) {
+      EXPECT_EQ(AddressFreeTrace(big.traces[i]),
+                AddressFreeTrace(ref.traces[i]))
+          << "client " << i;
+    }
+  }
+}
+
+TEST(WorldIsolation, TwoTenantSetsLackThePrefixProperty) {
+  // Tenant B's clients come after tenant A's, and a client's seed derives
+  // from its index, so tenant B records different requests when tenant A
+  // grows: no prefix of the larger set is the smaller one. FamilyKey
+  // therefore keeps `clients` for two-tenant configs — each is a family
+  // of one, built on its own.
+  const harness::WorkloadFactory f = TinyFactory();
+  harness::TraceSetConfig big = OltpConfig();
+  big.clients = 3;
+  big.requests_per_client = 3;
+  big.tenant2_workload = harness::WorkloadKind::kOltp;
+  big.tenant2_clients = 1;
+  harness::TraceSetConfig small = big;
+  small.clients = 2;
+  EXPECT_NE(sweep::TraceSetCache::FamilyKey(small),
+            sweep::TraceSetCache::FamilyKey(big));
+
+  const harness::TraceSet b = f.Build(big);
+  const harness::TraceSet s = f.Build(small);
+  ASSERT_EQ(b.traces.size(), 4u);
+  ASSERT_EQ(s.traces.size(), 3u);
+  // Tenant A alone would slice; tenant B, in the smaller set's last slot,
+  // matches neither the larger set's trace in that slot (a tenant-A
+  // client) nor its own tenant-B trace.
+  for (uint32_t i = 0; i < small.clients; ++i) {
+    EXPECT_EQ(AddressFreeTrace(b.traces[i]), AddressFreeTrace(s.traces[i]))
+        << "tenant-A client " << i;
+  }
+  EXPECT_NE(AddressFreeTrace(b.traces[2]), AddressFreeTrace(s.traces[2]));
+  EXPECT_NE(AddressFreeTrace(b.traces[3]), AddressFreeTrace(s.traces[2]));
+}
+
+TEST(WorldIsolation, ConcurrentShapedBuildsShareOneZetaMemo) {
+  // Every shaped client's ZipfGenerator takes its zeta sum from one
+  // process-wide memo. Four worlds fill and read it at once (a theta no
+  // other test uses, so the first fill races too), and each set must
+  // still equal its serial build.
+  const harness::WorkloadFactory f = TinyFactory();
+  std::vector<harness::TraceSetConfig> configs;
+  for (uint64_t seed = 40; seed < 44; ++seed) {
+    harness::TraceSetConfig tc;
+    tc.workload = seed % 2 == 0 ? harness::WorkloadKind::kYcsb
+                                : harness::WorkloadKind::kOltp;
+    tc.clients = 2;
+    tc.requests_per_client = 4;
+    tc.seed = seed;
+    tc.traffic.key_dist = workload::KeyDist::kZipfian;
+    tc.traffic.zipf_theta = 0.77;
+    configs.push_back(tc);
+  }
+  std::vector<harness::TraceSet> got(configs.size());
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < configs.size(); ++i) {
+    threads.emplace_back([&, i] { got[i] = f.Build(configs[i]); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (size_t i = 0; i < configs.size(); ++i) {
+    const harness::TraceSet ref = f.Build(configs[i]);
+    ASSERT_EQ(got[i].traces.size(), ref.traces.size());
+    for (size_t c = 0; c < ref.traces.size(); ++c) {
+      EXPECT_EQ(AddressFreeTrace(got[i].traces[c]),
+                AddressFreeTrace(ref.traces[c]))
+          << "config " << i << " client " << c;
+    }
+  }
+}
+
+}  // namespace prefix
 }  // namespace
 }  // namespace stagedcmp::scenario

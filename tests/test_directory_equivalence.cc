@@ -20,12 +20,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "memsim/hierarchy.h"
 #include "synthetic_trace.h"
+#include "wide_directory_pins.h"
 
 namespace stagedcmp {
 namespace {
@@ -83,7 +85,7 @@ std::string DirInvariants(memsim::MemoryHierarchy* h) {
 std::string StatsFingerprint(const memsim::MemoryHierarchy& h) {
   const HierarchyStats& s = h.stats();
   std::string out;
-  char buf[64];
+  char buf[128];  // the three hexfloat hit rates overflow 64
   auto num = [&](const char* k, uint64_t v) {
     std::snprintf(buf, sizeof(buf), "%s=%llu\n", k,
                   static_cast<unsigned long long>(v));
@@ -125,15 +127,26 @@ coresim::SimResult RunReplay(memsim::MemoryHierarchy* h, uint32_t cores,
   return sim.Run();
 }
 
+/// ~1M events total, spread over one client per node so every node
+/// participates in the coherence traffic.
+std::vector<trace::ClientTrace> ReplayTraces(uint32_t cores) {
+  return synthetic::MakeTraces(
+      /*seed=*/17, /*clients=*/cores,
+      /*events_per_client=*/1'000'000 / kSanScale / cores);
+}
+
+/// Shorter traces for looped mode, which rotates through them.
+std::vector<trace::ClientTrace> LoopedTraces(uint32_t cores) {
+  return synthetic::MakeTraces(
+      /*seed=*/29, /*clients=*/cores,
+      /*events_per_client=*/250'000 / kSanScale / cores);
+}
+
 class DirectoryEquivalenceTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(DirectoryEquivalenceTest, ReplayFingerprintsBitIdentical) {
   const uint32_t cores = GetParam();
-  // ~1M events total, spread over one client per node so every node
-  // participates in the coherence traffic.
-  const std::vector<trace::ClientTrace> traces =
-      synthetic::MakeTraces(/*seed=*/17, /*clients=*/cores,
-                            /*events_per_client=*/1'000'000 / kSanScale / cores);
+  const std::vector<trace::ClientTrace> traces = ReplayTraces(cores);
   const HierarchyConfig hc = SmpConfig(cores, 1ull << 20);
 
   for (const bool lean : {false, true}) {
@@ -152,9 +165,7 @@ TEST_P(DirectoryEquivalenceTest, ReplayFingerprintsBitIdentical) {
 // cache contents AND directory contents) and trace rotation.
 TEST_P(DirectoryEquivalenceTest, LoopedReplayBitIdentical) {
   const uint32_t cores = GetParam();
-  const std::vector<trace::ClientTrace> traces =
-      synthetic::MakeTraces(/*seed=*/29, /*clients=*/cores,
-                            /*events_per_client=*/250'000 / kSanScale / cores);
+  const std::vector<trace::ClientTrace> traces = LoopedTraces(cores);
   const HierarchyConfig hc = SmpConfig(cores, 1ull << 20);
   auto dir = MakeDir(hc);
   memsim::PrivateL2SnoopHierarchy sno(hc);
@@ -170,19 +181,24 @@ TEST_P(DirectoryEquivalenceTest, LoopedReplayBitIdentical) {
 // Direct drive: per-access lockstep with tiny caches (eviction churn).
 // ---------------------------------------------------------------------------
 
-TEST_P(DirectoryEquivalenceTest, DirectDriveLockstepUnderEvictionChurn) {
-  const uint32_t cores = GetParam();
+/// Tiny L1s and L2s: the shared and per-node footprints below are far
+/// larger than every cache, so fills evict constantly.
+HierarchyConfig ChurnConfig(uint32_t cores) {
   HierarchyConfig hc = SmpConfig(cores, 32 * 1024);
   hc.l1i = memsim::CacheConfig{2 * 1024, 2, 64};
   hc.l1d = memsim::CacheConfig{2 * 1024, 2, 64};
-  auto dirp = MakeDir(hc);
-  memsim::MemoryHierarchy& dir = *dirp;
-  memsim::PrivateL2SnoopHierarchy sno(hc);
+  return hc;
+}
 
+/// Drives `dir` with a randomized eviction-churn access stream and, when
+/// `ref` is non-null, `ref` in lockstep, failing at the first access
+/// whose class, latency or queue delay differs between the two.
+void DriveChurn(uint32_t cores, memsim::MemoryHierarchy* dir,
+                memsim::MemoryHierarchy* ref) {
   Rng rng(1234 + cores);
   uint64_t now = 0;
-  // Scale the drive down as the snoop arm's O(cores) probes per miss
-  // scale up, so the widest machines stay CI-sized.
+  // Scale the drive down as the machine widens, so the widest machines
+  // stay CI-sized.
   const size_t steps =
       1'000'000 / kSanScale / (cores >= 256 ? 16 : cores >= 16 ? 4 : 1);
   for (size_t i = 0; i < steps; ++i) {
@@ -195,33 +211,101 @@ TEST_P(DirectoryEquivalenceTest, DirectDriveLockstepUnderEvictionChurn) {
         (rng.Next() & 1)
             ? 0x100000 + (rng.Next() % (256ull << 10))
             : 0x4000000 + node * (1ull << 24) + (rng.Next() % (128ull << 10));
-    AccessResult a, b;
-    if (instr) {
-      a = dir.AccessInstr(node, addr, now);
-      b = sno.AccessInstr(node, addr, now);
-    } else {
-      a = dir.AccessData(node, addr, is_write, now);
-      b = sno.AccessData(node, addr, is_write, now);
+    const AccessResult a = instr ? dir->AccessInstr(node, addr, now)
+                                 : dir->AccessData(node, addr, is_write, now);
+    if (ref != nullptr) {
+      const AccessResult b = instr
+                                 ? ref->AccessInstr(node, addr, now)
+                                 : ref->AccessData(node, addr, is_write, now);
+      if (a.cls != b.cls || a.latency != b.latency ||
+          a.queue_delay != b.queue_delay) {
+        FAIL() << "arms diverged at access " << i << " (node " << node
+               << ", addr " << std::hex << addr << std::dec
+               << (instr ? ", instr" : is_write ? ", write" : ", read")
+               << "): directory {cls=" << memsim::AccessClassName(a.cls)
+               << ", lat=" << a.latency
+               << "} vs snoop {cls=" << memsim::AccessClassName(b.cls)
+               << ", lat=" << b.latency << "}";
+      }
     }
     ++now;
-    if (a.cls != b.cls || a.latency != b.latency ||
-        a.queue_delay != b.queue_delay) {
-      FAIL() << "arms diverged at access " << i << " (node " << node
-             << ", addr " << std::hex << addr << std::dec
-             << (instr ? ", instr" : is_write ? ", write" : ", read")
-             << "): directory {cls="
-             << memsim::AccessClassName(a.cls) << ", lat=" << a.latency
-             << "} vs snoop {cls=" << memsim::AccessClassName(b.cls)
-             << ", lat=" << b.latency << "}";
-    }
   }
-  EXPECT_EQ(StatsFingerprint(dir), StatsFingerprint(sno));
-  EXPECT_EQ(DirInvariants(&dir), "");
+}
+
+TEST_P(DirectoryEquivalenceTest, DirectDriveLockstepUnderEvictionChurn) {
+  const uint32_t cores = GetParam();
+  const HierarchyConfig hc = ChurnConfig(cores);
+  auto dir = MakeDir(hc);
+  memsim::PrivateL2SnoopHierarchy sno(hc);
+  DriveChurn(cores, dir.get(), &sno);
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(StatsFingerprint(*dir), StatsFingerprint(sno));
+  EXPECT_EQ(DirInvariants(dir.get()), "");
   EXPECT_EQ(sno.CheckDirectoryInvariants(), "");  // snoop arm: dir empty
 }
 
 INSTANTIATE_TEST_SUITE_P(CoreCounts, DirectoryEquivalenceTest,
                          ::testing::ValuesIn(kCoreCounts));
+
+// ---------------------------------------------------------------------------
+// Wide machines (256 and 1024 nodes): literal pins.
+// ---------------------------------------------------------------------------
+
+void SkipIfNativeTuned() {
+#ifdef STAGEDCMP_NATIVE_TUNED
+  GTEST_SKIP() << "fingerprints are pinned at default Release flags; "
+                  "STAGEDCMP_NATIVE builds may contract FP differently";
+#endif
+}
+
+/// The pins for one node count at the build's event scale.
+const WideDirectoryPins& PinsFor(uint32_t cores) {
+  for (const WideDirectoryPins& p : kSanScale == 1 ? kWidePinsRelease
+                                                   : kWidePinsSanitizer) {
+    if (p.cores == cores) return p;
+  }
+  std::abort();
+}
+
+class WideDirectoryPinTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(WideDirectoryPinTest, ReplayFingerprintsMatchPins) {
+  SkipIfNativeTuned();
+  const uint32_t cores = GetParam();
+  const WideDirectoryPins& pins = PinsFor(cores);
+  const std::vector<trace::ClientTrace> traces = ReplayTraces(cores);
+  const HierarchyConfig hc = SmpConfig(cores, 1ull << 20);
+  for (const bool lean : {false, true}) {
+    auto dir = MakeDir(hc);
+    EXPECT_EQ(lean ? pins.replay_lc : pins.replay_fc,
+              synthetic::Fingerprint(
+                  RunReplay(dir.get(), cores, traces, lean, false)))
+        << cores << " cores, " << (lean ? "LC" : "FC");
+    EXPECT_EQ(DirInvariants(dir.get()), "");
+  }
+}
+
+TEST_P(WideDirectoryPinTest, LoopedReplayMatchesPin) {
+  SkipIfNativeTuned();
+  const uint32_t cores = GetParam();
+  auto dir = MakeDir(SmpConfig(cores, 1ull << 20));
+  EXPECT_EQ(PinsFor(cores).looped,
+            synthetic::Fingerprint(
+                RunReplay(dir.get(), cores, LoopedTraces(cores), false, true)));
+  EXPECT_EQ(DirInvariants(dir.get()), "");
+}
+
+TEST_P(WideDirectoryPinTest, DirectDriveStatsMatchPin) {
+  SkipIfNativeTuned();
+  const uint32_t cores = GetParam();
+  auto dir = MakeDir(ChurnConfig(cores));
+  DriveChurn(cores, dir.get(), nullptr);
+  EXPECT_EQ(PinsFor(cores).drive_stats, StatsFingerprint(*dir));
+  EXPECT_EQ(DirInvariants(dir.get()), "");
+}
+
+INSTANTIATE_TEST_SUITE_P(Nodes, WideDirectoryPinTest,
+                         ::testing::Values(256u, 1024u));
 
 }  // namespace
 }  // namespace stagedcmp

@@ -221,13 +221,11 @@ struct SmpChurnStream {
 };
 }  // namespace
 
-// SMP coherence churn at 64 nodes: the snoop arm probes all 63 peers per
-// local L2 miss; the directory arm visits only the sharers bitmap's set
-// bits (usually zero or one). Same access stream for both arms — the gap
-// is pure coherence-resolution cost.
-template <typename Hierarchy>
-static void SmpCoherenceChurn(benchmark::State& state) {
-  Hierarchy h(SmpChurnStream::Config());
+// SMP coherence churn at 64 nodes: each local L2 miss and upgrade visits
+// only the directory's sharer bits (usually zero or one) rather than all
+// 63 peers.
+static void BM_SmpDirectoryChurn(benchmark::State& state) {
+  memsim::PrivateL2Hierarchy h(SmpChurnStream::Config());
   SmpChurnStream stream;
   uint64_t now = 0;
   for (auto _ : state) {
@@ -235,13 +233,6 @@ static void SmpCoherenceChurn(benchmark::State& state) {
     h.AccessData(a.node, a.addr, a.is_write, ++now);
   }
   state.SetItemsProcessed(state.iterations());
-}
-static void BM_SmpSnoopChurn(benchmark::State& state) {
-  SmpCoherenceChurn<memsim::PrivateL2SnoopHierarchy>(state);
-}
-BENCHMARK(BM_SmpSnoopChurn);
-static void BM_SmpDirectoryChurn(benchmark::State& state) {
-  SmpCoherenceChurn<memsim::PrivateL2Hierarchy>(state);
 }
 BENCHMARK(BM_SmpDirectoryChurn);
 

@@ -13,8 +13,8 @@
 # shards off one mapped bundle re-diffed against the unsharded run's
 # full deterministic bytes, for both the smoke and skew grids), checks
 # the bundle transports (mapped load must beat the owning fread load by
-# >=10x), diffs the smokesmp grid against its golden (its directory and
-# snoop-reference arms are compared by the test_smp_arms ctest), runs
+# >=10x), diffs the smokesmp grid against its golden (the test_smp_arms
+# ctest compares its directory with the broadcast reference model), runs
 # the 1024-node CMP-vs-SMP shootout grid cold at
 # three thread counts plus a warm re-diff (asserting one build per
 # client-count family, and cross-checking the SMP bus-model counters
@@ -317,7 +317,7 @@ EOF
   fi
 
   echo "==> sweep smokesmp grid: cold golden"
-  # The directory-vs-snoop comparison on these cells runs in ctest
+  # The directory-vs-reference comparison on these cells runs in ctest
   # (tests/test_smp_arms.cc), in one process over one trace set.
   ./build/bench/sweep_main --spec smokesmp --threads 4 --golden \
     --out build/sweep_smokesmp_golden.json

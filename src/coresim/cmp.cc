@@ -82,13 +82,6 @@ SimResult CmpSimulator::Run() {
     return ReplayEngine<memsim::PrivateL2HierarchyWide>(config_, h, clients_)
         .Run();
   }
-  // The broadcast-snoop reference arm devirtualizes too, so
-  // directory-vs-snoop comparisons measure coherence resolution alone,
-  // not dispatch overhead.
-  if (auto* h = dynamic_cast<memsim::PrivateL2SnoopHierarchy*>(hierarchy_)) {
-    return ReplayEngine<memsim::PrivateL2SnoopHierarchy>(config_, h, clients_)
-        .Run();
-  }
   return ReplayEngine<memsim::MemoryHierarchy>(config_, hierarchy_, clients_)
       .Run();
 }

@@ -224,8 +224,7 @@ using SharedL2HierarchyWide = SharedL2HierarchyImpl<kWideMaxNodes>;
 /// line in any non-Invalid state (`sharers`, one bit per node) and which
 /// node, if any, holds it Modified in its L2 (`dirty_owner`, -1 for
 /// none). The directory mirrors L2 state only — an L1-Modified line whose
-/// L2 copy is still Exclusive has dirty_owner == -1, matching what a
-/// snoop of the L2s would see.
+/// L2 copy is still Exclusive has dirty_owner == -1.
 template <uint32_t kMaxNodes>
 struct SmpDirEntryT {
   BitSet<kMaxNodes> sharers;
@@ -240,26 +239,18 @@ using SmpDirEntry = SmpDirEntryT<kNarrowMaxNodes>;
 /// The full protocol — states, inclusion rules, transition table, counter
 /// attribution, bus cycle accounting — is documented in docs/COHERENCE.md.
 ///
-/// Two arms share this implementation, selected at compile time:
-///   * kUseDirectory = true (`PrivateL2Hierarchy` narrow /
-///     `PrivateL2HierarchyWide`, the default): a sharers-bitmap directory
-///     (`FlatMap64<SmpDirEntryT<kMaxNodes>>`) kept exactly in sync by
-///     every L2 fill, invalidation, downgrade and eviction. L2 misses and
-///     write upgrades visit only the bitmap's set bits, so coherence cost
-///     scales with the number of actual holders instead of with
-///     num_cores. Construction aborts past kMaxNodes.
-///   * kUseDirectory = false (`PrivateL2SnoopHierarchy`): the original
-///     broadcast snoop that probes every peer L2 per miss/upgrade. Kept as
-///     the reference arm (and the no-node-limit fallback);
-///     tests/test_directory_equivalence.cc (synthetic traces) and
-///     tests/test_smp_arms.cc (the smokesmp grid's real traces) pin the
-///     two arms bit-identical.
+/// Coherence is resolved by a sharers-bitmap directory
+/// (`FlatMap64<SmpDirEntryT<kMaxNodes>>`) kept exactly in sync by every L2
+/// fill, invalidation, downgrade and eviction. L2 misses and write
+/// upgrades visit only the bitmap's set bits, so coherence cost scales
+/// with the number of actual holders instead of with num_cores.
+/// Construction aborts past kMaxNodes. tests/reference_smp.h is an
+/// independent broadcast model of the same protocol; the equivalence
+/// suites hold this class bit-identical to it.
 ///
-/// Orthogonally, `HierarchyConfig::smp_bus` selects the timing arm: flat
-/// coherence latencies (the pinned reference) or the shared-bus occupancy
-/// model. Both coherence arms charge the bus through the same code, so
-/// directory-vs-snoop stays bit-identical with the bus on or off.
-template <bool kUseDirectory, uint32_t kMaxNodes = kNarrowMaxNodes>
+/// `HierarchyConfig::smp_bus` selects the timing arm: flat coherence
+/// latencies (the pinned reference) or the shared-bus occupancy model.
+template <uint32_t kMaxNodes>
 class PrivateL2HierarchyImpl final : public MemoryHierarchy {
  public:
   explicit PrivateL2HierarchyImpl(const HierarchyConfig& config);
@@ -276,7 +267,7 @@ class PrivateL2HierarchyImpl final : public MemoryHierarchy {
   double L1IHitRate() const override { return HitRate(l1i_); }
   double L2HitRate() const override { return HitRate(l2_); }
 
-  /// The coherence directory (empty for the snoop arm). Tests only.
+  /// The coherence directory. Tests only.
   const FlatMap64<SmpDirEntryT<kMaxNodes>>& directory() const {
     return l2_dir_;
   }
@@ -349,19 +340,14 @@ class PrivateL2HierarchyImpl final : public MemoryHierarchy {
   uint32_t line_shift_;
 };
 
-/// Directory-based SMP hierarchy (the default; coherence actions visit
-/// only the line's actual holders). Narrow: up to 64 nodes.
-using PrivateL2Hierarchy = PrivateL2HierarchyImpl<true, kNarrowMaxNodes>;
-/// Wide directory arm for the shootout grids (up to 1024 nodes).
-using PrivateL2HierarchyWide = PrivateL2HierarchyImpl<true, kWideMaxNodes>;
-/// Broadcast-snoop reference arm (O(num_cores) probes per miss/upgrade;
-/// no sharer bitmaps, so one instantiation serves every node count).
-using PrivateL2SnoopHierarchy = PrivateL2HierarchyImpl<false>;
+/// The historical SMP type: up to 64 nodes with single-word sharer masks.
+using PrivateL2Hierarchy = PrivateL2HierarchyImpl<kNarrowMaxNodes>;
+/// Wide SMP instantiation for the shootout grids (up to 1024 nodes).
+using PrivateL2HierarchyWide = PrivateL2HierarchyImpl<kWideMaxNodes>;
 
-/// Factory helpers used by the harness. The SMP/CMP factories route by
-/// node count: narrow instantiation through 64 nodes (the historical hot
-/// path), wide through 1024; past that the SMP falls back to the
-/// unlimited snoop arm and the CMP aborts.
+/// Factory helpers used by the harness. Both route by node count: narrow
+/// instantiation through 64 nodes (the historical hot path), wide through
+/// 1024; past that construction aborts.
 std::unique_ptr<MemoryHierarchy> MakeCmpHierarchy(const HierarchyConfig& c);
 std::unique_ptr<MemoryHierarchy> MakeSmpHierarchy(const HierarchyConfig& c);
 
@@ -525,12 +511,11 @@ inline AccessResult SharedL2HierarchyImpl<kMaxNodes>::AccessInstr(
 }
 
 // ---------------------------------------------------------------------------
-// PrivateL2HierarchyImpl (SMP) — inline hot path, both arms
+// PrivateL2HierarchyImpl (SMP) — inline hot path
 // ---------------------------------------------------------------------------
 
-template <bool kUseDirectory, uint32_t kMaxNodes>
-inline AccessClass
-PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::FetchRemoteOrMemory(
+template <uint32_t kMaxNodes>
+inline AccessClass PrivateL2HierarchyImpl<kMaxNodes>::FetchRemoteOrMemory(
     uint32_t node, uint64_t line_addr, bool is_write, uint64_t now,
     const Cache::ProbeResult& p2, LineState* fill_state, uint64_t* bus_wait) {
   // Any L2-miss fill is one bus transaction: the address phase carries
@@ -543,11 +528,8 @@ PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::FetchRemoteOrMemory(
   // miss). Clean-remote on a write => invalidate peers, fetch from memory.
   bool dirty_remote = false;
   bool any_remote = false;
-  // The per-peer action, shared verbatim by both arms: the directory may
-  // only change WHICH peers get visited, never what happens to a visited
-  // one. A set bit over an Invalid line (stale directory — a bug, see
-  // CheckDirectoryInvariants) falls out as the same no-op a snoop of
-  // that peer would be.
+  // The per-holder action. A set bit over an Invalid line (stale
+  // directory — a bug, see CheckDirectoryInvariants) falls out as a no-op.
   auto visit_peer = [&](uint32_t n) {
     const Cache::ProbeResult pn = l2_[n].Probe(line_addr);
     const LineState s = l2_[n].StateAt(pn);
@@ -563,37 +545,29 @@ PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::FetchRemoteOrMemory(
       l1d_[n].SetStateAt(l1d_[n].Probe(line_addr), LineState::kShared);
     }
   };
-  if constexpr (kUseDirectory) {
-    // Visit only the directory's set bits — the actual holders — instead
-    // of snooping all num_cores peers.
-    SmpDirEntryT<kMaxNodes>* de = l2_dir_.Find(line_addr);
-    if (de != nullptr) {
-      de->sharers.ForEachSetBitExcept(node, visit_peer);
-      if (is_write) {
-        // All peers invalidated; the filler re-registers below.
-        de->sharers.Clear();
-        de->dirty_owner = -1;
-      } else if (dirty_remote) {
-        de->dirty_owner = -1;  // the Modified holder was downgraded
-      }
-    }
-  } else {
-    for (uint32_t n = 0; n < config_.num_cores; ++n) {
-      if (n != node) visit_peer(n);
+  // Visit only the directory's set bits — the actual holders — instead
+  // of probing all num_cores peers.
+  SmpDirEntryT<kMaxNodes>* de = l2_dir_.Find(line_addr);
+  if (de != nullptr) {
+    de->sharers.ForEachSetBitExcept(node, visit_peer);
+    if (is_write) {
+      // All peers invalidated; the filler re-registers below.
+      de->sharers.Clear();
+      de->dirty_owner = -1;
+    } else if (dirty_remote) {
+      de->dirty_owner = -1;  // the Modified holder was downgraded
     }
   }
   *fill_state =
       is_write ? LineState::kModified
                : (any_remote ? LineState::kShared : LineState::kExclusive);
   EvictedLine ev = l2_[node].FillAt(p2, line_addr, is_write, *fill_state);
-  if constexpr (kUseDirectory) {
-    // Victim first (its Erase may move entries), then re-find the filled
-    // line's entry and register the node.
-    if (ev.valid) DirNoteEviction(node, ev);
-    SmpDirEntryT<kMaxNodes>& e = l2_dir_.FindOrInsert(line_addr);
-    e.sharers.Set(node);
-    if (is_write) e.dirty_owner = static_cast<int16_t>(node);
-  }
+  // Victim first (its Erase may move entries), then re-find the filled
+  // line's entry and register the node.
+  if (ev.valid) DirNoteEviction(node, ev);
+  SmpDirEntryT<kMaxNodes>& e = l2_dir_.FindOrInsert(line_addr);
+  e.sharers.Set(node);
+  if (is_write) e.dirty_owner = static_cast<int16_t>(node);
   if (ev.valid && ev.dirty) {
     ++stats_.writebacks;
     // Dirty victim goes back over the bus, posted behind the fill: it
@@ -603,9 +577,9 @@ PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::FetchRemoteOrMemory(
   return dirty_remote ? AccessClass::kCoherence : AccessClass::kOffChip;
 }
 
-template <bool kUseDirectory, uint32_t kMaxNodes>
-inline AccessResult PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::
-    AccessData(uint32_t core, uint64_t addr, bool is_write, uint64_t now) {
+template <uint32_t kMaxNodes>
+inline AccessResult PrivateL2HierarchyImpl<kMaxNodes>::AccessData(
+    uint32_t core, uint64_t addr, bool is_write, uint64_t now) {
   AccessResult r;
   const uint64_t line = addr >> line_shift_;
 
@@ -637,38 +611,28 @@ inline AccessResult PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::
   bool l2_shared_after = false;
   if (l2_ok) {
     l2_[core].AccessAt(p2, is_write);
-    if constexpr (kUseDirectory) {
-      // Write hit on Exclusive dirties the L2 copy here. Already-Modified
-      // lines need no probe: the invariant guarantees dirty_owner == core.
-      if (is_write && l2s == LineState::kExclusive) {
-        l2_dir_.FindOrInsert(line).dirty_owner = static_cast<int16_t>(core);
-      }
+    // Write hit on Exclusive dirties the L2 copy here. Already-Modified
+    // lines need no probe: the invariant guarantees dirty_owner == core.
+    if (is_write && l2s == LineState::kExclusive) {
+      l2_dir_.FindOrInsert(line).dirty_owner = static_cast<int16_t>(core);
     }
     r.cls = AccessClass::kL2Hit;
     r.latency = config_.lat.l2_hit;
     l2_shared_after = !is_write && l2s == LineState::kShared;
   } else if (l2s == LineState::kShared && is_write) {
-    // Upgrade: invalidate remote sharers; bus transaction latency. As in
-    // FetchRemoteOrMemory, the per-peer action is one shared body.
-    auto invalidate_peer = [&](uint32_t n) {
+    // Upgrade: invalidate remote sharers; bus transaction latency.
+    SmpDirEntryT<kMaxNodes>& de =
+        l2_dir_.FindOrInsert(line);  // resident => present
+    de.sharers.ForEachSetBitExcept(core, [&](uint32_t n) {
       const Cache::ProbeResult pn = l2_[n].Probe(line);
       if (l2_[n].StateAt(pn) != LineState::kInvalid) {
         l2_[n].InvalidateAt(pn);
         l1d_[n].InvalidateAt(l1d_[n].Probe(line));
         ++stats_.invalidations;
       }
-    };
-    if constexpr (kUseDirectory) {
-      SmpDirEntryT<kMaxNodes>& de =
-          l2_dir_.FindOrInsert(line);  // resident => present
-      de.sharers.ForEachSetBitExcept(core, invalidate_peer);
-      de.sharers.SetOnly(core);
-      de.dirty_owner = static_cast<int16_t>(core);
-    } else {
-      for (uint32_t n = 0; n < config_.num_cores; ++n) {
-        if (n != core) invalidate_peer(n);
-      }
-    }
+    });
+    de.sharers.SetOnly(core);
+    de.dirty_owner = static_cast<int16_t>(core);
     l2_[core].SetStateAt(p2, LineState::kModified);
     l2_[core].AccessAt(p2, true);
     r.cls = AccessClass::kCoherence;
@@ -702,9 +666,9 @@ inline AccessResult PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::
   return r;
 }
 
-template <bool kUseDirectory, uint32_t kMaxNodes>
-inline AccessResult PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::
-    AccessInstr(uint32_t core, uint64_t addr, uint64_t now) {
+template <uint32_t kMaxNodes>
+inline AccessResult PrivateL2HierarchyImpl<kMaxNodes>::AccessInstr(
+    uint32_t core, uint64_t addr, uint64_t now) {
   AccessResult r;
   const uint64_t line = addr >> line_shift_;
   const Cache::ProbeResult lp = l1i_[core].Probe(line);
@@ -734,18 +698,16 @@ inline AccessResult PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::
       r.queue_delay = wait;
       r.latency += wait;
     }
-    // I-fetch fills do not snoop (the I-side is read-only), but they DO
+    // I-fetch fills consult no peer (the I-side is read-only), but they DO
     // change L2 contents, so the directory must see both the fill and
     // any victim it displaces — the classic way a bitmap goes stale.
     const EvictedLine ev =
         l2_[core].FillAt(p2, line, false, LineState::kShared);
-    if constexpr (kUseDirectory) {
-      if (ev.valid) DirNoteEviction(core, ev);
-      l2_dir_.FindOrInsert(line).sharers.Set(core);
-    }
+    if (ev.valid) DirNoteEviction(core, ev);
+    l2_dir_.FindOrInsert(line).sharers.Set(core);
     // A dirty data victim displaced by the I-fill still posts its
     // writeback on the bus (kept outside the writebacks counter, which
-    // has never counted I-side victims — both arms, both timing modes).
+    // has never counted I-side victims — in either timing mode).
     if (config_.smp_bus && ev.valid && ev.dirty) {
       BusPosted(now, kBusDataCycles);
     }
@@ -757,25 +719,22 @@ inline AccessResult PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::
 }
 
 // ---------------------------------------------------------------------------
-// PrivateL2HierarchyImpl — cold paths (explicitly instantiated for both
-// arms in hierarchy.cc)
+// PrivateL2HierarchyImpl — cold paths (explicitly instantiated per width
+// in hierarchy.cc)
 // ---------------------------------------------------------------------------
 
-template <bool kUseDirectory, uint32_t kMaxNodes>
-PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::PrivateL2HierarchyImpl(
+template <uint32_t kMaxNodes>
+PrivateL2HierarchyImpl<kMaxNodes>::PrivateL2HierarchyImpl(
     const HierarchyConfig& config)
     : config_(config) {
-  if constexpr (kUseDirectory) {
-    // The sharers bitmap is kMaxNodes wide. Fail loudly rather than let
-    // Set(node) index past it (MakeSmpHierarchy routes machines past the
-    // widest instantiation to the snoop arm, which has no node limit).
-    if (config.num_cores > kMaxNodes) {
-      std::fprintf(stderr,
-                   "PrivateL2Hierarchy: directory supports <= %u nodes, "
-                   "got %u\n",
-                   kMaxNodes, config.num_cores);
-      std::abort();
-    }
+  // The sharers bitmap is kMaxNodes wide. Fail loudly rather than let
+  // Set(node) index past it (MakeSmpHierarchy routes by width).
+  if (config.num_cores > kMaxNodes) {
+    std::fprintf(stderr,
+                 "PrivateL2Hierarchy: directory supports <= %u nodes, "
+                 "got %u\n",
+                 kMaxNodes, config.num_cores);
+    std::abort();
   }
   line_shift_ = Log2Floor(config.l2.line_bytes);
   for (uint32_t i = 0; i < config.num_cores; ++i) {
@@ -786,8 +745,8 @@ PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::PrivateL2HierarchyImpl(
   }
 }
 
-template <bool kUseDirectory, uint32_t kMaxNodes>
-void PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::ResetStats() {
+template <uint32_t kMaxNodes>
+void PrivateL2HierarchyImpl<kMaxNodes>::ResetStats() {
   // Counters only: cache contents, the directory (which mirrors them)
   // and the bus clock survive, so post-warmup measurement starts from a
   // warm machine.
@@ -797,15 +756,10 @@ void PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::ResetStats() {
   for (Cache& c : l2_) c.ResetCounters();
 }
 
-template <bool kUseDirectory, uint32_t kMaxNodes>
-std::string
-PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::CheckDirectoryInvariants()
+template <uint32_t kMaxNodes>
+std::string PrivateL2HierarchyImpl<kMaxNodes>::CheckDirectoryInvariants()
     const {
   char buf[160];
-  if constexpr (!kUseDirectory) {
-    if (!l2_dir_.empty()) return "snoop arm has a non-empty directory";
-    return std::string();
-  }
   // Caches -> directory: every resident L2 line is registered, and a
   // Modified L2 copy is the recorded dirty owner.
   std::string err;

@@ -90,8 +90,8 @@ SweepSpec MakeSmoke() {
 SweepSpec MakeSmokeSmp() {
   SweepSpec spec("smokesmp",
                  "tiny {OLTP,DSS} grid on the SMP private-L2 machine — "
-                 "CI diff of the coherence directory vs the snoop "
-                 "reference arm");
+                 "CI golden diff of the coherence directory; ctest "
+                 "holds it equal to the broadcast reference model");
   spec.base_exp.cores = 4;
   spec.base_exp.topology = harness::Topology::kSmpPrivate;
   spec.base_exp.l2_bytes = 1ull << 20;  // per node; small => real churn

@@ -21,8 +21,9 @@ harness::TraceSetConfig DssUnsaturatedConfig();
 
 /// Names accepted by BuiltinSpec, in presentation order:
 ///   smoke    — tiny 2x2 grid for CI golden-diff and perf trajectory
-///   smokesmp — tiny {OLTP,DSS} SMP grid for the directory-vs-snoop
-///              byte-identity diff in scripts/check.sh
+///   smokesmp — tiny {OLTP,DSS} SMP grid: golden diff in
+///              scripts/check.sh, directory-vs-reference replay in
+///              tests/test_smp_arms.cc
 ///   fig2     — DSS clients {1..128} on a 4-core FC CMP (saturation)
 ///   fig3     — one saturated-DSS cell on a Power5-like CMP (validation)
 ///   fig4     — {unsat,sat} x {OLTP,DSS} x {FC,LC} camp comparison

@@ -2,7 +2,8 @@
 // hand-serialized transaction stream must produce exactly the queue
 // delays, busy cycles and transaction counts the occupancy arithmetic
 // predicts; an idle bus must charge nothing (flat-arm latencies); and
-// both coherence arms must order overlapping requesters identically.
+// the directory must order overlapping requesters exactly as the
+// independent broadcast reference model (tests/reference_smp.h) does.
 //
 // Cycle accounting under test (docs/COHERENCE.md "Shared-bus occupancy"):
 //   fetch (any L2-miss fill, data or instruction) — addr + data cycles,
@@ -17,6 +18,7 @@
 
 #include "common/rng.h"
 #include "memsim/hierarchy.h"
+#include "reference_smp.h"
 
 namespace stagedcmp::memsim {
 namespace {
@@ -44,6 +46,7 @@ TEST(BusModelTest, IdleBusChargesZeroAndMatchesFlatLatencies) {
     const uint64_t addr = 0x40000 + static_cast<uint64_t>(i) * 64;
     const AccessResult a = bus.AccessData(node, addr, (i % 4) == 0, now);
     const AccessResult b = flat.AccessData(node, addr, (i % 4) == 0, now);
+    ASSERT_EQ(a.cls, b.cls) << "access " << i;
     ASSERT_EQ(a.cls, b.cls) << "access " << i;
     ASSERT_EQ(a.latency, b.latency) << "access " << i;
     ASSERT_EQ(a.queue_delay, 0u) << "access " << i;
@@ -169,16 +172,17 @@ TEST(BusModelTest, BusClockSurvivesWarmupResetStats) {
   EXPECT_EQ(r.queue_delay, 8 * occ);
 }
 
-// Overlapping requesters must queue in the same deterministic order on
-// both coherence arms: identical per-access latencies and queue delays,
-// identical bus counters, across a randomized contended stream.
+// Overlapping requesters must queue in the same deterministic order in
+// the directory and in the broadcast reference model: identical
+// per-access latencies and queue delays, identical bus counters, across a
+// randomized contended stream.
 TEST(BusModelTest, OverlappingRequestersIdenticalAcrossReplayArms) {
   HierarchyConfig hc = BusConfig(16);
   hc.l1i = CacheConfig{2 * 1024, 2, 64};
   hc.l1d = CacheConfig{2 * 1024, 2, 64};
   hc.l2 = CacheConfig{32 * 1024, 8, 64};
   PrivateL2Hierarchy dir(hc);
-  PrivateL2SnoopHierarchy sno(hc);
+  reference::ReferenceSmpHierarchy ref(hc);
 
   Rng rng(4242);
   uint64_t now = 0;
@@ -190,23 +194,24 @@ TEST(BusModelTest, OverlappingRequestersIdenticalAcrossReplayArms) {
     AccessResult a, b;
     if (instr) {
       a = dir.AccessInstr(node, addr, now);
-      b = sno.AccessInstr(node, addr, now);
+      b = ref.AccessInstr(node, addr, now);
     } else {
       a = dir.AccessData(node, addr, is_write, now);
-      b = sno.AccessData(node, addr, is_write, now);
+      b = ref.AccessData(node, addr, is_write, now);
     }
+    ASSERT_EQ(a.cls, b.cls) << "access " << i;
     ASSERT_EQ(a.latency, b.latency) << "access " << i;
     ASSERT_EQ(a.queue_delay, b.queue_delay) << "access " << i;
     // Tight arrivals (now advances slower than the bus drains) keep the
     // bus contended so most samples really exercise the queue.
     now += rng.Next() % 4;
   }
-  EXPECT_EQ(dir.stats().bus_transactions, sno.stats().bus_transactions);
-  EXPECT_EQ(dir.stats().bus_busy_cycles, sno.stats().bus_busy_cycles);
-  EXPECT_EQ(dir.stats().bus_peak_queue, sno.stats().bus_peak_queue);
+  EXPECT_EQ(dir.stats().bus_transactions, ref.stats().bus_transactions);
+  EXPECT_EQ(dir.stats().bus_busy_cycles, ref.stats().bus_busy_cycles);
+  EXPECT_EQ(dir.stats().bus_peak_queue, ref.stats().bus_peak_queue);
   EXPECT_EQ(dir.stats().queue_delay.count(),
-            sno.stats().queue_delay.count());
-  EXPECT_EQ(dir.stats().queue_delay.sum(), sno.stats().queue_delay.sum());
+            ref.stats().queue_delay.count());
+  EXPECT_EQ(dir.stats().queue_delay.sum(), ref.stats().queue_delay.sum());
   EXPECT_GT(dir.stats().queue_delay.sum(), 0u);
   EXPECT_EQ(dir.CheckDirectoryInvariants(), "");
 }

@@ -1,22 +1,25 @@
-// Directory-vs-snoop equivalence pins for the SMP private-L2 hierarchy.
+// Directory-vs-reference equivalence for the SMP private-L2 hierarchy.
 //
-// PR 5 replaced PrivateL2Hierarchy's broadcast snoop (probe every peer L2
-// per miss/upgrade) with a sharers-bitmap directory that visits only the
-// line's actual holders. The broadcast implementation is kept as
-// PrivateL2SnoopHierarchy, and this suite pins the two arms bit-identical
-// — every HierarchyStats counter, every latency, every breakdown double —
-// on randomized 1M-event synthetic traces across the paper's fig8-style
-// core-count range, widened to the shootout grid (2..1024 nodes; past 64
-// the factory serves the BitSet<1024> wide directory):
+// The product SMP hierarchy resolves coherence through a sharers-bitmap
+// directory that visits only a line's actual holders. This suite holds it
+// bit-identical — every HierarchyStats counter, every latency, every
+// breakdown double — to tests/reference_smp.h, a naive broadcast model of
+// the same MESI protocol written independently from docs/COHERENCE.md,
+// on randomized synthetic traces across the paper's fig8-style core-count
+// range:
 //
-//   * full replay-engine fingerprints (both camps, looped/warmup mode),
-//     where any bookkeeping drift compounds over millions of events;
-//   * a direct per-access drive with deliberately tiny caches, where the
-//     first diverging access fails with its index — eviction churn is the
-//     classic way a directory bitmap goes stale.
+//   * full replay-engine fingerprints (both camps, looped/warmup mode) at
+//     2, 8, 16 and 64 nodes, where any bookkeeping drift compounds over
+//     a million events;
+//   * a direct per-access drive with deliberately tiny caches at 2..64
+//     nodes and at 96 (the BitSet<1024> wide directory, two sharer
+//     words), where the first diverging access fails with its index —
+//     eviction churn is the classic way a directory bitmap goes stale.
 //
-// Both arms run in the same process on the same traces, so the comparison
-// is exact on any host/flags (no pinned constants needed).
+// Every case also runs the directory's own invariant oracle. The wide
+// shootout machines (256 and 1024 nodes), where the O(nodes) reference
+// would dominate the suite's run time, replay the directory alone against
+// literal fingerprints (tests/wide_directory_pins.h).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -26,6 +29,7 @@
 
 #include "common/rng.h"
 #include "memsim/hierarchy.h"
+#include "reference_smp.h"
 #include "synthetic_trace.h"
 #include "wide_directory_pins.h"
 
@@ -36,14 +40,14 @@ using memsim::AccessResult;
 using memsim::HierarchyConfig;
 using memsim::HierarchyStats;
 
-// The fig8-style core-count axis, extended to the shootout grid's wide
-// machines: 64 is the single-word sharers width, 256/1024 exercise the
-// BitSet<1024> directory against the width-independent snoop arm.
-constexpr uint32_t kCoreCounts[] = {2, 8, 16, 64, 256, 1024};
+// The fig8-style core-count axis the reference runs live on; 64 is the
+// single-word sharers width. The lockstep drive adds one wide machine.
+constexpr uint32_t kLiveCounts[] = {2, 8, 16, 64};
+constexpr uint32_t kLockstepCounts[] = {2, 8, 16, 64, 96};
 
-// Sanitizer builds run the same node axis (the wide-directory paths are
+// Sanitizer builds run the same node axes (the wide-directory paths are
 // exactly what ASan should see) over proportionally fewer events, so the
-// suite stays inside its ctest timeout at ~7x per-event cost.
+// suite stays short at ~7x per-event cost.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 constexpr size_t kSanScale = 8;
 #else
@@ -58,16 +62,6 @@ HierarchyConfig SmpConfig(uint32_t cores, uint64_t l2_bytes) {
   if (cores > 64 && l2_bytes > 256 * 1024) l2_bytes = 256 * 1024;
   hc.l2 = memsim::CacheConfig{l2_bytes, 8, 64};
   return hc;
-}
-
-/// Directory arm via the factory, so each core count gets the same
-/// instantiation (narrow or wide) a real experiment would run.
-std::unique_ptr<memsim::MemoryHierarchy> MakeDir(const HierarchyConfig& hc) {
-  auto h = memsim::MakeSmpHierarchy(hc);
-  // Guard against the factory silently degrading to snoop (which would
-  // make the equivalence tests vacuous).
-  EXPECT_EQ(dynamic_cast<memsim::PrivateL2SnoopHierarchy*>(h.get()), nullptr);
-  return h;
 }
 
 std::string DirInvariants(memsim::MemoryHierarchy* h) {
@@ -150,12 +144,12 @@ TEST_P(DirectoryEquivalenceTest, ReplayFingerprintsBitIdentical) {
   const HierarchyConfig hc = SmpConfig(cores, 1ull << 20);
 
   for (const bool lean : {false, true}) {
-    auto dir = MakeDir(hc);
-    memsim::PrivateL2SnoopHierarchy sno(hc);
+    auto dir = memsim::MakeSmpHierarchy(hc);
+    reference::ReferenceSmpHierarchy ref(hc);
     const coresim::SimResult rd =
         RunReplay(dir.get(), cores, traces, lean, false);
-    const coresim::SimResult rs = RunReplay(&sno, cores, traces, lean, false);
-    EXPECT_EQ(synthetic::Fingerprint(rd), synthetic::Fingerprint(rs))
+    const coresim::SimResult rr = RunReplay(&ref, cores, traces, lean, false);
+    EXPECT_EQ(synthetic::Fingerprint(rd), synthetic::Fingerprint(rr))
         << cores << " cores, " << (lean ? "LC" : "FC");
     EXPECT_EQ(DirInvariants(dir.get()), "");
   }
@@ -167,12 +161,12 @@ TEST_P(DirectoryEquivalenceTest, LoopedReplayBitIdentical) {
   const uint32_t cores = GetParam();
   const std::vector<trace::ClientTrace> traces = LoopedTraces(cores);
   const HierarchyConfig hc = SmpConfig(cores, 1ull << 20);
-  auto dir = MakeDir(hc);
-  memsim::PrivateL2SnoopHierarchy sno(hc);
+  auto dir = memsim::MakeSmpHierarchy(hc);
+  reference::ReferenceSmpHierarchy ref(hc);
   const coresim::SimResult rd =
       RunReplay(dir.get(), cores, traces, false, true);
-  const coresim::SimResult rs = RunReplay(&sno, cores, traces, false, true);
-  EXPECT_EQ(synthetic::Fingerprint(rd), synthetic::Fingerprint(rs))
+  const coresim::SimResult rr = RunReplay(&ref, cores, traces, false, true);
+  EXPECT_EQ(synthetic::Fingerprint(rd), synthetic::Fingerprint(rr))
       << cores << " cores, looped";
   EXPECT_EQ(DirInvariants(dir.get()), "");
 }
@@ -224,7 +218,7 @@ void DriveChurn(uint32_t cores, memsim::MemoryHierarchy* dir,
                << (instr ? ", instr" : is_write ? ", write" : ", read")
                << "): directory {cls=" << memsim::AccessClassName(a.cls)
                << ", lat=" << a.latency
-               << "} vs snoop {cls=" << memsim::AccessClassName(b.cls)
+               << "} vs reference {cls=" << memsim::AccessClassName(b.cls)
                << ", lat=" << b.latency << "}";
       }
     }
@@ -232,20 +226,24 @@ void DriveChurn(uint32_t cores, memsim::MemoryHierarchy* dir,
   }
 }
 
-TEST_P(DirectoryEquivalenceTest, DirectDriveLockstepUnderEvictionChurn) {
+INSTANTIATE_TEST_SUITE_P(CoreCounts, DirectoryEquivalenceTest,
+                         ::testing::ValuesIn(kLiveCounts));
+
+class DirectoryLockstepTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(DirectoryLockstepTest, DirectDriveLockstepUnderEvictionChurn) {
   const uint32_t cores = GetParam();
   const HierarchyConfig hc = ChurnConfig(cores);
-  auto dir = MakeDir(hc);
-  memsim::PrivateL2SnoopHierarchy sno(hc);
-  DriveChurn(cores, dir.get(), &sno);
+  auto dir = memsim::MakeSmpHierarchy(hc);
+  reference::ReferenceSmpHierarchy ref(hc);
+  DriveChurn(cores, dir.get(), &ref);
   if (HasFatalFailure()) return;
-  EXPECT_EQ(StatsFingerprint(*dir), StatsFingerprint(sno));
+  EXPECT_EQ(StatsFingerprint(*dir), StatsFingerprint(ref));
   EXPECT_EQ(DirInvariants(dir.get()), "");
-  EXPECT_EQ(sno.CheckDirectoryInvariants(), "");  // snoop arm: dir empty
 }
 
-INSTANTIATE_TEST_SUITE_P(CoreCounts, DirectoryEquivalenceTest,
-                         ::testing::ValuesIn(kCoreCounts));
+INSTANTIATE_TEST_SUITE_P(CoreCounts, DirectoryLockstepTest,
+                         ::testing::ValuesIn(kLockstepCounts));
 
 // ---------------------------------------------------------------------------
 // Wide machines (256 and 1024 nodes): literal pins.
@@ -276,7 +274,7 @@ TEST_P(WideDirectoryPinTest, ReplayFingerprintsMatchPins) {
   const std::vector<trace::ClientTrace> traces = ReplayTraces(cores);
   const HierarchyConfig hc = SmpConfig(cores, 1ull << 20);
   for (const bool lean : {false, true}) {
-    auto dir = MakeDir(hc);
+    auto dir = memsim::MakeSmpHierarchy(hc);
     EXPECT_EQ(lean ? pins.replay_lc : pins.replay_fc,
               synthetic::Fingerprint(
                   RunReplay(dir.get(), cores, traces, lean, false)))
@@ -288,7 +286,7 @@ TEST_P(WideDirectoryPinTest, ReplayFingerprintsMatchPins) {
 TEST_P(WideDirectoryPinTest, LoopedReplayMatchesPin) {
   SkipIfNativeTuned();
   const uint32_t cores = GetParam();
-  auto dir = MakeDir(SmpConfig(cores, 1ull << 20));
+  auto dir = memsim::MakeSmpHierarchy(SmpConfig(cores, 1ull << 20));
   EXPECT_EQ(PinsFor(cores).looped,
             synthetic::Fingerprint(
                 RunReplay(dir.get(), cores, LoopedTraces(cores), false, true)));
@@ -298,7 +296,7 @@ TEST_P(WideDirectoryPinTest, LoopedReplayMatchesPin) {
 TEST_P(WideDirectoryPinTest, DirectDriveStatsMatchPin) {
   SkipIfNativeTuned();
   const uint32_t cores = GetParam();
-  auto dir = MakeDir(ChurnConfig(cores));
+  auto dir = memsim::MakeSmpHierarchy(ChurnConfig(cores));
   DriveChurn(cores, dir.get(), nullptr);
   EXPECT_EQ(PinsFor(cores).drive_stats, StatsFingerprint(*dir));
   EXPECT_EQ(DirInvariants(dir.get()), "");

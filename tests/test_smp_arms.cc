@@ -1,12 +1,13 @@
-// Directory vs broadcast-snoop coherence on real engine traces.
+// Directory vs the broadcast reference model on real engine traces.
 //
 // Every cell of the smokesmp grid is built from scratch and replayed three
 // ways over the same trace set: through PrivateL2Hierarchy (the sharers-
-// bitmap directory), through PrivateL2SnoopHierarchy (the broadcast-snoop
-// reference arm), and through RunExperiment (which reaches the directory
-// via MakeSmpHierarchy). All three must agree on every SimResult field
-// the shard format carries, compared word for word with doubles by bit
-// pattern. tests/test_directory_equivalence.cc pins the same two arms on
+// bitmap directory), through reference::ReferenceSmpHierarchy (the
+// independent broadcast model in tests/reference_smp.h) and through
+// RunExperiment (which reaches the directory via MakeSmpHierarchy). All
+// three must agree on every SimResult field the shard format carries,
+// compared word for word with doubles by bit pattern.
+// tests/test_directory_equivalence.cc holds the same pair equal on
 // synthetic traces; this suite covers the OLTP/DSS access streams the
 // figures actually replay.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "coresim/result_fields.h"
 #include "harness/config_fields.h"
 #include "memsim/hierarchy.h"
+#include "reference_smp.h"
 #include "sweep/builtin_specs.h"
 
 namespace stagedcmp {
@@ -42,7 +44,7 @@ std::vector<uint64_t> Replay(const harness::ExperimentConfig& exp,
           .Run());
 }
 
-TEST(SmpArms, SmokesmpDirectoryEqualsSnoopEqualsRunExperiment) {
+TEST(SmpArms, SmokesmpDirectoryEqualsReferenceEqualsRunExperiment) {
   const sweep::SweepSpec spec = sweep::BuiltinSpec("smokesmp");
   harness::WorkloadFactory factory;
   sweep::ConfigureFactoryForSpec("smokesmp", &factory);
@@ -57,16 +59,16 @@ TEST(SmpArms, SmokesmpDirectoryEqualsSnoopEqualsRunExperiment) {
     const memsim::HierarchyConfig hc = harness::MakeHierarchyConfig(cell.exp);
 
     memsim::PrivateL2Hierarchy directory(hc);
-    memsim::PrivateL2SnoopHierarchy snoop(hc);
+    reference::ReferenceSmpHierarchy ref(hc);
     const std::vector<uint64_t> d = Replay(cell.exp, set, &directory);
-    const std::vector<uint64_t> s = Replay(cell.exp, set, &snoop);
+    const std::vector<uint64_t> s = Replay(cell.exp, set, &ref);
     const std::vector<uint64_t> r =
         ResultWords(harness::RunExperiment(cell.exp, set));
 
     ASSERT_EQ(d.size(), s.size());
     ASSERT_EQ(d.size(), r.size());
     for (size_t i = 0; i < d.size(); ++i) {
-      EXPECT_EQ(d[i], s[i]) << "directory vs snoop, result field " << i;
+      EXPECT_EQ(d[i], s[i]) << "directory vs reference, result field " << i;
       EXPECT_EQ(d[i], r[i]) << "directory vs RunExperiment, result field "
                             << i;
     }

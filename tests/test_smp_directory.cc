@@ -80,7 +80,7 @@ TEST(SmpDirectoryTest, ExclusiveStaysCleanUntilTheL2CopyIsWritten) {
 
   // A write now hits the L1 copy (Exclusive is writable): the L1 goes
   // Modified but the L2 copy stays Exclusive — the directory mirrors L2
-  // state, so dirty_owner stays -1, exactly what a snoop would observe.
+  // state, so dirty_owner stays -1 (docs/COHERENCE.md, L1-dirty/L2-clean).
   h.AccessData(3, addr, true, 10);
   e = Entry(h, addr);
   ASSERT_NE(e, nullptr);
@@ -132,9 +132,8 @@ TEST(SmpDirectoryTest, EvictionClearsSharerBitAndErasesEmptyEntries) {
 
 // Factory width routing: up to 64 nodes uses the single-word directory
 // (the instantiation whose hot path compiles to the historical scalar
-// masks), 65..1024 the BitSet<1024> wide directory, and only machines
-// past the wide cap fall back to the (limit-free) snoop arm.
-TEST(SmpDirectoryTest, FactoryRoutesWidthsAndFallsBackPast1024Nodes) {
+// masks) and 65..1024 the BitSet<1024> wide directory.
+TEST(SmpDirectoryTest, FactoryRoutesWidths) {
   HierarchyConfig cfg = TinyConfig(64);
   auto at_cap = MakeSmpHierarchy(cfg);
   EXPECT_NE(dynamic_cast<PrivateL2Hierarchy*>(at_cap.get()), nullptr);
@@ -149,13 +148,14 @@ TEST(SmpDirectoryTest, FactoryRoutesWidthsAndFallsBackPast1024Nodes) {
               AccessClass::kCoherence)
         << n << " nodes";
   }
-  cfg.num_cores = 1025;
-  auto over_cap = MakeSmpHierarchy(cfg);
-  EXPECT_NE(dynamic_cast<PrivateL2SnoopHierarchy*>(over_cap.get()), nullptr);
-  // The snoop arm still simulates correctly at 1025 nodes.
-  over_cap->AccessData(1024, 0x6000, true, 0);
-  EXPECT_EQ(over_cap->AccessData(0, 0x6000, false, 10).cls,
-            AccessClass::kCoherence);
+}
+
+// Past the widest sharer set both factories abort rather than build a
+// machine whose sharer bits would wrap.
+TEST(HierarchyFactoryDeathTest, BothFactoriesAbortPast1024Nodes) {
+  const HierarchyConfig cfg = TinyConfig(kWideMaxNodes + 1);
+  EXPECT_DEATH(MakeSmpHierarchy(cfg), "supports <= 1024 nodes, got 1025");
+  EXPECT_DEATH(MakeCmpHierarchy(cfg), "supports <= 1024 cores, got 1025");
 }
 
 // Randomized churn: tiny L2s, a footprint ~30x the cache, mixed

@@ -60,10 +60,10 @@ class ReferenceSmpHierarchy final : public memsim::MemoryHierarchy {
     if (Writable(me.l1d.StateAt(p1), is_write)) {
       me.l1d.AccessAt(p1, is_write);
       r.latency = config_.lat.l1_hit;
-      return Count(&stats_.data_count[0], r);
+      return Count(stats_.data_count, r);
     }
-    // Miss, or a write to a Shared L1 copy (counted as an L1 lookup hit,
-    // the line goes on to the L2 for ownership).
+    // Records a miss, or, for a write to a Shared copy, an L1 lookup hit;
+    // either way the access continues at the L2.
     me.l1d.AccessAt(p1, /*is_write=*/false);
 
     const Cache::ProbeResult p2 = me.l2.Probe(line);
@@ -131,7 +131,7 @@ class ReferenceSmpHierarchy final : public memsim::MemoryHierarchy {
                   r.queue_delay;
     }
     me.l1d.FillAt(p1, line, is_write, l1_fill);
-    return Count(&stats_.data_count[0], r);
+    return Count(stats_.data_count, r);
   }
 
   AccessResult AccessInstr(uint32_t core, uint64_t addr,
@@ -142,12 +142,12 @@ class ReferenceSmpHierarchy final : public memsim::MemoryHierarchy {
 
     const Cache::ProbeResult p1 = me.l1i.Probe(line);
     if (me.l1i.AccessAt(p1, /*is_write=*/false)) {
-      return Count(&stats_.instr_count[0], r);
+      return Count(stats_.instr_count, r);
     }
     if (config_.stream_buffers && me.sbuf.Probe(line)) {
       r.latency = memsim::kStreamBufferHitCycles;
       me.l1i.FillAt(p1, line, /*is_write=*/false);
-      return Count(&stats_.instr_count[0], r);
+      return Count(stats_.instr_count, r);
     }
     // The I-side is non-coherent: an L2 miss fills Shared from memory
     // without asking any peer, and its dirty victim is not counted as a
@@ -169,7 +169,7 @@ class ReferenceSmpHierarchy final : public memsim::MemoryHierarchy {
     }
     me.l1i.FillAt(p1, line, /*is_write=*/false);
     if (config_.stream_buffers) me.sbuf.Allocate(line);
-    return Count(&stats_.instr_count[0], r);
+    return Count(stats_.instr_count, r);
   }
 
   const HierarchyStats& stats() const override { return stats_; }

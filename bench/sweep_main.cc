@@ -45,8 +45,7 @@ int Usage(const char* argv0, int code) {
       code == 0 ? stdout : stderr,
       "usage: %s --spec NAME [--threads N] [--format table|json|csv]\n"
       "          [--out FILE] [--perf-out FILE] [--trace-bundle FILE]\n"
-      "          [--bundle-mode auto|fread] [--shard I/N]\n"
-      "          [--metrics-out FILE] [--trace-out FILE]\n"
+      "          [--shard I/N] [--metrics-out FILE] [--trace-out FILE]\n"
       "          [--deterministic] [--golden]\n"
       "       %s --merge OUT SHARD_FILE...\n"
       "       %s --list\n"
@@ -69,11 +68,6 @@ int Usage(const char* argv0, int code) {
       "                    matching bundle skips trace generation (warm),\n"
       "                    otherwise the cold build rewrites it. Delete\n"
       "                    the file after changing trace generation.\n"
-      "  --bundle-mode M   bundle transport: auto (default — mmap the\n"
-      "                    file and replay events zero-copy, demoting to\n"
-      "                    fread on map failure) or fread (owning,\n"
-      "                    eagerly-verified reads; measurement and\n"
-      "                    fallback testing)\n"
       "  --shard I/N       execute only cells with index %% N == I. The\n"
       "                    FULL grid is still expanded (canonical indices\n"
       "                    and the bundle build sequence are unchanged)\n"
@@ -103,7 +97,6 @@ int main(int argc, char** argv) {
   std::string out_path;
   std::string perf_path;
   std::string bundle_path;
-  std::string bundle_mode = "auto";
   std::string metrics_path;
   std::string trace_path;
   std::string shard_arg;   // "I/N"
@@ -143,8 +136,6 @@ int main(int argc, char** argv) {
       perf_path = value("--perf-out");
     } else if (arg == "--trace-bundle") {
       bundle_path = value("--trace-bundle");
-    } else if (arg == "--bundle-mode") {
-      bundle_mode = value("--bundle-mode");
     } else if (arg == "--shard") {
       shard_arg = value("--shard");
     } else if (arg == "--merge") {
@@ -276,11 +267,6 @@ int main(int argc, char** argv) {
     shard_index = static_cast<uint32_t>(i);
     shard_count = static_cast<uint32_t>(n);
   }
-  if (bundle_mode != "auto" && bundle_mode != "fread") {
-    std::fprintf(stderr, "--bundle-mode must be auto or fread, got '%s'\n",
-                 bundle_mode.c_str());
-    return 2;
-  }
 
   if (spec_name.empty()) return Usage(argv[0], 2);
   if (!sweep::HasBuiltinSpec(spec_name)) {
@@ -330,7 +316,6 @@ int main(int argc, char** argv) {
   sweep::RunnerOptions options;
   options.threads = threads;
   options.trace_bundle = bundle_path;
-  options.bundle_mode = bundle_mode;
   options.shard_index = shard_index;
   options.shard_count = shard_count;
   options.metrics = metrics;

@@ -12,8 +12,8 @@
 # execution (cold shards + merge re-diffed against the golden; warm
 # shards off one mapped bundle re-diffed against the unsharded run's
 # full deterministic bytes, for both the smoke and skew grids), checks
-# the bundle transports (mapped load must beat the owning fread load by
-# >=10x), diffs the smokesmp grid against its golden (the test_smp_arms
+# the warm pass was served from the mapped bundle, diffs the smokesmp
+# grid against its golden (the test_smp_arms
 # ctest compares its directory with the broadcast reference model), runs
 # the 1024-node CMP-vs-SMP shootout grid cold at
 # three thread counts plus a warm re-diff (asserting one build per
@@ -213,35 +213,8 @@ if [[ $run_tier1 -eq 1 ]]; then
   ./build/bench/sweep_main --spec smoke --threads 1 --format json \
     --trace-bundle build/smoke.traces --out /dev/null \
     --perf-out build/BENCH_sweep_fresh.json
-  # The default transport must actually be the mapped one, and the perf
-  # summary must carry its warm_mmap section (gated below).
+  # The warm pass must actually be served from the mapped bundle.
   grep -q '"bundle_mode": "mmap"' build/BENCH_sweep_fresh.json
-  grep -q '"warm_mmap"' build/BENCH_sweep_fresh.json
-
-  echo "==> bundle transports: mmap load must beat fread by >=10x"
-  # Same bundle, forced owning-fread transport: identical replay, but the
-  # load phase pays a full copy + eager checksums. The mapped path's
-  # header-only validation must undercut it by at least an order of
-  # magnitude (that is the point of bundle format v3).
-  ./build/bench/sweep_main --spec smoke --threads 1 --format json \
-    --bundle-mode fread --trace-bundle build/smoke.traces \
-    --out /dev/null --perf-out build/BENCH_sweep_fread.json
-  grep -q '"bundle_mode": "fread"' build/BENCH_sweep_fread.json
-  get_load() {
-    awk -F': ' '/"bundle_load_seconds"/ { gsub(/,/, "", $2); print $2; exit }' \
-      "$1"
-  }
-  mmap_load=$(get_load build/BENCH_sweep_fresh.json)
-  fread_load=$(get_load build/BENCH_sweep_fread.json)
-  echo "    bundle load: mmap ${mmap_load}s, fread ${fread_load}s"
-  if [[ "${STAGEDCMP_SKIP_PERF_GATE:-0}" != "1" ]]; then
-    if ! awk -v m="$mmap_load" -v f="$fread_load" \
-         'BEGIN { exit (m > 0 && f >= 10 * m) ? 0 : 1 }'; then
-      echo "FAIL: mmap bundle load (${mmap_load}s) is not >=10x faster" \
-           "than fread (${fread_load}s)" >&2
-      exit 1
-    fi
-  fi
 
   echo "==> sharded execution: warm-mmap shards + merge, full metrics"
   # Every run below replays the SAME mapped bundle, so the merge must
@@ -487,23 +460,15 @@ EOF
   # numbers. The warm gate watches replay throughput; the cold gate's
   # wall clock is end-to-end and so also covers trace GENERATION — a
   # build-path slowdown that the warm gate is blind to trips it.
-  get_cps() {  # get_cps FILE [SECTION] — first cells_per_second, or the
-               # first one after SECTION's key (e.g. warm_mmap)
-    if [[ -n "${2:-}" ]]; then
-      awk -F': ' -v sec="\"$2\"" \
-        'index($0, sec) { inw = 1 }
-         inw && /"cells_per_second"/ { gsub(/,/, "", $2); print $2; exit }' \
-        "$1"
-    else
-      awk -F': ' '/"cells_per_second"/ { gsub(/,/, "", $2); print $2; exit }' \
-        "$1"
-    fi
+  get_cps() {  # get_cps FILE — the summary's top-level cells_per_second
+    awk -F': ' '/"cells_per_second"/ { gsub(/,/, "", $2); print $2; exit }' \
+      "$1"
   }
-  gate_cps() {  # gate_cps LABEL BASELINE_FILE FRESH_FILE [SECTION]
-    local label="$1" baseline_file="$2" fresh_file="$3" section="${4:-}"
+  gate_cps() {  # gate_cps LABEL BASELINE_FILE FRESH_FILE
+    local label="$1" baseline_file="$2" fresh_file="$3"
     local baseline fresh
-    baseline=$(get_cps "$baseline_file" "$section")
-    fresh=$(get_cps "$fresh_file" "$section")
+    baseline=$(get_cps "$baseline_file")
+    fresh=$(get_cps "$fresh_file")
     if [[ -z "$baseline" || -z "$fresh" ]]; then
       # An unparsable side must fail loudly: awk would treat "" as 0 and
       # silently disable the gate forever.
@@ -533,7 +498,6 @@ EOF
     fi
   }
   gate_cps warm BENCH_sweep.json build/BENCH_sweep_fresh.json
-  gate_cps warm_mmap BENCH_sweep.json build/BENCH_sweep_fresh.json warm_mmap
   gate_cps cold BENCH_sweep_cold.json build/BENCH_sweep_cold_fresh.json
   # Host memory, reported only (no gate): each pass's process peak.
   get_rss() {

@@ -80,8 +80,8 @@ struct TraceSet {
   /// harness layer stays independent of the sweep's bundle machinery).
   /// Only sweep::OpenTraceBundle sets it, always to its MappedBundle,
   /// which sweep::VerifyBundleSet relies on. Destroying the last
-  /// TraceSet sharing a mapping unmaps it. Empty for owning (cold-built
-  /// or fread-loaded) sets.
+  /// TraceSet sharing a mapping unmaps it. Empty for owning (cold-built)
+  /// sets.
   std::shared_ptr<void> backing;
   /// Keep-alive for a prefix slice (sweep::TraceSetCache::Slice): its
   /// ClientTraces are views into the first TotalClients(config) traces

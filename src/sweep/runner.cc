@@ -191,37 +191,26 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
         .Add(static_cast<uint64_t>(cells.size() - assigned_count));
   }
 
-  // Trace bundle: try to serve the whole build sequence from disk. The
-  // mmap transport returns view-based sets after header validation only
+  // Trace bundle: try to serve the whole build sequence from disk. A
+  // mapped open returns view-based sets after header validation only
   // (microseconds); their payload checksums are verified lazily below,
-  // on the build pool, overlapped with simulation. The fread transport
-  // returns fully-verified owning sets, inserted here.
+  // on the build pool, overlapped with simulation. A map failure or a
+  // header/geometry mismatch serves nothing and the run builds cold.
   BundleOpenResult bundle_open;
   std::atomic<bool> demoted{false};
   if (!options_.trace_bundle.empty() && !cells.empty()) {
     const auto load_t0 = std::chrono::steady_clock::now();
     TraceSpan load_span(tracer, "io", "bundle.load");
-    bundle_open =
-        OpenTraceBundle(options_.trace_bundle, *factory_, distinct, &needed,
-                        options_.bundle_mode == "fread");
+    bundle_open = OpenTraceBundle(options_.trace_bundle, *factory_, distinct);
     report.bundle_mode = bundle_open.mode;
-    if (bundle_open.mode == "mmap") {
-      report.bundle = "warm";
-      report.bundle_bytes_mapped = bundle_open.mapping->size_bytes();
-      report.bundle_map_us = bundle_open.map_us;
-    } else if (bundle_open.mode == "fread") {
-      report.bundle = "warm";
-      for (size_t j = 0; j < distinct.size(); ++j) {
-        if (needed[j]) cache.Insert(std::move(bundle_open.sets[j]));
-      }
-    } else {
-      report.bundle = "cold";
-    }
+    report.bundle = bundle_open.mode == "mmap" ? "warm" : "cold";
     if (options_.metrics != nullptr) {
       options_.metrics->gauge("bundle.map_us")
-          .Set(static_cast<int64_t>(report.bundle_map_us));
+          .Set(static_cast<int64_t>(bundle_open.map_us));
       options_.metrics->gauge("bundle.bytes_mapped")
-          .Set(static_cast<int64_t>(report.bundle_bytes_mapped));
+          .Set(bundle_open.mapping != nullptr
+                   ? static_cast<int64_t>(bundle_open.mapping->size_bytes())
+                   : 0);
     }
     load_span.set_args("{\"result\": \"" + report.bundle +
                        "\", \"mode\": \"" + report.bundle_mode + "\"}");

@@ -55,15 +55,13 @@ struct RunnerOptions {
   /// serves its trace sets from this file if it matches the sweep's
   /// canonical build sequence (warm: no generation at all); a cold run
   /// streams each set into a fresh bundle as it is built and renames it
-  /// into place at the end. The default transport maps the file and
-  /// replays events in place (payload checksums verified lazily on the
-  /// build pool, verified pages dropped again); map failure demotes to
-  /// the owning fread path and any mismatch to a cold rebuild. Empty =
-  /// no persistence.
+  /// into place at the end. A warm run maps the file and replays events
+  /// in place (payload checksums verified lazily on the build pool,
+  /// verified pages dropped again). A map failure or a header/geometry
+  /// mismatch rebuilds cold; a set failing its lazy payload check
+  /// rebuilds alone and the run reports "partial". Empty = no
+  /// persistence.
   std::string trace_bundle;
-  /// Bundle transport override: "auto" (mmap, demoting to fread) or
-  /// "fread" (skip the mmap attempt — measurement and fallback testing).
-  std::string bundle_mode = "auto";
   /// Shard selection: when shard_count > 1, the runner expands the FULL
   /// spec (so canonical indices and the bundle's build sequence are
   /// unchanged) but simulates only cells with
@@ -115,11 +113,8 @@ struct SweepReport {
   /// payload verification and was rebuilt cold; the bundle is rewritten).
   std::string bundle = "off";
   /// Transport that served the bundle: "off", "cold" (nothing served),
-  /// "fread" (owning copies, eagerly verified), "mmap" (zero-copy views
-  /// into the mapping, lazily verified).
+  /// "mmap" (zero-copy views into the mapping, lazily verified).
   std::string bundle_mode = "off";
-  uint64_t bundle_bytes_mapped = 0;  ///< mmap: whole-file mapping size
-  uint64_t bundle_map_us = 0;        ///< mmap: open+validate wall time
   /// Echo of RunnerOptions shard selection (0/0 when unsharded).
   uint32_t shard_index = 0;
   uint32_t shard_count = 0;

@@ -481,8 +481,8 @@ void EmitPerfSummary(const SweepReport& report, std::ostream& os,
   o.Int("threads", report.threads);
   o.Int("cells", report.cells.size());
   o.Str("trace_bundle", report.bundle);
-  // Transport that served the bundle (off/cold/fread/mmap) — the knob
-  // the warm_mmap section below and the check.sh fallback passes key on.
+  // Transport that served the bundle (off/cold/mmap); the warm check.sh
+  // pass and the benchmark's warm checks require "mmap".
   o.Str("bundle_mode", report.bundle_mode);
   o.Int("trace_sets_built", report.trace_sets_built);
   // Per-phase wall clocks. bundle_load is serial; trace building overlaps
@@ -519,20 +519,6 @@ void EmitPerfSummary(const SweepReport& report, std::ostream& os,
     }
     cells << "\n" << JsonObj::Pad(2) << "]";
     o.Field("cells_detail", cells.str());
-  }
-  // Zero-copy trajectory point: bundle_load_seconds is the eager
-  // header-validate cost of the mapping (µs-scale, vs the old full-file
-  // fread+checksum), gated by scripts/check.sh alongside cells_per_second.
-  if (report.bundle_mode == "mmap") {
-    std::ostringstream sub;
-    JsonObj w(sub, 2);
-    w.Num("bundle_load_seconds", report.load_wall_seconds);
-    w.Int("map_us", report.bundle_map_us);
-    w.Int("bytes_mapped", report.bundle_bytes_mapped);
-    w.Num("cells_per_second", report.cells_per_second());
-    w.Num("events_per_second", report.events_per_second());
-    w.Close();
-    o.Field("warm_mmap", sub.str());
   }
   for (const PerfSection& e : extras) o.Field(e.key, e.raw_json);
   o.Close();

@@ -18,10 +18,6 @@
 
 namespace stagedcmp::sweep {
 
-namespace bundle_testing {
-std::atomic<bool> force_mmap_failure{false};
-}  // namespace bundle_testing
-
 namespace {
 
 constexpr uint64_t kMagic = 0x31444E4254435343ULL;  // "CSCTBND1"
@@ -44,16 +40,6 @@ struct FileCloser {
   }
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-/// Positions `f` at absolute byte `offset`. 64-bit offsets on POSIX;
-/// elsewhere fseek's `long` bounds them.
-bool SeekTo(std::FILE* f, uint64_t offset) {
-#ifdef __unix__
-  return ::fseeko(f, static_cast<off_t>(offset), SEEK_SET) == 0;
-#else
-  return std::fseek(f, static_cast<long>(offset), SEEK_SET) == 0;
-#endif
-}
 
 /// Header words of a bundle holding `configs`: magic, version, scale
 /// knobs, set count, per set its config block, 3 set words and a 5-word
@@ -89,27 +75,25 @@ struct ParsedHeader {
   std::vector<SetIndex> sets;
 };
 
-/// Parses and validates the v3 header against the expected canonical
-/// sequence: magic, version, scale knobs, config blocks, index geometry
-/// (every offset must equal the canonical 64-aligned layout and the
-/// last payload must end exactly at file_bytes), and the header
-/// checksum. False on any mismatch. Payload checksums are NOT checked —
-/// transports decide when (fread: eagerly; mmap: lazily per set).
-/// `next(&word)` supplies the file's words in order (a mapped buffer or
-/// a FILE*); it is never asked for more than file_bytes / 8 words.
-template <typename NextWord>
-bool ParseHeader(NextWord next, int64_t file_bytes,
+/// Parses and validates the v3 header at the start of a mapped file of
+/// `file_bytes` bytes against the expected canonical sequence: magic,
+/// version, scale knobs, config blocks, index geometry (every offset must
+/// equal the canonical 64-aligned layout and the last payload must end
+/// exactly at file_bytes), and the header checksum. False on any
+/// mismatch. Payload checksums are NOT checked — VerifyBundleSet does
+/// that lazily, per set. Never reads past the file's last whole word.
+bool ParseHeader(const uint64_t* words, uint64_t file_bytes,
                  const harness::WorkloadFactory& factory,
                  const std::vector<harness::TraceSetConfig>& expected,
                  ParsedHeader* out) {
-  if (file_bytes <= 0 || file_bytes % 8 != 0) return false;
-  const uint64_t max_words = static_cast<uint64_t>(file_bytes) / 8;
+  if (file_bytes == 0 || file_bytes % 8 != 0) return false;
+  const uint64_t max_words = file_bytes / 8;
   Checksum sum;
-  uint64_t words_read = 0;
+  uint64_t pos = 0;
   uint64_t v = 0;
   const auto get = [&](uint64_t* dst) {
-    if (words_read >= max_words || !next(dst)) return false;
-    ++words_read;
+    if (pos >= max_words) return false;
+    *dst = words[pos++];
     sum.Mix(*dst);
     return true;
   };
@@ -144,26 +128,20 @@ bool ParseHeader(NextWord next, int64_t file_bytes,
     out->sets.push_back(std::move(si));
   }
   // Header checksum covers every header word above it.
-  const uint64_t computed = sum.state;
-  uint64_t stored = 0;
-  if (words_read >= max_words || !next(&stored)) return false;
-  ++words_read;
-  if (stored != computed) return false;
+  if (pos >= max_words || words[pos++] != sum.state) return false;
   // Geometry: the index must describe exactly the canonical layout —
   // payloads packed in order at 64-byte-aligned offsets right after the
   // padded header, with nothing trailing.
-  out->header_end = Align64(words_read * 8);
+  out->header_end = Align64(pos * 8);
   uint64_t cursor = out->header_end;
   for (const SetIndex& si : out->sets) {
     for (const TraceIndex& ti : si.traces) {
       if (ti.offset_bytes != cursor) return false;
-      if (ti.n_events > (static_cast<uint64_t>(file_bytes) - cursor) / 8) {
-        return false;
-      }
+      if (ti.n_events > (file_bytes - cursor) / 8) return false;
       cursor += Align64(ti.n_events * 8);
     }
   }
-  return cursor == static_cast<uint64_t>(file_bytes);
+  return cursor == file_bytes;
 }
 
 /// Restores the fields that are pure functions of the config (and so are
@@ -181,9 +159,6 @@ std::shared_ptr<MappedBundle> MappedBundle::Map(const std::string& path) {
   (void)path;
   return nullptr;
 #else
-  if (bundle_testing::force_mmap_failure.load(std::memory_order_relaxed)) {
-    return nullptr;
-  }
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return nullptr;
   struct stat st;
@@ -325,7 +300,8 @@ bool BundleWriter::Finish() {
   // Surface buffered-write failures (disk full at flush time) before the
   // rename; fclose is checked too, since it performs the last write.
   const bool ok = appended_ == configs_.size() &&
-                  header_.size() == header_words_ && SeekTo(file_, 0) &&
+                  header_.size() == header_words_ &&
+                  std::fseek(file_, 0, SEEK_SET) == 0 &&
                   std::fwrite(header_.data(), sizeof(uint64_t),
                               header_.size(), file_) == header_.size() &&
                   std::fflush(file_) == 0 && std::ferror(file_) == 0;
@@ -377,99 +353,42 @@ bool VerifyBundleSet(const harness::TraceSet& set,
 
 BundleOpenResult OpenTraceBundle(
     const std::string& path, const harness::WorkloadFactory& factory,
-    const std::vector<harness::TraceSetConfig>& expected,
-    const std::vector<char>* needed, bool force_fread) {
+    const std::vector<harness::TraceSetConfig>& expected) {
   BundleOpenResult r;
-  if (!force_fread) {
-    const auto map_t0 = std::chrono::steady_clock::now();
-    std::shared_ptr<MappedBundle> mapping = MappedBundle::Map(path);
-    if (mapping != nullptr) {
-      // Map succeeded: validate the header against the mapped words. A
-      // mismatch here means the bytes themselves are stale/corrupt —
-      // the fread path would read the same bytes and reject them too,
-      // so demote straight to cold.
-      ParsedHeader ph;
-      const auto next = [w = mapping->words()](uint64_t* v) mutable {
-        *v = *w++;
-        return true;
-      };
-      if (!ParseHeader(next, static_cast<int64_t>(mapping->size_bytes()),
-                       factory, expected, &ph)) {
-        return r;
-      }
-      r.mode = "mmap";
-      r.mapping = mapping;
-      r.sets.resize(expected.size());
-      r.checksums.resize(expected.size());
-      for (size_t j = 0; j < expected.size(); ++j) {
-        harness::TraceSet& ts = r.sets[j];
-        const SetIndex& si = ph.sets[j];
-        InitSetFromConfig(&ts, expected[j]);
-        ts.total_instructions = si.total_instructions;
-        ts.total_events = si.total_events;
-        ts.backing = mapping;  // pins the mapping per served set
-        ts.traces.resize(si.traces.size());
-        r.checksums[j].reserve(si.traces.size());
-        for (size_t i = 0; i < si.traces.size(); ++i) {
-          const TraceIndex& ti = si.traces[i];
-          trace::ClientTrace& t = ts.traces[i];
-          t.SetView(mapping->words() + ti.offset_bytes / 8, ti.n_events);
-          t.total_instructions = ti.total_instructions;
-          t.requests = static_cast<uint32_t>(ti.requests);
-          r.checksums[j].push_back(ti.checksum);
-        }
-      }
-      r.map_us = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - map_t0)
-              .count());
-      return r;
-    }
-    // Map failure (syscall or test hook): demote to the fread path.
-  }
-
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return r;
-  const int64_t file_bytes = BundleFileBytes(path);
-  if (file_bytes < 0) return r;
+  const auto map_t0 = std::chrono::steady_clock::now();
+  std::shared_ptr<MappedBundle> mapping = MappedBundle::Map(path);
   ParsedHeader ph;
-  const auto next = [&f](uint64_t* v) {
-    return std::fread(v, sizeof(*v), 1, f.get()) == 1;
-  };
-  if (!ParseHeader(next, file_bytes, factory, expected, &ph)) return r;
-  std::vector<harness::TraceSet> sets(expected.size());
+  if (mapping == nullptr ||
+      !ParseHeader(mapping->words(), mapping->size_bytes(), factory, expected,
+                   &ph)) {
+    return r;
+  }
+  r.mode = "mmap";
+  r.mapping = mapping;
+  r.sets.resize(expected.size());
+  r.checksums.resize(expected.size());
   for (size_t j = 0; j < expected.size(); ++j) {
-    harness::TraceSet& ts = sets[j];
+    harness::TraceSet& ts = r.sets[j];
     const SetIndex& si = ph.sets[j];
     InitSetFromConfig(&ts, expected[j]);
     ts.total_instructions = si.total_instructions;
     ts.total_events = si.total_events;
-    // A sharded run skips sets none of its cells touch: their payload
-    // bytes are never read (the index already told us where the next
-    // needed set lives) and the slot stays empty.
-    if (needed != nullptr && !(*needed)[j]) continue;
+    ts.backing = mapping;  // pins the mapping per served set
     ts.traces.resize(si.traces.size());
+    r.checksums[j].reserve(si.traces.size());
     for (size_t i = 0; i < si.traces.size(); ++i) {
       const TraceIndex& ti = si.traces[i];
       trace::ClientTrace& t = ts.traces[i];
-      t.requests = static_cast<uint32_t>(ti.requests);
+      t.SetView(mapping->words() + ti.offset_bytes / 8, ti.n_events);
       t.total_instructions = ti.total_instructions;
-      t.events.resize(ti.n_events);
-      if (!SeekTo(f.get(), ti.offset_bytes)) return r;
-      if (ti.n_events != 0 &&
-          std::fread(t.events.data(), sizeof(uint64_t), ti.n_events,
-                     f.get()) != ti.n_events) {
-        return r;
-      }
-      // Eager per-trace verification: the fread path hands out sets
-      // that are already trusted, all-or-nothing.
-      Checksum sum;
-      sum.MixAll(t.events.data(), t.events.size());
-      if (sum.state != ti.checksum) return r;
+      t.requests = static_cast<uint32_t>(ti.requests);
+      r.checksums[j].push_back(ti.checksum);
     }
   }
-  r.mode = "fread";
-  r.sets = std::move(sets);
+  r.map_us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - map_t0)
+          .count());
   return r;
 }
 

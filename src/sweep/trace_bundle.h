@@ -35,11 +35,12 @@
 // the set arrives, and writes the header last; the sweep runner appends
 // cold sets as they are built and frees them once replayed.
 //
-// Demotion chain: mmap syscall failure (or a forced fallback) demotes to
-// the fread path — owning buffers, header + payload checksums verified
-// eagerly while reading, all-or-nothing — and any header mismatch,
-// truncation, version skew (a v2 bundle read by this code), or checksum
-// failure demotes to a cold rebuild (which then rewrites the bundle).
+// Demotion chain, two steps, never aborting a run: a map failure or any
+// header/geometry mismatch — truncation, version skew (a v2 bundle read
+// by this code), header checksum — demotes the whole open to a cold
+// rebuild (which then rewrites the bundle); a payload checksum mismatch
+// found by the lazy per-set verification demotes only that set, and the
+// run reports `partial`.
 //
 // Staleness caveat: the format records configs and scales, not the
 // engine's code. After changing trace generation itself (workloads,
@@ -51,7 +52,6 @@
 #ifndef STAGEDCMP_SWEEP_TRACE_BUNDLE_H_
 #define STAGEDCMP_SWEEP_TRACE_BUNDLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -69,8 +69,8 @@ namespace stagedcmp::sweep {
 /// inode.
 class MappedBundle {
  public:
-  /// Maps `path` read-only. Null on open/stat/mmap failure (including
-  /// the test hook below) — callers demote to the fread path.
+  /// Maps `path` read-only. Null on open/stat/mmap failure (and on hosts
+  /// without mmap) — OpenTraceBundle then reports "cold".
   static std::shared_ptr<MappedBundle> Map(const std::string& path);
   ~MappedBundle();
 
@@ -96,19 +96,19 @@ class MappedBundle {
 };
 
 /// Outcome of OpenTraceBundle. `sets` is parallel to the expected config
-/// sequence; `mode` records the transport that served it:
-///   "mmap"  — view-based sets into a shared mapping; header + index
-///             validated, payload checksums NOT yet — callers must run
-///             VerifyBundleSet(sets[j], checksums[j]) before trusting a
-///             set, and on failure rebuild that set cold.
-///   "fread" — owning sets, fully verified; checksums is empty.
-///   "cold"  — nothing served (missing/stale/corrupt header); sets empty.
+/// sequence; `mode` records the outcome:
+///   "mmap" — view-based sets into a shared mapping; header + index
+///            validated, payload checksums NOT yet — callers must run
+///            VerifyBundleSet(sets[j], checksums[j]) before trusting a
+///            set, and on failure rebuild that set cold.
+///   "cold" — nothing served (missing file, map failure, stale or
+///            corrupt header/geometry); sets empty, mapping null.
 struct BundleOpenResult {
   std::string mode = "cold";
   std::vector<harness::TraceSet> sets;
-  std::vector<std::vector<uint64_t>> checksums;  ///< mmap: per set/trace
-  std::shared_ptr<MappedBundle> mapping;  ///< mmap: the whole-file mapping
-  uint64_t map_us = 0;                    ///< mmap: open+validate wall time
+  std::vector<std::vector<uint64_t>> checksums;  ///< per set, per trace
+  std::shared_ptr<MappedBundle> mapping;  ///< the whole-file mapping
+  uint64_t map_us = 0;                    ///< open+validate wall time
 };
 
 /// Streams trace sets into a v3 bundle at `path`, atomically: payloads
@@ -157,18 +157,14 @@ bool SaveTraceBundle(const std::string& path,
                      const harness::WorkloadFactory& factory,
                      const std::vector<const harness::TraceSet*>& sets);
 
-/// Opens `path` for the canonical sequence `expected`: mmap first, fread
-/// on map failure, "cold" when the header does not match. `needed`
-/// (optional, parallel to `expected`) marks the sets the caller will
-/// actually use — a sharded run passes its subset so the fread path
-/// skips unneeded payload bytes entirely (seeking over them) and leaves
-/// those `sets` slots empty; the mmap path serves every set but only
-/// needed pages are ever faulted in. `force_fread` skips the mmap
-/// attempt (measurement + tests).
+/// Maps `path` and validates its header against the canonical sequence
+/// `expected`: "mmap" with a view-based set per config, or "cold" on a
+/// map failure or any header/geometry mismatch. Every set is served, but
+/// only the pages a caller touches are ever faulted in, so a sharded run
+/// pays nothing for the sets it skips.
 BundleOpenResult OpenTraceBundle(
     const std::string& path, const harness::WorkloadFactory& factory,
-    const std::vector<harness::TraceSetConfig>& expected,
-    const std::vector<char>* needed = nullptr, bool force_fread = false);
+    const std::vector<harness::TraceSetConfig>& expected);
 
 /// Verifies one mmap-served set's event payloads against the per-trace
 /// checksums recorded in the bundle index. Faults in the set's pages
@@ -185,12 +181,6 @@ bool VerifyBundleSet(const harness::TraceSet& set,
 /// truncates at 2 GiB on LP32/Windows ABIs — exactly where out-of-core
 /// bundles live. Exposed for the regression test.
 int64_t BundleFileBytes(const std::string& path);
-
-namespace bundle_testing {
-/// When true, MappedBundle::Map fails as if mmap itself did — lets tests
-/// and scripts exercise the mmap → fread demotion without a real fault.
-extern std::atomic<bool> force_mmap_failure;
-}  // namespace bundle_testing
 
 }  // namespace stagedcmp::sweep
 

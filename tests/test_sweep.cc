@@ -3,6 +3,7 @@
 // output), and equivalence with direct RunExperiment calls.
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -325,6 +326,21 @@ TEST(TraceSetCache, EvictAllDropsEntriesAndAllowsRebuild) {
   EXPECT_EQ(cache.stats().builds, 2u);  // evicted entry was really dropped
 }
 
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// Header word where set 0's first index row starts: magic and version,
+// the factory's scale knobs, the set count, set 0's config block, its
+// two totals and its trace count. A row is requests, total_instructions,
+// n_events, offset_bytes, checksum.
+uint64_t FirstIndexRowWord(const harness::WorkloadFactory& factory) {
+  return 2 + harness::ScaleWords(factory).size() + 1 +
+         harness::FieldCount<harness::TraceSetConfig>() + 3;
+}
+
 TEST(TraceBundle, SaveThenLoadRoundTripsEveryEvent) {
   harness::WorkloadFactory factory;
   harness::TraceSetConfig cfg;
@@ -337,35 +353,40 @@ TEST(TraceBundle, SaveThenLoadRoundTripsEveryEvent) {
   const std::string path = ::testing::TempDir() + "bundle_roundtrip.traces";
   ASSERT_TRUE(sweep::SaveTraceBundle(path, factory, {&built}));
 
-  // The owning fread transport: fully verified, all-or-nothing.
-  const auto fread_mode = [&](const harness::WorkloadFactory& f,
-                              const harness::TraceSetConfig& c) {
-    return sweep::OpenTraceBundle(path, f, {c}, /*needed=*/nullptr,
-                                  /*force_fread=*/true)
-        .mode;
-  };
-  sweep::BundleOpenResult open = sweep::OpenTraceBundle(
-      path, factory, {cfg}, /*needed=*/nullptr, /*force_fread=*/true);
-  ASSERT_EQ(open.mode, "fread");
-  const std::vector<harness::TraceSet>& loaded = open.sets;
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded[0].total_instructions, built.total_instructions);
-  EXPECT_EQ(loaded[0].total_events, built.total_events);
-  ASSERT_EQ(loaded[0].traces.size(), built.traces.size());
-  for (size_t i = 0; i < built.traces.size(); ++i) {
-    EXPECT_EQ(loaded[0].traces[i].requests, built.traces[i].requests);
-    EXPECT_EQ(loaded[0].traces[i].total_instructions,
-              built.traces[i].total_instructions);
-    EXPECT_EQ(loaded[0].traces[i].events, built.traces[i].events);
+  // The mapped transport serves every event byte-for-byte, and the
+  // lazy payload verification passes on the untouched file. Scoped so
+  // the mapping is gone before the corruption cases rewrite the file.
+  {
+    const sweep::BundleOpenResult open =
+        sweep::OpenTraceBundle(path, factory, {cfg});
+    ASSERT_EQ(open.mode, "mmap");
+    ASSERT_EQ(open.sets.size(), 1u);
+    const harness::TraceSet& loaded = open.sets[0];
+    EXPECT_EQ(loaded.total_instructions, built.total_instructions);
+    EXPECT_EQ(loaded.total_events, built.total_events);
+    ASSERT_EQ(loaded.traces.size(), built.traces.size());
+    for (size_t i = 0; i < built.traces.size(); ++i) {
+      const trace::ClientTrace& t = loaded.traces[i];
+      EXPECT_EQ(t.requests, built.traces[i].requests);
+      EXPECT_EQ(t.total_instructions, built.traces[i].total_instructions);
+      EXPECT_EQ(std::vector<uint64_t>(t.events_data(),
+                                      t.events_data() + t.events_size()),
+                built.traces[i].events);
+    }
+    EXPECT_TRUE(sweep::VerifyBundleSet(loaded, open.checksums[0]));
   }
+  const auto open_mode = [&](const harness::WorkloadFactory& f,
+                             const harness::TraceSetConfig& c) {
+    return sweep::OpenTraceBundle(path, f, {c}).mode;
+  };
 
   // A different expected sequence or different scale knobs must reject.
   harness::TraceSetConfig other = cfg;
   other.seed = 24;
-  EXPECT_EQ(fread_mode(factory, other), "cold");
+  EXPECT_EQ(open_mode(factory, other), "cold");
   harness::WorkloadFactory rescaled;
   rescaled.tpcc_config.warehouses += 1;
-  EXPECT_EQ(fread_mode(rescaled, cfg), "cold");
+  EXPECT_EQ(open_mode(rescaled, cfg), "cold");
 
   // Corruption must reject gracefully (fall back to a cold build), never
   // throw: a truncated file and an absurd in-band length word.
@@ -378,25 +399,37 @@ TEST(TraceBundle, SaveThenLoadRoundTripsEveryEvent) {
     trunc.write(bytes.data(),
                 static_cast<std::streamsize>(bytes.size() / 2));
     trunc.close();
-    EXPECT_EQ(fread_mode(factory, cfg), "cold");
+    EXPECT_EQ(open_mode(factory, cfg), "cold");
 
-    // Restore, then blow up trace 0's in-band event count (v3 header:
-    // 2 magic/version + 22 scale + 1 n_sets + 14 config + 2 totals +
-    // 1 n_traces = word 42 starts the index rows; n_events is row word
-    // 2). Stomping it with 2^62 must hit the header checksum or a
-    // length bound, not vector::resize.
-    std::ofstream rewrite(path, std::ios::binary | std::ios::trunc);
-    rewrite.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    rewrite.close();
-    std::fstream stomp(path,
-                       std::ios::binary | std::ios::in | std::ios::out);
-    const uint64_t huge = 1ull << 62;
-    stomp.seekp(44 * 8);
-    stomp.write(reinterpret_cast<const char*>(&huge), 8);
-    stomp.close();
-    EXPECT_EQ(fread_mode(factory, cfg), "cold");
+    // Restore, then overwrite one word of trace 0's index row. Each stomp
+    // must demote to cold.
+    const uint64_t row = FirstIndexRowWord(factory);
+    uint64_t n_events = 0;
+    uint64_t instructions = 0;
+    std::memcpy(&n_events, bytes.data() + (row + 2) * 8, 8);
+    std::memcpy(&instructions, bytes.data() + (row + 1) * 8, 8);
+    ASSERT_EQ(n_events, built.traces[0].events.size());  // layout pinned
+    ASSERT_EQ(instructions, built.traces[0].total_instructions);
+    const auto stomp_word = [&](uint64_t word, uint64_t value) {
+      std::ofstream rewrite(path, std::ios::binary | std::ios::trunc);
+      rewrite.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      rewrite.close();
+      std::fstream stomp(path,
+                         std::ios::binary | std::ios::in | std::ios::out);
+      stomp.seekp(static_cast<std::streamoff>(word * 8));
+      stomp.write(reinterpret_cast<const char*>(&value), 8);
+    };
+    // The in-band event count blown up to 2^62 must hit a length bound
+    // or the header checksum, not vector::resize.
+    stomp_word(row + 2, 1ull << 62);
+    EXPECT_EQ(open_mode(factory, cfg), "cold");
+    // The instruction count is bounded by nothing but the header
+    // checksum.
+    stomp_word(row + 1, instructions + 1);
+    EXPECT_EQ(open_mode(factory, cfg), "cold");
 
-    // A single flipped bit in the event payload must fail the checksum
+    // A single flipped bit in the event payload leaves the header valid,
+    // so the open maps; the lazy per-set verification must catch it
     // (warm replays promise bit-identity with the run that recorded).
     std::ofstream rewrite2(path, std::ios::binary | std::ios::trunc);
     rewrite2.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -409,8 +442,12 @@ TEST(TraceBundle, SaveThenLoadRoundTripsEveryEvent) {
     flip.seekp(static_cast<std::streamoff>(bytes.size() / 2));
     flip.write(&b, 1);
     flip.close();
-    EXPECT_EQ(fread_mode(factory, cfg), "cold");
+    const sweep::BundleOpenResult flipped =
+        sweep::OpenTraceBundle(path, factory, {cfg});
+    ASSERT_EQ(flipped.mode, "mmap");
+    EXPECT_FALSE(sweep::VerifyBundleSet(flipped.sets[0], flipped.checksums[0]));
   }
+  std::remove(path.c_str());
 }
 
 // One small built set plus its bundle on disk, shared by the transport
@@ -470,21 +507,63 @@ TEST(TraceBundle, MmapServesZeroCopyViewsVerifiedLazily) {
   EXPECT_FALSE(sweep::VerifyBundleSet(fx.built, r.checksums[0]));
 }
 
-TEST(TraceBundle, MapFailureHookDemotesToFread) {
-  BundleFixture fx("bundle_demote.traces");
-  sweep::bundle_testing::force_mmap_failure.store(true);
-  sweep::BundleOpenResult r =
-      sweep::OpenTraceBundle(fx.path, fx.factory, {fx.cfg});
-  sweep::bundle_testing::force_mmap_failure.store(false);
-  ASSERT_EQ(r.mode, "fread");
-  ASSERT_EQ(r.sets.size(), 1u);
-  ASSERT_EQ(r.sets[0].traces.size(), fx.built.traces.size());
-  for (size_t i = 0; i < fx.built.traces.size(); ++i) {
-    // Owning copies, already verified — and the same bytes either way.
-    EXPECT_EQ(r.sets[0].traces[i].view_data, nullptr);
-    EXPECT_EQ(r.sets[0].traces[i].events, fx.built.traces[i].events);
-  }
-  EXPECT_EQ(r.sets[0].backing, nullptr);
+TEST(TraceBundle, MapFailureOnDirectoryDemotesToCold) {
+  // A directory opens read-only but cannot be mapped (Linux mmap fails
+  // with ENODEV): a real map failure, served as a cold rebuild.
+  harness::WorkloadFactory factory;
+  harness::TraceSetConfig cfg;
+  cfg.workload = harness::WorkloadKind::kOltp;
+  cfg.clients = 2;
+  const sweep::BundleOpenResult r =
+      sweep::OpenTraceBundle(::testing::TempDir(), factory, {cfg});
+  EXPECT_EQ(r.mode, "cold");
+  EXPECT_EQ(r.mapping, nullptr);
+  EXPECT_TRUE(r.sets.empty());
+}
+
+TEST(TraceBundle, UnmappableEmptyFileRebuildsColdThenServesWarm) {
+  // An empty file cannot be mapped. The runner must rebuild cold, replace
+  // the file with a valid bundle, and serve the next run from it warm.
+  const std::string path = ::testing::TempDir() + "bundle_empty.traces";
+  { std::ofstream empty(path, std::ios::binary | std::ios::trunc); }
+  ASSERT_EQ(FileBytes(path).size(), 0u);
+  sweep::SweepSpec spec("empty", "one 2-client set, both camps");
+  spec.base_exp.cores = 2;
+  spec.base_exp.l2_bytes = 1ull << 20;
+  spec.base_exp.measure_instructions = 200'000;
+  spec.base_exp.warmup_instructions = 50'000;
+  spec.base_trace.workload = harness::WorkloadKind::kOltp;
+  spec.base_trace.clients = 2;
+  spec.base_trace.requests_per_client = 2;
+  spec.base_trace.seed = 23;
+  spec.AddAxis(
+      "camp",
+      {{"FC", [](sweep::Cell& c) { c.exp.camp = coresim::Camp::kFat; }},
+       {"LC", [](sweep::Cell& c) { c.exp.camp = coresim::Camp::kLean; }}});
+  auto run = [&](harness::WorkloadFactory* factory) {
+    sweep::RunnerOptions options;
+    options.threads = 1;
+    options.trace_bundle = path;
+    sweep::SweepRunner runner(factory, options);
+    return runner.Run(spec);
+  };
+  auto golden = [](const sweep::SweepReport& r) {
+    std::ostringstream os;
+    sweep::JsonSink(/*include_timing=*/false, /*golden=*/true).Emit(r, os);
+    return os.str();
+  };
+  harness::WorkloadFactory f1, f2;
+  const sweep::SweepReport cold = run(&f1);
+  EXPECT_EQ(cold.bundle, "cold");
+  EXPECT_EQ(cold.bundle_mode, "cold");
+  EXPECT_GT(FileBytes(path).size(), 0u);
+
+  const sweep::SweepReport warm = run(&f2);
+  EXPECT_EQ(warm.bundle, "warm");
+  EXPECT_EQ(warm.bundle_mode, "mmap");
+  EXPECT_EQ(warm.trace_sets_built, 0u);
+  EXPECT_EQ(golden(cold), golden(warm));
+  std::remove(path.c_str());
 }
 
 TEST(TraceBundle, WrongVersionOrTruncationDemotesToCold) {
@@ -505,7 +584,7 @@ TEST(TraceBundle, WrongVersionOrTruncationDemotesToCold) {
   EXPECT_EQ(sweep::OpenTraceBundle(fx.path, fx.factory, {fx.cfg}).mode,
             "cold");
 
-  // Truncation demotes to cold on both transports.
+  // Truncation demotes to cold.
   {
     std::ofstream trunc(fx.path, std::ios::binary | std::ios::trunc);
     trunc.write(bytes.data(),
@@ -513,23 +592,21 @@ TEST(TraceBundle, WrongVersionOrTruncationDemotesToCold) {
   }
   EXPECT_EQ(sweep::OpenTraceBundle(fx.path, fx.factory, {fx.cfg}).mode,
             "cold");
-  EXPECT_EQ(sweep::OpenTraceBundle(fx.path, fx.factory, {fx.cfg}, nullptr,
-                                   /*force_fread=*/true)
-                .mode,
-            "cold");
 }
 
-TEST(TraceBundle, FlippedPayloadWordCaughtLazilyAndEagerly) {
+TEST(TraceBundle, FlippedPayloadWordCaughtLazily) {
   BundleFixture fx("bundle_flip.traces");
   // Flip one bit in trace 0's first payload word. The payload region
   // starts at the 64-byte-aligned end of the header; rather than
-  // recompute it, read the recorded offset from index row 0 (header
-  // word 42 starts the rows; offset_bytes is row word 3).
+  // recompute it, read the recorded offset from index row 0.
   uint64_t offset = 0;
   {
     std::fstream f(fx.path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekg((42 + 3) * 8);
+    f.seekg(static_cast<std::streamoff>(
+        (FirstIndexRowWord(fx.factory) + 3) * 8));
     f.read(reinterpret_cast<char*>(&offset), 8);
+    ASSERT_GT(offset, 0u);
+    ASSERT_EQ(offset % 64, 0u);
     uint64_t w = 0;
     f.seekg(static_cast<std::streamoff>(offset));
     f.read(reinterpret_cast<char*>(&w), 8);
@@ -544,11 +621,6 @@ TEST(TraceBundle, FlippedPayloadWordCaughtLazilyAndEagerly) {
       sweep::OpenTraceBundle(fx.path, fx.factory, {fx.cfg});
   ASSERT_EQ(r.mode, "mmap");
   EXPECT_FALSE(sweep::VerifyBundleSet(r.sets[0], r.checksums[0]));
-  // fread verifies eagerly: the whole open demotes to cold.
-  EXPECT_EQ(sweep::OpenTraceBundle(fx.path, fx.factory, {fx.cfg}, nullptr,
-                                   /*force_fread=*/true)
-                .mode,
-            "cold");
 }
 
 TEST(TraceBundle, FileBytesSurvivesPastTwoGiB) {
@@ -620,15 +692,16 @@ TEST(TraceBundle, LazyMismatchRebuildsColdAndReportsPartial) {
   const sweep::SweepReport cold = run(&f1);
   ASSERT_EQ(cold.bundle, "cold");
 
-  // Corrupt set 0's first payload word (offset read from index row 0 —
-  // header word 42 starts the rows, offset_bytes is row word 3). The
-  // mmap open still succeeds; only the lazy per-set verification on the
-  // build pool notices, rebuilds that set cold, and flags the run.
+  // Corrupt set 0's first payload word (offset read from index row 0).
+  // The mmap open still succeeds; only the lazy per-set verification on
+  // the build pool notices, rebuilds that set cold, and flags the run.
   {
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
     uint64_t offset = 0;
-    f.seekg((42 + 3) * 8);
+    f.seekg(static_cast<std::streamoff>((FirstIndexRowWord(f1) + 3) * 8));
     f.read(reinterpret_cast<char*>(&offset), 8);
+    ASSERT_GT(offset, 0u);
+    ASSERT_EQ(offset % 64, 0u);
     uint64_t w = 0;
     f.seekg(static_cast<std::streamoff>(offset));
     f.read(reinterpret_cast<char*>(&w), 8);
@@ -689,12 +762,6 @@ sweep::SweepSpec StreamSpec() {
       {{"FC", [](sweep::Cell& c) { c.exp.camp = coresim::Camp::kFat; }},
        {"LC", [](sweep::Cell& c) { c.exp.camp = coresim::Camp::kLean; }}});
   return spec;
-}
-
-std::string FileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
 }
 
 bool FileExists(const std::string& path) {

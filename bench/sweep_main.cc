@@ -17,8 +17,9 @@
 // value within a process. --golden further restricts the output (JSON
 // or CSV) to fields that are byte-stable across processes AND across
 // cold parallel builds (grid, configs, trace-set totals; the simulated
-// metrics shift with heap placement), which is what scripts/check.sh
-// diffs against tests/golden/sweep_smoke.json at --threads {1,2,8}.
+// metrics shift with heap placement): the bytes committed as
+// tests/golden/sweep_<spec>.json, which tests/test_goldens.cc diffs at
+// several thread counts, warm and sharded.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -45,7 +46,7 @@ int Usage(const char* argv0, int code) {
       code == 0 ? stdout : stderr,
       "usage: %s --spec NAME [--threads N] [--format table|json|csv]\n"
       "          [--out FILE] [--perf-out FILE] [--trace-bundle FILE]\n"
-      "          [--shard I/N] [--metrics-out FILE] [--trace-out FILE]\n"
+      "          [--shard I/N] [--trace-out FILE]\n"
       "          [--deterministic] [--golden]\n"
       "       %s --merge OUT SHARD_FILE...\n"
       "       %s --list\n"
@@ -56,10 +57,9 @@ int Usage(const char* argv0, int code) {
       "  --format F        result sink: table (default), json, csv\n"
       "  --out FILE        write results to FILE instead of stdout\n"
       "  --perf-out FILE   also write a BENCH_sweep.json perf summary\n"
-      "                    (wall clocks, throughput, peak_rss_mb)\n"
-      "  --metrics-out F   write the run's metrics registry (cache, build\n"
-      "                    pool, sweep pipeline, replay counters) as JSON;\n"
-      "                    the same snapshot is merged into --perf-out\n"
+      "                    (wall clocks, throughput, peak_rss_mb, and the\n"
+      "                    run's metrics registry: cache, build pool,\n"
+      "                    sweep pipeline, replay counters)\n"
       "  --trace-out FILE  write a Chrome trace-event span timeline of\n"
       "                    the run (load it in ui.perfetto.dev); with\n"
       "                    --deterministic the bytes are canonical\n"
@@ -97,7 +97,6 @@ int main(int argc, char** argv) {
   std::string out_path;
   std::string perf_path;
   std::string bundle_path;
-  std::string metrics_path;
   std::string trace_path;
   std::string shard_arg;   // "I/N"
   std::string merge_out;   // --merge output path; non-empty = merge mode
@@ -140,8 +139,6 @@ int main(int argc, char** argv) {
       shard_arg = value("--shard");
     } else if (arg == "--merge") {
       merge_out = value("--merge");
-    } else if (arg == "--metrics-out") {
-      metrics_path = value("--metrics-out");
     } else if (arg == "--trace-out") {
       trace_path = value("--trace-out");
     } else if (arg == "--deterministic") {
@@ -298,13 +295,11 @@ int main(int argc, char** argv) {
   // TPC-H). Must happen before the factory's first Build; bundle echoes
   // cover the scale, so a bundle built at another scale rebuilds cold.
   sweep::ConfigureFactoryForSpec(spec_name, &factory);
-  // Metrics ride along whenever any machine-readable summary wants them:
-  // --metrics-out obviously, and --perf-out gets the same snapshot as
-  // its "metrics" section. Observability must never perturb results
-  // (check.sh re-diffs the golden with all of this on).
+  // Metrics ride along whenever the perf summary wants them, as its
+  // "metrics" section. Observability must never perturb results
+  // (tests/test_goldens.cc re-diffs the golden with every sink on).
   MetricsRegistry registry;
-  MetricsRegistry* const metrics =
-      (!metrics_path.empty() || !perf_path.empty()) ? &registry : nullptr;
+  MetricsRegistry* const metrics = perf_path.empty() ? nullptr : &registry;
   // Cold builds fold traffic-shaper and YCSB counters (traffic.*,
   // ycsb.*) into the same registry; warm (bundle-served) runs build
   // nothing, so those families are absent there by design.
@@ -347,32 +342,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // One snapshot (taken by the runner at the end of Run) feeds both
-  // outputs, so the --metrics-out file and the perf summary's "metrics"
-  // section always agree.
-  if (!metrics_path.empty()) {
-    std::ofstream mout(metrics_path);
-    if (!mout) {
-      std::fprintf(stderr, "cannot open '%s'\n", metrics_path.c_str());
-      return 1;
-    }
-    report.metrics.WriteJson(mout);
-    mout << "\n";
-  }
-
   if (!perf_path.empty()) {
-    std::vector<sweep::PerfSection> extras;
-    {
-      std::ostringstream met;
-      report.metrics.WriteJson(met, 2);
-      extras.push_back({"metrics", met.str()});
-    }
     std::ofstream perf(perf_path);
     if (!perf) {
       std::fprintf(stderr, "cannot open '%s'\n", perf_path.c_str());
       return 1;
     }
-    sweep::EmitPerfSummary(report, perf, extras);
+    sweep::EmitPerfSummary(report, perf);
   }
 
   // The span timeline flushes last so it covers the sink write.

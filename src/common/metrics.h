@@ -180,8 +180,7 @@ struct MetricsSnapshot {
   /// Serializes as a deterministic-key-order JSON document:
   ///   {"schema_version":1,"counters":{...},"gauges":{...},
   ///    "histograms":{name:{count,sum,mean,p50,p95,p99,max}}}
-  /// This is the --metrics-out format and the "metrics" section merged
-  /// into the sweep's --perf-out summary.
+  /// This is the "metrics" section of the sweep's --perf-out summary.
   void WriteJson(std::ostream& os, int indent = 0) const;
 };
 

@@ -22,7 +22,7 @@ harness::TraceSetConfig DssUnsaturatedConfig();
 /// Names accepted by BuiltinSpec, in presentation order:
 ///   smoke    — tiny 2x2 grid for CI golden-diff and perf trajectory
 ///   smokesmp — tiny {OLTP,DSS} SMP grid: golden diff in
-///              scripts/check.sh, directory-vs-reference replay in
+///              tests/test_goldens.cc, directory-vs-reference replay in
 ///              tests/test_smp_arms.cc
 ///   fig2     — DSS clients {1..128} on a 4-core FC CMP (saturation)
 ///   fig3     — one saturated-DSS cell on a Power5-like CMP (validation)

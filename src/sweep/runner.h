@@ -11,8 +11,9 @@
 // published, regardless of how many other sets are still building.
 //
 // Determinism: golden output — grid, labels, configs, trace skeleton
-// totals — is identical byte for byte for any thread count. Three
-// properties make that true:
+// totals — is identical byte for byte for any thread count (every
+// committed golden is held to it, cold, warm and sharded, by
+// tests/test_goldens.cc). Three properties make that true:
 //   1. Each trace set is a pure function of its config (isolated world:
 //      fresh databases, private code-region map; a slice equals the
 //      standalone build of its config in everything but data addresses),

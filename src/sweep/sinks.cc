@@ -466,8 +466,7 @@ void CsvSink::Emit(const SweepReport& report, std::ostream& os) const {
   table.PrintCsv(os);
 }
 
-void EmitPerfSummary(const SweepReport& report, std::ostream& os,
-                     const std::vector<PerfSection>& extras) {
+void EmitPerfSummary(const SweepReport& report, std::ostream& os) {
   JsonObj o(os, 0);
   // v2: added schema_version + environment (v1 files have neither).
   o.Int("schema_version", 2);
@@ -482,7 +481,8 @@ void EmitPerfSummary(const SweepReport& report, std::ostream& os,
   o.Int("cells", report.cells.size());
   o.Str("trace_bundle", report.bundle);
   // Transport that served the bundle (off/cold/mmap); the warm check.sh
-  // pass and the benchmark's warm checks require "mmap".
+  // pass, the warm golden tests and the benchmark's warm checks require
+  // "mmap".
   o.Str("bundle_mode", report.bundle_mode);
   o.Int("trace_sets_built", report.trace_sets_built);
   // Per-phase wall clocks. bundle_load is serial; trace building overlaps
@@ -520,7 +520,11 @@ void EmitPerfSummary(const SweepReport& report, std::ostream& os,
     cells << "\n" << JsonObj::Pad(2) << "]";
     o.Field("cells_detail", cells.str());
   }
-  for (const PerfSection& e : extras) o.Field(e.key, e.raw_json);
+  if (report.has_metrics) {
+    std::ostringstream met;
+    report.metrics.WriteJson(met, 2);
+    o.Field("metrics", met.str());
+  }
   o.Close();
   os << "\n";
 }

@@ -5,8 +5,8 @@
 // JSON and CSV output is deterministic: fixed key/column order, doubles
 // printed with %.17g (round-trip exact). With timing excluded the bytes
 // depend only on the spec and the simulation — not on thread count or
-// machine load — which is what the golden-diff in scripts/check.sh and
-// the thread-invariance test rely on.
+// machine load — which is what the golden diffs in tests/test_goldens.cc
+// and the thread-invariance tests rely on.
 #ifndef STAGEDCMP_SWEEP_SINKS_H_
 #define STAGEDCMP_SWEEP_SINKS_H_
 
@@ -82,20 +82,11 @@ class CsvSink : public ResultSink {
 /// (harness/config_fields.h), then the resolved hardware.
 void EmitCellConfigJson(const Cell& cell, std::ostream& os, int indent);
 
-/// An extra top-level section appended to the perf summary: `raw_json`
-/// is emitted verbatim as the value of `key` (callers own indentation —
-/// two-space base, like the built-in sections).
-struct PerfSection {
-  std::string key;
-  std::string raw_json;
-};
-
 /// Writes the sweep-level perf summary (cells/sec, wall-clock, threads,
 /// and the calling process's peak_rss_mb so far) as a small JSON object
-/// — the BENCH_sweep.json trajectory format — plus any caller-supplied
-/// extra sections (e.g. sweep_main's "metrics" registry snapshot).
-void EmitPerfSummary(const SweepReport& report, std::ostream& os,
-                     const std::vector<PerfSection>& extras = {});
+/// — the BENCH_sweep.json trajectory format — ending with the run's
+/// registry snapshot as a "metrics" section when it collected one.
+void EmitPerfSummary(const SweepReport& report, std::ostream& os);
 
 /// Factory for --format values: "table", "json", "csv". Null on unknown
 /// (and on golden table output, which has no process-invariant subset).

@@ -31,7 +31,7 @@
 // Observability (optional): constructed with a MetricsRegistry the cache
 // maintains `trace_cache.*` counters (lookups, hits, misses, inserts,
 // slices, evictions, rendezvous_waits) and histograms (build_us,
-// rendezvous_wait_us). Invariants, checked by tests and scripts/check.sh:
+// rendezvous_wait_us). Invariants, checked by test_sweep and test_goldens:
 // lookups == hits + misses (lookups count Get() calls only); misses ==
 // builds-by-Get; a caller that blocks on another thread's in-flight
 // build counts as a hit AND a rendezvous_wait.

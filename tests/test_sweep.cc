@@ -229,43 +229,6 @@ TEST(SweepRunner, ResultsAreIdenticalForOneAndEightThreads) {
   EXPECT_EQ(to_csv(serial), to_csv(parallel));
 }
 
-TEST(SweepRunner, ColdGoldenOutputByteIdenticalAcrossThreadCounts) {
-  // The cold-determinism matrix: evict the trace cache before every run
-  // so each thread count rebuilds every set from scratch through the
-  // parallel build pool, then byte-diff the golden JSON and CSV forms.
-  // Golden output carries only process-invariant fields (grid, configs,
-  // trace skeleton totals) — the full simulated metrics legally shift
-  // with heap placement across rebuilds, which is why check.sh diffs
-  // sweep_main --golden the same way.
-  harness::WorkloadFactory factory;
-  sweep::TraceSetCache cache(&factory);
-  auto run_cold = [&](uint32_t threads) {
-    cache.EvictAll();
-    sweep::SweepRunner runner(&factory, WithThreads(threads),
-                              &cache);
-    const sweep::SweepReport report = runner.Run(TinySpec());
-    std::ostringstream json, csv;
-    sweep::JsonSink(/*include_timing=*/false, /*golden=*/true)
-        .Emit(report, json);
-    sweep::CsvSink(/*include_timing=*/false, /*golden=*/true)
-        .Emit(report, csv);
-    return std::make_pair(json.str(), csv.str());
-  };
-
-  const auto reference = run_cold(1);
-  EXPECT_NE(reference.first.find("total_events"), std::string::npos);
-  EXPECT_NE(reference.second.find("trace_total_events"), std::string::npos);
-  for (uint32_t threads : {2u, 8u}) {
-    const auto got = run_cold(threads);
-    EXPECT_EQ(reference.first, got.first)
-        << "golden JSON diverged at --threads " << threads;
-    EXPECT_EQ(reference.second, got.second)
-        << "golden CSV diverged at --threads " << threads;
-  }
-  // Three cold runs of a 2-set grid really did rebuild each time.
-  EXPECT_EQ(cache.stats().builds, 6u);
-}
-
 TEST(SweepRunner, CellsMatchDirectRunExperimentCalls) {
   harness::WorkloadFactory factory;
   sweep::TraceSetCache cache(&factory);

@@ -140,8 +140,7 @@ TEST(TraceCollector, WriteJsonIsLoadableShape) {
   EXPECT_NE(json.find("\"ph\": \"M\""), std::string::npos);  // thread name
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("work \\\"quoted\\\""), std::string::npos);
-  // Balanced braces/brackets — cheap structural validity proxy (check.sh
-  // parses the real output with python).
+  // Balanced braces/brackets — cheap structural validity proxy.
   int depth = 0;
   bool in_str = false;
   for (size_t i = 0; i < json.size(); ++i) {

@@ -286,8 +286,8 @@ BENCHMARK(BM_ReplayCores)->Arg(16)->Arg(256)->Arg(1024)
 // Warm bundle open on one synthetic bundle (32 MiB of fabricated trace
 // words — the loader never interprets payloads, so no workload build is
 // needed). The open maps the file, validates only the header and returns
-// zero-copy views, deferring payload checksums to the build pool, so its
-// cost should stay flat in the payload size.
+// zero-copy views, deferring payload checksums to the builder threads, so
+// its cost should stay flat in the payload size.
 namespace {
 struct SyntheticBundle {
   harness::WorkloadFactory factory;

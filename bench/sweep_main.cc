@@ -9,7 +9,7 @@
 //   sweep_main --list
 //
 // --threads drives both phases of a run: cold trace-set builds fan out
-// over a work pool (each build in an isolated workload world) and the
+// over builder threads (each build in an isolated workload world) and the
 // simulation workers replay cells in parallel.
 //
 // --deterministic omits all timing fields so the JSON/CSV bytes depend
@@ -58,8 +58,8 @@ int Usage(const char* argv0, int code) {
       "  --out FILE        write results to FILE instead of stdout\n"
       "  --perf-out FILE   also write a BENCH_sweep.json perf summary\n"
       "                    (wall clocks, throughput, peak_rss_mb, and the\n"
-      "                    run's metrics registry: cache, build pool,\n"
-      "                    sweep pipeline, replay counters)\n"
+      "                    run's metrics registry: trace cache, sweep\n"
+      "                    pipeline, replay counters)\n"
       "  --trace-out FILE  write a Chrome trace-event span timeline of\n"
       "                    the run (load it in ui.perfetto.dev); with\n"
       "                    --deterministic the bytes are canonical\n"

@@ -251,14 +251,15 @@ if [[ $run_tsan -eq 1 ]]; then
     -DCMAKE_BUILD_TYPE=Debug \
     -DSTAGEDCMP_TSAN=ON
   cmake --build build-tsan -j "$jobs"
-  # The concurrency-bearing suites: pool contract, world isolation, the
-  # sweep runner's build/sim pipeline, and the smoke goldens, whose cold
-  # runs regenerate every trace set concurrently through the build pool
-  # while sim workers replay — the exact interleaving the isolated-world
-  # design must keep race-free.
+  # The concurrency-bearing suites: world isolation (concurrent
+  # distinct-config TraceSetCache::Get), the sweep runner's build/sim
+  # pipeline and the cache's same-config race, and the smoke goldens,
+  # whose cold runs regenerate every trace set concurrently on the
+  # builder threads while sim workers replay — the exact interleaving the
+  # isolated-world design must keep race-free.
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-      -R 'test_threadpool|test_world_isolation|test_sweep|test_goldens_smoke$'
+      -R 'test_world_isolation|test_sweep|test_goldens_smoke$'
 fi
 
 echo "==> all checks passed"

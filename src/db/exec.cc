@@ -11,28 +11,6 @@ namespace stagedcmp::db {
 
 using trace::CostModel;
 
-namespace {
-uint64_t HashKey(uint64_t k) {
-  k ^= k >> 33;
-  k *= 0xFF51AFD7ED558CCDULL;
-  k ^= k >> 33;
-  k *= 0xC4CEB9FE1A85EC53ULL;
-  k ^= k >> 33;
-  return k;
-}
-
-int64_t GetIntAt(const Schema& s, const uint8_t* tuple, int col) {
-  int64_t v;
-  std::memcpy(&v, tuple + s.offset(static_cast<size_t>(col)), 8);
-  return v;
-}
-double GetDoubleAt(const Schema& s, const uint8_t* tuple, int col) {
-  double v;
-  std::memcpy(&v, tuple + s.offset(static_cast<size_t>(col)), 8);
-  return v;
-}
-}  // namespace
-
 bool Predicate::Eval(const Schema& schema, const uint8_t* tuple) const {
   if (is_double) {
     const double v = GetDoubleAt(schema, tuple, column);

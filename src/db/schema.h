@@ -131,6 +131,31 @@ class TupleRef {
   uint8_t* data_;
 };
 
+/// Column reads off a const tuple buffer, for operators that scan tuples
+/// without wrapping them in a TupleRef. Native helpers: like TupleRef's
+/// accessors they record no trace events.
+inline int64_t GetIntAt(const Schema& s, const uint8_t* tuple, int col) {
+  int64_t v;
+  std::memcpy(&v, tuple + s.offset(static_cast<size_t>(col)), 8);
+  return v;
+}
+inline double GetDoubleAt(const Schema& s, const uint8_t* tuple, int col) {
+  double v;
+  std::memcpy(&v, tuple + s.offset(static_cast<size_t>(col)), 8);
+  return v;
+}
+
+/// 64-bit key mix (MurmurHash3's finalizer) for hash joins, hash
+/// aggregation and the staged engine's partitioning.
+inline uint64_t HashKey(uint64_t k) {
+  k ^= k >> 33;
+  k *= 0xFF51AFD7ED558CCDULL;
+  k ^= k >> 33;
+  k *= 0xC4CEB9FE1A85EC53ULL;
+  k ^= k >> 33;
+  return k;
+}
+
 }  // namespace stagedcmp::db
 
 #endif  // STAGEDCMP_DB_SCHEMA_H_

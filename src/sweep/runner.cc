@@ -7,14 +7,12 @@
 #include <cstdio>
 #include <exception>
 #include <functional>
-#include <future>
 #include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/threadpool.h"
 #include "sweep/trace_bundle.h"
 #include "sweep/trace_cache.h"
 
@@ -62,7 +60,7 @@ std::string ConfigLabel(const harness::TraceSetConfig& c) {
 }
 
 /// The distinct trace-set configs of `cells` in canonical (first-use)
-/// order — the build-pool submission order and the unit a trace bundle
+/// order — the build-task submission order and the unit a trace bundle
 /// persists. Also fills `cfg_of`: for each cell, the index of its config
 /// in the returned vector. Identity is TraceSetCache::MakeKey, the same
 /// equivalence Get() dedups by.
@@ -94,7 +92,7 @@ struct Family {
 };
 
 /// Groups the needed configs of `distinct` into families, ordered by
-/// their first member's canonical index — the build-pool submission
+/// their first member's canonical index — the build-task submission
 /// order, so the writer's next set is always among the earliest tasks.
 std::vector<Family> PlanFamilies(
     const std::vector<harness::TraceSetConfig>& distinct,
@@ -194,7 +192,7 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   // Trace bundle: try to serve the whole build sequence from disk. A
   // mapped open returns view-based sets after header validation only
   // (microseconds); their payload checksums are verified lazily below,
-  // on the build pool, overlapped with simulation. A map failure or a
+  // on the builder threads, overlapped with simulation. A map failure or a
   // header/geometry mismatch serves nothing and the run builds cold.
   BundleOpenResult bundle_open;
   std::atomic<bool> demoted{false};
@@ -236,7 +234,7 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   }
   report.threads = cells.empty() ? 0 : threads;
 
-  // Build/sim pipeline. Cold trace sets build on a work pool — one task
+  // Build/sim pipeline. Cold trace sets build on builder threads — one task
   // per client-count family, submitted at the family's first canonical
   // position — while sim workers claim cells off an atomic counter (idle
   // workers "steal" the next unclaimed cell, so load imbalance
@@ -443,24 +441,42 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
         tasks.push_back([&build_family, &f] { build_family(f); });
       }
     }
-    const uint32_t build_threads = static_cast<uint32_t>(
-        std::clamp<size_t>(tasks.size(), 1, threads));
-    ThreadPool build_pool(build_threads, options_.metrics, "build_pool");
-    std::vector<std::future<void>> build_futures;
-    build_futures.reserve(tasks.size());
-    for (std::function<void()>& task : tasks) {
-      build_futures.push_back(build_pool.Submit(std::move(task)));
+    // Builders claim tasks off an atomic counter, in submission order,
+    // the way sim workers claim cells. They exit only after the sim
+    // workers: glibc hands a new thread the malloc arena of the thread
+    // that exited last, so this keeps the next run's builders on this
+    // run's builder arenas. Builders exiting first would hand theirs to
+    // the next run's sim workers and grow a second set to build size
+    // (repeated cold runs' peak RSS rose 60% that way).
+    std::atomic<size_t> next_task{0};
+    const size_t build_threads = std::min<size_t>(threads, tasks.size());
+    size_t builders_idle = 0;    // guarded by build_mu
+    bool builders_exit = false;  // guarded by build_mu
+    std::vector<std::thread> builders;
+    builders.reserve(build_threads);
+    for (size_t b = 0; b < build_threads; ++b) {
+      builders.emplace_back([&] {
+        size_t k;
+        while ((k = next_task.fetch_add(1, std::memory_order_relaxed)) <
+               tasks.size()) {
+          tasks[k]();
+        }
+        std::unique_lock<std::mutex> lock(build_mu);
+        ++builders_idle;
+        build_cv.notify_all();
+        build_cv.wait(lock, [&] { return builders_exit; });
+      });
     }
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
+    std::vector<std::thread> workers;
+    workers.reserve(threads);
     for (uint32_t t = 0; t < threads; ++t) {
-      pool.emplace_back([&worker, t] { worker(t); });
+      workers.emplace_back([&worker, t] { worker(t); });
     }
     // This thread streams the bundle: it appends each set in canonical
-    // order as soon as it is published, while the pools go on building
+    // order as soon as it is published, while the threads go on building
     // and replaying. A failed append (or a failed build) ends the stream.
     for (size_t j = 0; j < distinct.size() && writer_done == j; ++j) {
-      // Trapped like the build tasks': the pools must still drain and join.
+      // Trapped like the build tasks': the threads must still drain and join.
       try {
         const harness::TraceSet* set = nullptr;
         {
@@ -490,11 +506,20 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
         record_error();
       }
     }
-    // The build tasks trap their own exceptions, so get() only
-    // synchronizes.
-    for (std::future<void>& f : build_futures) f.get();
+    // Every task traps its own exceptions, so waiting for the builders
+    // to go idle is all that is left.
+    {
+      std::unique_lock<std::mutex> lock(build_mu);
+      build_cv.wait(lock, [&] { return builders_idle == build_threads; });
+    }
     report.build_wall_seconds = SecondsSince(sim_t0);
-    for (std::thread& t : pool) t.join();
+    for (std::thread& t : workers) t.join();
+    {
+      std::lock_guard<std::mutex> lock(build_mu);
+      builders_exit = true;
+    }
+    build_cv.notify_all();
+    for (std::thread& t : builders) t.join();
   }
   report.sim_wall_seconds = SecondsSince(sim_t0);
   const TraceSetCache::Stats after = cache.stats();

@@ -1,14 +1,14 @@
 // Parallel sweep execution. A SweepRunner expands a SweepSpec and runs
-// its cells as a build/sim pipeline: cold trace sets build on a work
-// pool — one task per client-count family (configs that differ only in
+// its cells as a build/sim pipeline: cold trace sets build on builder
+// threads — one task per client-count family (configs that differ only in
 // `clients`), which builds the family's largest member inside an
 // isolated WorkloadWorld (see harness/world.h) and serves the smaller
 // members as zero-copy prefix slices of it (sweep/trace_cache.h) —
-// while a pool of sim workers pulls
-// cells off a shared atomic counter (idle workers "steal" the next
-// unclaimed cell, so load imbalance between cheap and expensive cells
-// self-corrects) — a cell simulates as soon as its own trace set is
-// published, regardless of how many other sets are still building.
+// while sim workers pull cells off a shared atomic counter (idle
+// workers "steal" the next unclaimed cell, so load imbalance between
+// cheap and expensive cells self-corrects) — a cell simulates as soon
+// as its own trace set is published, regardless of how many other sets
+// are still building.
 //
 // Determinism: golden output — grid, labels, configs, trace skeleton
 // totals — is identical byte for byte for any thread count (every
@@ -47,17 +47,17 @@ namespace stagedcmp::sweep {
 class TraceSetCache;
 
 struct RunnerOptions {
-  /// Worker threads for the simulation phase, and the cap on the build
-  /// pool (which uses min(threads, build tasks) workers — one task per
-  /// client-count family, or per mapped set on a warm run); 0 = hardware
-  /// concurrency.
+  /// Worker threads for the simulation phase, and the cap on the builder
+  /// threads (min(threads, build tasks) of them claim the tasks off an
+  /// atomic counter — one task per client-count family, or per mapped
+  /// set on a warm run); 0 = hardware concurrency.
   uint32_t threads = 0;
   /// Optional trace-bundle file (see trace_bundle.h). When set, the run
   /// serves its trace sets from this file if it matches the sweep's
   /// canonical build sequence (warm: no generation at all); a cold run
   /// streams each set into a fresh bundle as it is built and renames it
   /// into place at the end. A warm run maps the file and replays events
-  /// in place (payload checksums verified lazily on the build pool,
+  /// in place (payload checksums verified lazily on the builder threads,
   /// verified pages dropped again). A map failure or a header/geometry
   /// mismatch rebuilds cold; a set failing its lazy payload check
   /// rebuilds alone and the run reports "partial". Empty = no
@@ -73,8 +73,8 @@ struct RunnerOptions {
   uint32_t shard_index = 0;
   uint32_t shard_count = 0;
   /// Optional observability sinks (docs/OBSERVABILITY.md). `metrics`
-  /// collects `sweep.*` counters/histograms plus the build pool's
-  /// `build_pool.*` and the replay engine's `replay.*` families; it is
+  /// collects `sweep.*` counters/histograms plus the trace cache's
+  /// `trace_cache.*` and the replay engine's `replay.*` families; it is
   /// cumulative — a registry shared across Run() calls keeps counting.
   /// `trace` records the pipeline's span timeline (sweep/build/cell/io
   /// categories). Both null by default: instrumentation is off and the
@@ -122,7 +122,7 @@ struct SweepReport {
   std::vector<CellResult> cells;
   /// Registry state at the end of Run(), when RunnerOptions::metrics was
   /// set (cumulative if the registry is shared across runs). Sinks use
-  /// it for the cache/pool health footer; empty when off.
+  /// it for the cache health footer; empty when off.
   MetricsSnapshot metrics;
   bool has_metrics = false;
 

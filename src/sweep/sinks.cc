@@ -94,6 +94,36 @@ constexpr const char* kCsvConfigColumns[] = {
     "engine",   "camp",     "cores",               "l2_bytes",
     "latency",  "topology", "saturated",           "l2_ports"};
 
+/// Simulated-metric columns the CSV carries, in order: one table drives
+/// both the header and every row.
+struct CsvMetric {
+  const char* name;
+  std::string (*text)(const coresim::SimResult& r);
+};
+using Result = coresim::SimResult;
+constexpr CsvMetric kCsvMetricColumns[] = {
+    {"instructions",
+     [](const Result& r) { return std::to_string(r.instructions); }},
+    {"elapsed_cycles",
+     [](const Result& r) { return std::to_string(r.elapsed_cycles); }},
+    {"cpi", [](const Result& r) { return Dbl(r.cpi()); }},
+    {"uipc", [](const Result& r) { return Dbl(r.uipc()); }},
+    {"l1d_hit_rate", [](const Result& r) { return Dbl(r.l1d_hit_rate); }},
+    {"l1i_hit_rate", [](const Result& r) { return Dbl(r.l1i_hit_rate); }},
+    {"l2_hit_rate", [](const Result& r) { return Dbl(r.l2_hit_rate); }},
+    {"requests_completed",
+     [](const Result& r) { return std::to_string(r.requests_completed); }},
+    {"avg_response_cycles",
+     [](const Result& r) { return Dbl(r.avg_response_cycles); }},
+    {"queue_delay_mean",
+     [](const Result& r) { return Dbl(r.mem.queue_delay.mean()); }},
+    {"l1_to_l1_transfers",
+     [](const Result& r) { return std::to_string(r.mem.l1_to_l1_transfers); }},
+    {"invalidations",
+     [](const Result& r) { return std::to_string(r.mem.invalidations); }},
+    {"writebacks",
+     [](const Result& r) { return std::to_string(r.mem.writebacks); }}};
+
 /// Column text of the config field called `name`.
 std::string ConfigText(const Cell& cell, const char* name) {
   std::string text;
@@ -307,28 +337,20 @@ void TableSink::Emit(const SweepReport& report, std::ostream& os) const {
                   report.threads, report.build_wall_seconds,
                   report.wall_seconds, report.cells_per_second());
     os << buf;
-    // Cache/pool health, present when the run collected metrics. Lives
-    // with the timing footer: like the timings it describes this
-    // execution, not the spec.
+    // Cache health, present when the run collected metrics. Lives with
+    // the timing footer: like the timings it describes this execution,
+    // not the spec.
     if (report.has_metrics) {
       const MetricsSnapshot& m = report.metrics;
-      const MetricsSnapshot::GaugeValue* q =
-          m.FindGauge("build_pool.queue_depth");
       std::snprintf(
           buf, sizeof(buf),
-          "cache %llu hits / %llu misses / %llu rendezvous / %llu evicted"
-          " | build pool %llu tasks (peak queue %lld)"
+          "cache %llu hits / %llu misses / %llu evicted"
           " | replay %llu events\n",
           static_cast<unsigned long long>(m.CounterOr("trace_cache.hits", 0)),
           static_cast<unsigned long long>(
               m.CounterOr("trace_cache.misses", 0)),
           static_cast<unsigned long long>(
-              m.CounterOr("trace_cache.rendezvous_waits", 0)),
-          static_cast<unsigned long long>(
               m.CounterOr("trace_cache.evictions", 0)),
-          static_cast<unsigned long long>(
-              m.CounterOr("build_pool.tasks_executed", 0)),
-          static_cast<long long>(q != nullptr ? q->peak : 0),
           static_cast<unsigned long long>(
               m.CounterOr("replay.events_replayed", 0)));
       os << buf;
@@ -417,13 +439,7 @@ void CsvSink::Emit(const SweepReport& report, std::ostream& os) const {
   header.emplace_back("trace_total_instructions");
   header.emplace_back("trace_total_events");
   if (!golden_) {
-    for (const char* m :
-         {"instructions", "elapsed_cycles", "cpi", "uipc", "l1d_hit_rate",
-          "l1i_hit_rate", "l2_hit_rate", "requests_completed",
-          "avg_response_cycles", "queue_delay_mean", "l1_to_l1_transfers",
-          "invalidations", "writebacks"}) {
-      header.emplace_back(m);
-    }
+    for (const CsvMetric& m : kCsvMetricColumns) header.emplace_back(m.name);
     for (int b = 0; b < static_cast<int>(coresim::Bucket::kCount); ++b) {
       header.emplace_back(
           std::string("cpi_") +
@@ -443,19 +459,7 @@ void CsvSink::Emit(const SweepReport& report, std::ostream& os) const {
     row.push_back(std::to_string(cr.trace_total_instructions));
     row.push_back(std::to_string(cr.trace_total_events));
     if (!golden_) {
-      row.push_back(std::to_string(r.instructions));
-      row.push_back(std::to_string(r.elapsed_cycles));
-      row.push_back(Dbl(r.cpi()));
-      row.push_back(Dbl(r.uipc()));
-      row.push_back(Dbl(r.l1d_hit_rate));
-      row.push_back(Dbl(r.l1i_hit_rate));
-      row.push_back(Dbl(r.l2_hit_rate));
-      row.push_back(std::to_string(r.requests_completed));
-      row.push_back(Dbl(r.avg_response_cycles));
-      row.push_back(Dbl(r.mem.queue_delay.mean()));
-      row.push_back(std::to_string(r.mem.l1_to_l1_transfers));
-      row.push_back(std::to_string(r.mem.invalidations));
-      row.push_back(std::to_string(r.mem.writebacks));
+      for (const CsvMetric& m : kCsvMetricColumns) row.push_back(m.text(r));
       for (int b = 0; b < static_cast<int>(coresim::Bucket::kCount); ++b) {
         row.push_back(Dbl(r.CpiComponent(static_cast<coresim::Bucket>(b))));
       }

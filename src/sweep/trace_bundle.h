@@ -22,7 +22,7 @@
 // (microseconds), and hand out *non-owning* event views into the
 // mapping (ClientTrace::SetView). Payload checksums are then verified
 // lazily, one set at a time, via VerifyBundleSet — the sweep runner does
-// this on its build pool, overlapped with simulation, and drops each
+// this on its builder threads, overlapped with simulation, and drops each
 // verified trace's pages from the process so only the pages replay
 // touches stay resident. The mapping is owned by a refcounted
 // MappedBundle pinned through each served TraceSet's `backing` handle,

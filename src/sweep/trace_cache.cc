@@ -16,6 +16,14 @@ uint64_t MicrosSince(Clock::time_point t0) {
           .count());
 }
 
+/// Wraps `set` for sharing, warming its pointer cache first so
+/// concurrent readers only ever see the const fast path.
+std::shared_ptr<const harness::TraceSet> Share(harness::TraceSet&& set) {
+  auto owned = std::make_shared<harness::TraceSet>(std::move(set));
+  owned->Pointers();
+  return owned;
+}
+
 }  // namespace
 
 TraceSetCache::TraceSetCache(const harness::WorkloadFactory* factory,
@@ -28,10 +36,7 @@ TraceSetCache::TraceSetCache(const harness::WorkloadFactory* factory,
     insert_ctr_ = &metrics->counter("trace_cache.inserts");
     slice_ctr_ = &metrics->counter("trace_cache.slices");
     evict_ctr_ = &metrics->counter("trace_cache.evictions");
-    rendezvous_ctr_ = &metrics->counter("trace_cache.rendezvous_waits");
     build_us_ = &metrics->histogram("trace_cache.build_us");
-    rendezvous_wait_us_ =
-        &metrics->histogram("trace_cache.rendezvous_wait_us");
   }
 }
 
@@ -46,74 +51,40 @@ TraceSetCache::Key TraceSetCache::FamilyKey(const harness::TraceSetConfig& c) {
   return MakeKey(family);
 }
 
-void TraceSetCache::Publish(Entry* entry, harness::TraceSet&& set) {
-  auto owned = std::make_shared<harness::TraceSet>(std::move(set));
-  owned->Pointers();
-  entry->set = std::move(owned);
-  entry->ready.store(true, std::memory_order_release);
-}
-
-std::shared_ptr<TraceSetCache::Entry> TraceSetCache::EntryFor(const Key& key) {
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
-  }
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  std::shared_ptr<Entry>& slot = cache_[key];
-  if (!slot) slot = std::make_shared<Entry>();
-  return slot;
-}
-
 const harness::TraceSet& TraceSetCache::Get(
     const harness::TraceSetConfig& config) {
   if (lookups_ != nullptr) lookups_->Add(1);
-  std::shared_ptr<Entry> entry = EntryFor(MakeKey(config));
-  // Read `ready` before entering the once_flag: false here followed by
-  // !built_now below means this caller blocked on another thread's
-  // in-flight build (a rendezvous). The acquire pairs with the release
-  // store at the end of the build, so a true load also makes the
-  // published `set` visible without touching the once_flag's internals.
-  const bool was_ready = entry->ready.load(std::memory_order_acquire);
-  const Clock::time_point wait_t0 =
-      (!was_ready && rendezvous_ctr_ != nullptr) ? Clock::now()
-                                                 : Clock::time_point{};
-  bool built_now = false;
-  // One builder per entry; same-config callers block here until it is
-  // ready. If the build throws, the flag stays unset and the exception
-  // propagates — the next caller retries.
-  std::call_once(entry->once, [&] {
-    const Clock::time_point build_t0 = Clock::now();
-    Publish(entry.get(), factory_->Build(config));
-    builds_.fetch_add(1, std::memory_order_relaxed);
-    if (build_us_ != nullptr) build_us_->Record(MicrosSince(build_t0));
-    built_now = true;
-  });
-  if (built_now) {
-    if (miss_ctr_ != nullptr) miss_ctr_->Add(1);
-  } else {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (hit_ctr_ != nullptr) {
-      hit_ctr_->Add(1);
-      if (!was_ready) {
-        // Blocked behind the builder: a hit (nothing was built for this
-        // caller) but one worth surfacing — rendezvous time is the
-        // pipeline's build/sim overlap shortfall.
-        rendezvous_ctr_->Add(1);
-        rendezvous_wait_us_->Record(MicrosSince(wait_t0));
-      }
+  const Key key = MakeKey(config);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = cache_.find(key);
+    if (it != cache_.end()) {
+      ++stats_.hits;
+      if (hit_ctr_ != nullptr) hit_ctr_->Add(1);
+      return *it->second;
     }
   }
-  return *entry->set;
+  // Built outside the lock, so distinct configs build in parallel. If the
+  // build throws nothing is published and the next Get builds again.
+  const Clock::time_point build_t0 = Clock::now();
+  std::shared_ptr<const harness::TraceSet> built =
+      Share(factory_->Build(config));
+  if (build_us_ != nullptr) build_us_->Record(MicrosSince(build_t0));
+  if (miss_ctr_ != nullptr) miss_ctr_->Add(1);
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.builds;
+  // A racing Get of the same config may have published first: its set
+  // wins, and `built` is freed once the lock is dropped.
+  return *cache_.try_emplace(key, std::move(built)).first->second;
 }
 
 const harness::TraceSet& TraceSetCache::Insert(harness::TraceSet&& set) {
-  std::shared_ptr<Entry> entry = EntryFor(MakeKey(set.config));
-  std::call_once(entry->once, [&] {
-    Publish(entry.get(), std::move(set));
-    if (insert_ctr_ != nullptr) insert_ctr_->Add(1);
-  });
-  return *entry->set;
+  const Key key = MakeKey(set.config);
+  std::shared_ptr<const harness::TraceSet> owned = Share(std::move(set));
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto [it, inserted] = cache_.try_emplace(key, std::move(owned));
+  if (inserted && insert_ctr_ != nullptr) insert_ctr_->Add(1);
+  return *it->second;
 }
 
 const harness::TraceSet& TraceSetCache::Slice(
@@ -125,53 +96,50 @@ const harness::TraceSet& TraceSetCache::Slice(
         "TraceSetCache::Slice: config is not a smaller member of the "
         "leader's client-count family");
   }
-  // Resolved before the once_flag: an exception escaping a call_once
-  // callable leaves the flag unusable on some standard libraries.
   std::shared_ptr<const harness::TraceSet> whole;
   {
-    std::shared_lock<std::shared_mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     auto it = cache_.find(MakeKey(leader));
-    if (it != cache_.end() &&
-        it->second->ready.load(std::memory_order_acquire)) {
-      whole = it->second->set;
-    }
+    if (it != cache_.end()) whole = it->second;
   }
   if (whole == nullptr) {
     throw std::invalid_argument("TraceSetCache::Slice: leader not cached");
   }
-  std::shared_ptr<Entry> entry = EntryFor(MakeKey(config));
-  std::call_once(entry->once, [&] {
-    harness::TraceSet slice;  // single-tenant: FamilyKey checked above
-    slice.config = config;
-    slice.traces.resize(config.clients);
-    for (uint32_t c = 0; c < config.clients; ++c) {
-      const trace::ClientTrace& src = whole->traces[c];
-      trace::ClientTrace& t = slice.traces[c];
-      t.SetView(src.events_data(), src.events_size());
-      t.total_instructions = src.total_instructions;
-      t.requests = src.requests;
-      slice.total_instructions += t.total_instructions;
-      slice.total_events += t.events_size();
-    }
-    slice.leader = std::move(whole);
-    Publish(entry.get(), std::move(slice));
-    slices_.fetch_add(1, std::memory_order_relaxed);
+  harness::TraceSet slice;  // single-tenant: FamilyKey checked above
+  slice.config = config;
+  slice.traces.resize(config.clients);
+  for (uint32_t c = 0; c < config.clients; ++c) {
+    const trace::ClientTrace& src = whole->traces[c];
+    trace::ClientTrace& t = slice.traces[c];
+    t.SetView(src.events_data(), src.events_size());
+    t.total_instructions = src.total_instructions;
+    t.requests = src.requests;
+    slice.total_instructions += t.total_instructions;
+    slice.total_events += t.events_size();
+  }
+  slice.leader = std::move(whole);
+  std::shared_ptr<const harness::TraceSet> owned = Share(std::move(slice));
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto [it, inserted] =
+      cache_.try_emplace(MakeKey(config), std::move(owned));
+  if (inserted) {
+    ++stats_.slices;
     if (slice_ctr_ != nullptr) slice_ctr_->Add(1);
-  });
-  return *entry->set;
+  }
+  return *it->second;
 }
 
 void TraceSetCache::EvictAll() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   // Dropping the entries frees each set with its last owner.
   if (evict_ctr_ != nullptr) evict_ctr_->Add(cache_.size());
   cache_.clear();
 }
 
 bool TraceSetCache::Release(const harness::TraceSetConfig& config) {
-  std::shared_ptr<Entry> dropped;
+  std::shared_ptr<const harness::TraceSet> dropped;
   {
-    std::unique_lock<std::shared_mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     auto it = cache_.find(MakeKey(config));
     if (it == cache_.end()) return false;
     dropped = std::move(it->second);
@@ -185,11 +153,8 @@ bool TraceSetCache::Release(const harness::TraceSetConfig& config) {
 }
 
 TraceSetCache::Stats TraceSetCache::stats() const {
-  Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.builds = builds_.load(std::memory_order_relaxed);
-  s.slices = slices_.load(std::memory_order_relaxed);
-  return s;
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
 }  // namespace stagedcmp::sweep

@@ -1,6 +1,6 @@
-// Shared trace-set cache: builds each distinct TraceSetConfig at most once
-// and hands out references to immutable TraceSets shared across sweep
-// cells (and threads).
+// Shared trace-set cache: hands out references to immutable TraceSets
+// shared across sweep cells (and threads), building each config on its
+// first request.
 //
 // Client-count families: configs that differ only in `clients` form a
 // family (FamilyKey). By the factory's prefix property (see
@@ -13,14 +13,20 @@
 // still views.
 //
 // Thread-safety contract:
-//   * Get() and Slice() may be called concurrently from any number of
-//     threads.
-//   * DISTINCT configs build concurrently: each cache entry carries its
-//     own std::once_flag, and WorkloadFactory::Build runs in an isolated
-//     WorkloadWorld (fresh databases, private code-region map — see
-//     harness/world.h), so overlapping builds share nothing. Callers of
-//     the SAME config rendezvous on the entry's once_flag — one builds
-//     (or slices), the rest block until it is ready.
+//   * Every method may be called concurrently from any number of
+//     threads, except EvictAll and Release (see their comments). One
+//     mutex guards the map and the stats; no build runs under it.
+//   * Get() looks its config up under the lock, builds outside it and
+//     publishes under it, so DISTINCT configs build in parallel.
+//     WorkloadFactory::Build runs in an isolated WorkloadWorld (fresh
+//     databases, private code-region map — see harness/world.h), so
+//     overlapping builds share nothing.
+//   * Two first Get()s of the SAME config may both build; the first set
+//     published wins and both callers get it (the other is freed). The
+//     sweep runner hands each config to exactly one task, so it never
+//     builds a set twice.
+//   * A build that throws publishes nothing: the exception propagates
+//     and the next Get() simply builds again.
 //   * Builds are pure functions of (config, factory scale knobs): build
 //     order and build concurrency never change a set's contents. Event
 //     skeletons are exactly reproducible; absolute data addresses follow
@@ -30,21 +36,17 @@
 //
 // Observability (optional): constructed with a MetricsRegistry the cache
 // maintains `trace_cache.*` counters (lookups, hits, misses, inserts,
-// slices, evictions, rendezvous_waits) and histograms (build_us,
-// rendezvous_wait_us). Invariants, checked by test_sweep and test_goldens:
-// lookups == hits + misses (lookups count Get() calls only); misses ==
-// builds-by-Get; a caller that blocks on another thread's in-flight
-// build counts as a hit AND a rendezvous_wait.
+// slices, evictions) and the build_us histogram. Invariants, checked by
+// test_sweep and test_goldens: lookups == hits + misses (lookups count
+// Get() calls only); misses == builds by Get.
 #ifndef STAGEDCMP_SWEEP_TRACE_CACHE_H_
 #define STAGEDCMP_SWEEP_TRACE_CACHE_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/metrics.h"
 #include "harness/config_fields.h"
@@ -97,7 +99,7 @@ class TraceSetCache {
 
   struct Stats {
     uint64_t hits = 0;    ///< Get() calls served from the cache
-    uint64_t builds = 0;  ///< distinct configs actually built
+    uint64_t builds = 0;  ///< sets built by Get() (a lost race included)
     uint64_t slices = 0;  ///< sets served by Slice() as prefix views
   };
   Stats stats() const;
@@ -118,32 +120,10 @@ class TraceSetCache {
   static Key FamilyKey(const harness::TraceSetConfig& c);
 
  private:
-  /// One cache slot. The once_flag serializes same-config builders while
-  /// the map's shared_mutex only guards slot lookup/creation — so
-  /// different entries build fully in parallel. `ready` flips true
-  /// (release) after `set` is published inside the once-callable, so an
-  /// acquire load distinguishes an already-served entry from one a
-  /// caller must build or rendezvous on. `set` is shared so a slice can
-  /// pin its leader past the leader's own entry.
-  struct Entry {
-    std::once_flag once;
-    std::atomic<bool> ready{false};
-    std::shared_ptr<const harness::TraceSet> set;
-  };
-
-  /// Finds or creates the (possibly not-yet-built) entry for `key`.
-  std::shared_ptr<Entry> EntryFor(const Key& key);
-  /// Publishes `set` into `entry` (called inside its once_flag),
-  /// warming the pointer cache first so concurrent readers only ever
-  /// see the const fast path.
-  static void Publish(Entry* entry, harness::TraceSet&& set);
-
   const harness::WorkloadFactory* factory_;
-  mutable std::shared_mutex mu_;  ///< guards cache_ structure only
-  std::map<Key, std::shared_ptr<Entry>> cache_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> builds_{0};
-  std::atomic<uint64_t> slices_{0};
+  mutable std::mutex mu_;  ///< guards cache_ and stats_
+  std::map<Key, std::shared_ptr<const harness::TraceSet>> cache_;
+  Stats stats_;
 
   // Observability handles; all null when constructed without a registry.
   Counter* lookups_ = nullptr;
@@ -152,9 +132,7 @@ class TraceSetCache {
   Counter* insert_ctr_ = nullptr;
   Counter* slice_ctr_ = nullptr;
   Counter* evict_ctr_ = nullptr;
-  Counter* rendezvous_ctr_ = nullptr;
   HistogramMetric* build_us_ = nullptr;
-  HistogramMetric* rendezvous_wait_us_ = nullptr;
 };
 
 }  // namespace stagedcmp::sweep

@@ -4,7 +4,7 @@
 // (ConfigureFactoryForSpec), and its --golden JSON — grid, resolved
 // configs, trace-skeleton totals — must equal the committed bytes:
 //   - cold, at several thread counts (each run rebuilds every trace set
-//     through the parallel build pool, so the worker count cannot leak
+//     on parallel builder threads, so the worker count cannot leak
 //     into the output);
 //   - warm, replayed from the mapped bundle a cold run wrote;
 //   - sharded: shards 0/2 and 1/2 through WriteShardFile and

@@ -151,7 +151,7 @@ static void BM_TracerMemEvent(benchmark::State& state) {
   char buf[256];
   for (auto _ : state) {
     tracer.Read(buf, 64, 4);
-    if (tracer.trace().events.size() > (1u << 20)) {
+    if (tracer.events_size() > (1u << 20)) {
       state.PauseTiming();
       tracer.Reset();
       state.ResumeTiming();
@@ -175,7 +175,7 @@ static void BM_TpccNewOrderNative(benchmark::State& state) {
   trace::Tracer tracer(&regions);
   for (auto _ : state) {
     driver.Run(workload::TpccTxnType::kNewOrder, &tracer);
-    if (tracer.trace().events.size() > (1u << 20)) {
+    if (tracer.events_size() > (1u << 20)) {
       state.PauseTiming();
       tracer.Reset();
       state.ResumeTiming();
@@ -184,6 +184,74 @@ static void BM_TpccNewOrderNative(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TpccNewOrderNative);
+
+// The trace event codec (trace/events.h) over a recorded TPC-C mix of
+// about 256k events: encoding as the tracer emits, decoding as replay
+// reads, and a plain read of the same words as 8-byte raw storage (the
+// reference the codec trades decode time against). Items are events.
+namespace {
+const std::vector<uint64_t>& RecordedEvents() {
+  static const std::vector<uint64_t> events = [] {
+    workload::Database db;
+    workload::TpccConfig cfg;
+    cfg.warehouses = 2;
+    cfg.customers_per_district = 120;
+    cfg.items = 1000;
+    cfg.initial_orders_per_district = 30;
+    workload::TpccLoad(&db, cfg);
+    workload::TpccDriver driver(&db, cfg, 1, 5);
+    trace::CodeMap code;
+    const trace::RegionSet regions(&code);
+    trace::Tracer tracer(&regions);
+    while (tracer.events_size() < (1u << 18)) driver.RunOne(&tracer);
+    return trace::DecodeEvents(tracer.TakeTrace());
+  }();
+  return events;
+}
+}  // namespace
+
+static void BM_TraceEncode(benchmark::State& state) {
+  const std::vector<uint64_t>& events = RecordedEvents();
+  for (auto _ : state) {
+    trace::ClientTrace t;
+    trace::EncodeEvents(events, &t);
+    benchmark::DoNotOptimize(t.payload());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(events.size()));
+}
+BENCHMARK(BM_TraceEncode);
+
+static void BM_TraceDecode(benchmark::State& state) {
+  const std::vector<uint64_t>& events = RecordedEvents();
+  trace::ClientTrace t;
+  trace::EncodeEvents(events, &t);
+  state.counters["bytes/event"] =
+      static_cast<double>(t.payload_words() * 8) / events.size();
+  for (auto _ : state) {
+    uint64_t x = 0;
+    for (trace::EventCursor c(t); !c.done();) x += c.Next();
+    benchmark::DoNotOptimize(x);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(events.size()));
+}
+BENCHMARK(BM_TraceDecode);
+
+static void BM_TraceRawRead(benchmark::State& state) {
+  const std::vector<uint64_t>& events = RecordedEvents();
+  for (auto _ : state) {
+    uint64_t x = 0;
+    for (uint64_t e : events) {
+      x += e;
+      benchmark::DoNotOptimize(x);  // one word at a time, as replay reads
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(events.size()));
+}
+BENCHMARK(BM_TraceRawRead);
 
 namespace {
 /// SMP coherence-churn workload: a hot write-shared region plus per-node
@@ -313,8 +381,9 @@ static void BM_ReplayCores(benchmark::State& state) {
 BENCHMARK(BM_ReplayCores)->Arg(16)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
-// Warm bundle open on one synthetic bundle (32 MiB of fabricated trace
-// words — the loader never interprets payloads, so no workload build is
+// Warm bundle open on one synthetic bundle (4M fabricated trace words,
+// about 45 MiB encoded since random words leave no deltas to exploit —
+// the loader never interprets payloads, so no workload build is
 // needed). The open maps the file, validates only the header and returns
 // zero-copy views, deferring payload checksums to the builder threads, so
 // its cost should stay flat in the payload size.
@@ -335,13 +404,12 @@ struct SyntheticBundle {
     for (uint32_t c = 0; c < cfg.clients; ++c) {
       trace::ClientTrace t;
       t.requests = 1;
-      t.events.reserve(kWordsPerClient);
-      for (uint64_t i = 0; i < kWordsPerClient; ++i) {
-        t.events.push_back(rng.Next());
-      }
+      trace::EventEncoder events;
+      for (uint64_t i = 0; i < kWordsPerClient; ++i) events.Append(rng.Next());
+      events.Finish(&t);
       t.total_instructions = kWordsPerClient;
       set.total_instructions += t.total_instructions;
-      set.total_events += t.events.size();
+      set.total_events += t.events_size();
       set.traces.push_back(std::move(t));
     }
     sweep::SaveTraceBundle(path, factory, {&set});
@@ -360,7 +428,9 @@ static void BM_BundleWarmMmap(benchmark::State& state) {
       break;
     }
     benchmark::DoNotOptimize(r.sets);
-    bytes += r.sets[0].total_events * 8;
+    for (const trace::ClientTrace& t : r.sets[0].traces) {
+      bytes += t.payload_words() * 8;
+    }
   }
   state.SetBytesProcessed(static_cast<int64_t>(bytes));
 }

@@ -114,15 +114,15 @@ class ReplayEngine {
     // Steady-state runs start each context at a staggered position in its
     // trace; otherwise concurrent scans would be artificially phase-locked
     // and share every fetched line even through a tiny L2.
-    if (config_.loop_traces) {
-      for (Core& c : cores_) {
-        for (Context& ctx : c.ctx) {
-          if (ctx.client_ids.empty()) continue;
-          const trace::ClientTrace* tr = clients_[ctx.client_ids[0]];
-          if (!tr->empty()) {
-            ctx.pos = (static_cast<size_t>(ctx.client_ids[0]) * 2654435761u) %
-                      tr->events_size();
-          }
+    for (Core& c : cores_) {
+      for (Context& ctx : c.ctx) {
+        if (ctx.client_ids.empty()) continue;
+        const trace::ClientTrace* tr = clients_[ctx.client_ids[0]];
+        ctx.cursor = trace::EventCursor(*tr);
+        if (config_.loop_traces && !tr->empty()) {
+          ctx.cursor.Seek(
+              (static_cast<size_t>(ctx.client_ids[0]) * 2654435761u) %
+              tr->events_size());
         }
       }
     }
@@ -211,7 +211,7 @@ class ReplayEngine {
   struct Context {
     std::vector<uint32_t> client_ids;   // round-robin multiprogramming
     size_t cur_client = 0;
-    size_t pos = 0;                     // event index in current client
+    trace::EventCursor cursor;          // next event of the current client
     bool finished = false;              // all clients drained (non-loop)
 
     // In-flight state.
@@ -299,26 +299,23 @@ class ReplayEngine {
     using trace::EventKind;
     while (true) {
       if (ctx.client_ids.empty() || ctx.finished) return false;
-      const trace::ClientTrace* tr = clients_[ctx.client_ids[ctx.cur_client]];
-      if (ctx.pos >= tr->events_size()) {
+      if (ctx.cursor.done()) {
         // Client drained: rotate to the next client on this context.
         if (config_.loop_traces) {
           ctx.cur_client = (ctx.cur_client + 1) % ctx.client_ids.size();
-          ctx.pos = 0;
-          ctx.request_start = core.now;
-          continue;
-        }
-        // Without looping, each client runs exactly once.
-        if (ctx.cur_client + 1 < ctx.client_ids.size()) {
+        } else if (ctx.cur_client + 1 < ctx.client_ids.size()) {
+          // Without looping, each client runs exactly once.
           ++ctx.cur_client;
-          ctx.pos = 0;
-          ctx.request_start = core.now;
-          continue;
+        } else {
+          ctx.finished = true;
+          return false;
         }
-        ctx.finished = true;
-        return false;
+        ctx.cursor =
+            trace::EventCursor(*clients_[ctx.client_ids[ctx.cur_client]]);
+        ctx.request_start = core.now;
+        continue;
       }
-      const uint64_t ev = tr->events_data()[ctx.pos++];
+      const uint64_t ev = ctx.cursor.Next();
       ++events_replayed_;
       const EventKind kind = trace::UnpackKind(ev);
       switch (kind) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 
 #include "harness/config_fields.h"
@@ -21,13 +22,16 @@ namespace stagedcmp::sweep {
 namespace {
 
 constexpr uint64_t kMagic = 0x31444E4254435343ULL;  // "CSCTBND1"
-// v3: header-resident index (per-trace offsets, lengths, checksums) and
+// v4: header-resident index (per-trace offsets, lengths, checksums) and
 // 64-byte-aligned payloads, so the file can be mapped and replayed in
-// place. v1/v2 bundles demote to a cold rebuild. Each region gets a fresh
-// Checksum chain: the header words (so stale/corrupt indexes are rejected
-// before any view is handed out) and each trace's payload words (so
-// corruption localizes to one set, which alone demotes to a cold rebuild).
-constexpr uint32_t kVersion = 3;
+// place; each payload is a trace's encoded events (trace/events.h), and
+// index rows whose traces share storage share one payload. v1-v3 bundles
+// demote to a cold rebuild. Each region gets a fresh Checksum chain: the
+// header words (so stale/corrupt indexes are rejected before any view is
+// handed out) and each payload's words (so corruption localizes to the
+// sets that view it, which alone demote to a cold rebuild).
+constexpr uint32_t kVersion = 4;
+constexpr uint64_t kRowWords = 6;  ///< index words per trace
 constexpr uint64_t kAlign = 64;
 
 constexpr uint64_t Align64(uint64_t bytes) {
@@ -42,7 +46,7 @@ struct FileCloser {
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 /// Header words of a bundle holding `configs`: magic, version, scale
-/// knobs, set count, per set its config block, 3 set words and a 5-word
+/// knobs, set count, per set its config block, 3 set words and a 6-word
 /// index row per trace, then the header checksum. A closed form of the
 /// configs, so payload offsets are known before any set is built.
 uint64_t HeaderWords(size_t scale_words,
@@ -50,19 +54,32 @@ uint64_t HeaderWords(size_t scale_words,
   uint64_t words = 2 + scale_words + 1 + 1;
   for (const harness::TraceSetConfig& c : configs) {
     words += harness::FieldCount<harness::TraceSetConfig>() + 3 +
-             5 * uint64_t{harness::TotalClients(c)};
+             kRowWords * uint64_t{harness::TotalClients(c)};
   }
   return words;
 }
 
-/// One trace's index row as recorded in the v3 header.
+/// One trace's index row as recorded in the v4 header.
 struct TraceIndex {
   uint64_t requests = 0;
   uint64_t total_instructions = 0;
   uint64_t n_events = 0;
+  uint64_t n_bytes = 0;       ///< encoded event bytes
   uint64_t offset_bytes = 0;  ///< absolute, 64-byte aligned
   uint64_t checksum = 0;      ///< fresh FNV chain over the payload words
 };
+
+/// True when `path` exists and is not a regular file (a FIFO, a device,
+/// a directory): such a path is never mapped or replaced.
+bool ExistsAndNotRegular(const std::string& path) {
+#ifdef __unix__
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode);
+#else
+  (void)path;
+  return false;
+#endif
+}
 
 struct SetIndex {
   uint64_t total_instructions = 0;
@@ -75,13 +92,12 @@ struct ParsedHeader {
   std::vector<SetIndex> sets;
 };
 
-/// Parses and validates the v3 header at the start of a mapped file of
+/// Parses and validates the v4 header at the start of a mapped file of
 /// `file_bytes` bytes against the expected canonical sequence: magic,
-/// version, scale knobs, config blocks, index geometry (every offset must
-/// equal the canonical 64-aligned layout and the last payload must end
-/// exactly at file_bytes), and the header checksum. False on any
-/// mismatch. Payload checksums are NOT checked — VerifyBundleSet does
-/// that lazily, per set. Never reads past the file's last whole word.
+/// version, scale knobs, config blocks, index geometry (see below), and
+/// the header checksum. False on any mismatch. Payload checksums are NOT
+/// checked — VerifyBundleSet does that lazily, per set. Never reads past
+/// the file's last whole word.
 bool ParseHeader(const uint64_t* words, uint64_t file_bytes,
                  const harness::WorkloadFactory& factory,
                  const std::vector<harness::TraceSetConfig>& expected,
@@ -113,32 +129,57 @@ bool ParseHeader(const uint64_t* words, uint64_t file_bytes,
     if (!get(&si.total_instructions) || !get(&si.total_events) || !get(&v)) {
       return false;
     }
-    // Each trace contributes a 5-word index row; bound a corrupt count
-    // before it reaches vector::resize.
-    if (v > max_words / 5) return false;
+    // Each trace contributes an index row; bound a corrupt count before
+    // it reaches vector::resize.
+    if (v > max_words / kRowWords) return false;
     si.traces.resize(v);
     for (TraceIndex& ti : si.traces) {
       if (!get(&ti.requests) || !get(&ti.total_instructions) ||
-          !get(&ti.n_events) || !get(&ti.offset_bytes) ||
-          !get(&ti.checksum)) {
+          !get(&ti.n_events) || !get(&ti.n_bytes) ||
+          !get(&ti.offset_bytes) || !get(&ti.checksum)) {
         return false;
       }
-      if (ti.requests > UINT32_MAX || ti.n_events > max_words) return false;
+      // Every event takes at least two bytes, so an empty trace is the
+      // only one without bytes; this also bounds PayloadWords below.
+      if (ti.requests > UINT32_MAX || ti.n_bytes > file_bytes ||
+          ti.n_events > ti.n_bytes || (ti.n_events == 0) != (ti.n_bytes == 0)) {
+        return false;
+      }
     }
     out->sets.push_back(std::move(si));
   }
   // Header checksum covers every header word above it.
   if (pos >= max_words || words[pos++] != sum.state) return false;
-  // Geometry: the index must describe exactly the canonical layout —
-  // payloads packed in order at 64-byte-aligned offsets right after the
-  // padded header, with nothing trailing.
+  // The header's padding is zeros.
   out->header_end = Align64(pos * 8);
+  if (out->header_end > file_bytes) return false;
+  for (const uint8_t* b = reinterpret_cast<const uint8_t*>(words + pos);
+       b < reinterpret_cast<const uint8_t*>(words) + out->header_end; ++b) {
+    if (*b != 0) return false;
+  }
+  // Geometry: the index must describe exactly the canonical layout —
+  // new payloads packed in row order at 64-byte-aligned offsets right
+  // after the padded header, with nothing trailing. A row that is not
+  // the next new payload must name an earlier payload's start and agree
+  // with the row that introduced it.
   uint64_t cursor = out->header_end;
+  std::unordered_map<uint64_t, const TraceIndex*> payload_at;
   for (const SetIndex& si : out->sets) {
     for (const TraceIndex& ti : si.traces) {
-      if (ti.offset_bytes != cursor) return false;
-      if (ti.n_events > (file_bytes - cursor) / 8) return false;
-      cursor += Align64(ti.n_events * 8);
+      const uint64_t words_needed =
+          trace::PayloadWords(ti.n_events, ti.n_bytes);
+      if (ti.offset_bytes == cursor) {
+        if (words_needed > (file_bytes - cursor) / 8) return false;
+        if (words_needed > 0) payload_at[cursor] = &ti;
+        cursor += Align64(words_needed * 8);
+        continue;
+      }
+      const auto it = payload_at.find(ti.offset_bytes);
+      if (it == payload_at.end() || it->second->n_events != ti.n_events ||
+          it->second->n_bytes != ti.n_bytes ||
+          it->second->checksum != ti.checksum) {
+        return false;
+      }
     }
   }
   return cursor == file_bytes;
@@ -159,10 +200,12 @@ std::shared_ptr<MappedBundle> MappedBundle::Map(const std::string& path) {
   (void)path;
   return nullptr;
 #else
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  // A FIFO would block the open; a device or directory is no bundle.
+  if (ExistsAndNotRegular(path)) return nullptr;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
   if (fd < 0) return nullptr;
   struct stat st;
-  if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode) || st.st_size <= 0) {
     ::close(fd);
     return nullptr;
   }
@@ -233,6 +276,8 @@ bool BundleWriter::Begin(const std::string& path,
                          std::vector<harness::TraceSetConfig> configs) {
   path_ = path;
   configs_ = std::move(configs);
+  // Finish renames over `path`: never over a FIFO, device or directory.
+  if (ExistsAndNotRegular(path_)) return false;
   const std::vector<uint64_t> scale = harness::ScaleWords(factory);
   header_words_ = HeaderWords(scale.size(), configs_);
   cursor_ = Align64(header_words_ * 8);
@@ -271,20 +316,41 @@ bool BundleWriter::Append(const harness::TraceSet& set) {
   header_.push_back(set.traces.size());
   const char zeros[kAlign] = {0};
   for (const trace::ClientTrace& t : set.traces) {
-    const uint64_t n = t.events_size();
+    const uint64_t n = t.payload_words();
     Checksum payload_sum;
-    payload_sum.MixAll(t.events_data(), n);
+    payload_sum.MixAll(t.payload(), n);
+    // A trace viewing a payload already written (a slice of its leader, a
+    // re-persisted mapped set) shares its offset. The sizes and checksum
+    // must match too: a freed set's storage address may since hold other
+    // bytes.
+    uint64_t offset = cursor_;
+    bool fresh = true;
+    if (n > 0) {
+      const auto it = written_.find(t.payload());
+      if (it != written_.end() && it->second.n_events == t.events_size() &&
+          it->second.n_bytes == t.encoded_bytes() &&
+          it->second.checksum == payload_sum.state) {
+        offset = it->second.offset;
+        fresh = false;
+      }
+    }
     header_.push_back(t.requests);
     header_.push_back(t.total_instructions);
-    header_.push_back(n);
-    header_.push_back(cursor_);
+    header_.push_back(t.events_size());
+    header_.push_back(t.encoded_bytes());
+    header_.push_back(offset);
     header_.push_back(payload_sum.state);
+    if (!fresh) continue;
     const uint64_t pad = Align64(n * 8) - n * 8;
     if ((n != 0 &&
-         std::fwrite(t.events_data(), sizeof(uint64_t), n, file_) != n) ||
+         std::fwrite(t.payload(), sizeof(uint64_t), n, file_) != n) ||
         (pad != 0 && std::fwrite(zeros, 1, pad, file_) != pad)) {
       Abandon();
       return false;
+    }
+    if (n > 0) {
+      written_[t.payload()] = {offset, t.events_size(), t.encoded_bytes(),
+                               payload_sum.state};
     }
     cursor_ += n * 8 + pad;
   }
@@ -312,7 +378,8 @@ bool BundleWriter::Finish() {
   const std::string tmp = path_ + ".tmp";
   const bool closed = std::fclose(file_) == 0;
   file_ = nullptr;
-  if (!closed || std::rename(tmp.c_str(), path_.c_str()) != 0) {
+  if (!closed || ExistsAndNotRegular(path_) ||
+      std::rename(tmp.c_str(), path_.c_str()) != 0) {
     std::remove(tmp.c_str());
     return false;
   }
@@ -344,9 +411,19 @@ bool VerifyBundleSet(const harness::TraceSet& set,
   for (size_t i = 0; i < set.traces.size(); ++i) {
     const trace::ClientTrace& t = set.traces[i];
     Checksum sum;
-    sum.MixAll(t.events_data(), t.events_size());
+    sum.MixAll(t.payload(), t.payload_words());
     if (sum.state != checksums[i]) return false;
-    mapping->DropPages(t.events_data(), t.events_size());
+    // Each restart block holds at least one event of two or more bytes,
+    // so its offset lies strictly beyond the previous one, inside the
+    // bytes: a cursor's Seek stays in the payload.
+    const uint64_t* blocks = t.block_offsets();
+    for (uint64_t b = 0; b < trace::BlockCount(t.events_size()); ++b) {
+      if (blocks[b] >= t.encoded_bytes() ||
+          (b == 0 ? blocks[b] != 0 : blocks[b] <= blocks[b - 1])) {
+        return false;
+      }
+    }
+    mapping->DropPages(t.payload(), t.payload_words());
   }
   return true;
 }
@@ -379,7 +456,8 @@ BundleOpenResult OpenTraceBundle(
     for (size_t i = 0; i < si.traces.size(); ++i) {
       const TraceIndex& ti = si.traces[i];
       trace::ClientTrace& t = ts.traces[i];
-      t.SetView(mapping->words() + ti.offset_bytes / 8, ti.n_events);
+      t.SetView(mapping->words() + ti.offset_bytes / 8, ti.n_events,
+                ti.n_bytes);
       t.total_instructions = ti.total_instructions;
       t.requests = static_cast<uint32_t>(ti.requests);
       r.checksums[j].push_back(ti.checksum);

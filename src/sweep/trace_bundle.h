@@ -15,12 +15,16 @@
 // are unchanged, which keeps the match check trivial and the failure
 // mode obvious.
 //
-// Format v3 is built for zero-copy replay. The header carries a full
-// index — per-trace byte offsets, event counts, and per-trace payload
-// checksums — and every event payload is padded to a 64-byte boundary,
-// so OpenTraceBundle can mmap the file, validate header + index eagerly
-// (microseconds), and hand out *non-owning* event views into the
-// mapping (ClientTrace::SetView). Payload checksums are then verified
+// Format v4 is built for zero-copy replay. Each payload is one trace's
+// storage exactly as trace/events.h lays it out in memory — the restart
+// block offset table, then the encoded event bytes — padded to a 64-byte
+// boundary. The header carries a full index — per-trace payload offsets,
+// event and byte counts, and per-trace payload checksums — so
+// OpenTraceBundle can mmap the file, validate header + index eagerly
+// (microseconds), and hand out *non-owning* trace views into the
+// mapping (ClientTrace::SetView). A payload is written once however many
+// traces share it (a family's slices view their leader's traces): their
+// index rows name the same offset. Payload checksums are then verified
 // lazily, one set at a time, via VerifyBundleSet — the sweep runner does
 // this on its builder threads, overlapped with simulation, and drops each
 // verified trace's pages from the process so only the pages replay
@@ -36,7 +40,7 @@
 // cold sets as they are built and frees them once replayed.
 //
 // Demotion chain, two steps, never aborting a run: a map failure or any
-// header/geometry mismatch — truncation, version skew (a v2 bundle read
+// header/geometry mismatch — truncation, version skew (a v3 bundle read
 // by this code), header checksum — demotes the whole open to a cold
 // rebuild (which then rewrites the bundle); a payload checksum mismatch
 // found by the lazy per-set verification demotes only that set, and the
@@ -48,7 +52,8 @@
 // regenerates its bundle on every run for exactly this reason.
 //
 // Format is native-endian and version-gated; bundles are a local cache,
-// not an interchange format. Padding bytes are not checksummed.
+// not an interchange format. The header's padding must be zero; the
+// padding after each payload is not checksummed.
 #ifndef STAGEDCMP_SWEEP_TRACE_BUNDLE_H_
 #define STAGEDCMP_SWEEP_TRACE_BUNDLE_H_
 
@@ -56,6 +61,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "harness/experiment.h"
@@ -69,8 +75,10 @@ namespace stagedcmp::sweep {
 /// inode.
 class MappedBundle {
  public:
-  /// Maps `path` read-only. Null on open/stat/mmap failure (and on hosts
-  /// without mmap) — OpenTraceBundle then reports "cold".
+  /// Maps `path` read-only. Null on open/stat/mmap failure, for a path
+  /// that is not a regular file (checked before opening, so a FIFO never
+  /// blocks), and on hosts without mmap — OpenTraceBundle then reports
+  /// "cold".
   static std::shared_ptr<MappedBundle> Map(const std::string& path);
   ~MappedBundle();
 
@@ -111,9 +119,11 @@ struct BundleOpenResult {
   uint64_t map_us = 0;                    ///< open+validate wall time
 };
 
-/// Streams trace sets into a v3 bundle at `path`, atomically: payloads
+/// Streams trace sets into a v4 bundle at `path`, atomically: payloads
 /// go to `path.tmp` as each set is appended, Finish() writes the header
-/// and renames the file into place. A writer that fails, or is destroyed
+/// and renames the file into place. A `path` that exists but is not a
+/// regular file (a FIFO, a device) is refused by Begin and never
+/// replaced. A writer that fails, or is destroyed
 /// before Finish() succeeds, removes its temp file. Not thread-safe; the
 /// caller serializes Append calls.
 class BundleWriter {
@@ -126,7 +136,8 @@ class BundleWriter {
 
   /// Opens the temp file for the canonical sequence `configs` and
   /// reserves the header, whose size follows from the configs alone.
-  /// Called once per writer. False on I/O failure.
+  /// Called once per writer. False on I/O failure, and when `path`
+  /// exists but is not a regular file.
   bool Begin(const std::string& path, const harness::WorkloadFactory& factory,
              std::vector<harness::TraceSetConfig> configs);
   /// Writes the next set of Begin's sequence at its final offset. False —
@@ -148,11 +159,20 @@ class BundleWriter {
   std::vector<uint64_t> header_;  ///< header words recorded so far
   uint64_t header_words_ = 0;     ///< closed-form size, checksum included
   uint64_t cursor_ = 0;           ///< next payload's absolute offset
+  /// Payloads written so far, by the storage they were written from: a
+  /// trace viewing one of them shares its offset.
+  struct Written {
+    uint64_t offset = 0;
+    uint64_t n_events = 0;
+    uint64_t n_bytes = 0;
+    uint64_t checksum = 0;
+  };
+  std::unordered_map<const uint64_t*, Written> written_;
 };
 
 /// Writes `sets` (in build order) to `path` through one BundleWriter.
-/// Returns false on any I/O failure. Reads events through the view
-/// accessors, so re-persisting mapped sets works.
+/// Returns false on any I/O failure. Reads each trace's payload whether
+/// owned or viewed, so re-persisting mapped sets works.
 bool SaveTraceBundle(const std::string& path,
                      const harness::WorkloadFactory& factory,
                      const std::vector<const harness::TraceSet*>& sets);

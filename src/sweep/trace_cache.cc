@@ -109,11 +109,8 @@ const harness::TraceSet& TraceSetCache::Slice(
   slice.config = config;
   slice.traces.resize(config.clients);
   for (uint32_t c = 0; c < config.clients; ++c) {
-    const trace::ClientTrace& src = whole->traces[c];
     trace::ClientTrace& t = slice.traces[c];
-    t.SetView(src.events_data(), src.events_size());
-    t.total_instructions = src.total_instructions;
-    t.requests = src.requests;
+    t.ViewOf(whole->traces[c]);
     slice.total_instructions += t.total_instructions;
     slice.total_events += t.events_size();
   }

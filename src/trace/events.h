@@ -1,7 +1,7 @@
 // Compact trace event encoding shared by the tracer (producer) and the
 // core timing models (consumer).
 //
-// Each event packs into 8 bytes:
+// Each event is one 64-bit word:
 //   bits [63:16]  addr   — byte address (data) or PC (compute block)
 //   bits [15:14]  kind   — read / write / compute / marker
 //   bits [13:0]   count  — instructions carried by this event
@@ -13,11 +13,43 @@
 // of `count` instructions beginning at PC `addr` (the core model derives
 // I-cache line fetches from it). A marker delimits one completed request
 // (query or transaction) for response-time accounting.
+//
+// Storage. A ClientTrace never holds the words themselves: consecutive
+// events mostly differ by a small line or PC step, so each event is
+// stored as variable-length bytes (LEB128 varints; 2.9-3.1 bytes per
+// event on recorded database traces, offset tables included, instead
+// of 8):
+//   header   varint of (count << 2 | kind), with a read or write's
+//            dependent bit moved below its count (count << 3 | dep << 2 |
+//            kind) — one byte for an access with count < 16 and for a
+//            compute block of fewer than 32 instructions;
+//   read /   varint of (zigzag(line - previous data line) << 1 | u),
+//   write    lines being addr >> 6 modulo 2^42; u = 1 marks an
+//            unaligned address, whose low 6 bits follow as one byte;
+//   compute  varint of zigzag(addr - previous compute PC), modulo 2^48;
+//   marker   varint of addr (0 for every recorded marker).
+// Every 64-bit word round-trips. Deltas restart (both previous values
+// become 0) every kBlockEvents events, and the trace keeps the byte
+// offset of each block's first event, so a replay can start at event k
+// by decoding at most kBlockEvents - 1 events (EventCursor::Seek).
+//
+// One trace's storage — its payload — is a run of 64-bit words: the
+// encoded bytes, zero-padded to a whole word, then the block offset
+// table (one word per block). The table goes last so the tracer can
+// encode into a growing buffer and keep it, shrunk in place, as the
+// trace's payload: no copy. A trace either owns its payload or views
+// one it does not own (a mapped bundle's bytes, a prefix slice's leader);
+// bundles store exactly these payload words, so mapped traces replay in
+// place.
 #ifndef STAGEDCMP_TRACE_EVENTS_H_
 #define STAGEDCMP_TRACE_EVENTS_H_
 
 #include <cassert>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <new>
 #include <vector>
 
 namespace stagedcmp::trace {
@@ -68,47 +100,332 @@ inline bool UnpackDependent(uint64_t e) {
          (e & kDependentBit) != 0;
 }
 
-/// One client's recorded execution: a replayable stream of events.
-///
-/// The event stream has two representations behind one accessor pair:
-/// the tracer and cold builds fill the owning `events` vector, while a
-/// warm mmap'd bundle load points `view_data`/`view_size` at the mapped
-/// region instead (zero copy; the mapping's lifetime is pinned by the
-/// enclosing TraceSet's `backing` handle). Consumers must go through
-/// `events_data()`/`events_size()` so both paths replay identically.
+/// Events per restart block (see the storage notes above).
+constexpr uint64_t kBlockEvents = 1024;
+
+/// Restart blocks of an `n_events` trace: its offset table's length.
+constexpr uint64_t BlockCount(uint64_t n_events) {
+  return (n_events + kBlockEvents - 1) / kBlockEvents;
+}
+
+/// Words of a trace's word-padded encoded bytes.
+constexpr uint64_t ByteWords(uint64_t n_bytes) { return (n_bytes + 7) / 8; }
+
+/// Payload words of a trace: word-padded bytes plus offset table.
+constexpr uint64_t PayloadWords(uint64_t n_events, uint64_t n_bytes) {
+  return ByteWords(n_bytes) + BlockCount(n_events);
+}
+
+namespace codec {
+struct FreeDeleter {
+  void operator()(void* p) const { std::free(p); }
+};
+/// A malloc'd payload: grown and shrunk with realloc, which moves large
+/// blocks by remapping pages instead of copying them.
+using Storage = std::unique_ptr<uint64_t[], FreeDeleter>;
+}  // namespace codec
+
+/// One client's recorded execution: a replayable stream of events, held
+/// encoded (see the storage notes above). Read it through EventCursor.
 struct ClientTrace {
-  std::vector<uint64_t> events;
-  const uint64_t* view_data = nullptr;  ///< non-owning; wins over `events`
-  uint64_t view_size = 0;
   uint64_t total_instructions = 0;
   uint32_t requests = 0;  ///< number of kMarker events
 
-  const uint64_t* events_data() const {
-    return view_data != nullptr ? view_data : events.data();
-  }
-  uint64_t events_size() const {
-    return view_data != nullptr ? view_size : events.size();
-  }
-  /// Points the trace at an externally owned event array (e.g. a mapped
-  /// bundle region). The caller guarantees the storage outlives the trace.
-  void SetView(const uint64_t* data, uint64_t size) {
-    events.clear();
-    view_data = data;
-    view_size = size;
+  ClientTrace() = default;
+  ClientTrace(ClientTrace&&) = default;
+  ClientTrace& operator=(ClientTrace&&) = default;
+  /// A copy owns a copy of the payload, whether `o` owns or views it.
+  ClientTrace(const ClientTrace& o) { *this = o; }
+  ClientTrace& operator=(const ClientTrace& o) {
+    if (this == &o) return *this;
+    total_instructions = o.total_instructions;
+    requests = o.requests;
+    const size_t bytes = o.payload_words() * 8;
+    codec::Storage copy;
+    if (bytes > 0) {
+      copy.reset(static_cast<uint64_t*>(std::malloc(bytes)));
+      if (copy == nullptr) throw std::bad_alloc();
+      std::memcpy(copy.get(), o.payload(), bytes);
+    }
+    SetOwned(std::move(copy), o.n_events_, o.n_bytes_);
+    return *this;
   }
 
-  /// Empties the trace but keeps the event buffer's capacity — the right
-  /// call when the same ClientTrace is about to be refilled (Tracer::Reset
-  /// between recordings).
-  void Clear() {
-    events.clear();
-    view_data = nullptr;
-    view_size = 0;
-    total_instructions = 0;
-    requests = 0;
+  uint64_t events_size() const { return n_events_; }
+  bool empty() const { return n_events_ == 0; }
+  /// The payload: the encoded bytes (ByteWords(encoded_bytes()) words),
+  /// then BlockCount(events_size()) offset words. Null when the trace
+  /// has no events.
+  const uint64_t* payload() const {
+    return view_ != nullptr ? view_ : owned_.get();
   }
-  bool empty() const { return events_size() == 0; }
+  uint64_t payload_words() const { return PayloadWords(n_events_, n_bytes_); }
+  uint64_t encoded_bytes() const { return n_bytes_; }
+  const uint8_t* encoded_data() const {
+    return reinterpret_cast<const uint8_t*>(payload());
+  }
+  const uint64_t* block_offsets() const {
+    return payload() + ByteWords(n_bytes_);
+  }
+
+  /// Points the trace at an externally owned payload (a mapped bundle
+  /// region, a leader's trace). The caller guarantees the storage
+  /// outlives the trace.
+  void SetView(const uint64_t* payload, uint64_t n_events, uint64_t n_bytes) {
+    owned_.reset();
+    view_ = payload;
+    n_events_ = n_events;
+    n_bytes_ = n_bytes;
+  }
+  /// Views `src`'s payload and copies its totals.
+  void ViewOf(const ClientTrace& src) {
+    SetView(src.payload(), src.n_events_, src.n_bytes_);
+    total_instructions = src.total_instructions;
+    requests = src.requests;
+  }
+  /// Takes ownership of a malloc'd payload of exactly
+  /// PayloadWords(n_events, n_bytes) words (EventEncoder::Finish).
+  void SetOwned(codec::Storage payload, uint64_t n_events, uint64_t n_bytes) {
+    owned_ = std::move(payload);
+    view_ = nullptr;
+    n_events_ = n_events;
+    n_bytes_ = n_bytes;
+  }
+
+ private:
+  codec::Storage owned_;
+  const uint64_t* view_ = nullptr;  ///< non-owning; wins over `owned_`
+  uint64_t n_events_ = 0;
+  uint64_t n_bytes_ = 0;
 };
+
+namespace codec {
+
+inline uint64_t ZigZag(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+inline int64_t UnZigZag(uint64_t z) {
+  return static_cast<int64_t>(z >> 1) ^ -static_cast<int64_t>(z & 1);
+}
+/// The low `bits` bits of `v` as a two's-complement signed value.
+inline int64_t SignExtend(uint64_t v, int bits) {
+  const int shift = 64 - bits;
+  return static_cast<int64_t>(v << shift) >> shift;
+}
+constexpr int kLineBits = 42;  ///< 48-bit addresses, 64-byte lines
+constexpr uint64_t kLineMask = (1ULL << kLineBits) - 1;
+
+/// Appends `v` as an LEB128 varint at `p`; returns the byte past it.
+inline uint8_t* PutVarint(uint8_t* p, uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *p++ = static_cast<uint8_t>(v);
+  return p;
+}
+/// Reads one varint at `*p` and advances it. Reads at most 10 bytes,
+/// whatever the input.
+inline uint64_t GetVarint(const uint8_t** p) {
+  const uint8_t* q = *p;
+  uint64_t v = *q++;
+  if (v >= 0x80) {
+    v &= 0x7F;
+    for (int shift = 7; shift < 70; shift += 7) {
+      const uint64_t b = *q++;
+      v |= (b & 0x7F) << shift;
+      if (b < 0x80) break;
+    }
+  }
+  *p = q;
+  return v;
+}
+/// Most bytes one event can take: a 3-byte header, a 7-byte delta and
+/// an offset byte.
+constexpr size_t kMaxEventBytes = 11;
+
+}  // namespace codec
+
+/// Encodes an event stream as it is produced (the Tracer's sink). The
+/// byte buffer grows geometrically; Finish shrinks it to the exact
+/// payload and hands it over.
+class EventEncoder {
+ public:
+
+  void Append(uint64_t ev) {
+    using namespace codec;
+    if (n_events_ % kBlockEvents == 0) {
+      blocks_.push_back(size_);
+      prev_line_ = 0;
+      prev_pc_ = 0;
+    }
+    ++n_events_;
+    if (cap_ - size_ < kMaxEventBytes) Grow();
+    uint8_t* p = bytes() + size_;
+    const uint64_t kind = (ev >> 14) & 3;
+    const uint64_t addr = ev >> 16;
+    p = PutVarint(p, kind < 2 ? ((ev & 0x1FFF) << 3) | ((ev >> 11) & 4) | kind
+                              : ((ev & 0x3FFF) << 2) | kind);
+    switch (static_cast<EventKind>(kind)) {
+      case EventKind::kRead:
+      case EventKind::kWrite: {
+        const uint64_t line = addr >> 6;
+        const uint64_t offset = addr & 63;
+        const int64_t d = SignExtend(line - prev_line_, kLineBits);
+        p = PutVarint(p, (ZigZag(d) << 1) | (offset != 0 ? 1 : 0));
+        if (offset != 0) *p++ = static_cast<uint8_t>(offset);
+        prev_line_ = line;
+        break;
+      }
+      case EventKind::kCompute:
+        p = PutVarint(p, ZigZag(SignExtend(addr - prev_pc_, 48)));
+        prev_pc_ = addr;
+        break;
+      case EventKind::kMarker:
+        p = PutVarint(p, addr);
+        break;
+    }
+    size_ = static_cast<size_t>(p - bytes());
+  }
+
+  uint64_t events_size() const { return n_events_; }
+  uint64_t encoded_bytes() const { return size_; }
+
+  /// Copies the stream so far into `t`'s storage, leaving the encoder as
+  /// it is. `t`'s totals are untouched.
+  void CopyTo(ClientTrace* t) const {
+    EventEncoder copy;
+    if (size_ > 0) {
+      copy.Resize(size_);
+      std::memcpy(copy.bytes(), buf_.get(), size_);
+    }
+    copy.size_ = size_;
+    copy.blocks_ = blocks_;
+    copy.n_events_ = n_events_;
+    copy.Finish(t);
+  }
+  /// Hands the stream over as `t`'s storage, shrunk in place to the
+  /// exact payload, and leaves the encoder empty. `t`'s totals are
+  /// untouched.
+  void Finish(ClientTrace* t) {
+    if (n_events_ > 0) {
+      Resize(PayloadWords(n_events_, size_) * 8);
+      std::memset(bytes() + size_, 0, ByteWords(size_) * 8 - size_);
+      std::memcpy(buf_.get() + ByteWords(size_), blocks_.data(),
+                  blocks_.size() * 8);
+    }
+    t->SetOwned(std::move(buf_), n_events_, size_);
+    *this = EventEncoder();
+  }
+
+ private:
+  uint8_t* bytes() { return reinterpret_cast<uint8_t*>(buf_.get()); }
+  void Grow() { Resize(cap_ < 4096 ? 4096 : cap_ * 2); }
+  void Resize(size_t cap) {
+    void* p = std::realloc(buf_.get(), cap);
+    if (p == nullptr) throw std::bad_alloc();
+    buf_.release();
+    buf_.reset(static_cast<uint64_t*>(p));
+    cap_ = cap;
+  }
+
+  codec::Storage buf_;
+  size_t size_ = 0;
+  size_t cap_ = 0;
+  std::vector<uint64_t> blocks_;
+  uint64_t n_events_ = 0;
+  uint64_t prev_line_ = 0;
+  uint64_t prev_pc_ = 0;
+};
+
+/// Sequential reader of one trace's events: Next() yields the packed
+/// words in order. A default-constructed cursor is at the end of an
+/// empty trace. The trace's storage must outlive the cursor.
+class EventCursor {
+ public:
+  EventCursor() = default;
+  explicit EventCursor(const ClientTrace& t)
+      : trace_(&t), n_events_(t.events_size()) {
+    Seek(0);
+  }
+
+  /// Positions the cursor before event `k` (k <= events_size()): jumps
+  /// to k's restart block and decodes the events before k within it.
+  void Seek(uint64_t k) {
+    assert(k <= n_events_);
+    pos_ = k - k % kBlockEvents;
+    p_ = pos_ < n_events_
+             ? trace_->encoded_data() + trace_->block_offsets()[pos_ /
+                                                                kBlockEvents]
+             : nullptr;
+    while (pos_ < k) Next();
+  }
+
+  bool done() const { return pos_ >= n_events_; }
+  uint64_t pos() const { return pos_; }
+
+  /// The next event's packed word. Requires !done().
+  uint64_t Next() {
+    using namespace codec;
+    if (pos_ % kBlockEvents == 0) {
+      prev_line_ = 0;
+      prev_pc_ = 0;
+    }
+    ++pos_;
+    const uint64_t h = GetVarint(&p_);
+    const uint64_t kind = h & 3;
+    uint64_t addr;
+    uint64_t count;
+    switch (static_cast<EventKind>(kind)) {
+      case EventKind::kRead:
+      case EventKind::kWrite: {
+        const uint64_t v = GetVarint(&p_);
+        prev_line_ = (prev_line_ + static_cast<uint64_t>(UnZigZag(v >> 1))) &
+                     kLineMask;
+        addr = prev_line_ << 6;
+        if (v & 1) addr |= *p_++ & 63;
+        count = ((h >> 3) & 0x1FFF) | ((h & 4) << 11);
+        break;
+      }
+      case EventKind::kCompute:
+        prev_pc_ =
+            (prev_pc_ + static_cast<uint64_t>(UnZigZag(GetVarint(&p_)))) &
+            kAddrMask;
+        addr = prev_pc_;
+        count = (h >> 2) & 0x3FFF;
+        break;
+      default:
+        addr = GetVarint(&p_) & kAddrMask;
+        count = (h >> 2) & 0x3FFF;
+        break;
+    }
+    return (addr << 16) | (kind << 14) | count;
+  }
+
+ private:
+  const ClientTrace* trace_ = nullptr;
+  const uint8_t* p_ = nullptr;
+  uint64_t n_events_ = 0;
+  uint64_t pos_ = 0;
+  uint64_t prev_line_ = 0;
+  uint64_t prev_pc_ = 0;
+};
+
+/// Encodes `events` into `t`'s storage; `t`'s totals are untouched.
+inline void EncodeEvents(const std::vector<uint64_t>& events,
+                         ClientTrace* t) {
+  EventEncoder enc;
+  for (uint64_t e : events) enc.Append(e);
+  enc.Finish(t);
+}
+
+/// Every event of `t`, decoded in order.
+inline std::vector<uint64_t> DecodeEvents(const ClientTrace& t) {
+  std::vector<uint64_t> out;
+  out.reserve(t.events_size());
+  for (EventCursor c(t); !c.done();) out.push_back(c.Next());
+  return out;
+}
 
 }  // namespace stagedcmp::trace
 

@@ -114,7 +114,8 @@ class Tracer {
   }
 
   void Reset() {
-    trace_.Clear();
+    trace_ = ClientTrace();
+    encoder_ = EventEncoder();
     region_ = CodeRegion{CodeMap::kCodeBase, 64 * 1024};
     pc_off_ = 0;
     win_base_ = 0;
@@ -177,14 +178,25 @@ class Tracer {
   void EndRequest() {
     if (!enabled_) return;
     FlushCompute();
-    trace_.events.push_back(PackEvent(EventKind::kMarker, 0, 0));
+    encoder_.Append(PackEvent(EventKind::kMarker, 0, 0));
     ++trace_.requests;
   }
 
-  const ClientTrace& trace() const { return trace_; }
+  /// A copy of the trace recorded so far. Computation not yet flushed
+  /// into an event is not in it.
+  ClientTrace trace() const {
+    ClientTrace t = trace_;
+    encoder_.CopyTo(&t);
+    return t;
+  }
+  /// Events recorded so far.
+  uint64_t events_size() const { return encoder_.events_size(); }
+  /// Flushes, hands over the recorded trace in exact-size storage and
+  /// starts a fresh recording.
   ClientTrace TakeTrace() {
     FlushCompute();
-    ClientTrace t = std::move(trace_);
+    ClientTrace t = trace_;
+    encoder_.Finish(&t);
     Reset();
     return t;
   }
@@ -194,8 +206,7 @@ class Tracer {
     while (pending_compute_ > 0) {
       const uint32_t n =
           pending_compute_ > kMaxEventCount ? kMaxEventCount : pending_compute_;
-      trace_.events.push_back(
-          PackEvent(EventKind::kCompute, CurrentPc(), n));
+      encoder_.Append(PackEvent(EventKind::kCompute, CurrentPc(), n));
       AdvancePc(n);
       pending_compute_ -= n;
       jump_pending_ = false;
@@ -256,8 +267,7 @@ class Tracer {
         pending_compute_ -= fold;
         if (pending_compute_ > 0) FlushCompute();
       }
-      trace_.events.push_back(
-          PackMemEvent(kind, line << 6, n, dependent && first));
+      encoder_.Append(PackMemEvent(kind, line << 6, n, dependent && first));
       trace_.total_instructions += newly_counted;
       instrs_since_sync_ += n;
       AdvancePc(n);
@@ -283,7 +293,8 @@ class Tracer {
   }
 
   const RegionSet* regions_;
-  ClientTrace trace_;
+  ClientTrace trace_;      ///< totals; the events live in encoder_
+  EventEncoder encoder_;
   CodeRegion region_;
   uint32_t pc_off_ = 0;
   uint32_t win_base_ = 0;

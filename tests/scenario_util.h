@@ -122,7 +122,7 @@ class TraceCache {
     }
     for (const auto& t : out.traces) {
       out.total_instructions += t.total_instructions;
-      out.total_events += t.events.size();
+      out.total_events += t.events_size();
     }
     return out;
   }
@@ -179,7 +179,7 @@ inline int RegionIndexOf(uint64_t pc) {
 inline uint64_t CountRegionSwitches(const trace::ClientTrace& t) {
   int cur = -1;
   uint64_t switches = 0;
-  for (uint64_t e : t.events) {
+  for (uint64_t e : trace::DecodeEvents(t)) {
     if (trace::UnpackKind(e) != trace::EventKind::kCompute) continue;
     const int r = RegionIndexOf(trace::UnpackAddr(e));
     if (r < 0 || r == cur) continue;
@@ -228,8 +228,8 @@ inline std::vector<uint32_t> EventSkeleton(const harness::TraceSet& ts) {
   std::vector<uint32_t> out;
   out.reserve(ts.total_events);
   for (const auto& t : ts.traces) {
-    for (uint64_t i = 0; i < t.events_size(); ++i) {
-      const uint64_t e = t.events_data()[i];
+    for (trace::EventCursor cur(t); !cur.done();) {
+      const uint64_t e = cur.Next();
       out.push_back((static_cast<uint32_t>(trace::UnpackKind(e)) << 16) |
                     trace::UnpackCount(e));
     }

@@ -37,14 +37,14 @@ inline std::vector<trace::ClientTrace> MakeTraces(uint64_t seed,
   for (uint32_t c = 0; c < clients; ++c) {
     Rng rng(seed * 1000003 + c * 7919 + 1);
     trace::ClientTrace& t = out[c];
-    t.events.reserve(events_per_client);
+    trace::EventEncoder events;
     for (size_t i = 0; i < events_per_client; ++i) {
       const uint32_t pick = static_cast<uint32_t>(rng.Next() % 100);
       if (pick < 30) {
         const uint64_t pc = kCodeBase + (rng.Next() % (1u << 20));
         const uint32_t n = 1 + static_cast<uint32_t>(rng.Next() % 64);
-        t.events.push_back(trace::PackEvent(trace::EventKind::kCompute,
-                                            pc & ~3ULL, n));
+        events.Append(trace::PackEvent(trace::EventKind::kCompute,
+                                       pc & ~3ULL, n));
         t.total_instructions += n;
       } else if (pick < 97) {
         const bool is_write = pick >= 82;
@@ -58,15 +58,16 @@ inline std::vector<trace::ClientTrace> MakeTraces(uint64_t seed,
             : region == 1 ? priv + (rng.Next() % (16ULL << 10))
                           : priv + (rng.Next() % (32ULL << 20));
         const uint32_t n = 1 + static_cast<uint32_t>(rng.Next() % 16);
-        t.events.push_back(trace::PackMemEvent(
+        events.Append(trace::PackMemEvent(
             is_write ? trace::EventKind::kWrite : trace::EventKind::kRead,
             addr & ~63ULL, n, dependent));
         t.total_instructions += n;
       } else {
-        t.events.push_back(trace::PackEvent(trace::EventKind::kMarker, 0, 0));
+        events.Append(trace::PackEvent(trace::EventKind::kMarker, 0, 0));
         ++t.requests;
       }
     }
+    events.Finish(&t);
   }
   return out;
 }

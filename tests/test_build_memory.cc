@@ -36,9 +36,10 @@ double ResidentMb() {
          static_cast<double>(sysconf(_SC_PAGESIZE)) / (1 << 20);
 }
 
+/// Bytes the sets' encoded events hold (offset tables included).
 double EventMb(const harness::TraceSet& set) {
   uint64_t words = 0;
-  for (const trace::ClientTrace& t : set.traces) words += t.events.size();
+  for (const trace::ClientTrace& t : set.traces) words += t.payload_words();
   return static_cast<double>(words * sizeof(uint64_t)) / (1 << 20);
 }
 

@@ -10,6 +10,7 @@ namespace stagedcmp::coresim {
 namespace {
 
 using trace::ClientTrace;
+using trace::EncodeEvents;
 using trace::EventKind;
 using trace::PackEvent;
 using trace::PackMemEvent;
@@ -25,14 +26,16 @@ memsim::HierarchyConfig BigFastConfig() {
 
 ClientTrace ComputeOnlyTrace(uint64_t instrs) {
   ClientTrace t;
+  std::vector<uint64_t> events;
   uint64_t pc = 0x400000000000ULL;
   for (uint64_t done = 0; done < instrs; done += 128) {
-    t.events.push_back(PackEvent(EventKind::kCompute, pc, 128));
+    events.push_back(PackEvent(EventKind::kCompute, pc, 128));
     pc += 128 * 4;
     if (pc > 0x400000000000ULL + 4096) pc = 0x400000000000ULL;  // small loop
   }
   t.total_instructions = instrs;
-  t.events.push_back(PackEvent(EventKind::kMarker, 0, 0));
+  events.push_back(PackEvent(EventKind::kMarker, 0, 0));
+  EncodeEvents(events, &t);
   t.requests = 1;
   return t;
 }
@@ -41,16 +44,19 @@ ClientTrace ComputeOnlyTrace(uint64_t instrs) {
 /// addresses never repeat (always cold); otherwise the chase cycles within
 /// a wrap_bytes-sized footprint.
 ClientTrace PointerChaseTrace(uint64_t accesses, uint32_t instrs_per,
-                              uint64_t wrap_bytes = 0) {
+                              uint64_t wrap_bytes = 0,
+                              uint64_t addr_offset = 0) {
   ClientTrace t;
+  std::vector<uint64_t> events;
   for (uint64_t i = 0; i < accesses; ++i) {
     uint64_t addr = 0x100000 + i * 4096;
     if (wrap_bytes != 0) addr = 0x100000 + (i * 4096) % wrap_bytes;
-    t.events.push_back(
-        PackMemEvent(EventKind::kRead, addr, instrs_per, true));
+    events.push_back(PackMemEvent(EventKind::kRead, addr + addr_offset,
+                                  instrs_per, true));
     t.total_instructions += instrs_per;
   }
-  t.events.push_back(PackEvent(EventKind::kMarker, 0, 0));
+  events.push_back(PackEvent(EventKind::kMarker, 0, 0));
+  EncodeEvents(events, &t);
   t.requests = 1;
   return t;
 }
@@ -99,15 +105,8 @@ TEST(LcCoreTest, MultithreadingHidesStalls) {
   auto run = [](uint32_t nclients) {
     std::vector<ClientTrace> traces;
     for (uint32_t i = 0; i < nclients; ++i) {
-      traces.push_back(PointerChaseTrace(3000, 40));
       // Different address streams per client.
-      for (auto& e : traces.back().events) {
-        if (trace::UnpackKind(e) == EventKind::kRead) {
-          e = PackMemEvent(EventKind::kRead,
-                           trace::UnpackAddr(e) + (uint64_t(i) << 33),
-                           trace::UnpackCount(e), true);
-        }
-      }
+      traces.push_back(PointerChaseTrace(3000, 40, 0, uint64_t(i) << 33));
     }
     memsim::HierarchyConfig hc = BigFastConfig();
     hc.num_cores = 1;

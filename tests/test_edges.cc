@@ -194,14 +194,14 @@ TEST_F(TxnAbortTest, TracedAbortTouchesSharedStructures) {
   trace::Tracer t(&regions);
   txn.Begin(&t);
   txn.Lock(13, db::LockMode::kExclusive, &t);
-  const size_t events_before_abort = t.trace().events.size();
+  const size_t events_before_abort = t.events_size();
   txn.Abort(&t);
   t.FlushCompute();
   // The abort path must emit log-tail and lock-bucket traffic just like
   // commit: the coherence hotspots exist on rollback too.
-  EXPECT_GT(t.trace().events.size(), events_before_abort);
+  EXPECT_GT(t.events_size(), events_before_abort);
   bool saw_write = false;
-  for (uint64_t e : t.trace().events) {
+  for (uint64_t e : trace::DecodeEvents(t.trace())) {
     saw_write |= trace::UnpackKind(e) == trace::EventKind::kWrite;
   }
   EXPECT_TRUE(saw_write);

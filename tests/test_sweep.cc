@@ -12,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
+
 #include "gtest/gtest.h"
 #include "harness/config_fields.h"
 #include "scenario_util.h"
@@ -275,21 +277,6 @@ TEST(SweepRunner, CellsMatchDirectRunExperimentCalls) {
   }
 }
 
-TEST(ClientTrace, ClearKeepsCapacity) {
-  trace::ClientTrace t;
-  for (uint64_t i = 0; i < 1000; ++i) t.events.push_back(i);
-  t.total_instructions = 7;
-  t.requests = 3;
-  const size_t cap = t.events.capacity();
-  ASSERT_GE(cap, 1000u);
-
-  t.Clear();
-  EXPECT_TRUE(t.empty());
-  EXPECT_EQ(t.total_instructions, 0u);
-  EXPECT_EQ(t.requests, 0u);
-  EXPECT_EQ(t.events.capacity(), cap);  // refill path keeps the buffer
-}
-
 TEST(TraceSetCache, EvictAllDropsEntriesAndAllowsRebuild) {
   harness::WorkloadFactory factory;
   sweep::TraceSetCache cache(&factory);
@@ -320,7 +307,7 @@ std::string FileBytes(const std::string& path) {
 // Header word where set 0's first index row starts: magic and version,
 // the factory's scale knobs, the set count, set 0's config block, its
 // two totals and its trace count. A row is requests, total_instructions,
-// n_events, offset_bytes, checksum.
+// n_events, n_bytes, offset_bytes, checksum.
 uint64_t FirstIndexRowWord(const harness::WorkloadFactory& factory) {
   return 2 + harness::ScaleWords(factory).size() + 1 +
          harness::FieldCount<harness::TraceSetConfig>() + 3;
@@ -354,9 +341,7 @@ TEST(TraceBundle, SaveThenLoadRoundTripsEveryEvent) {
       const trace::ClientTrace& t = loaded.traces[i];
       EXPECT_EQ(t.requests, built.traces[i].requests);
       EXPECT_EQ(t.total_instructions, built.traces[i].total_instructions);
-      EXPECT_EQ(std::vector<uint64_t>(t.events_data(),
-                                      t.events_data() + t.events_size()),
-                built.traces[i].events);
+      EXPECT_EQ(trace::DecodeEvents(t), trace::DecodeEvents(built.traces[i]));
     }
     EXPECT_TRUE(sweep::VerifyBundleSet(loaded, open.checksums[0]));
   }
@@ -393,7 +378,7 @@ TEST(TraceBundle, SaveThenLoadRoundTripsEveryEvent) {
     uint64_t instructions = 0;
     std::memcpy(&n_events, bytes.data() + (row + 2) * 8, 8);
     std::memcpy(&instructions, bytes.data() + (row + 1) * 8, 8);
-    ASSERT_EQ(n_events, built.traces[0].events.size());  // layout pinned
+    ASSERT_EQ(n_events, built.traces[0].events_size());  // layout pinned
     ASSERT_EQ(instructions, built.traces[0].total_instructions);
     const auto stomp_word = [&](uint64_t word, uint64_t value) {
       std::ofstream rewrite(path, std::ios::binary | std::ios::trunc);
@@ -467,13 +452,13 @@ TEST(TraceBundle, MmapServesZeroCopyViewsVerifiedLazily) {
   ASSERT_EQ(r.sets[0].traces.size(), fx.built.traces.size());
   for (size_t i = 0; i < fx.built.traces.size(); ++i) {
     const trace::ClientTrace& t = r.sets[0].traces[i];
-    // Zero-copy: events live in the mapping, not in an owning vector.
-    EXPECT_NE(t.view_data, nullptr);
-    EXPECT_TRUE(t.events.empty());
-    ASSERT_EQ(t.events_size(), fx.built.traces[i].events.size());
-    EXPECT_EQ(std::vector<uint64_t>(t.events_data(),
-                                    t.events_data() + t.events_size()),
-              fx.built.traces[i].events);
+    // Zero-copy: the payload lives in the mapping.
+    const auto* base =
+        reinterpret_cast<const uint8_t*>(r.mapping->words());
+    const auto* payload = reinterpret_cast<const uint8_t*>(t.payload());
+    EXPECT_TRUE(payload >= base && payload < base + r.mapping->size_bytes());
+    ASSERT_EQ(t.events_size(), fx.built.traces[i].events_size());
+    EXPECT_EQ(trace::DecodeEvents(t), trace::DecodeEvents(fx.built.traces[i]));
   }
   // The mapping is pinned by the set's backing keep-alive.
   EXPECT_NE(r.sets[0].backing, nullptr);
@@ -483,9 +468,7 @@ TEST(TraceBundle, MmapServesZeroCopyViewsVerifiedLazily) {
   EXPECT_TRUE(sweep::VerifyBundleSet(r.sets[0], r.checksums[0]));
   for (size_t i = 0; i < fx.built.traces.size(); ++i) {
     const trace::ClientTrace& t = r.sets[0].traces[i];
-    EXPECT_EQ(std::vector<uint64_t>(t.events_data(),
-                                    t.events_data() + t.events_size()),
-              fx.built.traces[i].events);
+    EXPECT_EQ(trace::DecodeEvents(t), trace::DecodeEvents(fx.built.traces[i]));
   }
   EXPECT_TRUE(sweep::VerifyBundleSet(r.sets[0], r.checksums[0]));
   // An owning set pins no mapping: it is refused, never page-dropped.
@@ -493,8 +476,8 @@ TEST(TraceBundle, MmapServesZeroCopyViewsVerifiedLazily) {
 }
 
 TEST(TraceBundle, MapFailureOnDirectoryDemotesToCold) {
-  // A directory opens read-only but cannot be mapped (Linux mmap fails
-  // with ENODEV): a real map failure, served as a cold rebuild.
+  // A directory is not a regular file, so it is never mapped: served as
+  // a cold rebuild.
   harness::WorkloadFactory factory;
   harness::TraceSetConfig cfg;
   cfg.workload = harness::WorkloadKind::kOltp;
@@ -504,6 +487,28 @@ TEST(TraceBundle, MapFailureOnDirectoryDemotesToCold) {
   EXPECT_EQ(r.mode, "cold");
   EXPECT_EQ(r.mapping, nullptr);
   EXPECT_TRUE(r.sets.empty());
+}
+
+TEST(TraceBundle, FifoPathBuildsColdAndIsLeftAlone) {
+  // Opening a FIFO for reading blocks until a writer appears, and the
+  // writer's rename would replace it. A bundle path that exists but is
+  // not a regular file is neither mapped nor written: the run builds
+  // cold, writes nothing, and returns (ctest's TIMEOUT catches a hang).
+  const std::string path = ::testing::TempDir() + "bundle_fifo.traces";
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  harness::WorkloadFactory factory;
+  sweep::RunnerOptions options;
+  options.threads = 1;
+  options.trace_bundle = path;
+  const sweep::SweepReport r = sweep::SweepRunner(&factory, options).Run(
+      TinySpec());
+  EXPECT_EQ(r.bundle, "cold");
+  struct stat st;
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISFIFO(st.st_mode));
+  EXPECT_NE(::stat((path + ".tmp").c_str(), &st), 0) << "temp file left";
+  std::remove(path.c_str());
 }
 
 TEST(TraceBundle, UnmappableEmptyFileRebuildsColdThenServesWarm) {
@@ -558,16 +563,18 @@ TEST(TraceBundle, WrongVersionOrTruncationDemotesToCold) {
                           std::istreambuf_iterator<char>());
   in.close();
 
-  // A v2 bundle (or any other version word) must rebuild cold.
-  {
-    std::fstream stomp(fx.path,
-                       std::ios::binary | std::ios::in | std::ios::out);
-    const uint64_t v2 = 2;
-    stomp.seekp(8);  // word 1: format version
-    stomp.write(reinterpret_cast<const char*>(&v2), 8);
+  // A v2 or v3 bundle (or any other version word) must rebuild cold.
+  for (const uint64_t version : {uint64_t{2}, uint64_t{3}}) {
+    {
+      std::fstream stomp(fx.path,
+                         std::ios::binary | std::ios::in | std::ios::out);
+      stomp.seekp(8);  // word 1: format version
+      stomp.write(reinterpret_cast<const char*>(&version), 8);
+    }
+    EXPECT_EQ(sweep::OpenTraceBundle(fx.path, fx.factory, {fx.cfg}).mode,
+              "cold")
+        << "version " << version;
   }
-  EXPECT_EQ(sweep::OpenTraceBundle(fx.path, fx.factory, {fx.cfg}).mode,
-            "cold");
 
   // Truncation demotes to cold.
   {
@@ -588,7 +595,7 @@ TEST(TraceBundle, FlippedPayloadWordCaughtLazily) {
   {
     std::fstream f(fx.path, std::ios::binary | std::ios::in | std::ios::out);
     f.seekg(static_cast<std::streamoff>(
-        (FirstIndexRowWord(fx.factory) + 3) * 8));
+        (FirstIndexRowWord(fx.factory) + 4) * 8));
     f.read(reinterpret_cast<char*>(&offset), 8);
     ASSERT_GT(offset, 0u);
     ASSERT_EQ(offset % 64, 0u);
@@ -683,7 +690,7 @@ TEST(TraceBundle, LazyMismatchRebuildsColdAndReportsPartial) {
   {
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
     uint64_t offset = 0;
-    f.seekg(static_cast<std::streamoff>((FirstIndexRowWord(f1) + 3) * 8));
+    f.seekg(static_cast<std::streamoff>((FirstIndexRowWord(f1) + 4) * 8));
     f.read(reinterpret_cast<char*>(&offset), 8);
     ASSERT_GT(offset, 0u);
     ASSERT_EQ(offset % 64, 0u);
@@ -964,6 +971,28 @@ TEST(TraceBundle, FamilyGridStreamsLikeSaveTraceBundleAndReopensWarm) {
     ASSERT_TRUE(sweep::SaveTraceBundle(saved, factory, sets));
     EXPECT_TRUE(FileBytes(streamed) == FileBytes(saved))
         << "streamed bundle differs";
+
+    // Slices view their leader's payloads, so the bundle holds the
+    // padded header and each distinct payload once: the leaders' traces.
+    const std::string bytes = FileBytes(streamed);
+    uint64_t first_payload = 0;
+    std::memcpy(&first_payload,
+                bytes.data() + (FirstIndexRowWord(factory) + 4) * 8, 8);
+    std::set<const uint64_t*> distinct;
+    uint64_t expected_bytes = first_payload;
+    for (const harness::TraceSet* ts : sets) {
+      if (!IsFamilyLeader(ts->config)) continue;
+      for (const trace::ClientTrace& t : ts->traces) {
+        expected_bytes += (t.payload_words() * 8 + 63) / 64 * 64;
+        EXPECT_TRUE(distinct.insert(t.payload()).second);
+      }
+    }
+    for (const harness::TraceSet* ts : sets) {
+      for (const trace::ClientTrace& t : ts->traces) {
+        EXPECT_EQ(distinct.count(t.payload()), 1u);
+      }
+    }
+    EXPECT_EQ(bytes.size(), expected_bytes);
 
     std::vector<harness::TraceSetConfig> configs;
     for (const harness::TraceSet* ts : sets) configs.push_back(ts->config);

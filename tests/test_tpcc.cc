@@ -124,7 +124,7 @@ TEST_F(TpccTest, TracesDeterministicPerSeed) {
     // Addresses differ run-to-run (fresh arena), so compare structure:
     // kinds, counts, instruction totals.
     std::vector<uint32_t> shape;
-    for (uint64_t e : tr.events) {
+    for (uint64_t e : trace::DecodeEvents(tr)) {
       shape.push_back((static_cast<uint32_t>(trace::UnpackKind(e)) << 16) |
                       trace::UnpackCount(e));
     }

@@ -195,7 +195,7 @@ TEST_P(TpchQuerySweep, TracedExecutionProducesEvents) {
   const trace::RegionSet regions(&code);
   trace::Tracer tracer(&regions);
   driver.Run(static_cast<TpchQuery>(GetParam()), &tracer);
-  EXPECT_GT(tracer.trace().events.size(), 100u);
+  EXPECT_GT(tracer.events_size(), 100u);
   EXPECT_EQ(tracer.trace().requests, 1u);
 }
 

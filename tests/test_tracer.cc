@@ -70,7 +70,7 @@ TEST_F(TracerTest, ComputeAccumulatesInstructions) {
 TEST_F(TracerTest, ReadSpanningLinesEmitsPerLineEvents) {
   alignas(64) char buf[256];
   t.Read(buf, 200, 4);  // 200B from a 64B-aligned base: 4 lines
-  const auto& ev = t.trace().events;
+  const std::vector<uint64_t> ev = DecodeEvents(t.trace());
   int reads = 0;
   for (uint64_t e : ev) {
     if (UnpackKind(e) == EventKind::kRead) ++reads;
@@ -81,7 +81,7 @@ TEST_F(TracerTest, ReadSpanningLinesEmitsPerLineEvents) {
 TEST_F(TracerTest, DependentFlagOnlyOnFirstLine) {
   alignas(64) char buf[256];
   t.Read(buf, 128, 4, /*dependent=*/true);
-  const auto& ev = t.trace().events;
+  const std::vector<uint64_t> ev = DecodeEvents(t.trace());
   ASSERT_GE(ev.size(), 2u);
   int dep = 0;
   for (uint64_t e : ev) dep += UnpackDependent(e);
@@ -92,7 +92,7 @@ TEST_F(TracerTest, ComputeFoldedIntoMemEvent) {
   alignas(64) char buf[64];
   t.Compute(20);
   t.Read(buf, 8, 4);
-  const auto& ev = t.trace().events;
+  const std::vector<uint64_t> ev = DecodeEvents(t.trace());
   ASSERT_EQ(ev.size(), 1u);  // folded: one mem event carrying 24 instrs
   EXPECT_EQ(UnpackCount(ev[0]), 24u);
   EXPECT_EQ(t.trace().total_instructions, 24u);
@@ -106,7 +106,7 @@ TEST_F(TracerTest, RegionSwitchEmitsJumpCompute) {
   t.EnterRegion(r2);
   t.Compute(50);
   t.FlushCompute();
-  const auto& ev = t.trace().events;
+  const std::vector<uint64_t> ev = DecodeEvents(t.trace());
   bool saw_r1 = false, saw_r2 = false;
   for (uint64_t e : ev) {
     if (UnpackKind(e) != EventKind::kCompute) continue;
@@ -129,7 +129,7 @@ TEST_F(TracerTest, RegionPcPersistsAcrossReentry) {
   t.Compute(10);
   t.FlushCompute();
   uint64_t last_r1_pc = 0;
-  for (uint64_t e : t.trace().events) {
+  for (uint64_t e : DecodeEvents(t.trace())) {
     if (UnpackKind(e) == EventKind::kCompute) {
       const uint64_t pc = UnpackAddr(e);
       if (pc >= r1.base && pc < r1.base + r1.size) last_r1_pc = pc;
@@ -145,7 +145,7 @@ TEST_F(TracerTest, EndRequestEmitsMarker) {
   t.EndRequest();
   EXPECT_EQ(t.trace().requests, 2u);
   int markers = 0;
-  for (uint64_t e : t.trace().events) {
+  for (uint64_t e : DecodeEvents(t.trace())) {
     markers += (UnpackKind(e) == EventKind::kMarker);
   }
   EXPECT_EQ(markers, 2);

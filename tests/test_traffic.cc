@@ -130,7 +130,7 @@ TEST(ArrivalTraffic, SteadyInjectsNothing) {
   trace::Tracer tracer(&regions);
   for (int r = 0; r < 8; ++r) shaper.BeforeRequest(&tracer);
   tracer.FlushCompute();
-  EXPECT_TRUE(tracer.trace().events.empty());
+  EXPECT_EQ(tracer.events_size(), 0u);
   EXPECT_EQ(tracer.trace().total_instructions, 0u);
   EXPECT_EQ(shaper.stats().idle_instructions, 0u);
 }
@@ -181,7 +181,7 @@ TEST(ArrivalTraffic, IdleInstructionsLandInTheIdleRegion) {
   tracer.FlushCompute();
   const trace::CodeRegion& idle = regions[trace::RegionId::kIdle];
   uint64_t idle_instrs = 0;
-  for (uint64_t e : tracer.trace().events) {
+  for (uint64_t e : trace::DecodeEvents(tracer.trace())) {
     ASSERT_EQ(trace::UnpackKind(e), trace::EventKind::kCompute);
     const uint64_t pc = trace::UnpackAddr(e);
     if (pc >= idle.base && pc < idle.base + idle.size) {

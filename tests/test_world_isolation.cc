@@ -172,8 +172,8 @@ namespace prefix {
 std::vector<uint64_t> AddressFreeTrace(const trace::ClientTrace& t) {
   std::vector<uint64_t> out;
   out.reserve(t.events_size() + 2);
-  for (uint64_t i = 0; i < t.events_size(); ++i) {
-    const uint64_t e = t.events_data()[i];
+  for (trace::EventCursor cur(t); !cur.done();) {
+    const uint64_t e = cur.Next();
     const trace::EventKind k = trace::UnpackKind(e);
     const bool mem = k == trace::EventKind::kRead ||
                      k == trace::EventKind::kWrite;

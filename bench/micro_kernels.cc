@@ -4,7 +4,9 @@
 // These measure the *native* cost of the reproduction's substrates (how
 // fast the simulator itself runs), not simulated cycles.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
+#include <chrono>
 #include <unordered_map>
 
 #include "common/arena.h"
@@ -184,6 +186,41 @@ static void BM_TpccNewOrderNative(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TpccNewOrderNative);
+
+// A database-sized Arena's life: 4 MB blocks (the Database arena's),
+// one byte written per 4 KB page across 64 MB, then the arena dies and
+// unmaps them. ns/page is the first-touch cost; faults/iter counts the
+// minor page faults each life takes (about 32 with huge pages, 16k
+// with 4 KB ones).
+static void BM_ArenaTouch(benchmark::State& state) {
+  constexpr size_t kBytes = size_t{64} << 20;
+  constexpr size_t kChunk = size_t{1} << 20;  // four to a block
+  constexpr size_t kPage = 4096;
+  rusage ru0{};
+  getrusage(RUSAGE_SELF, &ru0);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    Arena arena(4 << 20);
+    for (size_t done = 0; done < kBytes; done += kChunk) {
+      char* p = static_cast<char*>(arena.Allocate(kChunk, kPage));
+      benchmark::DoNotOptimize(p);
+      for (size_t off = 0; off < kChunk; off += kPage) p[off] = 1;
+    }
+    benchmark::ClobberMemory();
+  }
+  const double ns = std::chrono::duration<double, std::nano>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  rusage ru1{};
+  getrusage(RUSAGE_SELF, &ru1);
+  const double iters = static_cast<double>(state.iterations());
+  state.counters["ns/page"] = ns / (iters * (kBytes / kPage));
+  state.counters["faults/iter"] =
+      static_cast<double>(ru1.ru_minflt - ru0.ru_minflt) / iters;
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kBytes / kPage));
+}
+BENCHMARK(BM_ArenaTouch);
 
 // The trace event codec (trace/events.h) over a recorded TPC-C mix of
 // about 256k events: encoding as the tracer emits, decoding as replay

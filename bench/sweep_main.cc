@@ -57,9 +57,10 @@ int Usage(const char* argv0, int code) {
       "  --format F        result sink: table (default), json, csv\n"
       "  --out FILE        write results to FILE instead of stdout\n"
       "  --perf-out FILE   also write a BENCH_sweep.json perf summary\n"
-      "                    (wall clocks, throughput, peak_rss_mb, and the\n"
-      "                    run's metrics registry: trace cache, sweep\n"
-      "                    pipeline, replay counters)\n"
+      "                    (wall clocks, throughput, peak_rss_mb,\n"
+      "                    minor_page_faults, and the run's metrics\n"
+      "                    registry: trace cache, sweep pipeline,\n"
+      "                    replay counters)\n"
       "  --trace-out FILE  write a Chrome trace-event span timeline of\n"
       "                    the run (load it in ui.perfetto.dev); with\n"
       "                    --deterministic the bytes are canonical\n"

@@ -223,12 +223,17 @@ if [[ $run_tier1 -eq 1 ]]; then
   }
   gate_cps warm BENCH_sweep.json build/BENCH_sweep_fresh.json
   gate_cps cold BENCH_sweep_cold.json build/BENCH_sweep_cold_fresh.json
-  # Host memory, reported only (no gate): each pass's process peak.
-  get_rss() {
-    awk -F': ' '/"peak_rss_mb"/ { gsub(/,/, "", $2); print $2; exit }' "$1"
+  # Host memory, reported only (no gate): each pass's process peak and
+  # the minor page faults it took.
+  get_field() {
+    awk -F': ' -v k="\"$1\"" '$1 ~ k { gsub(/,/, "", $2); print $2; exit }' "$2"
   }
-  echo "    peak_rss_mb: cold $(get_rss build/BENCH_sweep_cold_fresh.json)," \
-       "warm $(get_rss build/BENCH_sweep_fresh.json)"
+  cold_json=build/BENCH_sweep_cold_fresh.json
+  warm_json=build/BENCH_sweep_fresh.json
+  echo "    peak_rss_mb: cold $(get_field peak_rss_mb "$cold_json")," \
+       "warm $(get_field peak_rss_mb "$warm_json");" \
+       "minor_page_faults: cold $(get_field minor_page_faults "$cold_json")," \
+       "warm $(get_field minor_page_faults "$warm_json")"
   cat build/BENCH_sweep_fresh.json
 fi
 

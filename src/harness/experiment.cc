@@ -2,10 +2,6 @@
 
 #include <cassert>
 
-#ifdef __GLIBC__
-#include <malloc.h>
-#endif
-
 #include "cacti/cache_model.h"
 #include "harness/world.h"
 
@@ -44,21 +40,6 @@ TraceSet WorkloadFactory::Build(const TraceSetConfig& config) const {
   // to heap placement) regardless of what built before it.
   WorkloadWorld world(tpcc_config, tpch_config, ycsb_config, metrics);
   return world.Build(config);
-}
-
-void ReleaseFreeHeapPages() {
-  // glibc raises its mmap threshold to the largest mmapped block freed,
-  // so once a process's first world dies, later worlds' 4 MB Arena
-  // blocks come from the building thread's heap instead of their own
-  // mappings. Trace sets recorded after them sit above them on that
-  // heap, so free() cannot shrink it, and a dead TPC-C image (about
-  // 120 MB at 16 warehouses) stays resident under the live sets.
-  // malloc_trim(0) releases free pages anywhere in every arena. Not per
-  // build: a following build reuses those pages where they stay, and
-  // faults them back in where they were released.
-#ifdef __GLIBC__
-  malloc_trim(0);
-#endif
 }
 
 memsim::HierarchyConfig MakeHierarchyConfig(const ExperimentConfig& config) {

@@ -157,12 +157,6 @@ class WorkloadFactory {
   TraceSet Build(const TraceSetConfig& config) const;
 };
 
-/// Returns to the OS the heap pages that dead worlds left free. A thread
-/// calls it once it has no more builds to run (the sweep's builders do);
-/// experiment.cc explains why those pages stay resident otherwise, and
-/// why builds do not call it themselves. glibc only; a no-op elsewhere.
-void ReleaseFreeHeapPages();
-
 struct ExperimentConfig {
   coresim::Camp camp = coresim::Camp::kFat;
   uint32_t cores = 4;

@@ -2,17 +2,21 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <exception>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "harness/config_fields.h"
 #include "sweep/trace_bundle.h"
 #include "sweep/trace_cache.h"
 
@@ -32,32 +36,51 @@ uint64_t MicrosSince(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
-/// Human-readable trace-set identity for span names — canonical (built
-/// from the config only), so deterministic traces stay byte-stable.
+/// Label tag of each TraceSetConfig field-table row, in row order: the
+/// workload leads untagged, then "/<tag><value>" per present row.
+constexpr const char* kLabelTags[] = {
+    "",                       // workload
+    "c", "r",  "s",   "e",    // clients, requests, seed, engine
+    "k", "z",  "h",           // key_dist, zipf_theta, hot_rotate_period
+    "a", "on", "off", "th",   // arrival, burst_on, burst_off, think
+    "t", "tc"};               // tenant2_workload, tenant2_clients
+static_assert(std::size(kLabelTags) ==
+                  harness::FieldCount<harness::TraceSetConfig>(),
+              "give the new TraceSetConfig row a label tag");
+
+/// A field's label text: enums by name (except the engine, which labels
+/// have always printed as its number), doubles in their shortest
+/// round-trip form, so distinct values never share a label.
+template <typename T>
+std::string LabelText(const T& v) {
+  if constexpr (std::is_same_v<T, harness::EngineMode>) {
+    return std::to_string(static_cast<int>(v));
+  } else if constexpr (std::is_enum_v<T>) {
+    return harness::FieldName(v);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  } else {
+    return std::to_string(v);
+  }
+}
+
+}  // namespace
+
 std::string ConfigLabel(const harness::TraceSetConfig& c) {
-  std::string s = harness::WorkloadName(c.workload);
-  s += "/c" + std::to_string(c.clients);
-  s += "/r" + std::to_string(c.requests_per_client);
-  s += "/s" + std::to_string(c.seed);
-  s += "/e" + std::to_string(static_cast<int>(c.engine));
-  // Traffic/tenancy suffixes appear only when non-default, so every
-  // pre-existing config keeps its historical label byte-for-byte.
-  if (c.traffic.shapes_keys()) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "/k%s:%g",
-                  workload::KeyDistName(c.traffic.key_dist),
-                  c.traffic.zipf_theta);
-    s += buf;
-  }
-  if (c.traffic.shapes_arrival()) {
-    s += std::string("/a") + workload::ArrivalShapeName(c.traffic.arrival);
-  }
-  if (c.tenant2_clients > 0) {
-    s += std::string("/t") + harness::WorkloadName(c.tenant2_workload) +
-         std::to_string(c.tenant2_clients);
-  }
+  std::string s;
+  size_t row = 0;
+  harness::VisitFields(c, [&](const char*, const auto& v, bool present) {
+    const char* tag = kLabelTags[row++];
+    if (!present) return;
+    if (!s.empty()) s += '/';
+    s += tag;
+    s += LabelText(v);
+  });
   return s;
 }
+
+namespace {
 
 /// The distinct trace-set configs of `cells` in canonical (first-use)
 /// order — the build-task submission order and the unit a trace bundle
@@ -444,10 +467,13 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
     // Builders claim tasks off an atomic counter, in submission order,
     // the way sim workers claim cells. They exit only after the sim
     // workers: glibc hands a new thread the malloc arena of the thread
-    // that exited last, so this keeps the next run's builders on this
-    // run's builder arenas. Builders exiting first would hand theirs to
-    // the next run's sim workers and grow a second set to build size
-    // (repeated cold runs' peak RSS rose 60% that way).
+    // that exited last. Worlds live in their own mappings, but trace
+    // payloads are recorded on the builder's malloc arena, so exiting
+    // last keeps the next run's builders on this run's builder arenas.
+    // Builders exiting first hand those arenas to the next run's sim
+    // workers and grow a second set for payloads (the benchmark's
+    // manycore-replay peak RSS read 136.4 MB instead of 131.5-131.9 in 2
+    // of 3 runs that way, on a 4-vCPU x86_64 container).
     std::atomic<size_t> next_task{0};
     const size_t build_threads = std::min<size_t>(threads, tasks.size());
     size_t builders_idle = 0;    // guarded by build_mu
@@ -461,10 +487,6 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
                tasks.size()) {
           tasks[k]();
         }
-        // Out of builds: hand back what the dead worlds left free before
-        // the sim workers grow their machines on top of it. A warm run
-        // built no world.
-        if (!mapped) harness::ReleaseFreeHeapPages();
         std::unique_lock<std::mutex> lock(build_mu);
         ++builders_idle;
         build_cv.notify_all();

@@ -147,6 +147,14 @@ struct SweepReport {
   }
 };
 
+/// Human-readable trace-set identity for span names (`build:<label>`):
+/// the workload, then a tagged value per present row of the
+/// TraceSetConfig field table, so configs that differ in any knob get
+/// distinct labels. Canonical (built from the config only), so
+/// deterministic traces stay byte-stable; a default config reads like
+/// "OLTP/c2/r4/s5/e0".
+std::string ConfigLabel(const harness::TraceSetConfig& c);
+
 class SweepRunner {
  public:
   /// `shared_cache` (optional) lets several sweeps — or a sweep and

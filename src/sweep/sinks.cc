@@ -252,6 +252,18 @@ double PeakRssMb() {
   return 0.0;
 }
 
+/// The process's minor page faults so far (getrusage ru_minflt); 0 where
+/// unavailable.
+uint64_t MinorPageFaults() {
+#ifdef __unix__
+  rusage ru{};
+  if (getrusage(RUSAGE_SELF, &ru) == 0) {
+    return static_cast<uint64_t>(ru.ru_minflt);
+  }
+#endif
+  return 0;
+}
+
 }  // namespace
 
 void TableSink::Emit(const SweepReport& report, std::ostream& os) const {
@@ -503,8 +515,10 @@ void EmitPerfSummary(const SweepReport& report, std::ostream& os) {
   }
   o.Num("wall_seconds", report.wall_seconds);
   // Host memory is the run's other end-to-end cost: the whole process's
-  // high-water mark when the summary is written.
+  // high-water mark when the summary is written, and the minor page
+  // faults it took to get there (reported only).
   o.Num("peak_rss_mb", PeakRssMb());
+  o.Int("minor_page_faults", MinorPageFaults());
   o.Num("cells_per_second", report.cells_per_second());
   o.Int("events_replayed", report.events_replayed());
   o.Num("events_per_second", report.events_per_second());

@@ -83,7 +83,7 @@ class CsvSink : public ResultSink {
 void EmitCellConfigJson(const Cell& cell, std::ostream& os, int indent);
 
 /// Writes the sweep-level perf summary (cells/sec, wall-clock, threads,
-/// and the calling process's peak_rss_mb so far) as a small JSON object
+/// and the calling process's peak_rss_mb and minor_page_faults so far) as a small JSON object
 /// — the BENCH_sweep.json trajectory format — ending with the run's
 /// registry snapshot as a "metrics" section when it collected one.
 void EmitPerfSummary(const SweepReport& report, std::ostream& os);

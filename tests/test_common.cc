@@ -1,6 +1,10 @@
 // Unit tests for common utilities: RNG, Zipf, arena, statistics, printer.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdint>
+#include <new>
 #include <set>
 #include <sstream>
 
@@ -118,16 +122,8 @@ TEST(ZipfTest, ZeroThetaIsRoughlyUniform) {
   }
 }
 
-TEST(ArenaTest, AlignmentHonored) {
-  Arena arena(1024);
-  for (size_t align : {8u, 16u, 64u, 512u}) {
-    void* p = arena.Allocate(10, align);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % align, 0u) << align;
-  }
-}
-
 TEST(ArenaTest, PointersStableAndDistinct) {
-  Arena arena(128);  // force many blocks
+  Arena arena(128);  // one page per block: the ints span blocks
   std::vector<int*> ptrs;
   for (int i = 0; i < 1000; ++i) {
     int* p = static_cast<int*>(arena.Allocate(sizeof(int)));
@@ -139,11 +135,60 @@ TEST(ArenaTest, PointersStableAndDistinct) {
   EXPECT_EQ(unique.size(), ptrs.size());
 }
 
-TEST(ArenaTest, LargeAllocationSpansBlock) {
+TEST(ArenaTest, DatabaseSizedBlocksStartOnAHugePageBoundary) {
+  Arena arena(4 << 20);
+  void* p = arena.Allocate(64);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % Arena::kHugePage, 0u);
+  // The oversized allocation gets its own huge-page-aligned block too.
+  void* q = arena.Allocate(5 << 20);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(q) % Arena::kHugePage, 0u);
+}
+
+TEST(ArenaTest, AlignmentHonoredAcrossBlockBoundaries) {
   Arena arena(64);
-  void* p = arena.Allocate(10000);
-  EXPECT_NE(p, nullptr);
-  EXPECT_GE(arena.reserved_bytes(), 10000u);
+  std::set<uintptr_t> blocks;
+  for (int i = 0; i < 2000; ++i) {
+    const size_t align = size_t{8} << (i % 7);  // 8 .. 512
+    const auto p = reinterpret_cast<uintptr_t>(arena.Allocate(24, align));
+    EXPECT_EQ(p % align, 0u) << "allocation " << i << " align " << align;
+    blocks.insert(p / 4096);
+  }
+  EXPECT_GT(blocks.size(), 2u) << "the allocations never left one block";
+}
+
+TEST(ArenaTest, LargeAllocationGetsItsOwnMapping) {
+  Arena arena(4096);
+  char* small = static_cast<char*>(arena.Allocate(16));
+  const size_t after_small = arena.reserved_bytes();
+  char* big = static_cast<char*>(arena.Allocate(3 * 4096));
+  EXPECT_GE(arena.reserved_bytes() - after_small, 3u * 4096);
+  big[0] = 1;
+  big[3 * 4096 - 1] = 2;
+  // Not carved from the first block.
+  EXPECT_TRUE(big + 3 * 4096 <= small || big >= small + 4096);
+}
+
+TEST(ArenaTest, ReservedBytesCountsMappedPages) {
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  Arena arena(100);
+  EXPECT_EQ(arena.reserved_bytes(), 0u);
+  arena.Allocate(10);
+  EXPECT_EQ(arena.reserved_bytes(), page);  // a 100-byte block maps a page
+  arena.Allocate(page + 1);  // its own two-page block
+  EXPECT_EQ(arena.reserved_bytes(), 3 * page);
+  Arena huge(4 << 20);
+  huge.Allocate(1);
+  EXPECT_EQ(huge.reserved_bytes(), size_t{4} << 20);
+}
+
+TEST(ArenaTest, UnmappableAllocationThrowsAndMapsNothing) {
+  Arena arena(4 << 20);
+  EXPECT_THROW(arena.Allocate(size_t{1} << 62), std::bad_alloc);
+  EXPECT_EQ(arena.reserved_bytes(), 0u);
+  EXPECT_EQ(arena.allocated_bytes(), 0u);
+  // The arena stays usable.
+  EXPECT_NE(arena.Allocate(64), nullptr);
+  EXPECT_EQ(arena.reserved_bytes(), size_t{4} << 20);
 }
 
 TEST(ArenaTest, AllocateArrayConstructs) {

@@ -242,7 +242,7 @@ void ChangeField(C* c, size_t row) {
   });
 }
 
-TEST(ConfigFieldTable, EveryRowReachesKeyFingerprintAndEcho) {
+TEST(ConfigFieldTable, EveryRowReachesKeyFingerprintEchoAndLabel) {
   // A base cell where every presence rule holds, so every row is echoed.
   sweep::Cell base;
   base.trace.traffic.key_dist = workload::KeyDist::kHotRotate;
@@ -268,6 +268,10 @@ TEST(ConfigFieldTable, EveryRowReachesKeyFingerprintAndEcho) {
     EXPECT_NE(key(c.trace), key(base.trace)) << "trace row " << row;
     EXPECT_NE(fingerprint(c), fingerprint(base)) << "trace row " << row;
     EXPECT_NE(echo(c), echo(base)) << "trace row " << row;
+    // Build span names: two shaped configs that differ in one knob
+    // (hot_rotate_period, burst_on, ...) must not share a label.
+    EXPECT_NE(sweep::ConfigLabel(c.trace), sweep::ConfigLabel(base.trace))
+        << "trace row " << row;
   }
   for (size_t row = 0;
        row < harness::FieldCount<harness::ExperimentConfig>(); ++row) {

@@ -14,8 +14,8 @@
 // load faults in huge pages (about 90 minor faults instead of 30k).
 // With transparent huge pages set to `never` the advice is ignored: the
 // same blocks fault in 4 KB pages and every result is the same. Smaller
-// blocks (the 1 MB scratch arenas) are page-rounded mappings. A failed
-// mapping throws std::bad_alloc, as `new` does.
+// blocks (the 1 MB scratch arenas) are page-rounded mappings
+// (common/pages.h). A failed mapping throws std::bad_alloc, as `new` does.
 //
 // Blocks promise no zeroing. Fresh anonymous pages happen to read zero,
 // but callers never read bytes they did not write (pages expose
@@ -24,14 +24,13 @@
 #ifndef STAGEDCMP_COMMON_ARENA_H_
 #define STAGEDCMP_COMMON_ARENA_H_
 
-#include <sys/mman.h>
-#include <unistd.h>
-
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <new>
 #include <vector>
+
+#include "common/pages.h"
 
 namespace stagedcmp {
 
@@ -91,28 +90,20 @@ class Arena {
     // Keeps the sums below from wrapping; mmap refuses anything near
     // this size anyway.
     if (bytes > SIZE_MAX / 2 || align > SIZE_MAX / 4) throw std::bad_alloc();
-    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
-    size_t sz = bytes + align > block_size_ ? bytes + align : block_size_;
-    sz = (sz + page - 1) & ~(page - 1);
+    const size_t sz =
+        PageRound(bytes + align > block_size_ ? bytes + align : block_size_);
     blocks_.reserve(blocks_.size() + 1);  // a throw here maps nothing
-    char* base = sz >= kHugePage ? MapHugeAligned(sz) : Map(sz);
+    char* base = sz >= kHugePage ? MapHugeAligned(sz) : MapPages(sz);
     blocks_.push_back(Block{base, sz});
     ptr_ = base;
     remaining_ = sz;
     reserved_ += sz;
   }
 
-  static char* Map(size_t bytes) {
-    void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED) throw std::bad_alloc();
-    return static_cast<char*>(p);
-  }
-
   /// Over-maps by one huge page and trims both ends, so the block starts
   /// on a 2 MB boundary.
   static char* MapHugeAligned(size_t bytes) {
-    char* raw = Map(bytes + kHugePage);
+    char* raw = MapPages(bytes + kHugePage);
     const uintptr_t r = reinterpret_cast<uintptr_t>(raw);
     const size_t head = ((r + kHugePage - 1) & ~(kHugePage - 1)) - r;
     if (head > 0) munmap(raw, head);

@@ -106,11 +106,13 @@ TraceSet WorkloadWorld::Build(const TraceSetConfig& config) {
   out.tenant_a_clients = TenantAClients(config);
   out.traces.reserve(total_clients);
 
+  // One tracer records every client, so the set's payloads pack into
+  // shared chunks (trace/events.h).
+  trace::Tracer tracer(&regions_);
   for (uint32_t c = 0; c < total_clients; ++c) {
     const bool tenant_b = c >= config.clients;
     const WorkloadKind kind =
         tenant_b ? config.tenant2_workload : config.workload;
-    trace::Tracer tracer(&regions_);
     BuildClient(config, kind, tenant_b, c, &tracer);
     out.traces.push_back(tracer.TakeTrace());
     out.total_instructions += out.traces.back().total_instructions;

@@ -465,19 +465,9 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
       }
     }
     // Builders claim tasks off an atomic counter, in submission order,
-    // the way sim workers claim cells. They exit only after the sim
-    // workers: glibc hands a new thread the malloc arena of the thread
-    // that exited last. Worlds live in their own mappings, but trace
-    // payloads are recorded on the builder's malloc arena, so exiting
-    // last keeps the next run's builders on this run's builder arenas.
-    // Builders exiting first hand those arenas to the next run's sim
-    // workers and grow a second set for payloads (the benchmark's
-    // manycore-replay peak RSS read 136.4 MB instead of 131.5-131.9 in 2
-    // of 3 runs that way, on a 4-vCPU x86_64 container).
+    // the way sim workers claim cells, and return when none are left.
     std::atomic<size_t> next_task{0};
     const size_t build_threads = std::min<size_t>(threads, tasks.size());
-    size_t builders_idle = 0;    // guarded by build_mu
-    bool builders_exit = false;  // guarded by build_mu
     std::vector<std::thread> builders;
     builders.reserve(build_threads);
     for (size_t b = 0; b < build_threads; ++b) {
@@ -487,10 +477,6 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
                tasks.size()) {
           tasks[k]();
         }
-        std::unique_lock<std::mutex> lock(build_mu);
-        ++builders_idle;
-        build_cv.notify_all();
-        build_cv.wait(lock, [&] { return builders_exit; });
       });
     }
     std::vector<std::thread> workers;
@@ -532,20 +518,10 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
         record_error();
       }
     }
-    // Every task traps its own exceptions, so waiting for the builders
-    // to go idle is all that is left.
-    {
-      std::unique_lock<std::mutex> lock(build_mu);
-      build_cv.wait(lock, [&] { return builders_idle == build_threads; });
-    }
+    // Every task traps its own exceptions, so joining is all that is left.
+    for (std::thread& t : builders) t.join();
     report.build_wall_seconds = SecondsSince(sim_t0);
     for (std::thread& t : workers) t.join();
-    {
-      std::lock_guard<std::mutex> lock(build_mu);
-      builders_exit = true;
-    }
-    build_cv.notify_all();
-    for (std::thread& t : builders) t.join();
   }
   report.sim_wall_seconds = SecondsSince(sim_t0);
   const TraceSetCache::Stats after = cache.stats();

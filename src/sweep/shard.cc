@@ -234,7 +234,8 @@ bool MergeShardReports(const SweepSpec& spec,
   out->cells.resize(cells.size());
   for (size_t i = 0; i < cells.size(); ++i) out->cells[i].cell = cells[i];
   std::vector<char> cell_seen(cells.size(), 0);
-  std::vector<char> shard_seen;
+  // One entry per file read: nothing is sized by the untrusted count.
+  std::vector<uint64_t> shard_indices;
   uint64_t shard_count = 0;
 
   for (size_t s = 0; s < shard_texts.size(); ++s) {
@@ -265,16 +266,16 @@ bool MergeShardReports(const SweepSpec& spec,
     }
     if (s == 0) {
       shard_count = f.shard_count;
-      shard_seen.assign(shard_count, 0);
     } else if (f.shard_count != shard_count) {
       return Fail(error, "shard_count disagrees across files");
     }
-    if (shard_seen[f.shard_index]) {
+    if (std::count(shard_indices.begin(), shard_indices.end(),
+                   f.shard_index) > 0) {
       return Fail(error, "overlapping shards: index " +
                              std::to_string(f.shard_index) +
                              " appears twice");
     }
-    shard_seen[f.shard_index] = 1;
+    shard_indices.push_back(f.shard_index);
 
     WordReader& in = f.records;
     while (in.remaining() > 0) {
@@ -312,11 +313,17 @@ bool MergeShardReports(const SweepSpec& spec,
     }
   }
   if (shard_texts.size() != shard_count) {
+    // Names at most 8 absent indices: the count may be huge.
+    const uint64_t absent = shard_count - shard_texts.size();
     std::string missing;
-    for (uint64_t i = 0; i < shard_count; ++i) {
-      if (!shard_seen[i]) missing += (missing.empty() ? "" : ",") +
-                                     std::to_string(i);
+    for (uint64_t i = 0, named = 0; named < std::min<uint64_t>(absent, 8);
+         ++i) {
+      if (std::count(shard_indices.begin(), shard_indices.end(), i) > 0) {
+        continue;
+      }
+      missing += (named++ == 0 ? "" : ",") + std::to_string(i);
     }
+    if (absent > 8) missing += ",...";
     return Fail(error, "incomplete merge: got " +
                            std::to_string(shard_texts.size()) + " of " +
                            std::to_string(shard_count) +

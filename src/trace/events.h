@@ -36,21 +36,26 @@
 // One trace's storage — its payload — is a run of 64-bit words: the
 // encoded bytes, zero-padded to a whole word, then the block offset
 // table (one word per block). The table goes last so the tracer can
-// encode into a growing buffer and keep it, shrunk in place, as the
-// trace's payload: no copy. A trace either owns its payload or views
-// one it does not own (a mapped bundle's bytes, a prefix slice's leader);
-// bundles store exactly these payload words, so mapped traces replay in
-// place.
+// encode in place and keep what it wrote as the trace's payload: no
+// copy. An encoder packs its traces end to end into mapped chunks
+// (common/pages.h) that the traces share; the last of them to die unmaps
+// the chunk. A trace either owns such a share or views a payload it does
+// not own (a mapped bundle's bytes, a prefix slice's leader); bundles
+// store exactly these payload words, so mapped traces replay in place.
+// Traces are move-only.
 #ifndef STAGEDCMP_TRACE_EVENTS_H_
 #define STAGEDCMP_TRACE_EVENTS_H_
 
+#include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
+#include <utility>
 #include <vector>
+
+#include "common/pages.h"
 
 namespace stagedcmp::trace {
 
@@ -116,15 +121,6 @@ constexpr uint64_t PayloadWords(uint64_t n_events, uint64_t n_bytes) {
   return ByteWords(n_bytes) + BlockCount(n_events);
 }
 
-namespace codec {
-struct FreeDeleter {
-  void operator()(void* p) const { std::free(p); }
-};
-/// A malloc'd payload: grown and shrunk with realloc, which moves large
-/// blocks by remapping pages instead of copying them.
-using Storage = std::unique_ptr<uint64_t[], FreeDeleter>;
-}  // namespace codec
-
 /// One client's recorded execution: a replayable stream of events, held
 /// encoded (see the storage notes above). Read it through EventCursor.
 struct ClientTrace {
@@ -132,22 +128,14 @@ struct ClientTrace {
   uint32_t requests = 0;  ///< number of kMarker events
 
   ClientTrace() = default;
-  ClientTrace(ClientTrace&&) = default;
-  ClientTrace& operator=(ClientTrace&&) = default;
-  /// A copy owns a copy of the payload, whether `o` owns or views it.
-  ClientTrace(const ClientTrace& o) { *this = o; }
-  ClientTrace& operator=(const ClientTrace& o) {
-    if (this == &o) return *this;
-    total_instructions = o.total_instructions;
-    requests = o.requests;
-    const size_t bytes = o.payload_words() * 8;
-    codec::Storage copy;
-    if (bytes > 0) {
-      copy.reset(static_cast<uint64_t*>(std::malloc(bytes)));
-      if (copy == nullptr) throw std::bad_alloc();
-      std::memcpy(copy.get(), o.payload(), bytes);
-    }
-    SetOwned(std::move(copy), o.n_events_, o.n_bytes_);
+  /// Move-only; a moved-from trace is empty, with zero totals.
+  ClientTrace(ClientTrace&& o) noexcept { *this = std::move(o); }
+  ClientTrace& operator=(ClientTrace&& o) noexcept {
+    total_instructions = std::exchange(o.total_instructions, 0);
+    requests = std::exchange(o.requests, 0);
+    payload_ = std::move(o.payload_);
+    n_events_ = std::exchange(o.n_events_, 0);
+    n_bytes_ = std::exchange(o.n_bytes_, 0);
     return *this;
   }
 
@@ -156,9 +144,7 @@ struct ClientTrace {
   /// The payload: the encoded bytes (ByteWords(encoded_bytes()) words),
   /// then BlockCount(events_size()) offset words. Null when the trace
   /// has no events.
-  const uint64_t* payload() const {
-    return view_ != nullptr ? view_ : owned_.get();
-  }
+  const uint64_t* payload() const { return payload_.get(); }
   uint64_t payload_words() const { return PayloadWords(n_events_, n_bytes_); }
   uint64_t encoded_bytes() const { return n_bytes_; }
   const uint8_t* encoded_data() const {
@@ -172,10 +158,10 @@ struct ClientTrace {
   /// region, a leader's trace). The caller guarantees the storage
   /// outlives the trace.
   void SetView(const uint64_t* payload, uint64_t n_events, uint64_t n_bytes) {
-    owned_.reset();
-    view_ = payload;
-    n_events_ = n_events;
-    n_bytes_ = n_bytes;
+    // Aliasing an empty owner: the pointer without a share of anything.
+    SetPayload(std::shared_ptr<const uint64_t>(std::shared_ptr<void>(),
+                                               payload),
+               n_events, n_bytes);
   }
   /// Views `src`'s payload and copies its totals.
   void ViewOf(const ClientTrace& src) {
@@ -183,18 +169,17 @@ struct ClientTrace {
     total_instructions = src.total_instructions;
     requests = src.requests;
   }
-  /// Takes ownership of a malloc'd payload of exactly
-  /// PayloadWords(n_events, n_bytes) words (EventEncoder::Finish).
-  void SetOwned(codec::Storage payload, uint64_t n_events, uint64_t n_bytes) {
-    owned_ = std::move(payload);
-    view_ = nullptr;
+  /// Sets the payload of PayloadWords(n_events, n_bytes) words and a
+  /// share of the pages that hold it (EventEncoder::Finish).
+  void SetPayload(std::shared_ptr<const uint64_t> payload, uint64_t n_events,
+                uint64_t n_bytes) {
+    payload_ = std::move(payload);
     n_events_ = n_events;
     n_bytes_ = n_bytes;
   }
 
  private:
-  codec::Storage owned_;
-  const uint64_t* view_ = nullptr;  ///< non-owning; wins over `owned_`
+  std::shared_ptr<const uint64_t> payload_;
   uint64_t n_events_ = 0;
   uint64_t n_bytes_ = 0;
 };
@@ -246,11 +231,20 @@ constexpr size_t kMaxEventBytes = 11;
 
 }  // namespace codec
 
-/// Encodes an event stream as it is produced (the Tracer's sink). The
-/// byte buffer grows geometrically; Finish shrinks it to the exact
-/// payload and hands it over.
+/// Encodes event streams as they are produced (the Tracer's sink), one
+/// trace after another into the same mapped chunks (see the storage
+/// notes above). Finish hands the trace being encoded over as a payload
+/// and starts the next one right after it.
 class EventEncoder {
  public:
+  /// Bytes of a fresh chunk, unless one trace needs more. Pages are
+  /// mapped untouched; only the ones written become resident.
+  static constexpr size_t kChunkBytes = size_t{16} << 20;
+
+  EventEncoder() = default;
+  /// A copy would write into the same chunk.
+  EventEncoder(const EventEncoder&) = delete;
+  EventEncoder& operator=(const EventEncoder&) = delete;
 
   void Append(uint64_t ev) {
     using namespace codec;
@@ -260,7 +254,7 @@ class EventEncoder {
       prev_pc_ = 0;
     }
     ++n_events_;
-    if (cap_ - size_ < kMaxEventBytes) Grow();
+    if (room() < kMaxEventBytes) Move(kMaxEventBytes);
     uint8_t* p = bytes() + size_;
     const uint64_t kind = (ev >> 14) & 3;
     const uint64_t addr = ev >> 16;
@@ -291,47 +285,60 @@ class EventEncoder {
   uint64_t events_size() const { return n_events_; }
   uint64_t encoded_bytes() const { return size_; }
 
-  /// Copies the stream so far into `t`'s storage, leaving the encoder as
-  /// it is. `t`'s totals are untouched.
-  void CopyTo(ClientTrace* t) const {
-    EventEncoder copy;
-    if (size_ > 0) {
-      copy.Resize(size_);
-      std::memcpy(copy.bytes(), buf_.get(), size_);
-    }
-    copy.size_ = size_;
-    copy.blocks_ = blocks_;
-    copy.n_events_ = n_events_;
-    copy.Finish(t);
-  }
-  /// Hands the stream over as `t`'s storage, shrunk in place to the
-  /// exact payload, and leaves the encoder empty. `t`'s totals are
-  /// untouched.
+  /// Hands the trace being encoded over as `t`'s payload, with a share of
+  /// its chunk, and starts an empty one. `t`'s totals are untouched.
   void Finish(ClientTrace* t) {
-    if (n_events_ > 0) {
-      Resize(PayloadWords(n_events_, size_) * 8);
-      std::memset(bytes() + size_, 0, ByteWords(size_) * 8 - size_);
-      std::memcpy(buf_.get() + ByteWords(size_), blocks_.data(),
-                  blocks_.size() * 8);
+    if (n_events_ == 0) {
+      t->SetPayload(nullptr, 0, 0);
+      return;
     }
-    t->SetOwned(std::move(buf_), n_events_, size_);
-    *this = EventEncoder();
+    const size_t payload_bytes = PayloadWords(n_events_, size_) * 8;
+    if (room() < payload_bytes - size_) Move(payload_bytes - size_);
+    std::memset(bytes() + size_, 0, ByteWords(size_) * 8 - size_);
+    std::memcpy(bytes() + ByteWords(size_) * 8, blocks_.data(),
+                blocks_.size() * 8);
+    t->SetPayload(std::shared_ptr<const uint64_t>(
+                      chunk_, reinterpret_cast<const uint64_t*>(bytes())),
+                  n_events_, size_);
+    used_ += payload_bytes;
+    Discard();
+  }
+
+  /// Drops the trace being encoded; the chunk stays for the next one.
+  void Discard() {
+    size_ = 0;
+    blocks_.clear();
+    n_events_ = 0;
+    prev_line_ = 0;
+    prev_pc_ = 0;
   }
 
  private:
-  uint8_t* bytes() { return reinterpret_cast<uint8_t*>(buf_.get()); }
-  void Grow() { Resize(cap_ < 4096 ? 4096 : cap_ * 2); }
-  void Resize(size_t cap) {
-    void* p = std::realloc(buf_.get(), cap);
-    if (p == nullptr) throw std::bad_alloc();
-    buf_.release();
-    buf_.reset(static_cast<uint64_t*>(p));
+  /// The trace being encoded: it starts after the finished payloads.
+  uint8_t* bytes() { return base_ + used_; }
+  size_t room() const { return cap_ - used_ - size_; }
+
+  /// Moves the trace being encoded to a fresh chunk with room for
+  /// `extra` more bytes. The old chunk lives on in the traces finished
+  /// in it, if any; the pages past them are given back.
+  void Move(size_t extra) {
+    const size_t cap = PageRound(std::max(kChunkBytes, 2 * (size_ + extra)));
+    uint8_t* base = reinterpret_cast<uint8_t*>(MapPages(cap));
+    std::shared_ptr<void> chunk(base, PageUnmapper{cap});
+    if (size_ > 0) std::memcpy(base, bytes(), size_);
+    const size_t kept = PageRound(used_);
+    if (used_ > 0 && kept < cap_) ReleasePages(base_ + kept, cap_ - kept);
+    chunk_ = std::move(chunk);
+    base_ = base;
     cap_ = cap;
+    used_ = 0;
   }
 
-  codec::Storage buf_;
-  size_t size_ = 0;
+  std::shared_ptr<void> chunk_;  ///< unmaps the chunk with its last trace
+  uint8_t* base_ = nullptr;
   size_t cap_ = 0;
+  size_t used_ = 0;  ///< bytes of finished payloads at the chunk's front
+  size_t size_ = 0;  ///< the trace being encoded: its bytes so far
   std::vector<uint64_t> blocks_;
   uint64_t n_events_ = 0;
   uint64_t prev_line_ = 0;

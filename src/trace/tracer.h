@@ -104,9 +104,10 @@ class RegionSet {
   CodeRegion regions_[kRegionCount];
 };
 
-/// Per-client trace recorder. Resolves RegionIds through the RegionSet it
-/// was constructed with (normally its world's), so tracers in different
-/// worlds never touch shared registration state.
+/// Per-client trace recorder; TakeTrace starts the next client's. Resolves
+/// RegionIds through the RegionSet it was constructed with (normally its
+/// world's), so tracers in different worlds never touch shared
+/// registration state.
 class Tracer {
  public:
   explicit Tracer(const RegionSet* regions) : regions_(regions) {
@@ -115,12 +116,13 @@ class Tracer {
 
   void Reset() {
     trace_ = ClientTrace();
-    encoder_ = EventEncoder();
+    encoder_.Discard();
     region_ = CodeRegion{CodeMap::kCodeBase, 64 * 1024};
     pc_off_ = 0;
     win_base_ = 0;
     pending_compute_ = 0;
     instrs_since_sync_ = 0;
+    jump_pending_ = false;
     enabled_ = true;
     region_pc_.clear();
   }
@@ -182,20 +184,14 @@ class Tracer {
     ++trace_.requests;
   }
 
-  /// A copy of the trace recorded so far. Computation not yet flushed
-  /// into an event is not in it.
-  ClientTrace trace() const {
-    ClientTrace t = trace_;
-    encoder_.CopyTo(&t);
-    return t;
-  }
   /// Events recorded so far.
   uint64_t events_size() const { return encoder_.events_size(); }
-  /// Flushes, hands over the recorded trace in exact-size storage and
-  /// starts a fresh recording.
+  /// Flushes, hands over the recorded trace, and starts a fresh
+  /// recording as if newly constructed, except that its payload will pack
+  /// right after this one's.
   ClientTrace TakeTrace() {
     FlushCompute();
-    ClientTrace t = trace_;
+    ClientTrace t = std::move(trace_);
     encoder_.Finish(&t);
     Reset();
     return t;

@@ -110,15 +110,20 @@ class TraceCache {
       return Factory()->Build(tc);
     }
     // Mixed: alternate OLTP and DSS clients so the round-robin context
-    // placement lands both workloads on every core.
+    // placement lands both workloads on every core. Its traces view the
+    // cached OLTP and DSS sets, which live as long as the cache.
     const harness::TraceSet& oltp = Get(Mix::kOltp, Executor::kUnstaged);
     const harness::TraceSet& dss = Get(Mix::kDss, exec);
     harness::TraceSet out;
     out.config = oltp.config;  // nominal; a merged set has no single kind
     const size_t n = std::max(oltp.traces.size(), dss.traces.size());
     for (size_t i = 0; i < n; ++i) {
-      if (i < oltp.traces.size()) out.traces.push_back(oltp.traces[i]);
-      if (i < dss.traces.size()) out.traces.push_back(dss.traces[i]);
+      if (i < oltp.traces.size()) {
+        out.traces.emplace_back().ViewOf(oltp.traces[i]);
+      }
+      if (i < dss.traces.size()) {
+        out.traces.emplace_back().ViewOf(dss.traces[i]);
+      }
     }
     for (const auto& t : out.traces) {
       out.total_instructions += t.total_instructions;

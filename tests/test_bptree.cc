@@ -106,7 +106,7 @@ TEST(BPlusTreeTest, TracedDescentEmitsDependentReads) {
   tree.Lookup(500, &v, &tracer);
   tracer.FlushCompute();
   int dependent_reads = 0;
-  for (uint64_t e : trace::DecodeEvents(tracer.trace())) {
+  for (uint64_t e : trace::DecodeEvents(tracer.TakeTrace())) {
     if (trace::UnpackKind(e) == trace::EventKind::kRead &&
         trace::UnpackDependent(e)) {
       ++dependent_reads;

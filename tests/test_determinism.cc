@@ -1,9 +1,10 @@
 // Golden determinism tests: the pipeline must be a pure function of its
 // seeds. Two Experiment runs over the same trace set compare byte-identical
 // at the stat-table level (hexfloat rendering, so bit-for-bit on doubles);
-// trace generation itself is deterministic up to heap placement, pinned via
-// an address-masked event skeleton (arenas are malloc-backed, so absolute
-// data addresses — and only those — may differ between factory instances).
+// trace generation itself is deterministic up to address placement, pinned
+// via an address-masked event skeleton (arena blocks are fresh mappings
+// and some traced objects live on the heap, so absolute data addresses —
+// and only those — may differ between factory instances).
 #include <gtest/gtest.h>
 
 #include <string>

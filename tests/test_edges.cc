@@ -201,7 +201,7 @@ TEST_F(TxnAbortTest, TracedAbortTouchesSharedStructures) {
   // commit: the coherence hotspots exist on rollback too.
   EXPECT_GT(t.events_size(), events_before_abort);
   bool saw_write = false;
-  for (uint64_t e : trace::DecodeEvents(t.trace())) {
+  for (uint64_t e : trace::DecodeEvents(t.TakeTrace())) {
     saw_write |= trace::UnpackKind(e) == trace::EventKind::kWrite;
   }
   EXPECT_TRUE(saw_write);

@@ -6,7 +6,9 @@
 // config field tables that the shard fingerprint, cache key and config
 // echo all derive from.
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -15,6 +17,7 @@
 
 #include "gtest/gtest.h"
 #include "harness/config_fields.h"
+#include "sweep/checksum.h"
 #include "sweep/runner.h"
 #include "sweep/shard.h"
 #include "sweep/sinks.h"
@@ -147,6 +150,7 @@ TEST_F(WarmGrid, MergeRejectsOverlapMissingAndForeignShards) {
   // One of two shards is incomplete coverage.
   EXPECT_FALSE(Merge(spec, {s1}, &merged, &err));
   EXPECT_NE(err.find("incomplete"), std::string::npos) << err;
+  EXPECT_NE(err.find("(missing 0)"), std::string::npos) << err;
 
   // A shard file from a different spec definition must be rejected by
   // the fingerprint even when cell counts happen to line up.
@@ -222,6 +226,46 @@ TEST_F(WarmGrid, MergeRejectsEveryTruncationAndBitFlip) {
     EXPECT_FALSE(Merge(spec, {flipped, s0}, &merged, &err))
         << "bit flip at byte " << off;
     EXPECT_FALSE(err.empty()) << "bit flip at byte " << off;
+  }
+}
+
+/// `text` with word `i` set to `value` and its checksum recomputed: a
+/// well-formed shard file whose contents lie.
+std::string WithWord(std::string text, size_t i, uint64_t value) {
+  std::vector<uint64_t> w(text.size() / 8);
+  std::memcpy(w.data(), text.data(), text.size());
+  w[i] = value;
+  sweep::Checksum sum;
+  sum.MixAll(w.data(), w.size() - 1);
+  w.back() = sum.state;
+  std::memcpy(&text[0], w.data(), text.size());
+  return text;
+}
+
+TEST_F(WarmGrid, MergeRejectsHugeCountsInWellFormedFiles) {
+  const std::string s0 = ShardText(RunSpec(spec, bundle, 0, 2));
+  const std::string s1 = ShardText(RunSpec(spec, bundle, 1, 2));
+  // Header words: magic, schema, the spec name's byte length and its
+  // bytes, shard_index, shard_count.
+  const size_t name_len_word = 2;
+  const size_t count_word =
+      name_len_word + 1 + (spec.name().size() + 7) / 8 + 1;
+  uint64_t word = 0;
+  std::memcpy(&word, s1.data() + 8 * name_len_word, 8);
+  ASSERT_EQ(word, spec.name().size());
+  std::memcpy(&word, s1.data() + 8 * count_word, 8);
+  ASSERT_EQ(word, 2u);
+
+  const uint64_t huge = uint64_t{1} << 62;
+  for (size_t i : {count_word, name_len_word}) {
+    const std::string hostile = WithWord(s1, i, huge);
+    for (const auto& texts : {std::vector<std::string>{hostile, s0},
+                              std::vector<std::string>{s0, hostile}}) {
+      sweep::SweepReport merged;
+      std::string err;
+      EXPECT_FALSE(Merge(spec, texts, &merged, &err)) << "word " << i;
+      EXPECT_FALSE(err.empty()) << "word " << i;
+    }
   }
 }
 

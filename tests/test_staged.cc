@@ -163,7 +163,7 @@ TEST_F(StagedTest, CohortTraceHasFewerRegionSwitches) {
     MakePipeline(packet_tuples)->Run(&ctx);
     tracer.FlushCompute();
     uint64_t jumps = 0, prev_region = 0;
-    for (uint64_t e : trace::DecodeEvents(tracer.trace())) {
+    for (uint64_t e : trace::DecodeEvents(tracer.TakeTrace())) {
       if (trace::UnpackKind(e) != trace::EventKind::kCompute) continue;
       const uint64_t region = trace::UnpackAddr(e) >> 16;  // coarse bucket
       if (region != prev_region) ++jumps;

@@ -123,8 +123,9 @@ TEST_F(StorageTest, TracedAccessEmitsEvents) {
   trace::Tracer tracer(&regions);
   heap_.Get(rid, &tracer);
   tracer.FlushCompute();
-  EXPECT_FALSE(tracer.trace().empty());
-  EXPECT_GT(tracer.trace().total_instructions, 0u);
+  const trace::ClientTrace tr = tracer.TakeTrace();
+  EXPECT_FALSE(tr.empty());
+  EXPECT_GT(tr.total_instructions, 0u);
 }
 
 TEST_F(StorageTest, FramesAre64ByteAligned) {

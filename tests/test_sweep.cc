@@ -198,7 +198,7 @@ TEST(TraceSet, PointerCacheIsStableAndInvalidatesOnMutation) {
   for (size_t i = 0; i < p1.size(); ++i) EXPECT_EQ(p1[i], &ts.traces[i]);
 
   // Mutating the trace list invalidates the cache.
-  ts.traces.push_back(ts.traces.front());
+  ts.traces.emplace_back();
   const auto& p3 = ts.Pointers();
   ASSERT_EQ(p3.size(), ts.traces.size());
   for (size_t i = 0; i < p3.size(); ++i) EXPECT_EQ(p3[i], &ts.traces[i]);

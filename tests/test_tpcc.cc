@@ -91,8 +91,9 @@ TEST_F(TpccTest, AllTransactionTypesComplete) {
     const trace::RegionSet regions(&code);
     trace::Tracer tracer(&regions);
     driver.Run(type, &tracer);
-    EXPECT_FALSE(tracer.trace().empty()) << TpccTxnName(type);
-    EXPECT_EQ(tracer.trace().requests, 1u);
+    const trace::ClientTrace tr = tracer.TakeTrace();
+    EXPECT_FALSE(tr.empty()) << TpccTxnName(type);
+    EXPECT_EQ(tr.requests, 1u);
   }
   EXPECT_EQ(driver.transactions_executed(), 5u);
 }

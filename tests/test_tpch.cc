@@ -168,8 +168,9 @@ TEST_F(TpchTest, DriverRunsFullMix) {
     driver.RunOne(&tracer);
   }
   EXPECT_EQ(driver.queries_executed(), 6u);
-  EXPECT_EQ(tracer.trace().requests, 6u);
-  EXPECT_GT(tracer.trace().total_instructions, 10000u);
+  const trace::ClientTrace tr = tracer.TakeTrace();
+  EXPECT_EQ(tr.requests, 6u);
+  EXPECT_GT(tr.total_instructions, 10000u);
 }
 
 TEST_F(TpchTest, QueriesDeterministicPerSeed) {
@@ -196,7 +197,7 @@ TEST_P(TpchQuerySweep, TracedExecutionProducesEvents) {
   trace::Tracer tracer(&regions);
   driver.Run(static_cast<TpchQuery>(GetParam()), &tracer);
   EXPECT_GT(tracer.events_size(), 100u);
-  EXPECT_EQ(tracer.trace().requests, 1u);
+  EXPECT_EQ(tracer.TakeTrace().requests, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, TpchQuerySweep,

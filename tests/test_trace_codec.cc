@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -151,9 +152,121 @@ TEST(TraceCodec, ViewsReadTheSamePayload) {
   EXPECT_EQ(view.total_instructions, 77u);
   EXPECT_EQ(view.requests, 5u);
   EXPECT_EQ(DecodeEvents(view), events);
-  ClientTrace copy = owner;  // a copy owns its own payload
-  EXPECT_NE(copy.payload(), owner.payload());
-  EXPECT_EQ(DecodeEvents(copy), events);
+}
+
+TEST(TraceCodec, MovedFromTracesAreEmpty) {
+  const std::vector<uint64_t> events = MixedStream(3000, 4);
+  ClientTrace a;
+  EncodeEvents(events, &a);
+  a.total_instructions = 11;
+  a.requests = 2;
+  const uint64_t* payload = a.payload();
+  ClientTrace b(std::move(a));
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.payload(), nullptr);
+  EXPECT_EQ(a.total_instructions, 0u);
+  EXPECT_EQ(a.requests, 0u);
+  EXPECT_EQ(b.payload(), payload);  // the share moved, not the bytes
+  EXPECT_EQ(b.total_instructions, 11u);
+  ClientTrace c;
+  c = std::move(b);
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(b.payload(), nullptr);
+  EXPECT_EQ(c.payload(), payload);
+  EXPECT_EQ(c.requests, 2u);
+  EXPECT_EQ(DecodeEvents(c), events);
+}
+
+TEST(TraceCodec, MultiMegabyteStreamsRoundTrip) {
+  const std::vector<uint64_t> events = MixedStream(1'600'000, 21);
+  ClientTrace t;
+  EncodeEvents(events, &t);
+  ASSERT_GE(t.encoded_bytes(), uint64_t{4} << 20);
+  EXPECT_EQ(DecodeEvents(t), events);
+}
+
+TEST(TraceCodec, OneEncodersPayloadsPackEndToEnd) {
+  const std::vector<uint64_t> a_events = MixedStream(3000, 5);
+  const std::vector<uint64_t> b_events = MixedStream(777, 6);
+  ClientTrace a, empty, b;
+  {
+    EventEncoder enc;
+    for (uint64_t e : a_events) enc.Append(e);
+    enc.Finish(&a);
+    enc.Finish(&empty);
+    enc.Append(a_events[0]);
+    enc.Discard();
+    for (uint64_t e : b_events) enc.Append(e);
+    enc.Finish(&b);
+  }  // the traces keep their chunk mapped
+  EXPECT_EQ(empty.payload(), nullptr);
+  EXPECT_EQ(b.payload(), a.payload() + a.payload_words());
+  EXPECT_EQ(DecodeEvents(a), a_events);
+  EXPECT_EQ(DecodeEvents(b), b_events);
+  a = ClientTrace();
+  EXPECT_EQ(DecodeEvents(b), b_events);  // b still holds the chunk
+}
+
+/// Appends `n` markers (2 encoded bytes each) to `enc`.
+void AppendMarkers(EventEncoder* enc, uint64_t n) {
+  for (uint64_t i = 0; i < n; ++i) enc->Append(PackEvent(EventKind::kMarker, 0, 0));
+}
+
+/// Whether `t` is `n` markers.
+bool IsMarkers(const ClientTrace& t, uint64_t n) {
+  if (t.events_size() != n) return false;
+  for (EventCursor c(t); !c.done();) {
+    if (c.Next() != PackEvent(EventKind::kMarker, 0, 0)) return false;
+  }
+  return true;
+}
+
+TEST(TraceCodec, PayloadsAroundAChunksEndRoundTrip) {
+  // A payload of n markers is ByteWords(2n) + BlockCount(n) words. Find
+  // the first n whose payload fills a whole chunk: n - 1 leaves the next
+  // trace too little room, and the first n past a full chunk makes
+  // Finish move the trace to a fresh chunk for its offset table.
+  const uint64_t chunk = EventEncoder::kChunkBytes;
+  const auto bytes = [](uint64_t n) { return PayloadWords(n, 2 * n) * 8; };
+  uint64_t full = chunk / 2 - chunk / 256;
+  while (bytes(full) < chunk) ++full;
+  ASSERT_EQ(bytes(full), chunk);
+  uint64_t over = full;
+  while (bytes(over) <= chunk) ++over;
+  const std::vector<uint64_t> next = MixedStream(2000, 8);
+  for (uint64_t n : {full - 1, full, over}) {
+    SCOPED_TRACE(n);
+    EventEncoder enc;
+    ClientTrace first, second;
+    AppendMarkers(&enc, n);
+    enc.Finish(&first);
+    for (uint64_t e : next) enc.Append(e);
+    enc.Finish(&second);
+    EXPECT_TRUE(IsMarkers(first, n));
+    EXPECT_EQ(DecodeEvents(second), next);
+  }
+}
+
+TEST(TraceCodec, TracesLargerThanAChunkRoundTrip) {
+  // The second trace outgrows the chunk the first one finished in: it
+  // moves, bytes and all, to a fresh chunk twice the size it needs, and
+  // the first trace keeps the old chunk.
+  const std::vector<uint64_t> head = MixedStream(5000, 9);
+  const uint64_t markers = EventEncoder::kChunkBytes * 3 / 4;
+  EventEncoder enc;
+  ClientTrace first, big;
+  for (uint64_t e : head) enc.Append(e);
+  enc.Finish(&first);
+  for (uint64_t e : head) enc.Append(e);
+  AppendMarkers(&enc, markers);
+  enc.Finish(&big);
+  ASSERT_GT(big.encoded_bytes(), EventEncoder::kChunkBytes);
+  EXPECT_EQ(DecodeEvents(first), head);
+  EventCursor c(big);
+  for (uint64_t e : head) ASSERT_EQ(c.Next(), e);
+  uint64_t n = 0;
+  for (; !c.done(); ++n) ASSERT_EQ(c.Next(), PackEvent(EventKind::kMarker, 0, 0));
+  EXPECT_EQ(n, markers);
 }
 
 /// Sum of every event's instruction count.

@@ -64,13 +64,13 @@ TEST_F(TracerTest, ComputeAccumulatesInstructions) {
   t.Compute(100);
   t.Compute(50);
   t.FlushCompute();
-  EXPECT_EQ(t.trace().total_instructions, 150u);
+  EXPECT_EQ(t.TakeTrace().total_instructions, 150u);
 }
 
 TEST_F(TracerTest, ReadSpanningLinesEmitsPerLineEvents) {
-  alignas(64) char buf[256];
+  alignas(64) char buf[256] = {};
   t.Read(buf, 200, 4);  // 200B from a 64B-aligned base: 4 lines
-  const std::vector<uint64_t> ev = DecodeEvents(t.trace());
+  const std::vector<uint64_t> ev = DecodeEvents(t.TakeTrace());
   int reads = 0;
   for (uint64_t e : ev) {
     if (UnpackKind(e) == EventKind::kRead) ++reads;
@@ -79,9 +79,9 @@ TEST_F(TracerTest, ReadSpanningLinesEmitsPerLineEvents) {
 }
 
 TEST_F(TracerTest, DependentFlagOnlyOnFirstLine) {
-  alignas(64) char buf[256];
+  alignas(64) char buf[256] = {};
   t.Read(buf, 128, 4, /*dependent=*/true);
-  const std::vector<uint64_t> ev = DecodeEvents(t.trace());
+  const std::vector<uint64_t> ev = DecodeEvents(t.TakeTrace());
   ASSERT_GE(ev.size(), 2u);
   int dep = 0;
   for (uint64_t e : ev) dep += UnpackDependent(e);
@@ -89,13 +89,14 @@ TEST_F(TracerTest, DependentFlagOnlyOnFirstLine) {
 }
 
 TEST_F(TracerTest, ComputeFoldedIntoMemEvent) {
-  alignas(64) char buf[64];
+  alignas(64) char buf[64] = {};
   t.Compute(20);
   t.Read(buf, 8, 4);
-  const std::vector<uint64_t> ev = DecodeEvents(t.trace());
+  const ClientTrace tr = t.TakeTrace();
+  const std::vector<uint64_t> ev = DecodeEvents(tr);
   ASSERT_EQ(ev.size(), 1u);  // folded: one mem event carrying 24 instrs
   EXPECT_EQ(UnpackCount(ev[0]), 24u);
-  EXPECT_EQ(t.trace().total_instructions, 24u);
+  EXPECT_EQ(tr.total_instructions, 24u);
 }
 
 TEST_F(TracerTest, RegionSwitchEmitsJumpCompute) {
@@ -106,7 +107,7 @@ TEST_F(TracerTest, RegionSwitchEmitsJumpCompute) {
   t.EnterRegion(r2);
   t.Compute(50);
   t.FlushCompute();
-  const std::vector<uint64_t> ev = DecodeEvents(t.trace());
+  const std::vector<uint64_t> ev = DecodeEvents(t.TakeTrace());
   bool saw_r1 = false, saw_r2 = false;
   for (uint64_t e : ev) {
     if (UnpackKind(e) != EventKind::kCompute) continue;
@@ -129,7 +130,7 @@ TEST_F(TracerTest, RegionPcPersistsAcrossReentry) {
   t.Compute(10);
   t.FlushCompute();
   uint64_t last_r1_pc = 0;
-  for (uint64_t e : DecodeEvents(t.trace())) {
+  for (uint64_t e : DecodeEvents(t.TakeTrace())) {
     if (UnpackKind(e) == EventKind::kCompute) {
       const uint64_t pc = UnpackAddr(e);
       if (pc >= r1.base && pc < r1.base + r1.size) last_r1_pc = pc;
@@ -143,9 +144,10 @@ TEST_F(TracerTest, EndRequestEmitsMarker) {
   t.EndRequest();
   t.Compute(10);
   t.EndRequest();
-  EXPECT_EQ(t.trace().requests, 2u);
+  const ClientTrace tr = t.TakeTrace();
+  EXPECT_EQ(tr.requests, 2u);
   int markers = 0;
-  for (uint64_t e : DecodeEvents(t.trace())) {
+  for (uint64_t e : DecodeEvents(tr)) {
     markers += (UnpackKind(e) == EventKind::kMarker);
   }
   EXPECT_EQ(markers, 2);
@@ -153,12 +155,13 @@ TEST_F(TracerTest, EndRequestEmitsMarker) {
 
 TEST_F(TracerTest, DisabledRecordsNothing) {
   t.set_enabled(false);
-  alignas(64) char buf[64];
+  alignas(64) char buf[64] = {};
   t.Compute(100);
   t.Read(buf, 64, 4);
   t.EndRequest();
-  EXPECT_TRUE(t.trace().empty());
-  EXPECT_EQ(t.trace().total_instructions, 0u);
+  const ClientTrace tr = t.TakeTrace();
+  EXPECT_TRUE(tr.empty());
+  EXPECT_EQ(tr.total_instructions, 0u);
 }
 
 TEST_F(TracerTest, TakeTraceResets) {
@@ -166,7 +169,37 @@ TEST_F(TracerTest, TakeTraceResets) {
   t.FlushCompute();
   ClientTrace tr = t.TakeTrace();
   EXPECT_FALSE(tr.empty());
-  EXPECT_TRUE(t.trace().empty());
+  EXPECT_TRUE(t.TakeTrace().empty());
+}
+
+/// One client's recording: an operator switch, folded and plain reads,
+/// and a request marker.
+void RecordClient(Tracer* t, const RegionSet& regions, const char* buf) {
+  t->EnterRegion(regions[RegionId::kBtree]);
+  t->Compute(30);
+  t->Read(buf, 100, 4, /*dependent=*/true);
+  t->EnterRegion(regions[RegionId::kSeqScan]);
+  t->Compute(500);
+  t->Write(buf + 64, 8);
+  t->EndRequest();
+}
+
+TEST_F(TracerTest, TakeTraceStartsTheNextClientAsIfNew) {
+  // One tracer recording clients back to back (a world's build) records
+  // what a fresh tracer per client would, its payloads packed end to end.
+  alignas(64) char buf[256] = {};
+  RecordClient(&t, regions_, buf);
+  const ClientTrace first = t.TakeTrace();
+  RecordClient(&t, regions_, buf);
+  const ClientTrace second = t.TakeTrace();
+  Tracer fresh(&regions_);
+  RecordClient(&fresh, regions_, buf);
+  const ClientTrace alone = fresh.TakeTrace();
+  EXPECT_EQ(DecodeEvents(second), DecodeEvents(alone));
+  EXPECT_EQ(DecodeEvents(first), DecodeEvents(alone));
+  EXPECT_EQ(second.total_instructions, alone.total_instructions);
+  EXPECT_EQ(second.requests, 1u);
+  EXPECT_EQ(second.payload(), first.payload() + first.payload_words());
 }
 
 TEST(CodeMapTest, RegionsDisjointAndStable) {

@@ -131,7 +131,7 @@ TEST(ArrivalTraffic, SteadyInjectsNothing) {
   for (int r = 0; r < 8; ++r) shaper.BeforeRequest(&tracer);
   tracer.FlushCompute();
   EXPECT_EQ(tracer.events_size(), 0u);
-  EXPECT_EQ(tracer.trace().total_instructions, 0u);
+  EXPECT_EQ(tracer.TakeTrace().total_instructions, 0u);
   EXPECT_EQ(shaper.stats().idle_instructions, 0u);
 }
 
@@ -151,7 +151,7 @@ TEST(ArrivalTraffic, BurstInjectsGapEveryOnPhase) {
   // instructions each.
   EXPECT_EQ(shaper.stats().burst_gaps, 3u);
   EXPECT_EQ(shaper.stats().idle_instructions, 9000u);
-  EXPECT_GE(tracer.trace().total_instructions, 9000u);
+  EXPECT_GE(tracer.TakeTrace().total_instructions, 9000u);
 }
 
 TEST(ArrivalTraffic, ThinkTimePausesEveryRequest) {
@@ -166,7 +166,7 @@ TEST(ArrivalTraffic, ThinkTimePausesEveryRequest) {
   tracer.FlushCompute();
   EXPECT_EQ(shaper.stats().think_events, 10u);
   EXPECT_EQ(shaper.stats().idle_instructions, 5000u);
-  EXPECT_GE(tracer.trace().total_instructions, 5000u);
+  EXPECT_GE(tracer.TakeTrace().total_instructions, 5000u);
 }
 
 TEST(ArrivalTraffic, IdleInstructionsLandInTheIdleRegion) {
@@ -181,7 +181,7 @@ TEST(ArrivalTraffic, IdleInstructionsLandInTheIdleRegion) {
   tracer.FlushCompute();
   const trace::CodeRegion& idle = regions[trace::RegionId::kIdle];
   uint64_t idle_instrs = 0;
-  for (uint64_t e : trace::DecodeEvents(tracer.trace())) {
+  for (uint64_t e : trace::DecodeEvents(tracer.TakeTrace())) {
     ASSERT_EQ(trace::UnpackKind(e), trace::EventKind::kCompute);
     const uint64_t pc = trace::UnpackAddr(e);
     if (pc >= idle.base && pc < idle.base + idle.size) {

@@ -35,7 +35,7 @@ TEST(LockManagerTest, TracedAcquireTouchesSharedBucket) {
   lm.Acquire(7, LockMode::kExclusive, &t);
   t.FlushCompute();
   bool saw_write = false, saw_read = false;
-  for (uint64_t e : trace::DecodeEvents(t.trace())) {
+  for (uint64_t e : trace::DecodeEvents(t.TakeTrace())) {
     saw_write |= trace::UnpackKind(e) == trace::EventKind::kWrite;
     saw_read |= trace::UnpackKind(e) == trace::EventKind::kRead;
   }
@@ -54,7 +54,7 @@ TEST(LockManagerTest, SameKeySameBucketAddress) {
     trace::Tracer t(&regions);
     lm.Acquire(key, LockMode::kShared, &t);
     t.FlushCompute();
-    for (uint64_t e : trace::DecodeEvents(t.trace())) {
+    for (uint64_t e : trace::DecodeEvents(t.TakeTrace())) {
       if (trace::UnpackKind(e) == trace::EventKind::kWrite) {
         return trace::UnpackAddr(e);
       }

@@ -118,7 +118,7 @@ TEST(Ycsb, StagedBatchingReordersWithoutChangingTheOps) {
               unstaged.ops_executed(static_cast<workload::YcsbOp>(op)))
         << workload::YcsbOpName(static_cast<workload::YcsbOp>(op));
   }
-  EXPECT_EQ(tu.trace().requests, ts.trace().requests);
+  EXPECT_EQ(tu.TakeTrace().requests, ts.TakeTrace().requests);
 }
 
 TEST(Ycsb, ZipfianTrafficConcentratesAccessesWithoutBreakingPurity) {

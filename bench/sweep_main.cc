@@ -3,8 +3,7 @@
 //
 //   sweep_main --spec fig7                     # human table to stdout
 //   sweep_main --spec fig8 --threads 8         # parallel cells
-//   sweep_main --spec smoke --format json --deterministic
-//   sweep_main --spec smoke --golden           # process-invariant JSON
+//   sweep_main --spec smoke --format json --deterministic   # golden bytes
 //   sweep_main --spec smoke --perf-out BENCH_sweep.json
 //   sweep_main --list
 //
@@ -13,11 +12,9 @@
 // simulation workers replay cells in parallel.
 //
 // --deterministic omits all timing fields so the JSON/CSV bytes depend
-// only on the spec and the simulation — identical for any --threads
-// value within a process. --golden further restricts the output (JSON
-// or CSV) to fields that are byte-stable across processes AND across
-// cold parallel builds (grid, configs, trace-set totals; the simulated
-// metrics shift with heap placement): the bytes committed as
+// only on the spec — identical for any --threads value, cold or warm,
+// sharded or not, in any process (traces record data addresses relative
+// to their world's address space). Its JSON is the bytes committed as
 // tests/golden/sweep_<spec>.json, which tests/test_goldens.cc diffs at
 // several thread counts, warm and sharded.
 #include <algorithm>
@@ -47,7 +44,7 @@ int Usage(const char* argv0, int code) {
       "usage: %s --spec NAME [--threads N] [--format table|json|csv]\n"
       "          [--out FILE] [--perf-out FILE] [--trace-bundle FILE]\n"
       "          [--shard I/N] [--trace-out FILE]\n"
-      "          [--deterministic] [--golden]\n"
+      "          [--deterministic]\n"
       "       %s --merge OUT SHARD_FILE...\n"
       "       %s --list\n"
       "\n"
@@ -78,14 +75,10 @@ int Usage(const char* argv0, int code) {
       "                    reassemble the N files with --merge.\n"
       "  --merge OUT F...  validate and merge N shard files, then emit\n"
       "                    through the configured sink (timing-free) to\n"
-      "                    OUT ('-' = stdout). Honors --format/--golden.\n"
+      "                    OUT ('-' = stdout). Honors --format.\n"
       "                    Output is byte-identical to the same\n"
-      "                    unsharded run: full metrics when the shards\n"
-      "                    replayed one warm bundle (--deterministic),\n"
-      "                    golden fields for any runs (--golden).\n"
-      "  --deterministic   omit timing fields from json/csv output\n"
-      "  --golden          process-invariant output (for golden diffs);\n"
-      "                    json (default) or csv\n",
+      "                    unsharded --deterministic run, cold or warm.\n"
+      "  --deterministic   omit timing fields from json/csv output\n",
       argv0, argv0, argv0);
   return code;
 }
@@ -94,7 +87,7 @@ int Usage(const char* argv0, int code) {
 
 int main(int argc, char** argv) {
   std::string spec_name;
-  std::string format;  // empty = default (table; json under --golden)
+  std::string format = "table";
   std::string out_path;
   std::string perf_path;
   std::string bundle_path;
@@ -104,7 +97,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> shard_files;  // --merge positionals
   uint32_t threads = 0;
   bool deterministic = false;
-  bool golden = false;
   bool list = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -144,8 +136,6 @@ int main(int argc, char** argv) {
       trace_path = value("--trace-out");
     } else if (arg == "--deterministic") {
       deterministic = true;
-    } else if (arg == "--golden") {
-      golden = true;
     } else if (arg == "--list") {
       list = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -220,9 +210,8 @@ int main(int argc, char** argv) {
     }
     // The merged report carries no timing, so the sink always runs
     // timing-free — the bytes match an unsharded --deterministic run.
-    if (format.empty()) format = golden ? "json" : "table";
     std::unique_ptr<sweep::ResultSink> sink =
-        sweep::MakeSink(format, /*include_timing=*/false, golden);
+        sweep::MakeSink(format, /*include_timing=*/false);
     if (!sink) {
       std::fprintf(stderr, "unknown format '%s' for --merge\n",
                    format.c_str());
@@ -272,23 +261,12 @@ int main(int argc, char** argv) {
                  spec_name.c_str());
     return 2;
   }
-  std::unique_ptr<sweep::ResultSink> sink;
-  if (golden) {
-    if (format.empty()) format = "json";
-    sink = sweep::MakeSink(format, /*include_timing=*/false,
-                           /*golden=*/true);
-    if (!sink) {
-      std::fprintf(stderr, "--golden supports --format json|csv\n");
-      return 2;
-    }
-  } else {
-    if (format.empty()) format = "table";
-    sink = sweep::MakeSink(format, /*include_timing=*/!deterministic);
-    if (!sink) {
-      std::fprintf(stderr, "unknown format '%s' (table|json|csv)\n",
-                   format.c_str());
-      return 2;
-    }
+  const std::unique_ptr<sweep::ResultSink> sink =
+      sweep::MakeSink(format, /*include_timing=*/!deterministic);
+  if (!sink) {
+    std::fprintf(stderr, "unknown format '%s' (table|json|csv)\n",
+                 format.c_str());
+    return 2;
   }
 
   harness::WorkloadFactory factory;

@@ -5,7 +5,8 @@
 # tests/golden/ (cold at several thread counts, warm from a mapped
 # bundle, sharded and merged, with the counter cross-checks). Around
 # that contract the tier-1 pass drives sweep_main once per surface: one
-# golden diff (the regeneration path), one run per sink, one
+# cold golden diff in a fresh process (the regeneration path), one run
+# per sink, one
 # --shard/--merge round trip, and the warm and cold perf-gate runs. The
 # sanitizer pass runs ctest under ASan+UBSan (every entry but the slow
 # test_goldens_shootout ones); the optional ThreadSanitizer pass runs the
@@ -140,11 +141,14 @@ if [[ $run_tier1 -eq 1 ]]; then
 
   echo "==> sweep_main CLI: golden diff, sinks, shard/merge round trip"
   # The cold run is the golden regeneration path (point --out at
-  # tests/golden/sweep_smoke.json after an intended change); it also
+  # tests/golden/sweep_smoke.json after an intended change). Its full
+  # JSON, simulated metrics included, must equal the golden: a
+  # cross-process check that results follow the config alone. It also
   # writes the trace bundle the runs below replay and the cold perf
   # summary the gate checks.
   rm -f build/smoke.traces
-  ./build/bench/sweep_main --spec smoke --threads 8 --golden \
+  ./build/bench/sweep_main --spec smoke --threads 8 \
+    --deterministic --format json \
     --trace-bundle build/smoke.traces \
     --perf-out build/BENCH_sweep_cold_fresh.json \
     --out build/sweep_smoke_golden.json
@@ -180,18 +184,19 @@ if [[ $run_tier1 -eq 1 ]]; then
   cp "$median_json" build/BENCH_sweep_fresh.json
 
   # The table and csv sinks; the two shard files, passed out of order,
-  # merge into the csv run's bytes.
+  # merge into the csv run's bytes, every metric column included.
   ./build/bench/sweep_main --spec smoke --threads 4 \
     --trace-bundle build/smoke.traces --out build/sweep_smoke.txt
   grep -q "sweep 'smoke': 4 cells" build/sweep_smoke.txt
-  ./build/bench/sweep_main --spec smoke --threads 4 --golden --format csv \
-    --trace-bundle build/smoke.traces --out build/sweep_smoke_golden.csv
+  ./build/bench/sweep_main --spec smoke --threads 4 --deterministic \
+    --format csv --trace-bundle build/smoke.traces \
+    --out build/sweep_smoke_golden.csv
   for i in 0 1; do
     ./build/bench/sweep_main --spec smoke --threads 4 --shard "$i/2" \
       --trace-bundle build/smoke.traces --out "build/smoke_shard$i.shard"
   done
   ./build/bench/sweep_main --merge build/sweep_smoke_merged.csv \
-    --golden --format csv build/smoke_shard1.shard build/smoke_shard0.shard
+    --format csv build/smoke_shard1.shard build/smoke_shard0.shard
   diff -u build/sweep_smoke_golden.csv build/sweep_smoke_merged.csv
 
   echo "==> perf gates: warm replay + cold build, 20% regression budget"

@@ -6,16 +6,16 @@
 // physically-shared cache lines in the trace, and (c) the address space is
 // compact, which keeps simulated cache indexing realistic.
 //
-// Ownership. The arena maps every block itself (anonymous mmap) and
-// unmaps them all when it dies, so a dead world's image goes back to the
-// kernel at once instead of staying on some thread's malloc heap under
-// whatever was allocated after it. A block of 2 MB or more starts on a
-// 2 MB boundary and is advised MADV_HUGEPAGE, so a 16-warehouse TPC-C
-// load faults in huge pages (about 90 minor faults instead of 30k).
-// With transparent huge pages set to `never` the advice is ignored: the
-// same blocks fault in 4 KB pages and every result is the same. Smaller
-// blocks (the 1 MB scratch arenas) are page-rounded mappings
-// (common/pages.h). A failed mapping throws std::bad_alloc, as `new` does.
+// Placement. An arena carves its blocks from an AddressSpace
+// (common/pages.h), in allocation order: a workload world's arenas share
+// the world's space, so every address they hand out is a fixed offset
+// from its base, the same in every process. An arena built without a
+// space (tests, micro benchmarks) reserves a private one. Blocks of 2 MB
+// or more start on a 2 MB offset and are advised MADV_HUGEPAGE, so a
+// 16-warehouse TPC-C load faults in huge pages (about 90 minor faults
+// instead of 30k). The arena gives its blocks' pages back when it dies,
+// and a dead world unmaps its whole space. A block the space cannot fit
+// throws std::bad_alloc, as `new` does.
 //
 // Blocks promise no zeroing. Fresh anonymous pages happen to read zero,
 // but callers never read bytes they did not write (pages expose
@@ -27,6 +27,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -39,11 +40,18 @@ namespace stagedcmp {
 class Arena {
  public:
   /// Blocks at least this large are huge-page aligned and advised.
-  static constexpr size_t kHugePage = size_t{2} << 20;
+  static constexpr size_t kHugePage = AddressSpace::kHugePage;
 
-  explicit Arena(size_t block_size = 1 << 20) : block_size_(block_size) {}
+  /// Carves from `space`, which must outlive the arena.
+  Arena(AddressSpace* space, size_t block_size)
+      : space_(space), block_size_(block_size) {}
+  /// Carves from a private space of its own.
+  explicit Arena(size_t block_size = 1 << 20)
+      : own_(std::make_unique<AddressSpace>()),
+        space_(own_.get()),
+        block_size_(block_size) {}
   ~Arena() {
-    for (const Block& b : blocks_) munmap(b.base, b.bytes);
+    for (const Block& b : blocks_) space_->Release(b.base, b.bytes);
   }
 
   Arena(const Arena&) = delete;
@@ -82,39 +90,26 @@ class Arena {
 
  private:
   struct Block {
-    void* base;
+    char* base;
     size_t bytes;
   };
 
   void NewBlock(size_t bytes, size_t align) {
-    // Keeps the sums below from wrapping; mmap refuses anything near
+    // Keeps the sums below from wrapping; no space is anywhere near
     // this size anyway.
     if (bytes > SIZE_MAX / 2 || align > SIZE_MAX / 4) throw std::bad_alloc();
     const size_t sz =
         PageRound(bytes + align > block_size_ ? bytes + align : block_size_);
     blocks_.reserve(blocks_.size() + 1);  // a throw here maps nothing
-    char* base = sz >= kHugePage ? MapHugeAligned(sz) : MapPages(sz);
+    char* base = space_->Carve(sz);
     blocks_.push_back(Block{base, sz});
     ptr_ = base;
     remaining_ = sz;
     reserved_ += sz;
   }
 
-  /// Over-maps by one huge page and trims both ends, so the block starts
-  /// on a 2 MB boundary.
-  static char* MapHugeAligned(size_t bytes) {
-    char* raw = MapPages(bytes + kHugePage);
-    const uintptr_t r = reinterpret_cast<uintptr_t>(raw);
-    const size_t head = ((r + kHugePage - 1) & ~(kHugePage - 1)) - r;
-    if (head > 0) munmap(raw, head);
-    munmap(raw + head + bytes, kHugePage - head);
-    char* base = raw + head;
-#ifdef MADV_HUGEPAGE
-    madvise(base, bytes, MADV_HUGEPAGE);  // advice only: ignored if refused
-#endif
-    return base;
-  }
-
+  std::unique_ptr<AddressSpace> own_;  ///< set only for a private space
+  AddressSpace* space_;
   size_t block_size_;
   std::vector<Block> blocks_;
   char* ptr_ = nullptr;

@@ -38,6 +38,27 @@ bool Predicate::Eval(const Schema& schema, const uint8_t* tuple) const {
   return false;
 }
 
+GroupSlot GroupSlot::New(Arena* temp, size_t n_keys, size_t n_aggs,
+                         size_t min_bytes) {
+  const size_t bytes = std::max(8 * (n_keys + 2 * n_aggs), min_bytes);
+  auto* p = static_cast<int64_t*>(temp->Allocate(bytes, 64));
+  GroupSlot g;
+  g.keys = p;
+  g.acc = reinterpret_cast<double*>(p + n_keys);
+  g.cnt = p + n_keys + n_aggs;
+  return g;
+}
+
+namespace {
+
+/// A line-aligned tuple of `bytes` in the query's scratch arena: an
+/// operator's output buffer or a materialized row copy.
+uint8_t* NewTuple(ExecContext* ctx, size_t bytes) {
+  return static_cast<uint8_t*>(ctx->temp->Allocate(bytes, 64));
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // SeqScan
 // ---------------------------------------------------------------------------
@@ -163,10 +184,12 @@ ProjectOp::ProjectOp(std::unique_ptr<Operator> child, std::vector<int> cols)
     out.push_back(child_->output_schema().column(static_cast<size_t>(c)));
   }
   schema_ = Schema(std::move(out));
-  buffer_.Resize(schema_.tuple_size());
 }
 
-void ProjectOp::Open(ExecContext* ctx) { child_->Open(ctx); }
+void ProjectOp::Open(ExecContext* ctx) {
+  buffer_ = NewTuple(ctx, schema_.tuple_size());
+  child_->Open(ctx);
+}
 
 const uint8_t* ProjectOp::Next(ExecContext* ctx) {
   const uint8_t* in = child_->Next(ctx);
@@ -179,15 +202,14 @@ const uint8_t* ProjectOp::Next(ExecContext* ctx) {
   const Schema& in_schema = child_->output_schema();
   for (size_t i = 0; i < columns_.size(); ++i) {
     const size_t c = static_cast<size_t>(columns_[i]);
-    std::memcpy(buffer_.data() + schema_.offset(i), in + in_schema.offset(c),
+    std::memcpy(buffer_ + schema_.offset(i), in + in_schema.offset(c),
                 in_schema.column(c).width());
     if (t != nullptr) t->Compute(CostModel::kProjection);
   }
   if (t != nullptr) {
-    t->Write(buffer_.data(), schema_.tuple_size(),
-             CostModel::kTupleCopyPerLine);
+    t->Write(buffer_, schema_.tuple_size(), CostModel::kTupleCopyPerLine);
   }
-  return buffer_.data();
+  return buffer_;
 }
 
 void ProjectOp::Close(ExecContext* ctx) { child_->Close(ctx); }
@@ -207,7 +229,6 @@ HashJoinOp::HashJoinOp(std::unique_ptr<Operator> build,
   build_region_ = trace::RegionId::kHashBuild;
   probe_region_ = trace::RegionId::kHashProbe;
   schema_ = Schema::Concat(probe_->output_schema(), build_->output_schema());
-  out_buf_.Resize(schema_.tuple_size());
   null_build_.assign(build_->output_schema().tuple_size(), 0);
 }
 
@@ -215,15 +236,10 @@ void HashJoinOp::BuildTable(ExecContext* ctx) {
   trace::Tracer* t = ctx->tracer;
   const Schema& bs = build_->output_schema();
   build_->Open(ctx);
-  build_rows_.clear();
   std::vector<const uint8_t*> staged;
   while (const uint8_t* tuple = build_->Next(ctx)) {
     if (t != nullptr) t->EnterRegion(build_region_);
-    // Line-aligned so the number of cache lines a build row spans — and
-    // therefore the trace's event skeleton — is a function of the tuple
-    // width alone, not of where the arena block landed in the heap.
-    uint8_t* copy = static_cast<uint8_t*>(
-        ctx->temp->Allocate(bs.tuple_size(), 64));
+    uint8_t* copy = NewTuple(ctx, bs.tuple_size());
     std::memcpy(copy, tuple, bs.tuple_size());
     if (t != nullptr) {
       t->Write(copy, bs.tuple_size(), CostModel::kTupleCopyPerLine);
@@ -232,25 +248,30 @@ void HashJoinOp::BuildTable(ExecContext* ctx) {
   }
   build_->Close(ctx);
 
-  size_t nbuckets = 16;
-  while (nbuckets < staged.size() * 2) nbuckets <<= 1;
-  buckets_.assign(nbuckets, -1);
-  build_rows_.reserve(staged.size());
+  nbuckets_ = 16;
+  while (nbuckets_ < staged.size() * 2) nbuckets_ <<= 1;
+  buckets_ = static_cast<int32_t*>(
+      ctx->temp->Allocate(nbuckets_ * sizeof(int32_t), 64));
+  std::fill(buckets_, buckets_ + nbuckets_, -1);
+  build_rows_ = static_cast<BuildRow*>(ctx->temp->Allocate(
+      std::max<size_t>(staged.size(), 1) * sizeof(BuildRow),
+      alignof(BuildRow)));
+  n_build_ = 0;
   for (const uint8_t* row : staged) {
     const uint64_t key =
         static_cast<uint64_t>(GetIntAt(bs, row, build_key_));
-    const size_t b = HashKey(key) & (nbuckets - 1);
+    const size_t b = HashKey(key) & (nbuckets_ - 1);
     if (t != nullptr) {
       t->Compute(CostModel::kHashCompute);
       t->Write(&buckets_[b], 4, CostModel::kHashProbeStep);
     }
-    build_rows_.push_back(
-        {row, buckets_[b]});
-    buckets_[b] = static_cast<int32_t>(build_rows_.size() - 1);
+    build_rows_[n_build_] = {row, buckets_[b]};
+    buckets_[b] = static_cast<int32_t>(n_build_++);
   }
 }
 
 void HashJoinOp::Open(ExecContext* ctx) {
+  out_buf_ = NewTuple(ctx, schema_.tuple_size());
   BuildTable(ctx);
   probe_->Open(ctx);
   cur_probe_ = nullptr;
@@ -262,13 +283,13 @@ const uint8_t* HashJoinOp::Emit(ExecContext* ctx, const uint8_t* probe,
                                 const uint8_t* build) {
   const Schema& ps = probe_->output_schema();
   const Schema& bs = build_->output_schema();
-  std::memcpy(out_buf_.data(), probe, ps.tuple_size());
-  std::memcpy(out_buf_.data() + ps.tuple_size(), build, bs.tuple_size());
+  std::memcpy(out_buf_, probe, ps.tuple_size());
+  std::memcpy(out_buf_ + ps.tuple_size(), build, bs.tuple_size());
   if (ctx->tracer != nullptr) {
-    ctx->tracer->Write(out_buf_.data(), schema_.tuple_size(),
+    ctx->tracer->Write(out_buf_, schema_.tuple_size(),
                        CostModel::kTupleCopyPerLine);
   }
-  return out_buf_.data();
+  return out_buf_;
 }
 
 const uint8_t* HashJoinOp::Next(ExecContext* ctx) {
@@ -311,7 +332,7 @@ const uint8_t* HashJoinOp::Next(ExecContext* ctx) {
     }
     const uint64_t key =
         static_cast<uint64_t>(GetIntAt(ps, cur_probe_, probe_key_));
-    const size_t b = HashKey(key) & (buckets_.size() - 1);
+    const size_t b = HashKey(key) & (nbuckets_ - 1);
     if (t != nullptr) {
       t->Read(&buckets_[b], 4, CostModel::kHashProbeStep, /*dependent=*/true);
     }
@@ -321,8 +342,10 @@ const uint8_t* HashJoinOp::Next(ExecContext* ctx) {
 
 void HashJoinOp::Close(ExecContext* ctx) {
   probe_->Close(ctx);
-  buckets_.clear();
-  build_rows_.clear();
+  buckets_ = nullptr;
+  nbuckets_ = 0;
+  build_rows_ = nullptr;
+  n_build_ = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -338,18 +361,17 @@ NlJoinOp::NlJoinOp(std::unique_ptr<Operator> outer,
       inner_key_(inner_key) {
   region_ = trace::RegionId::kNlJoin;
   schema_ = Schema::Concat(outer_->output_schema(), inner_->output_schema());
-  out_buf_.Resize(schema_.tuple_size());
 }
 
 void NlJoinOp::Open(ExecContext* ctx) {
   trace::Tracer* t = ctx->tracer;
   const Schema& is = inner_->output_schema();
+  out_buf_ = NewTuple(ctx, schema_.tuple_size());
   inner_rows_.clear();
   inner_->Open(ctx);
   while (const uint8_t* tuple = inner_->Next(ctx)) {
     if (t != nullptr) t->EnterRegion(region_);
-    uint8_t* copy =
-        static_cast<uint8_t*>(ctx->temp->Allocate(is.tuple_size(), 64));
+    uint8_t* copy = NewTuple(ctx, is.tuple_size());
     std::memcpy(copy, tuple, is.tuple_size());
     if (t != nullptr) {
       t->Write(copy, is.tuple_size(), CostModel::kTupleCopyPerLine);
@@ -380,14 +402,13 @@ const uint8_t* NlJoinOp::Next(ExecContext* ctx) {
         t->Read(irow, 8, CostModel::kPredicateEval);  // key probe
       }
       if (GetIntAt(is, irow, inner_key_) == ok) {
-        std::memcpy(out_buf_.data(), cur_outer_, os.tuple_size());
-        std::memcpy(out_buf_.data() + os.tuple_size(), irow,
-                    is.tuple_size());
+        std::memcpy(out_buf_, cur_outer_, os.tuple_size());
+        std::memcpy(out_buf_ + os.tuple_size(), irow, is.tuple_size());
         if (t != nullptr) {
-          t->Write(out_buf_.data(), schema_.tuple_size(),
+          t->Write(out_buf_, schema_.tuple_size(),
                    CostModel::kTupleCopyPerLine);
         }
-        return out_buf_.data();
+        return out_buf_;
       }
     }
     cur_outer_ = nullptr;  // inner exhausted: advance outer
@@ -447,20 +468,23 @@ void HashAggOp::Open(ExecContext* ctx) {
       keys.push_back(k);
       h = HashKey(h ^ static_cast<uint64_t>(k));
     }
-    GroupState& g = groups_[h];
+    const auto [it, fresh] = groups_.try_emplace(h);
+    GroupSlot& g = it->second;
+    if (fresh) {
+      g = GroupSlot::New(ctx->temp, keys.size(), aggs_.size(),
+                         kGroupTouchBytes);
+      std::copy(keys.begin(), keys.end(), g.keys);
+      for (size_t i = 0; i < aggs_.size(); ++i) {
+        g.acc[i] = aggs_[i].fn == AggFn::kMin   ? 1e300
+                   : aggs_[i].fn == AggFn::kMax ? -1e300
+                                                : 0.0;
+        g.cnt[i] = 0;
+      }
+    }
     if (t != nullptr) {
       // Group-state touch: hot for few groups, cold for many.
-      t->Write(&g, sizeof(GroupState), CostModel::kAggUpdate,
+      t->Write(g.keys, kGroupTouchBytes, CostModel::kAggUpdate,
                /*dependent=*/true);
-    }
-    if (g.acc.empty()) {
-      g.ikeys = keys;
-      g.acc.assign(aggs_.size(), 0.0);
-      g.cnt.assign(aggs_.size(), 0);
-      for (size_t i = 0; i < aggs_.size(); ++i) {
-        if (aggs_[i].fn == AggFn::kMin) g.acc[i] = 1e300;
-        if (aggs_[i].fn == AggFn::kMax) g.acc[i] = -1e300;
-      }
     }
     for (size_t i = 0; i < aggs_.size(); ++i) {
       const AggSpec& a = aggs_[i];
@@ -481,12 +505,12 @@ void HashAggOp::Open(ExecContext* ctx) {
   }
   child_->Close(ctx);
   ordered_.reserve(groups_.size());
-  for (const auto& [h, g] : groups_) ordered_.push_back(&g);
+  for (const auto& [h, g] : groups_) ordered_.push_back(g);
 }
 
 const uint8_t* HashAggOp::Next(ExecContext* ctx) {
   if (emit_pos_ >= ordered_.size()) return nullptr;
-  const GroupState& g = *ordered_[emit_pos_++];
+  const GroupSlot& g = ordered_[emit_pos_++];
   trace::Tracer* t = ctx->tracer;
   if (t != nullptr) {
     t->EnterRegion(region_);
@@ -495,7 +519,7 @@ const uint8_t* HashAggOp::Next(ExecContext* ctx) {
   TupleRef ref(&schema_, out_buf_.data());
   size_t col = 0;
   for (size_t i = 0; i < group_cols_.size(); ++i, ++col) {
-    ref.SetInt(col, g.ikeys[i]);
+    ref.SetInt(col, g.keys[i]);
   }
   for (size_t i = 0; i < aggs_.size(); ++i, ++col) {
     const AggSpec& a = aggs_[i];
@@ -533,13 +557,7 @@ void SortOp::Open(ExecContext* ctx) {
   child_->Open(ctx);
   while (const uint8_t* tuple = child_->Next(ctx)) {
     if (t != nullptr) t->EnterRegion(region_);
-    // Line-aligned like the hash-join build rows: the number of cache
-    // lines a sort row spans — and therefore the trace's event skeleton —
-    // must be a function of the tuple width alone, not of where the heap
-    // placed the buffer (vector-backed rows made DSS trace totals vary
-    // with the sweep's builder-thread count).
-    uint8_t* copy =
-        static_cast<uint8_t*>(ctx->temp->Allocate(s.tuple_size(), 64));
+    uint8_t* copy = NewTuple(ctx, s.tuple_size());
     std::memcpy(copy, tuple, s.tuple_size());
     rows_.push_back(copy);
     if (t != nullptr) {

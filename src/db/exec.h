@@ -22,33 +22,32 @@
 
 namespace stagedcmp::db {
 
+class PacketPool;
+
 /// Per-query execution context: tracer + scratch arena for hash tables,
-/// sort buffers and materialized intermediates.
+/// sort buffers, output tuples and materialized intermediates. Everything
+/// an operator traces lives in an arena, so it has a fixed place in the
+/// recording world's address space.
 struct ExecContext {
   trace::Tracer* tracer = nullptr;
   Arena* temp = nullptr;
+  /// The running staged pipeline's packet buffers (db/staged.h).
+  PacketPool* packets = nullptr;
 };
 
-/// Operator-owned output tuple buffer, kept 64-byte aligned. Traced tuple
-/// copies record the buffer's absolute address, so the number of cache
-/// lines a copy spans — and with it the trace's event totals — must be a
-/// function of the tuple width alone; a malloc-placed std::vector buffer
-/// made the totals depend on heap layout (and therefore on the sweep's
-/// builder-thread count and build order).
-class TupleBuf {
- public:
-  void Resize(size_t n) {
-    raw_.assign(n + 63, 0);
-    p_ = reinterpret_cast<uint8_t*>(
-        (reinterpret_cast<uintptr_t>(raw_.data()) + 63) &
-        ~static_cast<uintptr_t>(63));
-  }
-  uint8_t* data() { return p_; }
-  const uint8_t* data() const { return p_; }
+/// A hash-aggregation group's state, in one line-aligned slot of the
+/// query's scratch arena: its key values, then each aggregate's
+/// accumulator, then each aggregate's count (8 bytes each). Shared by
+/// HashAggOp and the staged AggStage.
+struct GroupSlot {
+  int64_t* keys = nullptr;  ///< also the slot's start
+  double* acc = nullptr;
+  int64_t* cnt = nullptr;
 
- private:
-  std::vector<uint8_t> raw_;
-  uint8_t* p_ = nullptr;
+  /// Carves a slot of at least `min_bytes` from `temp`; the caller
+  /// initializes it.
+  static GroupSlot New(Arena* temp, size_t n_keys, size_t n_aggs,
+                       size_t min_bytes);
 };
 
 /// Simple comparison predicate against a column; conjunctions are vectors
@@ -147,7 +146,7 @@ class ProjectOp : public Operator {
   std::unique_ptr<Operator> child_;
   std::vector<int> columns_;
   Schema schema_;
-  TupleBuf buffer_;
+  uint8_t* buffer_ = nullptr;  ///< output tuple, in ctx->temp
   trace::RegionId region_;
 };
 
@@ -163,7 +162,7 @@ class HashJoinOp : public Operator {
   void Close(ExecContext* ctx) override;
   const Schema& output_schema() const override { return schema_; }
 
-  size_t build_rows() const { return build_rows_.size(); }
+  size_t build_rows() const { return n_build_; }
 
  private:
   struct BuildRow {
@@ -180,12 +179,15 @@ class HashJoinOp : public Operator {
   int build_key_, probe_key_;
   Type type_;
   Schema schema_;
-  std::vector<int32_t> buckets_;
-  std::vector<BuildRow> build_rows_;
+  // The hash table, in ctx->temp: bucket heads and the chained rows.
+  int32_t* buckets_ = nullptr;
+  size_t nbuckets_ = 0;
+  BuildRow* build_rows_ = nullptr;
+  size_t n_build_ = 0;
   const uint8_t* cur_probe_ = nullptr;
   int32_t chain_ = -1;
   bool probe_matched_ = false;
-  TupleBuf out_buf_;
+  uint8_t* out_buf_ = nullptr;  ///< output tuple, in ctx->temp
   std::vector<uint8_t> null_build_;
   trace::RegionId build_region_;
   trace::RegionId probe_region_;
@@ -214,18 +216,16 @@ class HashAggOp : public Operator {
   size_t num_groups() const { return groups_.size(); }
 
  private:
-  struct GroupState {
-    std::vector<int64_t> ikeys;
-    std::vector<double> acc;
-    std::vector<int64_t> cnt;
-  };
+  /// An update is traced as a write of its group slot's first 72 bytes
+  /// (two cache lines), whatever the aggregate count.
+  static constexpr size_t kGroupTouchBytes = 72;
 
   std::unique_ptr<Operator> child_;
   std::vector<int> group_cols_;
   std::vector<AggSpec> aggs_;
   Schema schema_;
-  std::unordered_map<uint64_t, GroupState> groups_;
-  std::vector<const GroupState*> ordered_;
+  std::unordered_map<uint64_t, GroupSlot> groups_;
+  std::vector<GroupSlot> ordered_;
   size_t emit_pos_ = 0;
   std::vector<uint8_t> out_buf_;
   trace::RegionId region_;
@@ -251,7 +251,7 @@ class NlJoinOp : public Operator {
   std::vector<const uint8_t*> inner_rows_;
   const uint8_t* cur_outer_ = nullptr;
   size_t inner_pos_ = 0;
-  TupleBuf out_buf_;
+  uint8_t* out_buf_ = nullptr;  ///< output tuple, in ctx->temp
   trace::RegionId region_;
 };
 

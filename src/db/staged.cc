@@ -1,5 +1,7 @@
 #include "db/staged.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstring>
 
 namespace stagedcmp::db {
@@ -12,6 +14,17 @@ uint32_t DefaultPacketTuples(uint32_t tuple_size) {
   if (n == 0) n = 1;
   if (n > 512) n = 512;
   return n;
+}
+
+uint8_t* PacketPool::Take(size_t bytes) {
+  for (size_t i = free_.size(); i-- > 0;) {
+    if (free_[i].first == bytes) {
+      uint8_t* rows = free_[i].second;
+      free_.erase(free_.begin() + static_cast<std::ptrdiff_t>(i));
+      return rows;
+    }
+  }
+  return static_cast<uint8_t*>(temp_->Allocate(bytes, 64));
 }
 
 // ---------------------------------------------------------------------------
@@ -34,7 +47,7 @@ void SourceStage::Process(const Packet* /*in*/,
                           ExecContext* ctx) {
   // Produce exactly one packet per invocation (cohort granularity).
   auto packet = std::make_unique<Packet>(&op_->output_schema(),
-                                         packet_tuples_);
+                                         packet_tuples_, ctx->packets);
   const Schema& s = op_->output_schema();
   while (!packet->Full()) {
     const uint8_t* tuple = op_->Next(ctx);
@@ -68,7 +81,7 @@ void FilterStage::Process(const Packet* in,
   if (in == nullptr || in->count() == 0) return;
   trace::Tracer* t = ctx->tracer;
   if (t != nullptr) t->EnterRegion(region_);
-  auto packet = std::make_unique<Packet>(schema_, packet_tuples_);
+  auto packet = std::make_unique<Packet>(schema_, packet_tuples_, ctx->packets);
   for (uint32_t i = 0; i < in->count(); ++i) {
     const uint8_t* tuple = in->Row(i);
     if (t != nullptr) {
@@ -87,7 +100,7 @@ void FilterStage::Process(const Packet* in,
     if (!pass) continue;
     if (packet->Full()) {
       out->push_back(std::move(packet));
-      packet = std::make_unique<Packet>(schema_, packet_tuples_);
+      packet = std::make_unique<Packet>(schema_, packet_tuples_, ctx->packets);
     }
     uint8_t* dst = packet->Append();
     std::memcpy(dst, tuple, schema_->tuple_size());
@@ -137,14 +150,18 @@ void AggStage::Process(const Packet* in,
       keys.push_back(k);
       h = HashKey(h ^ static_cast<uint64_t>(k));
     }
-    GroupState& g = groups_[h];
-    if (t != nullptr) {
-      t->Write(&g, 64, CostModel::kAggUpdate, /*dependent=*/true);
+    const auto [it, fresh] = groups_.try_emplace(h);
+    GroupSlot& g = it->second;
+    if (fresh) {
+      g = GroupSlot::New(ctx->temp, keys.size(), aggs_.size(),
+                         kGroupTouchBytes);
+      std::copy(keys.begin(), keys.end(), g.keys);
+      std::fill(g.acc, g.acc + aggs_.size(), 0.0);
+      std::fill(g.cnt, g.cnt + aggs_.size(), 0);
     }
-    if (g.acc.empty()) {
-      g.keys = keys;
-      g.acc.assign(aggs_.size(), 0.0);
-      g.cnt.assign(aggs_.size(), 0);
+    if (t != nullptr) {
+      t->Write(g.keys, kGroupTouchBytes, CostModel::kAggUpdate,
+               /*dependent=*/true);
     }
     for (size_t a = 0; a < aggs_.size(); ++a) {
       double v = 0.0;
@@ -171,8 +188,10 @@ std::vector<std::vector<double>> AggStage::Results() const {
   rows.reserve(groups_.size());
   for (const auto& [h, g] : groups_) {
     std::vector<double> row;
-    for (int64_t k : g.keys) row.push_back(static_cast<double>(k));
-    for (size_t a = 0; a < g.acc.size(); ++a) {
+    for (size_t k = 0; k < group_cols_.size(); ++k) {
+      row.push_back(static_cast<double>(g.keys[k]));
+    }
+    for (size_t a = 0; a < aggs_.size(); ++a) {
       if (aggs_[a].fn == AggFn::kAvg && g.cnt[a] > 0) {
         row.push_back(g.acc[a] / static_cast<double>(g.cnt[a]));
       } else {
@@ -199,7 +218,13 @@ StagedPipeline::StagedPipeline(std::unique_ptr<SourceStage> source,
   runtime_region_ = trace::RegionId::kStageRuntime;
 }
 
-uint64_t StagedPipeline::Run(ExecContext* ctx) {
+uint64_t StagedPipeline::Run(ExecContext* outer) {
+  // Every packet of the run takes its rows from one pool, declared before
+  // the packets so it outlives them.
+  PacketPool pool(outer->temp);
+  ExecContext run = *outer;
+  run.packets = &pool;
+  ExecContext* ctx = &run;
   trace::Tracer* t = ctx->tracer;
   source_->Open(ctx);
   uint64_t sink_tuples = 0;

@@ -17,6 +17,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "db/exec.h"
@@ -25,15 +26,36 @@
 
 namespace stagedcmp::db {
 
-/// A batch of fixed-width tuples flowing between stages. Rows live in a
-/// 64-byte-aligned TupleBuf: traced row copies record absolute addresses,
-/// so the cache lines a row spans must not depend on heap placement.
+/// Row buffers for a pipeline's packets, carved line-aligned from the
+/// query's scratch arena. A dead packet's buffer is reused, last in first
+/// out, by the next packet of its size, so a query holds only as many
+/// buffers as it has packets alive at once, and where a row lands follows
+/// the schedule alone.
+class PacketPool {
+ public:
+  explicit PacketPool(Arena* temp) : temp_(temp) {}
+
+  uint8_t* Take(size_t bytes);
+  void Give(uint8_t* rows, size_t bytes) { free_.emplace_back(bytes, rows); }
+
+ private:
+  Arena* temp_;
+  std::vector<std::pair<size_t, uint8_t*>> free_;
+};
+
+/// A batch of fixed-width tuples flowing between stages. Its rows live in
+/// a buffer from `pool`, which takes it back when the packet dies.
 class Packet {
  public:
-  Packet(const Schema* schema, uint32_t capacity)
-      : schema_(schema), capacity_(capacity) {
-    data_.Resize(static_cast<size_t>(capacity) * schema->tuple_size());
-  }
+  Packet(const Schema* schema, uint32_t capacity, PacketPool* pool)
+      : schema_(schema),
+        capacity_(capacity),
+        pool_(pool),
+        rows_(pool->Take(capacity_bytes())) {}
+  ~Packet() { pool_->Give(rows_, capacity_bytes()); }
+
+  Packet(const Packet&) = delete;
+  Packet& operator=(const Packet&) = delete;
 
   bool Full() const { return count_ >= capacity_; }
   uint32_t count() const { return count_; }
@@ -41,20 +63,25 @@ class Packet {
 
   uint8_t* Append() {
     assert(!Full());
-    return data_.data() + static_cast<size_t>(count_++) * schema_->tuple_size();
+    return rows_ + static_cast<size_t>(count_++) * schema_->tuple_size();
   }
   const uint8_t* Row(uint32_t i) const {
-    return data_.data() + static_cast<size_t>(i) * schema_->tuple_size();
+    return rows_ + static_cast<size_t>(i) * schema_->tuple_size();
   }
   size_t bytes() const {
     return static_cast<size_t>(count_) * schema_->tuple_size();
   }
 
  private:
+  size_t capacity_bytes() const {
+    return static_cast<size_t>(capacity_) * schema_->tuple_size();
+  }
+
   const Schema* schema_;
   uint32_t capacity_;
   uint32_t count_ = 0;
-  TupleBuf data_;
+  PacketPool* pool_;
+  uint8_t* rows_;
 };
 
 /// Scheduling policy for the staged engine.
@@ -137,19 +164,15 @@ class AggStage : public Stage {
   std::vector<std::vector<double>> Results() const;
 
  private:
-  /// Line-aligned: Process traces a one-line write at &GroupState, which
-  /// must cover exactly one cache line wherever the map node lands.
-  struct alignas(64) GroupState {
-    std::vector<int64_t> keys;
-    std::vector<double> acc;
-    std::vector<int64_t> cnt;
-  };
+  /// An update is traced as a write of its group slot's first line.
+  static constexpr size_t kGroupTouchBytes = 64;
+
   std::string name_;
   const Schema* in_schema_;
   std::vector<int> group_cols_;
   std::vector<AggSpec> aggs_;
   Schema out_schema_;
-  std::unordered_map<uint64_t, GroupState> groups_;
+  std::unordered_map<uint64_t, GroupSlot> groups_;
   trace::RegionId region_;
 };
 

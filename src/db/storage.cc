@@ -5,24 +5,29 @@ namespace stagedcmp::db {
 using trace::CostModel;
 
 Page* BufferPool::NewPage(uint32_t file_id, uint32_t tuple_size) {
+  if (num_pages_ % kTableChunk == 0) {
+    chunks_.push_back(static_cast<Page**>(
+        arena_->Allocate(kTableChunk * sizeof(Page*), 64)));
+  }
   Page* p = static_cast<Page*>(arena_->Allocate(sizeof(Page), 64));
-  p->page_id = static_cast<uint32_t>(pages_.size());
+  p->page_id = num_pages_;
   p->file_id = file_id;
   p->tuple_size = tuple_size;
   p->capacity = tuple_size ? kPageSize / tuple_size : 0;
   p->n_tuples = 0;
   p->pin_count = 0;
-  pages_.push_back(p);
+  *Entry(num_pages_++) = p;
   return p;
 }
 
 Page* BufferPool::Fetch(uint32_t page_id, trace::Tracer* t) {
-  Page* p = pages_[page_id];
+  Page** entry = Entry(page_id);
+  Page* p = *entry;
   if (t != nullptr) {
     t->EnterRegion(region_);
     t->Compute(CostModel::kBufferPoolLookup);
     // Page-table probe: shared metadata word for this page id.
-    t->Read(&pages_[page_id], sizeof(Page*), CostModel::kPagePin,
+    t->Read(entry, sizeof(Page*), CostModel::kPagePin,
             /*dependent=*/true);
     // Header touch on the frame itself.
     t->Read(p, 32, CostModel::kSlotDecode, /*dependent=*/true);

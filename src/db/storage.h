@@ -62,9 +62,13 @@ struct alignas(64) Page {
 };
 
 /// Arena-backed buffer pool: allocates frames, maintains the global page
-/// table, and traces every lookup (a shared-metadata access).
+/// table, and traces every lookup (a shared-metadata access). The page
+/// table lives in the arena too, in fixed chunks of kTableChunk entries
+/// allocated as it grows, so growing it never leaves a stale copy behind.
 class BufferPool {
  public:
+  static constexpr uint32_t kTableChunk = 512;  ///< 4 KB of entries
+
   explicit BufferPool(Arena* arena) : arena_(arena) {
     region_ = trace::RegionId::kBufferPool;
   }
@@ -75,12 +79,17 @@ class BufferPool {
   /// Fetches by global id, tracing the page-table probe and header touch.
   Page* Fetch(uint32_t page_id, trace::Tracer* t);
 
-  size_t num_pages() const { return pages_.size(); }
-  size_t bytes_resident() const { return pages_.size() * sizeof(Page); }
+  size_t num_pages() const { return num_pages_; }
+  size_t bytes_resident() const { return num_pages_ * sizeof(Page); }
 
  private:
+  Page** Entry(uint32_t page_id) const {
+    return &chunks_[page_id / kTableChunk][page_id % kTableChunk];
+  }
+
   Arena* arena_;
-  std::vector<Page*> pages_;  // page table: id -> frame
+  std::vector<Page**> chunks_;  // page table: id -> frame, by chunk
+  uint32_t num_pages_ = 0;
   trace::RegionId region_;
 };
 

@@ -100,6 +100,9 @@ class LogBuffer {
  public:
   explicit LogBuffer(Arena* arena, size_t bytes = 1 << 20)
       : size_(bytes) {
+    // The tail word gets a line of its own: it is the hotspot.
+    tail_ = static_cast<uint64_t*>(arena->Allocate(64, 64));
+    *tail_ = 0;
     data_ = static_cast<uint8_t*>(arena->Allocate(bytes, 64));
     region_ = trace::RegionId::kTxn;
   }
@@ -111,20 +114,20 @@ class LogBuffer {
       t->Compute(trace::CostModel::kLogRecord);
       // Tail pointer bump: read-modify-write on the classic shared
       // hotspot; the read half ping-pongs between SMP nodes.
-      t->Read(&tail_, 8, 4, /*dependent=*/true);
-      t->Write(&tail_, 8, 4, /*dependent=*/true);
-      t->Write(data_ + (tail_ % (size_ - bytes)), bytes, 4);
+      t->Read(tail_, 8, 4, /*dependent=*/true);
+      t->Write(tail_, 8, 4, /*dependent=*/true);
+      t->Write(data_ + (*tail_ % (size_ - bytes)), bytes, 4);
     }
-    tail_ += bytes;
+    *tail_ += bytes;
     ++records_;
   }
 
   uint64_t records() const { return records_; }
 
  private:
+  uint64_t* tail_;
   uint8_t* data_;
   size_t size_;
-  uint64_t tail_ = 0;
   uint64_t records_ = 0;
   trace::RegionId region_;
 };

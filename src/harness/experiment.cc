@@ -36,8 +36,8 @@ const char* TopologyName(Topology t) {
 TraceSet WorkloadFactory::Build(const TraceSetConfig& config) const {
   // A fresh world per build: private databases, private code-region map.
   // Builds are pure functions of (config, scale knobs), so they can run
-  // concurrently, and the same config always yields the same traces (up
-  // to heap placement) regardless of what built before it.
+  // concurrently, and the same config always yields the same traces
+  // regardless of what built before it.
   WorkloadWorld world(tpcc_config, tpch_config, ycsb_config, metrics);
   return world.Build(config);
 }

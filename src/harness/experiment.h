@@ -125,9 +125,10 @@ struct TraceSet {
 /// c alone — its seed derives from c, and the clients before it mutated
 /// the database in the same order whatever the set's client count. So
 /// the first N traces of Build(config with M >= N clients) equal
-/// Build(config with N clients) in everything but data addresses (which
-/// follow heap placement anyway). The sweep builds each client-count
-/// family once on that basis (sweep/trace_cache.h); tests pin it
+/// Build(config with N clients) word for word: the blocks client c
+/// touches sit at the same offsets of the world's address space. The
+/// sweep builds each client-count family once on that basis
+/// (sweep/trace_cache.h); tests pin it
 /// (tests/test_world_isolation.cc). Two-tenant sets lack it: tenant B's
 /// seeds shift with `clients`.
 ///
@@ -149,8 +150,10 @@ class WorkloadFactory {
   workload::YcsbConfig ycsb_config;
 
   /// Observability hook: when set, every Build folds its shaper/YCSB
-  /// counters into this registry (traffic.*, ycsb.*). Counting only —
-  /// recorded trace bytes are identical either way. A sweep records each
+  /// counters into this registry (traffic.*, ycsb.*), and the accesses
+  /// it recorded outside its world's address space into
+  /// trace.unmapped_addresses (0 for every builtin workload). Counting
+  /// only — recorded trace bytes are identical either way. A sweep records each
   /// client-count family once, so these count that one recording.
   MetricsRegistry* metrics = nullptr;
 

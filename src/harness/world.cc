@@ -9,7 +9,7 @@ workload::Database* WorkloadWorld::DbFor(WorkloadKind kind, bool tenant_b) {
   std::unique_ptr<workload::Database>& slot =
       dbs_[tenant_b ? 1 : 0][static_cast<size_t>(kind)];
   if (!slot) {
-    slot = std::make_unique<workload::Database>();
+    slot = std::make_unique<workload::Database>(&space_);
     switch (kind) {
       case WorkloadKind::kOltp:
         workload::TpccLoad(slot.get(), tpcc_config_);
@@ -81,7 +81,7 @@ void WorkloadWorld::BuildClient(const TraceSetConfig& config,
   } else {
     // Staged engine path (scan queries; ablation A1).
     Rng rng(seed);
-    Arena scratch(1 << 20);  // per-client, bump-allocated (no reuse)
+    Arena scratch(&space_, 1 << 20);  // per-client, bump-allocated (no reuse)
     const uint32_t pt = config.engine == EngineMode::kStagedTuple ? 1 : 0;
     for (uint32_t r = 0; r < config.requests_per_client; ++r) {
       shaper.BeforeRequest(tracer);
@@ -108,7 +108,7 @@ TraceSet WorkloadWorld::Build(const TraceSetConfig& config) {
 
   // One tracer records every client, so the set's payloads pack into
   // shared chunks (trace/events.h).
-  trace::Tracer tracer(&regions_);
+  trace::Tracer tracer(&regions_, &space_);
   for (uint32_t c = 0; c < total_clients; ++c) {
     const bool tenant_b = c >= config.clients;
     const WorkloadKind kind =
@@ -117,6 +117,10 @@ TraceSet WorkloadWorld::Build(const TraceSetConfig& config) {
     out.traces.push_back(tracer.TakeTrace());
     out.total_instructions += out.traces.back().total_instructions;
     out.total_events += out.traces.back().events_size();
+  }
+  if (metrics_ != nullptr) {
+    metrics_->counter("trace.unmapped_addresses")
+        .Add(tracer.unmapped_addresses());
   }
   // Warm the pointer cache so a shared (immutable) set never populates it
   // lazily from concurrent replay threads.

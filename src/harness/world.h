@@ -10,10 +10,21 @@
 // Clients record one after another, in index order, against the world's
 // databases, and client c's seed derives from c alone. So a world that
 // records M clients has recorded, as its first N traces, exactly what a
-// world recording N clients would (data addresses aside). The sweep
+// world recording N clients would, word for word. The sweep
 // therefore runs one world per client-count family rather than one per
 // distinct config, and serves the family's smaller members as prefix
 // slices of the largest (sweep/trace_cache.h).
+//
+// Address space. Every arena a world's build allocates from (its
+// databases', its drivers' per-query scratch) carves its blocks from the
+// world's one AddressSpace (common/pages.h), in allocation order, and the
+// tracer records each data address as its offset in that space. Clients
+// record in index order, so the blocks a client's trace touches sit at
+// the same offsets whatever the world's client count, process, allocator
+// or sanitizer. A build folds the accesses recorded outside the space
+// into `trace.unmapped_addresses` (0 for every builtin workload). The
+// space is sized for the largest world a builtin spec builds; a world
+// that outgrows it throws std::bad_alloc. A dead world unmaps it whole.
 //
 // Multi-tenant builds load a second, fully separate database instance for
 // tenant B (even when both tenants run the same workload kind), so the
@@ -24,6 +35,7 @@
 
 #include <memory>
 
+#include "common/pages.h"
 #include "harness/experiment.h"
 #include "trace/cost_model.h"
 #include "trace/tracer.h"
@@ -73,6 +85,7 @@ class WorkloadWorld {
   void BuildClient(const TraceSetConfig& config, WorkloadKind kind,
                    bool tenant_b, uint32_t client, trace::Tracer* tracer);
 
+  AddressSpace space_;  ///< first member: outlives every arena carved from it
   trace::CodeMap code_map_;
   trace::RegionSet regions_;
   workload::TpccConfig tpcc_config_;

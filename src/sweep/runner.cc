@@ -268,9 +268,8 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   // only for its own cell's config slot to be published. Results land at
   // their cell's canonical index, so output order never depends on
   // completion order — and since builds are pure functions of their
-  // config and a slice equals the standalone build in everything but
-  // data addresses, golden sink output is thread-count-invariant
-  // (simulated metrics additionally track heap placement, see sinks.h).
+  // config and a slice equals the standalone build word for word, sink
+  // output is thread-count-invariant.
   std::vector<const harness::TraceSet*> built_sets(distinct.size(), nullptr);
   std::vector<char> built_done(distinct.size(), 0);
   std::mutex build_mu;

@@ -10,25 +10,19 @@
 // as its own trace set is published, regardless of how many other sets
 // are still building.
 //
-// Determinism: golden output — grid, labels, configs, trace skeleton
-// totals — is identical byte for byte for any thread count (every
-// committed golden is held to it, cold, warm and sharded, by
-// tests/test_goldens.cc). Three properties make that true:
+// Determinism: a report — grid, labels, configs, trace-set totals and
+// every simulated metric — is identical byte for byte for any thread
+// count, cold or warm, sharded or not, in any process (every committed
+// golden is held to it by tests/test_goldens.cc). Two properties make
+// that true:
 //   1. Each trace set is a pure function of its config (isolated world:
-//      fresh databases, private code-region map; a slice equals the
-//      standalone build of its config in everything but data addresses),
-//      so neither build order nor build overlap changes a set's
-//      skeleton.
+//      fresh databases, private code-region map, data addresses recorded
+//      relative to the world's address space; a slice equals the
+//      standalone build of its config word for word), so neither build
+//      order nor build overlap changes a set's events.
 //   2. Each worker writes its cell's result into a slot preallocated at
 //      the cell's canonical index, so output order never depends on
 //      completion order.
-//   3. Cells of the same config share one TraceSet instance, so their
-//      simulated metrics replay the same bytes.
-// Full simulated metrics additionally track heap placement (traces embed
-// real data addresses), so they are byte-stable only when the same trace
-// bytes are replayed — across thread counts that holds within one
-// process (warm cache or bundle), not across separate cold processes;
-// see sinks.h.
 #ifndef STAGEDCMP_SWEEP_RUNNER_H_
 #define STAGEDCMP_SWEEP_RUNNER_H_
 
@@ -87,9 +81,7 @@ struct RunnerOptions {
 struct CellResult {
   Cell cell;
   coresim::SimResult result;
-  /// Skeleton totals of the cell's (shared) trace set. Unlike the
-  /// simulated metrics these are independent of heap placement, so they
-  /// are stable across processes and belong in checked-in goldens.
+  /// Totals of the cell's (shared) trace set.
   uint64_t trace_total_instructions = 0;
   uint64_t trace_total_events = 0;
   double sim_wall_seconds = 0.0;  ///< this cell's simulation wall-clock
@@ -158,10 +150,8 @@ std::string ConfigLabel(const harness::TraceSetConfig& c);
 class SweepRunner {
  public:
   /// `shared_cache` (optional) lets several sweeps — or a sweep and
-  /// direct RunExperiment calls — replay the *same* TraceSet instances.
-  /// That is what makes results bit-comparable: traces embed heap
-  /// addresses, so only same-instance replays are bit-deterministic
-  /// (see tests/test_determinism.cc). The runner never frees sets in a
+  /// direct RunExperiment calls — replay the *same* TraceSet instances,
+  /// building each config once. The runner never frees sets in a
   /// shared cache. With no shared cache it uses a private one per Run
   /// call and frees each owned set once its last cell has replayed and
   /// the bundle writer is past it.

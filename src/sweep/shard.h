@@ -24,10 +24,10 @@
 // config words that differ from the re-expanded cell's, and a tenant
 // count above 2.
 //
-// Determinism caveat (same taxonomy as sinks.h): merged FULL metrics
-// are byte-identical to an unsharded run when both replayed the same
-// trace bytes — i.e. warm runs served from one bundle. Cold shards
-// build traces in fresh processes, so cross-check those in golden mode.
+// Cold shards build their traces in separate processes; traces record
+// data addresses relative to their world's address space, so those
+// traces, and the merged metrics, are the same bytes as an unsharded
+// run's.
 #ifndef STAGEDCMP_SWEEP_SHARD_H_
 #define STAGEDCMP_SWEEP_SHARD_H_
 

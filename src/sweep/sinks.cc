@@ -424,7 +424,7 @@ void JsonSink::Emit(const SweepReport& report, std::ostream& os) const {
         t.Close();
         c.Field("trace_set", ts.str());
       }
-      if (!golden_) {
+      {
         std::ostringstream met;
         EmitCellMetrics(cr, met, 6);
         c.Field("metrics", met.str());
@@ -446,19 +446,14 @@ void CsvSink::Emit(const SweepReport& report, std::ostream& os) const {
   for (const char* c : kCsvConfigColumns) {
     header.emplace_back(std::string("cfg_") + c);
   }
-  // Trace-set skeleton totals: process-invariant (like the JSON sink's
-  // "trace_set" object), so they survive into golden mode.
   header.emplace_back("trace_total_instructions");
   header.emplace_back("trace_total_events");
-  if (!golden_) {
-    for (const CsvMetric& m : kCsvMetricColumns) header.emplace_back(m.name);
-    for (int b = 0; b < static_cast<int>(coresim::Bucket::kCount); ++b) {
-      header.emplace_back(
-          std::string("cpi_") +
-          coresim::BucketName(static_cast<coresim::Bucket>(b)));
-    }
+  for (const CsvMetric& m : kCsvMetricColumns) header.emplace_back(m.name);
+  for (int b = 0; b < static_cast<int>(coresim::Bucket::kCount); ++b) {
+    header.emplace_back(std::string("cpi_") +
+                        coresim::BucketName(static_cast<coresim::Bucket>(b)));
   }
-  if (include_timing_ && !golden_) header.emplace_back("sim_wall_seconds");
+  if (include_timing_) header.emplace_back("sim_wall_seconds");
 
   TablePrinter table(std::move(header));
   for (const CellResult& cr : report.cells) {
@@ -470,13 +465,11 @@ void CsvSink::Emit(const SweepReport& report, std::ostream& os) const {
     }
     row.push_back(std::to_string(cr.trace_total_instructions));
     row.push_back(std::to_string(cr.trace_total_events));
-    if (!golden_) {
-      for (const CsvMetric& m : kCsvMetricColumns) row.push_back(m.text(r));
-      for (int b = 0; b < static_cast<int>(coresim::Bucket::kCount); ++b) {
-        row.push_back(Dbl(r.CpiComponent(static_cast<coresim::Bucket>(b))));
-      }
+    for (const CsvMetric& m : kCsvMetricColumns) row.push_back(m.text(r));
+    for (int b = 0; b < static_cast<int>(coresim::Bucket::kCount); ++b) {
+      row.push_back(Dbl(r.CpiComponent(static_cast<coresim::Bucket>(b))));
     }
-    if (include_timing_ && !golden_) row.push_back(Dbl(cr.sim_wall_seconds));
+    if (include_timing_) row.push_back(Dbl(cr.sim_wall_seconds));
     table.AddRow(std::move(row));
   }
   table.PrintCsv(os);
@@ -548,19 +541,7 @@ void EmitPerfSummary(const SweepReport& report, std::ostream& os) {
 }
 
 std::unique_ptr<ResultSink> MakeSink(const std::string& format,
-                                     bool include_timing, bool golden) {
-  if (golden) {
-    // Golden output is always timing-free; a table has no golden subset.
-    if (format == "json") {
-      return std::make_unique<JsonSink>(/*include_timing=*/false,
-                                        /*golden=*/true);
-    }
-    if (format == "csv") {
-      return std::make_unique<CsvSink>(/*include_timing=*/false,
-                                       /*golden=*/true);
-    }
-    return nullptr;
-  }
+                                     bool include_timing) {
   if (format == "table") return std::make_unique<TableSink>(include_timing);
   if (format == "json") return std::make_unique<JsonSink>(include_timing);
   if (format == "csv") return std::make_unique<CsvSink>(include_timing);

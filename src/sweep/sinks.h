@@ -4,9 +4,10 @@
 //
 // JSON and CSV output is deterministic: fixed key/column order, doubles
 // printed with %.17g (round-trip exact). With timing excluded the bytes
-// depend only on the spec and the simulation — not on thread count or
-// machine load — which is what the golden diffs in tests/test_goldens.cc
-// and the thread-invariance tests rely on.
+// depend only on the spec: traces record data addresses relative to
+// their world's address space (harness/world.h), so every simulated
+// metric is the same in every process, at every thread count and under
+// every sanitizer. The golden diffs in tests/test_goldens.cc rely on it.
 #ifndef STAGEDCMP_SWEEP_SINKS_H_
 #define STAGEDCMP_SWEEP_SINKS_H_
 
@@ -41,40 +42,26 @@ class TableSink : public ResultSink {
 
 /// BENCH_sweep.json-compatible document: sweep-level meta + one object
 /// per cell with labels, resolved config, trace-set totals, and metrics.
-///
-/// `golden` additionally omits the simulated metrics, leaving only the
-/// fields that are byte-stable across *processes*: grid shape, labels,
-/// resolved configs (incl. cacti L2 latencies) and trace-set skeleton
-/// totals. The simulated metrics are bit-deterministic only when the
-/// same in-memory TraceSet is replayed — traces embed heap addresses, so
-/// a fresh process perturbs them slightly (see tests/test_determinism.cc)
-/// — and therefore cannot live in a checked-in golden.
 class JsonSink : public ResultSink {
  public:
-  explicit JsonSink(bool include_timing = true, bool golden = false)
-      : include_timing_(include_timing), golden_(golden) {}
+  explicit JsonSink(bool include_timing = true)
+      : include_timing_(include_timing) {}
   void Emit(const SweepReport& report, std::ostream& os) const override;
 
  private:
   bool include_timing_;
-  bool golden_;
 };
 
 /// Flat CSV, one row per cell: index, axis values, config, trace-set
 /// totals, metrics.
-///
-/// `golden` mirrors JsonSink's golden mode: only the process-invariant
-/// columns (index, axes, config, trace-set totals) are emitted, so the
-/// bytes can be diffed across processes and thread counts.
 class CsvSink : public ResultSink {
  public:
-  explicit CsvSink(bool include_timing = true, bool golden = false)
-      : include_timing_(include_timing), golden_(golden) {}
+  explicit CsvSink(bool include_timing = true)
+      : include_timing_(include_timing) {}
   void Emit(const SweepReport& report, std::ostream& os) const override;
 
  private:
   bool include_timing_;
-  bool golden_;
 };
 
 /// Emits one cell's resolved-config JSON object — the "config" field of
@@ -88,11 +75,9 @@ void EmitCellConfigJson(const Cell& cell, std::ostream& os, int indent);
 /// registry snapshot as a "metrics" section when it collected one.
 void EmitPerfSummary(const SweepReport& report, std::ostream& os);
 
-/// Factory for --format values: "table", "json", "csv". Null on unknown
-/// (and on golden table output, which has no process-invariant subset).
+/// Factory for --format values: "table", "json", "csv". Null on unknown.
 std::unique_ptr<ResultSink> MakeSink(const std::string& format,
-                                     bool include_timing,
-                                     bool golden = false);
+                                     bool include_timing);
 
 }  // namespace stagedcmp::sweep
 

@@ -5,7 +5,7 @@
 // Client-count families: configs that differ only in `clients` form a
 // family (FamilyKey). By the factory's prefix property (see
 // harness::WorkloadFactory) a family member with N clients equals the
-// first N traces of a larger member, data addresses aside. So the sweep
+// first N traces of a larger member, word for word. So the sweep
 // builds only each family's largest member and serves the others
 // through Slice(): zero-copy views into the leader's first N traces,
 // pinning the leader through TraceSet::leader. Every entry is a shared
@@ -28,9 +28,8 @@
 //   * A build that throws publishes nothing: the exception propagates
 //     and the next Get() simply builds again.
 //   * Builds are pure functions of (config, factory scale knobs): build
-//     order and build concurrency never change a set's contents. Event
-//     skeletons are exactly reproducible; absolute data addresses follow
-//     heap placement (see tests/test_determinism.cc).
+//     order and build concurrency never change a set's events, data
+//     addresses included (see tests/test_determinism.cc).
 //   * Returned references stay valid until their entry is dropped, which
 //     only the caller's own EvictAll or Release does.
 //

@@ -8,6 +8,12 @@
 // paper's two signature properties: a large instruction footprint (operator
 // code regions sum to hundreds of KB) and a small-primary / large-secondary
 // data working set (hot structures vs. cold heap pages).
+//
+// Data addresses are recorded relative to the recording world's
+// AddressSpace (common/pages.h): an access at `p` is recorded as
+// `p - base + kDataBase`, so a build's events are the same words in every
+// process. Only a pointer outside the space is recorded as it is, and
+// counted (unmapped_addresses); a world's builds keep that count at 0.
 #ifndef STAGEDCMP_TRACE_TRACER_H_
 #define STAGEDCMP_TRACE_TRACER_H_
 
@@ -18,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/pages.h"
 #include "trace/events.h"
 
 namespace stagedcmp::trace {
@@ -110,7 +117,22 @@ class RegionSet {
 /// registration state.
 class Tracer {
  public:
-  explicit Tracer(const RegionSet* regions) : regions_(regions) {
+  /// Where a world's data addresses start in a recorded trace: 2 MB
+  /// aligned, so a block's offset in its space keeps its cache-set bits,
+  /// and far below CodeMap::kCodeBase.
+  static constexpr uint64_t kDataBase = 0x100000000000ULL;
+
+  /// Records data addresses relative to `space`, when given; without one
+  /// (tests and benchmarks tracing outside a world) every address is
+  /// recorded as it is.
+  explicit Tracer(const RegionSet* regions,
+                  const AddressSpace* space = nullptr)
+      : regions_(regions) {
+    if (space != nullptr) {
+      base_ = space->base();
+      limit_ = space->size();
+      rebase_ = kDataBase - space->base();
+    }
     Reset();
   }
 
@@ -186,6 +208,8 @@ class Tracer {
 
   /// Events recorded so far.
   uint64_t events_size() const { return encoder_.events_size(); }
+  /// Accesses recorded outside the space, over the tracer's life.
+  uint64_t unmapped_addresses() const { return unmapped_; }
   /// Flushes, hands over the recorded trace, and starts a fresh
   /// recording as if newly constructed, except that its payload will pack
   /// right after this one's.
@@ -247,6 +271,11 @@ class Tracer {
       FlushCompute();
     }
     uint64_t addr = reinterpret_cast<uint64_t>(p);
+    if (addr - base_ < limit_) {
+      addr += rebase_;
+    } else {
+      ++unmapped_;
+    }
     const uint64_t end = addr + (bytes == 0 ? 1 : bytes);
     uint64_t line = addr >> 6;
     const uint64_t last_line = (end - 1) >> 6;
@@ -289,6 +318,10 @@ class Tracer {
   }
 
   const RegionSet* regions_;
+  uint64_t base_ = 0;               ///< the space's first address
+  uint64_t limit_ = UINT64_MAX;     ///< the space's size
+  uint64_t rebase_ = 0;             ///< added to an address in the space
+  uint64_t unmapped_ = 0;
   ClientTrace trace_;      ///< totals; the events live in encoder_
   EventEncoder encoder_;
   CodeRegion region_;

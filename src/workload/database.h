@@ -1,7 +1,8 @@
 // A Database instance: one arena-backed storage universe shared by all
-// simulated clients (tables, indexes, lock table, log), plus per-run
-// scratch space. All traced addresses ultimately come from here, so
-// logically-shared structures are physically shared in the replay.
+// simulated clients (tables, indexes, lock table, log). Its arena carves
+// from the address space it is given (a workload world's), so its
+// addresses sit at fixed offsets in that space and logically-shared
+// structures are physically shared in the replay.
 #ifndef STAGEDCMP_WORKLOAD_DATABASE_H_
 #define STAGEDCMP_WORKLOAD_DATABASE_H_
 
@@ -18,9 +19,13 @@ namespace stagedcmp::workload {
 
 class Database {
  public:
-  Database()
-      : arena_(4 << 20),
-        scratch_(1 << 20),
+  /// Allocates from `space`, which must outlive the database; a
+  /// standalone database (tests, micro benchmarks) reserves its own.
+  explicit Database(AddressSpace* space = nullptr)
+      : own_space_(space == nullptr ? std::make_unique<AddressSpace>()
+                                    : nullptr),
+        space_(space == nullptr ? own_space_.get() : space),
+        arena_(space_, 4 << 20),
         pool_(&arena_),
         lock_manager_(&arena_),
         log_(&arena_) {}
@@ -53,8 +58,10 @@ class Database {
     return it == indexes_.end() ? nullptr : it->second.get();
   }
 
+  /// The space this database's arena carves from; drivers carve their
+  /// per-query scratch arenas from it too.
+  AddressSpace* space() { return space_; }
   Arena* arena() { return &arena_; }
-  Arena* scratch() { return &scratch_; }
   db::BufferPool* pool() { return &pool_; }
   db::LockManager* lock_manager() { return &lock_manager_; }
   db::LogBuffer* log() { return &log_; }
@@ -63,8 +70,9 @@ class Database {
   size_t data_bytes() const { return arena_.allocated_bytes(); }
 
  private:
+  std::unique_ptr<AddressSpace> own_space_;  ///< set only when standalone
+  AddressSpace* space_;
   Arena arena_;
-  Arena scratch_;
   db::BufferPool pool_;
   db::LockManager lock_manager_;
   db::LogBuffer log_;

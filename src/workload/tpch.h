@@ -52,7 +52,8 @@ std::unique_ptr<db::StagedPipeline> BuildTpchStagedPlan(
 /// One DSS client: runs the 4-query mix round-robin with random predicates.
 class TpchDriver {
  public:
-  TpchDriver(Database* db, uint64_t seed) : db_(db), rng_(seed) {}
+  TpchDriver(Database* db, uint64_t seed)
+      : db_(db), rng_(seed), scratch_(db->space(), 1 << 20) {}
 
   /// Executes the next query of the mix; returns rows produced.
   uint64_t RunOne(trace::Tracer* tracer);
@@ -65,10 +66,11 @@ class TpchDriver {
  private:
   Database* db_;
   Rng rng_;
-  // Per-driver scratch: bump-allocated so consecutive queries never reuse
-  // addresses (address reuse would alias distinct intermediates when the
-  // recorded traces are replayed interleaved).
-  Arena scratch_{1 << 20};
+  // Per-driver scratch, carved from the database's space: bump-allocated
+  // so consecutive queries never reuse addresses (address reuse would
+  // alias distinct intermediates when the recorded traces are replayed
+  // interleaved).
+  Arena scratch_;
   uint64_t executed_ = 0;
   // Paper mix: scan-dominated queries dominate execution time; Q16's join
   // "contributes relatively little to total execution time" [Section 3].

@@ -204,40 +204,21 @@ inline double RegionSwitchesPerKiloInstr(const harness::TraceSet& ts) {
              : 0.0;
 }
 
-/// True when the process runs under AddressSanitizer. Traces record real
-/// heap addresses and the simulated caches index by them; ASan's redzones
-/// and shadow layout deliberately perturb the heap, so *layout-sensitive*
-/// cache invariants (miss-rate orderings with modest margins) are
-/// meaningless under it and should be skipped. Structural and
-/// address-masked invariants still run.
-inline bool HeapLayoutPerturbed() {
-#if defined(__SANITIZE_ADDRESS__)
-  return true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-  return true;
-#else
-  return false;
-#endif
-#else
-  return false;
-#endif
+/// Every event word of a trace, then its instruction and request totals:
+/// two traces are the same recording exactly when these are equal.
+inline std::vector<uint64_t> TraceWords(const trace::ClientTrace& t) {
+  std::vector<uint64_t> out = trace::DecodeEvents(t);
+  out.push_back(t.total_instructions);
+  out.push_back(t.requests);
+  return out;
 }
 
-/// The (kind, count) sequence of a trace set with data addresses masked
-/// out. Trace events embed real heap addresses (arenas are malloc-backed),
-/// so raw event words differ across factory instances; everything else —
-/// event order, kinds, folded instruction counts, request markers — is a
-/// pure function of the seeds, and this projection captures that.
-inline std::vector<uint32_t> EventSkeleton(const harness::TraceSet& ts) {
-  std::vector<uint32_t> out;
-  out.reserve(ts.total_events);
+/// TraceWords of every client of a set, in client order.
+inline std::vector<uint64_t> SetWords(const harness::TraceSet& ts) {
+  std::vector<uint64_t> out;
   for (const auto& t : ts.traces) {
-    for (trace::EventCursor cur(t); !cur.done();) {
-      const uint64_t e = cur.Next();
-      out.push_back((static_cast<uint32_t>(trace::UnpackKind(e)) << 16) |
-                    trace::UnpackCount(e));
-    }
+    const std::vector<uint64_t> w = TraceWords(t);
+    out.insert(out.end(), w.begin(), w.end());
   }
   return out;
 }

@@ -1,10 +1,9 @@
 // Golden determinism tests: the pipeline must be a pure function of its
 // seeds. Two Experiment runs over the same trace set compare byte-identical
-// at the stat-table level (hexfloat rendering, so bit-for-bit on doubles);
-// trace generation itself is deterministic up to address placement, pinned
-// via an address-masked event skeleton (arena blocks are fresh mappings
-// and some traced objects live on the heap, so absolute data addresses —
-// and only those — may differ between factory instances).
+// at the stat-table level (hexfloat rendering, so bit-for-bit on doubles),
+// and so do runs over two from-scratch builds; trace generation itself is
+// deterministic word for word, data addresses included (each world records
+// them relative to its own address space).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -44,9 +43,9 @@ TEST(GoldenDeterminismTest, TwoExperimentRunsByteIdenticalStatTables) {
 }
 
 // From-scratch trace generation — fresh factory, fresh databases — yields
-// the same event skeleton, instruction totals, and request counts for the
-// same seed.
-TEST(GoldenDeterminismTest, FreshFactorySameSeedSameSkeleton) {
+// the same event words, instruction totals, and request counts for the
+// same seed, and so the same simulated results.
+TEST(GoldenDeterminismTest, FreshFactorySameSeedSameTraces) {
   for (auto kind :
        {harness::WorkloadKind::kOltp, harness::WorkloadKind::kDss}) {
     harness::TraceSet a = BuildFromScratch(9, kind);
@@ -54,12 +53,12 @@ TEST(GoldenDeterminismTest, FreshFactorySameSeedSameSkeleton) {
     EXPECT_EQ(a.total_instructions, b.total_instructions)
         << harness::WorkloadName(kind);
     EXPECT_EQ(a.total_events, b.total_events) << harness::WorkloadName(kind);
-    EXPECT_EQ(EventSkeleton(a), EventSkeleton(b))
+    EXPECT_EQ(SetWords(a), SetWords(b))
         << harness::WorkloadName(kind);
-    ASSERT_EQ(a.traces.size(), b.traces.size());
-    for (size_t i = 0; i < a.traces.size(); ++i) {
-      EXPECT_EQ(a.traces[i].requests, b.traces[i].requests) << "client " << i;
-    }
+    const harness::ExperimentConfig ec = HardwareConfig(Hardware::kCmpManyLean);
+    EXPECT_EQ(StatTable(harness::RunExperiment(ec, a)),
+              StatTable(harness::RunExperiment(ec, b)))
+        << harness::WorkloadName(kind);
   }
 }
 
@@ -68,7 +67,7 @@ TEST(GoldenDeterminismTest, DifferentSeedsDiverge) {
        {harness::WorkloadKind::kOltp, harness::WorkloadKind::kDss}) {
     harness::TraceSet a = BuildFromScratch(9, kind);
     harness::TraceSet c = BuildFromScratch(10, kind);
-    EXPECT_NE(EventSkeleton(a), EventSkeleton(c))
+    EXPECT_NE(SetWords(a), SetWords(c))
         << harness::WorkloadName(kind);
   }
 }
@@ -97,8 +96,8 @@ TEST(GoldenDeterminismTest, TraceBuildIsIndependentOfBuildOrder) {
   harness::TraceSet dss_first = reversed.Build(dss);
   harness::TraceSet oltp_second = reversed.Build(oltp);
 
-  EXPECT_EQ(EventSkeleton(oltp_first), EventSkeleton(oltp_second));
-  EXPECT_EQ(EventSkeleton(dss_first), EventSkeleton(dss_second));
+  EXPECT_EQ(SetWords(oltp_first), SetWords(oltp_second));
+  EXPECT_EQ(SetWords(dss_first), SetWords(dss_second));
 }
 
 }  // namespace

@@ -1,22 +1,24 @@
 // The committed sweep goldens (tests/golden/sweep_<spec>.json) as the
 // end-to-end contract of record-once/replay-many: every spec runs
 // in-process through SweepRunner at its workload scale
-// (ConfigureFactoryForSpec), and its --golden JSON — grid, resolved
-// configs, trace-skeleton totals — must equal the committed bytes:
+// (ConfigureFactoryForSpec), and its --deterministic JSON — grid,
+// resolved configs, trace-set totals and every simulated metric — must
+// equal the committed bytes:
 //   - cold, at several thread counts (each run rebuilds every trace set
 //     on parallel builder threads, so the worker count cannot leak
 //     into the output);
 //   - warm, replayed from the mapped bundle a cold run wrote;
 //   - sharded: shards 0/2 and 1/2 through WriteShardFile and
 //     MergeShardReports.
-// smoke and skew also hold warm shards to the unsharded run's full
-// --deterministic bytes; smoke runs with every observability sink on;
+// smoke and skew also hold warm shards, passed out of order, to the
+// unsharded run's bytes; smoke runs with every observability sink on;
 // skew and shootout cross-check their counter families.
 //
 // Each case is its own ctest entry (tests/CMakeLists.txt), and
 // Goldens.files keeps the cases and the golden directory in step. To
 // regenerate a golden after an intended change:
-//   build/bench/sweep_main --spec S --golden --out tests/golden/sweep_S.json
+//   build/bench/sweep_main --spec S --deterministic --format json
+//       --out tests/golden/sweep_S.json
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -76,11 +78,10 @@ sweep::SweepReport RunSpec(const std::string& spec,
   return sweep::SweepRunner(&factory, options).Run(sweep::BuiltinSpec(spec));
 }
 
-/// Timing-free sink bytes, as sweep_main --golden / --deterministic.
-std::string Emit(const sweep::SweepReport& report, const std::string& format,
-                 bool golden) {
+/// Timing-free sink bytes, as sweep_main --deterministic.
+std::string Emit(const sweep::SweepReport& report, const std::string& format) {
   std::ostringstream os;
-  sweep::MakeSink(format, /*include_timing=*/false, golden)->Emit(report, os);
+  sweep::MakeSink(format, /*include_timing=*/false)->Emit(report, os);
   return os.str();
 }
 
@@ -102,32 +103,32 @@ struct TempBundle {
   const std::string path;
 };
 
-/// A cold run: golden JSON equals the committed file and every distinct
+/// A cold run: its JSON equals the committed file and every distinct
 /// trace config is produced once (built, or sliced from its family).
 sweep::SweepReport ExpectColdGolden(const std::string& spec,
                                     const sweep::RunnerOptions& options) {
   const sweep::SweepReport report = RunSpec(spec, options);
   EXPECT_EQ(report.bundle, options.trace_bundle.empty() ? "off" : "cold");
   EXPECT_EQ(report.trace_sets_built, DistinctConfigs(spec));
-  EXPECT_EQ(Emit(report, "json", /*golden=*/true), Golden(spec))
+  EXPECT_EQ(Emit(report, "json"), Golden(spec))
       << spec << " cold at --threads " << options.threads;
   return report;
 }
 
-/// A warm run: served from the mapping, nothing built, golden unchanged.
+/// A warm run: served from the mapping, nothing built, JSON unchanged.
 sweep::SweepReport ExpectWarmGolden(const std::string& spec,
                                     const sweep::RunnerOptions& options) {
   const sweep::SweepReport report = RunSpec(spec, options);
   EXPECT_EQ(report.bundle, "warm");
   EXPECT_EQ(report.bundle_mode, "mmap");
   EXPECT_EQ(report.trace_sets_built, 0u);
-  EXPECT_EQ(Emit(report, "json", /*golden=*/true), Golden(spec))
+  EXPECT_EQ(Emit(report, "json"), Golden(spec))
       << spec << " warm at --threads " << options.threads;
   return report;
 }
 
-/// The cold-determinism matrix at --threads 1/2/8: golden JSON equals
-/// the file and golden CSV is the same bytes at every count. The
+/// The cold-determinism matrix at --threads 1/2/8: the JSON equals the
+/// file and the CSV is the same bytes at every count. The
 /// 8-thread run writes `bundle` and counts into `metrics`.
 void ExpectColdMatrix(const std::string& spec, const std::string& bundle,
                       MetricsRegistry* metrics) {
@@ -136,11 +137,11 @@ void ExpectColdMatrix(const std::string& spec, const std::string& bundle,
     const bool last = threads == 8;
     const sweep::SweepReport report = ExpectColdGolden(
         spec, Options(threads, last ? bundle : "", last ? metrics : nullptr));
-    const std::string csv = Emit(report, "csv", /*golden=*/true);
+    const std::string csv = Emit(report, "csv");
     if (threads == 1) {
       csv_t1 = csv;
     } else {
-      EXPECT_EQ(csv, csv_t1) << spec << " golden CSV at --threads "
+      EXPECT_EQ(csv, csv_t1) << spec << " CSV at --threads "
                              << threads;
     }
   }
@@ -177,13 +178,12 @@ void ExpectShardsMergeToGolden(const std::string& spec,
                                const sweep::RunnerOptions& options) {
   const sweep::SweepReport merged =
       Merge(spec, {ShardText(spec, 0, options), ShardText(spec, 1, options)});
-  EXPECT_EQ(Emit(merged, "json", /*golden=*/true), Golden(spec))
+  EXPECT_EQ(Emit(merged, "json"), Golden(spec))
       << spec << " merged shards";
 }
 
 /// Warm shards replaying one bundle, passed out of order, merge into
-/// the unsharded warm run's full --deterministic bytes; the shard
-/// counters cover the grid.
+/// the unsharded warm run's bytes; the shard counters cover the grid.
 void ExpectWarmShardsMergeToUnsharded(const std::string& spec,
                                       const std::string& bundle) {
   const sweep::SweepReport whole = RunSpec(spec, Options(4, bundle));
@@ -192,8 +192,8 @@ void ExpectWarmShardsMergeToUnsharded(const std::string& spec,
   const std::string s0 = ShardText(spec, 0, Options(4, bundle, &shard_metrics));
   const std::string s1 = ShardText(spec, 1, Options(4, bundle));
   const sweep::SweepReport merged = Merge(spec, {s1, s0});
-  EXPECT_EQ(Emit(merged, "json", /*golden=*/false),
-            Emit(whole, "json", /*golden=*/false))
+  EXPECT_EQ(Emit(merged, "json"),
+            Emit(whole, "json"))
       << spec << " warm merged shards";
 
   const MetricsSnapshot m = shard_metrics.Snapshot();
@@ -288,6 +288,8 @@ TEST(Goldens, skew) {
                               "ycsb.requests", "ycsb.ops_read"}) {
     EXPECT_GT(m.CounterOr(counter), 0u) << counter;
   }
+  // Every build folds it, and every traced access fell in its world.
+  EXPECT_EQ(m.CounterOr("trace.unmapped_addresses", 1), 0u);
   // The traffic knobs round-trip through the bundle header.
   ExpectWarmGolden("skew", Options(8, bundle.path));
 
@@ -351,7 +353,7 @@ TEST(Goldens, shootout_t8) {
     busy_cycles += r.mem.bus_busy_cycles;
     peak = std::max<uint64_t>(peak, r.mem.bus_peak_queue);
   }
-  const std::string json = Emit(warm, "json", /*golden=*/false);
+  const std::string json = Emit(warm, "json");
   size_t bus_objects = 0;
   for (size_t at = json.find("\"bus\": {"); at != std::string::npos;
        at = json.find("\"bus\": {", at + 1)) {

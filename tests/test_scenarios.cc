@@ -144,13 +144,8 @@ TEST(ScenarioInvariants, StagedCohortSlashesRegionSwitches) {
 // Staging bounds producer->consumer reuse distance to one packet, so fewer
 // accesses fall off-chip and the shared L2 serves a larger miss fraction.
 TEST(ScenarioInvariants, StagedCohortReducesL2Misses) {
-  if (HeapLayoutPerturbed()) {
-    GTEST_SKIP() << "miss-rate orderings depend on real heap layout, which "
-                    "the sanitizer allocator perturbs";
-  }
   // Scoped to the shared-L2 CMP, where the paper locates the benefit: on
-  // the small private SMP L2s the staged working set straddles capacity
-  // and the ordering is at the mercy of heap layout.
+  // the small private SMP L2s the staged working set straddles capacity.
   const ScenarioResult& cmp_volcano =
       RunScenario(Mix::kDss, Hardware::kCmpManyLean, Executor::kUnstaged);
   const ScenarioResult& cmp_staged =
@@ -243,10 +238,6 @@ harness::ExperimentConfig SmallL2Cmp() {
 // the off-chip data rate must not rise with theta (the skew grid's
 // monotonicity claim, pinned at its endpoints and midpoint).
 TEST(TrafficInvariants, SkewConcentrationDoesNotRaiseOffchipMisses) {
-  if (HeapLayoutPerturbed()) {
-    GTEST_SKIP() << "miss-rate orderings depend on real heap layout, which "
-                    "the sanitizer allocator perturbs";
-  }
   // Enough requests that uniform draws sweep most of the record space,
   // against an L2 well under the table size — the hot-set-dominated
   // regime where popularity concentration is the difference between
@@ -275,10 +266,6 @@ TEST(TrafficInvariants, SkewConcentrationDoesNotRaiseOffchipMisses) {
 // same L2, each tenant's off-chip data rate is at least what it pays
 // running the machine alone.
 TEST(TrafficInvariants, CoTenantInterferenceNeverImprovesMissRates) {
-  if (HeapLayoutPerturbed()) {
-    GTEST_SKIP() << "miss-rate orderings depend on real heap layout, which "
-                    "the sanitizer allocator perturbs";
-  }
   harness::TraceSetConfig oltp_alone;
   oltp_alone.workload = harness::WorkloadKind::kOltp;
   oltp_alone.clients = 8;

@@ -64,7 +64,8 @@ class StagedTest : public ::testing::Test {
 };
 
 TEST_F(StagedTest, PacketAppendAndRead) {
-  Packet p(&schema_, 8);
+  PacketPool pool(&scratch_);
+  Packet p(&schema_, 8, &pool);
   EXPECT_FALSE(p.Full());
   for (int i = 0; i < 8; ++i) {
     TupleRef t(&schema_, p.Append());

@@ -27,6 +27,13 @@
 namespace stagedcmp {
 namespace {
 
+/// A report's full timing-free JSON: every simulated metric included.
+std::string ResultJson(const sweep::SweepReport& r) {
+  std::ostringstream os;
+  sweep::JsonSink(/*include_timing=*/false).Emit(r, os);
+  return os.str();
+}
+
 /// Runner options with only the thread count set.
 sweep::RunnerOptions WithThreads(uint32_t threads) {
   sweep::RunnerOptions options;
@@ -178,8 +185,7 @@ TEST(TraceSetCache, ConcurrentFirstGetsOfOneConfigShareThePublishedSet) {
   EXPECT_TRUE(builds == 1 || builds == 2) << builds;
 
   const harness::TraceSet standalone = factory.Build(cfg);
-  EXPECT_EQ(scenario::EventSkeleton(*got[0]),
-            scenario::EventSkeleton(standalone));
+  EXPECT_EQ(scenario::SetWords(*got[0]), scenario::SetWords(standalone));
 }
 
 TEST(TraceSet, PointerCacheIsStableAndInvalidatesOnMutation) {
@@ -243,17 +249,12 @@ TEST(SweepRunner, ResultsAreIdenticalForOneAndEightThreads) {
   }
 
   // Stronger: the deterministic serialized forms are byte-identical.
-  auto to_json = [](const sweep::SweepReport& r) {
-    std::ostringstream os;
-    sweep::JsonSink(/*include_timing=*/false).Emit(r, os);
-    return os.str();
-  };
   auto to_csv = [](const sweep::SweepReport& r) {
     std::ostringstream os;
     sweep::CsvSink(/*include_timing=*/false).Emit(r, os);
     return os.str();
   };
-  EXPECT_EQ(to_json(serial), to_json(parallel));
+  EXPECT_EQ(ResultJson(serial), ResultJson(parallel));
   EXPECT_EQ(to_csv(serial), to_csv(parallel));
 }
 
@@ -537,11 +538,6 @@ TEST(TraceBundle, UnmappableEmptyFileRebuildsColdThenServesWarm) {
     sweep::SweepRunner runner(factory, options);
     return runner.Run(spec);
   };
-  auto golden = [](const sweep::SweepReport& r) {
-    std::ostringstream os;
-    sweep::JsonSink(/*include_timing=*/false, /*golden=*/true).Emit(r, os);
-    return os.str();
-  };
   harness::WorkloadFactory f1, f2;
   const sweep::SweepReport cold = run(&f1);
   EXPECT_EQ(cold.bundle, "cold");
@@ -552,7 +548,7 @@ TEST(TraceBundle, UnmappableEmptyFileRebuildsColdThenServesWarm) {
   EXPECT_EQ(warm.bundle, "warm");
   EXPECT_EQ(warm.bundle_mode, "mmap");
   EXPECT_EQ(warm.trace_sets_built, 0u);
-  EXPECT_EQ(golden(cold), golden(warm));
+  EXPECT_EQ(ResultJson(cold), ResultJson(warm));
   std::remove(path.c_str());
 }
 
@@ -661,12 +657,7 @@ TEST(TraceBundle, WarmSweepReplaysBitIdenticalToColdSweep) {
   for (size_t i = 0; i < cold.cells.size(); ++i) {
     ExpectSameResult(cold.cells[i].result, warm.cells[i].result, i);
   }
-  auto to_json = [](const sweep::SweepReport& r) {
-    std::ostringstream os;
-    sweep::JsonSink(/*include_timing=*/false).Emit(r, os);
-    return os.str();
-  };
-  EXPECT_EQ(to_json(cold), to_json(warm));
+  EXPECT_EQ(ResultJson(cold), ResultJson(warm));
   std::remove(path.c_str());
 }
 
@@ -704,12 +695,7 @@ TEST(TraceBundle, LazyMismatchRebuildsColdAndReportsPartial) {
   const sweep::SweepReport partial = run(&f2);
   EXPECT_EQ(partial.bundle, "partial");
   EXPECT_GT(partial.trace_sets_built, 0u);  // the bad set rebuilt cold
-  auto golden = [](const sweep::SweepReport& r) {
-    std::ostringstream os;
-    sweep::JsonSink(/*include_timing=*/false, /*golden=*/true).Emit(r, os);
-    return os.str();
-  };
-  EXPECT_EQ(golden(cold), golden(partial));
+  EXPECT_EQ(ResultJson(cold), ResultJson(partial));
 
   // The partial run rewrote the bundle, so the next run is fully warm.
   const sweep::SweepReport warm = run(&f3);
@@ -865,11 +851,6 @@ bool IsFamilyLeader(const harness::TraceSetConfig& c) {
   return c.clients == 4 || c.tenant2_clients > 0;
 }
 
-std::string GoldenJson(const sweep::SweepReport& r) {
-  std::ostringstream os;
-  sweep::JsonSink(/*include_timing=*/false, /*golden=*/true).Emit(r, os);
-  return os.str();
-}
 
 TEST(SweepRunner, FamilyGridBuildsEachFamilyOnceAndSlicesTheRest) {
   harness::WorkloadFactory factory = TinyFactory();
@@ -893,8 +874,8 @@ TEST(SweepRunner, FamilyGridBuildsEachFamilyOnceAndSlicesTheRest) {
     EXPECT_EQ(r.metrics.CounterOr("trace_cache.misses"), 3u);
     EXPECT_EQ(r.metrics.CounterOr("trace_cache.slices"), 4u);
 
-    // Every cell's set — slice or build — has the skeleton of a
-    // standalone build of its own config.
+    // Every cell's set — slice or build — is a standalone build of its
+    // own config, word for word.
     for (const sweep::CellResult& cr : r.cells) {
       SCOPED_TRACE("cell " + std::to_string(cr.cell.index));
       const harness::TraceSet& got = cache.Get(cr.cell.trace);
@@ -904,7 +885,7 @@ TEST(SweepRunner, FamilyGridBuildsEachFamilyOnceAndSlicesTheRest) {
       EXPECT_EQ(got.tenant_a_clients, ref.tenant_a_clients);
       EXPECT_EQ(cr.trace_total_instructions, ref.total_instructions);
       EXPECT_EQ(cr.trace_total_events, ref.total_events);
-      EXPECT_EQ(scenario::EventSkeleton(got), scenario::EventSkeleton(ref));
+      EXPECT_EQ(scenario::SetWords(got), scenario::SetWords(ref));
       for (size_t i = 0; i < got.traces.size(); ++i) {
         EXPECT_EQ(got.traces[i].requests, ref.traces[i].requests);
         EXPECT_EQ(got.traces[i].total_instructions,
@@ -916,7 +897,7 @@ TEST(SweepRunner, FamilyGridBuildsEachFamilyOnceAndSlicesTheRest) {
   EXPECT_EQ(standalone.stats().builds, 7u);
 }
 
-TEST(SweepRunner, FamilyGridGoldenByteIdenticalAcrossThreadCounts) {
+TEST(SweepRunner, FamilyGridResultsByteIdenticalAcrossThreadCounts) {
   for (bool descending : {false, true}) {
     SCOPED_TRACE(descending ? "descending" : "ascending");
     harness::WorkloadFactory factory = TinyFactory();
@@ -927,8 +908,8 @@ TEST(SweepRunner, FamilyGridGoldenByteIdenticalAcrossThreadCounts) {
           sweep::SweepRunner(&factory, WithThreads(threads), &cache)
               .Run(FamilySpec(descending));
       std::ostringstream csv;
-      sweep::CsvSink(/*include_timing=*/false, /*golden=*/true).Emit(r, csv);
-      return std::make_pair(GoldenJson(r), csv.str());
+      sweep::CsvSink(/*include_timing=*/false).Emit(r, csv);
+      return std::make_pair(ResultJson(r), csv.str());
     };
     const auto reference = run_cold(1);
     for (uint32_t threads : {2u, 8u}) {
@@ -1005,13 +986,13 @@ TEST(TraceBundle, FamilyGridStreamsLikeSaveTraceBundleAndReopensWarm) {
     }
 
     // A fresh factory and private cache replay the bundle warm: nothing
-    // builds or slices, and the golden bytes match the cold run.
+    // builds or slices, and the results match the cold run's bytes.
     harness::WorkloadFactory warm_factory = TinyFactory();
     const sweep::SweepReport warm =
         sweep::SweepRunner(&warm_factory, options).Run(FamilySpec(descending));
     EXPECT_EQ(warm.bundle, "warm");
     EXPECT_EQ(warm.trace_sets_built, 0u);
-    EXPECT_EQ(GoldenJson(cold), GoldenJson(warm));
+    EXPECT_EQ(ResultJson(cold), ResultJson(warm));
     std::remove(streamed.c_str());
     std::remove(saved.c_str());
   }
@@ -1242,13 +1223,8 @@ TEST(SweepRunner, ShardedRunExecutesAssignedCellsAndSkipsForeignBuilds) {
 TEST(Observability, MetricsCrossCheckAndResultsUnperturbed) {
   // Two runs of the same spec over separate caches: one instrumented,
   // one not. The metrics must cross-check against the report, and the
-  // golden serialized output must not notice observability at all.
+  // serialized results must not notice observability at all.
   harness::WorkloadFactory factory;
-  auto golden_json = [](const sweep::SweepReport& r) {
-    std::ostringstream os;
-    sweep::JsonSink(/*include_timing=*/false, /*golden=*/true).Emit(r, os);
-    return os.str();
-  };
 
   MetricsRegistry reg;
   sweep::TraceSetCache cache(&factory, &reg);
@@ -1263,7 +1239,7 @@ TEST(Observability, MetricsCrossCheckAndResultsUnperturbed) {
       sweep::SweepRunner(&factory, WithThreads(4), &plain_cache)
           .Run(TinySpec());
   EXPECT_FALSE(plain.has_metrics);
-  EXPECT_EQ(golden_json(instrumented), golden_json(plain));
+  EXPECT_EQ(ResultJson(instrumented), ResultJson(plain));
 
   ASSERT_TRUE(instrumented.has_metrics);
   const MetricsSnapshot& m = instrumented.metrics;

@@ -1,21 +1,24 @@
 // Workload-world isolation: trace generation in concurrent, independent
-// worlds must be indistinguishable from serial builds. This is the
-// contract the sweep's parallel cold build rests on, pinned from four
-// sides:
+// worlds must be indistinguishable from serial builds, word for word:
+// each world records data addresses relative to its own address space.
+// This is the contract the sweep's parallel cold build rests on, pinned
+// from several sides:
 //
 //   * every world lays out the canonical code-region set identically
 //     (PCs in traces do not depend on which world recorded them);
 //   * two worlds building TPC-C and TPC-H trace sets concurrently
-//     reproduce the serial single-world skeletons bit-for-bit;
+//     reproduce the serial single-world traces bit-for-bit;
 //   * WorkloadFactory::Build is a pure function of its config — repeat
-//     builds of the same OLTP config no longer see database state that
-//     earlier builds advanced (the old once-guarded shared-DB behavior);
+//     builds of the same OLTP config see no database state that
+//     earlier builds advanced;
 //   * TraceSetCache lets distinct configs build concurrently and still
 //     returns one shared instance per config;
 //   * the prefix property the sweep's family builds rest on: the first N
-//     traces of an M-client build equal a standalone N-client build in
-//     everything but data addresses — for every single-tenant engine and
-//     traffic shape, and for no two-tenant set.
+//     traces of an M-client build equal a standalone N-client build word
+//     for word — for every single-tenant engine and traffic shape, and
+//     for no two-tenant set beyond its tenant-A clients;
+//   * no build records an access outside its world's address space
+//     (trace.unmapped_addresses stays 0).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -78,8 +81,8 @@ harness::TraceSetConfig StagedDssConfig() {
 
 TEST(WorldIsolation, ConcurrentWorldsMatchSerialSingleWorldBuilds) {
   const harness::WorkloadFactory f = TinyFactory();
-  // Staged-cohort DSS copies tuples into packet buffers; those must not
-  // let heap placement into the recorded skeleton either.
+  // Staged-cohort DSS copies tuples into packet buffers; those must sit
+  // in the world's address space like everything else it traces.
   const std::vector<harness::TraceSetConfig> configs = {
       OltpConfig(), DssConfig(), StagedDssConfig()};
 
@@ -105,45 +108,35 @@ TEST(WorldIsolation, ConcurrentWorldsMatchSerialSingleWorldBuilds) {
   for (std::thread& t : threads) t.join();
 
   for (size_t i = 0; i < configs.size(); ++i) {
-    EXPECT_EQ(got[i].total_instructions, refs[i].total_instructions)
-        << "config " << i;
     EXPECT_EQ(got[i].total_events, refs[i].total_events) << "config " << i;
-    EXPECT_EQ(EventSkeleton(got[i]), EventSkeleton(refs[i]))
-        << "config " << i;
-    ASSERT_EQ(got[i].traces.size(), refs[i].traces.size());
-    for (size_t c = 0; c < got[i].traces.size(); ++c) {
-      EXPECT_EQ(got[i].traces[c].requests, refs[i].traces[c].requests)
-          << "config " << i << " client " << c;
-    }
+    EXPECT_EQ(SetWords(got[i]), SetWords(refs[i])) << "config " << i;
   }
 }
 
 TEST(WorldIsolation, FactoryBuildIsAPureFunctionOfItsConfig) {
   // The decisive difference from the old once-guarded shared database:
   // building the same OLTP config twice through one factory starts from
-  // an identical database both times, so the traces are skeleton-equal.
-  // (TPC-C transactions mutate the database; under the old contract the
-  // second build recorded against post-first-build state.)
+  // an identical database both times, so the traces are equal word for
+  // word. (TPC-C transactions mutate the database; a shared database
+  // would make the second build record against post-first-build state.)
   harness::WorkloadFactory factory = TinyFactory();
   const harness::TraceSetConfig oltp = OltpConfig();
   const harness::TraceSet first = factory.Build(oltp);
   const harness::TraceSet second = factory.Build(oltp);
-  EXPECT_EQ(first.total_instructions, second.total_instructions);
-  EXPECT_EQ(first.total_events, second.total_events);
-  EXPECT_EQ(EventSkeleton(first), EventSkeleton(second));
+  EXPECT_EQ(SetWords(first), SetWords(second));
 }
 
 TEST(WorldIsolation, CacheBuildsDistinctConfigsConcurrently) {
   harness::WorkloadFactory factory = TinyFactory();
   sweep::TraceSetCache cache(&factory);
 
-  // Reference skeletons from plain factory builds.
+  // Reference traces from plain factory builds.
   const harness::TraceSet ref_oltp = factory.Build(OltpConfig());
   const harness::TraceSet ref_dss = factory.Build(DssConfig());
 
   // Both configs enter the cache from separate threads at once; each
   // must build exactly once, and the cached sets must match the
-  // reference skeletons (same pure build, different world instance).
+  // reference traces (same pure build, different world instance).
   const harness::TraceSet* got_oltp = nullptr;
   const harness::TraceSet* got_dss = nullptr;
   std::thread ta([&] { got_oltp = &cache.Get(OltpConfig()); });
@@ -154,8 +147,8 @@ TEST(WorldIsolation, CacheBuildsDistinctConfigsConcurrently) {
   ASSERT_NE(got_oltp, nullptr);
   ASSERT_NE(got_dss, nullptr);
   EXPECT_EQ(cache.stats().builds, 2u);
-  EXPECT_EQ(EventSkeleton(*got_oltp), EventSkeleton(ref_oltp));
-  EXPECT_EQ(EventSkeleton(*got_dss), EventSkeleton(ref_dss));
+  EXPECT_EQ(SetWords(*got_oltp), SetWords(ref_oltp));
+  EXPECT_EQ(SetWords(*got_dss), SetWords(ref_dss));
   // Repeat lookups alias the built instances.
   EXPECT_EQ(&cache.Get(OltpConfig()), got_oltp);
   EXPECT_EQ(&cache.Get(DssConfig()), got_dss);
@@ -165,30 +158,18 @@ TEST(WorldIsolation, CacheBuildsDistinctConfigsConcurrently) {
 
 namespace prefix {
 
-/// Everything of one trace but its data addresses: read/write events keep
-/// their kind, dependent bit and count (the address bits are masked),
-/// compute events keep their whole word (kind, PC and count), markers are
-/// address-free already; then the trace's instruction and request totals.
-std::vector<uint64_t> AddressFreeTrace(const trace::ClientTrace& t) {
-  std::vector<uint64_t> out;
-  out.reserve(t.events_size() + 2);
-  for (trace::EventCursor cur(t); !cur.done();) {
-    const uint64_t e = cur.Next();
-    const trace::EventKind k = trace::UnpackKind(e);
-    const bool mem = k == trace::EventKind::kRead ||
-                     k == trace::EventKind::kWrite;
-    out.push_back(mem ? (e & 0xFFFF) : e);
-  }
-  out.push_back(t.total_instructions);
-  out.push_back(t.requests);
-  return out;
-}
-
 struct Case {
   std::string name;
   harness::TraceSetConfig config;  ///< at the larger client count
   uint32_t small_clients;
 };
+
+/// A tiny factory that counts into `metrics`.
+harness::WorkloadFactory CountingFactory(MetricsRegistry* metrics) {
+  harness::WorkloadFactory f = TinyFactory();
+  f.metrics = metrics;
+  return f;
+}
 
 std::vector<Case> Cases() {
   std::vector<Case> out;
@@ -229,26 +210,47 @@ std::vector<Case> Cases() {
   ycsb_hot.traffic.zipf_theta = 0.99;
   ycsb_hot.traffic.hot_rotate_period = 8;
   out.push_back({"YCSB zipf0.99 hot-rotate", ycsb_hot, 3});
+
+  // Two tenants: only tenant A's clients form a prefix (see below).
+  harness::TraceSetConfig tenants = OltpConfig();
+  tenants.clients = 3;
+  tenants.requests_per_client = 3;
+  tenants.tenant2_workload = harness::WorkloadKind::kYcsb;
+  tenants.tenant2_clients = 2;
+  out.push_back({"OLTP + YCSB tenants", tenants, 2});
   return out;
 }
 
-TEST(WorldIsolation, LeadingTracesOfALargerBuildEqualTheSmallerBuild) {
-  const harness::WorkloadFactory f = TinyFactory();
+TEST(WorldIsolation, EveryKindBuildsTheSameWordsAndKeepsItsPrefix) {
+  // Each kind at two client counts in two separate factories: the same
+  // config gives the same words in both, and the smaller build is the
+  // larger one's leading traces (tenant A's, for two tenants), data
+  // addresses included.
+  MetricsRegistry reg_a, reg_b;
+  const harness::WorkloadFactory fa = CountingFactory(&reg_a);
+  const harness::WorkloadFactory fb = CountingFactory(&reg_b);
   for (const Case& c : Cases()) {
     SCOPED_TRACE(c.name);
     harness::TraceSetConfig small = c.config;
     small.clients = c.small_clients;
-    ASSERT_EQ(sweep::TraceSetCache::FamilyKey(small),
-              sweep::TraceSetCache::FamilyKey(c.config));
-    const harness::TraceSet big = f.Build(c.config);
-    const harness::TraceSet ref = f.Build(small);
-    ASSERT_EQ(big.traces.size(), c.config.clients);
-    ASSERT_EQ(ref.traces.size(), c.small_clients);
+    if (c.config.tenant2_clients == 0) {
+      ASSERT_EQ(sweep::TraceSetCache::FamilyKey(small),
+                sweep::TraceSetCache::FamilyKey(c.config));
+    }
+    const harness::TraceSet big = fa.Build(c.config);
+    const harness::TraceSet ref = fa.Build(small);
+    EXPECT_EQ(SetWords(big), SetWords(fb.Build(c.config)));
+    EXPECT_EQ(SetWords(ref), SetWords(fb.Build(small)));
+    ASSERT_EQ(big.traces.size(), harness::TotalClients(c.config));
+    ASSERT_EQ(ref.traces.size(), harness::TotalClients(small));
     for (uint32_t i = 0; i < c.small_clients; ++i) {
-      EXPECT_EQ(AddressFreeTrace(big.traces[i]),
-                AddressFreeTrace(ref.traces[i]))
+      EXPECT_EQ(TraceWords(big.traces[i]), TraceWords(ref.traces[i]))
           << "client " << i;
     }
+  }
+  for (const MetricsRegistry* reg : {&reg_a, &reg_b}) {
+    // Present (every build folds the counter) and 0.
+    EXPECT_EQ(reg->Snapshot().CounterOr("trace.unmapped_addresses", 1), 0u);
   }
 }
 
@@ -277,11 +279,11 @@ TEST(WorldIsolation, TwoTenantSetsLackThePrefixProperty) {
   // matches neither the larger set's trace in that slot (a tenant-A
   // client) nor its own tenant-B trace.
   for (uint32_t i = 0; i < small.clients; ++i) {
-    EXPECT_EQ(AddressFreeTrace(b.traces[i]), AddressFreeTrace(s.traces[i]))
+    EXPECT_EQ(TraceWords(b.traces[i]), TraceWords(s.traces[i]))
         << "tenant-A client " << i;
   }
-  EXPECT_NE(AddressFreeTrace(b.traces[2]), AddressFreeTrace(s.traces[2]));
-  EXPECT_NE(AddressFreeTrace(b.traces[3]), AddressFreeTrace(s.traces[2]));
+  EXPECT_NE(TraceWords(b.traces[2]), TraceWords(s.traces[2]));
+  EXPECT_NE(TraceWords(b.traces[3]), TraceWords(s.traces[2]));
 }
 
 TEST(WorldIsolation, ConcurrentShapedBuildsShareOneZetaMemo) {
@@ -312,8 +314,8 @@ TEST(WorldIsolation, ConcurrentShapedBuildsShareOneZetaMemo) {
     const harness::TraceSet ref = f.Build(configs[i]);
     ASSERT_EQ(got[i].traces.size(), ref.traces.size());
     for (size_t c = 0; c < ref.traces.size(); ++c) {
-      EXPECT_EQ(AddressFreeTrace(got[i].traces[c]),
-                AddressFreeTrace(ref.traces[c]))
+      EXPECT_EQ(TraceWords(got[i].traces[c]),
+                TraceWords(ref.traces[c]))
           << "config " << i << " client " << c;
     }
   }

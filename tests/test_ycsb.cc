@@ -1,6 +1,6 @@
 // YCSB workload tests: the loader and driver are pure functions of
-// (config, seed) — repeat and concurrent builds reproduce identical event
-// skeletons, mirroring the world-isolation contract the TPC workloads pin
+// (config, seed) — repeat and concurrent builds reproduce identical
+// traces, word for word, mirroring the world-isolation contract the TPC workloads pin
 // — the executed op mix tracks the configured percentages, and staged
 // batch execution reorders ops without changing what was executed.
 #include <gtest/gtest.h>
@@ -37,13 +37,13 @@ TEST(Ycsb, LoaderAndDriverAreAPureFunctionOfConfig) {
   EXPECT_GT(first.total_events, 0u);
   EXPECT_EQ(first.total_instructions, second.total_instructions);
   EXPECT_EQ(first.total_events, second.total_events);
-  EXPECT_EQ(EventSkeleton(first), EventSkeleton(second));
+  EXPECT_EQ(SetWords(first), SetWords(second));
 
   // A different factory instance (fresh load, fresh world) reproduces the
   // same skeleton: nothing about the build depends on process history.
   harness::WorkloadFactory other = TinyFactory();
   const harness::TraceSet third = other.Build(tc);
-  EXPECT_EQ(EventSkeleton(first), EventSkeleton(third));
+  EXPECT_EQ(SetWords(first), SetWords(third));
 }
 
 TEST(Ycsb, ConcurrentWorldsMatchSerialBuilds) {
@@ -61,8 +61,8 @@ TEST(Ycsb, ConcurrentWorldsMatchSerialBuilds) {
   ta.join();
   tb.join();
 
-  EXPECT_EQ(EventSkeleton(got_a), EventSkeleton(ref));
-  EXPECT_EQ(EventSkeleton(got_b), EventSkeleton(ref));
+  EXPECT_EQ(SetWords(got_a), SetWords(ref));
+  EXPECT_EQ(SetWords(got_b), SetWords(ref));
   EXPECT_EQ(got_a.total_instructions, ref.total_instructions);
   EXPECT_EQ(got_b.total_events, ref.total_events);
 }
@@ -128,7 +128,7 @@ TEST(Ycsb, ZipfianTrafficConcentratesAccessesWithoutBreakingPurity) {
   tc.traffic.zipf_theta = 0.99;
   const harness::TraceSet skewed = factory.Build(tc);
   const harness::TraceSet again = factory.Build(tc);
-  EXPECT_EQ(EventSkeleton(skewed), EventSkeleton(again));
+  EXPECT_EQ(SetWords(skewed), SetWords(again));
 
   // Skew changes which records are touched, not how the driver works:
   // request count matches the unshaped build of the same config.

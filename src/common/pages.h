@@ -100,6 +100,7 @@ class AddressSpace {
   }
 
   /// Gives back the pages of a carved block; its range stays reserved.
+  /// Should the remap fail, the pages stay until the space dies.
   void Release(char* p, size_t bytes) {
     mmap(p, bytes, PROT_NONE,
          MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED | MAP_NORESERVE, -1, 0);

@@ -41,11 +41,11 @@ bool Predicate::Eval(const Schema& schema, const uint8_t* tuple) const {
 GroupSlot GroupSlot::New(Arena* temp, size_t n_keys, size_t n_aggs,
                          size_t min_bytes) {
   const size_t bytes = std::max(8 * (n_keys + 2 * n_aggs), min_bytes);
-  auto* p = static_cast<int64_t*>(temp->Allocate(bytes, 64));
+  char* p = static_cast<char*>(temp->Allocate(bytes, 64));
   GroupSlot g;
-  g.keys = p;
-  g.acc = reinterpret_cast<double*>(p + n_keys);
-  g.cnt = p + n_keys + n_aggs;
+  g.keys = reinterpret_cast<int64_t*>(p);
+  g.acc = reinterpret_cast<double*>(p + 8 * n_keys);
+  g.cnt = reinterpret_cast<int64_t*>(p + 8 * (n_keys + n_aggs));
   return g;
 }
 

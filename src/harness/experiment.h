@@ -153,8 +153,9 @@ class WorkloadFactory {
   /// counters into this registry (traffic.*, ycsb.*), and the accesses
   /// it recorded outside its world's address space into
   /// trace.unmapped_addresses (0 for every builtin workload). Counting
-  /// only — recorded trace bytes are identical either way. A sweep records each
-  /// client-count family once, so these count that one recording.
+  /// only — recorded trace bytes are identical either way. A sweep
+  /// records each client-count family once, so these count that one
+  /// recording.
   MetricsRegistry* metrics = nullptr;
 
   TraceSet Build(const TraceSetConfig& config) const;

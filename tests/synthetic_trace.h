@@ -1,12 +1,12 @@
-// Synthetic replay traces with *process-independent* addresses.
+// Synthetic replay traces that depend on nothing but their seed.
 //
-// Workload traces embed real heap addresses, so their simulated metrics
-// are only bit-stable within one process (see test_determinism.cc). These
-// generator traces instead draw every code and data address from fixed
-// literal regions, which makes the full simulation result — stats,
-// breakdown, elapsed cycles — a pure function of the seed. That is what
-// lets test_replay_equivalence.cc pin the rebuilt hot path against
-// fingerprints captured from the pre-rebuild implementation.
+// Workload traces follow the engine and the workload drivers, so any
+// change to either moves their simulated metrics. These generator traces
+// instead draw every code and data address from fixed literal regions,
+// which makes the full simulation result — stats, breakdown, elapsed
+// cycles — a pure function of the seed and the replay path alone. That
+// is what lets test_replay_equivalence.cc pin the rebuilt hot path
+// against fingerprints captured from the pre-rebuild implementation.
 #ifndef STAGEDCMP_TESTS_SYNTHETIC_TRACE_H_
 #define STAGEDCMP_TESTS_SYNTHETIC_TRACE_H_
 

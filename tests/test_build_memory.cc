@@ -2,9 +2,10 @@
 //
 // WorkloadFactory::Build loads a TPC-C image (about 120 MB resident at
 // the default 16-warehouse scale) into a private world and records the
-// trace set against it. The world's databases live in Arena blocks that
-// the arena maps itself and unmaps when it dies (common/arena.h), so a
-// dead image goes back to the kernel with its world, whatever the
+// trace set against it. The world's databases live in Arena blocks
+// carved from the world's address space, which it unmaps when it dies
+// (common/arena.h), so a dead image goes back to the kernel with its
+// world, whatever the
 // thread's malloc heap holds above it, with no release call. This suite
 // does what a sweep builder does: two OLTP builds on one std::thread,
 // both sets kept. Resident growth minus live event bytes must stay well

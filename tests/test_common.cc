@@ -191,6 +191,42 @@ TEST(ArenaTest, UnmappableAllocationThrowsAndMapsNothing) {
   EXPECT_EQ(arena.reserved_bytes(), size_t{4} << 20);
 }
 
+TEST(AddressSpaceTest, CarvesInOrderAlignsHugeBlocksAndNeverReuses) {
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  AddressSpace space(8 << 20);
+  const uintptr_t base = space.base();
+  EXPECT_EQ(base % AddressSpace::kHugePage, 0u);
+  EXPECT_EQ(space.size(), size_t{8} << 20);
+  char* a = space.Carve(page);
+  char* b = space.Carve(2 * page);
+  char* huge = space.Carve(AddressSpace::kHugePage);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(a), base);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(b), base + page);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(huge), base + AddressSpace::kHugePage);
+  a[0] = 1;
+  b[2 * page - 1] = 2;
+  huge[AddressSpace::kHugePage - 1] = 3;
+  // A block that does not fit throws and carves nothing.
+  EXPECT_THROW(space.Carve(size_t{8} << 20), std::bad_alloc);
+  EXPECT_EQ(space.used(), 2 * AddressSpace::kHugePage);
+  // A released block's range is never handed out again.
+  space.Release(b, 2 * page);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(space.Carve(page)),
+            base + 2 * AddressSpace::kHugePage);
+}
+
+TEST(ArenaTest, ArenasSharingASpaceCarveInAllocationOrder) {
+  AddressSpace space(8 << 20);
+  Arena first(&space, 4096);
+  Arena second(&space, 4096);
+  char* a = static_cast<char*>(first.Allocate(64));
+  char* b = static_cast<char*>(second.Allocate(64));
+  char* c = static_cast<char*>(first.Allocate(4096));  // a block of its own
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(a), space.base());
+  EXPECT_EQ(b, a + 4096);
+  EXPECT_GT(c, b);
+}
+
 TEST(ArenaTest, AllocateArrayConstructs) {
   Arena arena;
   struct Obj {

@@ -76,8 +76,7 @@ TEST(SmpArms, SmokesmpDirectoryEqualsReferenceEqualsRunExperiment) {
     invalidations += directory.stats().invalidations;
   }
   // The grid must exercise coherence, or the comparison is vacuous. (The
-  // OLTP cell's shared lock and district lines always do; whether the DSS
-  // cell does depends on heap layout.)
+  // OLTP cell's shared lock and district lines always do.)
   EXPECT_GT(invalidations, 0u);
 }
 

@@ -60,6 +60,29 @@ class TracerTest : public ::testing::Test {
   Tracer t{&regions_};
 };
 
+TEST_F(TracerTest, RecordsAddressesInItsSpaceRelativeToTheBase) {
+  AddressSpace space(4 << 20);
+  char* block = space.Carve(8192);
+  Tracer in_space(&regions_, &space);
+  alignas(64) char outside[64] = {};
+  in_space.Read(block + 4096 + 64, 8, 4);
+  in_space.Write(outside, 8, 4);
+  EXPECT_EQ(in_space.unmapped_addresses(), 1u);
+  std::vector<uint64_t> mem;
+  for (uint64_t e : DecodeEvents(in_space.TakeTrace())) {
+    const EventKind k = UnpackKind(e);
+    if (k == EventKind::kRead || k == EventKind::kWrite) {
+      mem.push_back(UnpackAddr(e));
+    }
+  }
+  ASSERT_EQ(mem.size(), 2u);
+  EXPECT_EQ(mem[0], Tracer::kDataBase + 4096 + 64);
+  EXPECT_EQ(mem[1], reinterpret_cast<uint64_t>(outside));  // as it is
+  // Without a space every address is recorded as it is, and none counts.
+  t.Read(block, 8, 4);
+  EXPECT_EQ(t.unmapped_addresses(), 0u);
+}
+
 TEST_F(TracerTest, ComputeAccumulatesInstructions) {
   t.Compute(100);
   t.Compute(50);

@@ -40,7 +40,7 @@ TEST(Ycsb, LoaderAndDriverAreAPureFunctionOfConfig) {
   EXPECT_EQ(SetWords(first), SetWords(second));
 
   // A different factory instance (fresh load, fresh world) reproduces the
-  // same skeleton: nothing about the build depends on process history.
+  // same words: nothing about the build depends on process history.
   harness::WorkloadFactory other = TinyFactory();
   const harness::TraceSet third = other.Build(tc);
   EXPECT_EQ(SetWords(first), SetWords(third));

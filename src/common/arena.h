@@ -42,14 +42,13 @@ class Arena {
   /// Blocks at least this large are huge-page aligned and advised.
   static constexpr size_t kHugePage = AddressSpace::kHugePage;
 
-  /// Carves from `space`, which must outlive the arena.
+  /// Carves from `space`, which must outlive the arena, or from a
+  /// private space of its own when `space` is null.
   Arena(AddressSpace* space, size_t block_size)
-      : space_(space), block_size_(block_size) {}
-  /// Carves from a private space of its own.
-  explicit Arena(size_t block_size = 1 << 20)
-      : own_(std::make_unique<AddressSpace>()),
-        space_(own_.get()),
+      : own_(space == nullptr ? std::make_unique<AddressSpace>() : nullptr),
+        space_(space == nullptr ? own_.get() : space),
         block_size_(block_size) {}
+  explicit Arena(size_t block_size = 1 << 20) : Arena(nullptr, block_size) {}
   ~Arena() {
     for (const Block& b : blocks_) space_->Release(b.base, b.bytes);
   }
@@ -82,6 +81,9 @@ class Arena {
     for (size_t i = 0; i < n; ++i) new (p + i) T();
     return p;
   }
+
+  /// The space this arena carves from (its private one, if it has one).
+  AddressSpace* space() const { return space_; }
 
   /// Total bytes handed out (excludes padding and block slack).
   size_t allocated_bytes() const { return allocated_; }

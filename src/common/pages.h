@@ -57,25 +57,25 @@ struct PageUnmapper {
 class AddressSpace {
  public:
   static constexpr size_t kHugePage = size_t{2} << 20;
-  /// Covers the largest world any builtin spec builds almost four times
-  /// over: the shootout's 1024-node OLTP leader carves 1.08 GB (fig2's
-  /// 128-client DSS leader 0.46 GB, the smoke grid 0.13 GB).
-  static constexpr size_t kDefaultBytes = size_t{4} << 30;
+  /// The reservation's size. It covers the largest world any builtin spec
+  /// builds almost four times over: the shootout's 1024-node OLTP leader
+  /// carves 1.08 GB (fig2's 128-client DSS leader 0.46 GB, the smoke grid
+  /// 0.13 GB).
+  static constexpr size_t kBytes = size_t{4} << 30;
 
-  explicit AddressSpace(size_t bytes = kDefaultBytes)
-      : size_((bytes + kHugePage - 1) & ~(kHugePage - 1)) {
+  AddressSpace() {
     // Over-reserves by one huge page and trims both ends to align the base.
-    void* p = mmap(nullptr, size_ + kHugePage, PROT_NONE,
+    void* p = mmap(nullptr, kBytes + kHugePage, PROT_NONE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
     if (p == MAP_FAILED) throw std::bad_alloc();
     char* raw = static_cast<char*>(p);
     const uintptr_t r = reinterpret_cast<uintptr_t>(raw);
     const size_t head = ((r + kHugePage - 1) & ~(kHugePage - 1)) - r;
     if (head > 0) munmap(raw, head);
-    munmap(raw + head + size_, kHugePage - head);
+    munmap(raw + head + kBytes, kHugePage - head);
     base_ = raw + head;
   }
-  ~AddressSpace() { munmap(base_, size_); }
+  ~AddressSpace() { munmap(base_, kBytes); }
 
   AddressSpace(const AddressSpace&) = delete;
   AddressSpace& operator=(const AddressSpace&) = delete;
@@ -86,7 +86,7 @@ class AddressSpace {
   char* Carve(size_t bytes) {
     const size_t align = bytes >= kHugePage ? kHugePage : 1;
     const size_t off = (used_ + align - 1) & ~(align - 1);
-    if (bytes > size_ - off) throw std::bad_alloc();
+    if (bytes > kBytes - off) throw std::bad_alloc();
     char* p = base_ + off;
     if (mmap(p, bytes, PROT_READ | PROT_WRITE,
              MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED, -1, 0) == MAP_FAILED) {
@@ -107,13 +107,11 @@ class AddressSpace {
   }
 
   uintptr_t base() const { return reinterpret_cast<uintptr_t>(base_); }
-  size_t size() const { return size_; }
   /// Bytes from the base to the end of the last block carved.
   size_t used() const { return used_; }
 
  private:
   char* base_ = nullptr;
-  size_t size_;
   size_t used_ = 0;
 };
 

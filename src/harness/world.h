@@ -25,6 +25,9 @@
 // into `trace.unmapped_addresses` (0 for every builtin workload). The
 // space is sized for the largest world a builtin spec builds; a world
 // that outgrows it throws std::bad_alloc. A dead world unmaps it whole.
+// Every world's offsets start at the same recorded base, so traces of two
+// worlds must never be replayed on one machine: their data would alias.
+// Put both workloads in one world instead, as a two-tenant config.
 //
 // Multi-tenant builds load a second, fully separate database instance for
 // tenant B (even when both tenants run the same workload kind), so the

@@ -14,6 +14,11 @@
 // `p - base + kDataBase`, so a build's events are the same words in every
 // process. Only a pointer outside the space is recorded as it is, and
 // counted (unmapped_addresses); a world's builds keep that count at 0.
+// Every world's data starts at kDataBase, so traces recorded in different
+// worlds overlap: replaying them on one machine would make unrelated
+// data share cache lines. Never mix clients of two worlds in one replay;
+// a workload that needs two databases on one chip builds them in one
+// world (a two-tenant config).
 #ifndef STAGEDCMP_TRACE_TRACER_H_
 #define STAGEDCMP_TRACE_TRACER_H_
 
@@ -130,7 +135,7 @@ class Tracer {
       : regions_(regions) {
     if (space != nullptr) {
       base_ = space->base();
-      limit_ = space->size();
+      limit_ = AddressSpace::kBytes;
       rebase_ = kDataBase - space->base();
     }
     Reset();

@@ -19,13 +19,10 @@ namespace stagedcmp::workload {
 
 class Database {
  public:
-  /// Allocates from `space`, which must outlive the database; a
-  /// standalone database (tests, micro benchmarks) reserves its own.
+  /// Allocates from `space`, which must outlive the database; the arena
+  /// of a standalone database (tests, micro benchmarks) reserves its own.
   explicit Database(AddressSpace* space = nullptr)
-      : own_space_(space == nullptr ? std::make_unique<AddressSpace>()
-                                    : nullptr),
-        space_(space == nullptr ? own_space_.get() : space),
-        arena_(space_, 4 << 20),
+      : arena_(space, 4 << 20),
         pool_(&arena_),
         lock_manager_(&arena_),
         log_(&arena_) {}
@@ -60,7 +57,7 @@ class Database {
 
   /// The space this database's arena carves from; drivers carve their
   /// per-query scratch arenas from it too.
-  AddressSpace* space() { return space_; }
+  AddressSpace* space() { return arena_.space(); }
   Arena* arena() { return &arena_; }
   db::BufferPool* pool() { return &pool_; }
   db::LockManager* lock_manager() { return &lock_manager_; }
@@ -70,8 +67,6 @@ class Database {
   size_t data_bytes() const { return arena_.allocated_bytes(); }
 
  private:
-  std::unique_ptr<AddressSpace> own_space_;  ///< set only when standalone
-  AddressSpace* space_;
   Arena arena_;
   db::BufferPool pool_;
   db::LockManager lock_manager_;

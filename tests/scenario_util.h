@@ -88,47 +88,54 @@ class TraceCache {
   }
 
  private:
-  static harness::TraceSet Build(Mix mix, Executor exec) {
-    const harness::EngineMode engine = exec == Executor::kStagedCohort
-                                           ? harness::EngineMode::kStagedCohort
-                                           : harness::EngineMode::kVolcano;
-    if (mix == Mix::kOltp) {
-      harness::TraceSetConfig tc;
-      tc.workload = harness::WorkloadKind::kOltp;
-      tc.clients = 16;
-      tc.requests_per_client = 12;
-      tc.seed = 17;
-      return Factory()->Build(tc);
+  static harness::TraceSetConfig Config(Mix mix, Executor exec) {
+    harness::TraceSetConfig tc;
+    if (mix != Mix::kOltp && exec == Executor::kStagedCohort) {
+      tc.engine = harness::EngineMode::kStagedCohort;
     }
     if (mix == Mix::kDss) {
-      harness::TraceSetConfig tc;
       tc.workload = harness::WorkloadKind::kDss;
       tc.clients = 8;
       tc.requests_per_client = 1;
       tc.seed = 19;
-      tc.engine = engine;
-      return Factory()->Build(tc);
+      return tc;
     }
+    tc.workload = harness::WorkloadKind::kOltp;
+    tc.clients = 16;
+    tc.requests_per_client = 12;
+    tc.seed = 17;
+    if (mix == Mix::kMixed) {
+      // DSS as tenant B of the same build, so both workloads record into
+      // one world's address space (harness/world.h): two separately built
+      // sets would alias there. Tenant B shares requests_per_client, so
+      // its clients run 12 queries each.
+      tc.tenant2_workload = harness::WorkloadKind::kDss;
+      tc.tenant2_clients = 8;
+    }
+    return tc;
+  }
+
+  static harness::TraceSet Build(Mix mix, Executor exec) {
+    if (mix != Mix::kMixed) return Factory()->Build(Config(mix, exec));
     // Mixed: alternate OLTP and DSS clients so the round-robin context
     // placement lands both workloads on every core. Its traces view the
-    // cached OLTP and DSS sets, which live as long as the cache.
-    const harness::TraceSet& oltp = Get(Mix::kOltp, Executor::kUnstaged);
-    const harness::TraceSet& dss = Get(Mix::kDss, exec);
+    // two-tenant set, which lives as long as this cache.
+    static std::map<int, harness::TraceSet> tenants;
+    const harness::TraceSet& both =
+        tenants
+            .emplace(static_cast<int>(exec),
+                     Factory()->Build(Config(Mix::kMixed, exec)))
+            .first->second;
+    const size_t a = both.tenant_a_clients;
+    const size_t b = both.traces.size() - a;
     harness::TraceSet out;
-    out.config = oltp.config;  // nominal; a merged set has no single kind
-    const size_t n = std::max(oltp.traces.size(), dss.traces.size());
-    for (size_t i = 0; i < n; ++i) {
-      if (i < oltp.traces.size()) {
-        out.traces.emplace_back().ViewOf(oltp.traces[i]);
-      }
-      if (i < dss.traces.size()) {
-        out.traces.emplace_back().ViewOf(dss.traces[i]);
-      }
+    out.config = both.config;
+    for (size_t i = 0; i < std::max(a, b); ++i) {
+      if (i < a) out.traces.emplace_back().ViewOf(both.traces[i]);
+      if (i < b) out.traces.emplace_back().ViewOf(both.traces[a + i]);
     }
-    for (const auto& t : out.traces) {
-      out.total_instructions += t.total_instructions;
-      out.total_events += t.events_size();
-    }
+    out.total_instructions = both.total_instructions;
+    out.total_events = both.total_events;
     return out;
   }
 };

@@ -193,10 +193,9 @@ TEST(ArenaTest, UnmappableAllocationThrowsAndMapsNothing) {
 
 TEST(AddressSpaceTest, CarvesInOrderAlignsHugeBlocksAndNeverReuses) {
   const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
-  AddressSpace space(8 << 20);
+  AddressSpace space;
   const uintptr_t base = space.base();
   EXPECT_EQ(base % AddressSpace::kHugePage, 0u);
-  EXPECT_EQ(space.size(), size_t{8} << 20);
   char* a = space.Carve(page);
   char* b = space.Carve(2 * page);
   char* huge = space.Carve(AddressSpace::kHugePage);
@@ -207,7 +206,7 @@ TEST(AddressSpaceTest, CarvesInOrderAlignsHugeBlocksAndNeverReuses) {
   b[2 * page - 1] = 2;
   huge[AddressSpace::kHugePage - 1] = 3;
   // A block that does not fit throws and carves nothing.
-  EXPECT_THROW(space.Carve(size_t{8} << 20), std::bad_alloc);
+  EXPECT_THROW(space.Carve(AddressSpace::kBytes), std::bad_alloc);
   EXPECT_EQ(space.used(), 2 * AddressSpace::kHugePage);
   // A released block's range is never handed out again.
   space.Release(b, 2 * page);
@@ -216,7 +215,7 @@ TEST(AddressSpaceTest, CarvesInOrderAlignsHugeBlocksAndNeverReuses) {
 }
 
 TEST(ArenaTest, ArenasSharingASpaceCarveInAllocationOrder) {
-  AddressSpace space(8 << 20);
+  AddressSpace space;
   Arena first(&space, 4096);
   Arena second(&space, 4096);
   char* a = static_cast<char*>(first.Allocate(64));

@@ -61,7 +61,7 @@ class TracerTest : public ::testing::Test {
 };
 
 TEST_F(TracerTest, RecordsAddressesInItsSpaceRelativeToTheBase) {
-  AddressSpace space(4 << 20);
+  AddressSpace space;
   char* block = space.Carve(8192);
   Tracer in_space(&regions_, &space);
   alignas(64) char outside[64] = {};

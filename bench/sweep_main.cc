@@ -56,8 +56,8 @@ int Usage(const char* argv0, int code) {
       "  --perf-out FILE   also write a BENCH_sweep.json perf summary\n"
       "                    (wall clocks, throughput, peak_rss_mb,\n"
       "                    minor_page_faults, and the run's metrics\n"
-      "                    registry: trace cache, sweep pipeline,\n"
-      "                    replay counters)\n"
+      "                    registry: sweep pipeline and replay\n"
+      "                    counters)\n"
       "  --trace-out FILE  write a Chrome trace-event span timeline of\n"
       "                    the run (load it in ui.perfetto.dev); with\n"
       "                    --deterministic the bytes are canonical\n"

@@ -276,11 +276,12 @@ if [[ $run_tsan -eq 1 ]]; then
     -DSTAGEDCMP_TSAN=ON
   cmake --build build-tsan -j "$jobs"
   # The concurrency-bearing suites: world isolation (concurrent
-  # distinct-config TraceSetCache::Get), the sweep runner's build/sim
-  # pipeline and the cache's same-config race, and the smoke goldens,
-  # whose cold runs regenerate every trace set concurrently on the
-  # builder threads while sim workers replay — the exact interleaving the
-  # isolated-world design must keep race-free.
+  # WorkloadFactory::Build of distinct configs), the sweep runner's
+  # build/sim pipeline — concurrent family tasks that build, slice and
+  # publish into the run's slots while sim workers replay and release
+  # them — and the smoke goldens, whose cold runs regenerate every trace
+  # set that way: the exact interleaving the isolated-world design must
+  # keep race-free.
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
       -R 'test_world_isolation|test_sweep|test_goldens_smoke$'

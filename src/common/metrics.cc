@@ -5,17 +5,6 @@
 
 namespace stagedcmp {
 
-namespace metrics_detail {
-
-size_t ShardIndex() {
-  static std::atomic<size_t> next{0};
-  thread_local const size_t idx =
-      next.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return idx;
-}
-
-}  // namespace metrics_detail
-
 template <typename T>
 T& MetricsRegistry::Resolve(std::map<std::string, std::unique_ptr<T>>* family,
                             const std::string& name) {

@@ -1,22 +1,20 @@
-// Lock-cheap metrics registry: named counters, gauges, and histograms
-// with per-thread sharding and an aggregated snapshot API.
+// Metrics registry: named counters, gauges, and histograms with an
+// aggregated snapshot API.
 //
 // Design goals, in order:
-//   1. Cheap on the write path. A Counter::Add is one relaxed fetch_add
-//      on a cache-line-padded shard chosen by thread (threads are dealt
-//      shards round-robin on first use, so up to kShards concurrent
-//      writers never touch the same line). Histogram::Record takes one
-//      uncontended shard mutex. No metric update ever takes the registry
-//      lock — callers resolve a metric name to a stable reference once
-//      and hold it.
-//   2. Exact aggregation. Shard sums are plain integer adds, so N
-//      concurrent increments always snapshot to exactly N (tested by
-//      tests/test_metrics.cc with 8 hammering threads).
-//   3. Safe snapshots during mutation. Snapshot() reads counter shards
-//      with relaxed atomics and merges histogram shards under their
-//      locks; it can run concurrently with any number of writers and
-//      observes a value at least as large as every update that
-//      happened-before the call.
+//   1. Cheap enough on the write path. A Counter::Add is one relaxed
+//      fetch_add; a HistogramMetric::Record takes one mutex. Every
+//      instrumented site updates once per cell, build or run, never per
+//      event, so neither is contended. No metric update ever takes the
+//      registry lock — callers resolve a metric name to a stable
+//      reference once and hold it.
+//   2. Exact aggregation: N concurrent increments always snapshot to
+//      exactly N (tested by tests/test_metrics.cc with 8 hammering
+//      threads).
+//   3. Safe snapshots during mutation. Snapshot() reads counters with
+//      relaxed atomics and copies histograms under their locks; it can
+//      run concurrently with any number of writers and observes a value
+//      at least as large as every update that happened-before the call.
 //
 // Metrics are OFF by default everywhere: instrumented components take a
 // `MetricsRegistry*` that defaults to nullptr and skip all bookkeeping
@@ -28,7 +26,6 @@
 #ifndef STAGEDCMP_COMMON_METRICS_H_
 #define STAGEDCMP_COMMON_METRICS_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
@@ -43,32 +40,14 @@
 
 namespace stagedcmp {
 
-namespace metrics_detail {
-/// Shards per metric. 16 covers the sweep's worker counts; more threads
-/// than shards just share (still exact, slightly more contended).
-constexpr size_t kShards = 16;
-/// This thread's shard slot, dealt round-robin on first use.
-size_t ShardIndex();
-}  // namespace metrics_detail
-
-/// Monotonic event count, sharded per thread. Exact under concurrency.
+/// Monotonic event count. Exact under concurrency.
 class Counter {
  public:
-  void Add(uint64_t n = 1) {
-    shards_[metrics_detail::ShardIndex()].v.fetch_add(
-        n, std::memory_order_relaxed);
-  }
-  uint64_t Value() const {
-    uint64_t sum = 0;
-    for (const Shard& s : shards_) sum += s.v.load(std::memory_order_relaxed);
-    return sum;
-  }
+  void Add(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  uint64_t Value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<uint64_t> v{0};
-  };
-  std::array<Shard, metrics_detail::kShards> shards_;
+  std::atomic<uint64_t> v_{0};
 };
 
 /// Instantaneous level (queue depth, live entries). Tracks the high-water
@@ -97,16 +76,15 @@ class Gauge {
   std::atomic<int64_t> peak_{0};
 };
 
-/// Sharded log-scale histogram (reuses common/histogram.h LogHistogram)
-/// for latency-style samples; per-shard mutexes keep Record() cheap and
-/// Snapshot() safe during mutation.
+/// Log-scale histogram (reuses common/histogram.h LogHistogram) for
+/// latency-style samples; one mutex keeps Snapshot() safe during
+/// mutation.
 class HistogramMetric {
  public:
   void Record(uint64_t v) {
-    Shard& s = shards_[metrics_detail::ShardIndex()];
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.h.Add(v);
-    if (v > s.max) s.max = v;
+    std::lock_guard<std::mutex> lock(mu_);
+    h_.Add(v);
+    if (v > max_) max_ = v;
   }
 
   struct Merged {
@@ -119,31 +97,22 @@ class HistogramMetric {
     uint64_t max = 0;   ///< exact
   };
   Merged Snapshot() const {
-    LogHistogram merged;
-    uint64_t max = 0;
-    for (const Shard& s : shards_) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      merged.MergeFrom(s.h);
-      if (s.max > max) max = s.max;
-    }
+    std::lock_guard<std::mutex> lock(mu_);
     Merged out;
-    out.count = merged.count();
-    out.sum = merged.sum();
-    out.mean = merged.mean();
-    out.p50 = merged.Quantile(0.50);
-    out.p95 = merged.Quantile(0.95);
-    out.p99 = merged.Quantile(0.99);
-    out.max = max;
+    out.count = h_.count();
+    out.sum = h_.sum();
+    out.mean = h_.mean();
+    out.p50 = h_.Quantile(0.50);
+    out.p95 = h_.Quantile(0.95);
+    out.p99 = h_.Quantile(0.99);
+    out.max = max_;
     return out;
   }
 
  private:
-  struct alignas(64) Shard {
-    mutable std::mutex mu;
-    LogHistogram h;
-    uint64_t max = 0;
-  };
-  std::array<Shard, metrics_detail::kShards> shards_;
+  mutable std::mutex mu_;
+  LogHistogram h_;
+  uint64_t max_ = 0;
 };
 
 /// Point-in-time aggregate of a registry, sorted by name — the unit the

@@ -3,7 +3,7 @@
 // Each table visits every field once, in a fixed order, as
 // v(echo_name, field, present), where `present` is the field's presence
 // rule in the JSON config echo. Everything that enumerates a config
-// derives from these tables: the trace-set cache key and the trace
+// derives from these tables: the trace-set key and the trace
 // bundle's per-set config block (FieldWords, so the TraceSetConfig row
 // order IS the bundle byte order), the shard spec fingerprint and
 // per-cell config words (sweep/shard.cc), and the sinks' config echo and

@@ -83,7 +83,7 @@ struct TraceSet {
   /// TraceSet sharing a mapping unmaps it. Empty for owning (cold-built)
   /// sets.
   std::shared_ptr<void> backing;
-  /// Keep-alive for a prefix slice (sweep::TraceSetCache::Slice): its
+  /// Keep-alive for a prefix slice (sweep::PrefixSlice): its
   /// ClientTraces are views into the first TotalClients(config) traces
   /// of `leader`, a larger set of the same client-count family, which
   /// this pins. Empty for every set that owns or maps its events.
@@ -97,9 +97,9 @@ struct TraceSet {
   /// the buffer reallocates.
   ///
   /// Thread-safety: the first call populates the cache and must not race
-  /// with other calls; WorkloadFactory::Build and the sweep TraceSetCache
-  /// warm it before a TraceSet is shared, after which concurrent calls
-  /// are pure reads.
+  /// with other calls; WorkloadFactory::Build and the sweep runner warm
+  /// it before a TraceSet is shared, after which concurrent calls are
+  /// pure reads.
   const std::vector<const trace::ClientTrace*>& Pointers() const {
     if (pointer_cache_key_ != traces.data() ||
         pointer_cache_.size() != traces.size()) {
@@ -128,15 +128,15 @@ struct TraceSet {
 /// Build(config with N clients) word for word: the blocks client c
 /// touches sit at the same offsets of the world's address space. The
 /// sweep builds each client-count family once on that basis
-/// (sweep/trace_cache.h); tests pin it
+/// (sweep::PrefixSlice); tests pin it
 /// (tests/test_world_isolation.cc). Two-tenant sets lack it: tenant B's
 /// seeds shift with `clients`.
 ///
 /// Thread-safety contract:
 ///   * Build() is safe to call concurrently from any number of threads;
 ///     concurrent builds run in disjoint worlds and share nothing but
-///     this factory's (const during building) scale knobs. The sweep's
-///     TraceSetCache exploits this to build distinct configs in parallel.
+///     this factory's (const during building) scale knobs. The sweep
+///     runner exploits this to build distinct configs in parallel.
 ///   * A fully-built TraceSet is immutable and safe to share across any
 ///     number of concurrently-running simulations.
 class WorkloadFactory {

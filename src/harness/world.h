@@ -13,7 +13,7 @@
 // world recording N clients would, word for word. The sweep
 // therefore runs one world per client-count family rather than one per
 // distinct config, and serves the family's smaller members as prefix
-// slices of the largest (sweep/trace_cache.h).
+// slices of the largest (sweep::PrefixSlice).
 //
 // Address space. Every arena a world's build allocates from (its
 // databases', its drivers' per-query scratch) carves its blocks from the

@@ -10,6 +10,7 @@
 #include <functional>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -85,8 +86,7 @@ namespace {
 /// The distinct trace-set configs of `cells` in canonical (first-use)
 /// order — the build-task submission order and the unit a trace bundle
 /// persists. Also fills `cfg_of`: for each cell, the index of its config
-/// in the returned vector. Identity is TraceSetCache::MakeKey, the same
-/// equivalence Get() dedups by.
+/// in the returned vector. Identity is TraceSetCache::MakeKey.
 std::vector<harness::TraceSetConfig> DistinctConfigs(
     const std::vector<Cell>& cells, std::vector<size_t>* cfg_of) {
   std::vector<harness::TraceSetConfig> out;
@@ -134,6 +134,14 @@ std::vector<Family> PlanFamilies(
   return out;
 }
 
+/// Wraps `set` for sharing, warming its pointer cache first so
+/// concurrent readers only ever see the const fast path.
+std::shared_ptr<const harness::TraceSet> Share(harness::TraceSet&& set) {
+  auto owned = std::make_shared<harness::TraceSet>(std::move(set));
+  owned->Pointers();
+  return owned;
+}
+
 }  // namespace
 
 SweepReport SweepRunner::Run(const SweepSpec& spec) {
@@ -152,14 +160,20 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   Counter* cells_simulated = nullptr;
   Counter* build_waits = nullptr;
   Counter* steals = nullptr;
+  Counter* sets_built = nullptr;
+  Counter* sets_sliced = nullptr;
   Counter* sets_released = nullptr;
+  HistogramMetric* build_us = nullptr;
   HistogramMetric* cell_sim_us = nullptr;
   HistogramMetric* build_wait_us = nullptr;
   if (options_.metrics != nullptr) {
     cells_simulated = &options_.metrics->counter("sweep.cells_simulated");
     build_waits = &options_.metrics->counter("sweep.build_waits");
     steals = &options_.metrics->counter("sweep.steals");
+    sets_built = &options_.metrics->counter("sweep.sets_built");
+    sets_sliced = &options_.metrics->counter("sweep.sets_sliced");
     sets_released = &options_.metrics->counter("sweep.sets_released");
+    build_us = &options_.metrics->histogram("sweep.build_us");
     cell_sim_us = &options_.metrics->histogram("sweep.cell_sim_us");
     build_wait_us = &options_.metrics->histogram("sweep.build_wait_us");
   }
@@ -171,11 +185,6 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   // still describe their cell (the shard writer fingerprints the whole
   // grid; see sweep/shard.h).
   for (size_t i = 0; i < cells.size(); ++i) report.cells[i].cell = cells[i];
-
-  TraceSetCache private_cache(factory_, options_.metrics);
-  TraceSetCache& cache = shared_cache_ ? *shared_cache_ : private_cache;
-  const TraceSetCache::Stats before = cache.stats();
-  const uint64_t produced_before = before.builds + before.slices;
 
   // Sharding: the FULL spec is always expanded and deduplicated, so
   // canonical cell indices and the distinct-config (= bundle build)
@@ -263,25 +272,29 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   // workers "steal" the next unclaimed cell, so load imbalance
   // self-corrects). A family task builds its largest member in an
   // isolated WorkloadWorld and serves the smaller members as zero-copy
-  // prefix slices of it (TraceSetCache::Slice), so builds neither share
+  // prefix slices of it (PrefixSlice), so builds neither share
   // state with each other nor with the replaying workers; a worker waits
   // only for its own cell's config slot to be published. Results land at
   // their cell's canonical index, so output order never depends on
   // completion order — and since builds are pure functions of their
   // config and a slice equals the standalone build word for word, sink
   // output is thread-count-invariant.
-  std::vector<const harness::TraceSet*> built_sets(distinct.size(), nullptr);
-  std::vector<char> built_done(distinct.size(), 0);
+  //
+  // Each distinct config has one slot, the run's only owner of its set,
+  // guarded by build_mu: null until published (or when its build failed
+  // or it was released), `published` tells those apart.
+  std::vector<std::shared_ptr<const harness::TraceSet>> slots(distinct.size());
+  std::vector<char> published(distinct.size(), 0);
   std::mutex build_mu;
   std::condition_variable build_cv;
+  // Sets this run built or sliced (report.trace_sets_built).
+  std::atomic<uint64_t> produced{0};
 
-  // Set lifetime. A private cache frees each set once its last assigned
-  // cell has replayed and the bundle writer is past it, so a run holds
-  // only the sets still in flight. A caller's shared cache is never
-  // touched, and mapped sets stay: a run that turns "partial" rewrites
-  // the bundle from every set at the end. Guarded by build_mu.
+  // Set lifetime. A cold set is freed once its last assigned cell has
+  // replayed and the bundle writer is past it, so a run holds only the
+  // sets still in flight. Mapped sets stay: a run that turns "partial"
+  // rewrites the bundle from every slot at the end. Guarded by build_mu.
   const bool mapped = bundle_open.mode == "mmap";
-  const bool release_sets = shared_cache_ == nullptr && !mapped;
   std::vector<size_t> cells_left(distinct.size(), 0);
   for (size_t i = 0; i < cells.size(); ++i) {
     if (cell_assigned(i)) ++cells_left[cfg_of[i]];
@@ -289,20 +302,16 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   // Sets [0, writer_done) need nothing more from the writer: appended,
   // or the writer is off or gave up.
   size_t writer_done = bundle_write_ok && streaming ? 0 : distinct.size();
-  // Claims set j for release when nothing needs it any more; the caller
-  // then calls cache.Release outside build_mu.
-  const auto claim_release = [&](size_t j) {
-    if (!release_sets || built_sets[j] == nullptr || cells_left[j] != 0 ||
+  // Takes set j out of its slot once nothing needs it any more. The
+  // caller drops it outside build_mu (a slice keeps its leader alive).
+  const auto claim_release =
+      [&](size_t j) -> std::shared_ptr<const harness::TraceSet> {
+    if (mapped || slots[j] == nullptr || cells_left[j] != 0 ||
         j >= writer_done) {
-      return false;
+      return nullptr;
     }
-    built_sets[j] = nullptr;
-    return true;
-  };
-  const auto release = [&](size_t j) {
-    if (cache.Release(distinct[j]) && sets_released != nullptr) {
-      sets_released->Add(1);
-    }
+    if (sets_released != nullptr) sets_released->Add(1);
+    return std::move(slots[j]);
   };
 
   std::mutex err_mu;
@@ -314,43 +323,62 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
 
   // Publishes the sets of distinct configs `js` at once (null where a
   // build failed; waiters drain) and wakes every waiter. A family's
-  // members go out together, so no member's release can drop the
-  // leader's entry while its slices are still being cut.
-  const auto publish = [&](const std::vector<size_t>& js,
-                           const std::vector<const harness::TraceSet*>& sets) {
-    {
-      std::lock_guard<std::mutex> lock(build_mu);
-      for (size_t m = 0; m < js.size(); ++m) {
-        built_sets[js[m]] = sets[m];
-        built_done[js[m]] = 1;
-      }
+  // members go out together, so no member is released before its
+  // family's slices are cut.
+  const auto publish =
+      [&](const std::vector<size_t>& js,
+          std::vector<std::shared_ptr<const harness::TraceSet>> sets) {
+        {
+          std::lock_guard<std::mutex> lock(build_mu);
+          for (size_t m = 0; m < js.size(); ++m) {
+            slots[js[m]] = std::move(sets[m]);
+            published[js[m]] = 1;
+          }
+        }
+        build_cv.notify_all();
+      };
+
+  // A fresh build of `config`, ready to share. If it throws nothing is
+  // published for it.
+  const auto build = [&](const harness::TraceSetConfig& config) {
+    const auto t0 = std::chrono::steady_clock::now();
+    std::shared_ptr<const harness::TraceSet> set =
+        Share(factory_->Build(config));
+    produced.fetch_add(1, std::memory_order_relaxed);
+    if (sets_built != nullptr) {
+      sets_built->Add(1);
+      build_us->Record(MicrosSince(t0));
     }
-    build_cv.notify_all();
+    return set;
   };
 
   // One span per built family and per slice (or per mapped set), whatever
-  // the thread count or cache temperature (a warm Get is a near-instant
-  // hit), so the span SET is deterministic even though durations are not.
+  // the thread count, so the span SET is deterministic even though
+  // durations are not.
   auto build_family = [&](const Family& f) {
     if (tracer != nullptr) tracer->NameThisThread("builder");
-    std::vector<const harness::TraceSet*> sets(f.members.size(), nullptr);
+    std::vector<std::shared_ptr<const harness::TraceSet>> sets(
+        f.members.size());
     try {
       TraceSpan build_span(tracer, "build", "build:" + cfg_labels[f.leader]);
-      const harness::TraceSet& leader = cache.Get(distinct[f.leader]);
+      const std::shared_ptr<const harness::TraceSet> leader =
+          build(distinct[f.leader]);
       build_span.End();
       for (size_t m = 0; m < f.members.size(); ++m) {
         const size_t j = f.members[m];
         if (j == f.leader) {
-          sets[m] = &leader;
+          sets[m] = leader;
           continue;
         }
         TraceSpan slice_span(tracer, "build", "slice:" + cfg_labels[j]);
-        sets[m] = &cache.Slice(distinct[j], distinct[f.leader]);
+        sets[m] = Share(PrefixSlice(leader, distinct[j]));
+        produced.fetch_add(1, std::memory_order_relaxed);
+        if (sets_sliced != nullptr) sets_sliced->Add(1);
       }
     } catch (...) {
       record_error();
     }
-    publish(f.members, sets);
+    publish(f.members, std::move(sets));
   };
 
   // Mapped set: pay the payload-checksum pass here, overlapped with other
@@ -360,19 +388,19 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   // rewrites the bundle afterwards.
   auto verify_mapped = [&](size_t j) {
     if (tracer != nullptr) tracer->NameThisThread("builder");
-    const harness::TraceSet* ts = nullptr;
+    std::shared_ptr<const harness::TraceSet> set;
     try {
       TraceSpan build_span(tracer, "build", "build:" + cfg_labels[j]);
       if (VerifyBundleSet(bundle_open.sets[j], bundle_open.checksums[j])) {
-        ts = &cache.Insert(std::move(bundle_open.sets[j]));
+        set = Share(std::move(bundle_open.sets[j]));
       } else {
         demoted.store(true, std::memory_order_relaxed);
-        ts = &cache.Get(distinct[j]);
+        set = build(distinct[j]);
       }
     } catch (...) {
       record_error();
     }
-    publish({j}, {ts});
+    publish({j}, {std::move(set)});
   };
 
   std::atomic<size_t> next{0};
@@ -390,7 +418,7 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
       const harness::TraceSet* set = nullptr;
       {
         std::unique_lock<std::mutex> lock(build_mu);
-        if (built_done[j] == 0) {
+        if (published[j] == 0) {
           // Contention-dependent: whether a worker waits here depends on
           // scheduling, so the span is skipped under a deterministic
           // tracer (its presence would vary run to run).
@@ -399,13 +427,14 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
             wait_span = TraceSpan(tracer, "sweep", "wait:" + cfg_labels[j]);
           }
           const auto w0 = std::chrono::steady_clock::now();
-          build_cv.wait(lock, [&] { return built_done[j] != 0; });
+          build_cv.wait(lock, [&] { return published[j] != 0; });
           if (build_waits != nullptr) {
             build_waits->Add(1);
             build_wait_us->Record(MicrosSince(w0));
           }
         }
-        set = built_sets[j];
+        // Stays in its slot while this cell is left (cells_left).
+        set = slots[j].get();
         if (set == nullptr) continue;  // build failed; drain
       }
       try {
@@ -430,13 +459,12 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
         record_error();
         // Keep draining the counter so siblings can finish cleanly.
       }
-      bool last_user = false;
+      std::shared_ptr<const harness::TraceSet> dropped;
       {
         std::lock_guard<std::mutex> lock(build_mu);
         --cells_left[j];
-        last_user = claim_release(j);
+        dropped = claim_release(j);
       }
-      if (last_user) release(j);
     }
     // "Steals": cells this worker claimed beyond the even share — how
     // much the atomic-counter claiming rebalanced versus a static split.
@@ -492,8 +520,8 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
         const harness::TraceSet* set = nullptr;
         {
           std::unique_lock<std::mutex> lock(build_mu);
-          build_cv.wait(lock, [&] { return built_done[j] != 0; });
-          set = built_sets[j];
+          build_cv.wait(lock, [&] { return published[j] != 0; });
+          set = slots[j].get();  // stays until writer_done passes j
         }
         bool appended = false;
         if (set != nullptr) {
@@ -502,17 +530,16 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
           appended = writer.Append(*set);
         }
         if (!appended) bundle_write_ok = false;
-        std::vector<size_t> freed;
+        std::vector<std::shared_ptr<const harness::TraceSet>> dropped;
         {
           std::lock_guard<std::mutex> lock(build_mu);
           // Every set is past a writer that gave up.
           const size_t first = writer_done;
           writer_done = appended ? j + 1 : distinct.size();
           for (size_t k = first; k < writer_done; ++k) {
-            if (claim_release(k)) freed.push_back(k);
+            dropped.push_back(claim_release(k));
           }
         }
-        for (size_t k : freed) release(k);
       } catch (...) {
         record_error();
       }
@@ -523,8 +550,7 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
     for (std::thread& t : workers) t.join();
   }
   report.sim_wall_seconds = SecondsSince(sim_t0);
-  const TraceSetCache::Stats after = cache.stats();
-  report.trace_sets_built = after.builds + after.slices - produced_before;
+  report.trace_sets_built = produced.load(std::memory_order_relaxed);
   if (demoted.load(std::memory_order_relaxed)) report.bundle = "partial";
 
   // A cold run's streamed bundle becomes visible only once every set was
@@ -542,9 +568,7 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
     TraceSpan save_span(tracer, "io", "bundle.save");
     std::vector<const harness::TraceSet*> sets;
     sets.reserve(distinct.size());
-    for (const harness::TraceSetConfig& c : distinct) {
-      sets.push_back(&cache.Get(c));
-    }
+    for (const auto& slot : slots) sets.push_back(slot.get());
     bundle_write_ok = SaveTraceBundle(options_.trace_bundle, *factory_, sets);
   }
   if (!bundle_write_ok && !first_error) {

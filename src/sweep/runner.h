@@ -3,7 +3,7 @@
 // threads — one task per client-count family (configs that differ only in
 // `clients`), which builds the family's largest member inside an
 // isolated WorkloadWorld (see harness/world.h) and serves the smaller
-// members as zero-copy prefix slices of it (sweep/trace_cache.h) —
+// members as zero-copy prefix slices of it (sweep::PrefixSlice) —
 // while sim workers pull cells off a shared atomic counter (idle
 // workers "steal" the next unclaimed cell, so load imbalance between
 // cheap and expensive cells self-corrects) — a cell simulates as soon
@@ -38,8 +38,6 @@
 
 namespace stagedcmp::sweep {
 
-class TraceSetCache;
-
 struct RunnerOptions {
   /// Worker threads for the simulation phase, and the cap on the builder
   /// threads (min(threads, build tasks) of them claim the tasks off an
@@ -67,9 +65,9 @@ struct RunnerOptions {
   uint32_t shard_index = 0;
   uint32_t shard_count = 0;
   /// Optional observability sinks (docs/OBSERVABILITY.md). `metrics`
-  /// collects `sweep.*` counters/histograms plus the trace cache's
-  /// `trace_cache.*` and the replay engine's `replay.*` families; it is
-  /// cumulative — a registry shared across Run() calls keeps counting.
+  /// collects the pipeline's `sweep.*` counters/histograms and the
+  /// replay engine's `replay.*` family; it is cumulative — a registry
+  /// shared across Run() calls keeps counting.
   /// `trace` records the pipeline's span timeline (sweep/build/cell/io
   /// categories). Both null by default: instrumentation is off and the
   /// runner behaves exactly as before.
@@ -98,7 +96,7 @@ struct SweepReport {
   double sim_wall_seconds = 0.0;   ///< builder+worker pipeline wall-clock
   double wall_seconds = 0.0;       ///< end-to-end Run() wall-clock
   /// Distinct TraceSetConfigs produced cold: built, or sliced from their
-  /// family's build (TraceSetCache::Stats builds + slices).
+  /// family's build (this run's `sweep.sets_built + sweep.sets_sliced`).
   uint64_t trace_sets_built = 0;
   /// Trace-bundle disposition: "off" (no bundle configured), "cold"
   /// (built fresh, bundle written), "warm" (all sets served from disk),
@@ -114,7 +112,7 @@ struct SweepReport {
   std::vector<CellResult> cells;
   /// Registry state at the end of Run(), when RunnerOptions::metrics was
   /// set (cumulative if the registry is shared across runs). Sinks use
-  /// it for the cache health footer; empty when off.
+  /// it for the set-lifetime footer; empty when off.
   MetricsSnapshot metrics;
   bool has_metrics = false;
 
@@ -149,16 +147,11 @@ std::string ConfigLabel(const harness::TraceSetConfig& c);
 
 class SweepRunner {
  public:
-  /// `shared_cache` (optional) lets several sweeps — or a sweep and
-  /// direct RunExperiment calls — replay the *same* TraceSet instances,
-  /// building each config once. The runner never frees sets in a
-  /// shared cache. With no shared cache it uses a private one per Run
-  /// call and frees each owned set once its last cell has replayed and
-  /// the bundle writer is past it.
+  /// Each Run() owns the trace sets it builds, slices or maps; none
+  /// outlives it.
   explicit SweepRunner(harness::WorkloadFactory* factory,
-                       RunnerOptions options = {},
-                       TraceSetCache* shared_cache = nullptr)
-      : factory_(factory), options_(options), shared_cache_(shared_cache) {}
+                       RunnerOptions options = {})
+      : factory_(factory), options_(options) {}
 
   /// Expands and executes the spec. Exceptions thrown by a worker are
   /// rethrown on the calling thread after all workers join.
@@ -167,7 +160,6 @@ class SweepRunner {
  private:
   harness::WorkloadFactory* factory_;
   RunnerOptions options_;
-  TraceSetCache* shared_cache_;
 };
 
 }  // namespace stagedcmp::sweep

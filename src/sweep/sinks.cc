@@ -349,22 +349,21 @@ void TableSink::Emit(const SweepReport& report, std::ostream& os) const {
                   report.threads, report.build_wall_seconds,
                   report.wall_seconds, report.cells_per_second());
     os << buf;
-    // Cache health, present when the run collected metrics. Lives with
+    // Set lifetime, present when the run collected metrics. Lives with
     // the timing footer: like the timings it describes this execution,
     // not the spec.
     if (report.has_metrics) {
       const MetricsSnapshot& m = report.metrics;
       std::snprintf(
           buf, sizeof(buf),
-          "cache %llu hits / %llu misses / %llu evicted"
+          "sets %llu built / %llu sliced / %llu released"
           " | replay %llu events\n",
-          static_cast<unsigned long long>(m.CounterOr("trace_cache.hits", 0)),
+          static_cast<unsigned long long>(m.CounterOr("sweep.sets_built")),
+          static_cast<unsigned long long>(m.CounterOr("sweep.sets_sliced")),
           static_cast<unsigned long long>(
-              m.CounterOr("trace_cache.misses", 0)),
+              m.CounterOr("sweep.sets_released")),
           static_cast<unsigned long long>(
-              m.CounterOr("trace_cache.evictions", 0)),
-          static_cast<unsigned long long>(
-              m.CounterOr("replay.events_replayed", 0)));
+              m.CounterOr("replay.events_replayed")));
       os << buf;
     }
   }

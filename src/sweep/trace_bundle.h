@@ -30,7 +30,7 @@
 // verified trace's pages from the process so only the pages replay
 // touches stay resident. The mapping is owned by a refcounted
 // MappedBundle pinned through each served TraceSet's `backing` handle,
-// so cache eviction unmaps safely.
+// so releasing sets in any order unmaps safely.
 //
 // Writing is streamed. A set built from config `c` holds exactly
 // TotalClients(c) traces, so the header's size — and with it every

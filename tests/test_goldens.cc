@@ -248,9 +248,8 @@ TEST(Goldens, smoke) {
   const sweep::SweepReport report = ExpectWarmGolden("smoke", observed);
   ASSERT_TRUE(report.has_metrics);
   const MetricsSnapshot& m = report.metrics;
-  EXPECT_EQ(m.CounterOr("trace_cache.lookups"),
-            m.CounterOr("trace_cache.hits") +
-                m.CounterOr("trace_cache.misses"));
+  EXPECT_EQ(m.CounterOr("sweep.sets_built") + m.CounterOr("sweep.sets_sliced"),
+            report.trace_sets_built);
   EXPECT_EQ(m.CounterOr("replay.events_replayed"), report.events_replayed());
 
   std::ostringstream perf;
@@ -327,8 +326,8 @@ TEST(Goldens, shootout_t8) {
     MetricsRegistry registry;
     ExpectColdGolden("shootout", Options(8, bundle.path, &registry));
     const MetricsSnapshot m = registry.Snapshot();
-    EXPECT_EQ(m.CounterOr("trace_cache.misses"), 2u);
-    EXPECT_EQ(m.CounterOr("trace_cache.slices"), 6u);
+    EXPECT_EQ(m.CounterOr("sweep.sets_built"), 2u);
+    EXPECT_EQ(m.CounterOr("sweep.sets_sliced"), 6u);
   }
 
   // The registry's bus.* counters equal the per-cell sums and the peak

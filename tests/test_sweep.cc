@@ -1,15 +1,15 @@
-// Sweep engine: spec expansion, trace-set cache sharing, parallel runner
-// determinism (thread-count invariance, byte-identical serialized
+// Sweep engine: spec expansion, client-count prefix slices, parallel
+// runner determinism (thread-count invariance, byte-identical serialized
 // output), and equivalence with direct RunExperiment calls.
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <sys/stat.h>
@@ -32,6 +32,12 @@ std::string ResultJson(const sweep::SweepReport& r) {
   std::ostringstream os;
   sweep::JsonSink(/*include_timing=*/false).Emit(r, os);
   return os.str();
+}
+
+harness::WorkloadFactory TinyFactory() {
+  harness::WorkloadFactory f;
+  scenario::ApplyTinyScale(&f);
+  return f;
 }
 
 /// Runner options with only the thread count set.
@@ -127,67 +133,6 @@ TEST(SweepSpec, NoAxesExpandsToSingleBaseCell) {
   EXPECT_TRUE(cells[0].values.empty());
 }
 
-TEST(TraceSetCache, BuildsEachDistinctConfigOnceAndShares) {
-  harness::WorkloadFactory factory;
-  sweep::TraceSetCache cache(&factory);
-
-  harness::TraceSetConfig a;
-  a.workload = harness::WorkloadKind::kOltp;
-  a.clients = 2;
-  a.requests_per_client = 2;
-  a.seed = 3;
-  harness::TraceSetConfig b = a;
-  b.seed = 4;
-
-  const harness::TraceSet& ts1 = cache.Get(a);
-  const harness::TraceSet& ts2 = cache.Get(a);
-  const harness::TraceSet& ts3 = cache.Get(b);
-  EXPECT_EQ(&ts1, &ts2) << "same config must share one TraceSet";
-  EXPECT_NE(&ts1, &ts3);
-  EXPECT_EQ(cache.stats().builds, 2u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  // Hammer the cache from many threads; every result must alias the
-  // already-built sets and no new builds may happen.
-  std::vector<std::thread> pool;
-  std::atomic<int> mismatches{0};
-  for (int t = 0; t < 8; ++t) {
-    pool.emplace_back([&] {
-      for (int i = 0; i < 50; ++i) {
-        if (&cache.Get(a) != &ts1 || &cache.Get(b) != &ts3) ++mismatches;
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(cache.stats().builds, 2u);
-}
-
-TEST(TraceSetCache, ConcurrentFirstGetsOfOneConfigShareThePublishedSet) {
-  harness::WorkloadFactory factory;
-  sweep::TraceSetCache cache(&factory);
-  harness::TraceSetConfig cfg;
-  cfg.workload = harness::WorkloadKind::kOltp;
-  cfg.clients = 2;
-  cfg.requests_per_client = 2;
-  cfg.seed = 5;
-
-  // Both threads miss and may both build; the first set published wins
-  // and both callers must get it.
-  const harness::TraceSet* got[2] = {nullptr, nullptr};
-  std::thread ta([&] { got[0] = &cache.Get(cfg); });
-  std::thread tb([&] { got[1] = &cache.Get(cfg); });
-  ta.join();
-  tb.join();
-  EXPECT_EQ(got[0], got[1]);
-  EXPECT_EQ(&cache.Get(cfg), got[0]);
-  const uint64_t builds = cache.stats().builds;
-  EXPECT_TRUE(builds == 1 || builds == 2) << builds;
-
-  const harness::TraceSet standalone = factory.Build(cfg);
-  EXPECT_EQ(scenario::SetWords(*got[0]), scenario::SetWords(standalone));
-}
-
 TEST(TraceSet, PointerCacheIsStableAndInvalidatesOnMutation) {
   harness::WorkloadFactory factory;
   harness::TraceSetConfig tc;
@@ -228,15 +173,10 @@ void ExpectSameResult(const coresim::SimResult& x,
 }
 
 TEST(SweepRunner, ResultsAreIdenticalForOneAndEightThreads) {
-  // Both runs replay the same TraceSet instances (shared cache): traces
-  // embed heap addresses, so only same-instance replays can be
-  // bit-compared — see test_determinism.cc.
-  harness::WorkloadFactory factory;
-  sweep::TraceSetCache cache(&factory);
+  // Two separate runs, each building its own sets.
+  harness::WorkloadFactory factory = TinyFactory();
   auto run = [&](uint32_t threads) {
-    sweep::SweepRunner runner(&factory, WithThreads(threads),
-                              &cache);
-    return runner.Run(TinySpec());
+    return sweep::SweepRunner(&factory, WithThreads(threads)).Run(TinySpec());
   };
   const sweep::SweepReport serial = run(1);
   const sweep::SweepReport parallel = run(8);
@@ -259,44 +199,26 @@ TEST(SweepRunner, ResultsAreIdenticalForOneAndEightThreads) {
 }
 
 TEST(SweepRunner, CellsMatchDirectRunExperimentCalls) {
-  harness::WorkloadFactory factory;
-  sweep::TraceSetCache cache(&factory);
-  sweep::SweepRunner runner(&factory, WithThreads(4), &cache);
+  harness::WorkloadFactory factory = TinyFactory();
+  sweep::SweepRunner runner(&factory, WithThreads(4));
   const sweep::SweepReport report = runner.Run(TinySpec());
   ASSERT_EQ(report.cells.size(), 8u);
   EXPECT_EQ(report.trace_sets_built, 2u) << "one OLTP + one DSS set";
 
-  // Replay each cell by hand over the same shared trace sets; the sweep
+  // Replay each cell by hand over a fresh build of its config; the sweep
   // result must be bit-equal to the direct RunExperiment result.
+  std::map<sweep::TraceSetCache::Key, harness::TraceSet> built;
   for (const sweep::CellResult& cr : report.cells) {
-    const harness::TraceSet& traces = cache.Get(cr.cell.trace);
+    auto [it, fresh] =
+        built.try_emplace(sweep::TraceSetCache::MakeKey(cr.cell.trace));
+    if (fresh) it->second = factory.Build(cr.cell.trace);
+    const harness::TraceSet& traces = it->second;
     EXPECT_EQ(traces.total_instructions, cr.trace_total_instructions);
     EXPECT_EQ(traces.total_events, cr.trace_total_events);
     const coresim::SimResult direct =
         harness::RunExperiment(cr.cell.exp, traces);
     ExpectSameResult(cr.result, direct, cr.cell.index);
   }
-}
-
-TEST(TraceSetCache, EvictAllDropsEntriesAndAllowsRebuild) {
-  harness::WorkloadFactory factory;
-  sweep::TraceSetCache cache(&factory);
-  harness::TraceSetConfig cfg;
-  cfg.workload = harness::WorkloadKind::kOltp;
-  cfg.clients = 2;
-  cfg.requests_per_client = 2;
-  cfg.seed = 11;
-
-  const harness::TraceSet& first = cache.Get(cfg);
-  EXPECT_FALSE(first.traces.empty());
-  EXPECT_EQ(cache.stats().builds, 1u);
-  cache.Get(cfg);
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  cache.EvictAll();
-  const harness::TraceSet& rebuilt = cache.Get(cfg);
-  EXPECT_FALSE(rebuilt.traces.empty());
-  EXPECT_EQ(cache.stats().builds, 2u);  // evicted entry was really dropped
 }
 
 std::string FileBytes(const std::string& path) {
@@ -746,32 +668,50 @@ bool FileExists(const std::string& path) {
   return std::ifstream(path, std::ios::binary).good();
 }
 
+/// The distinct trace-set configs of `r`'s cells, in canonical
+/// (first-use) order: the sequence a bundle persists.
+std::vector<harness::TraceSetConfig> CanonicalConfigs(
+    const sweep::SweepReport& r) {
+  std::vector<harness::TraceSetConfig> out;
+  std::set<sweep::TraceSetCache::Key> seen;
+  for (const sweep::CellResult& cr : r.cells) {
+    if (seen.insert(sweep::TraceSetCache::MakeKey(cr.cell.trace)).second) {
+      out.push_back(cr.cell.trace);
+    }
+  }
+  return out;
+}
+
+/// A fresh build of each of `r`'s distinct configs, in canonical order.
+std::vector<harness::TraceSet> BuildCanonicalSets(
+    const harness::WorkloadFactory& factory, const sweep::SweepReport& r) {
+  std::vector<harness::TraceSet> out;
+  for (const harness::TraceSetConfig& c : CanonicalConfigs(r)) {
+    out.push_back(factory.Build(c));
+  }
+  return out;
+}
+
 TEST(TraceBundle, StreamedRunnerBundleByteIdenticalToSaveTraceBundle) {
   const std::string streamed = ::testing::TempDir() + "bundle_streamed.traces";
   const std::string saved = ::testing::TempDir() + "bundle_saved.traces";
   std::remove(streamed.c_str());
-  harness::WorkloadFactory factory;
-  sweep::TraceSetCache cache(&factory);
+  harness::WorkloadFactory factory = TinyFactory();
   sweep::RunnerOptions options;
   options.threads = 3;
   options.trace_bundle = streamed;
   const sweep::SweepReport r =
-      sweep::SweepRunner(&factory, options, &cache).Run(StreamSpec());
+      sweep::SweepRunner(&factory, options).Run(StreamSpec());
   ASSERT_EQ(r.bundle, "cold");
   ASSERT_EQ(r.trace_sets_built, 3u);
 
-  // The same sets, in canonical (first-use) order, through the one-shot
-  // save. The shared cache still holds every set: these Gets are hits.
+  // The same sets, fresh builds in canonical (first-use) order, through
+  // the one-shot save. Each set is its own family, so none is a slice.
+  const std::vector<harness::TraceSet> built = BuildCanonicalSets(factory, r);
+  ASSERT_EQ(built.size(), 3u);
+  EXPECT_EQ(built[2].traces.size(), 3u);  // 2 tenant-A + 1 tenant-B
   std::vector<const harness::TraceSet*> sets;
-  for (const sweep::CellResult& cr : r.cells) {
-    const harness::TraceSet* ts = &cache.Get(cr.cell.trace);
-    if (std::find(sets.begin(), sets.end(), ts) == sets.end()) {
-      sets.push_back(ts);
-    }
-  }
-  ASSERT_EQ(sets.size(), 3u);
-  EXPECT_EQ(sets[2]->traces.size(), 3u);  // 2 tenant-A + 1 tenant-B
-  EXPECT_EQ(cache.stats().builds, 3u);
+  for (const harness::TraceSet& ts : built) sets.push_back(&ts);
   ASSERT_TRUE(sweep::SaveTraceBundle(saved, factory, sets));
 
   const std::string a = FileBytes(streamed);
@@ -841,50 +781,67 @@ sweep::SweepSpec FamilySpec(bool descending) {
   return spec;
 }
 
-harness::WorkloadFactory TinyFactory() {
-  harness::WorkloadFactory f;
-  scenario::ApplyTinyScale(&f);
-  return f;
-}
-
 bool IsFamilyLeader(const harness::TraceSetConfig& c) {
   return c.clients == 4 || c.tenant2_clients > 0;
 }
 
+/// `configs`' sets the way a cold FamilySpec run makes them: each family
+/// leader built once, every other member a PrefixSlice of it.
+std::vector<std::shared_ptr<const harness::TraceSet>> FamilySets(
+    const harness::WorkloadFactory& factory,
+    const std::vector<harness::TraceSetConfig>& configs) {
+  std::map<sweep::TraceSetCache::Key, std::shared_ptr<const harness::TraceSet>>
+      leaders;
+  for (const harness::TraceSetConfig& c : configs) {
+    if (IsFamilyLeader(c)) {
+      leaders[sweep::TraceSetCache::FamilyKey(c)] =
+          std::make_shared<const harness::TraceSet>(factory.Build(c));
+    }
+  }
+  std::vector<std::shared_ptr<const harness::TraceSet>> out;
+  for (const harness::TraceSetConfig& c : configs) {
+    const auto& leader = leaders.at(sweep::TraceSetCache::FamilyKey(c));
+    out.push_back(IsFamilyLeader(c) ? leader
+                                    : std::make_shared<const harness::TraceSet>(
+                                          sweep::PrefixSlice(leader, c)));
+  }
+  return out;
+}
 
 TEST(SweepRunner, FamilyGridBuildsEachFamilyOnceAndSlicesTheRest) {
   harness::WorkloadFactory factory = TinyFactory();
   // Standalone builds of every config, shared by both axis orders.
-  sweep::TraceSetCache standalone(&factory);
+  std::map<sweep::TraceSetCache::Key, harness::TraceSet> standalone;
   for (bool descending : {false, true}) {
     SCOPED_TRACE(descending ? "descending" : "ascending");
     MetricsRegistry reg;
-    sweep::TraceSetCache cache(&factory, &reg);
     sweep::RunnerOptions options;
     options.threads = 4;
     options.metrics = &reg;
     const sweep::SweepReport r =
-        sweep::SweepRunner(&factory, options, &cache)
-            .Run(FamilySpec(descending));
+        sweep::SweepRunner(&factory, options).Run(FamilySpec(descending));
     ASSERT_EQ(r.cells.size(), 7u);
-    EXPECT_EQ(cache.stats().builds, 3u) << "one build per family";
-    EXPECT_EQ(cache.stats().slices, 4u);
     EXPECT_EQ(r.trace_sets_built, 7u) << "built or sliced, every set counts";
-    // One build task per family: each family's leader is one miss.
-    EXPECT_EQ(r.metrics.CounterOr("trace_cache.misses"), 3u);
-    EXPECT_EQ(r.metrics.CounterOr("trace_cache.slices"), 4u);
+    // One build task per family: each family's leader is one build.
+    EXPECT_EQ(r.metrics.CounterOr("sweep.sets_built"), 3u);
+    EXPECT_EQ(r.metrics.CounterOr("sweep.sets_sliced"), 4u);
 
-    // Every cell's set — slice or build — is a standalone build of its
-    // own config, word for word.
-    for (const sweep::CellResult& cr : r.cells) {
-      SCOPED_TRACE("cell " + std::to_string(cr.cell.index));
-      const harness::TraceSet& got = cache.Get(cr.cell.trace);
-      const harness::TraceSet& ref = standalone.Get(cr.cell.trace);
-      EXPECT_EQ(got.leader == nullptr, IsFamilyLeader(cr.cell.trace));
+    // Every set — slice or build — is a standalone build of its own
+    // config, word for word.
+    const std::vector<harness::TraceSetConfig> configs = CanonicalConfigs(r);
+    const auto sets = FamilySets(factory, configs);
+    for (size_t j = 0; j < configs.size(); ++j) {
+      SCOPED_TRACE("config " + sweep::ConfigLabel(configs[j]));
+      auto [it, fresh] =
+          standalone.try_emplace(sweep::TraceSetCache::MakeKey(configs[j]));
+      if (fresh) it->second = factory.Build(configs[j]);
+      const harness::TraceSet& got = *sets[j];
+      const harness::TraceSet& ref = it->second;
+      EXPECT_EQ(got.leader == nullptr, IsFamilyLeader(configs[j]));
       ASSERT_EQ(got.traces.size(), ref.traces.size());
       EXPECT_EQ(got.tenant_a_clients, ref.tenant_a_clients);
-      EXPECT_EQ(cr.trace_total_instructions, ref.total_instructions);
-      EXPECT_EQ(cr.trace_total_events, ref.total_events);
+      EXPECT_EQ(got.total_instructions, ref.total_instructions);
+      EXPECT_EQ(got.total_events, ref.total_events);
       EXPECT_EQ(scenario::SetWords(got), scenario::SetWords(ref));
       for (size_t i = 0; i < got.traces.size(); ++i) {
         EXPECT_EQ(got.traces[i].requests, ref.traces[i].requests);
@@ -892,21 +849,29 @@ TEST(SweepRunner, FamilyGridBuildsEachFamilyOnceAndSlicesTheRest) {
                   ref.traces[i].total_instructions);
       }
     }
-    EXPECT_EQ(cache.stats().builds, 3u);  // the Gets above were all hits
+    // So every cell replayed exactly what its standalone build replays.
+    for (const sweep::CellResult& cr : r.cells) {
+      const harness::TraceSet& ref =
+          standalone.at(sweep::TraceSetCache::MakeKey(cr.cell.trace));
+      EXPECT_EQ(cr.trace_total_instructions, ref.total_instructions);
+      EXPECT_EQ(cr.trace_total_events, ref.total_events);
+      ExpectSameResult(cr.result, harness::RunExperiment(cr.cell.exp, ref),
+                       cr.cell.index);
+    }
   }
-  EXPECT_EQ(standalone.stats().builds, 7u);
+  EXPECT_EQ(standalone.size(), 7u);
 }
 
 TEST(SweepRunner, FamilyGridResultsByteIdenticalAcrossThreadCounts) {
   for (bool descending : {false, true}) {
     SCOPED_TRACE(descending ? "descending" : "ascending");
     harness::WorkloadFactory factory = TinyFactory();
-    sweep::TraceSetCache cache(&factory);
+    MetricsRegistry reg;  // cumulative over the three cold runs
     auto run_cold = [&](uint32_t threads) {
-      cache.EvictAll();
+      sweep::RunnerOptions options = WithThreads(threads);
+      options.metrics = &reg;
       const sweep::SweepReport r =
-          sweep::SweepRunner(&factory, WithThreads(threads), &cache)
-              .Run(FamilySpec(descending));
+          sweep::SweepRunner(&factory, options).Run(FamilySpec(descending));
       std::ostringstream csv;
       sweep::CsvSink(/*include_timing=*/false).Emit(r, csv);
       return std::make_pair(ResultJson(r), csv.str());
@@ -917,8 +882,9 @@ TEST(SweepRunner, FamilyGridResultsByteIdenticalAcrossThreadCounts) {
       EXPECT_EQ(reference.first, got.first) << "JSON at --threads " << threads;
       EXPECT_EQ(reference.second, got.second) << "CSV at --threads " << threads;
     }
-    EXPECT_EQ(cache.stats().builds, 9u);   // three cold runs x 3 families
-    EXPECT_EQ(cache.stats().slices, 12u);  // three cold runs x 4 slices
+    const MetricsSnapshot m = reg.Snapshot();
+    EXPECT_EQ(m.CounterOr("sweep.sets_built"), 9u);    // 3 runs x 3 families
+    EXPECT_EQ(m.CounterOr("sweep.sets_sliced"), 12u);  // 3 runs x 4 slices
   }
 }
 
@@ -929,25 +895,20 @@ TEST(TraceBundle, FamilyGridStreamsLikeSaveTraceBundleAndReopensWarm) {
     const std::string saved = ::testing::TempDir() + "family_saved.traces";
     std::remove(streamed.c_str());
     harness::WorkloadFactory factory = TinyFactory();
-    sweep::TraceSetCache cache(&factory);
     sweep::RunnerOptions options;
     options.threads = 3;
     options.trace_bundle = streamed;
     const sweep::SweepReport cold =
-        sweep::SweepRunner(&factory, options, &cache)
-            .Run(FamilySpec(descending));
+        sweep::SweepRunner(&factory, options).Run(FamilySpec(descending));
     ASSERT_EQ(cold.bundle, "cold");
     ASSERT_EQ(cold.trace_sets_built, 7u);
 
-    // The same sets, in canonical order, through the one-shot save: a
-    // slice is persisted as a set of its own, byte for byte.
+    // The same sets, cut the way the run cuts them, in canonical order,
+    // through the one-shot save: a slice is persisted as a set of its
+    // own, byte for byte.
+    const auto owned = FamilySets(factory, CanonicalConfigs(cold));
     std::vector<const harness::TraceSet*> sets;
-    for (const sweep::CellResult& cr : cold.cells) {
-      const harness::TraceSet* ts = &cache.Get(cr.cell.trace);
-      if (std::find(sets.begin(), sets.end(), ts) == sets.end()) {
-        sets.push_back(ts);
-      }
-    }
+    for (const auto& ts : owned) sets.push_back(ts.get());
     ASSERT_EQ(sets.size(), 7u);
     ASSERT_TRUE(sweep::SaveTraceBundle(saved, factory, sets));
     EXPECT_TRUE(FileBytes(streamed) == FileBytes(saved))
@@ -985,8 +946,8 @@ TEST(TraceBundle, FamilyGridStreamsLikeSaveTraceBundleAndReopensWarm) {
           << "set " << j;
     }
 
-    // A fresh factory and private cache replay the bundle warm: nothing
-    // builds or slices, and the results match the cold run's bytes.
+    // A fresh factory replays the bundle warm: nothing builds or slices,
+    // and the results match the cold run's bytes.
     harness::WorkloadFactory warm_factory = TinyFactory();
     const sweep::SweepReport warm =
         sweep::SweepRunner(&warm_factory, options).Run(FamilySpec(descending));
@@ -998,79 +959,72 @@ TEST(TraceBundle, FamilyGridStreamsLikeSaveTraceBundleAndReopensWarm) {
   }
 }
 
-TEST(SweepRunner, SliceOutlivesItsLeadersCacheEntry) {
+TEST(PrefixSlice, SliceOutlivesItsLeaderPointer) {
   harness::WorkloadFactory factory = TinyFactory();
-  sweep::TraceSetCache cache(&factory);
-  const sweep::SweepReport r =
-      sweep::SweepRunner(&factory, WithThreads(2), &cache)
-          .Run(FamilySpec(/*descending=*/false));
   // Cell 1 is OLTP at two clients, a slice of the four-client OLTP set.
-  const sweep::CellResult& cell = r.cells[1];
-  ASSERT_EQ(cell.cell.trace.clients, 2u);
-  ASSERT_EQ(cell.cell.trace.workload, harness::WorkloadKind::kOltp);
-  const harness::TraceSet& slice = cache.Get(cell.cell.trace);
-  ASSERT_NE(slice.leader, nullptr);
+  const sweep::Cell cell = FamilySpec(/*descending=*/false).Expand()[1];
+  ASSERT_EQ(cell.trace.clients, 2u);
+  ASSERT_EQ(cell.trace.workload, harness::WorkloadKind::kOltp);
+  harness::TraceSetConfig leader_cfg = cell.trace;
+  leader_cfg.clients = 4;
+  auto leader =
+      std::make_shared<const harness::TraceSet>(factory.Build(leader_cfg));
+  const harness::TraceSet slice = sweep::PrefixSlice(leader, cell.trace);
+  ASSERT_EQ(slice.leader, leader);
 
-  harness::TraceSetConfig leader = cell.cell.trace;
-  leader.clients = 4;
-  ASSERT_TRUE(cache.Release(leader));
-  // The slice pins the leader's storage: it still replays the same bytes
-  // (ASan turns a dangling view into a hard failure here).
-  ExpectSameResult(cell.result,
-                   harness::RunExperiment(cell.cell.exp, slice),
-                   cell.cell.index);
-  // A fresh Get of the leader rebuilds it; the slice is untouched.
-  EXPECT_NE(&cache.Get(leader), slice.leader.get());
-  EXPECT_EQ(cache.stats().builds, 4u);
-
-  // A private cache frees every set, slices and leaders alike, once.
-  MetricsRegistry reg;
-  sweep::RunnerOptions options;
-  options.threads = 4;
-  options.metrics = &reg;
-  const sweep::SweepReport private_run =
-      sweep::SweepRunner(&factory, options).Run(FamilySpec(false));
-  EXPECT_EQ(private_run.metrics.CounterOr("sweep.sets_released"), 7u);
-  EXPECT_EQ(private_run.metrics.CounterOr("trace_cache.evictions"), 7u);
+  leader.reset();
+  // The slice pins the leader's storage: it still replays the bytes of a
+  // standalone build (ASan turns a dangling view into a hard failure).
+  EXPECT_EQ(slice.leader.use_count(), 1);
+  ExpectSameResult(harness::RunExperiment(cell.exp, slice),
+                   harness::RunExperiment(cell.exp, factory.Build(cell.trace)),
+                   cell.index);
 }
 
-TEST(TraceSetCache, SliceRefusesForeignConfigsAndUncachedLeaders) {
+TEST(PrefixSlice, RefusesForeignConfigsAndMissingLeaders) {
   harness::WorkloadFactory factory = TinyFactory();
-  sweep::TraceSetCache cache(&factory);
-  harness::TraceSetConfig leader;
-  leader.workload = harness::WorkloadKind::kOltp;
-  leader.clients = 3;
-  leader.requests_per_client = 1;
-  leader.seed = 5;
-  harness::TraceSetConfig member = leader;
+  harness::TraceSetConfig leader_cfg;
+  leader_cfg.workload = harness::WorkloadKind::kOltp;
+  leader_cfg.clients = 3;
+  leader_cfg.requests_per_client = 1;
+  leader_cfg.seed = 5;
+  harness::TraceSetConfig member = leader_cfg;
   member.clients = 1;
-  EXPECT_THROW(cache.Slice(member, leader), std::invalid_argument)
-      << "leader not cached yet";
-  cache.Get(leader);
+  EXPECT_THROW(sweep::PrefixSlice(nullptr, member), std::invalid_argument)
+      << "no leader";
+  const auto leader =
+      std::make_shared<const harness::TraceSet>(factory.Build(leader_cfg));
   harness::TraceSetConfig other_seed = member;
   other_seed.seed = 6;
-  EXPECT_THROW(cache.Slice(other_seed, leader), std::invalid_argument);
-  harness::TraceSetConfig bigger = leader;
+  EXPECT_THROW(sweep::PrefixSlice(leader, other_seed), std::invalid_argument);
+  harness::TraceSetConfig bigger = leader_cfg;
   bigger.clients = 4;
-  EXPECT_THROW(cache.Slice(bigger, leader), std::invalid_argument);
+  EXPECT_THROW(sweep::PrefixSlice(leader, bigger), std::invalid_argument);
   harness::TraceSetConfig tenants = member;
   tenants.tenant2_clients = 1;
-  EXPECT_THROW(cache.Slice(tenants, leader), std::invalid_argument);
+  EXPECT_THROW(sweep::PrefixSlice(leader, tenants), std::invalid_argument);
+  // A two-tenant set is a family of one: not even its own config slices.
+  harness::TraceSetConfig two_tenant = leader_cfg;
+  two_tenant.tenant2_workload = harness::WorkloadKind::kOltp;
+  two_tenant.tenant2_clients = 1;
+  const auto tenant_leader =
+      std::make_shared<const harness::TraceSet>(factory.Build(two_tenant));
+  EXPECT_THROW(sweep::PrefixSlice(tenant_leader, two_tenant),
+               std::invalid_argument);
 
-  const harness::TraceSet& slice = cache.Slice(member, leader);
+  const harness::TraceSet slice = sweep::PrefixSlice(leader, member);
   EXPECT_EQ(slice.traces.size(), 1u);
-  EXPECT_EQ(&cache.Slice(member, leader), &slice);  // served once
-  EXPECT_EQ(&cache.Get(member), &slice);
-  EXPECT_EQ(cache.stats().slices, 1u);
-  EXPECT_EQ(cache.stats().builds, 1u);
+  EXPECT_EQ(slice.leader, leader);
+  EXPECT_EQ(scenario::SetWords(slice),
+            scenario::SetWords(factory.Build(member)));
 }
 
-TEST(SweepRunner, PrivateCacheReleasesEachSetOnceSharedCacheNone) {
+TEST(SweepRunner, ReleasesEachSetOnce) {
   const std::string path = ::testing::TempDir() + "bundle_release.traces";
   std::remove(path.c_str());
   harness::WorkloadFactory factory;
-  // Private cache, cold, streaming into a bundle: every distinct set is
-  // freed exactly once, after its last cell and its append.
+  // Cold, streaming into a bundle: every distinct set is freed exactly
+  // once, after its last cell and its append.
   {
     MetricsRegistry reg;
     sweep::RunnerOptions options;
@@ -1081,7 +1035,6 @@ TEST(SweepRunner, PrivateCacheReleasesEachSetOnceSharedCacheNone) {
         sweep::SweepRunner(&factory, options).Run(StreamSpec());
     ASSERT_EQ(r.bundle, "cold");
     EXPECT_EQ(r.metrics.CounterOr("sweep.sets_released"), 3u);
-    EXPECT_EQ(r.metrics.CounterOr("trace_cache.evictions"), 3u);
     EXPECT_EQ(r.metrics.CounterOr("sweep.cells_simulated"), 6u);
   }
   // The streamed file serves the next run warm.
@@ -1093,23 +1046,17 @@ TEST(SweepRunner, PrivateCacheReleasesEachSetOnceSharedCacheNone) {
               "warm");
   }
   std::remove(path.c_str());
-  // A caller's shared cache is never released into.
+  // A family grid frees every set, slices and leaders alike, once.
   {
+    harness::WorkloadFactory tiny = TinyFactory();
     MetricsRegistry reg;
-    sweep::TraceSetCache cache(&factory, &reg);
     sweep::RunnerOptions options;
     options.threads = 4;
-    options.trace_bundle = path;
     options.metrics = &reg;
     const sweep::SweepReport r =
-        sweep::SweepRunner(&factory, options, &cache).Run(StreamSpec());
-    ASSERT_EQ(r.bundle, "cold");
-    EXPECT_EQ(r.metrics.CounterOr("sweep.sets_released"), 0u);
-    EXPECT_EQ(r.metrics.CounterOr("trace_cache.evictions"), 0u);
-    for (const sweep::CellResult& cr : r.cells) cache.Get(cr.cell.trace);
-    EXPECT_EQ(cache.stats().builds, 3u);  // every Get above was a hit
+        sweep::SweepRunner(&tiny, options).Run(FamilySpec(false));
+    EXPECT_EQ(r.metrics.CounterOr("sweep.sets_released"), 7u);
   }
-  std::remove(path.c_str());
 }
 
 TEST(TraceBundle, FailedOrAbandonedWriterLeavesNoFile) {
@@ -1216,28 +1163,25 @@ TEST(SweepRunner, ShardedRunExecutesAssignedCellsAndSkipsForeignBuilds) {
   EXPECT_EQ(r.trace_sets_built, 1u);  // only the OLTP set; DSS skipped
   EXPECT_EQ(r.metrics.CounterOr("shard.cells_assigned"), 2u);
   EXPECT_EQ(r.metrics.CounterOr("shard.cells_skipped"), 2u);
-  // Its private cache frees the one set it built after the last cell.
+  // The run frees the one set it built after the last cell.
   EXPECT_EQ(r.metrics.CounterOr("sweep.sets_released"), 1u);
 }
 
 TEST(Observability, MetricsCrossCheckAndResultsUnperturbed) {
-  // Two runs of the same spec over separate caches: one instrumented,
-  // one not. The metrics must cross-check against the report, and the
-  // serialized results must not notice observability at all.
+  // Two runs of the same spec: one instrumented, one not. The metrics
+  // must cross-check against the report, and the serialized results must
+  // not notice observability at all.
   harness::WorkloadFactory factory;
 
   MetricsRegistry reg;
-  sweep::TraceSetCache cache(&factory, &reg);
   sweep::RunnerOptions options;
   options.threads = 4;
   options.metrics = &reg;
   const sweep::SweepReport instrumented =
-      sweep::SweepRunner(&factory, options, &cache).Run(TinySpec());
+      sweep::SweepRunner(&factory, options).Run(TinySpec());
 
-  sweep::TraceSetCache plain_cache(&factory);
   const sweep::SweepReport plain =
-      sweep::SweepRunner(&factory, WithThreads(4), &plain_cache)
-          .Run(TinySpec());
+      sweep::SweepRunner(&factory, WithThreads(4)).Run(TinySpec());
   EXPECT_FALSE(plain.has_metrics);
   EXPECT_EQ(ResultJson(instrumented), ResultJson(plain));
 
@@ -1248,12 +1192,13 @@ TEST(Observability, MetricsCrossCheckAndResultsUnperturbed) {
             instrumented.events_replayed());
   EXPECT_EQ(m.CounterOr("replay.runs"), 8u);
   EXPECT_EQ(m.CounterOr("sweep.cells_simulated"), 8u);
-  // Cache invariants: every lookup is a hit or a miss; the tiny grid has
-  // two distinct configs, each built exactly once by its own build task.
-  EXPECT_EQ(m.CounterOr("trace_cache.lookups"),
-            m.CounterOr("trace_cache.hits") +
-                m.CounterOr("trace_cache.misses"));
-  EXPECT_EQ(m.CounterOr("trace_cache.misses"), 2u);
+  // Set accounting: every set the run produced was built or sliced; the
+  // tiny grid has two distinct configs, each built exactly once by its
+  // own build task and freed after its last cell.
+  EXPECT_EQ(m.CounterOr("sweep.sets_built") + m.CounterOr("sweep.sets_sliced"),
+            instrumented.trace_sets_built);
+  EXPECT_EQ(m.CounterOr("sweep.sets_built"), 2u);
+  EXPECT_EQ(m.CounterOr("sweep.sets_released"), 2u);
   EXPECT_EQ(instrumented.trace_sets_built, 2u);
 }
 
@@ -1287,27 +1232,22 @@ TEST(Observability, RunExperimentMetricsNeverChangeResults) {
 }
 
 TEST(Observability, DeterministicTraceByteStableAcrossThreadCounts) {
-  // Same shared cache (same trace instances), deterministic collectors:
-  // the flushed timeline must be byte-identical whatever the thread
-  // count — the cold first run included, because the span SET (sweep,
-  // one build per distinct config, one cell span per cell) is invariant.
-  harness::WorkloadFactory factory;
-  sweep::TraceSetCache cache(&factory);
+  // Deterministic collectors: the flushed timeline must be byte-identical
+  // whatever the thread count, because the span SET (sweep, one build per
+  // distinct config, one cell span per cell) is invariant.
+  harness::WorkloadFactory factory = TinyFactory();
   auto run_traced = [&](uint32_t threads) {
     TraceCollector tc(/*deterministic=*/true);
     sweep::RunnerOptions options;
     options.threads = threads;
     options.trace = &tc;
-    sweep::SweepRunner(&factory, options, &cache).Run(TinySpec());
+    sweep::SweepRunner(&factory, options).Run(TinySpec());
     std::ostringstream os;
     tc.WriteJson(os);
     return os.str();
   };
   const std::string cold = run_traced(1);
-  const std::string warm1 = run_traced(1);
-  const std::string warm8 = run_traced(8);
-  EXPECT_EQ(cold, warm1);
-  EXPECT_EQ(warm1, warm8);
+  EXPECT_EQ(cold, run_traced(8));
   // Spot-check the taxonomy landed: the sweep span, a build span per
   // distinct config, a cell span per cell.
   EXPECT_NE(cold.find("\"sweep:tiny\""), std::string::npos);

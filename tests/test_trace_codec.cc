@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,7 +17,9 @@
 #include "harness/config_fields.h"
 #include "harness/experiment.h"
 #include "scenario_util.h"
+#include "sweep/checksum.h"
 #include "sweep/trace_bundle.h"
+#include "sweep/trace_cache.h"
 #include "trace/events.h"
 
 namespace stagedcmp::trace {
@@ -374,6 +377,76 @@ TEST(TraceCodec, FlippedHeaderOrOffsetTableByteIsRefused) {
   ASSERT_LE(last_end, good.size());
   if (last_end < good.size()) {
     EXPECT_EQ(outcome(good.size() - 1), "served");
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceCodec, OversizedBundleLengthWordsAreRefused) {
+  // A real two-set bundle: a recorded OLTP set and a prefix slice of it,
+  // whose index rows name the first set's payloads again.
+  harness::WorkloadFactory factory;
+  scenario::ApplyTinyScale(&factory);
+  harness::TraceSetConfig big;
+  big.workload = harness::WorkloadKind::kOltp;
+  big.clients = 3;
+  big.requests_per_client = 2;
+  big.seed = 5;
+  harness::TraceSetConfig small = big;
+  small.clients = 2;
+  const auto leader =
+      std::make_shared<const harness::TraceSet>(factory.Build(big));
+  const harness::TraceSet slice = sweep::PrefixSlice(leader, small);
+  const std::vector<harness::TraceSetConfig> configs = {big, small};
+  const std::string path = ::testing::TempDir() + "codec_lengths.traces";
+  ASSERT_TRUE(sweep::SaveTraceBundle(path, factory, {leader.get(), &slice}));
+  const std::string good = ReadFile(path);
+  const auto word = [](const std::string& bytes, uint64_t w) {
+    uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + w * 8, 8);
+    return v;
+  };
+
+  // Walk the header: magic, version, scale knobs and set count, then per
+  // set its config block, two totals, the trace count and one row per
+  // trace (requests, instructions, n_events, n_bytes, offset, checksum).
+  std::vector<uint64_t> length_words;
+  uint64_t pos = 2 + harness::ScaleWords(factory).size() + 1;
+  for (const harness::TraceSetConfig& c : configs) {
+    pos += harness::FieldCount<harness::TraceSetConfig>() + 2;
+    length_words.push_back(pos);  // trace count
+    ASSERT_EQ(word(good, pos), c.clients);
+    ++pos;
+    for (uint32_t i = 0; i < c.clients; ++i, pos += 6) {
+      for (uint64_t field : {2, 3, 4}) length_words.push_back(pos + field);
+    }
+  }
+  const uint64_t checksum_word = pos;
+  const auto header_sum = [&](const std::string& bytes) {
+    sweep::Checksum sum;
+    for (uint64_t w = 0; w < checksum_word; ++w) sum.Mix(word(bytes, w));
+    return sum.state;
+  };
+  ASSERT_EQ(header_sum(good), word(good, checksum_word));  // layout pinned
+
+  // Each word set to 2^62 and to its complement, under a header checksum
+  // that matches again: the open must refuse it, or a set must fail its
+  // payload verification. Never a crash or an over-read (ASan).
+  for (uint64_t w : length_words) {
+    for (uint64_t value : {uint64_t{1} << 62, ~word(good, w)}) {
+      std::string bad = good;
+      std::memcpy(&bad[w * 8], &value, 8);
+      const uint64_t sum = header_sum(bad);
+      std::memcpy(&bad[checksum_word * 8], &sum, 8);
+      WriteFile(path, bad);
+      const sweep::BundleOpenResult r =
+          sweep::OpenTraceBundle(path, factory, configs);
+      if (r.mode == "cold") continue;
+      bool all_verified = true;
+      for (size_t j = 0; j < r.sets.size(); ++j) {
+        all_verified &= sweep::VerifyBundleSet(r.sets[j], r.checksums[j]);
+      }
+      EXPECT_FALSE(all_verified) << "word " << w << " = " << value;
+    }
   }
   std::remove(path.c_str());
 }

@@ -11,8 +11,8 @@
 //   * WorkloadFactory::Build is a pure function of its config — repeat
 //     builds of the same OLTP config see no database state that
 //     earlier builds advanced;
-//   * TraceSetCache lets distinct configs build concurrently and still
-//     returns one shared instance per config;
+//   * distinct configs build concurrently through one factory and each
+//     equals its serial build;
 //   * the prefix property the sweep's family builds rest on: the first N
 //     traces of an M-client build equal a standalone N-client build word
 //     for word — for every single-tenant engine and traffic shape, and
@@ -126,35 +126,25 @@ TEST(WorldIsolation, FactoryBuildIsAPureFunctionOfItsConfig) {
   EXPECT_EQ(SetWords(first), SetWords(second));
 }
 
-TEST(WorldIsolation, CacheBuildsDistinctConfigsConcurrently) {
+TEST(WorldIsolation, FactoryBuildsDistinctConfigsConcurrently) {
   harness::WorkloadFactory factory = TinyFactory();
-  sweep::TraceSetCache cache(&factory);
 
-  // Reference traces from plain factory builds.
+  // Reference traces from serial factory builds.
   const harness::TraceSet ref_oltp = factory.Build(OltpConfig());
   const harness::TraceSet ref_dss = factory.Build(DssConfig());
 
-  // Both configs enter the cache from separate threads at once; each
-  // must build exactly once, and the cached sets must match the
-  // reference traces (same pure build, different world instance).
-  const harness::TraceSet* got_oltp = nullptr;
-  const harness::TraceSet* got_dss = nullptr;
-  std::thread ta([&] { got_oltp = &cache.Get(OltpConfig()); });
-  std::thread tb([&] { got_dss = &cache.Get(DssConfig()); });
+  // Both configs build from separate threads at once; each must match
+  // its reference (same pure build, different world instance).
+  harness::TraceSet got_oltp;
+  harness::TraceSet got_dss;
+  std::thread ta([&] { got_oltp = factory.Build(OltpConfig()); });
+  std::thread tb([&] { got_dss = factory.Build(DssConfig()); });
   ta.join();
   tb.join();
 
-  ASSERT_NE(got_oltp, nullptr);
-  ASSERT_NE(got_dss, nullptr);
-  EXPECT_EQ(cache.stats().builds, 2u);
-  EXPECT_EQ(SetWords(*got_oltp), SetWords(ref_oltp));
-  EXPECT_EQ(SetWords(*got_dss), SetWords(ref_dss));
-  // Repeat lookups alias the built instances.
-  EXPECT_EQ(&cache.Get(OltpConfig()), got_oltp);
-  EXPECT_EQ(&cache.Get(DssConfig()), got_dss);
-  EXPECT_EQ(cache.stats().builds, 2u);
+  EXPECT_EQ(SetWords(got_oltp), SetWords(ref_oltp));
+  EXPECT_EQ(SetWords(got_dss), SetWords(ref_dss));
 }
-
 
 namespace prefix {
 

@@ -23,7 +23,7 @@
 
 namespace stagedcmp::sweep {
 
-/// Set identity only; it holds no sets (the sweep runner owns those).
+/// Trace-set identity; static members only.
 struct TraceSetCache {
   /// Canonical identity of a TraceSetConfig: every field of the config's
   /// field table as a word (harness/config_fields.h), traffic shaping and

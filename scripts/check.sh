@@ -243,7 +243,8 @@ if [[ $run_tier1 -eq 1 ]]; then
   gate_cps warm BENCH_sweep.json build/BENCH_sweep_fresh.json
   gate_cps cold BENCH_sweep_cold.json build/BENCH_sweep_cold_fresh.json
   # Host memory, reported only (no gate): each pass's process peak and
-  # the minor page faults it took.
+  # the minor page faults it took, and how many of the cold pass's sets
+  # streamed their traces into the bundle as they were recorded.
   get_field() {
     awk -F': ' -v k="\"$1\"" '$1 ~ k { gsub(/,/, "", $2); print $2; exit }' "$2"
   }
@@ -252,7 +253,8 @@ if [[ $run_tier1 -eq 1 ]]; then
   echo "    peak_rss_mb: cold $(get_field peak_rss_mb "$cold_json")," \
        "warm $(get_field peak_rss_mb "$warm_json");" \
        "minor_page_faults: cold $(get_field minor_page_faults "$cold_json")," \
-       "warm $(get_field minor_page_faults "$warm_json")"
+       "warm $(get_field minor_page_faults "$warm_json");" \
+       "sweep.sets_streamed: cold $(get_field sweep.sets_streamed "$cold_json")"
   cat build/BENCH_sweep_fresh.json
 fi
 

@@ -35,17 +35,7 @@ class Rng {
     }
   }
 
-  uint64_t Next() {
-    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-    const uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = Rotl(s_[3], 45);
-    return result;
-  }
+  uint64_t Next() { return Step(s_); }
 
   /// Uniform integer in [lo, hi] inclusive.
   int64_t Uniform(int64_t lo, int64_t hi) {
@@ -82,14 +72,32 @@ class Rng {
     static constexpr char kChars[] =
         "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789";
     const int len = static_cast<int>(Uniform(min_len, max_len));
+    // The state lives in locals across the loop: a store through `dst`
+    // may alias s_, which would make every character write and reload
+    // all four words.
+    uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
     for (int i = 0; i < len; ++i) {
-      dst[i] = kChars[Next() % 62];
+      dst[i] = kChars[Step(s) % 62];
     }
+    for (int k = 0; k < 4; ++k) s_[k] = s[k];
     return len;
   }
 
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+  /// One xoshiro256** step on the state `s`.
+  static uint64_t Step(uint64_t* s) {
+    const uint64_t result = Rotl(s[1] * 5, 7) * 9;
+    const uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = Rotl(s[3], 45);
+    return result;
+  }
   uint64_t s_[4];
 };
 

@@ -98,6 +98,7 @@ class ReplayEngine {
       : config_(config),
         hierarchy_(hierarchy),
         clients_(clients),
+        line_shift_(memsim::Log2Floor(hierarchy->config().l2.line_bytes)),
         tenants_on_(config.tenant_a_clients > 0) {
     assert(hierarchy_ != nullptr);
     cores_.resize(config_.num_cores);
@@ -258,17 +259,16 @@ class ReplayEngine {
   double FetchInstructions(Core& core, uint32_t core_id, Context& ctx,
                            double instrs) {
     // Walk the I-lines covered by [pc, pc + instr_bytes*instrs).
-    const uint64_t line_bytes = hierarchy_->config().l2.line_bytes;
     const uint64_t start = ctx.pc;
     const uint64_t end =
         ctx.pc + static_cast<uint64_t>(instrs * config_.core.instr_bytes);
-    uint64_t line = start / line_bytes;
-    const uint64_t last_line = (end == start ? start : end - 1) / line_bytes;
+    uint64_t line = start >> line_shift_;
+    const uint64_t last_line = (end == start ? start : end - 1) >> line_shift_;
     double stall = 0.0;
     for (; line <= last_line; ++line) {
       if (line == ctx.next_ifetch_line - 1) continue;  // already fetched
       memsim::AccessResult r =
-          hierarchy_->AccessInstr(core_id, line * line_bytes,
+          hierarchy_->AccessInstr(core_id, line << line_shift_,
                                   static_cast<uint64_t>(core.now));
       ctx.next_ifetch_line = line + 1;
       if (tenants_on_ && measuring_) {
@@ -521,6 +521,9 @@ class ReplayEngine {
   // the constructor argument by reference would dangle whenever a caller
   // passes a temporary vector.
   std::vector<const trace::ClientTrace*> clients_;
+  // log2 of the I-fetch line size (Cache::Validate requires a power of
+  // two), so the per-event line walk shifts instead of dividing.
+  uint32_t line_shift_;
   std::vector<Core> cores_;
   double total_committed_ = 0.0;
   double response_sum_ = 0.0;

@@ -33,13 +33,14 @@ const char* TopologyName(Topology t) {
   return t == Topology::kCmpShared ? "cmp-shared" : "smp-private";
 }
 
-TraceSet WorkloadFactory::Build(const TraceSetConfig& config) const {
+TraceSet WorkloadFactory::Build(const TraceSetConfig& config,
+                                const TraceSink& sink) const {
   // A fresh world per build: private databases, private code-region map.
   // Builds are pure functions of (config, scale knobs), so they can run
   // concurrently, and the same config always yields the same traces
   // regardless of what built before it.
   WorkloadWorld world(tpcc_config, tpch_config, ycsb_config, metrics);
-  return world.Build(config);
+  return world.Build(config, sink);
 }
 
 memsim::HierarchyConfig MakeHierarchyConfig(const ExperimentConfig& config) {

@@ -5,6 +5,7 @@
 #define STAGEDCMP_HARNESS_EXPERIMENT_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -78,10 +79,11 @@ struct TraceSet {
   /// from a mapped bundle stores view-based ClientTraces whose bytes live
   /// in the mapping; `backing` pins that mapping (type-erased so the
   /// harness layer stays independent of the sweep's bundle machinery).
-  /// Only sweep::OpenTraceBundle sets it, always to its MappedBundle,
-  /// which sweep::VerifyBundleSet relies on. Destroying the last
-  /// TraceSet sharing a mapping unmaps it. Empty for owning (cold-built)
-  /// sets.
+  /// Only sweep::OpenTraceBundle (warm) and sweep::BundleWriter::
+  /// ViewStreamed (a cold set streamed into the bundle being written) set
+  /// it, always to a MappedBundle, which sweep::VerifyBundleSet relies
+  /// on. Destroying the last TraceSet sharing a mapping unmaps it. Empty
+  /// for sets that own their events.
   std::shared_ptr<void> backing;
   /// Keep-alive for a prefix slice (sweep::PrefixSlice): its
   /// ClientTraces are views into the first TotalClients(config) traces
@@ -115,6 +117,16 @@ struct TraceSet {
   mutable std::vector<const trace::ClientTrace*> pointer_cache_;
   mutable const trace::ClientTrace* pointer_cache_key_ = nullptr;
 };
+
+/// Receives each client's trace of a build as soon as it is recorded, in
+/// client order (tenant B's clients after tenant A's). The sink copies
+/// the payload out (the sweep streams it into a bundle file); once it
+/// returns, the build drops its own share of the bytes, so the tracer
+/// records the next client into the same storage. The set a build with a
+/// sink returns therefore holds hollow traces: sizes, totals and
+/// requests, but a null payload() until the caller points each one at
+/// the copy (ClientTrace::SetView) — replaying a hollow trace is an error.
+using TraceSink = std::function<void(const trace::ClientTrace&)>;
 
 /// Generates trace sets on demand. Each Build() call runs inside a fresh,
 /// isolated WorkloadWorld (see harness/world.h): its own freshly loaded
@@ -158,7 +170,11 @@ class WorkloadFactory {
   /// recording.
   MetricsRegistry* metrics = nullptr;
 
-  TraceSet Build(const TraceSetConfig& config) const;
+  /// With a `sink`, every trace goes to it as it is recorded and the set
+  /// comes back hollow (see TraceSink); without one, the set owns its
+  /// traces.
+  TraceSet Build(const TraceSetConfig& config,
+                 const TraceSink& sink = nullptr) const;
 };
 
 struct ExperimentConfig {

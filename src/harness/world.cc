@@ -99,7 +99,8 @@ void WorkloadWorld::BuildClient(const TraceSetConfig& config,
   workload::FoldTrafficMetrics(shaper.stats(), metrics_);
 }
 
-TraceSet WorkloadWorld::Build(const TraceSetConfig& config) {
+TraceSet WorkloadWorld::Build(const TraceSetConfig& config,
+                              const TraceSink& sink) {
   TraceSet out;
   out.config = config;
   const uint32_t total_clients = TotalClients(config);
@@ -107,16 +108,22 @@ TraceSet WorkloadWorld::Build(const TraceSetConfig& config) {
   out.traces.reserve(total_clients);
 
   // One tracer records every client, so the set's payloads pack into
-  // shared chunks (trace/events.h).
+  // shared chunks (trace/events.h) — or, with a sink, each client reuses
+  // the storage of the one before it.
   trace::Tracer tracer(&regions_, &space_);
   for (uint32_t c = 0; c < total_clients; ++c) {
     const bool tenant_b = c >= config.clients;
     const WorkloadKind kind =
         tenant_b ? config.tenant2_workload : config.workload;
     BuildClient(config, kind, tenant_b, c, &tracer);
-    out.traces.push_back(tracer.TakeTrace());
-    out.total_instructions += out.traces.back().total_instructions;
-    out.total_events += out.traces.back().events_size();
+    trace::ClientTrace t = tracer.TakeTrace();
+    out.total_instructions += t.total_instructions;
+    out.total_events += t.events_size();
+    if (sink) {
+      sink(t);
+      t.SetPayload(nullptr, t.events_size(), t.encoded_bytes());  // hollow
+    }
+    out.traces.push_back(std::move(t));
   }
   if (metrics_ != nullptr) {
     metrics_->counter("trace.unmapped_addresses")

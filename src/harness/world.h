@@ -61,10 +61,14 @@ class WorkloadWorld {
   WorkloadWorld& operator=(const WorkloadWorld&) = delete;
 
   /// Generates one trace set against this world's databases, recording
-  /// through this world's code regions. Not internally synchronized —
-  /// one world serves one build at a time; run concurrent builds in
-  /// separate worlds.
-  TraceSet Build(const TraceSetConfig& config);
+  /// through this world's code regions. With a `sink`, each client's
+  /// trace goes to it as soon as it is recorded and the set comes back
+  /// hollow (see TraceSink): the world then holds one client's trace at
+  /// a time instead of the whole set. Not internally synchronized — one
+  /// world serves one build at a time; run concurrent builds in separate
+  /// worlds.
+  TraceSet Build(const TraceSetConfig& config,
+                 const TraceSink& sink = nullptr);
 
   /// This world's code-region geometry. Every world registers the full
   /// canonical RegionSet eagerly, so the layout is identical across

@@ -163,6 +163,7 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   Counter* sets_built = nullptr;
   Counter* sets_sliced = nullptr;
   Counter* sets_released = nullptr;
+  Counter* sets_streamed = nullptr;
   HistogramMetric* build_us = nullptr;
   HistogramMetric* cell_sim_us = nullptr;
   HistogramMetric* build_wait_us = nullptr;
@@ -173,6 +174,7 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
     sets_built = &options_.metrics->counter("sweep.sets_built");
     sets_sliced = &options_.metrics->counter("sweep.sets_sliced");
     sets_released = &options_.metrics->counter("sweep.sets_released");
+    sets_streamed = &options_.metrics->counter("sweep.sets_streamed");
     build_us = &options_.metrics->histogram("sweep.build_us");
     cell_sim_us = &options_.metrics->histogram("sweep.cell_sim_us");
     build_wait_us = &options_.metrics->histogram("sweep.build_wait_us");
@@ -251,8 +253,10 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   // A cold run streams each set into the bundle as soon as it and every
   // set before it are built (canonical order), so no set has to outlive
   // its cells just to be saved at the end — a slice is saved as a set of
-  // its own, so the bundle format knows nothing of families. Sharded runs
-  // never write (they build only a subset of the sequence).
+  // its own, so the bundle format knows nothing of families. A family
+  // whose sets come next streams finer still, trace by trace as its
+  // world records them (see build_family). Sharded runs never write
+  // (they build only a subset of the sequence).
   BundleWriter writer;
   const bool streaming = report.bundle == "cold" && !sharded;
   bool bundle_write_ok =
@@ -300,7 +304,10 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
     if (cell_assigned(i)) ++cells_left[cfg_of[i]];
   }
   // Sets [0, writer_done) need nothing more from the writer: appended,
-  // or the writer is off or gave up.
+  // or the writer is off or gave up. Whoever appends set writer_done
+  // owns the writer: the streaming loop below, or a family task that
+  // streams its own sets (it advances writer_done before it publishes
+  // them, so the loop never touches the writer meanwhile).
   size_t writer_done = bundle_write_ok && streaming ? 0 : distinct.size();
   // Takes set j out of its slot once nothing needs it any more. The
   // caller drops it outside build_mu (a slice keeps its leader alive).
@@ -324,32 +331,67 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   // Publishes the sets of distinct configs `js` at once (null where a
   // build failed; waiters drain) and wakes every waiter. A family's
   // members go out together, so no member is released before its
-  // family's slices are cut.
+  // family's slices are cut. A family that streamed its sets hands the
+  // writer on in the same step (`writer_next`: the new writer_done).
   const auto publish =
       [&](const std::vector<size_t>& js,
-          std::vector<std::shared_ptr<const harness::TraceSet>> sets) {
+          std::vector<std::shared_ptr<const harness::TraceSet>> sets,
+          size_t writer_next = 0) {
         {
           std::lock_guard<std::mutex> lock(build_mu);
           for (size_t m = 0; m < js.size(); ++m) {
             slots[js[m]] = std::move(sets[m]);
             published[js[m]] = 1;
           }
+          writer_done = std::max(writer_done, writer_next);
         }
         build_cv.notify_all();
       };
 
-  // A fresh build of `config`, ready to share. If it throws nothing is
-  // published for it.
-  const auto build = [&](const harness::TraceSetConfig& config) {
+  // A fresh build of `config`, ready to share. With `stream_to` it
+  // streams into the bundle: each trace goes to the writer as it is
+  // recorded, and the set comes back as views of what was written — or
+  // null, the writer abandoned, if a write or the mapping failed. If it
+  // throws nothing is published for it.
+  const auto build = [&](const harness::TraceSetConfig& config,
+                         BundleWriter* stream_to = nullptr)
+      -> std::shared_ptr<const harness::TraceSet> {
     const auto t0 = std::chrono::steady_clock::now();
-    std::shared_ptr<const harness::TraceSet> set =
-        Share(factory_->Build(config));
+    bool streamed = true;
+    harness::TraceSet set =
+        stream_to == nullptr
+            ? factory_->Build(config)
+            : factory_->Build(config, [&](const trace::ClientTrace& t) {
+                streamed = stream_to->Stream(t) && streamed;
+              });
+    if (stream_to != nullptr && !(streamed && stream_to->ViewStreamed(&set))) {
+      return nullptr;
+    }
     produced.fetch_add(1, std::memory_order_relaxed);
     if (sets_built != nullptr) {
       sets_built->Add(1);
       build_us->Record(MicrosSince(t0));
     }
-    return set;
+    return Share(std::move(set));
+  };
+
+  // Whether family `f` streams its build into the bundle: its members
+  // must be the next sets of the bundle's order, contiguous, with every
+  // set before them built already. The task then waits for the writer to
+  // reach them and owns it until it publishes. Otherwise — no writer, a
+  // builder still ahead of it, members interleaved with another family's
+  // — its sets are appended by the streaming loop once published.
+  const auto streams = [&](const Family& f) {
+    const size_t first = f.members.front();
+    if (!streaming || f.members.back() - first + 1 != f.members.size()) {
+      return false;
+    }
+    std::unique_lock<std::mutex> lock(build_mu);
+    for (size_t k = 0; k < first; ++k) {
+      if (published[k] == 0) return false;
+    }
+    build_cv.wait(lock, [&] { return writer_done >= first; });
+    return writer_done == first;
   };
 
   // One span per built family and per slice (or per mapped set), whatever
@@ -359,10 +401,17 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
     if (tracer != nullptr) tracer->NameThisThread("builder");
     std::vector<std::shared_ptr<const harness::TraceSet>> sets(
         f.members.size());
+    // A streaming family ends owning the writer: it hands it on past its
+    // sets, or gives it up (past every set) when anything failed.
+    const bool stream = streams(f);
+    size_t writer_next = stream ? distinct.size() : 0;
     try {
       TraceSpan build_span(tracer, "build", "build:" + cfg_labels[f.leader]);
-      const std::shared_ptr<const harness::TraceSet> leader =
-          build(distinct[f.leader]);
+      std::shared_ptr<const harness::TraceSet> leader;
+      if (stream) leader = build(distinct[f.leader], &writer);
+      // Not streamed, or the stream failed: the writer is gone, the bytes
+      // with it, so the family builds again in memory.
+      if (leader == nullptr) leader = build(distinct[f.leader]);
       build_span.End();
       for (size_t m = 0; m < f.members.size(); ++m) {
         const size_t j = f.members[m];
@@ -375,10 +424,22 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
         produced.fetch_add(1, std::memory_order_relaxed);
         if (sets_sliced != nullptr) sets_sliced->Add(1);
       }
+      // Streamed sets view the file already; appending them writes only
+      // their index rows.
+      bool appended = stream;
+      for (size_t m = 0; appended && m < f.members.size(); ++m) {
+        TraceSpan append_span(tracer, "io",
+                              "bundle.append:" + cfg_labels[f.members[m]]);
+        appended = writer.Append(*sets[m]);
+      }
+      if (appended) {
+        writer_next = f.members.back() + 1;
+        if (sets_streamed != nullptr) sets_streamed->Add(f.members.size());
+      }
     } catch (...) {
       record_error();
     }
-    publish(f.members, std::move(sets));
+    publish(f.members, std::move(sets), writer_next);
   };
 
   // Mapped set: pay the payload-checksum pass here, overlapped with other
@@ -513,15 +574,20 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
     }
     // This thread streams the bundle: it appends each set in canonical
     // order as soon as it is published, while the threads go on building
-    // and replaying. A failed append (or a failed build) ends the stream.
-    for (size_t j = 0; j < distinct.size() && writer_done == j; ++j) {
+    // and replaying, and skips the sets a family task streamed itself. A
+    // failed append (or a failed build) ends the stream.
+    for (size_t j = 0; j < distinct.size();) {
+      std::vector<std::shared_ptr<const harness::TraceSet>> dropped;
       // Trapped like the build tasks': the threads must still drain and join.
       try {
         const harness::TraceSet* set = nullptr;
+        bool ours = false;  // j is next and published: this thread appends it
         {
           std::unique_lock<std::mutex> lock(build_mu);
-          build_cv.wait(lock, [&] { return published[j] != 0; });
-          set = slots[j].get();  // stays until writer_done passes j
+          build_cv.wait(lock,
+                        [&] { return writer_done != j || published[j] != 0; });
+          ours = writer_done == j;
+          if (ours) set = slots[j].get();  // stays until writer_done passes j
         }
         bool appended = false;
         if (set != nullptr) {
@@ -529,20 +595,22 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
                                 "bundle.append:" + cfg_labels[j]);
           appended = writer.Append(*set);
         }
-        if (!appended) bundle_write_ok = false;
-        std::vector<std::shared_ptr<const harness::TraceSet>> dropped;
         {
           std::lock_guard<std::mutex> lock(build_mu);
           // Every set is past a writer that gave up.
-          const size_t first = writer_done;
-          writer_done = appended ? j + 1 : distinct.size();
-          for (size_t k = first; k < writer_done; ++k) {
+          if (ours) writer_done = appended ? j + 1 : distinct.size();
+          for (size_t k = j; k < writer_done; ++k) {
             dropped.push_back(claim_release(k));
           }
+          j = writer_done;
         }
       } catch (...) {
         record_error();
+        std::lock_guard<std::mutex> lock(build_mu);
+        writer_done = distinct.size();
+        j = writer_done;
       }
+      build_cv.notify_all();  // a family may be waiting to stream next
     }
     // Every task traps its own exceptions, so joining is all that is left.
     for (std::thread& t : builders) t.join();

@@ -8,7 +8,10 @@
 // workers "steal" the next unclaimed cell, so load imbalance between
 // cheap and expensive cells self-corrects) — a cell simulates as soon
 // as its own trace set is published, regardless of how many other sets
-// are still building.
+// are still building. With a bundle to write, a family whose sets come
+// next in the bundle's order streams each trace into the file as its
+// world records it and publishes views of the written bytes, so a cold
+// build holds one client's trace beside its world, not the family's.
 //
 // Determinism: a report — grid, labels, configs, trace-set totals and
 // every simulated metric — is identical byte for byte for any thread
@@ -48,12 +51,17 @@ struct RunnerOptions {
   /// serves its trace sets from this file if it matches the sweep's
   /// canonical build sequence (warm: no generation at all); a cold run
   /// streams each set into a fresh bundle as it is built and renames it
-  /// into place at the end. A warm run maps the file and replays events
-  /// in place (payload checksums verified lazily on the builder threads,
-  /// verified pages dropped again). A map failure or a header/geometry
-  /// mismatch rebuilds cold; a set failing its lazy payload check
-  /// rebuilds alone and the run reports "partial". Empty = no
-  /// persistence.
+  /// into place at the end. A family that comes next in that sequence
+  /// streams trace by trace, as its world records them, and replays
+  /// views of the file being written (sweep.sets_streamed), which bounds
+  /// a cold run's memory by one world plus one client's trace; a family
+  /// interleaved with another, or one whose predecessor is still
+  /// building, is written from memory. A warm run maps the file and
+  /// replays events in place (payload checksums verified lazily on the
+  /// builder threads, verified pages dropped again). A map failure or a
+  /// header/geometry mismatch rebuilds cold; a set failing its lazy
+  /// payload check rebuilds alone and the run reports "partial". Empty =
+  /// no persistence.
   std::string trace_bundle;
   /// Shard selection: when shard_count > 1, the runner expands the FULL
   /// spec (so canonical indices and the bundle's build sequence are

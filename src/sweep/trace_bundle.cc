@@ -1,5 +1,6 @@
 #include "sweep/trace_bundle.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -68,6 +69,17 @@ struct TraceIndex {
   uint64_t offset_bytes = 0;  ///< absolute, 64-byte aligned
   uint64_t checksum = 0;      ///< fresh FNV chain over the payload words
 };
+
+/// The descriptor under `f`, for mapping what was written through it;
+/// -1 where there is no mmap.
+int FileDescriptor(std::FILE* f) {
+#ifdef __unix__
+  return ::fileno(f);
+#else
+  (void)f;
+  return -1;
+#endif
+}
 
 /// True when `path` exists and is not a regular file (a FIFO, a device,
 /// a directory): such a path is never mapped or replaced.
@@ -205,15 +217,30 @@ std::shared_ptr<MappedBundle> MappedBundle::Map(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
   if (fd < 0) return nullptr;
   struct stat st;
-  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode) || st.st_size <= 0) {
-    ::close(fd);
-    return nullptr;
+  std::shared_ptr<MappedBundle> mapping;
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
+    mapping = MapRange(fd, 0, static_cast<uint64_t>(st.st_size));
   }
-  const uint64_t bytes = static_cast<uint64_t>(st.st_size);
-  void* addr = ::mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);
+  return mapping;
+#endif
+}
+
+std::shared_ptr<MappedBundle> MappedBundle::MapRange(int fd, uint64_t offset,
+                                                     uint64_t bytes) {
+#ifndef __unix__
+  (void)fd;
+  (void)offset;
+  (void)bytes;
+  return nullptr;
+#else
+  const uint64_t page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+  const uint64_t skew = offset % page;
+  void* addr = ::mmap(nullptr, bytes + skew, PROT_READ, MAP_PRIVATE, fd,
+                      static_cast<off_t>(offset - skew));
   if (addr == MAP_FAILED) return nullptr;
-  return std::shared_ptr<MappedBundle>(new MappedBundle(addr, bytes));
+  return std::shared_ptr<MappedBundle>(
+      new MappedBundle(addr, bytes + skew, skew));
 #endif
 }
 
@@ -286,8 +313,10 @@ bool BundleWriter::Begin(const std::string& path,
   header_.push_back(kVersion);
   header_.insert(header_.end(), scale.begin(), scale.end());
   header_.push_back(configs_.size());
+  named_ = cursor_;
 
-  file_ = std::fopen((path_ + ".tmp").c_str(), "wb");
+  // Read as well as write: ViewStreamed maps what was written.
+  file_ = std::fopen((path_ + ".tmp").c_str(), "w+b");
   if (file_ == nullptr) return false;
   // The header and its padding stay zeros until Finish() writes the
   // header over them; payloads start right after.
@@ -298,6 +327,19 @@ bool BundleWriter::Begin(const std::string& path,
       return false;
     }
   }
+  return true;
+}
+
+bool BundleWriter::WritePayload(const uint64_t* payload, uint64_t words) {
+  const char zeros[kAlign] = {0};
+  const uint64_t pad = Align64(words * 8) - words * 8;
+  if ((words != 0 &&
+       std::fwrite(payload, sizeof(uint64_t), words, file_) != words) ||
+      (pad != 0 && std::fwrite(zeros, 1, pad, file_) != pad)) {
+    Abandon();
+    return false;
+  }
+  cursor_ += words * 8 + pad;
   return true;
 }
 
@@ -314,47 +356,100 @@ bool BundleWriter::Append(const harness::TraceSet& set) {
   header_.push_back(set.total_instructions);
   header_.push_back(set.total_events);
   header_.push_back(set.traces.size());
-  const char zeros[kAlign] = {0};
+  // Held for the loop: while it lives, streamed_ names what its
+  // addresses hold.
+  const std::shared_ptr<MappedBundle> stream_map = stream_map_.lock();
   for (const trace::ClientTrace& t : set.traces) {
     const uint64_t n = t.payload_words();
-    Checksum payload_sum;
-    payload_sum.MixAll(t.payload(), n);
-    // A trace viewing a payload already written (a slice of its leader, a
-    // re-persisted mapped set) shares its offset. The sizes and checksum
-    // must match too: a freed set's storage address may since hold other
-    // bytes.
-    uint64_t offset = cursor_;
-    bool fresh = true;
-    if (n > 0) {
+    // An empty trace has no payload: its row names the running offset.
+    Written row{named_, t.events_size(), t.encoded_bytes(), Checksum().state};
+    bool fresh = false;
+    const auto streamed =
+        n > 0 && stream_map != nullptr ? streamed_.find(t.payload())
+                                       : streamed_.end();
+    if (streamed != streamed_.end() &&
+        streamed->second.n_events == t.events_size() &&
+        streamed->second.n_bytes == t.encoded_bytes()) {
+      // Streamed: already in the file, checksum taken as it went by.
+      row = streamed->second;
+      named_ = std::max(named_, row.offset + Align64(n * 8));
+    } else if (n > 0) {
+      Checksum payload_sum;
+      payload_sum.MixAll(t.payload(), n);
+      row.checksum = payload_sum.state;
+      // A trace viewing a payload already written (a slice of its leader,
+      // a re-persisted mapped set) shares its offset. The sizes and
+      // checksum must match too: a freed set's storage address may since
+      // hold other bytes.
       const auto it = written_.find(t.payload());
       if (it != written_.end() && it->second.n_events == t.events_size() &&
           it->second.n_bytes == t.encoded_bytes() &&
-          it->second.checksum == payload_sum.state) {
-        offset = it->second.offset;
-        fresh = false;
+          it->second.checksum == row.checksum) {
+        row.offset = it->second.offset;
+      } else {
+        fresh = true;
       }
+    }
+    if (fresh) {
+      // A fresh payload goes right after the ones rows have named; with
+      // streamed payloads still unnamed it would land after them instead.
+      if (named_ != cursor_ || !WritePayload(t.payload(), n)) {
+        Abandon();
+        return false;
+      }
+      named_ = cursor_;
+      written_[t.payload()] = row;
     }
     header_.push_back(t.requests);
     header_.push_back(t.total_instructions);
-    header_.push_back(t.events_size());
-    header_.push_back(t.encoded_bytes());
-    header_.push_back(offset);
-    header_.push_back(payload_sum.state);
-    if (!fresh) continue;
-    const uint64_t pad = Align64(n * 8) - n * 8;
-    if ((n != 0 &&
-         std::fwrite(t.payload(), sizeof(uint64_t), n, file_) != n) ||
-        (pad != 0 && std::fwrite(zeros, 1, pad, file_) != pad)) {
-      Abandon();
-      return false;
-    }
-    if (n > 0) {
-      written_[t.payload()] = {offset, t.events_size(), t.encoded_bytes(),
-                               payload_sum.state};
-    }
-    cursor_ += n * 8 + pad;
+    header_.push_back(row.n_events);
+    header_.push_back(row.n_bytes);
+    header_.push_back(row.offset);
+    header_.push_back(row.checksum);
   }
   ++appended_;
+  return true;
+}
+
+bool BundleWriter::Stream(const trace::ClientTrace& t) {
+  if (file_ == nullptr) return false;
+  const uint64_t n = t.payload_words();
+  Checksum sum;
+  sum.MixAll(t.payload(), n);
+  stream_.push_back({cursor_, t.events_size(), t.encoded_bytes(), sum.state});
+  return WritePayload(t.payload(), n);
+}
+
+bool BundleWriter::ViewStreamed(harness::TraceSet* set) {
+  if (file_ == nullptr) return false;
+  const std::vector<Written> stream = std::move(stream_);
+  stream_.clear();
+  bool ok = stream.size() == set->traces.size();
+  for (size_t i = 0; ok && i < stream.size(); ++i) {
+    ok = stream[i].n_events == set->traces[i].events_size() &&
+         stream[i].n_bytes == set->traces[i].encoded_bytes();
+  }
+  const uint64_t from = stream.empty() ? cursor_ : stream.front().offset;
+  std::shared_ptr<MappedBundle> mapping;
+  if (ok && cursor_ > from) {
+    // Payloads are written through stdio: flush them to the file first.
+    ok = std::fflush(file_) == 0 &&
+         (mapping = MappedBundle::MapRange(FileDescriptor(file_), from,
+                                           cursor_ - from)) != nullptr;
+  }
+  if (!ok) {
+    Abandon();
+    return false;
+  }
+  streamed_.clear();
+  for (size_t i = 0; i < stream.size(); ++i) {
+    if (stream[i].n_events == 0) continue;  // no payload to view
+    const uint64_t* payload = mapping->words() + (stream[i].offset - from) / 8;
+    set->traces[i].SetView(payload, stream[i].n_events, stream[i].n_bytes);
+    streamed_[payload] = stream[i];
+  }
+  set->backing = mapping;
+  stream_map_ = mapping;
   return true;
 }
 
@@ -366,7 +461,7 @@ bool BundleWriter::Finish() {
   // Surface buffered-write failures (disk full at flush time) before the
   // rename; fclose is checked too, since it performs the last write.
   const bool ok = appended_ == configs_.size() &&
-                  header_.size() == header_words_ &&
+                  header_.size() == header_words_ && named_ == cursor_ &&
                   std::fseek(file_, 0, SEEK_SET) == 0 &&
                   std::fwrite(header_.data(), sizeof(uint64_t),
                               header_.size(), file_) == header_.size() &&

@@ -39,6 +39,16 @@
 // the set arrives, and writes the header last; the sweep runner appends
 // cold sets as they are built and frees them once replayed.
 //
+// Streaming goes one step further, per trace: a cold family whose sets
+// come next in the sequence hands each trace to the writer as it is
+// recorded (Stream), in client order — the order in which Append of the
+// family's sets would write their fresh payloads anyway, since every
+// member is a prefix of the family's leader. After the build the writer
+// maps what was streamed (ViewStreamed), the family's sets become views
+// of the file being written, exactly like a warm run's, and Append
+// recognises their payloads as already written. The file's bytes are
+// the same either way.
+//
 // Demotion chain, two steps, never aborting a run: a map failure or any
 // header/geometry mismatch — truncation, version skew (a v3 bundle read
 // by this code), header checksum — demotes the whole open to a cold
@@ -80,15 +90,22 @@ class MappedBundle {
   /// blocks), and on hosts without mmap — OpenTraceBundle then reports
   /// "cold".
   static std::shared_ptr<MappedBundle> Map(const std::string& path);
+  /// Maps `bytes` (> 0) of the open file `fd` read-only, from byte
+  /// `offset` (8-byte aligned) on: words() is the word at `offset`. Null
+  /// on failure and on hosts without mmap.
+  static std::shared_ptr<MappedBundle> MapRange(int fd, uint64_t offset,
+                                                uint64_t bytes);
   ~MappedBundle();
 
   MappedBundle(const MappedBundle&) = delete;
   MappedBundle& operator=(const MappedBundle&) = delete;
 
+  /// The mapped bytes: the file's from the mapped offset on.
   const uint64_t* words() const {
-    return static_cast<const uint64_t*>(addr_);
+    return reinterpret_cast<const uint64_t*>(static_cast<const char*>(addr_) +
+                                             skew_);
   }
-  uint64_t size_bytes() const { return bytes_; }
+  uint64_t size_bytes() const { return bytes_ - skew_; }
 
   /// Drops the whole pages inside [data, data + words) from the process
   /// (MADV_DONTNEED). The mapping is private and read-only, so a later
@@ -98,9 +115,11 @@ class MappedBundle {
   void DropPages(const uint64_t* data, uint64_t words) const;
 
  private:
-  MappedBundle(void* addr, uint64_t bytes) : addr_(addr), bytes_(bytes) {}
-  void* addr_;
-  uint64_t bytes_;
+  MappedBundle(void* addr, uint64_t bytes, uint64_t skew)
+      : addr_(addr), bytes_(bytes), skew_(skew) {}
+  void* addr_;      ///< page aligned
+  uint64_t bytes_;  ///< mapped from addr_
+  uint64_t skew_;   ///< bytes from addr_ to the first mapped file byte
 };
 
 /// Outcome of OpenTraceBundle. `sets` is parallel to the expected config
@@ -120,12 +139,13 @@ struct BundleOpenResult {
 };
 
 /// Streams trace sets into a v4 bundle at `path`, atomically: payloads
-/// go to `path.tmp` as each set is appended, Finish() writes the header
-/// and renames the file into place. A `path` that exists but is not a
-/// regular file (a FIFO, a device) is refused by Begin and never
-/// replaced. A writer that fails, or is destroyed
-/// before Finish() succeeds, removes its temp file. Not thread-safe; the
-/// caller serializes Append calls.
+/// go to `path.tmp` as each set is appended (or, streamed, as each trace
+/// is recorded), Finish() writes the header and renames the file into
+/// place. A `path` that exists but is not a regular file (a FIFO, a
+/// device) is refused by Begin and never replaced. A writer that fails,
+/// or is destroyed before Finish() succeeds, removes its temp file;
+/// mappings ViewStreamed handed out stay valid. Not thread-safe; the
+/// caller serializes every call.
 class BundleWriter {
  public:
   BundleWriter() = default;
@@ -143,14 +163,33 @@ class BundleWriter {
   /// Writes the next set of Begin's sequence at its final offset. False —
   /// and the writer is abandoned — on I/O failure, or when `set` is not
   /// the next config's set or does not hold TotalClients(config) traces.
+  /// A payload ViewStreamed mapped is recognised as written: its row
+  /// names its streamed offset and checksum, and nothing is rewritten.
   bool Append(const harness::TraceSet& set);
+  /// Writes `t`'s payload at the next payload offset ahead of its set,
+  /// as Append would write it fresh. The traces streamed between two
+  /// ViewStreamed calls must be the fresh payloads of the sets appended
+  /// after the second one, in the order those Appends would write them:
+  /// a family's leader, client by client, when the family's sets come
+  /// next. False — and the writer is abandoned — on I/O failure.
+  bool Stream(const trace::ClientTrace& t);
+  /// Maps the payloads streamed since the last call and points `set`'s
+  /// traces — the hollow traces of the build that streamed them
+  /// (harness::TraceSink), one per streamed payload, in order — at
+  /// them; `set->backing` pins the mapping. False — and the writer is
+  /// abandoned — on a count or size mismatch or a failed map.
+  bool ViewStreamed(harness::TraceSet* set);
   /// After the last Append: writes the checksummed header, flushes and
-  /// renames the temp file onto `path`. False on any failure.
+  /// renames the temp file onto `path`. False on any failure, and when a
+  /// streamed payload was never named by an appended set.
   bool Finish();
 
  private:
   /// Closes and removes the temp file, if one is open.
   void Abandon();
+  /// Writes `words` payload words and their padding at cursor_ and
+  /// advances it. False — and the writer is abandoned — on I/O failure.
+  bool WritePayload(const uint64_t* payload, uint64_t words);
 
   std::string path_;
   std::FILE* file_ = nullptr;  ///< open between Begin and Finish/Abandon
@@ -159,6 +198,10 @@ class BundleWriter {
   std::vector<uint64_t> header_;  ///< header words recorded so far
   uint64_t header_words_ = 0;     ///< closed-form size, checksum included
   uint64_t cursor_ = 0;           ///< next payload's absolute offset
+  /// Where an appended-only writer's cursor would be: past every payload
+  /// an index row has named. It trails cursor_ only while streamed
+  /// payloads wait for their sets; an empty trace's row names it.
+  uint64_t named_ = 0;
   /// Payloads written so far, by the storage they were written from: a
   /// trace viewing one of them shares its offset.
   struct Written {
@@ -168,6 +211,13 @@ class BundleWriter {
     uint64_t checksum = 0;
   };
   std::unordered_map<const uint64_t*, Written> written_;
+  /// Payloads streamed since the last ViewStreamed, in order.
+  std::vector<Written> stream_;
+  /// The last ViewStreamed's mapping and its payloads, by mapped
+  /// address: Append trusts an entry only while the mapping lives, so
+  /// no other storage can sit at its address.
+  std::weak_ptr<MappedBundle> stream_map_;
+  std::unordered_map<const uint64_t*, Written> streamed_;
 };
 
 /// Writes `sets` (in build order) to `path` through one BundleWriter.

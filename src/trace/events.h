@@ -39,10 +39,13 @@
 // encode in place and keep what it wrote as the trace's payload: no
 // copy. An encoder packs its traces end to end into mapped chunks
 // (common/pages.h) that the traces share; the last of them to die unmaps
-// the chunk. A trace either owns such a share or views a payload it does
-// not own (a mapped bundle's bytes, a prefix slice's leader); bundles
-// store exactly these payload words, so mapped traces replay in place.
-// Traces are move-only.
+// the chunk. Once every trace finished in the chunk has died — a trace
+// handed to a sink and dropped (harness::TraceSink) — the next trace
+// reuses the chunk from its front, so a stream of traces that are copied
+// out as they finish keeps one trace's pages resident. A trace either
+// owns such a share or views a payload it does not own (a mapped
+// bundle's bytes, a prefix slice's leader); bundles store exactly these
+// payload words, so mapped traces replay in place. Traces are move-only.
 #ifndef STAGEDCMP_TRACE_EVENTS_H_
 #define STAGEDCMP_TRACE_EVENTS_H_
 
@@ -234,7 +237,8 @@ constexpr size_t kMaxEventBytes = 11;
 /// Encodes event streams as they are produced (the Tracer's sink), one
 /// trace after another into the same mapped chunks (see the storage
 /// notes above). Finish hands the trace being encoded over as a payload
-/// and starts the next one right after it.
+/// and starts the next one right after it, or at the chunk's front when
+/// no finished trace still shares the chunk.
 class EventEncoder {
  public:
   /// Bytes of a fresh chunk, unless one trace needs more. Pages are
@@ -249,6 +253,7 @@ class EventEncoder {
   void Append(uint64_t ev) {
     using namespace codec;
     if (n_events_ % kBlockEvents == 0) {
+      if (n_events_ == 0) Rewind();
       blocks_.push_back(size_);
       prev_line_ = 0;
       prev_pc_ = 0;
@@ -317,6 +322,13 @@ class EventEncoder {
   /// The trace being encoded: it starts after the finished payloads.
   uint8_t* bytes() { return base_ + used_; }
   size_t room() const { return cap_ - used_ - size_; }
+
+  /// Before a trace's first event: reuses the chunk from its front when
+  /// every payload finished in it has died, so its resident pages hold
+  /// the new trace instead of fresh ones faulting in after them.
+  void Rewind() {
+    if (used_ > 0 && chunk_.use_count() == 1) used_ = 0;
+  }
 
   /// Moves the trace being encoded to a fresh chunk with room for
   /// `extra` more bytes. The old chunk lives on in the traces finished

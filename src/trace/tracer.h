@@ -216,8 +216,11 @@ class Tracer {
   /// Accesses recorded outside the space, over the tracer's life.
   uint64_t unmapped_addresses() const { return unmapped_; }
   /// Flushes, hands over the recorded trace, and starts a fresh
-  /// recording as if newly constructed, except that its payload will pack
-  /// right after this one's.
+  /// recording as if newly constructed, except for where its payload
+  /// goes: right after this one's while this one's is alive, else in its
+  /// place (a trace copied out and dropped, as a streamed build does —
+  /// harness::TraceSink), so its pages are reused rather than faulted in
+  /// fresh.
   ClientTrace TakeTrace() {
     FlushCompute();
     ClientTrace t = std::move(trace_);

@@ -7,6 +7,7 @@
 #include <new>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "common/arena.h"
 #include "common/histogram.h"
@@ -73,6 +74,37 @@ TEST(RngTest, AlphaStringLengthBounds) {
     const std::string s = rng.AlphaString(5, 12);
     EXPECT_GE(s.size(), 5u);
     EXPECT_LE(s.size(), 12u);
+  }
+}
+
+// The per-character loop AlphaStringInto replaced: one Next() per
+// character, through the member state.
+std::string ReferenceAlphaString(Rng* rng, int min_len, int max_len) {
+  static constexpr char kChars[] =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789";
+  const int len = static_cast<int>(rng->Uniform(min_len, max_len));
+  std::string out;
+  for (int i = 0; i < len; ++i) out += kChars[rng->Next() % 62];
+  return out;
+}
+
+// AlphaStringInto keeps the generator state in locals across its loop;
+// it must draw exactly what the reference draws and leave the generator
+// where the reference leaves it.
+TEST(RngTest, AlphaStringIntoMatchesAlphaString) {
+  for (int len = 0; len <= 200; ++len) {
+    for (const int min_len : {len, 0}) {
+      Rng fast(1000 + len), ref(1000 + len);
+      char buf[200];
+      const int n = fast.AlphaStringInto(buf, min_len, len);
+      EXPECT_EQ(std::string(buf, static_cast<size_t>(n)),
+                ReferenceAlphaString(&ref, min_len, len))
+          << "lengths " << min_len << ".." << len;
+      for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(fast.Next(), ref.Next())
+            << "lengths " << min_len << ".." << len;
+      }
+    }
   }
 }
 

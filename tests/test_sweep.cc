@@ -593,7 +593,9 @@ TEST(TraceBundle, LazyMismatchRebuildsColdAndReportsPartial) {
     sweep::SweepRunner runner(factory, options);
     return runner.Run(TinySpec());
   };
-  harness::WorkloadFactory f1, f2, f3;
+  harness::WorkloadFactory f1 = TinyFactory();
+  harness::WorkloadFactory f2 = TinyFactory();
+  harness::WorkloadFactory f3 = TinyFactory();
   const sweep::SweepReport cold = run(&f1);
   ASSERT_EQ(cold.bundle, "cold");
 
@@ -682,70 +684,28 @@ std::vector<harness::TraceSetConfig> CanonicalConfigs(
   return out;
 }
 
-/// A fresh build of each of `r`'s distinct configs, in canonical order.
-std::vector<harness::TraceSet> BuildCanonicalSets(
-    const harness::WorkloadFactory& factory, const sweep::SweepReport& r) {
-  std::vector<harness::TraceSet> out;
-  for (const harness::TraceSetConfig& c : CanonicalConfigs(r)) {
-    out.push_back(factory.Build(c));
-  }
-  return out;
-}
-
-TEST(TraceBundle, StreamedRunnerBundleByteIdenticalToSaveTraceBundle) {
-  const std::string streamed = ::testing::TempDir() + "bundle_streamed.traces";
-  const std::string saved = ::testing::TempDir() + "bundle_saved.traces";
-  std::remove(streamed.c_str());
-  harness::WorkloadFactory factory = TinyFactory();
-  sweep::RunnerOptions options;
-  options.threads = 3;
-  options.trace_bundle = streamed;
-  const sweep::SweepReport r =
-      sweep::SweepRunner(&factory, options).Run(StreamSpec());
-  ASSERT_EQ(r.bundle, "cold");
-  ASSERT_EQ(r.trace_sets_built, 3u);
-
-  // The same sets, fresh builds in canonical (first-use) order, through
-  // the one-shot save. Each set is its own family, so none is a slice.
-  const std::vector<harness::TraceSet> built = BuildCanonicalSets(factory, r);
-  ASSERT_EQ(built.size(), 3u);
-  EXPECT_EQ(built[2].traces.size(), 3u);  // 2 tenant-A + 1 tenant-B
-  std::vector<const harness::TraceSet*> sets;
-  for (const harness::TraceSet& ts : built) sets.push_back(&ts);
-  ASSERT_TRUE(sweep::SaveTraceBundle(saved, factory, sets));
-
-  const std::string a = FileBytes(streamed);
-  EXPECT_FALSE(a.empty());
-  EXPECT_TRUE(a == FileBytes(saved)) << "streamed bundle differs";
-  EXPECT_FALSE(FileExists(streamed + ".tmp"));
-
-  // Both files come from the one writer, so also pin that it wrote a
-  // valid bundle: the reader's geometry and checksum checks accept it.
-  std::vector<harness::TraceSetConfig> configs;
-  for (const harness::TraceSet* ts : sets) configs.push_back(ts->config);
-  const sweep::BundleOpenResult open =
-      sweep::OpenTraceBundle(streamed, factory, configs);
-  ASSERT_EQ(open.mode, "mmap");
-  for (size_t j = 0; j < configs.size(); ++j) {
-    EXPECT_TRUE(sweep::VerifyBundleSet(open.sets[j], open.checksums[j]));
-    EXPECT_EQ(open.sets[j].total_events, sets[j]->total_events);
-  }
-  std::remove(streamed.c_str());
-  std::remove(saved.c_str());
-}
-
 // {OLTP, DSS} x clients {1, 2, 4} plus one two-tenant cell: three
 // client-count families — OLTP, DSS, and the two-tenant set alone — so
 // three builds and four slices. `descending` lists the clients axis
 // largest first, which puts each family's leader first in canonical
-// order instead of last.
-sweep::SweepSpec FamilySpec(bool descending) {
+// order instead of last. `clients_first` makes clients the outer axis,
+// so the OLTP and DSS families interleave in canonical order.
+sweep::SweepSpec FamilySpec(bool descending, bool clients_first = false) {
   sweep::SweepSpec spec(descending ? "family-desc" : "family",
                         "client-count families");
   spec.base_exp.cores = 2;
   spec.base_exp.l2_bytes = 1ull << 20;
   spec.base_exp.measure_instructions = 50'000;
   spec.base_exp.warmup_instructions = 10'000;
+  std::vector<sweep::SweepSpec::AxisValue> clients;
+  const std::vector<uint32_t> counts =
+      descending ? std::vector<uint32_t>{4, 2, 1}
+                 : std::vector<uint32_t>{1, 2, 4};
+  for (uint32_t n : counts) {
+    clients.push_back({std::to_string(n),
+                       [n](sweep::Cell& c) { c.trace.clients = n; }});
+  }
+  if (clients_first) spec.AddAxis("clients", clients);
   spec.AddAxis("workload",
                {{"OLTP",
                  [](sweep::Cell& c) {
@@ -766,15 +726,7 @@ sweep::SweepSpec FamilySpec(bool descending) {
                    c.trace.tenant2_workload = harness::WorkloadKind::kDss;
                    c.trace.tenant2_clients = 1;
                  }}});
-  std::vector<sweep::SweepSpec::AxisValue> clients;
-  const std::vector<uint32_t> counts =
-      descending ? std::vector<uint32_t>{4, 2, 1}
-                 : std::vector<uint32_t>{1, 2, 4};
-  for (uint32_t n : counts) {
-    clients.push_back({std::to_string(n),
-                       [n](sweep::Cell& c) { c.trace.clients = n; }});
-  }
-  spec.AddAxis("clients", std::move(clients));
+  if (!clients_first) spec.AddAxis("clients", std::move(clients));
   spec.AddFilter([](const sweep::Cell& c) {
     return c.trace.tenant2_clients == 0 || c.trace.clients == 2;
   });
@@ -785,27 +737,194 @@ bool IsFamilyLeader(const harness::TraceSetConfig& c) {
   return c.clients == 4 || c.tenant2_clients > 0;
 }
 
-/// `configs`' sets the way a cold FamilySpec run makes them: each family
-/// leader built once, every other member a PrefixSlice of it.
+/// `configs`' sets the way a cold run makes them: each family's leader
+/// (its member with the most clients) built once, every other member a
+/// PrefixSlice of it.
 std::vector<std::shared_ptr<const harness::TraceSet>> FamilySets(
     const harness::WorkloadFactory& factory,
     const std::vector<harness::TraceSetConfig>& configs) {
+  std::map<sweep::TraceSetCache::Key, harness::TraceSetConfig> leader_cfg;
+  for (const harness::TraceSetConfig& c : configs) {
+    const auto it =
+        leader_cfg.try_emplace(sweep::TraceSetCache::FamilyKey(c), c).first;
+    if (c.clients > it->second.clients) it->second = c;
+  }
   std::map<sweep::TraceSetCache::Key, std::shared_ptr<const harness::TraceSet>>
       leaders;
-  for (const harness::TraceSetConfig& c : configs) {
-    if (IsFamilyLeader(c)) {
-      leaders[sweep::TraceSetCache::FamilyKey(c)] =
-          std::make_shared<const harness::TraceSet>(factory.Build(c));
-    }
+  for (const auto& [key, c] : leader_cfg) {
+    leaders[key] = std::make_shared<const harness::TraceSet>(factory.Build(c));
   }
   std::vector<std::shared_ptr<const harness::TraceSet>> out;
   for (const harness::TraceSetConfig& c : configs) {
     const auto& leader = leaders.at(sweep::TraceSetCache::FamilyKey(c));
-    out.push_back(IsFamilyLeader(c) ? leader
-                                    : std::make_shared<const harness::TraceSet>(
-                                          sweep::PrefixSlice(leader, c)));
+    out.push_back(leader->config.clients == c.clients
+                      ? leader
+                      : std::make_shared<const harness::TraceSet>(
+                            sweep::PrefixSlice(leader, c)));
   }
   return out;
+}
+
+TEST(TraceBundle, StreamedRunnerBundleByteIdenticalToSaveTraceBundle) {
+  // StreamSpec: three families of one set (one two-tenant), each next in
+  // the bundle's order when built, so at one thread all three stream
+  // their traces into the file as they are recorded. The family grid
+  // with clients outermost interleaves the OLTP and DSS families: those
+  // two are appended from memory, the two-tenant set after them streams.
+  // With more threads a family whose predecessor is still building is
+  // appended from memory too. Every way, the file is what the one-shot
+  // save of the same sets writes.
+  struct Case {
+    std::string name;
+    sweep::SweepSpec spec;
+    uint64_t sets;
+    uint64_t streamed_at_one_thread;
+  };
+  const Case cases[] = {
+      {"stream", StreamSpec(), 3, 3},
+      {"interleaved", FamilySpec(/*descending=*/false, /*clients_first=*/true),
+       7, 1},
+  };
+  const std::string streamed = ::testing::TempDir() + "bundle_streamed.traces";
+  const std::string saved = ::testing::TempDir() + "bundle_saved.traces";
+  harness::WorkloadFactory factory = TinyFactory();
+  for (const Case& c : cases) {
+    for (uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(c.name + " at --threads " + std::to_string(threads));
+      std::remove(streamed.c_str());
+      MetricsRegistry reg;
+      sweep::RunnerOptions options;
+      options.threads = threads;
+      options.trace_bundle = streamed;
+      options.metrics = &reg;
+      const sweep::SweepReport r =
+          sweep::SweepRunner(&factory, options).Run(c.spec);
+      ASSERT_EQ(r.bundle, "cold");
+      ASSERT_EQ(r.trace_sets_built, c.sets);
+      const uint64_t n_streamed = r.metrics.CounterOr("sweep.sets_streamed");
+      if (threads == 1) {
+        EXPECT_EQ(n_streamed, c.streamed_at_one_thread);
+      }
+      EXPECT_LE(n_streamed, c.streamed_at_one_thread);
+      EXPECT_EQ(r.metrics.CounterOr("sweep.sets_released"), c.sets);
+
+      // The same sets, cut the way the run cuts them, in canonical
+      // (first-use) order, through the one-shot save.
+      const auto owned = FamilySets(factory, CanonicalConfigs(r));
+      std::vector<const harness::TraceSet*> sets;
+      for (const auto& ts : owned) sets.push_back(ts.get());
+      ASSERT_EQ(sets.size(), c.sets);
+      if (c.name == "stream") {
+        EXPECT_EQ(sets[2]->traces.size(), 3u);  // 2 tenant-A + 1 tenant-B
+      }
+      ASSERT_TRUE(sweep::SaveTraceBundle(saved, factory, sets));
+
+      const std::string a = FileBytes(streamed);
+      EXPECT_FALSE(a.empty());
+      EXPECT_TRUE(a == FileBytes(saved)) << "streamed bundle differs";
+      EXPECT_FALSE(FileExists(streamed + ".tmp"));
+
+      // Both files come from the one writer, so also pin that it wrote a
+      // valid bundle: the reader's geometry and checksum checks accept it.
+      std::vector<harness::TraceSetConfig> configs;
+      for (const harness::TraceSet* ts : sets) configs.push_back(ts->config);
+      const sweep::BundleOpenResult open =
+          sweep::OpenTraceBundle(streamed, factory, configs);
+      ASSERT_EQ(open.mode, "mmap");
+      for (size_t j = 0; j < configs.size(); ++j) {
+        EXPECT_TRUE(sweep::VerifyBundleSet(open.sets[j], open.checksums[j]));
+        EXPECT_EQ(open.sets[j].total_events, sets[j]->total_events);
+      }
+    }
+  }
+  std::remove(streamed.c_str());
+  std::remove(saved.c_str());
+}
+
+/// `set` as a streamed build returns it: every trace hollow, with its
+/// sizes and totals but no payload.
+harness::TraceSet Hollow(const harness::TraceSet& set) {
+  harness::TraceSet out;
+  out.config = set.config;
+  out.total_instructions = set.total_instructions;
+  out.total_events = set.total_events;
+  out.traces.resize(set.traces.size());
+  for (size_t i = 0; i < set.traces.size(); ++i) {
+    const trace::ClientTrace& t = set.traces[i];
+    out.traces[i].SetPayload(nullptr, t.events_size(), t.encoded_bytes());
+    out.traces[i].total_instructions = t.total_instructions;
+    out.traces[i].requests = t.requests;
+  }
+  return out;
+}
+
+TEST(TraceBundle, StreamedPayloadsWriteTheBytesAppendWould) {
+  // A three-client leader whose middle client recorded nothing, cut to a
+  // two-client slice that comes before it in the bundle, after a set of
+  // another family. Appended from memory, the slice's rows introduce
+  // clients 0 and 1 and the leader's client 2; streamed, all three
+  // payloads are written before either row, and the empty trace's rows
+  // must still name the offsets the appends would.
+  harness::WorkloadFactory factory = TinyFactory();
+  harness::TraceSetConfig other_cfg;
+  other_cfg.workload = harness::WorkloadKind::kDss;
+  other_cfg.clients = 1;
+  other_cfg.requests_per_client = 1;
+  other_cfg.seed = 9;
+  harness::TraceSetConfig leader_cfg;
+  leader_cfg.workload = harness::WorkloadKind::kOltp;
+  leader_cfg.clients = 3;
+  leader_cfg.requests_per_client = 1;
+  leader_cfg.seed = 9;
+  harness::TraceSetConfig slice_cfg = leader_cfg;
+  slice_cfg.clients = 2;
+  const harness::TraceSet other = factory.Build(other_cfg);
+  harness::TraceSet built = factory.Build(leader_cfg);
+  built.total_events -= built.traces[1].events_size();
+  built.total_instructions -= built.traces[1].total_instructions;
+  built.traces[1] = trace::ClientTrace();
+  const auto leader = std::make_shared<const harness::TraceSet>(std::move(built));
+  const harness::TraceSet slice = sweep::PrefixSlice(leader, slice_cfg);
+
+  const std::string saved = ::testing::TempDir() + "stream_saved.traces";
+  const std::string streamed = ::testing::TempDir() + "stream_direct.traces";
+  ASSERT_TRUE(
+      sweep::SaveTraceBundle(saved, factory, {&other, &slice, leader.get()}));
+  {
+    sweep::BundleWriter w;
+    ASSERT_TRUE(w.Begin(streamed, factory, {other_cfg, slice_cfg, leader_cfg}));
+    ASSERT_TRUE(w.Append(other));
+    for (const trace::ClientTrace& t : leader->traces) ASSERT_TRUE(w.Stream(t));
+    harness::TraceSet hollow = Hollow(*leader);
+    ASSERT_TRUE(w.ViewStreamed(&hollow));
+    ASSERT_NE(hollow.backing, nullptr);
+    EXPECT_EQ(scenario::SetWords(hollow), scenario::SetWords(*leader));
+    const auto view = std::make_shared<const harness::TraceSet>(std::move(hollow));
+    ASSERT_TRUE(w.Append(sweep::PrefixSlice(view, slice_cfg)));
+    ASSERT_TRUE(w.Append(*view));
+    ASSERT_TRUE(w.Finish());
+  }
+  EXPECT_TRUE(FileBytes(streamed) == FileBytes(saved))
+      << "streamed bundle differs";
+
+  // A fresh payload may not land behind streamed ones no row has named,
+  // and Finish refuses while any streamed payload is unnamed.
+  {
+    sweep::BundleWriter w;
+    ASSERT_TRUE(w.Begin(streamed, factory, {other_cfg, leader_cfg}));
+    ASSERT_TRUE(w.Stream(leader->traces[0]));
+    EXPECT_FALSE(w.Append(other));
+  }
+  {
+    sweep::BundleWriter w;
+    ASSERT_TRUE(w.Begin(streamed, factory, {other_cfg}));
+    ASSERT_TRUE(w.Append(other));
+    ASSERT_TRUE(w.Stream(leader->traces[0]));
+    EXPECT_FALSE(w.Finish());
+  }
+  EXPECT_FALSE(FileExists(streamed + ".tmp"));
+  std::remove(streamed.c_str());
+  std::remove(saved.c_str());
 }
 
 TEST(SweepRunner, FamilyGridBuildsEachFamilyOnceAndSlicesTheRest) {
@@ -1060,7 +1179,7 @@ TEST(SweepRunner, ReleasesEachSetOnce) {
 }
 
 TEST(TraceBundle, FailedOrAbandonedWriterLeavesNoFile) {
-  harness::WorkloadFactory factory;
+  harness::WorkloadFactory factory = TinyFactory();
   harness::TraceSetConfig cfg;
   cfg.workload = harness::WorkloadKind::kOltp;
   cfg.clients = 2;
@@ -1171,7 +1290,7 @@ TEST(Observability, MetricsCrossCheckAndResultsUnperturbed) {
   // Two runs of the same spec: one instrumented, one not. The metrics
   // must cross-check against the report, and the serialized results must
   // not notice observability at all.
-  harness::WorkloadFactory factory;
+  harness::WorkloadFactory factory = TinyFactory();
 
   MetricsRegistry reg;
   sweep::RunnerOptions options;
@@ -1199,6 +1318,7 @@ TEST(Observability, MetricsCrossCheckAndResultsUnperturbed) {
             instrumented.trace_sets_built);
   EXPECT_EQ(m.CounterOr("sweep.sets_built"), 2u);
   EXPECT_EQ(m.CounterOr("sweep.sets_released"), 2u);
+  EXPECT_EQ(m.CounterOr("sweep.sets_streamed"), 0u);  // no bundle
   EXPECT_EQ(instrumented.trace_sets_built, 2u);
 }
 

@@ -210,6 +210,29 @@ TEST(TraceCodec, OneEncodersPayloadsPackEndToEnd) {
   EXPECT_EQ(DecodeEvents(b), b_events);  // b still holds the chunk
 }
 
+TEST(TraceCodec, ADroppedTracesStorageIsReusedFromTheChunksFront) {
+  // A streamed build copies each trace out and drops it: the next trace
+  // must land where the dropped one was, not after it in fresh pages.
+  const std::vector<uint64_t> a_events = MixedStream(3000, 5);
+  const std::vector<uint64_t> b_events = MixedStream(777, 6);
+  EventEncoder enc;
+  ClientTrace a, b, c;
+  for (uint64_t e : a_events) enc.Append(e);
+  enc.Finish(&a);
+  const uint64_t* front = a.payload();
+  a = ClientTrace();  // the chunk's only trace dies
+  for (uint64_t e : b_events) enc.Append(e);
+  enc.Finish(&b);
+  EXPECT_EQ(b.payload(), front);
+  EXPECT_EQ(DecodeEvents(b), b_events);
+  // While b lives, the next trace packs after it as before.
+  for (uint64_t e : a_events) enc.Append(e);
+  enc.Finish(&c);
+  EXPECT_EQ(c.payload(), b.payload() + b.payload_words());
+  EXPECT_EQ(DecodeEvents(b), b_events);
+  EXPECT_EQ(DecodeEvents(c), a_events);
+}
+
 /// Appends `n` markers (2 encoded bytes each) to `enc`.
 void AppendMarkers(EventEncoder* enc, uint64_t n) {
   for (uint64_t i = 0; i < n; ++i) enc->Append(PackEvent(EventKind::kMarker, 0, 0));

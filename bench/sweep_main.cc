@@ -66,9 +66,10 @@ int Usage(const char* argv0, int code) {
       "                    matching bundle skips trace generation (warm),\n"
       "                    otherwise the cold build rewrites it. Delete\n"
       "                    the file after changing trace generation.\n"
-      "                    It also bounds cold-run memory: traces stream\n"
-      "                    into the file as they are recorded, so a\n"
-      "                    build holds one client's trace, not its set.\n"
+      "                    It also bounds cold-run memory at any\n"
+      "                    --threads: one builder streams each trace into\n"
+      "                    the file as it is recorded, so a build holds\n"
+      "                    one client's trace, not its set.\n"
       "  --shard I/N       execute only cells with index %% N == I. The\n"
       "                    FULL grid is still expanded (canonical indices\n"
       "                    and the bundle build sequence are unchanged)\n"

@@ -153,6 +153,22 @@ if [[ $run_tier1 -eq 1 ]]; then
     --perf-out build/BENCH_sweep_cold_fresh.json \
     --out build/sweep_smoke_golden.json
   diff -u tests/golden/sweep_smoke.json build/sweep_smoke_golden.json
+  # A clean cold run with a bundle streams every set it built or sliced
+  # into the bundle, at any thread count.
+  get_field() {  # get_field KEY FILE — the first "KEY": value in FILE
+    awk -F': ' -v k="\"$1\"" '$1 ~ k { gsub(/,/, "", $2); print $2; exit }' "$2"
+  }
+  cold_json=build/BENCH_sweep_cold_fresh.json
+  cold_built=$(get_field sweep.sets_built "$cold_json")
+  cold_sliced=$(get_field sweep.sets_sliced "$cold_json")
+  cold_streamed=$(get_field sweep.sets_streamed "$cold_json")
+  if [[ -z "$cold_built" || -z "$cold_sliced" || -z "$cold_streamed" ]] \
+     || (( cold_streamed != cold_built + cold_sliced )); then
+    echo "FAIL: the cold smoke pass streamed '${cold_streamed}' sets of" \
+         "'${cold_built}' built + '${cold_sliced}' sliced" >&2
+    exit 1
+  fi
+  echo "    cold pass streamed all ${cold_streamed} sets into the bundle"
 
   echo "==> sweep smoke grid: BENCH trajectory (warm, median of 5)"
   # Warm passes: replay-only single-thread trajectory (the committed
@@ -243,18 +259,12 @@ if [[ $run_tier1 -eq 1 ]]; then
   gate_cps warm BENCH_sweep.json build/BENCH_sweep_fresh.json
   gate_cps cold BENCH_sweep_cold.json build/BENCH_sweep_cold_fresh.json
   # Host memory, reported only (no gate): each pass's process peak and
-  # the minor page faults it took, and how many of the cold pass's sets
-  # streamed their traces into the bundle as they were recorded.
-  get_field() {
-    awk -F': ' -v k="\"$1\"" '$1 ~ k { gsub(/,/, "", $2); print $2; exit }' "$2"
-  }
-  cold_json=build/BENCH_sweep_cold_fresh.json
+  # the minor page faults it took.
   warm_json=build/BENCH_sweep_fresh.json
   echo "    peak_rss_mb: cold $(get_field peak_rss_mb "$cold_json")," \
        "warm $(get_field peak_rss_mb "$warm_json");" \
        "minor_page_faults: cold $(get_field minor_page_faults "$cold_json")," \
-       "warm $(get_field minor_page_faults "$warm_json");" \
-       "sweep.sets_streamed: cold $(get_field sweep.sets_streamed "$cold_json")"
+       "warm $(get_field minor_page_faults "$warm_json")"
   cat build/BENCH_sweep_fresh.json
 fi
 

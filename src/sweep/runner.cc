@@ -9,7 +9,6 @@
 #include <exception>
 #include <functional>
 #include <iterator>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -83,53 +82,73 @@ std::string ConfigLabel(const harness::TraceSetConfig& c) {
 
 namespace {
 
-/// The distinct trace-set configs of `cells` in canonical (first-use)
-/// order — the build-task submission order and the unit a trace bundle
-/// persists. Also fills `cfg_of`: for each cell, the index of its config
-/// in the returned vector. Identity is TraceSetCache::MakeKey.
+/// The distinct trace-set configs of `cells` in canonical order — the
+/// build order and the sequence a trace bundle persists: grouped by
+/// client-count family (TraceSetCache::FamilyKey), families in order of
+/// first use, each family's members in first-use order. Also fills
+/// `cfg_of`: for each cell, the index of its config in the returned
+/// vector. Identity is TraceSetCache::MakeKey.
 std::vector<harness::TraceSetConfig> DistinctConfigs(
     const std::vector<Cell>& cells, std::vector<size_t>* cfg_of) {
-  std::vector<harness::TraceSetConfig> out;
-  cfg_of->resize(cells.size());
+  std::vector<harness::TraceSetConfig> first_use;
+  std::vector<size_t> use_of(cells.size());
   for (size_t i = 0; i < cells.size(); ++i) {
-    size_t found = out.size();
-    for (size_t j = 0; j < out.size(); ++j) {
-      if (TraceSetCache::MakeKey(out[j]) ==
+    size_t found = first_use.size();
+    for (size_t j = 0; j < first_use.size(); ++j) {
+      if (TraceSetCache::MakeKey(first_use[j]) ==
           TraceSetCache::MakeKey(cells[i].trace)) {
         found = j;
         break;
       }
     }
-    if (found == out.size()) out.push_back(cells[i].trace);
-    (*cfg_of)[i] = found;
+    if (found == first_use.size()) first_use.push_back(cells[i].trace);
+    use_of[i] = found;
   }
+  // A family's members all join at its first member's turn.
+  std::vector<harness::TraceSetConfig> out;
+  std::vector<size_t> index_of(first_use.size(), first_use.size());
+  for (size_t j = 0; j < first_use.size(); ++j) {
+    if (index_of[j] != first_use.size()) continue;  // joined already
+    const TraceSetCache::Key family = TraceSetCache::FamilyKey(first_use[j]);
+    for (size_t k = j; k < first_use.size(); ++k) {
+      if (TraceSetCache::FamilyKey(first_use[k]) != family) continue;
+      index_of[k] = out.size();
+      out.push_back(first_use[k]);
+    }
+  }
+  cfg_of->resize(cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) (*cfg_of)[i] = index_of[use_of[i]];
   return out;
 }
 
-/// A client-count family among the configs a run builds: the needed
-/// distinct configs sharing a TraceSetCache::FamilyKey. Only the member
-/// with the most clients is built; the rest are its prefix slices.
+/// A client-count family: the distinct configs [begin, end), which share
+/// a TraceSetCache::FamilyKey. Only its needed member with the most
+/// clients is built; the other needed members are its prefix slices.
 struct Family {
-  size_t leader = 0;            ///< distinct-config index of the build
-  std::vector<size_t> members;  ///< canonical order, leader included
+  size_t begin = 0;
+  size_t end = 0;
+  size_t leader = 0;  ///< distinct-config index of the build
 };
 
-/// Groups the needed configs of `distinct` into families, ordered by
-/// their first member's canonical index — the build-task submission
-/// order, so the writer's next set is always among the earliest tasks.
+/// The families of `distinct` (grouped by DistinctConfigs) that have a
+/// needed member, in order.
 std::vector<Family> PlanFamilies(
     const std::vector<harness::TraceSetConfig>& distinct,
     const std::vector<char>& needed) {
   std::vector<Family> out;
-  std::map<TraceSetCache::Key, size_t> family_of;
-  for (size_t j = 0; j < distinct.size(); ++j) {
-    if (!needed[j]) continue;
-    const auto [it, fresh] =
-        family_of.emplace(TraceSetCache::FamilyKey(distinct[j]), out.size());
-    if (fresh) out.push_back(Family{j, {}});
-    Family& f = out[it->second];
-    f.members.push_back(j);
-    if (distinct[j].clients > distinct[f.leader].clients) f.leader = j;
+  for (size_t begin = 0, end = 0; begin < distinct.size(); begin = end) {
+    const TraceSetCache::Key key = TraceSetCache::FamilyKey(distinct[begin]);
+    Family f{begin, begin, distinct.size()};  // no leader yet
+    for (; end < distinct.size() &&
+           TraceSetCache::FamilyKey(distinct[end]) == key;
+         ++end) {
+      if (needed[end] && (f.leader == distinct.size() ||
+                          distinct[end].clients > distinct[f.leader].clients)) {
+        f.leader = end;
+      }
+    }
+    f.end = end;
+    if (f.leader != distinct.size()) out.push_back(f);
   }
   return out;
 }
@@ -250,17 +269,20 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
     report.load_wall_seconds = SecondsSince(load_t0);
   }
 
-  // A cold run streams each set into the bundle as soon as it and every
-  // set before it are built (canonical order), so no set has to outlive
-  // its cells just to be saved at the end — a slice is saved as a set of
-  // its own, so the bundle format knows nothing of families. A family
-  // whose sets come next streams finer still, trace by trace as its
-  // world records them (see build_family). Sharded runs never write
+  // A cold run streams every set into the bundle as it is built: one
+  // builder takes the families in canonical order, and each streams its
+  // leader trace by trace as its world records them, then appends its
+  // sets as views of the file (see build_family), so a published set is
+  // already in the file. A slice is saved as a set of its own, so the
+  // bundle format knows nothing of families. Sharded runs never write
   // (they build only a subset of the sequence).
   BundleWriter writer;
-  const bool streaming = report.bundle == "cold" && !sharded;
+  const bool writing = report.bundle == "cold" && !sharded;
   bool bundle_write_ok =
-      !streaming || writer.Begin(options_.trace_bundle, *factory_, distinct);
+      !writing || writer.Begin(options_.trace_bundle, *factory_, distinct);
+  // Whether the next family streams; only a writing run's one builder
+  // changes it, and a failed write ends it for every later family.
+  bool stream = writing && bundle_write_ok;
 
   uint32_t threads = options_.threads;
   if (threads == 0) threads = std::thread::hardware_concurrency();
@@ -271,18 +293,17 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   report.threads = cells.empty() ? 0 : threads;
 
   // Build/sim pipeline. Cold trace sets build on builder threads — one task
-  // per client-count family, submitted at the family's first canonical
-  // position — while sim workers claim cells off an atomic counter (idle
-  // workers "steal" the next unclaimed cell, so load imbalance
-  // self-corrects). A family task builds its largest member in an
-  // isolated WorkloadWorld and serves the smaller members as zero-copy
-  // prefix slices of it (PrefixSlice), so builds neither share
-  // state with each other nor with the replaying workers; a worker waits
-  // only for its own cell's config slot to be published. Results land at
-  // their cell's canonical index, so output order never depends on
-  // completion order — and since builds are pure functions of their
-  // config and a slice equals the standalone build word for word, sink
-  // output is thread-count-invariant.
+  // per client-count family, in canonical order — while sim workers claim
+  // cells off an atomic counter (idle workers "steal" the next unclaimed
+  // cell, so load imbalance self-corrects). A family task builds its
+  // largest member in an isolated WorkloadWorld and serves the smaller
+  // members as zero-copy prefix slices of it (PrefixSlice), so builds
+  // neither share state with each other nor with the replaying workers; a
+  // worker waits only for its own cell's config slot to be published.
+  // Results land at their cell's canonical index, so output order never
+  // depends on completion order — and since builds are pure functions of
+  // their config and a slice equals the standalone build word for word,
+  // sink output is thread-count-invariant.
   //
   // Each distinct config has one slot, the run's only owner of its set,
   // guarded by build_mu: null until published (or when its build failed
@@ -295,31 +316,14 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   std::atomic<uint64_t> produced{0};
 
   // Set lifetime. A cold set is freed once its last assigned cell has
-  // replayed and the bundle writer is past it, so a run holds only the
-  // sets still in flight. Mapped sets stay: a run that turns "partial"
-  // rewrites the bundle from every slot at the end. Guarded by build_mu.
+  // replayed, so a run holds only the sets still in flight. Mapped sets
+  // stay: a run that turns "partial" rewrites the bundle from every slot
+  // at the end. Guarded by build_mu.
   const bool mapped = bundle_open.mode == "mmap";
   std::vector<size_t> cells_left(distinct.size(), 0);
   for (size_t i = 0; i < cells.size(); ++i) {
     if (cell_assigned(i)) ++cells_left[cfg_of[i]];
   }
-  // Sets [0, writer_done) need nothing more from the writer: appended,
-  // or the writer is off or gave up. Whoever appends set writer_done
-  // owns the writer: the streaming loop below, or a family task that
-  // streams its own sets (it advances writer_done before it publishes
-  // them, so the loop never touches the writer meanwhile).
-  size_t writer_done = bundle_write_ok && streaming ? 0 : distinct.size();
-  // Takes set j out of its slot once nothing needs it any more. The
-  // caller drops it outside build_mu (a slice keeps its leader alive).
-  const auto claim_release =
-      [&](size_t j) -> std::shared_ptr<const harness::TraceSet> {
-    if (mapped || slots[j] == nullptr || cells_left[j] != 0 ||
-        j >= writer_done) {
-      return nullptr;
-    }
-    if (sets_released != nullptr) sets_released->Add(1);
-    return std::move(slots[j]);
-  };
 
   std::mutex err_mu;
   std::exception_ptr first_error;
@@ -328,22 +332,20 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
     if (!first_error) first_error = std::current_exception();
   };
 
-  // Publishes the sets of distinct configs `js` at once (null where a
-  // build failed; waiters drain) and wakes every waiter. A family's
-  // members go out together, so no member is released before its
-  // family's slices are cut. A family that streamed its sets hands the
-  // writer on in the same step (`writer_next`: the new writer_done).
+  // Publishes the sets of distinct configs [begin, begin + sets.size())
+  // at once (null where a build failed or a member is not needed;
+  // waiters drain) and wakes every waiter. A family's members go out
+  // together, so no member is released before its family's slices are
+  // cut.
   const auto publish =
-      [&](const std::vector<size_t>& js,
-          std::vector<std::shared_ptr<const harness::TraceSet>> sets,
-          size_t writer_next = 0) {
+      [&](size_t begin,
+          std::vector<std::shared_ptr<const harness::TraceSet>> sets) {
         {
           std::lock_guard<std::mutex> lock(build_mu);
-          for (size_t m = 0; m < js.size(); ++m) {
-            slots[js[m]] = std::move(sets[m]);
-            published[js[m]] = 1;
+          for (size_t m = 0; m < sets.size(); ++m) {
+            slots[begin + m] = std::move(sets[m]);
+            published[begin + m] = 1;
           }
-          writer_done = std::max(writer_done, writer_next);
         }
         build_cv.notify_all();
       };
@@ -375,71 +377,48 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
     return Share(std::move(set));
   };
 
-  // Whether family `f` streams its build into the bundle: its members
-  // must be the next sets of the bundle's order, contiguous, with every
-  // set before them built already. The task then waits for the writer to
-  // reach them and owns it until it publishes. Otherwise — no writer, a
-  // builder still ahead of it, members interleaved with another family's
-  // — its sets are appended by the streaming loop once published.
-  const auto streams = [&](const Family& f) {
-    const size_t first = f.members.front();
-    if (!streaming || f.members.back() - first + 1 != f.members.size()) {
-      return false;
-    }
-    std::unique_lock<std::mutex> lock(build_mu);
-    for (size_t k = 0; k < first; ++k) {
-      if (published[k] == 0) return false;
-    }
-    build_cv.wait(lock, [&] { return writer_done >= first; });
-    return writer_done == first;
-  };
-
   // One span per built family and per slice (or per mapped set), whatever
   // the thread count, so the span SET is deterministic even though
   // durations are not.
   auto build_family = [&](const Family& f) {
     if (tracer != nullptr) tracer->NameThisThread("builder");
-    std::vector<std::shared_ptr<const harness::TraceSet>> sets(
-        f.members.size());
-    // A streaming family ends owning the writer: it hands it on past its
-    // sets, or gives it up (past every set) when anything failed.
-    const bool stream = streams(f);
-    size_t writer_next = stream ? distinct.size() : 0;
+    std::vector<std::shared_ptr<const harness::TraceSet>> sets(f.end -
+                                                               f.begin);
     try {
       TraceSpan build_span(tracer, "build", "build:" + cfg_labels[f.leader]);
       std::shared_ptr<const harness::TraceSet> leader;
-      if (stream) leader = build(distinct[f.leader], &writer);
+      if (stream) {
+        TraceSpan stream_span(tracer, "io",
+                              "bundle.stream:" + cfg_labels[f.leader]);
+        leader = build(distinct[f.leader], &writer);
+        stream = leader != nullptr;
+      }
       // Not streamed, or the stream failed: the writer is gone, the bytes
       // with it, so the family builds again in memory.
       if (leader == nullptr) leader = build(distinct[f.leader]);
       build_span.End();
-      for (size_t m = 0; m < f.members.size(); ++m) {
-        const size_t j = f.members[m];
+      for (size_t j = f.begin; j < f.end; ++j) {
+        if (!needed[j]) continue;
         if (j == f.leader) {
-          sets[m] = leader;
+          sets[j - f.begin] = leader;
           continue;
         }
         TraceSpan slice_span(tracer, "build", "slice:" + cfg_labels[j]);
-        sets[m] = Share(PrefixSlice(leader, distinct[j]));
+        sets[j - f.begin] = Share(PrefixSlice(leader, distinct[j]));
         produced.fetch_add(1, std::memory_order_relaxed);
         if (sets_sliced != nullptr) sets_sliced->Add(1);
       }
-      // Streamed sets view the file already; appending them writes only
-      // their index rows.
-      bool appended = stream;
-      for (size_t m = 0; appended && m < f.members.size(); ++m) {
-        TraceSpan append_span(tracer, "io",
-                              "bundle.append:" + cfg_labels[f.members[m]]);
-        appended = writer.Append(*sets[m]);
+      // The sets view the file already; appending them writes only their
+      // index rows.
+      for (size_t j = f.begin; stream && j < f.end; ++j) {
+        TraceSpan append_span(tracer, "io", "bundle.append:" + cfg_labels[j]);
+        stream = writer.Append(*sets[j - f.begin]);
       }
-      if (appended) {
-        writer_next = f.members.back() + 1;
-        if (sets_streamed != nullptr) sets_streamed->Add(f.members.size());
-      }
+      if (stream && sets_streamed != nullptr) sets_streamed->Add(sets.size());
     } catch (...) {
       record_error();
     }
-    publish(f.members, std::move(sets), writer_next);
+    publish(f.begin, std::move(sets));
   };
 
   // Mapped set: pay the payload-checksum pass here, overlapped with other
@@ -461,7 +440,7 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
     } catch (...) {
       record_error();
     }
-    publish({j}, {std::move(set)});
+    publish(j, {std::move(set)});
   };
 
   std::atomic<size_t> next{0};
@@ -520,11 +499,15 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
         record_error();
         // Keep draining the counter so siblings can finish cleanly.
       }
+      // The set's last cell takes it out of its slot; it is dropped
+      // outside build_mu (a slice keeps its leader alive).
       std::shared_ptr<const harness::TraceSet> dropped;
       {
         std::lock_guard<std::mutex> lock(build_mu);
-        --cells_left[j];
-        dropped = claim_release(j);
+        if (--cells_left[j] == 0 && !mapped) {
+          if (sets_released != nullptr) sets_released->Add(1);
+          dropped = std::move(slots[j]);
+        }
       }
     }
     // "Steals": cells this worker claimed beyond the even share — how
@@ -553,9 +536,11 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
       }
     }
     // Builders claim tasks off an atomic counter, in submission order,
-    // the way sim workers claim cells, and return when none are left.
+    // the way sim workers claim cells, and return when none are left. A
+    // streaming run has one, so the writer sees the families in order.
     std::atomic<size_t> next_task{0};
-    const size_t build_threads = std::min<size_t>(threads, tasks.size());
+    const size_t build_threads =
+        std::min<size_t>(stream ? 1 : threads, tasks.size());
     std::vector<std::thread> builders;
     builders.reserve(build_threads);
     for (size_t b = 0; b < build_threads; ++b) {
@@ -572,46 +557,6 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
     for (uint32_t t = 0; t < threads; ++t) {
       workers.emplace_back([&worker, t] { worker(t); });
     }
-    // This thread streams the bundle: it appends each set in canonical
-    // order as soon as it is published, while the threads go on building
-    // and replaying, and skips the sets a family task streamed itself. A
-    // failed append (or a failed build) ends the stream.
-    for (size_t j = 0; j < distinct.size();) {
-      std::vector<std::shared_ptr<const harness::TraceSet>> dropped;
-      // Trapped like the build tasks': the threads must still drain and join.
-      try {
-        const harness::TraceSet* set = nullptr;
-        bool ours = false;  // j is next and published: this thread appends it
-        {
-          std::unique_lock<std::mutex> lock(build_mu);
-          build_cv.wait(lock,
-                        [&] { return writer_done != j || published[j] != 0; });
-          ours = writer_done == j;
-          if (ours) set = slots[j].get();  // stays until writer_done passes j
-        }
-        bool appended = false;
-        if (set != nullptr) {
-          TraceSpan append_span(tracer, "io",
-                                "bundle.append:" + cfg_labels[j]);
-          appended = writer.Append(*set);
-        }
-        {
-          std::lock_guard<std::mutex> lock(build_mu);
-          // Every set is past a writer that gave up.
-          if (ours) writer_done = appended ? j + 1 : distinct.size();
-          for (size_t k = j; k < writer_done; ++k) {
-            dropped.push_back(claim_release(k));
-          }
-          j = writer_done;
-        }
-      } catch (...) {
-        record_error();
-        std::lock_guard<std::mutex> lock(build_mu);
-        writer_done = distinct.size();
-        j = writer_done;
-      }
-      build_cv.notify_all();  // a family may be waiting to stream next
-    }
     // Every task traps its own exceptions, so joining is all that is left.
     for (std::thread& t : builders) t.join();
     report.build_wall_seconds = SecondsSince(sim_t0);
@@ -624,7 +569,7 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   // A cold run's streamed bundle becomes visible only once every set was
   // appended and every cell replayed cleanly; otherwise `writer` removes
   // its temp file as it goes out of scope.
-  if (streaming && !first_error) {
+  if (writing && !first_error) {
     TraceSpan save_span(tracer, "io", "bundle.save");
     bundle_write_ok = bundle_write_ok && writer.Finish();
   }

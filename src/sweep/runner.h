@@ -8,10 +8,11 @@
 // workers "steal" the next unclaimed cell, so load imbalance between
 // cheap and expensive cells self-corrects) — a cell simulates as soon
 // as its own trace set is published, regardless of how many other sets
-// are still building. With a bundle to write, a family whose sets come
-// next in the bundle's order streams each trace into the file as its
-// world records it and publishes views of the written bytes, so a cold
-// build holds one client's trace beside its world, not the family's.
+// are still building. With a bundle to write, one builder takes the
+// families in the bundle's order (family order), and each streams every
+// trace into the file as its world records it and publishes views of the
+// written bytes, so a cold build holds one client's trace beside its
+// world, not the family's, at any thread count.
 //
 // Determinism: a report — grid, labels, configs, trace-set totals and
 // every simulated metric — is identical byte for byte for any thread
@@ -45,18 +46,20 @@ struct RunnerOptions {
   /// Worker threads for the simulation phase, and the cap on the builder
   /// threads (min(threads, build tasks) of them claim the tasks off an
   /// atomic counter — one task per client-count family, or per mapped
-  /// set on a warm run); 0 = hardware concurrency.
+  /// set on a warm run; a cold run that writes a bundle has one builder);
+  /// 0 = hardware concurrency.
   uint32_t threads = 0;
   /// Optional trace-bundle file (see trace_bundle.h). When set, the run
   /// serves its trace sets from this file if it matches the sweep's
   /// canonical build sequence (warm: no generation at all); a cold run
-  /// streams each set into a fresh bundle as it is built and renames it
-  /// into place at the end. A family that comes next in that sequence
-  /// streams trace by trace, as its world records them, and replays
-  /// views of the file being written (sweep.sets_streamed), which bounds
-  /// a cold run's memory by one world plus one client's trace; a family
-  /// interleaved with another, or one whose predecessor is still
-  /// building, is written from memory. A warm run maps the file and
+  /// streams every set into a fresh bundle as it is built, trace by
+  /// trace as its world records them, replays views of the file being
+  /// written (sweep.sets_streamed) and renames it into place at the end.
+  /// Its one builder takes the families in the sequence's order, which
+  /// groups each family's configs, so a cold run's build memory is one
+  /// world plus one client's trace at any thread count. A failed write
+  /// gives the bundle up: that family and every later one build in
+  /// memory, and the results do not change. A warm run maps the file and
   /// replays events in place (payload checksums verified lazily on the
   /// builder threads, verified pages dropped again). A map failure or a
   /// header/geometry mismatch rebuilds cold; a set failing its lazy

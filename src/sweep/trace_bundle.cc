@@ -356,41 +356,22 @@ bool BundleWriter::Append(const harness::TraceSet& set) {
   header_.push_back(set.total_instructions);
   header_.push_back(set.total_events);
   header_.push_back(set.traces.size());
-  // Held for the loop: while it lives, streamed_ names what its
-  // addresses hold.
-  const std::shared_ptr<MappedBundle> stream_map = stream_map_.lock();
   for (const trace::ClientTrace& t : set.traces) {
     const uint64_t n = t.payload_words();
     // An empty trace has no payload: its row names the running offset.
     Written row{named_, t.events_size(), t.encoded_bytes(), Checksum().state};
-    bool fresh = false;
-    const auto streamed =
-        n > 0 && stream_map != nullptr ? streamed_.find(t.payload())
-                                       : streamed_.end();
-    if (streamed != streamed_.end() &&
-        streamed->second.n_events == t.events_size() &&
-        streamed->second.n_bytes == t.encoded_bytes()) {
-      // Streamed: already in the file, checksum taken as it went by.
-      row = streamed->second;
+    // A trace viewing a payload already written (a slice of its leader,
+    // a streamed set, a re-persisted mapped set) shares its row, checksum
+    // included: a streamed payload's was taken as it went by.
+    const auto it = n > 0 ? written_.find(t.payload()) : written_.end();
+    if (it != written_.end() && it->second.n_events == t.events_size() &&
+        it->second.n_bytes == t.encoded_bytes()) {
+      row = it->second;
       named_ = std::max(named_, row.offset + Align64(n * 8));
     } else if (n > 0) {
       Checksum payload_sum;
       payload_sum.MixAll(t.payload(), n);
       row.checksum = payload_sum.state;
-      // A trace viewing a payload already written (a slice of its leader,
-      // a re-persisted mapped set) shares its offset. The sizes and
-      // checksum must match too: a freed set's storage address may since
-      // hold other bytes.
-      const auto it = written_.find(t.payload());
-      if (it != written_.end() && it->second.n_events == t.events_size() &&
-          it->second.n_bytes == t.encoded_bytes() &&
-          it->second.checksum == row.checksum) {
-        row.offset = it->second.offset;
-      } else {
-        fresh = true;
-      }
-    }
-    if (fresh) {
       // A fresh payload goes right after the ones rows have named; with
       // streamed payloads still unnamed it would land after them instead.
       if (named_ != cursor_ || !WritePayload(t.payload(), n)) {
@@ -441,15 +422,16 @@ bool BundleWriter::ViewStreamed(harness::TraceSet* set) {
     Abandon();
     return false;
   }
-  streamed_.clear();
+  // An older entry's storage — an earlier mapping — may be gone, and its
+  // address reused.
+  written_.clear();
   for (size_t i = 0; i < stream.size(); ++i) {
     if (stream[i].n_events == 0) continue;  // no payload to view
     const uint64_t* payload = mapping->words() + (stream[i].offset - from) / 8;
     set->traces[i].SetView(payload, stream[i].n_events, stream[i].n_bytes);
-    streamed_[payload] = stream[i];
+    written_[payload] = stream[i];
   }
   set->backing = mapping;
-  stream_map_ = mapping;
   return true;
 }
 

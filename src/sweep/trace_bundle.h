@@ -11,9 +11,10 @@
 // longer depend on the builds before it. The bundle still persists the
 // whole sequence and stays all-or-nothing at the header level: it serves
 // sets only when its recorded config sequence exactly matches the
-// sweep's canonical build order and the factory's workload scale knobs
-// are unchanged, which keeps the match check trivial and the failure
-// mode obvious.
+// sweep's canonical build order — its distinct configs grouped by
+// client-count family, families in order of first use — and the
+// factory's workload scale knobs are unchanged, which keeps the match
+// check trivial and the failure mode obvious.
 //
 // Format v4 is built for zero-copy replay. Each payload is one trace's
 // storage exactly as trace/events.h lays it out in memory — the restart
@@ -36,18 +37,18 @@
 // TotalClients(c) traces, so the header's size — and with it every
 // payload offset — follows from the config sequence alone. BundleWriter
 // therefore writes each set's payloads at their final offsets as soon as
-// the set arrives, and writes the header last; the sweep runner appends
-// cold sets as they are built and frees them once replayed.
+// the set arrives, and writes the header last; SaveTraceBundle appends
+// sets that are already in memory this way.
 //
-// Streaming goes one step further, per trace: a cold family whose sets
-// come next in the sequence hands each trace to the writer as it is
-// recorded (Stream), in client order — the order in which Append of the
-// family's sets would write their fresh payloads anyway, since every
-// member is a prefix of the family's leader. After the build the writer
-// maps what was streamed (ViewStreamed), the family's sets become views
-// of the file being written, exactly like a warm run's, and Append
-// recognises their payloads as already written. The file's bytes are
-// the same either way.
+// A cold sweep streams, per trace: since the sequence is in family
+// order, the sweep runner builds the families one after another and each
+// family's leader hands every trace to the writer as it is recorded
+// (Stream), in client order — the order in which Append of the family's
+// sets would write their fresh payloads anyway, since every member is a
+// prefix of the leader. After the build the writer maps what was
+// streamed (ViewStreamed), the family's sets become views of the file
+// being written, exactly like a warm run's, and Append writes only
+// their index rows. The file's bytes are the same either way.
 //
 // Demotion chain, two steps, never aborting a run: a map failure or any
 // header/geometry mismatch — truncation, version skew (a v3 bundle read
@@ -163,8 +164,11 @@ class BundleWriter {
   /// Writes the next set of Begin's sequence at its final offset. False —
   /// and the writer is abandoned — on I/O failure, or when `set` is not
   /// the next config's set or does not hold TotalClients(config) traces.
-  /// A payload ViewStreamed mapped is recognised as written: its row
-  /// names its streamed offset and checksum, and nothing is rewritten.
+  /// A trace whose payload address and sizes match one already written —
+  /// appended fresh, or mapped by the last ViewStreamed — shares its
+  /// offset and checksum, and nothing is rewritten. So the storage of
+  /// every appended set must stay alive and unchanged until Finish, or
+  /// until the next ViewStreamed.
   bool Append(const harness::TraceSet& set);
   /// Writes `t`'s payload at the next payload offset ahead of its set,
   /// as Append would write it fresh. The traces streamed between two
@@ -176,8 +180,9 @@ class BundleWriter {
   /// Maps the payloads streamed since the last call and points `set`'s
   /// traces — the hollow traces of the build that streamed them
   /// (harness::TraceSink), one per streamed payload, in order — at
-  /// them; `set->backing` pins the mapping. False — and the writer is
-  /// abandoned — on a count or size mismatch or a failed map.
+  /// them; `set->backing` pins the mapping. Later sets share only these
+  /// payloads. False — and the writer is abandoned — on a count or size
+  /// mismatch or a failed map.
   bool ViewStreamed(harness::TraceSet* set);
   /// After the last Append: writes the checksummed header, flushes and
   /// renames the temp file onto `path`. False on any failure, and when a
@@ -202,22 +207,18 @@ class BundleWriter {
   /// an index row has named. It trails cursor_ only while streamed
   /// payloads wait for their sets; an empty trace's row names it.
   uint64_t named_ = 0;
-  /// Payloads written so far, by the storage they were written from: a
-  /// trace viewing one of them shares its offset.
   struct Written {
     uint64_t offset = 0;
     uint64_t n_events = 0;
     uint64_t n_bytes = 0;
     uint64_t checksum = 0;
   };
+  /// Payloads a row may share, by address: those appended fresh, from
+  /// the storage they were written from, and those the last ViewStreamed
+  /// mapped, from their mapped address (it forgets every older entry).
   std::unordered_map<const uint64_t*, Written> written_;
   /// Payloads streamed since the last ViewStreamed, in order.
   std::vector<Written> stream_;
-  /// The last ViewStreamed's mapping and its payloads, by mapped
-  /// address: Append trusts an entry only while the mapping lives, so
-  /// no other storage can sit at its address.
-  std::weak_ptr<MappedBundle> stream_map_;
-  std::unordered_map<const uint64_t*, Written> streamed_;
 };
 
 /// Writes `sets` (in build order) to `path` through one BundleWriter.

@@ -153,7 +153,7 @@ TEST(BuildMemoryTest, StreamedColdRunHoldsOneClientsTraceBesideItsWorld) {
   // bound).
   GTEST_SKIP() << "ASan's quarantine keeps freed heap resident";
 #else
-  // A default-scale DSS family, built cold at one thread into a bundle:
+  // A default-scale DSS family, built cold into a bundle:
   // the leader (20 clients, one query each) records tens of MB of trace,
   // and a half-size member is its prefix slice. Each cell replays a
   // small window, so replay faults in little of the mapped bundle.
@@ -182,46 +182,52 @@ TEST(BuildMemoryTest, StreamedColdRunHoldsOneClientsTraceBesideItsWorld) {
   }
 
   const std::string path = ::testing::TempDir() + "build_memory.traces";
-  std::remove(path.c_str());
-  harness::WorkloadFactory run_factory;
-  MetricsRegistry metrics;
-  sweep::RunnerOptions options;
-  options.threads = 1;
-  options.trace_bundle = path;
-  options.metrics = &metrics;
-  const double before = ResidentMb();
-  double peak = 0.0;
-  {
-    ResidentSampler sampler;
-    const sweep::SweepReport r =
-        sweep::SweepRunner(&run_factory, options).Run(spec);
-    peak = sampler.peak();
-    ASSERT_EQ(r.bundle, "cold");
-    EXPECT_EQ(r.metrics.CounterOr("sweep.sets_streamed"), 2u);
-  }
-  const double growth = peak - before;
+  // One builder streams the families at any thread count; more threads
+  // only add sim workers.
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("--threads " + std::to_string(threads));
+    std::remove(path.c_str());
+    harness::WorkloadFactory run_factory;
+    MetricsRegistry metrics;
+    sweep::RunnerOptions options;
+    options.threads = threads;
+    options.trace_bundle = path;
+    options.metrics = &metrics;
+    const double before = ResidentMb();
+    double peak = 0.0;
+    {
+      ResidentSampler sampler;
+      const sweep::SweepReport r =
+          sweep::SweepRunner(&run_factory, options).Run(spec);
+      peak = sampler.peak();
+      ASSERT_EQ(r.bundle, "cold");
+      EXPECT_EQ(r.metrics.CounterOr("sweep.sets_streamed"), 2u);
+    }
+    const double growth = peak - before;
 
-  // What the family recorded, read back from the bundle it wrote.
-  std::vector<harness::TraceSetConfig> configs;
-  for (const sweep::Cell& c : spec.Expand()) configs.push_back(c.trace);
-  const sweep::BundleOpenResult open =
-      sweep::OpenTraceBundle(path, factory, configs);
-  ASSERT_EQ(open.mode, "mmap");
-  double total_mb = 0.0;
-  double largest_mb = 0.0;
-  for (const trace::ClientTrace& t : open.sets[1].traces) {
-    const double mb = static_cast<double>(t.payload_words() * 8) / (1 << 20);
-    total_mb += mb;
-    largest_mb = std::max(largest_mb, mb);
+    // What the family recorded, read back from the bundle it wrote.
+    std::vector<harness::TraceSetConfig> configs;
+    for (const sweep::Cell& c : spec.Expand()) configs.push_back(c.trace);
+    const sweep::BundleOpenResult open =
+        sweep::OpenTraceBundle(path, factory, configs);
+    ASSERT_EQ(open.mode, "mmap");
+    double total_mb = 0.0;
+    double largest_mb = 0.0;
+    for (const trace::ClientTrace& t : open.sets[1].traces) {
+      const double mb =
+          static_cast<double>(t.payload_words() * 8) / (1 << 20);
+      total_mb += mb;
+      largest_mb = std::max(largest_mb, mb);
+    }
+    ASSERT_GE(total_mb, 40.0) << "the family must record more than the slack";
+    // Holding the whole set beside the world (as buffering the leader in
+    // memory does) exceeds the bound by the set less one trace, minus the
+    // slack: the query scratch and allocator room of a build.
+    EXPECT_LT(growth, world_mb + largest_mb + 24.0)
+        << "peak growth " << growth << " MB; world " << world_mb
+        << " MB, largest trace " << largest_mb << " MB, set " << total_mb
+        << " MB";
   }
-  ASSERT_GE(total_mb, 40.0) << "the family must record more than the slack";
-  // Holding the whole set beside the world (as buffering the leader in
-  // memory does) exceeds the bound by the set less one trace, minus the
-  // slack: the query scratch and allocator room of a build.
-  EXPECT_LT(growth, world_mb + largest_mb + 24.0)
-      << "peak growth " << growth << " MB; world " << world_mb
-      << " MB, largest trace " << largest_mb << " MB, set " << total_mb
-      << " MB";
   std::remove(path.c_str());
 #endif
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include "gtest/gtest.h"
 #include "harness/config_fields.h"
@@ -670,16 +671,27 @@ bool FileExists(const std::string& path) {
   return std::ifstream(path, std::ios::binary).good();
 }
 
-/// The distinct trace-set configs of `r`'s cells, in canonical
-/// (first-use) order: the sequence a bundle persists.
+/// The distinct trace-set configs of `r`'s cells in canonical order, the
+/// sequence a bundle persists: grouped by client-count family, families
+/// in order of first use, each family's members in first-use order.
 std::vector<harness::TraceSetConfig> CanonicalConfigs(
     const sweep::SweepReport& r) {
-  std::vector<harness::TraceSetConfig> out;
+  std::vector<sweep::TraceSetCache::Key> families;
+  std::map<sweep::TraceSetCache::Key, std::vector<harness::TraceSetConfig>>
+      members;
   std::set<sweep::TraceSetCache::Key> seen;
   for (const sweep::CellResult& cr : r.cells) {
-    if (seen.insert(sweep::TraceSetCache::MakeKey(cr.cell.trace)).second) {
-      out.push_back(cr.cell.trace);
+    if (!seen.insert(sweep::TraceSetCache::MakeKey(cr.cell.trace)).second) {
+      continue;
     }
+    const sweep::TraceSetCache::Key family =
+        sweep::TraceSetCache::FamilyKey(cr.cell.trace);
+    if (members.count(family) == 0) families.push_back(family);
+    members[family].push_back(cr.cell.trace);
+  }
+  std::vector<harness::TraceSetConfig> out;
+  for (const sweep::TraceSetCache::Key& family : families) {
+    out.insert(out.end(), members[family].begin(), members[family].end());
   }
   return out;
 }
@@ -689,7 +701,8 @@ std::vector<harness::TraceSetConfig> CanonicalConfigs(
 // three builds and four slices. `descending` lists the clients axis
 // largest first, which puts each family's leader first in canonical
 // order instead of last. `clients_first` makes clients the outer axis,
-// so the OLTP and DSS families interleave in canonical order.
+// so the OLTP and DSS families interleave in first-use order (the
+// canonical order still groups them).
 sweep::SweepSpec FamilySpec(bool descending, bool clients_first = false) {
   sweep::SweepSpec spec(descending ? "family-desc" : "family",
                         "client-count families");
@@ -766,24 +779,21 @@ std::vector<std::shared_ptr<const harness::TraceSet>> FamilySets(
 }
 
 TEST(TraceBundle, StreamedRunnerBundleByteIdenticalToSaveTraceBundle) {
-  // StreamSpec: three families of one set (one two-tenant), each next in
-  // the bundle's order when built, so at one thread all three stream
-  // their traces into the file as they are recorded. The family grid
-  // with clients outermost interleaves the OLTP and DSS families: those
-  // two are appended from memory, the two-tenant set after them streams.
-  // With more threads a family whose predecessor is still building is
-  // appended from memory too. Every way, the file is what the one-shot
-  // save of the same sets writes.
+  // StreamSpec: three families of one set (one two-tenant). The family
+  // grid with clients outermost interleaves the OLTP and DSS families in
+  // first-use order; the bundle groups them by family. At any thread
+  // count every family streams its traces into the file as they are
+  // recorded, and the file is what the one-shot save of the same sets
+  // writes.
   struct Case {
     std::string name;
     sweep::SweepSpec spec;
     uint64_t sets;
-    uint64_t streamed_at_one_thread;
   };
   const Case cases[] = {
-      {"stream", StreamSpec(), 3, 3},
+      {"stream", StreamSpec(), 3},
       {"interleaved", FamilySpec(/*descending=*/false, /*clients_first=*/true),
-       7, 1},
+       7},
   };
   const std::string streamed = ::testing::TempDir() + "bundle_streamed.traces";
   const std::string saved = ::testing::TempDir() + "bundle_saved.traces";
@@ -801,15 +811,11 @@ TEST(TraceBundle, StreamedRunnerBundleByteIdenticalToSaveTraceBundle) {
           sweep::SweepRunner(&factory, options).Run(c.spec);
       ASSERT_EQ(r.bundle, "cold");
       ASSERT_EQ(r.trace_sets_built, c.sets);
-      const uint64_t n_streamed = r.metrics.CounterOr("sweep.sets_streamed");
-      if (threads == 1) {
-        EXPECT_EQ(n_streamed, c.streamed_at_one_thread);
-      }
-      EXPECT_LE(n_streamed, c.streamed_at_one_thread);
+      EXPECT_EQ(r.metrics.CounterOr("sweep.sets_streamed"), c.sets);
       EXPECT_EQ(r.metrics.CounterOr("sweep.sets_released"), c.sets);
 
       // The same sets, cut the way the run cuts them, in canonical
-      // (first-use) order, through the one-shot save.
+      // order, through the one-shot save.
       const auto owned = FamilySets(factory, CanonicalConfigs(r));
       std::vector<const harness::TraceSet*> sets;
       for (const auto& ts : owned) sets.push_back(ts.get());
@@ -1228,6 +1234,51 @@ TEST(TraceBundle, FailedOrAbandonedWriterLeavesNoFile) {
   }
   EXPECT_FALSE(FileExists(path));
   EXPECT_FALSE(FileExists(path + ".tmp"));
+}
+
+TEST(TraceBundle, FailedStreamWriteBuildsInMemoryAndLeavesNoFile) {
+  // The temp file is a symlink to /dev/full. Begin's zeroed header fits
+  // in stdio's buffer, so the first write that fails is a streamed
+  // trace's (or the flush ahead of its mapping). That family builds again
+  // in memory, every later family builds in memory without streaming,
+  // and the run replays what a run without a bundle replays.
+  harness::WorkloadFactory factory = TinyFactory();
+  const sweep::SweepSpec spec =
+      FamilySpec(/*descending=*/false, /*clients_first=*/true);
+  const std::string reference =
+      ResultJson(sweep::SweepRunner(&factory, WithThreads(1)).Run(spec));
+  const std::string path = ::testing::TempDir() + "bundle_full.traces";
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("--threads " + std::to_string(threads));
+    std::remove(path.c_str());
+    std::remove((path + ".tmp").c_str());
+    ASSERT_EQ(::symlink("/dev/full", (path + ".tmp").c_str()), 0);
+    MetricsRegistry reg;
+    TraceCollector tc(/*deterministic=*/true);
+    sweep::RunnerOptions options;
+    options.threads = threads;
+    options.trace_bundle = path;
+    options.metrics = &reg;
+    options.trace = &tc;
+    const sweep::SweepReport r = sweep::SweepRunner(&factory, options).Run(spec);
+    EXPECT_EQ(r.bundle, "cold");
+    // Exactly one family tried to stream: Begin succeeded, Stream ran.
+    std::ostringstream timeline;
+    tc.WriteJson(timeline);
+    const std::string t = timeline.str();
+    const size_t first = t.find("\"bundle.stream:");
+    ASSERT_NE(first, std::string::npos) << "no streamed build was attempted";
+    EXPECT_EQ(t.find("\"bundle.stream:", first + 1), std::string::npos);
+    EXPECT_EQ(ResultJson(r), reference);
+    EXPECT_EQ(r.metrics.CounterOr("sweep.sets_streamed"), 0u);
+    EXPECT_EQ(r.metrics.CounterOr("sweep.sets_built"), 3u);
+    EXPECT_EQ(r.metrics.CounterOr("sweep.sets_sliced"), 4u);
+    EXPECT_FALSE(FileExists(path));
+    EXPECT_FALSE(FileExists(path + ".tmp"));
+    struct stat st;
+    EXPECT_NE(::lstat((path + ".tmp").c_str(), &st), 0) << "temp link left";
+  }
+  std::remove((path + ".tmp").c_str());
 }
 
 TEST(SweepRunner, ShardedRunExecutesAssignedCellsAndSkipsForeignBuilds) {

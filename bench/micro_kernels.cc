@@ -147,8 +147,7 @@ static void BM_BtreeInsert(benchmark::State& state) {
 BENCHMARK(BM_BtreeInsert);
 
 static void BM_TracerMemEvent(benchmark::State& state) {
-  trace::CodeMap code;
-  const trace::RegionSet regions(&code);
+  const trace::RegionSet regions;
   trace::Tracer tracer(&regions);
   char buf[256];
   for (auto _ : state) {
@@ -172,8 +171,7 @@ static void BM_TpccNewOrderNative(benchmark::State& state) {
   cfg.initial_orders_per_district = 30;
   workload::TpccLoad(&db, cfg);
   workload::TpccDriver driver(&db, cfg, 1, 5);
-  trace::CodeMap code;
-  const trace::RegionSet regions(&code);
+  const trace::RegionSet regions;
   trace::Tracer tracer(&regions);
   for (auto _ : state) {
     driver.Run(workload::TpccTxnType::kNewOrder, &tracer);
@@ -237,8 +235,7 @@ const std::vector<uint64_t>& RecordedEvents() {
     cfg.initial_orders_per_district = 30;
     workload::TpccLoad(&db, cfg);
     workload::TpccDriver driver(&db, cfg, 1, 5);
-    trace::CodeMap code;
-    const trace::RegionSet regions(&code);
+    const trace::RegionSet regions;
     trace::Tracer tracer(&regions);
     while (tracer.events_size() < (1u << 18)) driver.RunOne(&tracer);
     return trace::DecodeEvents(tracer.TakeTrace());

@@ -35,16 +35,6 @@ double NodeDelayScale(TechNode t) {
 
 }  // namespace
 
-const char* TechNodeName(TechNode t) {
-  switch (t) {
-    case TechNode::k250nm: return "250nm";
-    case TechNode::k130nm: return "130nm";
-    case TechNode::k90nm:  return "90nm";
-    case TechNode::k65nm:  return "65nm";
-  }
-  return "?";
-}
-
 Status ComputeTiming(const CacheGeometry& geom, CacheTiming* out) {
   if (out == nullptr) return Status::InvalidArgument("null output");
   if (!IsPow2(geom.line_bytes) || geom.line_bytes < 8 ||

@@ -66,8 +66,6 @@ struct HistoricPoint {
 /// Historic trend table behind Figure 1 (a) and (b). Sorted by year.
 const std::vector<HistoricPoint>& HistoricTrends();
 
-const char* TechNodeName(TechNode t);
-
 }  // namespace stagedcmp::cacti
 
 #endif  // STAGEDCMP_CACTI_CACHE_MODEL_H_

@@ -1,46 +1,12 @@
-// Streaming statistics helpers: mean/min/max accumulator and a log-scale
-// latency histogram used by the simulator's queueing instrumentation.
+// Log-scale latency histogram used by the simulator's queueing
+// instrumentation.
 #ifndef STAGEDCMP_COMMON_HISTOGRAM_H_
 #define STAGEDCMP_COMMON_HISTOGRAM_H_
 
-#include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdint>
-#include <limits>
-#include <string>
 
 namespace stagedcmp {
-
-/// Welford-style running mean with min/max; O(1) memory.
-class RunningStat {
- public:
-  void Add(double x) {
-    ++n_;
-    const double d = x - mean_;
-    mean_ += d / static_cast<double>(n_);
-    m2_ += d * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-    sum_ += x;
-  }
-
-  uint64_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double sum() const { return sum_; }
-  double variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0; }
-  double stddev() const { return std::sqrt(variance()); }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-
- private:
-  uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Power-of-two bucketed histogram for non-negative integer samples
 /// (e.g. per-access latency in cycles). Bucket i holds values in
@@ -63,16 +29,6 @@ class LogHistogram {
     return count_ ? static_cast<double>(sum_) / static_cast<double>(count_) : 0;
   }
 
-  /// Adds another histogram's samples bucket-wise (shard aggregation in
-  /// common/metrics.h).
-  void MergeFrom(const LogHistogram& other) {
-    for (int i = 0; i < kBuckets; ++i) {
-      buckets_[static_cast<size_t>(i)] += other.buckets_[static_cast<size_t>(i)];
-    }
-    count_ += other.count_;
-    sum_ += other.sum_;
-  }
-
   /// Restores an aggregate recorded elsewhere. Count/sum only — bucket
   /// detail is not transported — which is exactly what the sweep shard
   /// files carry (sinks read mean() alone). sweep/shard.cc merge path.
@@ -92,8 +48,6 @@ class LogHistogram {
     }
     return (1ULL << (kBuckets - 1));
   }
-
-  uint64_t bucket(int i) const { return buckets_[static_cast<size_t>(i)]; }
 
  private:
   std::array<uint64_t, kBuckets> buckets_{};

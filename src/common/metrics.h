@@ -54,10 +54,6 @@ class Counter {
 /// mark so a snapshot can report peak pressure, not just the final value.
 class Gauge {
  public:
-  void Add(int64_t delta) {
-    const int64_t now = v_.fetch_add(delta, std::memory_order_relaxed) + delta;
-    UpdatePeak(now);
-  }
   void Set(int64_t v) {
     v_.store(v, std::memory_order_relaxed);
     UpdatePeak(v);

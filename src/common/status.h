@@ -12,11 +12,6 @@ namespace stagedcmp {
 enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
-  kNotFound,
-  kAlreadyExists,
-  kOutOfRange,
-  kResourceExhausted,
-  kFailedPrecondition,
   kInternal,
 };
 
@@ -30,21 +25,6 @@ class Status {
   static Status Ok() { return Status(); }
   static Status InvalidArgument(std::string m) {
     return Status(StatusCode::kInvalidArgument, std::move(m));
-  }
-  static Status NotFound(std::string m) {
-    return Status(StatusCode::kNotFound, std::move(m));
-  }
-  static Status AlreadyExists(std::string m) {
-    return Status(StatusCode::kAlreadyExists, std::move(m));
-  }
-  static Status OutOfRange(std::string m) {
-    return Status(StatusCode::kOutOfRange, std::move(m));
-  }
-  static Status ResourceExhausted(std::string m) {
-    return Status(StatusCode::kResourceExhausted, std::move(m));
-  }
-  static Status FailedPrecondition(std::string m) {
-    return Status(StatusCode::kFailedPrecondition, std::move(m));
   }
   static Status Internal(std::string m) {
     return Status(StatusCode::kInternal, std::move(m));
@@ -64,11 +44,6 @@ class Status {
     switch (c) {
       case StatusCode::kOk: return "OK";
       case StatusCode::kInvalidArgument: return "InvalidArgument";
-      case StatusCode::kNotFound: return "NotFound";
-      case StatusCode::kAlreadyExists: return "AlreadyExists";
-      case StatusCode::kOutOfRange: return "OutOfRange";
-      case StatusCode::kResourceExhausted: return "ResourceExhausted";
-      case StatusCode::kFailedPrecondition: return "FailedPrecondition";
       case StatusCode::kInternal: return "Internal";
     }
     return "Unknown";

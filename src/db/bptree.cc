@@ -20,7 +20,6 @@ BPlusTree::Node* BPlusTree::NewNode(bool leaf) {
   n->is_leaf = leaf;
   n->count = 0;
   n->next = nullptr;
-  ++node_count_;
   return n;
 }
 

@@ -50,8 +50,6 @@ class BPlusTree {
 
   uint64_t size() const { return size_; }
   uint32_t height() const { return height_; }
-  /// Bytes occupied by all nodes (for working-set reporting).
-  uint64_t footprint_bytes() const { return node_count_ * kNodeBytes; }
 
   /// Validates tree invariants (ordering, fill, child links); tests only.
   Status CheckInvariants() const;
@@ -94,7 +92,6 @@ class BPlusTree {
   std::vector<Node*> insert_path_;
   uint64_t size_ = 0;
   uint32_t height_ = 1;
-  uint64_t node_count_ = 0;
   trace::RegionId region_;
 };
 

@@ -1,11 +1,7 @@
 #include "db/exec.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <cstring>
-
-#include "db/bptree.h"
 
 namespace stagedcmp::db {
 
@@ -107,112 +103,6 @@ const uint8_t* SeqScanOp::Next(ExecContext* ctx) {
 }
 
 void SeqScanOp::Close(ExecContext* /*ctx*/) {}
-
-// ---------------------------------------------------------------------------
-// IndexScan
-// ---------------------------------------------------------------------------
-
-IndexScanOp::IndexScanOp(const BPlusTree* index, HeapFile* file, uint64_t lo,
-                         uint64_t hi)
-    : index_(index), file_(file), lo_(lo), hi_(hi) {
-  region_ = trace::RegionId::kIndexScan;
-}
-
-void IndexScanOp::Open(ExecContext* ctx) {
-  rids_.clear();
-  pos_ = 0;
-  index_->Scan(lo_, hi_,
-               [&](uint64_t, uint64_t v) {
-                 rids_.push_back(v);
-                 return true;
-               },
-               ctx->tracer);
-}
-
-const uint8_t* IndexScanOp::Next(ExecContext* ctx) {
-  trace::Tracer* t = ctx->tracer;
-  if (t != nullptr) {
-    t->EnterRegion(region_);
-    t->Compute(CostModel::kOperatorNextOverhead);
-  }
-  if (pos_ >= rids_.size()) return nullptr;
-  return file_->Get(Rid::Decode(rids_[pos_++]), t);
-}
-
-void IndexScanOp::Close(ExecContext* /*ctx*/) { rids_.clear(); }
-
-// ---------------------------------------------------------------------------
-// Filter / Project
-// ---------------------------------------------------------------------------
-
-FilterOp::FilterOp(std::unique_ptr<Operator> child,
-                   std::vector<Predicate> preds)
-    : child_(std::move(child)), preds_(std::move(preds)) {
-  region_ = trace::RegionId::kFilter;
-}
-
-void FilterOp::Open(ExecContext* ctx) { child_->Open(ctx); }
-
-const uint8_t* FilterOp::Next(ExecContext* ctx) {
-  trace::Tracer* t = ctx->tracer;
-  const Schema& schema = child_->output_schema();
-  while (const uint8_t* tuple = child_->Next(ctx)) {
-    if (t != nullptr) {
-      t->EnterRegion(region_);
-      t->Compute(CostModel::kOperatorNextOverhead);
-    }
-    bool pass = true;
-    for (const Predicate& p : preds_) {
-      if (t != nullptr) t->Compute(CostModel::kPredicateEval);
-      if (!p.Eval(schema, tuple)) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) return tuple;
-  }
-  return nullptr;
-}
-
-void FilterOp::Close(ExecContext* ctx) { child_->Close(ctx); }
-
-ProjectOp::ProjectOp(std::unique_ptr<Operator> child, std::vector<int> cols)
-    : child_(std::move(child)), columns_(std::move(cols)) {
-  region_ = trace::RegionId::kProject;
-  std::vector<Column> out;
-  for (int c : columns_) {
-    out.push_back(child_->output_schema().column(static_cast<size_t>(c)));
-  }
-  schema_ = Schema(std::move(out));
-}
-
-void ProjectOp::Open(ExecContext* ctx) {
-  buffer_ = NewTuple(ctx, schema_.tuple_size());
-  child_->Open(ctx);
-}
-
-const uint8_t* ProjectOp::Next(ExecContext* ctx) {
-  const uint8_t* in = child_->Next(ctx);
-  if (in == nullptr) return nullptr;
-  trace::Tracer* t = ctx->tracer;
-  if (t != nullptr) {
-    t->EnterRegion(region_);
-    t->Compute(CostModel::kOperatorNextOverhead);
-  }
-  const Schema& in_schema = child_->output_schema();
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    const size_t c = static_cast<size_t>(columns_[i]);
-    std::memcpy(buffer_ + schema_.offset(i), in + in_schema.offset(c),
-                in_schema.column(c).width());
-    if (t != nullptr) t->Compute(CostModel::kProjection);
-  }
-  if (t != nullptr) {
-    t->Write(buffer_, schema_.tuple_size(), CostModel::kTupleCopyPerLine);
-  }
-  return buffer_;
-}
-
-void ProjectOp::Close(ExecContext* ctx) { child_->Close(ctx); }
 
 // ---------------------------------------------------------------------------
 // HashJoin
@@ -349,78 +239,6 @@ void HashJoinOp::Close(ExecContext* ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// NlJoin
-// ---------------------------------------------------------------------------
-
-NlJoinOp::NlJoinOp(std::unique_ptr<Operator> outer,
-                   std::unique_ptr<Operator> inner, int outer_key,
-                   int inner_key)
-    : outer_(std::move(outer)),
-      inner_(std::move(inner)),
-      outer_key_(outer_key),
-      inner_key_(inner_key) {
-  region_ = trace::RegionId::kNlJoin;
-  schema_ = Schema::Concat(outer_->output_schema(), inner_->output_schema());
-}
-
-void NlJoinOp::Open(ExecContext* ctx) {
-  trace::Tracer* t = ctx->tracer;
-  const Schema& is = inner_->output_schema();
-  out_buf_ = NewTuple(ctx, schema_.tuple_size());
-  inner_rows_.clear();
-  inner_->Open(ctx);
-  while (const uint8_t* tuple = inner_->Next(ctx)) {
-    if (t != nullptr) t->EnterRegion(region_);
-    uint8_t* copy = NewTuple(ctx, is.tuple_size());
-    std::memcpy(copy, tuple, is.tuple_size());
-    if (t != nullptr) {
-      t->Write(copy, is.tuple_size(), CostModel::kTupleCopyPerLine);
-    }
-    inner_rows_.push_back(copy);
-  }
-  inner_->Close(ctx);
-  outer_->Open(ctx);
-  cur_outer_ = nullptr;
-  inner_pos_ = 0;
-}
-
-const uint8_t* NlJoinOp::Next(ExecContext* ctx) {
-  trace::Tracer* t = ctx->tracer;
-  const Schema& os = outer_->output_schema();
-  const Schema& is = inner_->output_schema();
-  while (true) {
-    if (cur_outer_ == nullptr) {
-      cur_outer_ = outer_->Next(ctx);
-      if (cur_outer_ == nullptr) return nullptr;
-      inner_pos_ = 0;
-    }
-    if (t != nullptr) t->EnterRegion(region_);
-    const int64_t ok = GetIntAt(os, cur_outer_, outer_key_);
-    while (inner_pos_ < inner_rows_.size()) {
-      const uint8_t* irow = inner_rows_[inner_pos_++];
-      if (t != nullptr) {
-        t->Read(irow, 8, CostModel::kPredicateEval);  // key probe
-      }
-      if (GetIntAt(is, irow, inner_key_) == ok) {
-        std::memcpy(out_buf_, cur_outer_, os.tuple_size());
-        std::memcpy(out_buf_ + os.tuple_size(), irow, is.tuple_size());
-        if (t != nullptr) {
-          t->Write(out_buf_, schema_.tuple_size(),
-                   CostModel::kTupleCopyPerLine);
-        }
-        return out_buf_;
-      }
-    }
-    cur_outer_ = nullptr;  // inner exhausted: advance outer
-  }
-}
-
-void NlJoinOp::Close(ExecContext* ctx) {
-  outer_->Close(ctx);
-  inner_rows_.clear();
-}
-
-// ---------------------------------------------------------------------------
 // HashAgg
 // ---------------------------------------------------------------------------
 
@@ -539,64 +357,6 @@ void HashAggOp::Close(ExecContext* /*ctx*/) {
   groups_.clear();
   ordered_.clear();
 }
-
-// ---------------------------------------------------------------------------
-// Sort
-// ---------------------------------------------------------------------------
-
-SortOp::SortOp(std::unique_ptr<Operator> child, int key_col, bool ascending)
-    : child_(std::move(child)), key_col_(key_col), ascending_(ascending) {
-  region_ = trace::RegionId::kSort;
-}
-
-void SortOp::Open(ExecContext* ctx) {
-  trace::Tracer* t = ctx->tracer;
-  const Schema& s = child_->output_schema();
-  rows_.clear();
-  pos_ = 0;
-  child_->Open(ctx);
-  while (const uint8_t* tuple = child_->Next(ctx)) {
-    if (t != nullptr) t->EnterRegion(region_);
-    uint8_t* copy = NewTuple(ctx, s.tuple_size());
-    std::memcpy(copy, tuple, s.tuple_size());
-    rows_.push_back(copy);
-    if (t != nullptr) {
-      t->Write(copy, s.tuple_size(), CostModel::kTupleCopyPerLine);
-    }
-  }
-  child_->Close(ctx);
-  const Schema* sp = &s;
-  const int kc = key_col_;
-  const bool asc = ascending_;
-  std::stable_sort(rows_.begin(), rows_.end(),
-                   [sp, kc, asc](const uint8_t* a, const uint8_t* b) {
-                     const int64_t ka = GetIntAt(*sp, a, kc);
-                     const int64_t kb = GetIntAt(*sp, b, kc);
-                     return asc ? ka < kb : kb < ka;
-                   });
-  if (t != nullptr && !rows_.empty()) {
-    // Comparison cost: n log n compares, each touching two rows.
-    const double n = static_cast<double>(rows_.size());
-    const uint64_t compares = static_cast<uint64_t>(n * std::max(1.0, std::log2(n)));
-    for (uint64_t i = 0; i < compares; i += 16) {
-      t->Compute(CostModel::kSortCompare * 16);
-      const size_t a = static_cast<size_t>(i % rows_.size());
-      t->Read(rows_[a], 8, 2);
-    }
-  }
-}
-
-const uint8_t* SortOp::Next(ExecContext* ctx) {
-  if (pos_ >= rows_.size()) return nullptr;
-  trace::Tracer* t = ctx->tracer;
-  if (t != nullptr) {
-    t->EnterRegion(region_);
-    t->Read(rows_[pos_], child_->output_schema().tuple_size(), 3);
-  }
-  return rows_[pos_++];
-}
-
-void SortOp::Close(ExecContext* /*ctx*/) { rows_.clear(); }
 
 uint64_t DrainOperator(Operator* op, ExecContext* ctx) {
   op->Open(ctx);

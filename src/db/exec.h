@@ -8,13 +8,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/arena.h"
-#include "common/rng.h"
 #include "db/schema.h"
 #include "db/storage.h"
 #include "trace/cost_model.h"
@@ -25,7 +23,7 @@ namespace stagedcmp::db {
 class PacketPool;
 
 /// Per-query execution context: tracer + scratch arena for hash tables,
-/// sort buffers, output tuples and materialized intermediates. Everything
+/// group states, output tuples and materialized intermediates. Everything
 /// an operator traces lives in an arena, so it has a fixed place in the
 /// recording world's address space.
 struct ExecContext {
@@ -95,61 +93,6 @@ class SeqScanOp : public Operator {
   trace::RegionId region_;
 };
 
-class BPlusTree;
-
-/// Index range scan: keys in [lo, hi] resolved through `file`.
-class IndexScanOp : public Operator {
- public:
-  IndexScanOp(const BPlusTree* index, HeapFile* file, uint64_t lo,
-              uint64_t hi);
-  void Open(ExecContext* ctx) override;
-  const uint8_t* Next(ExecContext* ctx) override;
-  void Close(ExecContext* ctx) override;
-  const Schema& output_schema() const override { return *file_->schema(); }
-
- private:
-  const BPlusTree* index_;
-  HeapFile* file_;
-  uint64_t lo_, hi_;
-  std::vector<uint64_t> rids_;  // materialized matches
-  size_t pos_ = 0;
-  trace::RegionId region_;
-};
-
-/// Filter over child output.
-class FilterOp : public Operator {
- public:
-  FilterOp(std::unique_ptr<Operator> child, std::vector<Predicate> preds);
-  void Open(ExecContext* ctx) override;
-  const uint8_t* Next(ExecContext* ctx) override;
-  void Close(ExecContext* ctx) override;
-  const Schema& output_schema() const override {
-    return child_->output_schema();
-  }
-
- private:
-  std::unique_ptr<Operator> child_;
-  std::vector<Predicate> preds_;
-  trace::RegionId region_;
-};
-
-/// Projection to a subset of columns (by index).
-class ProjectOp : public Operator {
- public:
-  ProjectOp(std::unique_ptr<Operator> child, std::vector<int> columns);
-  void Open(ExecContext* ctx) override;
-  const uint8_t* Next(ExecContext* ctx) override;
-  void Close(ExecContext* ctx) override;
-  const Schema& output_schema() const override { return schema_; }
-
- private:
-  std::unique_ptr<Operator> child_;
-  std::vector<int> columns_;
-  Schema schema_;
-  uint8_t* buffer_ = nullptr;  ///< output tuple, in ctx->temp
-  trace::RegionId region_;
-};
-
 /// In-memory hash join (equi-join on single int64 columns).
 /// Build side is fully materialized into the scratch arena.
 class HashJoinOp : public Operator {
@@ -161,8 +104,6 @@ class HashJoinOp : public Operator {
   const uint8_t* Next(ExecContext* ctx) override;
   void Close(ExecContext* ctx) override;
   const Schema& output_schema() const override { return schema_; }
-
-  size_t build_rows() const { return n_build_; }
 
  private:
   struct BuildRow {
@@ -213,8 +154,6 @@ class HashAggOp : public Operator {
   void Close(ExecContext* ctx) override;
   const Schema& output_schema() const override { return schema_; }
 
-  size_t num_groups() const { return groups_.size(); }
-
  private:
   /// An update is traced as a write of its group slot's first 72 bytes
   /// (two cache lines), whatever the aggregate count.
@@ -229,76 +168,6 @@ class HashAggOp : public Operator {
   size_t emit_pos_ = 0;
   std::vector<uint8_t> out_buf_;
   trace::RegionId region_;
-};
-
-/// Nested-loop join on an int64 equality (materializes the inner side).
-/// Kept for plan completeness and as the hash join's correctness oracle;
-/// its quadratic probe pattern is also a useful cache-stress workload.
-class NlJoinOp : public Operator {
- public:
-  NlJoinOp(std::unique_ptr<Operator> outer, std::unique_ptr<Operator> inner,
-           int outer_key, int inner_key);
-  void Open(ExecContext* ctx) override;
-  const uint8_t* Next(ExecContext* ctx) override;
-  void Close(ExecContext* ctx) override;
-  const Schema& output_schema() const override { return schema_; }
-
- private:
-  std::unique_ptr<Operator> outer_;
-  std::unique_ptr<Operator> inner_;
-  int outer_key_, inner_key_;
-  Schema schema_;
-  std::vector<const uint8_t*> inner_rows_;
-  const uint8_t* cur_outer_ = nullptr;
-  size_t inner_pos_ = 0;
-  uint8_t* out_buf_ = nullptr;  ///< output tuple, in ctx->temp
-  trace::RegionId region_;
-};
-
-/// Full sort on an int64 column (materializing).
-class SortOp : public Operator {
- public:
-  SortOp(std::unique_ptr<Operator> child, int key_col, bool ascending = true);
-  void Open(ExecContext* ctx) override;
-  const uint8_t* Next(ExecContext* ctx) override;
-  void Close(ExecContext* ctx) override;
-  const Schema& output_schema() const override {
-    return child_->output_schema();
-  }
-
- private:
-  std::unique_ptr<Operator> child_;
-  int key_col_;
-  bool ascending_;
-  std::vector<const uint8_t*> rows_;  ///< line-aligned copies in ctx->temp
-  size_t pos_ = 0;
-  trace::RegionId region_;
-};
-
-/// Limit.
-class LimitOp : public Operator {
- public:
-  LimitOp(std::unique_ptr<Operator> child, uint64_t limit)
-      : child_(std::move(child)), limit_(limit) {}
-  void Open(ExecContext* ctx) override {
-    child_->Open(ctx);
-    seen_ = 0;
-  }
-  const uint8_t* Next(ExecContext* ctx) override {
-    if (seen_ >= limit_) return nullptr;
-    const uint8_t* t = child_->Next(ctx);
-    if (t != nullptr) ++seen_;
-    return t;
-  }
-  void Close(ExecContext* ctx) override { child_->Close(ctx); }
-  const Schema& output_schema() const override {
-    return child_->output_schema();
-  }
-
- private:
-  std::unique_ptr<Operator> child_;
-  uint64_t limit_;
-  uint64_t seen_ = 0;
 };
 
 /// Drains an operator tree, returning the row count (query driver).

@@ -57,14 +57,6 @@ class Schema {
   const Column& column(size_t i) const { return cols_[i]; }
   uint32_t offset(size_t i) const { return offsets_[i]; }
 
-  /// Returns the index of `name`, or -1.
-  int FindColumn(const std::string& name) const {
-    for (size_t i = 0; i < cols_.size(); ++i) {
-      if (cols_[i].name == name) return static_cast<int>(i);
-    }
-    return -1;
-  }
-
   /// Concatenation for join outputs.
   static Schema Concat(const Schema& a, const Schema& b) {
     std::vector<Column> cols;
@@ -95,13 +87,6 @@ class TupleRef {
     double v;
     std::memcpy(&v, data_ + schema_->offset(col), 8);
     return v;
-  }
-  std::string GetString(size_t col) const {
-    const Column& c = schema_->column(col);
-    const char* p = reinterpret_cast<const char*>(data_ + schema_->offset(col));
-    size_t n = 0;
-    while (n < c.length && p[n] != '\0') ++n;
-    return std::string(p, n);
   }
 
   void SetInt(size_t col, int64_t v) {

@@ -67,13 +67,4 @@ uint8_t* HeapFile::Get(Rid rid, trace::Tracer* t) {
   return tup;
 }
 
-void HeapFile::Update(Rid rid, const uint8_t* tuple, trace::Tracer* t) {
-  Page* page = pool_->Fetch(rid.page, t);
-  uint8_t* dst = page->TupleAt(rid.slot);
-  std::memcpy(dst, tuple, schema_->tuple_size());
-  if (t != nullptr) {
-    t->Write(dst, schema_->tuple_size(), CostModel::kTupleCopyPerLine);
-  }
-}
-
 }  // namespace stagedcmp::db

@@ -105,9 +105,6 @@ class HeapFile {
   /// Returns a pointer to the tuple bytes, tracing page + tuple touches.
   uint8_t* Get(Rid rid, trace::Tracer* t);
 
-  /// Updates in place (tracing a write).
-  void Update(Rid rid, const uint8_t* tuple, trace::Tracer* t);
-
   const Schema* schema() const { return schema_; }
   uint32_t file_id() const { return file_id_; }
   const std::vector<uint32_t>& page_ids() const { return page_ids_; }

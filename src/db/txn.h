@@ -150,34 +150,10 @@ class Transaction {
     held_.push_back({b, mode});
   }
 
+  /// Appends the commit record, then releases every held lock in reverse
+  /// acquisition order.
   void Commit(trace::Tracer* t) {
-    Finish(/*log_bytes=*/96, t);
-    ++commits_;
-  }
-
-  /// Aborts the transaction: appends a CLR-style rollback record and
-  /// releases every held lock in reverse acquisition order. The shared
-  /// bucket / log-tail traffic matches Commit, so aborting clients stress
-  /// the same coherence hotspots the paper's Figure 7 is built on.
-  void Abort(trace::Tracer* t) {
-    Finish(/*log_bytes=*/48, t);
-    ++aborts_;
-  }
-
-  size_t locks_held() const { return held_.size(); }
-  uint64_t commits() const { return commits_; }
-  uint64_t aborts() const { return aborts_; }
-
- private:
-  struct Held {
-    size_t bucket;
-    LockMode mode;
-  };
-
-  // Shared end-of-transaction path: log record, then release all locks in
-  // reverse acquisition order.
-  void Finish(uint32_t log_bytes, trace::Tracer* t) {
-    if (log_ != nullptr) log_->Append(log_bytes, t);
+    if (log_ != nullptr) log_->Append(/*bytes=*/96, t);
     for (auto it = held_.rbegin(); it != held_.rend(); ++it) {
       lm_->Release(it->bucket, it->mode, t);
     }
@@ -185,11 +161,17 @@ class Transaction {
     held_.clear();
   }
 
+  size_t locks_held() const { return held_.size(); }
+
+ private:
+  struct Held {
+    size_t bucket;
+    LockMode mode;
+  };
+
   LockManager* lm_;
   LogBuffer* log_;
   std::vector<Held> held_;
-  uint64_t commits_ = 0;
-  uint64_t aborts_ = 0;
 };
 
 }  // namespace stagedcmp::db

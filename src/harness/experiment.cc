@@ -35,7 +35,7 @@ const char* TopologyName(Topology t) {
 
 TraceSet WorkloadFactory::Build(const TraceSetConfig& config,
                                 const TraceSink& sink) const {
-  // A fresh world per build: private databases, private code-region map.
+  // A fresh world per build: private databases, canonical code layout.
   // Builds are pure functions of (config, scale knobs), so they can run
   // concurrently, and the same config always yields the same traces
   // regardless of what built before it.

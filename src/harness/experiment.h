@@ -91,31 +91,13 @@ struct TraceSet {
   /// this pins. Empty for every set that owns or maps its events.
   std::shared_ptr<const TraceSet> leader;
 
-  /// Per-client trace pointers in client order. Cached: rebuilding the
-  /// vector on every RunExperiment call was a measurable allocation when
-  /// one shared TraceSet feeds many sweep cells. The cache keys on
-  /// (traces.data(), traces.size()), so it survives moves (vector moves
-  /// keep the heap buffer) and self-invalidates when traces are added or
-  /// the buffer reallocates.
-  ///
-  /// Thread-safety: the first call populates the cache and must not race
-  /// with other calls; WorkloadFactory::Build and the sweep runner warm
-  /// it before a TraceSet is shared, after which concurrent calls are
-  /// pure reads.
-  const std::vector<const trace::ClientTrace*>& Pointers() const {
-    if (pointer_cache_key_ != traces.data() ||
-        pointer_cache_.size() != traces.size()) {
-      pointer_cache_.clear();
-      pointer_cache_.reserve(traces.size());
-      for (const auto& t : traces) pointer_cache_.push_back(&t);
-      pointer_cache_key_ = traces.data();
-    }
-    return pointer_cache_;
+  /// Per-client trace pointers in client order.
+  std::vector<const trace::ClientTrace*> Pointers() const {
+    std::vector<const trace::ClientTrace*> out;
+    out.reserve(traces.size());
+    for (const auto& t : traces) out.push_back(&t);
+    return out;
   }
-
- private:
-  mutable std::vector<const trace::ClientTrace*> pointer_cache_;
-  mutable const trace::ClientTrace* pointer_cache_key_ = nullptr;
 };
 
 /// Receives each client's trace of a build as soon as it is recorded, in
@@ -130,8 +112,9 @@ using TraceSink = std::function<void(const trace::ClientTrace&)>;
 
 /// Generates trace sets on demand. Each Build() call runs inside a fresh,
 /// isolated WorkloadWorld (see harness/world.h): its own freshly loaded
-/// databases and its own code-region map, so a built trace set is a pure
-/// function of (config, scale knobs) — never of prior Build calls.
+/// databases and the canonical code-region layout, so a built trace set
+/// is a pure function of (config, scale knobs) — never of prior Build
+/// calls.
 ///
 /// Prefix property: in a single-tenant set, client c's trace depends on
 /// c alone — its seed derives from c, and the clients before it mutated

@@ -129,9 +129,6 @@ TraceSet WorkloadWorld::Build(const TraceSetConfig& config,
     metrics_->counter("trace.unmapped_addresses")
         .Add(tracer.unmapped_addresses());
   }
-  // Warm the pointer cache so a shared (immutable) set never populates it
-  // lazily from concurrent replay threads.
-  out.Pointers();
   return out;
 }
 

@@ -1,11 +1,10 @@
-// An isolated workload "world": one code-region map, one set of freshly
-// loaded databases, and the trace-generation loop that records against
-// them. Worlds share nothing, so any number of trace sets can build
-// concurrently — the property the sweep's parallel cold build rests on —
-// and every build is a pure function of (config, scale knobs): no
-// once-guarded shared databases whose state earlier builds advance, no
-// process-global code-region registry whose layout depends on first-touch
-// order.
+// An isolated workload "world": one set of freshly loaded databases and
+// the trace-generation loop that records against them. Worlds share
+// nothing, so any number of trace sets can build concurrently — the
+// property the sweep's parallel cold build rests on — and every build is
+// a pure function of (config, scale knobs): no once-guarded shared
+// databases whose state earlier builds advance, and one fixed code-region
+// layout (trace::RegionSet) whatever the build order.
 //
 // Clients record one after another, in index order, against the world's
 // databases, and client c's seed derives from c alone. So a world that
@@ -51,8 +50,7 @@ class WorkloadWorld {
                 const workload::TpchConfig& tpch,
                 const workload::YcsbConfig& ycsb = {},
                 MetricsRegistry* metrics = nullptr)
-      : regions_(&code_map_),
-        tpcc_config_(tpcc),
+      : tpcc_config_(tpcc),
         tpch_config_(tpch),
         ycsb_config_(ycsb),
         metrics_(metrics) {}
@@ -70,12 +68,9 @@ class WorkloadWorld {
   TraceSet Build(const TraceSetConfig& config,
                  const TraceSink& sink = nullptr);
 
-  /// This world's code-region geometry. Every world registers the full
-  /// canonical RegionSet eagerly, so the layout is identical across
-  /// worlds — PCs in recorded traces do not depend on which world
-  /// recorded them.
+  /// This world's code-region geometry: the canonical RegionSet, so PCs
+  /// in recorded traces do not depend on which world recorded them.
   const trace::RegionSet& regions() const { return regions_; }
-  const trace::CodeMap& code_map() const { return code_map_; }
 
   /// Lazily loaded, world-private databases (exposed for tests and
   /// inspection; Build() loads only the sides it needs). Tenant-A view;
@@ -93,7 +88,6 @@ class WorkloadWorld {
                    bool tenant_b, uint32_t client, trace::Tracer* tracer);
 
   AddressSpace space_;  ///< first member: outlives every arena carved from it
-  trace::CodeMap code_map_;
   trace::RegionSet regions_;
   workload::TpccConfig tpcc_config_;
   workload::TpchConfig tpch_config_;

@@ -153,13 +153,6 @@ std::vector<Family> PlanFamilies(
   return out;
 }
 
-/// Wraps `set` for sharing, warming its pointer cache first so
-/// concurrent readers only ever see the const fast path.
-std::shared_ptr<const harness::TraceSet> Share(harness::TraceSet&& set) {
-  auto owned = std::make_shared<harness::TraceSet>(std::move(set));
-  owned->Pointers();
-  return owned;
-}
 
 }  // namespace
 
@@ -374,7 +367,7 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
       sets_built->Add(1);
       build_us->Record(MicrosSince(t0));
     }
-    return Share(std::move(set));
+    return std::make_shared<const harness::TraceSet>(std::move(set));
   };
 
   // One span per built family and per slice (or per mapped set), whatever
@@ -404,7 +397,8 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
           continue;
         }
         TraceSpan slice_span(tracer, "build", "slice:" + cfg_labels[j]);
-        sets[j - f.begin] = Share(PrefixSlice(leader, distinct[j]));
+        sets[j - f.begin] = std::make_shared<const harness::TraceSet>(
+            PrefixSlice(leader, distinct[j]));
         produced.fetch_add(1, std::memory_order_relaxed);
         if (sets_sliced != nullptr) sets_sliced->Add(1);
       }
@@ -432,7 +426,8 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
     try {
       TraceSpan build_span(tracer, "build", "build:" + cfg_labels[j]);
       if (VerifyBundleSet(bundle_open.sets[j], bundle_open.checksums[j])) {
-        set = Share(std::move(bundle_open.sets[j]));
+        set = std::make_shared<const harness::TraceSet>(
+            std::move(bundle_open.sets[j]));
       } else {
         demoted.store(true, std::memory_order_relaxed);
         set = build(distinct[j]);

@@ -20,8 +20,8 @@
 // golden is held to it by tests/test_goldens.cc). Two properties make
 // that true:
 //   1. Each trace set is a pure function of its config (isolated world:
-//      fresh databases, private code-region map, data addresses recorded
-//      relative to the world's address space; a slice equals the
+//      fresh databases, canonical code-region layout, data addresses
+//      recorded relative to the world's address space; a slice equals the
 //      standalone build of its config word for word), so neither build
 //      order nor build overlap changes a set's events.
 //   2. Each worker writes its cell's result into a slot preallocated at

@@ -232,11 +232,6 @@ void EmitEnvironment(std::ostream& os, int indent) {
 #else
   o.Str("build_type", "unknown");
 #endif
-#if defined(STAGEDCMP_NATIVE_BUILD) && STAGEDCMP_NATIVE_BUILD
-  o.Bool("native", true);
-#else
-  o.Bool("native", false);
-#endif
   o.Close();
 }
 

@@ -30,12 +30,9 @@ struct CostModel {
 
   // Execution.
   static constexpr uint32_t kPredicateEval = 12;
-  static constexpr uint32_t kProjection = 8;
   static constexpr uint32_t kAggUpdate = 14;
   static constexpr uint32_t kHashCompute = 22;
   static constexpr uint32_t kHashProbeStep = 10;
-  static constexpr uint32_t kSortCompare = 16;
-  static constexpr uint32_t kExprPerNode = 6;
   static constexpr uint32_t kOperatorNextOverhead = 18;  // Volcano call chain
   static constexpr uint32_t kStagePacketOverhead = 35;   // enqueue/dequeue
   static constexpr uint32_t kTupleCopyPerLine = 6;

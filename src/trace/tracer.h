@@ -25,7 +25,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -46,36 +45,17 @@ struct CodeRegion {
   bool valid() const { return size != 0; }
 };
 
-/// Registry of code regions, one per engine component. Sizes approximate
-/// the hot-path footprint of each component in a commercial engine (total
-/// ~ several hundred KB >> 32KB L1I).
-///
-/// Instances are independent: each workload "world" (and each test or
-/// benchmark that traces outside one) owns its own, so concurrent trace
-/// builds never share registration state. A CodeMap is not internally
-/// synchronized — register from one thread, read from many.
-class CodeMap {
- public:
-  static constexpr uint64_t kCodeBase = 0x400000000000ULL;
-
-  /// Registers (or returns the existing) region named `name`.
-  CodeRegion Region(const std::string& name, uint32_t size_bytes);
-
-  uint64_t total_footprint() const { return next_offset_; }
-
- private:
-  struct Entry {
-    std::string name;
-    CodeRegion region;
-  };
-  std::vector<Entry> entries_;
-  uint64_t next_offset_ = 0;
-};
+/// Base of the fake code address space: the first canonical region
+/// (bufferpool) starts here, and a fresh Tracer treats it as its initial
+/// region.
+inline constexpr uint64_t kCodeBase = 0x400000000000ULL;
 
 /// Stable identity of an engine component's code region. The database
-/// layer stores these (not resolved CodeRegions), so the same engine
-/// object can be traced against any world's CodeMap — the Tracer resolves
-/// the id through its RegionSet at EnterRegion time.
+/// layer stores these (not resolved CodeRegions); the Tracer resolves the
+/// id through its RegionSet at EnterRegion time. kIndexScan, kProject,
+/// kNlJoin and kSort name operators no engine path traces; they keep
+/// their ids and footprints because the canonical layout (cost_model.cc)
+/// places kYcsb and kIdle after them.
 enum class RegionId : uint8_t {
   kSeqScan,
   kIndexScan,
@@ -99,14 +79,13 @@ enum class RegionId : uint8_t {
 };
 inline constexpr size_t kRegionCount = 17;
 
-/// All engine code regions resolved against one CodeMap. The constructor
-/// registers every region eagerly in one canonical order (see
-/// cost_model.cc), so every set registered into a fresh map shares a
-/// single, build-order-independent PC layout.
+/// All engine code regions, laid out in one canonical order (see
+/// cost_model.cc): every RegionSet holds the same, build-order-independent
+/// PC layout.
 class RegionSet {
  public:
-  /// Registers all kRegionCount regions into `map` in canonical order.
-  explicit RegionSet(CodeMap* map);
+  /// Lays out all kRegionCount regions from kCodeBase in canonical order.
+  RegionSet();
 
   const CodeRegion& operator[](RegionId id) const {
     return regions_[static_cast<size_t>(id)];
@@ -118,13 +97,12 @@ class RegionSet {
 
 /// Per-client trace recorder; TakeTrace starts the next client's. Resolves
 /// RegionIds through the RegionSet it was constructed with (normally its
-/// world's), so tracers in different worlds never touch shared
-/// registration state.
+/// world's).
 class Tracer {
  public:
   /// Where a world's data addresses start in a recorded trace: 2 MB
   /// aligned, so a block's offset in its space keeps its cache-set bits,
-  /// and far below CodeMap::kCodeBase.
+  /// and far below kCodeBase.
   static constexpr uint64_t kDataBase = 0x100000000000ULL;
 
   /// Records data addresses relative to `space`, when given; without one
@@ -144,7 +122,7 @@ class Tracer {
   void Reset() {
     trace_ = ClientTrace();
     encoder_.Discard();
-    region_ = CodeRegion{CodeMap::kCodeBase, 64 * 1024};
+    region_ = CodeRegion{kCodeBase, 64 * 1024};
     pc_off_ = 0;
     win_base_ = 0;
     pending_compute_ = 0;

@@ -88,9 +88,6 @@ class TrafficShaper {
   const Stats& stats() const { return stats_; }
   const TrafficConfig& config() const { return config_; }
 
-  /// Size of the hot set used for hot_set_hits accounting.
-  uint64_t hot_set_size() const { return hot_size_; }
-
  private:
   TrafficConfig config_;
   uint64_t n_;

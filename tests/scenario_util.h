@@ -164,8 +164,7 @@ inline harness::ExperimentConfig HardwareConfig(Hardware hw) {
 /// order), at the canonical geometry every world records with.
 inline const std::vector<trace::CodeRegion>& AllRegions() {
   static const std::vector<trace::CodeRegion> regions = [] {
-    trace::CodeMap code;
-    const trace::RegionSet set(&code);
+    const trace::RegionSet set;
     std::vector<trace::CodeRegion> v;
     for (size_t i = 0;
          i <= static_cast<size_t>(trace::RegionId::kStageRuntime); ++i) {

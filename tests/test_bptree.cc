@@ -99,8 +99,7 @@ TEST(BPlusTreeTest, TracedDescentEmitsDependentReads) {
   Arena arena;
   BPlusTree tree(&arena);
   for (uint64_t k = 0; k < 100000; ++k) tree.Insert(k, k, nullptr);
-  trace::CodeMap code;
-  const trace::RegionSet regions(&code);
+  const trace::RegionSet regions;
   trace::Tracer tracer(&regions);
   uint64_t v;
   tree.Lookup(500, &v, &tracer);

@@ -267,16 +267,6 @@ TEST(ArenaTest, AllocateArrayConstructs) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(arr[i].x, 42);
 }
 
-TEST(RunningStatTest, MeanMinMax) {
-  RunningStat s;
-  for (double v : {1.0, 2.0, 3.0, 4.0}) s.Add(v);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_NEAR(s.stddev(), 1.29099, 1e-4);
-}
-
 TEST(LogHistogramTest, CountsAndMean) {
   LogHistogram h;
   h.Add(0);

@@ -249,13 +249,6 @@ INSTANTIATE_TEST_SUITE_P(CoreCounts, DirectoryLockstepTest,
 // Wide machines (256 and 1024 nodes): literal pins.
 // ---------------------------------------------------------------------------
 
-void SkipIfNativeTuned() {
-#ifdef STAGEDCMP_NATIVE_TUNED
-  GTEST_SKIP() << "fingerprints are pinned at default Release flags; "
-                  "STAGEDCMP_NATIVE builds may contract FP differently";
-#endif
-}
-
 /// The pins for one node count at the build's event scale.
 const WideDirectoryPins& PinsFor(uint32_t cores) {
   for (const WideDirectoryPins& p : kSanScale == 1 ? kWidePinsRelease
@@ -268,7 +261,6 @@ const WideDirectoryPins& PinsFor(uint32_t cores) {
 class WideDirectoryPinTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(WideDirectoryPinTest, ReplayFingerprintsMatchPins) {
-  SkipIfNativeTuned();
   const uint32_t cores = GetParam();
   const WideDirectoryPins& pins = PinsFor(cores);
   const std::vector<trace::ClientTrace> traces = ReplayTraces(cores);
@@ -284,7 +276,6 @@ TEST_P(WideDirectoryPinTest, ReplayFingerprintsMatchPins) {
 }
 
 TEST_P(WideDirectoryPinTest, LoopedReplayMatchesPin) {
-  SkipIfNativeTuned();
   const uint32_t cores = GetParam();
   auto dir = memsim::MakeSmpHierarchy(SmpConfig(cores, 1ull << 20));
   EXPECT_EQ(PinsFor(cores).looped,
@@ -294,7 +285,6 @@ TEST_P(WideDirectoryPinTest, LoopedReplayMatchesPin) {
 }
 
 TEST_P(WideDirectoryPinTest, DirectDriveStatsMatchPin) {
-  SkipIfNativeTuned();
   const uint32_t cores = GetParam();
   auto dir = memsim::MakeSmpHierarchy(ChurnConfig(cores));
   DriveChurn(cores, dir.get(), nullptr);

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "common/arena.h"
-#include "db/bptree.h"
 #include "db/exec.h"
 #include "db/storage.h"
 
@@ -22,16 +21,14 @@ class ExecTest : public ::testing::Test {
         schema_({{"id", ColumnType::kInt64, 8},
                  {"grp", ColumnType::kInt64, 8},
                  {"val", ColumnType::kDouble, 8}}),
-        heap_(&pool_, 0, &schema_),
-        index_(&arena_) {
+        heap_(&pool_, 0, &schema_) {
     std::vector<uint8_t> buf(schema_.tuple_size());
     TupleRef t(&schema_, buf.data());
     for (int i = 0; i < kRows; ++i) {
       t.SetInt(0, i);
       t.SetInt(1, i % 10);
       t.SetDouble(2, i * 1.5);
-      Rid rid = heap_.Insert(buf.data(), nullptr);
-      index_.Insert(static_cast<uint64_t>(i), rid.Encode(), nullptr);
+      heap_.Insert(buf.data(), nullptr);
     }
     ctx_.tracer = nullptr;
     ctx_.temp = &scratch_;
@@ -42,7 +39,6 @@ class ExecTest : public ::testing::Test {
   BufferPool pool_;
   Schema schema_;
   HeapFile heap_;
-  BPlusTree index_;
   ExecContext ctx_;
 };
 
@@ -96,43 +92,6 @@ TEST_F(ExecTest, DoublePredicate) {
   EXPECT_EQ(DrainOperator(&scan, &ctx_), 10u);
 }
 
-TEST_F(ExecTest, IndexScanRange) {
-  IndexScanOp scan(&index_, &heap_, 100, 199);
-  scan.Open(&ctx_);
-  uint64_t n = 0;
-  while (const uint8_t* t = scan.Next(&ctx_)) {
-    TupleRef ref(&schema_, const_cast<uint8_t*>(t));
-    EXPECT_GE(ref.GetInt(0), 100);
-    EXPECT_LE(ref.GetInt(0), 199);
-    ++n;
-  }
-  scan.Close(&ctx_);
-  EXPECT_EQ(n, 100u);
-}
-
-TEST_F(ExecTest, FilterComposesWithScan) {
-  Predicate p1;
-  p1.column = 1;
-  p1.op = Predicate::Op::kEq;
-  p1.ival = 3;  // grp == 3: 200 rows
-  auto scan = std::make_unique<SeqScanOp>(&heap_, std::vector<Predicate>{});
-  FilterOp filter(std::move(scan), {p1});
-  EXPECT_EQ(DrainOperator(&filter, &ctx_), 200u);
-}
-
-TEST_F(ExecTest, ProjectNarrowsSchema) {
-  auto scan = std::make_unique<SeqScanOp>(&heap_, std::vector<Predicate>{});
-  ProjectOp proj(std::move(scan), {2, 0});
-  proj.Open(&ctx_);
-  const uint8_t* t = proj.Next(&ctx_);
-  ASSERT_NE(t, nullptr);
-  EXPECT_EQ(proj.output_schema().num_columns(), 2u);
-  TupleRef ref(&proj.output_schema(), const_cast<uint8_t*>(t));
-  EXPECT_DOUBLE_EQ(ref.GetDouble(0), 0.0);  // val of id 0
-  EXPECT_EQ(ref.GetInt(1), 0);
-  proj.Close(&ctx_);
-}
-
 TEST_F(ExecTest, HashJoinInnerMatchesReference) {
   // Self-join on grp: each row matches kRows/10 rows -> kRows * 200 pairs.
   auto build = std::make_unique<SeqScanOp>(&heap_, std::vector<Predicate>{});
@@ -173,53 +132,29 @@ TEST_F(ExecTest, LeftOuterJoinEmitsUnmatchedProbeRows) {
   EXPECT_EQ(DrainOperator(&join, &ctx_), static_cast<uint64_t>(kRows));
 }
 
-TEST_F(ExecTest, NlJoinMatchesHashJoin) {
-  // The nested-loop join is the hash join's oracle: identical pair counts
-  // on the same keyed self-join.
+TEST_F(ExecTest, HashJoinBoundedSelfJoinOnGroup) {
+  // ids < 100 fall into 10 groups of 10 rows, so the self-join on grp
+  // gives 10 * 10 * 10 = 1000 pairs.
   Predicate p;
   p.column = 0;
   p.op = Predicate::Op::kLt;
-  p.ival = 100;  // bound the quadratic side
-  auto outer1 = std::make_unique<SeqScanOp>(&heap_, std::vector<Predicate>{p});
-  auto inner1 = std::make_unique<SeqScanOp>(&heap_, std::vector<Predicate>{p});
-  NlJoinOp nl(std::move(outer1), std::move(inner1), 1, 1);
+  p.ival = 100;
   auto build = std::make_unique<SeqScanOp>(&heap_, std::vector<Predicate>{p});
   auto probe = std::make_unique<SeqScanOp>(&heap_, std::vector<Predicate>{p});
-  HashJoinOp hj(std::move(build), std::move(probe), 1, 1);
-  EXPECT_EQ(DrainOperator(&nl, &ctx_), DrainOperator(&hj, &ctx_));
+  HashJoinOp join(std::move(build), std::move(probe), 1, 1);
+  EXPECT_EQ(DrainOperator(&join, &ctx_), 1000u);
 }
 
-TEST_F(ExecTest, NlJoinEmitsMatchingPairs) {
-  Predicate p;
-  p.column = 0;
-  p.op = Predicate::Op::kLt;
-  p.ival = 50;
-  auto outer1 = std::make_unique<SeqScanOp>(&heap_, std::vector<Predicate>{p});
-  auto inner1 = std::make_unique<SeqScanOp>(&heap_, std::vector<Predicate>{p});
-  NlJoinOp nl(std::move(outer1), std::move(inner1), 0, 0);  // unique key
-  nl.Open(&ctx_);
-  uint64_t n = 0;
-  const size_t outer_cols = schema_.num_columns();
-  while (const uint8_t* t = nl.Next(&ctx_)) {
-    TupleRef ref(&nl.output_schema(), const_cast<uint8_t*>(t));
-    EXPECT_EQ(ref.GetInt(0), ref.GetInt(outer_cols));
-    ++n;
-  }
-  nl.Close(&ctx_);
-  EXPECT_EQ(n, 50u);
-}
-
-TEST_F(ExecTest, NlJoinEmptyInnerYieldsNothing) {
+TEST_F(ExecTest, HashJoinEmptyBuildYieldsNothing) {
   Predicate never;
   never.column = 0;
   never.op = Predicate::Op::kLt;
   never.ival = 0;
-  auto outer1 =
-      std::make_unique<SeqScanOp>(&heap_, std::vector<Predicate>{});
-  auto inner1 =
+  auto build =
       std::make_unique<SeqScanOp>(&heap_, std::vector<Predicate>{never});
-  NlJoinOp nl(std::move(outer1), std::move(inner1), 0, 0);
-  EXPECT_EQ(DrainOperator(&nl, &ctx_), 0u);
+  auto probe = std::make_unique<SeqScanOp>(&heap_, std::vector<Predicate>{});
+  HashJoinOp join(std::move(build), std::move(probe), 0, 0);
+  EXPECT_EQ(DrainOperator(&join, &ctx_), 0u);
 }
 
 TEST_F(ExecTest, HashAggSumCountAvgPerGroup) {
@@ -261,32 +196,6 @@ TEST_F(ExecTest, HashAggNoGroupsSingleRow) {
   EXPECT_DOUBLE_EQ(ref.GetDouble(0), expect);
   EXPECT_EQ(agg.Next(&ctx_), nullptr);
   agg.Close(&ctx_);
-}
-
-TEST_F(ExecTest, SortOrdersDescending) {
-  Predicate p;
-  p.column = 0;
-  p.op = Predicate::Op::kLt;
-  p.ival = 50;
-  auto scan = std::make_unique<SeqScanOp>(&heap_, std::vector<Predicate>{p});
-  SortOp sort(std::move(scan), 0, /*ascending=*/false);
-  sort.Open(&ctx_);
-  int64_t prev = INT64_MAX;
-  uint64_t n = 0;
-  while (const uint8_t* t = sort.Next(&ctx_)) {
-    TupleRef ref(&schema_, const_cast<uint8_t*>(t));
-    EXPECT_LE(ref.GetInt(0), prev);
-    prev = ref.GetInt(0);
-    ++n;
-  }
-  sort.Close(&ctx_);
-  EXPECT_EQ(n, 50u);
-}
-
-TEST_F(ExecTest, LimitStopsEarly) {
-  auto scan = std::make_unique<SeqScanOp>(&heap_, std::vector<Predicate>{});
-  LimitOp limit(std::move(scan), 7);
-  EXPECT_EQ(DrainOperator(&limit, &ctx_), 7u);
 }
 
 TEST_F(ExecTest, OperatorsReopenCleanly) {

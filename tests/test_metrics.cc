@@ -63,9 +63,9 @@ TEST(MetricsRegistry, ConcurrentResolutionIsSafeAndExact) {
 TEST(Gauge, TracksValueAndPeak) {
   MetricsRegistry reg;
   Gauge& g = reg.gauge("depth");
-  g.Add(5);
-  g.Add(3);
-  g.Add(-6);
+  g.Set(5);
+  g.Set(8);
+  g.Set(2);
   EXPECT_EQ(g.Value(), 2);
   EXPECT_EQ(g.Peak(), 8);
   g.Set(1);

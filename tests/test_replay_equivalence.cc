@@ -12,11 +12,6 @@
 // A second axis compares the devirtualized fast path against the generic
 // MemoryHierarchy fallback the facade keeps for external hierarchy
 // implementations: both dispatch routes must be indistinguishable.
-//
-// Note: the fingerprints hold on default Release/Debug flags. A
-// STAGEDCMP_NATIVE build may legally contract FP operations (FMA) and
-// drift the double-typed fields; the devirtualized-vs-generic comparison
-// still must hold there.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -209,17 +204,6 @@ d-stall-coh=0x1.18ce5999999e2p+19
 other=0x1.4820204189323p+17
 )fp";
 
-// The fingerprints were captured at default Release flags; host-tuned
-// builds may contract FP differently and legitimately shift the
-// double-typed timing bits. (GenericDispatchBitEqual still runs: both
-// arms share whatever flags this binary was built with.)
-void SkipIfNativeTuned() {
-#ifdef STAGEDCMP_NATIVE_TUNED
-  GTEST_SKIP() << "fingerprints are pinned at default Release flags; "
-                  "STAGEDCMP_NATIVE builds may contract FP differently";
-#endif
-}
-
 /// Forwards every call to `inner`. CmpSimulator does not know this type,
 /// so it replays through its generic virtual-dispatch engine.
 class ForwardingHierarchy final : public memsim::MemoryHierarchy {
@@ -297,29 +281,23 @@ std::vector<trace::ClientTrace>* ReplayEquivalenceTest::traces_ = nullptr;
 // The rebuilt hot path reproduces the pre-rebuild implementation
 // bit-for-bit on full 1M-event replays, per topology and camp.
 TEST_F(ReplayEquivalenceTest, CmpFatMatchesOldImplementation) {
-  SkipIfNativeTuned();
   EXPECT_EQ(kCmpFatFull, Replay(false, false, false));
 }
 TEST_F(ReplayEquivalenceTest, CmpLeanMatchesOldImplementation) {
-  SkipIfNativeTuned();
   EXPECT_EQ(kCmpLeanFull, Replay(false, true, false));
 }
 TEST_F(ReplayEquivalenceTest, SmpFatMatchesOldImplementation) {
-  SkipIfNativeTuned();
   EXPECT_EQ(kSmpFatFull, Replay(true, false, false));
 }
 TEST_F(ReplayEquivalenceTest, SmpLeanMatchesOldImplementation) {
-  SkipIfNativeTuned();
   EXPECT_EQ(kSmpLeanFull, Replay(true, true, false));
 }
 
 // Looped steady-state mode exercises warmup ResetStats and trace rotation.
 TEST_F(ReplayEquivalenceTest, CmpFatLoopedMatchesOldImplementation) {
-  SkipIfNativeTuned();
   EXPECT_EQ(kCmpFatLooped, Replay(false, false, true));
 }
 TEST_F(ReplayEquivalenceTest, SmpFatLoopedMatchesOldImplementation) {
-  SkipIfNativeTuned();
   EXPECT_EQ(kSmpFatLooped, Replay(true, false, true));
 }
 
@@ -683,32 +661,26 @@ std::map<uint32_t, std::vector<trace::ClientTrace>>
     ManyCoreReplayTest::traces_;
 
 TEST_F(ManyCoreReplayTest, Cmp64) {
-  SkipIfNativeTuned();
   EXPECT_EQ(kCmpFat64, Replay(false, false, 64));
   EXPECT_EQ(kCmpLean64, Replay(false, true, 64));
 }
 TEST_F(ManyCoreReplayTest, Smp64) {
-  SkipIfNativeTuned();
   EXPECT_EQ(kSmpFat64, Replay(true, false, 64));
   EXPECT_EQ(kSmpLean64, Replay(true, true, 64));
 }
 TEST_F(ManyCoreReplayTest, Cmp1024) {
-  SkipIfNativeTuned();
   EXPECT_EQ(kCmpFat1024, Replay(false, false, 1024));
   EXPECT_EQ(kCmpLean1024, Replay(false, true, 1024));
 }
 TEST_F(ManyCoreReplayTest, Smp1024) {
-  SkipIfNativeTuned();
   EXPECT_EQ(kSmpFat1024, Replay(true, false, 1024));
   EXPECT_EQ(kSmpLean1024, Replay(true, true, 1024));
 }
 TEST_F(ManyCoreReplayTest, CmpFatLooped1024) {
-  SkipIfNativeTuned();
   EXPECT_EQ(kCmpFatLooped1024, Replay(false, false, 1024, /*looped=*/true));
 }
 // Fewer clients than cores: the idle tail of the chip never runs.
 TEST_F(ManyCoreReplayTest, CmpFatPartiallyPopulated1024) {
-  SkipIfNativeTuned();
   EXPECT_EQ(kCmpFatPartial1024,
             Replay(false, false, 1024, /*looped=*/false, /*clients=*/700));
 }

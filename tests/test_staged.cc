@@ -94,9 +94,9 @@ TEST_F(StagedTest, PipelineMatchesVolcanoFilterCount) {
   auto pipeline = MakePipeline(64);
   const uint64_t staged_rows = pipeline->Run(&ctx_);
 
-  auto scan = std::make_unique<SeqScanOp>(&heap_, std::vector<Predicate>{});
-  FilterOp filter(std::move(scan), {LtPred(1000)});
-  EXPECT_EQ(staged_rows, DrainOperator(&filter, &ctx_));
+  // The Volcano plans filter inside the scan (SeqScanOp's predicates).
+  SeqScanOp scan(&heap_, {LtPred(1000)});
+  EXPECT_EQ(staged_rows, DrainOperator(&scan, &ctx_));
   EXPECT_EQ(staged_rows, 1000u);
 }
 
@@ -154,8 +154,7 @@ TEST_F(StagedTest, CohortTraceHasFewerRegionSwitches) {
   // The mechanism behind the staged-L1I claim: count compute events that
   // jump between code regions per tuple processed.
   auto count_jumps = [&](uint32_t packet_tuples) {
-    trace::CodeMap code;
-    const trace::RegionSet regions(&code);
+    const trace::RegionSet regions;
     trace::Tracer tracer(&regions);
     ExecContext ctx;
     ctx.tracer = &tracer;

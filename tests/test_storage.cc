@@ -1,6 +1,10 @@
 // Tests for schema/tuple layout and the storage manager.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "common/arena.h"
 #include "db/schema.h"
 #include "db/storage.h"
@@ -15,18 +19,19 @@ Schema TestSchema() {
                  {"name", ColumnType::kChar, 20}});
 }
 
+/// The CHAR column `col` of a tuple up to its first NUL, at most its width.
+std::string StringAt(const Schema& s, const std::vector<uint8_t>& tuple,
+                     size_t col) {
+  const char* p = reinterpret_cast<const char*>(tuple.data() + s.offset(col));
+  return std::string(p, strnlen(p, s.column(col).length));
+}
+
 TEST(SchemaTest, OffsetsAndSize) {
   Schema s = TestSchema();
   EXPECT_EQ(s.offset(0), 0u);
   EXPECT_EQ(s.offset(1), 8u);
   EXPECT_EQ(s.offset(2), 16u);
   EXPECT_EQ(s.tuple_size(), 40u);  // 36 rounded up to 8
-}
-
-TEST(SchemaTest, FindColumn) {
-  Schema s = TestSchema();
-  EXPECT_EQ(s.FindColumn("val"), 1);
-  EXPECT_EQ(s.FindColumn("absent"), -1);
 }
 
 TEST(SchemaTest, ConcatPreservesColumns) {
@@ -44,7 +49,7 @@ TEST(TupleRefTest, RoundtripAllTypes) {
   t.SetString(2, "hello");
   EXPECT_EQ(t.GetInt(0), -12345);
   EXPECT_DOUBLE_EQ(t.GetDouble(1), 3.25);
-  EXPECT_EQ(t.GetString(2), "hello");
+  EXPECT_EQ(StringAt(s, buf, 2), "hello");
 }
 
 TEST(TupleRefTest, StringTruncatedToWidth) {
@@ -52,7 +57,7 @@ TEST(TupleRefTest, StringTruncatedToWidth) {
   std::vector<uint8_t> buf(s.tuple_size());
   TupleRef t(&s, buf.data());
   t.SetString(2, std::string(100, 'x'));
-  EXPECT_EQ(t.GetString(2).size(), 20u);
+  EXPECT_EQ(StringAt(s, buf, 2), std::string(20, 'x'));
 }
 
 TEST(RidTest, EncodeDecodeRoundtrip) {
@@ -104,22 +109,10 @@ TEST_F(StorageTest, PageCapacityMatchesTupleSize) {
   EXPECT_EQ(heap_.page_ids().size(), 2u);
 }
 
-TEST_F(StorageTest, UpdateInPlace) {
-  std::vector<uint8_t> buf(schema_.tuple_size());
-  TupleRef t(&schema_, buf.data());
-  t.SetInt(0, 1);
-  Rid rid = heap_.Insert(buf.data(), nullptr);
-  t.SetInt(0, 99);
-  heap_.Update(rid, buf.data(), nullptr);
-  TupleRef got(&schema_, heap_.Get(rid, nullptr));
-  EXPECT_EQ(got.GetInt(0), 99);
-}
-
 TEST_F(StorageTest, TracedAccessEmitsEvents) {
   std::vector<uint8_t> buf(schema_.tuple_size());
   Rid rid = heap_.Insert(buf.data(), nullptr);
-  trace::CodeMap code;
-  const trace::RegionSet regions(&code);
+  const trace::RegionSet regions;
   trace::Tracer tracer(&regions);
   heap_.Get(rid, &tracer);
   tracer.FlushCompute();

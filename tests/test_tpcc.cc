@@ -87,8 +87,7 @@ TEST_F(TpccTest, AllTransactionTypesComplete) {
        {TpccTxnType::kNewOrder, TpccTxnType::kPayment,
         TpccTxnType::kOrderStatus, TpccTxnType::kDelivery,
         TpccTxnType::kStockLevel}) {
-    trace::CodeMap code;
-    const trace::RegionSet regions(&code);
+    const trace::RegionSet regions;
     trace::Tracer tracer(&regions);
     driver.Run(type, &tracer);
     const trace::ClientTrace tr = tracer.TakeTrace();
@@ -117,8 +116,7 @@ TEST_F(TpccTest, TracesDeterministicPerSeed) {
     Database db;
     TpccLoad(&db, cfg_);
     TpccDriver driver(&db, cfg_, 1, seed);
-    trace::CodeMap code;
-    const trace::RegionSet regions(&code);
+    const trace::RegionSet regions;
     trace::Tracer t(&regions);
     for (int i = 0; i < 5; ++i) driver.RunOne(&t);
     trace::ClientTrace tr = t.TakeTrace();

@@ -161,8 +161,7 @@ TEST_F(TpchTest, StagedQ1MatchesVolcanoAggregates) {
 
 TEST_F(TpchTest, DriverRunsFullMix) {
   TpchDriver driver(&db_, 99);
-  trace::CodeMap code;
-  const trace::RegionSet regions(&code);
+  const trace::RegionSet regions;
   trace::Tracer tracer(&regions);
   for (int i = 0; i < 6; ++i) {
     driver.RunOne(&tracer);
@@ -192,8 +191,7 @@ TEST_P(TpchQuerySweep, TracedExecutionProducesEvents) {
   Database db;
   TpchLoad(&db, TinyConfig());
   TpchDriver driver(&db, 123);
-  trace::CodeMap code;
-  const trace::RegionSet regions(&code);
+  const trace::RegionSet regions;
   trace::Tracer tracer(&regions);
   driver.Run(static_cast<TpchQuery>(GetParam()), &tracer);
   EXPECT_GT(tracer.events_size(), 100u);

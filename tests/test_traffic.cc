@@ -125,8 +125,7 @@ TEST(ZipfTraffic, HotRotationRemapsKeysWithoutChangingTheLaw) {
 TEST(ArrivalTraffic, SteadyInjectsNothing) {
   TrafficConfig config;  // defaults: kSteady
   TrafficShaper shaper(config, kKeys, 3);
-  trace::CodeMap code;
-  const trace::RegionSet regions(&code);
+  const trace::RegionSet regions;
   trace::Tracer tracer(&regions);
   for (int r = 0; r < 8; ++r) shaper.BeforeRequest(&tracer);
   tracer.FlushCompute();
@@ -142,8 +141,7 @@ TEST(ArrivalTraffic, BurstInjectsGapEveryOnPhase) {
   config.burst_off = 3;
   config.think_instructions = 1000;
   TrafficShaper shaper(config, kKeys, 3);
-  trace::CodeMap code;
-  const trace::RegionSet regions(&code);
+  const trace::RegionSet regions;
   trace::Tracer tracer(&regions);
   for (int r = 0; r < 6; ++r) shaper.BeforeRequest(&tracer);
   tracer.FlushCompute();
@@ -159,8 +157,7 @@ TEST(ArrivalTraffic, ThinkTimePausesEveryRequest) {
   config.arrival = ArrivalShape::kThinkTime;
   config.think_instructions = 500;
   TrafficShaper shaper(config, kKeys, 3);
-  trace::CodeMap code;
-  const trace::RegionSet regions(&code);
+  const trace::RegionSet regions;
   trace::Tracer tracer(&regions);
   for (int r = 0; r < 10; ++r) shaper.BeforeRequest(&tracer);
   tracer.FlushCompute();
@@ -174,8 +171,7 @@ TEST(ArrivalTraffic, IdleInstructionsLandInTheIdleRegion) {
   config.arrival = ArrivalShape::kThinkTime;
   config.think_instructions = 600;
   TrafficShaper shaper(config, kKeys, 9);
-  trace::CodeMap code;
-  const trace::RegionSet regions(&code);
+  const trace::RegionSet regions;
   trace::Tracer tracer(&regions);
   shaper.BeforeRequest(&tracer);
   tracer.FlushCompute();

@@ -29,8 +29,7 @@ TEST(LockManagerTest, ReleaseBalancesHolders) {
 TEST(LockManagerTest, TracedAcquireTouchesSharedBucket) {
   Arena arena;
   LockManager lm(&arena);
-  trace::CodeMap code;
-  const trace::RegionSet regions(&code);
+  const trace::RegionSet regions;
   trace::Tracer t(&regions);
   lm.Acquire(7, LockMode::kExclusive, &t);
   t.FlushCompute();
@@ -49,8 +48,7 @@ TEST(LockManagerTest, SameKeySameBucketAddress) {
   Arena arena;
   LockManager lm(&arena);
   auto first_write_addr = [&](uint64_t key) {
-    trace::CodeMap code;
-    const trace::RegionSet regions(&code);
+    const trace::RegionSet regions;
     trace::Tracer t(&regions);
     lm.Acquire(key, LockMode::kShared, &t);
     t.FlushCompute();
@@ -67,8 +65,7 @@ TEST(LockManagerTest, SameKeySameBucketAddress) {
 TEST(LogBufferTest, AppendsCount) {
   Arena arena;
   LogBuffer log(&arena);
-  trace::CodeMap code;
-  const trace::RegionSet regions(&code);
+  const trace::RegionSet regions;
   trace::Tracer t(&regions);
   for (int i = 0; i < 10; ++i) log.Append(96, &t);
   EXPECT_EQ(log.records(), 10u);

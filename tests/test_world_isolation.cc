@@ -60,10 +60,9 @@ TEST(WorldIsolation, RegionLayoutIdenticalAcrossWorldsAndFreshMaps) {
   const harness::WorkloadFactory f = TinyFactory();
   harness::WorkloadWorld a(f.tpcc_config, f.tpch_config);
   harness::WorkloadWorld b(f.tpcc_config, f.tpch_config);
-  // Any fresh map resolves to the same geometry, so code tracing outside
-  // a world (tests, benchmarks) lands on the PCs a world records.
-  trace::CodeMap code;
-  const trace::RegionSet fresh(&code);
+  // Any fresh RegionSet has the same geometry, so code tracing outside a
+  // world (tests, benchmarks) lands on the PCs a world records.
+  const trace::RegionSet fresh;
   for (size_t i = 0; i < trace::kRegionCount; ++i) {
     const auto id = static_cast<trace::RegionId>(i);
     EXPECT_EQ(a.regions()[id].base, fresh[id].base) << "region " << i;

@@ -112,9 +112,7 @@ done
 # the verify skill notes name must be a target bench/CMakeLists.txt
 # builds (catches docs still pointing at deleted per-figure binaries).
 bench_targets=$(sed -n '/^set(STAGEDCMP_BENCHES/,/^)/p' bench/CMakeLists.txt \
-                  | grep -oE '^ +[a-z0-9_]+' | tr -d ' ';
-                grep -oE 'list\(APPEND STAGEDCMP_BENCHES [a-z0-9_]+' \
-                  bench/CMakeLists.txt | awk '{print $3}')
+                  | grep -oE '^ +[a-z0-9_]+' | tr -d ' ')
 if [[ -z "$bench_targets" ]]; then
   echo "FAIL: could not extract bench targets from bench/CMakeLists.txt" >&2
   docs_fail=1

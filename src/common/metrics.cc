@@ -1,7 +1,8 @@
 #include "common/metrics.h"
 
-#include <cstdio>
 #include <ostream>
+
+#include "common/json.h"
 
 namespace stagedcmp {
 
@@ -68,26 +69,6 @@ const MetricsSnapshot::GaugeValue* MetricsSnapshot::FindGauge(
   return nullptr;
 }
 
-namespace {
-
-std::string JsonQuote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-std::string Dbl(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
-
 void MetricsSnapshot::WriteJson(std::ostream& os, int indent) const {
   const std::string pad(static_cast<size_t>(indent), ' ');
   const std::string in1 = pad + "  ";
@@ -114,7 +95,7 @@ void MetricsSnapshot::WriteJson(std::ostream& os, int indent) const {
     const HistogramMetric::Merged& m = histograms[i].stats;
     os << (i ? ",\n" : "\n") << in2 << JsonQuote(histograms[i].name)
        << ": {\"count\": " << m.count << ", \"sum\": " << m.sum
-       << ", \"mean\": " << Dbl(m.mean) << ", \"p50\": " << m.p50
+       << ", \"mean\": " << JsonDouble(m.mean) << ", \"p50\": " << m.p50
        << ", \"p95\": " << m.p95 << ", \"p99\": " << m.p99
        << ", \"max\": " << m.max << "}";
   }

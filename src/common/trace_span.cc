@@ -4,21 +4,9 @@
 #include <ostream>
 #include <string_view>
 
+#include "common/json.h"
+
 namespace stagedcmp {
-
-namespace {
-
-std::string JsonQuote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
 
 uint32_t TraceCollector::TidForThisThreadLocked() {
   const std::thread::id self = std::this_thread::get_id();

@@ -79,9 +79,6 @@ class BufferPool {
   /// Fetches by global id, tracing the page-table probe and header touch.
   Page* Fetch(uint32_t page_id, trace::Tracer* t);
 
-  size_t num_pages() const { return num_pages_; }
-  size_t bytes_resident() const { return num_pages_ * sizeof(Page); }
-
  private:
   Page** Entry(uint32_t page_id) const {
     return &chunks_[page_id / kTableChunk][page_id % kTableChunk];

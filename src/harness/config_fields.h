@@ -9,9 +9,11 @@
 // per-cell config words (sweep/shard.cc), and the sinks' config echo and
 // CSV/table config columns (sweep/sinks.cc).
 //
-// Adding a config knob means adding one row here and nothing else. The
+// Adding a config knob means adding one row here; a TraceSetConfig row
+// also needs its label tag in kLabelTags (sweep/runner.cc). The
 // static_asserts after the tables stop the build when a struct gains a
-// member the table does not list.
+// member the table does not list, and the one beside kLabelTags when the
+// tags fall out of step with the TraceSetConfig rows.
 #ifndef STAGEDCMP_HARNESS_CONFIG_FIELDS_H_
 #define STAGEDCMP_HARNESS_CONFIG_FIELDS_H_
 

@@ -161,7 +161,6 @@ class Cache {
       // where dividing set_base by the associativity would put a 64-bit
       // div on every conflict-miss fill.
       out.line_addr = LineAddrFrom(tags_[victim], SetIndex(line_addr));
-      ++evictions_;
       if (out.dirty) ++writebacks_;
     }
     tags_[victim] = Tag(line_addr);
@@ -191,13 +190,12 @@ class Cache {
     return dirty;
   }
 
-  /// Zeroes hit/miss/eviction counters without disturbing contents.
+  /// Zeroes hit/miss/write-back counters without disturbing contents.
   /// Used after cache warmup so measurements exclude cold misses.
-  void ResetCounters() { hits_ = misses_ = evictions_ = writebacks_ = 0; }
+  void ResetCounters() { hits_ = misses_ = writebacks_ = 0; }
 
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
-  uint64_t evictions() const { return evictions_; }
   uint64_t writebacks() const { return writebacks_; }
   double hit_rate() const {
     const uint64_t t = hits_ + misses_;
@@ -239,7 +237,6 @@ class Cache {
   uint64_t lru_clock_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
-  uint64_t evictions_ = 0;
   uint64_t writebacks_ = 0;
 };
 

@@ -1,6 +1,5 @@
 #include "sweep/sinks.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -15,6 +14,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/json.h"
 #include "common/table_printer.h"
 #include "coresim/breakdown.h"
 #include "harness/config_fields.h"
@@ -23,25 +23,6 @@ namespace stagedcmp::sweep {
 
 namespace {
 
-/// Round-trip-exact double formatting; the shortest %.17g form is stable
-/// across runs and thread counts because the underlying bits are.
-std::string Dbl(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string Quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 /// Minimal ordered-key JSON object writer.
 class JsonObj {
  public:
@@ -49,14 +30,14 @@ class JsonObj {
     os_ << "{";
   }
   void Field(const std::string& key, const std::string& raw_value) {
-    os_ << (first_ ? "\n" : ",\n") << Pad(indent_ + 2) << Quote(key) << ": "
-        << raw_value;
+    os_ << (first_ ? "\n" : ",\n") << Pad(indent_ + 2) << JsonQuote(key)
+        << ": " << raw_value;
     first_ = false;
   }
   void Str(const std::string& key, const std::string& v) {
-    Field(key, Quote(v));
+    Field(key, JsonQuote(v));
   }
-  void Num(const std::string& key, double v) { Field(key, Dbl(v)); }
+  void Num(const std::string& key, double v) { Field(key, JsonDouble(v)); }
   void Int(const std::string& key, uint64_t v) {
     Field(key, std::to_string(v));
   }
@@ -78,11 +59,11 @@ class JsonObj {
 template <typename T>
 std::string FieldText(const T& v, bool json) {
   if constexpr (std::is_enum_v<T>) {
-    return json ? Quote(harness::FieldName(v)) : harness::FieldName(v);
+    return json ? JsonQuote(harness::FieldName(v)) : harness::FieldName(v);
   } else if constexpr (std::is_same_v<T, bool>) {
     return json ? (v ? "true" : "false") : (v ? "1" : "0");
   } else if constexpr (std::is_floating_point_v<T>) {
-    return Dbl(v);
+    return JsonDouble(v);
   } else {
     return std::to_string(v);
   }
@@ -94,29 +75,32 @@ constexpr const char* kCsvConfigColumns[] = {
     "engine",   "camp",     "cores",               "l2_bytes",
     "latency",  "topology", "saturated",           "l2_ports"};
 
-/// Simulated-metric columns the CSV carries, in order: one table drives
-/// both the header and every row.
-struct CsvMetric {
+/// Simulated metrics, in output order: one table drives the JSON
+/// "metrics" object (which adds cpi_components right after
+/// avg_response_cycles) and the CSV's header and every row.
+struct MetricColumn {
   const char* name;
   std::string (*text)(const coresim::SimResult& r);
 };
 using Result = coresim::SimResult;
-constexpr CsvMetric kCsvMetricColumns[] = {
+constexpr MetricColumn kMetricColumns[] = {
     {"instructions",
      [](const Result& r) { return std::to_string(r.instructions); }},
     {"elapsed_cycles",
      [](const Result& r) { return std::to_string(r.elapsed_cycles); }},
-    {"cpi", [](const Result& r) { return Dbl(r.cpi()); }},
-    {"uipc", [](const Result& r) { return Dbl(r.uipc()); }},
-    {"l1d_hit_rate", [](const Result& r) { return Dbl(r.l1d_hit_rate); }},
-    {"l1i_hit_rate", [](const Result& r) { return Dbl(r.l1i_hit_rate); }},
-    {"l2_hit_rate", [](const Result& r) { return Dbl(r.l2_hit_rate); }},
+    {"cpi", [](const Result& r) { return JsonDouble(r.cpi()); }},
+    {"uipc", [](const Result& r) { return JsonDouble(r.uipc()); }},
+    {"l1d_hit_rate",
+     [](const Result& r) { return JsonDouble(r.l1d_hit_rate); }},
+    {"l1i_hit_rate",
+     [](const Result& r) { return JsonDouble(r.l1i_hit_rate); }},
+    {"l2_hit_rate", [](const Result& r) { return JsonDouble(r.l2_hit_rate); }},
     {"requests_completed",
      [](const Result& r) { return std::to_string(r.requests_completed); }},
     {"avg_response_cycles",
-     [](const Result& r) { return Dbl(r.avg_response_cycles); }},
+     [](const Result& r) { return JsonDouble(r.avg_response_cycles); }},
     {"queue_delay_mean",
-     [](const Result& r) { return Dbl(r.mem.queue_delay.mean()); }},
+     [](const Result& r) { return JsonDouble(r.mem.queue_delay.mean()); }},
     {"l1_to_l1_transfers",
      [](const Result& r) { return std::to_string(r.mem.l1_to_l1_transfers); }},
     {"invalidations",
@@ -155,16 +139,9 @@ namespace {
 void EmitCellMetrics(const CellResult& cr, std::ostream& os, int indent) {
   const coresim::SimResult& r = cr.result;
   JsonObj o(os, indent);
-  o.Int("instructions", r.instructions);
-  o.Int("elapsed_cycles", r.elapsed_cycles);
-  o.Num("cpi", r.cpi());
-  o.Num("uipc", r.uipc());
-  o.Num("l1d_hit_rate", r.l1d_hit_rate);
-  o.Num("l1i_hit_rate", r.l1i_hit_rate);
-  o.Num("l2_hit_rate", r.l2_hit_rate);
-  o.Int("requests_completed", r.requests_completed);
-  o.Num("avg_response_cycles", r.avg_response_cycles);
-  {
+  for (const MetricColumn& m : kMetricColumns) {
+    o.Field(m.name, m.text(r));
+    if (std::strcmp(m.name, "avg_response_cycles") != 0) continue;
     std::ostringstream sub;
     JsonObj c(sub, indent + 2);
     for (int b = 0; b < static_cast<int>(coresim::Bucket::kCount); ++b) {
@@ -174,10 +151,6 @@ void EmitCellMetrics(const CellResult& cr, std::ostream& os, int indent) {
     c.Close();
     o.Field("cpi_components", sub.str());
   }
-  o.Num("queue_delay_mean", r.mem.queue_delay.mean());
-  o.Int("l1_to_l1_transfers", r.mem.l1_to_l1_transfers);
-  o.Int("invalidations", r.mem.invalidations);
-  o.Int("writebacks", r.mem.writebacks);
   // Shared-bus occupancy, present only on cells that enable the SMP bus
   // model (keyed off the config, not the result, so deterministic bytes
   // of every other spec are untouched).
@@ -371,7 +344,7 @@ void JsonSink::Emit(const SweepReport& report, std::ostream& os) const {
     std::string axes = "[";
     for (size_t i = 0; i < report.axis_names.size(); ++i) {
       if (i) axes += ", ";
-      axes += Quote(report.axis_names[i]);
+      axes += JsonQuote(report.axis_names[i]);
     }
     axes += "]";
     top.Field("axes", axes);
@@ -442,7 +415,7 @@ void CsvSink::Emit(const SweepReport& report, std::ostream& os) const {
   }
   header.emplace_back("trace_total_instructions");
   header.emplace_back("trace_total_events");
-  for (const CsvMetric& m : kCsvMetricColumns) header.emplace_back(m.name);
+  for (const MetricColumn& m : kMetricColumns) header.emplace_back(m.name);
   for (int b = 0; b < static_cast<int>(coresim::Bucket::kCount); ++b) {
     header.emplace_back(std::string("cpi_") +
                         coresim::BucketName(static_cast<coresim::Bucket>(b)));
@@ -459,11 +432,12 @@ void CsvSink::Emit(const SweepReport& report, std::ostream& os) const {
     }
     row.push_back(std::to_string(cr.trace_total_instructions));
     row.push_back(std::to_string(cr.trace_total_events));
-    for (const CsvMetric& m : kCsvMetricColumns) row.push_back(m.text(r));
+    for (const MetricColumn& m : kMetricColumns) row.push_back(m.text(r));
     for (int b = 0; b < static_cast<int>(coresim::Bucket::kCount); ++b) {
-      row.push_back(Dbl(r.CpiComponent(static_cast<coresim::Bucket>(b))));
+      row.push_back(
+          JsonDouble(r.CpiComponent(static_cast<coresim::Bucket>(b))));
     }
-    if (include_timing_) row.push_back(Dbl(cr.sim_wall_seconds));
+    if (include_timing_) row.push_back(JsonDouble(cr.sim_wall_seconds));
     table.AddRow(std::move(row));
   }
   table.PrintCsv(os);

@@ -75,7 +75,7 @@ class TpccDriver {
   /// Executes one transaction from the standard mix; returns its type.
   TpccTxnType RunOne(trace::Tracer* tracer);
 
-  /// Executes a specific transaction type (tests / microbenches).
+  /// Executes a specific transaction type (RunOne's dispatch; tests).
   void Run(TpccTxnType type, trace::Tracer* tracer);
 
   /// Re-homes the terminal (traffic-shaped warehouse skew: the world's

@@ -134,12 +134,13 @@ TEST(MetricsSnapshot, SortedByNameAndJsonShape) {
   MetricsRegistry reg;
   reg.counter("zeta").Add(2);
   reg.counter("alpha").Add(1);
+  reg.counter("q\"uote\\back").Add(3);  // name needs JSON escaping
   reg.gauge("mid").Set(-3);
   reg.histogram("h").Record(10);
   const MetricsSnapshot snap = reg.Snapshot();
-  ASSERT_EQ(snap.counters.size(), 2u);
+  ASSERT_EQ(snap.counters.size(), 3u);
   EXPECT_EQ(snap.counters[0].name, "alpha");
-  EXPECT_EQ(snap.counters[1].name, "zeta");
+  EXPECT_EQ(snap.counters[2].name, "zeta");
   EXPECT_FALSE(snap.empty());
   EXPECT_EQ(snap.CounterOr("missing", 42), 42u);
 
@@ -148,6 +149,7 @@ TEST(MetricsSnapshot, SortedByNameAndJsonShape) {
   const std::string json = os.str();
   EXPECT_NE(json.find("\"schema_version\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"alpha\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"q\\\"uote\\\\back\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"mid\": {\"value\": -3, \"peak\": 0}"),
             std::string::npos);
   EXPECT_NE(json.find("\"count\": 1"), std::string::npos);
